@@ -24,7 +24,6 @@ import (
 	"fmt"
 
 	"vichar/internal/audit"
-	"vichar/internal/buffers"
 	"vichar/internal/config"
 	"vichar/internal/faults"
 	"vichar/internal/flit"
@@ -37,355 +36,6 @@ import (
 	"vichar/internal/traffic"
 	"vichar/internal/txn"
 )
-
-// timedFlit is a flit in flight on a link.
-type timedFlit struct {
-	f  *flit.Flit
-	at int64
-}
-
-// flitLink is a fixed-latency flit pipeline between an output port
-// and a receiver.
-type flitLink struct {
-	delay int64
-	q     []timedFlit
-	head  int
-
-	// Delivery target, encoded as plain fields instead of a per-link
-	// closure so the deliver phase's hottest call is a direct method
-	// invocation on stable memory. Exactly one shape is wired per link:
-	// an ejection link stages into *eject; every other link hands the
-	// flit to dst.ReceiveFlit(inPort, ...), bumping *count (the
-	// network's per-link flit counter) and the probe when attached.
-	dst    *router.Router
-	inPort int
-	count  *uint64
-	lp     *metrics.LinkProbe
-	eject  *[]*flit.Flit
-
-	// Active-router worklist wiring (DESIGN.md §14): owner is the
-	// router whose deliver-phase plan ticks this link; wake points at
-	// the WRITER router's wake buffer (Network.wakes[writer]). A send
-	// that makes an empty link non-empty appends owner there; the
-	// serial merge after the compute barrier re-activates the owner's
-	// deliver entry. Only the writer's shard touches the buffer, so
-	// the edge-triggered append is race-free at any worker count.
-	owner int
-	wake  *[]int
-
-	// faults is the link's fault-model state (retransmission buffer,
-	// scheduled drops); nil without Config.Faults, which keeps the
-	// fault-free tick path identical to the seed's. fprobe mirrors
-	// fault activity into the observability layer (nil-safe).
-	faults *faults.LinkState
-	fprobe *metrics.LinkFaultProbe
-}
-
-// SendFlit enqueues f for delivery delay cycles from now.
-func (l *flitLink) SendFlit(f *flit.Flit, now int64) {
-	if l.head == len(l.q) && l.wake != nil {
-		//vichar:alloc edge-triggered wake: at most one append per empty->non-empty transition, into a per-writer buffer reset each cycle
-		*l.wake = append(*l.wake, l.owner)
-	}
-	//vichar:alloc in-flight queue is bounded by link occupancy; tick resets it to its backing array, so capacity reaches steady state after warm-up
-	l.q = append(l.q, timedFlit{f: f, at: now + l.delay})
-}
-
-// pending reports whether the link still carries undelivered work: an
-// in-flight payload or a flit parked in its retransmission buffer.
-// The deliver shard keeps the owning router's deliver entry active
-// while any plan link is pending, so fault-held links keep their
-// router on the worklist until the retransmission drains.
-func (l *flitLink) pending() bool {
-	if l.head < len(l.q) {
-		return true
-	}
-	return l.faults != nil && l.faults.Held() > 0
-}
-
-// deliverFlit hands a due flit to the link's wired target (see the
-// field comment on flitLink).
-func (l *flitLink) deliverFlit(f *flit.Flit, now int64) {
-	if l.eject != nil {
-		//vichar:alloc staging slice is reset to length 0 each commit, so its capacity reaches the per-cycle ejection peak and stays there
-		*l.eject = append(*l.eject, f)
-		return
-	}
-	if l.count != nil {
-		*l.count++
-	}
-	if l.lp != nil {
-		l.lp.Deliver(now, f.Pkt.ID, f.Seq, f.VC)
-	}
-	l.dst.ReceiveFlit(l.inPort, f, now)
-}
-
-// tick delivers every flit due at or before now and reports whether
-// the link still carries undelivered work (pending, folded in so the
-// deliver sweep needs no second pass over the link).
-func (l *flitLink) tick(now int64) bool {
-	if l.faults != nil {
-		l.tickFaulty(now)
-		return l.pending()
-	}
-	for l.head < len(l.q) && l.q[l.head].at <= now {
-		tf := l.q[l.head]
-		l.q[l.head] = timedFlit{}
-		l.head++
-		l.deliverFlit(tf.f, now)
-	}
-	if l.head == len(l.q) {
-		l.q = l.q[:0]
-		l.head = 0
-		return false
-	}
-	return true
-}
-
-// tickFaulty is the fault-model delivery path: each due flit's fate
-// is rolled per attempt; a dropped or corrupted flit moves into the
-// link's single-flit retransmission buffer and blocks the flits
-// behind it until re-sent (preserving wormhole order), and a
-// retransmission attempt may itself be faulted. The held flit stays
-// inside the link's credit accounting as the RetxHeld audit term.
-func (l *flitLink) tickFaulty(now int64) {
-	s := l.faults
-	if s.HeldDue(now) {
-		l.fprobe.Retransmit()
-		if out := s.Attempt(now); out == faults.Deliver {
-			l.deliverFlit(s.Release(), now)
-		} else {
-			s.Rearm(now)
-			l.fprobe.Fault(out == faults.Corrupt)
-		}
-	}
-	for l.head < len(l.q) && l.q[l.head].at <= now && !s.Blocked() {
-		tf := l.q[l.head]
-		l.q[l.head] = timedFlit{}
-		l.head++
-		if out := s.Attempt(now); out == faults.Deliver {
-			l.deliverFlit(tf.f, now)
-		} else {
-			s.Hold(tf.f, now)
-			l.fprobe.Fault(out == faults.Corrupt)
-		}
-	}
-	if l.head == len(l.q) {
-		l.q = l.q[:0]
-		l.head = 0
-	}
-}
-
-// timedCredit is a credit in flight on a reverse channel.
-type timedCredit struct {
-	c  flit.Credit
-	at int64
-}
-
-// creditLink is the fixed-latency reverse channel of a link.
-type creditLink struct {
-	delay int64
-	q     []timedCredit
-	head  int
-
-	// Delivery target as plain fields (same rationale as flitLink): an
-	// inter-router reverse channel credits dst's output port outPort;
-	// the NI reverse channel credits view directly.
-	dst     *router.Router
-	outPort int
-	view    router.CreditView
-
-	// Worklist wiring, identical contract to flitLink.owner/wake.
-	owner int
-	wake  *[]int
-}
-
-// SendCredit enqueues c for delivery delay cycles from now.
-func (l *creditLink) SendCredit(c flit.Credit, now int64) {
-	if l.head == len(l.q) && l.wake != nil {
-		//vichar:alloc edge-triggered wake: at most one append per empty->non-empty transition, into a per-writer buffer reset each cycle
-		*l.wake = append(*l.wake, l.owner)
-	}
-	//vichar:alloc in-flight queue is bounded by link occupancy; tick resets it to its backing array, so capacity reaches steady state after warm-up
-	l.q = append(l.q, timedCredit{c: c, at: now + l.delay})
-}
-
-// tick delivers every credit due at or before now and reports whether
-// the channel still carries undelivered credits.
-func (l *creditLink) tick(now int64) bool {
-	for l.head < len(l.q) && l.q[l.head].at <= now {
-		tc := l.q[l.head]
-		l.head++
-		if l.dst != nil {
-			l.dst.ReceiveCredit(l.outPort, tc.c)
-		} else {
-			l.view.OnCredit(tc.c)
-		}
-	}
-	if l.head == len(l.q) {
-		l.q = l.q[:0]
-		l.head = 0
-		return false
-	}
-	return true
-}
-
-// inflight returns the number of undelivered flits on the link.
-func (l *flitLink) inflight() int { return len(l.q) - l.head }
-
-// inflight returns the number of undelivered credits on the link.
-func (l *creditLink) inflight() int { return len(l.q) - l.head }
-
-// auditedLink ties together the four parties of one directed link's
-// credit-conservation equation: the upstream credit view, the forward
-// flit channel, the downstream input buffer and the reverse credit
-// channel. Collected at wiring time, checked every step when
-// Config.Audit is set.
-type auditedLink struct {
-	name string
-	view router.CreditView
-	fl   *flitLink
-	cl   *creditLink
-	buf  buffers.Buffer
-}
-
-// retxHeld returns the link's declared-fault conservation term: the
-// flit count parked in its retransmission buffer.
-func (al *auditedLink) retxHeld() int { return al.fl.faults.Held() }
-
-// niStream is one injection stream of a network interface: the packet
-// queue and in-flight flit cursor of a single VC class. Fire-and-
-// forget runs have exactly one stream; the transaction layer gives
-// each VC class its own so a queued response can never wait behind a
-// request (or background packet) that cannot obtain a VC.
-type niStream struct {
-	queue []*flit.Packet
-	qhead int
-
-	cur []*flit.Flit
-	idx int
-	vc  int
-}
-
-func (st *niStream) queued() int { return len(st.queue) - st.qhead }
-
-// ni is one network interface: the per-class packet source queues
-// feeding the router's local input port. It mirrors the local input
-// port's buffer state through a credit view, allocates a VC per
-// packet within the packet's class and injects one flit per cycle
-// when credits allow.
-type ni struct {
-	node    int
-	view    router.CreditView
-	link    *flitLink
-	streams []niStream
-	rr      int // round-robin pointer over streams for the one-flit-per-cycle send
-
-	// txn, when the transaction layer is on, receives the fully-
-	// injected notification that releases a responder's egress slot.
-	// ni.tick runs in the node's compute shard and the hook touches
-	// only this node's responder state, so the call is race-free.
-	txn *txn.Engine
-
-	// probe mirrors injection activity into the live metrics
-	// registry; nil (no-op) without an observability layer.
-	probe *metrics.NIProbe
-}
-
-func (s *ni) enqueue(p *flit.Packet) {
-	//vichar:alloc one append per generated packet, amortized by tick's queue compaction — not per-cycle churn
-	s.streams[p.Class].queue = append(s.streams[p.Class].queue, p)
-}
-
-func (s *ni) queued() int {
-	n := 0
-	for i := range s.streams {
-		n += s.streams[i].queued()
-	}
-	return n
-}
-
-// idle reports whether a tick would be a no-op: no stream holds a
-// packet mid-flight or queued. The compute worklist only lets a node
-// sleep when its NI is idle; a stalled injection (cur != nil waiting
-// for credit) keeps the node active until the credit arrives.
-func (s *ni) idle() bool {
-	for i := range s.streams {
-		if s.streams[i].cur != nil || s.streams[i].queued() > 0 {
-			return false
-		}
-	}
-	return true
-}
-
-func (s *ni) tick(now int64) {
-	// Start phase: every stream with a queued packet and no packet in
-	// flight tries to allocate a VC within its own class.
-	for c := range s.streams {
-		st := &s.streams[c]
-		if st.cur != nil || st.queued() == 0 {
-			continue
-		}
-		if vc, ok := s.view.AllocVCIn(c, false); ok {
-			p := st.queue[st.qhead]
-			st.queue[st.qhead] = nil
-			st.qhead++
-			if st.qhead > len(st.queue)/2 && st.qhead > 16 {
-				n := copy(st.queue, st.queue[st.qhead:])
-				st.queue = st.queue[:n]
-				st.qhead = 0
-			}
-			p.InjectedAt = now
-			//vichar:alloc packet materialization allocates its flits once at injection, amortized over the packet's network lifetime
-			st.cur = flit.MakeFlits(p)
-			st.idx = 0
-			st.vc = vc
-		}
-	}
-	// Send phase: the injection channel carries one flit per cycle;
-	// streams with credit take turns round-robin. With one stream this
-	// reduces exactly to the classic NI.
-	n := len(s.streams)
-	blocked := false
-	for i := 0; i < n; i++ {
-		c := s.rr + i
-		if c >= n {
-			c -= n
-		}
-		st := &s.streams[c]
-		if st.cur == nil {
-			continue
-		}
-		if !s.view.CanSendFlit(st.vc) {
-			blocked = true
-			continue
-		}
-		f := st.cur[st.idx]
-		f.VC = st.vc
-		s.view.OnSend(f)
-		s.link.SendFlit(f, now)
-		if s.probe != nil {
-			s.probe.Inject(now, f.Pkt.ID, f.Seq, st.vc)
-		}
-		st.idx++
-		if st.idx == len(st.cur) {
-			if s.txn != nil {
-				s.txn.OnInjected(s.node, f.Pkt)
-			}
-			st.cur = nil
-		}
-		if n > 1 {
-			s.rr = c + 1
-			if s.rr == n {
-				s.rr = 0
-			}
-		}
-		return
-	}
-	if blocked {
-		s.probe.CreditStall()
-	}
-}
 
 // routerLinks is the deliver-phase plan of one router: every link
 // whose delivery mutates state owned by that router — flit links
@@ -832,573 +482,3 @@ func New(cfg *config.Config) *Network {
 	n.samplePerNode = make([]float64, mesh.Nodes())
 	return n
 }
-
-// Mesh returns the network's topology.
-func (n *Network) Mesh() topology.Mesh { return n.mesh }
-
-// Router returns router id (tests and diagnostics).
-func (n *Network) Router(id int) *router.Router { return n.routers[id] }
-
-// Now returns the current simulation cycle.
-func (n *Network) Now() int64 { return n.now }
-
-// CreatedPackets returns the number of packets generated so far.
-func (n *Network) CreatedPackets() int64 { return n.created }
-
-// InjectPacket creates a packet from src to dst at the current cycle
-// and enqueues it at src's network interface; tests and custom
-// workloads use it instead of the built-in traffic generator.
-func (n *Network) InjectPacket(src, dst int) *flit.Packet {
-	return n.InjectPacketSized(src, dst, n.cfg.PacketSize)
-}
-
-// InjectPacketSized creates a packet with an explicit flit count
-// (variable-size packet protocol).
-func (n *Network) InjectPacketSized(src, dst, size int) *flit.Packet {
-	return n.SendTxnPacket(src, dst, size, 0, 0, 0)
-}
-
-// SendTxnPacket implements txn.Sender: it creates a packet carrying a
-// transaction-layer kind, VC class and request reference, and
-// enqueues it on the source interface's stream for that class. Plain
-// fire-and-forget injection is the zero-kind, zero-class case.
-func (n *Network) SendTxnPacket(src, dst, size int, kind, class uint8, req uint64) *flit.Packet {
-	n.nextID++
-	//vichar:alloc one packet object per generated packet — the protocol unit, not per-cycle churn
-	p := &flit.Packet{
-		ID:        n.nextID,
-		Src:       src,
-		Dst:       dst,
-		Size:      size,
-		CreatedAt: n.now,
-		SeqNo:     n.nextID,
-		Class:     class,
-		Kind:      kind,
-		Req:       req,
-	}
-	n.created++
-	n.nis[src].enqueue(p)
-	// Injection happens on the serial side of the kernel, before the
-	// compute phase, so waking the source here preserves same-cycle NI
-	// processing for a sleeping node.
-	n.computeActive[src] = true
-	n.netProbe.PacketCreated(n.now, p.ID, src)
-	if n.recording {
-		//vichar:alloc trace recording is an opt-in diagnostic mode; one entry per recorded packet
-		n.recorded = append(n.recorded, trace.Entry{Cycle: n.now, Src: src, Dst: dst, Size: size})
-	}
-	return p
-}
-
-// injectGenerated adapts InjectPacketSized to the traffic generator's
-// callback signature; bound once in New as n.injectFn.
-func (n *Network) injectGenerated(src, dst, size int) { n.InjectPacketSized(src, dst, size) }
-
-// RecordTrace turns on packet-creation recording; RecordedTrace
-// returns the events captured so far.
-func (n *Network) RecordTrace() { n.recording = true }
-
-// RecordedTrace returns the creation events captured since
-// RecordTrace.
-func (n *Network) RecordedTrace() []trace.Entry { return n.recorded }
-
-// ScheduleTrace queues a recorded workload for replay: each entry is
-// injected at its cycle. Entries must be sorted by cycle (trace.Read
-// guarantees this) and valid for this network's node count. Typically
-// used with InjectionRate zero so the stochastic generator stays
-// silent.
-func (n *Network) ScheduleTrace(entries []trace.Entry) error {
-	if err := trace.ValidateAll(entries, n.mesh.Nodes()); err != nil {
-		return err
-	}
-	for i := 1; i < len(entries); i++ {
-		if entries[i].Cycle < entries[i-1].Cycle {
-			return fmt.Errorf("network: trace entries out of order at %d", i)
-		}
-	}
-	n.schedule = append(n.schedule, entries...)
-	return nil
-}
-
-// TracePending returns the number of scheduled entries not yet
-// injected.
-func (n *Network) TracePending() int { return len(n.schedule) - n.scheduleIdx }
-
-// eject consumes a flit at its destination's processing element,
-// enforcing the end-to-end delivery invariants: flits of a packet
-// arrive exactly once, in sequence order, at the right node.
-func (n *Network) eject(f *flit.Flit, now int64) {
-	if f.Pkt.Dst != dstOf(f) {
-		//vichar:invariant the routing function must deliver every flit to its packet destination
-		panic(fmt.Sprintf("network: flit %s ejected at wrong node", f))
-	}
-	want := n.expectSeq[f.Pkt.ID]
-	if f.Seq != want {
-		//vichar:invariant wormhole switching on a fixed VC cannot reorder flits of one packet
-		panic(fmt.Sprintf("network: flit %s ejected out of order (want seq %d)", f, want))
-	}
-	if n.netProbe != nil {
-		n.netProbe.FlitEjected(now, f.Pkt.ID, f.Seq, f.Pkt.Dst, f.VC, f.IsTail())
-	}
-	if !f.IsTail() {
-		n.expectSeq[f.Pkt.ID] = want + 1
-		return
-	}
-	if f.Seq != f.Pkt.Size-1 {
-		//vichar:invariant a tail at the wrong sequence number means flits were lost or duplicated in flight
-		panic(fmt.Sprintf("network: tail %s at seq %d of %d", f, f.Seq, f.Pkt.Size))
-	}
-	delete(n.expectSeq, f.Pkt.ID)
-	p := f.Pkt
-	p.EjectedAt = now
-	was := n.collector.Measuring()
-	n.collector.PacketEjected(p, now)
-	if !was && n.collector.Measuring() && !n.haveStart {
-		n.startSnap = n.totalCounters()
-		//vichar:alloc measurement-window snapshot, taken at most once per run
-		n.linkStartSnap = append([]uint64(nil), n.linkFlits...)
-		n.haveStart = true
-	}
-	if was && !n.collector.Measuring() && !n.haveEnd {
-		n.endSnap = n.totalCounters()
-		//vichar:alloc measurement-window snapshot, taken at most once per run
-		n.linkEndSnap = append([]uint64(nil), n.linkFlits...)
-		n.haveEnd = true
-	}
-	if n.txn != nil {
-		// Serial commit sub-phase: requests enter their responder's
-		// service queue, responses retire their transaction.
-		n.txn.OnEject(p, now, was)
-	}
-}
-
-// dstOf exists to keep the ejection assertion honest without carrying
-// the ejecting node through every link closure: the flit's packet
-// destination is authoritative.
-func dstOf(f *flit.Flit) int { return f.Pkt.Dst }
-
-// totalCounters sums activity across routers plus network-level link
-// traversals. Link traversals are kept per link (each link is ticked
-// by exactly one shard), so the network-wide total is their sum.
-func (n *Network) totalCounters() stats.Counters {
-	var c stats.Counters
-	for _, r := range n.routers {
-		c.Add(r.Counters)
-	}
-	for _, f := range n.linkFlits {
-		c.LinkTraversals += f
-	}
-	for _, fs := range n.faultLinks {
-		c.FlitDrops += fs.Drops
-		c.FlitCorrupts += fs.Corrupts
-		c.Retransmits += fs.Retransmits
-	}
-	return c
-}
-
-// Step advances the simulation by exactly one cycle through the
-// two-phase kernel:
-//
-//  1. Deliver (sharded by receiver router): every link delivers its
-//     due payloads into the receiving router's input buffers and
-//     credit views; ejections are staged per node.
-//  2. Commit + inject (serial): staged ejections are committed in
-//     ascending node order — the only phase that mutates the stats
-//     collector, the end-to-end sequence check and the measurement
-//     snapshots — then new traffic is generated and scheduled trace
-//     entries injected.
-//  3. Compute (sharded by router): every network interface and router
-//     evaluates its pipeline; the only cross-router effects are sends
-//     on links the router owns the write side of, delivered next
-//     cycle by phase 1.
-//
-// Shards own disjoint state and the serial sub-phase runs in a fixed
-// index order, so the cycle's outcome is bit-identical for any worker
-// count.
-func (n *Network) Step() {
-	n.now++
-	now := n.now
-	n.runSharded(n.deliverFn)
-	for id := range n.pendingEject {
-		staged := n.pendingEject[id]
-		for i, f := range staged {
-			staged[i] = nil
-			n.eject(f, now)
-		}
-		n.pendingEject[id] = staged[:0]
-	}
-	if n.cfg.InjectionRate > 0 {
-		n.gen.Tick(now, n.injectFn)
-	}
-	for n.scheduleIdx < len(n.schedule) && n.schedule[n.scheduleIdx].Cycle <= now {
-		e := n.schedule[n.scheduleIdx]
-		n.scheduleIdx++
-		n.InjectPacketSized(e.Src, e.Dst, e.Size)
-	}
-	if n.txn != nil {
-		// Serial like the generator: responder completions inject
-		// responses and requesters draw new requests, both in
-		// ascending node order off per-node streams.
-		n.txn.Tick(now)
-	}
-	n.runSharded(n.computeFn)
-	// Merge the per-writer wake buffers: sends that made an empty link
-	// non-empty re-activate the owning router's deliver entry. A pure
-	// OR over an order-free set, run serially after the compute
-	// barrier, so the result is independent of worker scheduling.
-	for w := range n.wakes {
-		for _, owner := range n.wakes[w] {
-			n.deliverActive[owner] = true
-		}
-		n.wakes[w] = n.wakes[w][:0]
-	}
-	if n.cfg.Audit {
-		n.audit(now)
-	}
-	if now%n.cfg.SampleEvery == 0 {
-		n.sample(now)
-		n.flushObs()
-	}
-}
-
-// deliverShard is phase 1 for one shard: every link owned by the
-// shard's routers delivers its due flits and credits. The walk runs
-// over the owner-grouped link slabs in slab order — one contiguous
-// range per router (flitOff/creditOff), batching each router's
-// delivery commits into a single streaming sweep — rather than over
-// the plan's pointer slices. Reads n.now itself (set before the phase
-// barrier) so the bound closure carries no per-cycle state.
-func (n *Network) deliverShard(shard int) {
-	now := n.now
-	lo, hi := n.shardBounds(shard)
-	st := &n.wlStats[shard]
-	for id := lo; id < hi; id++ {
-		// Skip routers none of whose links carry payloads; the flag is
-		// re-armed by the serial wake merge when a writer makes one of
-		// them non-empty again.
-		if !n.deliverActive[id] {
-			st.DeliverSkipped++
-			continue
-		}
-		st.DeliverTicked++
-		pending := false
-		for i := n.flitOff[id]; i < n.flitOff[id+1]; i++ {
-			if n.flitSlab[i].tick(now) {
-				pending = true
-			}
-		}
-		for i := n.creditOff[id]; i < n.creditOff[id+1]; i++ {
-			if n.creditSlab[i].tick(now) {
-				pending = true
-			}
-		}
-		// Both flags are shard-owned here: deliver and compute shard
-		// by the same id ranges, so no other worker reads them before
-		// the phase barrier. Anything delivered (or still in flight)
-		// may have changed router id's state, so its compute entry is
-		// re-armed conservatively.
-		n.deliverActive[id] = pending
-		n.computeActive[id] = true
-	}
-}
-
-// computeShard is phase 3 for one shard: the shard's network
-// interfaces and routers evaluate their pipelines.
-func (n *Network) computeShard(shard int) {
-	now := n.now
-	lo, hi := n.shardBounds(shard)
-	st := &n.wlStats[shard]
-	for id := lo; id < hi; id++ {
-		if !n.computeActive[id] {
-			st.ComputeSkipped++
-			continue
-		}
-		st.ComputeTicked++
-		s := n.nis[id]
-		s.tick(now)
-		n.routers[id].Tick(now)
-		// A node may sleep only when a tick provably does nothing: the
-		// router's masks are empty (Quiescent also rules out attached
-		// fault state), the NI neither holds nor queues a packet, and
-		// no fault plan is compiled — fault schedules mutate per-cycle
-		// state regardless of traffic, so faulted runs never sleep.
-		if n.fplan == nil && s.idle() && n.routers[id].Quiescent() {
-			n.computeActive[id] = false
-		}
-	}
-}
-
-// flushObs commits the observability layer: staged counter deltas
-// merge into the registry and staged events drain into the tracer,
-// both in fixed recorder index order, and the network-level gauges
-// refresh. Runs only on the serial side of the kernel — Step's sample
-// cadence and the end of Run/Drain — after the compute barrier, so
-// recorders are quiescent. A live scrape therefore lags the
-// simulation by at most SampleEvery cycles.
-func (n *Network) flushObs() {
-	o := n.obs
-	if o == nil {
-		return
-	}
-	o.reg.MergeRecorders(o.recs)
-	if o.tracer != nil {
-		o.tracer.Drain(o.recs)
-	}
-	o.reg.SetGauge(o.gCycle, float64(n.now))
-	o.reg.SetGauge(o.gInflight, float64(n.created-n.collector.Ejected()))
-}
-
-// Metrics returns the live metrics registry, or nil when the
-// observability layer is off (Config.Metrics / Config.TraceEvents).
-func (n *Network) Metrics() *metrics.Registry {
-	if n.obs == nil {
-		return nil
-	}
-	return n.obs.reg
-}
-
-// FlitTracer returns the flit-lifecycle event tracer, or nil when
-// Config.TraceEvents is zero.
-func (n *Network) FlitTracer() *metrics.Tracer {
-	if n.obs == nil {
-		return nil
-	}
-	return n.obs.tracer
-}
-
-// FlushMetrics forces an observability commit outside the regular
-// cadence. It must be called from the goroutine driving Step (between
-// steps); tests and custom protocols use it before reading snapshots.
-func (n *Network) FlushMetrics() { n.flushObs() }
-
-// Close releases the cycle kernel's worker pool (if any). The network
-// stays usable — a later parallel Step lazily restarts the pool — but
-// closing a finished network frees its goroutines immediately instead
-// of waiting for the garbage collector's finalizer.
-func (n *Network) Close() { n.stopKernel() }
-
-// audit runs the per-cycle invariant auditor (internal/audit) over
-// every credit-carrying link and every unified buffer. All router and
-// link mutation for the cycle has completed behind the compute-phase
-// barrier, so the checks are pure reads over quiescent state and are
-// sharded across the same worker pool as the kernel; per-shard first
-// violations are merged in index order, so the reported violation is
-// the same one the serial kernel would find. Any violation is a
-// simulator bug and panics.
-func (n *Network) audit(now int64) {
-	n.runSharded(n.auditLinksFn)
-	for _, err := range n.auditErrs {
-		if err != nil {
-			//vichar:invariant a conservation imbalance means flow-control state corrupted mid-run; continuing would corrupt results
-			panic(fmt.Sprintf("network: cycle %d: %v", now, err))
-		}
-	}
-	n.runSharded(n.auditRoutersFn)
-	for _, err := range n.auditErrs {
-		if err != nil {
-			//vichar:invariant a UBS bookkeeping divergence means buffered flits can be lost or duplicated; continuing would corrupt results
-			panic(fmt.Sprintf("network: cycle %d: %v", now, err))
-		}
-	}
-}
-
-// auditLinksShard checks credit conservation over the shard's chunk
-// of audited links, writing only its own auditStates/auditErrs slots.
-func (n *Network) auditLinksShard(shard int) {
-	states := n.auditStates[shard][:0]
-	lo, hi := chunkBounds(len(n.auditedLinks), n.shardCount, shard)
-	for _, al := range n.auditedLinks[lo:hi] {
-		//vichar:alloc appends into the shard's reusable audit-state scratch; capacity reaches the chunk size after the first audited cycle
-		states = append(states, audit.LinkState{
-			Name:               al.name,
-			Outstanding:        al.view.OutstandingFlits(),
-			InFlightFlits:      al.fl.inflight(),
-			DownstreamOccupied: al.buf.Occupied(),
-			InFlightCredits:    al.cl.inflight(),
-			RetxHeld:           al.retxHeld(),
-		})
-	}
-	n.auditStates[shard] = states
-	n.auditErrs[shard] = audit.CheckLinks(states)
-	if n.auditErrs[shard] == nil {
-		for _, al := range n.auditedLinks[lo:hi] {
-			fs := al.fl.faults
-			if fs == nil {
-				continue
-			}
-			if err := audit.CheckLinkFaults(al.name, fs.Drops, fs.Corrupts, fs.Retransmits, fs.Held()); err != nil {
-				n.auditErrs[shard] = err
-				break
-			}
-		}
-	}
-}
-
-// auditRoutersShard runs the UBS invariant auditor over the shard's
-// routers, recording the first violation in its auditErrs slot.
-func (n *Network) auditRoutersShard(shard int) {
-	n.auditErrs[shard] = nil
-	lo, hi := n.shardBounds(shard)
-	for id := lo; id < hi; id++ {
-		if err := n.routers[id].AuditInvariants(n.now); err != nil {
-			n.auditErrs[shard] = err
-			return
-		}
-	}
-}
-
-// sample records occupancy and VC-usage statistics.
-func (n *Network) sample(now int64) {
-	occ, slots := 0, 0
-	perNode := n.samplePerNode
-	for i, r := range n.routers {
-		occ += r.Occupied()
-		slots += r.TotalSlots()
-		perNode[i] = r.InUseVCsPerPort()
-	}
-	frac := 0.0
-	if slots > 0 {
-		frac = float64(occ) / float64(slots)
-	}
-	n.collector.Sample(now, frac, perNode)
-	if n.obs != nil {
-		vcs := 0.0
-		for _, v := range perNode {
-			vcs += v
-		}
-		n.obs.reg.SetGauge(n.obs.gOcc, frac)
-		n.obs.reg.SetGauge(n.obs.gVCs, vcs/float64(len(perNode)))
-	}
-}
-
-// Run executes the full measurement protocol: inject until the
-// ejection quota (warm-up + measurement) is met or the cycle cap is
-// hit, then finalize statistics. The returned results carry the
-// configuration label and offered load; power annotation is the
-// caller's concern.
-func (n *Network) Run() stats.Results {
-	res, _ := n.RunWith(nil)
-	return res
-}
-
-// RunWith executes the measurement protocol exactly like Run, calling
-// hook (when non-nil) between completed cycles — the only point where
-// a checkpoint is legal. A non-nil error from hook aborts the run and
-// is returned verbatim; the hook must not Step the network itself.
-func (n *Network) RunWith(hook func(now int64) error) (stats.Results, error) {
-	maxCycles := n.cfg.EffectiveMaxCycles()
-	saturated := false
-	for {
-		n.Step()
-		if hook != nil {
-			if err := hook(n.now); err != nil {
-				return stats.Results{}, err
-			}
-		}
-		if n.collector.Done() {
-			break
-		}
-		if n.now >= maxCycles {
-			saturated = true
-			break
-		}
-	}
-	if !n.haveEnd {
-		n.endSnap = n.totalCounters()
-		n.linkEndSnap = append([]uint64(nil), n.linkFlits...)
-		n.haveEnd = true
-	}
-	n.flushObs()
-	res := n.collector.Finalize(n.now, saturated)
-	if n.haveStart {
-		res.Counters = n.endSnap.Sub(n.startSnap)
-	} else {
-		res.Counters = n.endSnap
-	}
-	res.ChannelLoads, res.MaxChannelLoad = n.channelLoads(res.MeasureCycles)
-	res.Label = n.cfg.Label()
-	res.InjectionRate = n.cfg.InjectionRate
-	if n.txn != nil {
-		res.Txn = stats.FinalizeTxn(n.txn.Samples(), n.txn.Issued(), n.txn.Retired())
-	}
-	return res, nil
-}
-
-// channelLoads converts the bracketed per-link flit counts into loads
-// over the measurement window.
-func (n *Network) channelLoads(cycles int64) ([]stats.ChannelLoad, float64) {
-	if cycles <= 0 || n.linkEndSnap == nil {
-		return nil, 0
-	}
-	loads := make([]stats.ChannelLoad, len(n.linkMeta))
-	maxLoad := 0.0
-	for i, meta := range n.linkMeta {
-		delta := n.linkEndSnap[i]
-		if n.linkStartSnap != nil {
-			delta -= n.linkStartSnap[i]
-		}
-		meta.Load = float64(delta) / float64(cycles)
-		loads[i] = meta
-		if meta.Load > maxLoad {
-			maxLoad = meta.Load
-		}
-	}
-	return loads, maxLoad
-}
-
-// Drain runs without injection until every in-flight packet has been
-// ejected or maxCycles elapse; tests use it after manual InjectPacket
-// calls. It returns the number of packets still unejected.
-func (n *Network) Drain(maxCycles int64) int64 {
-	deadline := n.now + maxCycles
-	for n.now < deadline {
-		if n.collector.Ejected() >= n.created && n.TracePending() == 0 &&
-			(n.txn == nil || n.txn.Quiescent()) {
-			break
-		}
-		n.Step()
-	}
-	n.flushObs()
-	return n.created - n.collector.Ejected() + int64(n.TracePending())
-}
-
-// Collector exposes the stats collector (tests and custom protocols).
-func (n *Network) Collector() *stats.Collector { return n.collector }
-
-// Txn exposes the transaction-layer engine, or nil when Config.Txn is
-// off (tests and custom protocols).
-func (n *Network) Txn() *txn.Engine { return n.txn }
-
-// WorklistStats tallies active-router worklist effectiveness: how many
-// per-router compute and deliver entries each Step ran versus skipped.
-type WorklistStats struct {
-	ComputeTicked  uint64
-	ComputeSkipped uint64
-	DeliverTicked  uint64
-	DeliverSkipped uint64
-}
-
-// WorklistStats sums the per-shard worklist tallies accumulated since
-// construction. Purely diagnostic — the counts do not feed results.
-func (n *Network) WorklistStats() WorklistStats {
-	var s WorklistStats
-	for i := range n.wlStats {
-		s.ComputeTicked += n.wlStats[i].ComputeTicked
-		s.ComputeSkipped += n.wlStats[i].ComputeSkipped
-		s.DeliverTicked += n.wlStats[i].DeliverTicked
-		s.DeliverSkipped += n.wlStats[i].DeliverSkipped
-	}
-	return s
-}
-
-// ArenaOverflow returns the number of hot-state elements the
-// struct-of-arrays arena served outside its backing arrays; nonzero
-// means router.NewArena's sizing formula undershot (locality lost,
-// correctness unaffected). TestArenaSizingExact pins it at zero.
-func (n *Network) ArenaOverflow() int { return n.arena.Overflow() }
-
-// RouteTableBytes returns the memory footprint of the network's
-// route-memoization tables (DESIGN.md §17): the price paid at
-// construction for an RC stage that is a flat array load. Grows as
-// nodes² — the kernel benchmark's big-mesh cells record it.
-func (n *Network) RouteTableBytes() int { return n.arena.Tables().Bytes() }

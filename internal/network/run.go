@@ -1,0 +1,264 @@
+package network
+
+import (
+	"fmt"
+	"vichar/internal/flit"
+	"vichar/internal/metrics"
+	"vichar/internal/router"
+	"vichar/internal/stats"
+	"vichar/internal/topology"
+	"vichar/internal/trace"
+	"vichar/internal/txn"
+)
+
+// Mesh returns the network's topology.
+func (n *Network) Mesh() topology.Mesh { return n.mesh }
+
+// Router returns router id (tests and diagnostics).
+func (n *Network) Router(id int) *router.Router { return n.routers[id] }
+
+// Now returns the current simulation cycle.
+func (n *Network) Now() int64 { return n.now }
+
+// CreatedPackets returns the number of packets generated so far.
+func (n *Network) CreatedPackets() int64 { return n.created }
+
+// InjectPacket creates a packet from src to dst at the current cycle
+// and enqueues it at src's network interface; tests and custom
+// workloads use it instead of the built-in traffic generator.
+func (n *Network) InjectPacket(src, dst int) *flit.Packet {
+	return n.InjectPacketSized(src, dst, n.cfg.PacketSize)
+}
+
+// InjectPacketSized creates a packet with an explicit flit count
+// (variable-size packet protocol).
+func (n *Network) InjectPacketSized(src, dst, size int) *flit.Packet {
+	return n.SendTxnPacket(src, dst, size, 0, 0, 0)
+}
+
+// SendTxnPacket implements txn.Sender: it creates a packet carrying a
+// transaction-layer kind, VC class and request reference, and
+// enqueues it on the source interface's stream for that class. Plain
+// fire-and-forget injection is the zero-kind, zero-class case.
+func (n *Network) SendTxnPacket(src, dst, size int, kind, class uint8, req uint64) *flit.Packet {
+	n.nextID++
+	//vichar:alloc one packet object per generated packet — the protocol unit, not per-cycle churn
+	p := &flit.Packet{
+		ID:        n.nextID,
+		Src:       src,
+		Dst:       dst,
+		Size:      size,
+		CreatedAt: n.now,
+		SeqNo:     n.nextID,
+		Class:     class,
+		Kind:      kind,
+		Req:       req,
+	}
+	n.created++
+	n.nis[src].enqueue(p)
+	// Injection happens on the serial side of the kernel, before the
+	// compute phase, so waking the source here preserves same-cycle NI
+	// processing for a sleeping node.
+	n.computeActive[src] = true
+	n.netProbe.PacketCreated(n.now, p.ID, src)
+	if n.recording {
+		//vichar:alloc trace recording is an opt-in diagnostic mode; one entry per recorded packet
+		n.recorded = append(n.recorded, trace.Entry{Cycle: n.now, Src: src, Dst: dst, Size: size})
+	}
+	return p
+}
+
+// injectGenerated adapts InjectPacketSized to the traffic generator's
+// callback signature; bound once in New as n.injectFn.
+func (n *Network) injectGenerated(src, dst, size int) { n.InjectPacketSized(src, dst, size) }
+
+// RecordTrace turns on packet-creation recording; RecordedTrace
+// returns the events captured so far.
+func (n *Network) RecordTrace() { n.recording = true }
+
+// RecordedTrace returns the creation events captured since
+// RecordTrace.
+func (n *Network) RecordedTrace() []trace.Entry { return n.recorded }
+
+// ScheduleTrace queues a recorded workload for replay: each entry is
+// injected at its cycle. Entries must be sorted by cycle (trace.Read
+// guarantees this) and valid for this network's node count. Typically
+// used with InjectionRate zero so the stochastic generator stays
+// silent.
+func (n *Network) ScheduleTrace(entries []trace.Entry) error {
+	if err := trace.ValidateAll(entries, n.mesh.Nodes()); err != nil {
+		return err
+	}
+	for i := 1; i < len(entries); i++ {
+		if entries[i].Cycle < entries[i-1].Cycle {
+			return fmt.Errorf("network: trace entries out of order at %d", i)
+		}
+	}
+	n.schedule = append(n.schedule, entries...)
+	return nil
+}
+
+// TracePending returns the number of scheduled entries not yet
+// injected.
+func (n *Network) TracePending() int { return len(n.schedule) - n.scheduleIdx }
+
+// Metrics returns the live metrics registry, or nil when the
+// observability layer is off (Config.Metrics / Config.TraceEvents).
+func (n *Network) Metrics() *metrics.Registry {
+	if n.obs == nil {
+		return nil
+	}
+	return n.obs.reg
+}
+
+// FlitTracer returns the flit-lifecycle event tracer, or nil when
+// Config.TraceEvents is zero.
+func (n *Network) FlitTracer() *metrics.Tracer {
+	if n.obs == nil {
+		return nil
+	}
+	return n.obs.tracer
+}
+
+// FlushMetrics forces an observability commit outside the regular
+// cadence. It must be called from the goroutine driving Step (between
+// steps); tests and custom protocols use it before reading snapshots.
+func (n *Network) FlushMetrics() { n.flushObs() }
+
+// Close releases the cycle kernel's worker pool (if any). The network
+// stays usable — a later parallel Step lazily restarts the pool — but
+// closing a finished network frees its goroutines immediately instead
+// of waiting for the garbage collector's finalizer.
+func (n *Network) Close() { n.stopKernel() }
+
+// Run executes the full measurement protocol: inject until the
+// ejection quota (warm-up + measurement) is met or the cycle cap is
+// hit, then finalize statistics. The returned results carry the
+// configuration label and offered load; power annotation is the
+// caller's concern.
+func (n *Network) Run() stats.Results {
+	res, _ := n.RunWith(nil)
+	return res
+}
+
+// RunWith executes the measurement protocol exactly like Run, calling
+// hook (when non-nil) between completed cycles — the only point where
+// a checkpoint is legal. A non-nil error from hook aborts the run and
+// is returned verbatim; the hook must not Step the network itself.
+func (n *Network) RunWith(hook func(now int64) error) (stats.Results, error) {
+	maxCycles := n.cfg.EffectiveMaxCycles()
+	saturated := false
+	for {
+		n.Step()
+		if hook != nil {
+			if err := hook(n.now); err != nil {
+				return stats.Results{}, err
+			}
+		}
+		if n.collector.Done() {
+			break
+		}
+		if n.now >= maxCycles {
+			saturated = true
+			break
+		}
+	}
+	if !n.haveEnd {
+		n.endSnap = n.totalCounters()
+		n.linkEndSnap = append([]uint64(nil), n.linkFlits...)
+		n.haveEnd = true
+	}
+	n.flushObs()
+	res := n.collector.Finalize(n.now, saturated)
+	if n.haveStart {
+		res.Counters = n.endSnap.Sub(n.startSnap)
+	} else {
+		res.Counters = n.endSnap
+	}
+	res.ChannelLoads, res.MaxChannelLoad = n.channelLoads(res.MeasureCycles)
+	res.Label = n.cfg.Label()
+	res.InjectionRate = n.cfg.InjectionRate
+	if n.txn != nil {
+		res.Txn = stats.FinalizeTxn(n.txn.Samples(), n.txn.Issued(), n.txn.Retired())
+	}
+	return res, nil
+}
+
+// channelLoads converts the bracketed per-link flit counts into loads
+// over the measurement window.
+func (n *Network) channelLoads(cycles int64) ([]stats.ChannelLoad, float64) {
+	if cycles <= 0 || n.linkEndSnap == nil {
+		return nil, 0
+	}
+	loads := make([]stats.ChannelLoad, len(n.linkMeta))
+	maxLoad := 0.0
+	for i, meta := range n.linkMeta {
+		delta := n.linkEndSnap[i]
+		if n.linkStartSnap != nil {
+			delta -= n.linkStartSnap[i]
+		}
+		meta.Load = float64(delta) / float64(cycles)
+		loads[i] = meta
+		if meta.Load > maxLoad {
+			maxLoad = meta.Load
+		}
+	}
+	return loads, maxLoad
+}
+
+// Drain runs without injection until every in-flight packet has been
+// ejected or maxCycles elapse; tests use it after manual InjectPacket
+// calls. It returns the number of packets still unejected.
+func (n *Network) Drain(maxCycles int64) int64 {
+	deadline := n.now + maxCycles
+	for n.now < deadline {
+		if n.collector.Ejected() >= n.created && n.TracePending() == 0 &&
+			(n.txn == nil || n.txn.Quiescent()) {
+			break
+		}
+		n.Step()
+	}
+	n.flushObs()
+	return n.created - n.collector.Ejected() + int64(n.TracePending())
+}
+
+// Collector exposes the stats collector (tests and custom protocols).
+func (n *Network) Collector() *stats.Collector { return n.collector }
+
+// Txn exposes the transaction-layer engine, or nil when Config.Txn is
+// off (tests and custom protocols).
+func (n *Network) Txn() *txn.Engine { return n.txn }
+
+// WorklistStats tallies active-router worklist effectiveness: how many
+// per-router compute and deliver entries each Step ran versus skipped.
+type WorklistStats struct {
+	ComputeTicked  uint64
+	ComputeSkipped uint64
+	DeliverTicked  uint64
+	DeliverSkipped uint64
+}
+
+// WorklistStats sums the per-shard worklist tallies accumulated since
+// construction. Purely diagnostic — the counts do not feed results.
+func (n *Network) WorklistStats() WorklistStats {
+	var s WorklistStats
+	for i := range n.wlStats {
+		s.ComputeTicked += n.wlStats[i].ComputeTicked
+		s.ComputeSkipped += n.wlStats[i].ComputeSkipped
+		s.DeliverTicked += n.wlStats[i].DeliverTicked
+		s.DeliverSkipped += n.wlStats[i].DeliverSkipped
+	}
+	return s
+}
+
+// ArenaOverflow returns the number of hot-state elements the
+// struct-of-arrays arena served outside its backing arrays; nonzero
+// means router.NewArena's sizing formula undershot (locality lost,
+// correctness unaffected). TestArenaSizingExact pins it at zero.
+func (n *Network) ArenaOverflow() int { return n.arena.Overflow() }
+
+// RouteTableBytes returns the memory footprint of the network's
+// route-memoization tables (DESIGN.md §17): the price paid at
+// construction for an RC stage that is a flat array load. Grows as
+// nodes² — the kernel benchmark's big-mesh cells record it.
+func (n *Network) RouteTableBytes() int { return n.arena.Tables().Bytes() }
