@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-hot alloc-check snapshot-check test race race-kernel race-obs race-faults race-txn cover shape bench bench-kernel bench-obs bench-compare bench-smoke experiments paper synth examples clean
+.PHONY: all build vet lint lint-hot alloc-check snapshot-check test race cover shape bench bench-ab bench-kernel bench-obs bench-compare bench-smoke experiments paper synth examples clean
 
 all: build vet lint test
 
@@ -49,35 +49,6 @@ test:
 race:
 	$(GO) test -race ./...
 
-# The parallel-stepper contract under the race detector: the sharded
-# two-phase kernel, its determinism tests and the composed experiment
-# parallelism.
-race-kernel:
-	$(GO) test -race ./internal/network/ -run 'TestWorkers|TestDeterministic'
-	$(GO) test -race ./experiments/ -run 'TestJobWorkers|TestKernelWorkers'
-
-# The observability layer under the race detector: registry merges and
-# tracer drains in the kernel's serial phase racing against HTTP-style
-# snapshot readers, plus the instrumented determinism contract.
-race-obs:
-	$(GO) test -race ./internal/metrics/
-	$(GO) test -race ./internal/network/ -run 'TestMetrics|TestFlit|TestWorkersBitIdentical'
-
-# The fault-injection subsystem under the race detector: the fault
-# plan, the faulted link/router paths in the kernel, and the faulted
-# bit-identical-workers contract.
-race-faults:
-	$(GO) test -race ./internal/faults/ ./internal/routing/
-	$(GO) test -race ./internal/network/ -run 'TestHardLinkFailure|TestTransientFault|TestScheduledStall|TestWorkersBitIdentical'
-
-# The transaction layer under the race detector: the serial engine
-# tick and ejection-side admission gates against the sharded kernel,
-# the protocol-deadlock wall, and the transaction-loaded bit-identical
-# workers and snapshot contracts.
-race-txn:
-	$(GO) test -race ./internal/txn/ ./internal/network/ -run 'TestTxn|TestWorkersBitIdentical'
-	$(GO) test -race . -run 'TestSnapshotResumeBitIdentical|FuzzParseTxn'
-
 # Coverage floor for the simulator proper (commands and examples are
 # thin shells and excluded). CI fails if total statement coverage
 # drops below COVER_FLOOR.
@@ -99,6 +70,20 @@ shape:
 # One benchmark per paper table/figure plus ablations.
 bench:
 	$(GO) test -bench=. -benchmem
+
+# Same-host A/B of the repository benchmark (bench/README.md): check
+# REF out beside the working tree, measure a complete result set in
+# each, and judge the working tree against REF by the bounds in
+# BENCHMARK.json. Fails when any end-to-end metric is `worse`.
+bench-ab:
+	@test -n "$(REF)" || { echo "usage: make bench-ab REF=<rev>"; exit 2; }
+	mkdir -p .bench_build
+	-git worktree remove --force .bench_build/ref 2>/dev/null
+	git worktree add --detach .bench_build/ref $(REF)
+	cd .bench_build/ref && $(GO) run ./bench -out $(CURDIR)/.bench_build/ab-ref.json
+	git worktree remove --force .bench_build/ref
+	$(GO) run ./bench -out .bench_build/ab-head.json
+	$(GO) run ./bench -compare .bench_build/ab-ref.json .bench_build/ab-head.json
 
 # The two-phase cycle kernel sweep (all four architectures, workers
 # 1/2/max near saturation plus a single-threaded near-idle point on an

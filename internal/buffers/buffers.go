@@ -9,6 +9,7 @@ package buffers
 
 import (
 	"errors"
+	"math"
 
 	"vichar/internal/flit"
 	"vichar/internal/snap"
@@ -46,12 +47,12 @@ type Buffer interface {
 	// Front returns the flit at the head of vc if it is readable at
 	// cycle now, or nil.
 	Front(vc int, now int64) *flit.Flit
-	// Ready reports whether Front would return a flit, without
-	// materializing the pointer. Switch allocation polls every active
-	// VC each cycle and only needs the boolean; organizations with
-	// out-of-band arrival bookkeeping (the ViChaR UBS) answer it
-	// without touching flit storage.
-	Ready(vc int, now int64) bool
+	// ReadyWords returns the port's readiness mask at cycle now: bit v
+	// is set iff Front(v, now) != nil. Switch allocation ANDs it
+	// against its active-VC mask, so the whole-port head poll never
+	// touches flit storage. The words are read-only and valid for this
+	// cycle only; re-call each cycle.
+	ReadyWords(now int64) []uint64
 	// Pop removes and returns the head of vc. It fails if Front would
 	// have returned nil.
 	Pop(vc int, now int64) (*flit.Flit, error)
@@ -74,6 +75,97 @@ type Buffer interface {
 	// constructed with the same shape. Flit references resolve
 	// through the caller's resolver; queue backing arrays are reused.
 	LoadState(r *snap.Reader, resolve snap.Resolver) error
+}
+
+// neverReady stamps an empty queue: no cycle count reaches it.
+const neverReady = math.MaxInt64
+
+// queues is the per-VC FIFO storage of the fixed organizations
+// together with its readiness state: readyAt[vc] is the first cycle
+// queue vc's head flit is readable (neverReady when empty), restamped
+// whenever the head changes — a push to an empty queue or a pop.
+// Front and ReadyWords gate on it, so the per-cycle readiness poll is
+// one integer compare per queue with no flit-pointer chase. The stamps
+// are derived from the queue contents; LoadState recomputes them.
+type queues struct {
+	qs      []fifo
+	readyAt []int64
+	words   []uint64 // ReadyWords scratch
+}
+
+func newQueues(vcs int) queues {
+	q := queues{qs: make([]fifo, vcs), readyAt: make([]int64, vcs), words: make([]uint64, (vcs+63)/64)}
+	for i := range q.readyAt {
+		q.readyAt[i] = neverReady
+	}
+	return q
+}
+
+// restamp recomputes queue vc's first-readable cycle from its head:
+// lag cycles after the head's arrival and not before floor.
+func (q *queues) restamp(vc int, lag, floor int64) {
+	q.readyAt[vc] = neverReady
+	if f := q.qs[vc].front(); f != nil {
+		q.readyAt[vc] = max(f.ArrivedAt+lag, floor)
+	}
+}
+
+// push appends f to queue f.VC, stamping it when it becomes the head.
+func (q *queues) push(f *flit.Flit, lag, floor int64) {
+	q.qs[f.VC].push(f)
+	if q.qs[f.VC].len() == 1 {
+		q.restamp(f.VC, lag, floor)
+	}
+}
+
+// pop removes queue vc's head and stamps its successor.
+func (q *queues) pop(vc int, lag, floor int64) *flit.Flit {
+	f := q.qs[vc].pop()
+	q.restamp(vc, lag, floor)
+	return f
+}
+
+// Front returns the head of queue vc if it is readable at cycle now,
+// or nil.
+func (q *queues) Front(vc int, now int64) *flit.Flit {
+	if vc < 0 || vc >= len(q.readyAt) || q.readyAt[vc] > now {
+		return nil
+	}
+	return q.qs[vc].front()
+}
+
+// Len returns the number of flits on queue vc, readable or not.
+func (q *queues) Len(vc int) int {
+	if vc < 0 || vc >= len(q.qs) {
+		return 0
+	}
+	return q.qs[vc].len()
+}
+
+// InUseVCs returns the number of non-empty queues.
+func (q *queues) InUseVCs() int {
+	n := 0
+	for i := range q.qs {
+		if q.qs[i].len() > 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// ReadyWords returns the readiness mask at cycle now: bit vc is set
+// iff Front(vc, now) != nil.
+func (q *queues) ReadyWords(now int64) []uint64 {
+	for wi := range q.words {
+		w := uint64(0)
+		for i, at := range q.readyAt[wi<<6 : min(wi<<6+64, len(q.readyAt))] {
+			if at <= now {
+				w |= 1 << uint(i)
+			}
+		}
+		q.words[wi] = w
+	}
+	return q.words
 }
 
 // fifo is a slice-backed FIFO with O(1) amortized operations; it

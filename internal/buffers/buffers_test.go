@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"vichar/internal/flit"
+	"vichar/internal/snap"
 )
 
 func mkFlit(id uint64, vc int, typ flit.Type) *flit.Flit {
@@ -248,8 +249,49 @@ func TestConstructorPanics(t *testing.T) {
 	}
 }
 
+// readyMatchesFront checks the readiness contract: bit v of
+// ReadyWords(now) is set iff Front(v, now) returns a flit.
+func readyMatchesFront(b Buffer, now int64) bool {
+	rdy := b.ReadyWords(now)
+	for v := 0; v < b.MaxVCs(); v++ {
+		if (rdy[v>>6]>>(uint(v)&63)&1 == 1) != (b.Front(v, now) != nil) {
+			return false
+		}
+	}
+	return true
+}
+
+// reload round-trips b's contents through SaveState into fresh, a
+// buffer of the same shape, and reports whether fresh then shows the
+// same head flits as b at cycle now and over the following cycles
+// (the restored stamps must reproduce every pending visibility delay).
+func reload(b, fresh Buffer, now int64) bool {
+	flits := map[uint64]*flit.Flit{}
+	b.ForEachFlit(func(f *flit.Flit) { flits[f.Pkt.ID] = f })
+	w := snap.NewWriter()
+	b.SaveState(w)
+	r, err := snap.Open(w.Finish())
+	if err != nil {
+		return false
+	}
+	err = fresh.LoadState(r, func(pkt uint64, seq int) (*flit.Flit, error) { return flits[pkt], nil })
+	if err != nil {
+		return false
+	}
+	for v := 0; v < b.MaxVCs(); v++ {
+		for at := now; at < now+5; at++ {
+			if fresh.Front(v, at) != b.Front(v, at) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // Property: under random interleaved writes and pops every buffer
-// preserves per-VC FIFO order and exact occupancy accounting.
+// preserves per-VC FIFO order and exact occupancy accounting, and its
+// readiness mask agrees with Front every cycle — also after a
+// mid-sequence checkpoint round trip, which re-derives the head stamps.
 func TestRandomOpsInvariants(t *testing.T) {
 	type archMk struct {
 		name string
@@ -258,6 +300,8 @@ func TestRandomOpsInvariants(t *testing.T) {
 	for _, am := range []archMk{
 		{"generic", func() Buffer { return NewGeneric(4, 4) }},
 		{"damq", func() Buffer { return NewDAMQ(4, 16, 3) }},
+		{"damq0", func() Buffer { return NewDAMQ(4, 16, 0) }},
+		{"damq1", func() Buffer { return NewDAMQ(4, 16, 1) }},
 		{"fccb", func() Buffer { return NewFCCB(4, 16) }},
 	} {
 		am := am
@@ -271,6 +315,16 @@ func TestRandomOpsInvariants(t *testing.T) {
 				id := uint64(0)
 				for step := 0; step < 500; step++ {
 					now++
+					if step == 250 {
+						fresh := am.mk()
+						if !reload(b, fresh, now) {
+							return false
+						}
+						b = fresh
+					}
+					if !readyMatchesFront(b, now) {
+						return false
+					}
 					vc := rng.Intn(4)
 					if rng.Intn(2) == 0 {
 						if b.FreeSlotsFor(vc) == 0 {
@@ -311,7 +365,7 @@ func TestRandomOpsInvariants(t *testing.T) {
 							inUse++
 						}
 					}
-					if b.InUseVCs() != inUse {
+					if b.InUseVCs() != inUse || !readyMatchesFront(b, now) {
 						return false
 					}
 				}

@@ -22,10 +22,10 @@ import (
 // is not using — but the VC count is fixed, and several packets share
 // one queue in FIFO order, preserving head-of-line blocking.
 type DAMQ struct {
+	queues
 	vcs   int
 	slots int
 	delay int64
-	qs    []fifo
 	occ   int
 	// readReadyAt[vc] is the first cycle the queue may be read again
 	// after its previous departure.
@@ -45,10 +45,14 @@ func NewDAMQ(vcs, slots, delay int) *DAMQ {
 		vcs:         vcs,
 		slots:       slots,
 		delay:       int64(delay),
-		qs:          make([]fifo, vcs),
+		queues:      newQueues(vcs),
 		readReadyAt: make([]int64, vcs),
 	}
 }
+
+// lag is the arrival-to-visibility latency: the bookkeeping delay, and
+// at least the one-cycle buffer write every organization has.
+func (b *DAMQ) lag() int64 { return max(b.delay, 1) }
 
 // Slots returns the shared pool size.
 func (b *DAMQ) Slots() int { return b.slots }
@@ -65,7 +69,9 @@ func (b *DAMQ) FreeSlotsFor(vc int) int {
 	return b.slots - b.occ
 }
 
-// Write claims a shared slot for f on queue f.VC.
+// Write claims a shared slot for f on queue f.VC. The flit becomes
+// readable once both its arrival bookkeeping and the queue's read-port
+// busy window have elapsed.
 func (b *DAMQ) Write(f *flit.Flit, now int64) error {
 	if f.VC < 0 || f.VC >= b.vcs {
 		return ErrBadVC
@@ -74,34 +80,9 @@ func (b *DAMQ) Write(f *flit.Flit, now int64) error {
 		return ErrFull
 	}
 	f.ArrivedAt = now
-	b.qs[f.VC].push(f)
+	b.push(f, b.lag(), b.readReadyAt[f.VC])
 	b.occ++
 	return nil
-}
-
-// Front returns the queue head once both the arrival bookkeeping
-// (ArrivedAt+delay) and the read-port busy window have elapsed.
-func (b *DAMQ) Front(vc int, now int64) *flit.Flit {
-	if vc < 0 || vc >= b.vcs {
-		return nil
-	}
-	f := b.qs[vc].front()
-	if f == nil {
-		return nil
-	}
-	visible := f.ArrivedAt + b.delay
-	if b.delay == 0 {
-		visible = f.ArrivedAt + 1
-	}
-	if now < visible || now < b.readReadyAt[vc] {
-		return nil
-	}
-	return f
-}
-
-// Ready reports whether Front would return a flit.
-func (b *DAMQ) Ready(vc int, now int64) bool {
-	return b.Front(vc, now) != nil
 }
 
 // Pop removes the queue head and occupies the read port for the
@@ -114,29 +95,10 @@ func (b *DAMQ) Pop(vc int, now int64) (*flit.Flit, error) {
 	if b.delay > 0 {
 		b.readReadyAt[vc] = now + b.delay
 	}
-	return b.qs[vc].pop(), nil
-}
-
-// Len returns the number of flits on the queue, visible or not.
-func (b *DAMQ) Len(vc int) int {
-	if vc < 0 || vc >= b.vcs {
-		return 0
-	}
-	return b.qs[vc].len()
+	return b.pop(vc, b.lag(), b.readReadyAt[vc]), nil
 }
 
 // Occupied returns the total stored flit count.
 func (b *DAMQ) Occupied() int { return b.occ }
-
-// InUseVCs returns the number of non-empty queues.
-func (b *DAMQ) InUseVCs() int {
-	n := 0
-	for i := range b.qs {
-		if b.qs[i].len() > 0 {
-			n++
-		}
-	}
-	return n
-}
 
 var _ Buffer = (*DAMQ)(nil)

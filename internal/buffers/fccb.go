@@ -19,9 +19,9 @@ import (
 // shifting) are captured by the synthesis model in internal/synth,
 // not here.
 type FCCB struct {
+	queues
 	vcs   int
 	slots int
-	qs    []fifo
 	occ   int
 }
 
@@ -31,7 +31,7 @@ func NewFCCB(vcs, slots int) *FCCB {
 	if vcs < 1 || slots < vcs {
 		panic(fmt.Sprintf("buffers: FC-CB needs at least one slot per VC, got %d VCs, %d slots", vcs, slots))
 	}
-	return &FCCB{vcs: vcs, slots: slots, qs: make([]fifo, vcs)}
+	return &FCCB{vcs: vcs, slots: slots, queues: newQueues(vcs)}
 }
 
 // Slots returns the shared pool size.
@@ -49,7 +49,8 @@ func (b *FCCB) FreeSlotsFor(vc int) int {
 	return b.slots - b.occ
 }
 
-// Write claims a shared slot for f on channel f.VC.
+// Write claims a shared slot for f on channel f.VC; flits are readable
+// from the cycle after arrival (single-cycle buffer management).
 func (b *FCCB) Write(f *flit.Flit, now int64) error {
 	if f.VC < 0 || f.VC >= b.vcs {
 		return ErrBadVC
@@ -58,27 +59,9 @@ func (b *FCCB) Write(f *flit.Flit, now int64) error {
 		return ErrFull
 	}
 	f.ArrivedAt = now
-	b.qs[f.VC].push(f)
+	b.push(f, 1, 0)
 	b.occ++
 	return nil
-}
-
-// Front returns the VC's head flit; flits are readable from the cycle
-// after arrival (single-cycle buffer management).
-func (b *FCCB) Front(vc int, now int64) *flit.Flit {
-	if vc < 0 || vc >= b.vcs {
-		return nil
-	}
-	f := b.qs[vc].front()
-	if f == nil || f.ArrivedAt >= now {
-		return nil
-	}
-	return f
-}
-
-// Ready reports whether Front would return a flit.
-func (b *FCCB) Ready(vc int, now int64) bool {
-	return b.Front(vc, now) != nil
 }
 
 // Pop removes the VC's head flit.
@@ -87,29 +70,10 @@ func (b *FCCB) Pop(vc int, now int64) (*flit.Flit, error) {
 		return nil, ErrEmpty
 	}
 	b.occ--
-	return b.qs[vc].pop(), nil
-}
-
-// Len returns the number of flits on the VC.
-func (b *FCCB) Len(vc int) int {
-	if vc < 0 || vc >= b.vcs {
-		return 0
-	}
-	return b.qs[vc].len()
+	return b.pop(vc, 1, 0), nil
 }
 
 // Occupied returns the total stored flit count.
 func (b *FCCB) Occupied() int { return b.occ }
-
-// InUseVCs returns the number of non-empty VCs.
-func (b *FCCB) InUseVCs() int {
-	n := 0
-	for i := range b.qs {
-		if b.qs[i].len() > 0 {
-			n++
-		}
-	}
-	return n
-}
 
 var _ Buffer = (*FCCB)(nil)

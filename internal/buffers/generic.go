@@ -12,9 +12,9 @@ import (
 // implementation"). A slot that belongs to VC i can never hold a flit
 // of VC j — exactly the under-utilization Figure 3 criticizes.
 type Generic struct {
+	queues
 	vcs   int
 	depth int
-	qs    []fifo
 	occ   int
 }
 
@@ -24,7 +24,7 @@ func NewGeneric(vcs, depth int) *Generic {
 	if vcs < 1 || depth < 1 {
 		panic(fmt.Sprintf("buffers: generic buffer needs positive shape, got %dx%d", vcs, depth))
 	}
-	return &Generic{vcs: vcs, depth: depth, qs: make([]fifo, vcs)}
+	return &Generic{vcs: vcs, depth: depth, queues: newQueues(vcs)}
 }
 
 // Slots returns vcs*depth.
@@ -41,37 +41,19 @@ func (b *Generic) FreeSlotsFor(vc int) int {
 	return b.depth - b.qs[vc].len()
 }
 
-// Write appends f to its VC's private queue.
+// Write appends f to its VC's private queue; flits are readable from
+// the cycle after they were written (buffer-write stage).
 func (b *Generic) Write(f *flit.Flit, now int64) error {
 	if f.VC < 0 || f.VC >= b.vcs {
 		return ErrBadVC
 	}
-	q := &b.qs[f.VC]
-	if q.len() >= b.depth {
+	if b.qs[f.VC].len() >= b.depth {
 		return ErrFull
 	}
 	f.ArrivedAt = now
-	q.push(f)
+	b.push(f, 1, 0)
 	b.occ++
 	return nil
-}
-
-// Front returns the head of the VC's queue; flits are readable from
-// the cycle after they were written (buffer-write stage).
-func (b *Generic) Front(vc int, now int64) *flit.Flit {
-	if vc < 0 || vc >= b.vcs {
-		return nil
-	}
-	f := b.qs[vc].front()
-	if f == nil || f.ArrivedAt >= now {
-		return nil
-	}
-	return f
-}
-
-// Ready reports whether Front would return a flit.
-func (b *Generic) Ready(vc int, now int64) bool {
-	return b.Front(vc, now) != nil
 }
 
 // Pop removes the head of the VC's queue.
@@ -80,29 +62,10 @@ func (b *Generic) Pop(vc int, now int64) (*flit.Flit, error) {
 		return nil, ErrEmpty
 	}
 	b.occ--
-	return b.qs[vc].pop(), nil
-}
-
-// Len returns the number of flits on the VC.
-func (b *Generic) Len(vc int) int {
-	if vc < 0 || vc >= b.vcs {
-		return 0
-	}
-	return b.qs[vc].len()
+	return b.pop(vc, 1, 0), nil
 }
 
 // Occupied returns the total stored flit count.
 func (b *Generic) Occupied() int { return b.occ }
-
-// InUseVCs returns the number of non-empty queues.
-func (b *Generic) InUseVCs() int {
-	n := 0
-	for i := range b.qs {
-		if b.qs[i].len() > 0 {
-			n++
-		}
-	}
-	return n
-}
 
 var _ Buffer = (*Generic)(nil)

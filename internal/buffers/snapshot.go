@@ -14,24 +14,15 @@ import (
 // shape, resolving flit references through the caller's resolver and
 // reusing the existing queue backing arrays.
 
-// forEachFIFO calls fn for every live flit across the queues.
-func forEachFIFO(qs []fifo, fn func(*flit.Flit)) {
-	for i := range qs {
-		q := &qs[i]
-		for j := q.head; j < len(q.items); j++ {
-			fn(q.items[j])
+// ForEachFlit calls fn for every stored flit.
+func (q *queues) ForEachFlit(fn func(*flit.Flit)) {
+	for i := range q.qs {
+		fq := &q.qs[i]
+		for j := fq.head; j < len(fq.items); j++ {
+			fn(fq.items[j])
 		}
 	}
 }
-
-// ForEachFlit calls fn for every stored flit.
-func (b *Generic) ForEachFlit(fn func(*flit.Flit)) { forEachFIFO(b.qs, fn) }
-
-// ForEachFlit calls fn for every stored flit.
-func (b *DAMQ) ForEachFlit(fn func(*flit.Flit)) { forEachFIFO(b.qs, fn) }
-
-// ForEachFlit calls fn for every stored flit.
-func (b *FCCB) ForEachFlit(fn func(*flit.Flit)) { forEachFIFO(b.qs, fn) }
 
 // saveFIFO writes q's live contents in FIFO order.
 func saveFIFO(w *snap.Writer, q *fifo) {
@@ -93,6 +84,7 @@ func (b *Generic) LoadState(r *snap.Reader, resolve snap.Resolver) error {
 			return fmt.Errorf("buffers: snapshot overfills generic VC %d: %d > depth %d", i, b.qs[i].len(), b.depth)
 		}
 		b.occ += b.qs[i].len()
+		b.restamp(i, 1, 0)
 	}
 	return r.Err()
 }
@@ -127,6 +119,9 @@ func (b *DAMQ) LoadState(r *snap.Reader, resolve snap.Resolver) error {
 		return fmt.Errorf("buffers: snapshot overfills DAMQ pool: %d > %d slots", b.occ, b.slots)
 	}
 	r.I64sInto(b.readReadyAt)
+	for i := range b.qs {
+		b.restamp(i, b.lag(), b.readReadyAt[i])
+	}
 	return r.Err()
 }
 
@@ -153,6 +148,7 @@ func (b *FCCB) LoadState(r *snap.Reader, resolve snap.Resolver) error {
 			return err
 		}
 		b.occ += b.qs[i].len()
+		b.restamp(i, 1, 0)
 	}
 	if b.occ > b.slots {
 		return fmt.Errorf("buffers: snapshot overfills FC-CB pool: %d > %d slots", b.occ, b.slots)

@@ -8,6 +8,7 @@ import (
 
 	"vichar/internal/buffers"
 	"vichar/internal/flit"
+	"vichar/internal/snap"
 )
 
 // --- Tracker (Slot / VC Availability Tracker) ---
@@ -388,56 +389,98 @@ func TestUBSConstructorPanics(t *testing.T) {
 	}
 }
 
+// ubsReadyMatchesFront checks the readiness contract: bit v of
+// ReadyWords(now) is set iff Front(v, now) returns a flit.
+func ubsReadyMatchesFront(b *UBS, now int64) bool {
+	rdy := b.ReadyWords(now)
+	for v := 0; v < b.MaxVCs(); v++ {
+		if (rdy[v>>6]>>(uint(v)&63)&1 == 1) != (b.Front(v, now) != nil) {
+			return false
+		}
+	}
+	return true
+}
+
 // Property: slot conservation — free + used == capacity after any
 // random operation sequence, every VC keeps FIFO order, and no slot
 // is double-allocated (checked implicitly by the tracker's panics).
+// The readiness mask agrees with Front every cycle, with full and
+// with capped VC rows, also after a mid-sequence checkpoint round
+// trip into a fresh buffer.
 func TestUBSConservationProperty(t *testing.T) {
-	prop := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		b := NewUBS(12)
-		model := make([][]uint64, 12)
-		occupied := 0
-		id := uint64(0)
-		now := int64(0)
-		for step := 0; step < 600; step++ {
-			now++
-			vc := rng.Intn(12)
-			if rng.Intn(2) == 0 && occupied < 12 {
-				if err := b.Write(mkFlit(id, vc, flit.Body), now); err != nil {
+	for _, vcs := range []int{12, 5} {
+		vcs := vcs
+		prop := func(seed int64) bool {
+			rng := rand.New(rand.NewSource(seed))
+			b := NewUBSWithVCs(12, vcs)
+			model := make([][]uint64, vcs)
+			occupied := 0
+			id := uint64(0)
+			now := int64(0)
+			for step := 0; step < 600; step++ {
+				now++
+				if step == 300 {
+					flits := map[uint64]*flit.Flit{}
+					b.ForEachFlit(func(f *flit.Flit) { flits[f.Pkt.ID] = f })
+					w := snap.NewWriter()
+					b.SaveState(w)
+					r, err := snap.Open(w.Finish())
+					if err != nil {
+						return false
+					}
+					fresh := NewUBSWithVCs(12, vcs)
+					err = fresh.LoadState(r, func(pkt uint64, seq int) (*flit.Flit, error) { return flits[pkt], nil })
+					if err != nil {
+						return false
+					}
+					for v := 0; v < vcs; v++ {
+						if fresh.Front(v, now) != b.Front(v, now) || fresh.Front(v, now+1) != b.Front(v, now+1) {
+							return false
+						}
+					}
+					b = fresh
+				}
+				if !ubsReadyMatchesFront(b, now) {
 					return false
 				}
-				model[vc] = append(model[vc], id)
-				occupied++
-				id++
-			} else if f := b.Front(vc, now); f != nil {
-				if len(model[vc]) == 0 || f.Pkt.ID != model[vc][0] {
+				vc := rng.Intn(vcs)
+				if rng.Intn(2) == 0 && occupied < 12 {
+					if err := b.Write(mkFlit(id, vc, flit.Body), now); err != nil {
+						return false
+					}
+					model[vc] = append(model[vc], id)
+					occupied++
+					id++
+				} else if f := b.Front(vc, now); f != nil {
+					if len(model[vc]) == 0 || f.Pkt.ID != model[vc][0] {
+						return false
+					}
+					if _, err := b.Pop(vc, now); err != nil {
+						return false
+					}
+					model[vc] = model[vc][1:]
+					occupied--
+				}
+				if b.Occupied() != occupied {
 					return false
 				}
-				if _, err := b.Pop(vc, now); err != nil {
+				active := 0
+				for v := range model {
+					if b.Len(v) != len(model[v]) {
+						return false
+					}
+					if len(model[v]) > 0 {
+						active++
+					}
+				}
+				if b.InUseVCs() != active || !ubsReadyMatchesFront(b, now) {
 					return false
 				}
-				model[vc] = model[vc][1:]
-				occupied--
 			}
-			if b.Occupied() != occupied {
-				return false
-			}
-			active := 0
-			for v := range model {
-				if b.Len(v) != len(model[v]) {
-					return false
-				}
-				if len(model[v]) > 0 {
-					active++
-				}
-			}
-			if b.InUseVCs() != active {
-				return false
-			}
+			return true
 		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
-		t.Error(err)
+		if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
+			t.Errorf("%d VC rows: %v", vcs, err)
+		}
 	}
 }

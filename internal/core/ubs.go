@@ -29,12 +29,12 @@ type UBS struct {
 	arrived []int64
 	// headArrived[vc] caches the arrival stamp of the VC's
 	// departing-flit pointer (neverReady when the row is empty), so
-	// Ready is one load: a waiting VC is polled every cycle but its
-	// head only changes on a push to an empty row or a pop.
+	// Front and Pop gate on one load: the head only changes on a push
+	// to an empty row or a pop.
 	headArrived []int64
 	// readyMask/pendMask accelerate the switch allocator's whole-port
 	// readiness poll to one AND per 64 VCs (DESIGN.md §14). Bit v of
-	// readyMask is set iff Ready(v, now) for every now > pendCycle;
+	// readyMask is set iff Front(v, now) != nil for every now > pendCycle;
 	// bits whose head arrived AT cycle pendCycle wait in pendMask and
 	// are promoted by the first operation of a later cycle. The stamps
 	// above stay authoritative; the masks are a derived overlay,
@@ -47,8 +47,8 @@ type UBS struct {
 }
 
 // neverReady marks an empty VC row in headArrived: no cycle count
-// reaches it, so Ready's single compare also answers "is there a
-// flit at all".
+// reaches it, so the stamp compare also answers "is there a flit at
+// all".
 const neverReady = int64(^uint64(0) >> 1)
 
 // NewUBS returns a unified buffer with the given slot count. The
@@ -144,7 +144,7 @@ func (b *UBS) flushPend(now int64) {
 }
 
 // ReadyWords returns the per-VC readiness bitmask as of cycle now:
-// bit v is set iff Ready(v, now). The switch allocator ANDs it
+// bit v is set iff Front(v, now) != nil. The switch allocator ANDs it
 // against its active-VC mask, turning the whole-port poll into one
 // word operation per 64 VCs. Callers must treat the words as
 // read-only and re-call each cycle (the call promotes bits that
@@ -170,14 +170,6 @@ func (b *UBS) Front(vc int, now int64) *flit.Flit {
 	return f
 }
 
-// Ready reports whether Front would return a flit: one load against
-// the cached head arrival stamp — no control-table walk, no flit
-// pointer chase — which is what the switch allocator's per-cycle
-// polling wants.
-func (b *UBS) Ready(vc int, now int64) bool {
-	return vc >= 0 && vc < len(b.headArrived) && b.headArrived[vc] < now
-}
-
 // Pop removes the VC's head flit, NULLing its table entry and
 // returning its slot to the tracker. It reads the departing-flit
 // pointer once instead of re-running Front's lookup.
@@ -195,9 +187,9 @@ func (b *UBS) Pop(vc int, now int64) (*flit.Flit, error) {
 	b.tracker.Release(slot)
 	// The popped head was readable (stamp < now), so after promoting
 	// anything stamped before now its bit sits in readyMask — a Pop
-	// reached through the stamp-polling path may not have flushed yet
-	// this cycle. The bit then stays only if the new head is itself
-	// already readable.
+	// not preceded by ReadyWords may not have flushed yet this cycle.
+	// The bit then stays only if the new head is itself already
+	// readable.
 	b.flushPend(now)
 	if next >= 0 {
 		at := b.arrived[next]
@@ -216,7 +208,7 @@ func (b *UBS) Pop(vc int, now int64) (*flit.Flit, error) {
 // CheckReadyMasks cross-checks the readiness overlay against the
 // authoritative head stamps at cycle now: bit v of (readyMask OR
 // still-pending-from-now pendMask-for-next-cycle) must equal
-// Ready(v, now) after promotion. Used by the invariant audit.
+// (head stamp < now) after promotion. Used by the invariant audit.
 func (b *UBS) CheckReadyMasks(now int64) error {
 	b.flushPend(now)
 	for v := 0; v < len(b.headArrived); v++ {

@@ -138,11 +138,9 @@ func TestFaultFreePathUntouched(t *testing.T) {
 	if n.fplan != nil || len(n.faultLinks) != 0 {
 		t.Fatal("fault plan built for a fault-free configuration")
 	}
-	for _, rl := range n.plan {
-		for _, l := range rl.flits {
-			if l.faults != nil {
-				t.Fatal("fault state attached to a link in a fault-free configuration")
-			}
+	for i := range n.flitSlab {
+		if n.flitSlab[i].faults != nil {
+			t.Fatal("fault state attached to a link in a fault-free configuration")
 		}
 	}
 }

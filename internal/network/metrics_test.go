@@ -3,12 +3,14 @@ package network
 import (
 	"io"
 	"net/http/httptest"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
 
 	"vichar/internal/config"
 	"vichar/internal/metrics"
+	"vichar/internal/stats"
 )
 
 // obsConfig is a small mesh run with the full observability layer on.
@@ -194,5 +196,61 @@ func TestMetricsDisabledByDefault(t *testing.T) {
 	n.Run()
 	if n.Metrics() != nil || n.FlitTracer() != nil {
 		t.Fatal("observability layer built despite Metrics=false, TraceEvents=0")
+	}
+}
+
+// Observation must not perturb the simulation: instrumented and
+// uninstrumented runs execute the same router loops, so for every
+// architecture, with and without the transaction layer, the results
+// and the per-packet latencies are identical whether the metrics
+// registry and the flit tracer are on or off.
+func TestObservationDoesNotPerturb(t *testing.T) {
+	for _, arch := range allArchs {
+		for _, txnOn := range []bool{false, true} {
+			arch, txnOn := arch, txnOn
+			name := arch.String()
+			if txnOn {
+				name += "-txn"
+			}
+			t.Run(name, func(t *testing.T) {
+				run := func(observed bool) (stats.Results, []int64) {
+					cfg := config.Default()
+					cfg.Width, cfg.Height = 4, 4
+					cfg.Arch = arch
+					cfg.InjectionRate = 0.3
+					cfg.WarmupPackets = 50
+					cfg.MeasurePackets = 300
+					cfg.Seed = 515
+					if txnOn {
+						cfg.Txn = config.TxnConfig{
+							Enabled:   true,
+							Rate:      0.05,
+							ReadFrac:  0.7,
+							WriteFrac: 0.3,
+							MemEdge:   true,
+						}
+					}
+					if observed {
+						cfg.Metrics = true
+						cfg.TraceEvents = 4096
+					}
+					n := New(&cfg)
+					defer n.Close()
+					res := n.Run()
+					if observed && n.Metrics().Snapshot().Sum("vichar_sa_grants_total") == 0 {
+						t.Fatal("observed run recorded no switch grants: probes not attached")
+					}
+					return res, n.Collector().Latencies()
+				}
+				plainRes, plainLat := run(false)
+				obsRes, obsLat := run(true)
+				if !reflect.DeepEqual(plainRes, obsRes) {
+					t.Fatalf("observation changed the results:\noff %+v\non  %+v", plainRes, obsRes)
+				}
+				if !reflect.DeepEqual(plainLat, obsLat) {
+					t.Fatalf("observation changed per-packet latencies (%d vs %d packets)", len(plainLat), len(obsLat))
+				}
+			})
+		}
 	}
 }

@@ -37,18 +37,6 @@ import (
 	"vichar/internal/txn"
 )
 
-// routerLinks is the deliver-phase plan of one router: every link
-// whose delivery mutates state owned by that router — flit links
-// feeding its input buffers, the ejection link of its processing
-// element (staged, see pendingEject), and credit links feeding its
-// output views or its network interface's view. One link appears in
-// exactly one router's plan, which is what makes the deliver phase
-// shardable by router ID.
-type routerLinks struct {
-	flits   []*flitLink
-	credits []*creditLink
-}
-
 // Network is a complete simulated NoC.
 type Network struct {
 	cfg  *config.Config
@@ -57,17 +45,18 @@ type Network struct {
 	routers []*router.Router
 	nis     []*ni
 
-	// plan[id] holds the links the deliver phase ticks on router id's
-	// behalf; shards own contiguous ID ranges (shardBounds).
-	plan []routerLinks
-
-	// Link slabs in delivery order (DESIGN.md §17): the slabs are laid
-	// out grouped by owning router — flitSlab[flitOff[id]:flitOff[id+1]]
-	// are exactly plan[id].flits, in plan order — so deliverShard walks
-	// each router's links as one contiguous slab range and commits its
-	// deliveries in a single streaming sweep instead of chasing the
-	// plan's pointers. plan keeps the pointer view for the cold paths
-	// (snapshot, audit, packet collection).
+	// Link slabs in delivery order (DESIGN.md §17), grouped by owning
+	// router: flitSlab[flitOff[id]:flitOff[id+1]] and the matching
+	// creditSlab range are router id's deliver-phase plan — every link
+	// whose delivery mutates state owned by that router: flit links
+	// feeding its input buffers, the ejection link of its processing
+	// element (staged, see pendingEject), and credit links feeding its
+	// output views or its network interface's view. One link appears in
+	// exactly one router's range, which is what makes the deliver phase
+	// shardable by router ID (shards own contiguous ID ranges,
+	// shardBounds); deliverShard walks each range as one streaming
+	// sweep, and snapshots and packet collection walk the slabs in the
+	// same order.
 	flitSlab   []flitLink
 	creditSlab []creditLink
 	flitOff    []int32
@@ -216,7 +205,6 @@ func New(cfg *config.Config) *Network {
 		mesh:         mesh,
 		routers:      make([]*router.Router, mesh.Nodes()),
 		nis:          make([]*ni, mesh.Nodes()),
-		plan:         make([]routerLinks, mesh.Nodes()),
 		pendingEject: make([][]*flit.Flit, mesh.Nodes()),
 		collector:    stats.NewCollector(cfg.WarmupPackets, cfg.MeasurePackets, mesh.Nodes()),
 		expectSeq:    make(map[uint64]int),
@@ -303,8 +291,8 @@ func New(cfg *config.Config) *Network {
 	}
 
 	// Link slabs: every flit and credit link of the mesh lives in one
-	// contiguous array each, grouped by owning router in plan order, so
-	// the deliver phase walks each router's links as one contiguous
+	// contiguous array each, grouped by owning router in wiring order,
+	// so the deliver phase walks each router's links as one contiguous
 	// slab range (see the flitSlab field comment). Per-owner capacities
 	// are exact: Degree incoming inter-router flit links plus ejection
 	// and injection per node; Degree outgoing reverse channels plus the
@@ -389,7 +377,6 @@ func New(cfg *config.Config) *Network {
 			if n.obs != nil {
 				fl.lp = metrics.NewLinkProbe(n.obs.recs[1+nb], id, nb, inPort, topology.PortName(port))
 			}
-			n.plan[nb].flits = append(n.plan[nb].flits, fl)
 
 			// Credit delivery mutates the upstream router's output
 			// view, so the reverse channel belongs to the upstream
@@ -398,7 +385,6 @@ func New(cfg *config.Config) *Network {
 				delay: router.CreditDelay, owner: id, wake: &n.wakes[nb],
 				dst: r, outPort: port,
 			})
-			n.plan[id].credits = append(n.plan[id].credits, cl)
 
 			view := router.NewCreditViewIn(n.arena, cfg)
 			r.ConnectOutput(port, fl, view)
@@ -429,7 +415,6 @@ func New(cfg *config.Config) *Network {
 			delay: router.FlitDelay, owner: id, wake: &n.wakes[id],
 			eject: &n.pendingEject[id],
 		})
-		n.plan[id].flits = append(n.plan[id].flits, ej)
 		sink := router.NewSinkView()
 		if n.txn != nil {
 			if mc := n.txn.Responder(id); mc != nil {
@@ -452,19 +437,16 @@ func New(cfg *config.Config) *Network {
 			delay: 1, owner: id, wake: &n.wakes[id],
 			dst: r, inPort: topology.Local,
 		})
-		n.plan[id].flits = append(n.plan[id].flits, inj)
 		s.link = inj
 
 		cl := takeCreditLink(creditLink{
 			delay: router.CreditDelay, owner: id, wake: &n.wakes[id],
 			view: s.view,
 		})
-		view := s.view
-		n.plan[id].credits = append(n.plan[id].credits, cl)
 		r.ConnectInputCredit(topology.Local, cl)
 		n.auditedLinks = append(n.auditedLinks, auditedLink{
 			name: fmt.Sprintf("ni%d->%d", id, id),
-			view: view, fl: inj, cl: cl, buf: r.InputBuffer(topology.Local),
+			view: s.view, fl: inj, cl: cl, buf: r.InputBuffer(topology.Local),
 		})
 
 		n.nis[id] = s

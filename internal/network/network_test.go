@@ -1,10 +1,13 @@
 package network
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"vichar/internal/config"
+	"vichar/internal/flit"
 	"vichar/internal/topology"
 )
 
@@ -281,6 +284,23 @@ func TestInvalidConfigPanics(t *testing.T) {
 		}
 	}()
 	New(&cfg)
+}
+
+// The ejection invariant compares the packet destination against the
+// node whose processing element received the flit: delivery anywhere
+// else is a routing bug and must panic, at the right node it must not.
+func TestEjectAtWrongNodePanics(t *testing.T) {
+	cfg := testCfg(config.ViChaR)
+	n := New(&cfg)
+	defer n.Close()
+	head := flit.MakeFlits(&flit.Packet{ID: 1, Src: 0, Dst: 5, Size: 2})[0]
+	n.eject(5, head, 1)
+	defer func() {
+		if msg := fmt.Sprint(recover()); !strings.Contains(msg, "ejected at wrong node") {
+			t.Fatalf("ejecting a flit for node 5 at node 6: got %q, want the wrong-node invariant panic", msg)
+		}
+	}()
+	n.eject(6, head, 1)
 }
 
 func TestVCLimitRuns(t *testing.T) {

@@ -2,6 +2,7 @@ package network
 
 import (
 	"fmt"
+
 	"vichar/internal/flit"
 	"vichar/internal/metrics"
 	"vichar/internal/router"

@@ -95,13 +95,12 @@ func (n *Network) collectPackets() []*flit.Packet {
 			}
 		}
 	}
-	for id := range n.plan {
-		for _, l := range n.plan[id].flits {
-			for i := l.head; i < len(l.q); i++ {
-				add(l.q[i].f.Pkt)
-			}
-			add(heldPacket(l))
+	for li := range n.flitSlab {
+		l := &n.flitSlab[li]
+		for i := l.head; i < len(l.q); i++ {
+			add(l.q[i].f.Pkt)
 		}
+		add(heldPacket(l))
 	}
 	for _, r := range n.routers {
 		r.Packets(add)
@@ -485,12 +484,12 @@ func (n *Network) SaveState(w *snap.Writer) error {
 	}
 
 	w.Section("links")
-	for id := range n.plan {
-		for _, l := range n.plan[id].flits {
-			n.saveFlitLink(w, l)
+	for id := range n.routers {
+		for i := n.flitOff[id]; i < n.flitOff[id+1]; i++ {
+			n.saveFlitLink(w, &n.flitSlab[i])
 		}
-		for _, l := range n.plan[id].credits {
-			n.saveCreditLink(w, l)
+		for i := n.creditOff[id]; i < n.creditOff[id+1]; i++ {
+			n.saveCreditLink(w, &n.creditSlab[i])
 		}
 	}
 
@@ -602,14 +601,14 @@ func (n *Network) LoadState(r *snap.Reader) error {
 	if err := r.Section("links"); err != nil {
 		return err
 	}
-	for id := range n.plan {
-		for _, l := range n.plan[id].flits {
-			if err := n.loadFlitLink(r, l, t.flit); err != nil {
+	for id := range n.routers {
+		for i := n.flitOff[id]; i < n.flitOff[id+1]; i++ {
+			if err := n.loadFlitLink(r, &n.flitSlab[i], t.flit); err != nil {
 				return err
 			}
 		}
-		for _, l := range n.plan[id].credits {
-			if err := n.loadCreditLink(r, l); err != nil {
+		for i := n.creditOff[id]; i < n.creditOff[id+1]; i++ {
+			if err := n.loadCreditLink(r, &n.creditSlab[i]); err != nil {
 				return err
 			}
 		}

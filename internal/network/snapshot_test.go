@@ -42,11 +42,9 @@ func saveBytes(t *testing.T, n *Network) []byte {
 // links.
 func heldFlits(n *Network) int {
 	held := 0
-	for id := range n.plan {
-		for _, l := range n.plan[id].flits {
-			if l.faults.HeldFlit() != nil {
-				held++
-			}
+	for i := range n.flitSlab {
+		if n.flitSlab[i].faults.HeldFlit() != nil {
+			held++
 		}
 	}
 	return held

@@ -2,18 +2,19 @@ package network
 
 import (
 	"fmt"
+
 	"vichar/internal/audit"
 	"vichar/internal/flit"
 	"vichar/internal/stats"
 )
 
-// eject consumes a flit at its destination's processing element,
-// enforcing the end-to-end delivery invariants: flits of a packet
-// arrive exactly once, in sequence order, at the right node.
-func (n *Network) eject(f *flit.Flit, now int64) {
-	if f.Pkt.Dst != dstOf(f) {
+// eject consumes a flit at node's processing element, enforcing the
+// end-to-end delivery invariants: flits of a packet arrive exactly
+// once, in sequence order, at the right node.
+func (n *Network) eject(node int, f *flit.Flit, now int64) {
+	if f.Pkt.Dst != node {
 		//vichar:invariant the routing function must deliver every flit to its packet destination
-		panic(fmt.Sprintf("network: flit %s ejected at wrong node", f))
+		panic(fmt.Sprintf("network: flit %s ejected at wrong node %d", f, node))
 	}
 	want := n.expectSeq[f.Pkt.ID]
 	if f.Seq != want {
@@ -54,11 +55,6 @@ func (n *Network) eject(f *flit.Flit, now int64) {
 		n.txn.OnEject(p, now, was)
 	}
 }
-
-// dstOf exists to keep the ejection assertion honest without carrying
-// the ejecting node through every link closure: the flit's packet
-// destination is authoritative.
-func dstOf(f *flit.Flit) int { return f.Pkt.Dst }
 
 // totalCounters sums activity across routers plus network-level link
 // traversals. Link traversals are kept per link (each link is ticked
@@ -106,7 +102,7 @@ func (n *Network) Step() {
 		staged := n.pendingEject[id]
 		for i, f := range staged {
 			staged[i] = nil
-			n.eject(f, now)
+			n.eject(id, f, now)
 		}
 		n.pendingEject[id] = staged[:0]
 	}
@@ -148,9 +144,9 @@ func (n *Network) Step() {
 // shard's routers delivers its due flits and credits. The walk runs
 // over the owner-grouped link slabs in slab order — one contiguous
 // range per router (flitOff/creditOff), batching each router's
-// delivery commits into a single streaming sweep — rather than over
-// the plan's pointer slices. Reads n.now itself (set before the phase
-// barrier) so the bound closure carries no per-cycle state.
+// delivery commits into a single streaming sweep. Reads n.now itself
+// (set before the phase barrier) so the bound closure carries no
+// per-cycle state.
 func (n *Network) deliverShard(shard int) {
 	now := n.now
 	lo, hi := n.shardBounds(shard)

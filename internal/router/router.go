@@ -79,12 +79,7 @@ type vcState struct {
 }
 
 type inputPort struct {
-	buf buffers.Buffer
-	// ubs devirtualizes buf when it is a ViChaR unified buffer: the SA
-	// stage polls Ready on every active VC every cycle, and the direct
-	// (inlinable) call keeps that poll to one array load instead of an
-	// interface dispatch. nil for the fixed organizations.
-	ubs    *core.UBS
+	buf    buffers.Buffer
 	vc     []vcState
 	credit CreditSender
 
@@ -113,11 +108,29 @@ const outInfoShift = 16
 
 type outputPort struct {
 	view CreditView
-	// vichar devirtualizes view when it is a ViChaR dispenser view,
-	// for the same per-active-VC SA poll as inputPort.ubs; nil for
-	// other view kinds (including the ejection sink).
+	// vichar is view's concrete type when it is a ViChaR dispenser
+	// view, nil otherwise (including the ejection sink). canSend is its
+	// only reader.
 	vichar *vicharView
-	conn   FlitSender
+	// alloc is view's per-VC allocation surface, asserted once at
+	// ConnectOutput; nil in ViChaR configurations, whose VA asks the
+	// Token Dispenser instead.
+	alloc perVCAllocator
+	conn  FlitSender
+}
+
+// canSend is the SA stage's credit poll. It is the one call into a
+// credit view made per active VC per cycle, and the only devirtualized
+// one: without the dispenser view's direct (inlinable) call the
+// sat8x8_vic benchmark workload lost 7 of 8 interleaved A/B pairs
+// (median -3.6% router-cycles/s). Every other view call runs at most
+// once per flit, grant or (port, kind) per tick and goes through the
+// interface.
+func (o *outputPort) canSend(vc int) bool {
+	if o.vichar != nil {
+		return o.vichar.CanSendFlit(vc)
+	}
+	return o.view.CanSendFlit(vc)
 }
 
 // Router is one 5-port pipelined NoC router.
@@ -133,10 +146,6 @@ type Router struct {
 
 	in  []inputPort
 	out []outputPort
-	// outVic[p] == out[p].vichar, as a flat pointer array: the SA scan
-	// indexes it per poll, and the 8-byte stride beats computing an
-	// offset into the wide outputPort records.
-	outVic []*vicharView
 
 	maxVCs int
 	ports  int
@@ -252,9 +261,8 @@ func NewIn(a *Arena, id int, cfg *config.Config, mesh topology.Mesh) *Router {
 		ports:  p,
 		maskW:  maskWords(cfg.MaxVCs()),
 
-		in:     make([]inputPort, p),
-		out:    make([]outputPort, p),
-		outVic: make([]*vicharView, p),
+		in:  make([]inputPort, p),
+		out: make([]outputPort, p),
 
 		saNominee: make([]int, p),
 	}
@@ -267,7 +275,6 @@ func NewIn(a *Arena, id int, cfg *config.Config, mesh topology.Mesh) *Router {
 	for i := 0; i < p; i++ {
 		in := &r.in[i]
 		in.buf = newBuffer(cfg, a)
-		in.ubs, _ = in.buf.(*core.UBS)
 		in.vc = a.takeVCs(r.maxVCs)
 		in.bufMask = soa.TakeWords(r.maskW)
 		in.vaMask = soa.TakeWords(r.maskW)
@@ -305,10 +312,18 @@ func (r *Router) ID() int { return r.id }
 // for the local ejection port). Unconnected cardinal ports on mesh
 // edges stay nil; the routing function never selects them.
 func (r *Router) ConnectOutput(p int, conn FlitSender, view CreditView) {
-	r.out[p].conn = conn
-	r.out[p].view = view
-	r.out[p].vichar, _ = view.(*vicharView)
-	r.outVic[p] = r.out[p].vichar
+	o := &r.out[p]
+	o.conn = conn
+	o.view = view
+	o.vichar, _ = view.(*vicharView)
+	if r.cfg.Arch != config.ViChaR {
+		alloc, ok := view.(perVCAllocator)
+		if !ok {
+			//vichar:invariant non-ViChaR configurations always wire per-VC credit views; a mismatch is a construction bug
+			panic(fmt.Sprintf("router %d: %T cannot allocate per-VC", r.id, view))
+		}
+		o.alloc = alloc
+	}
 }
 
 // ConnectInputCredit wires input port p's upstream credit channel.
@@ -348,16 +363,7 @@ func (r *Router) ReceiveFlit(p int, f *flit.Flit, now int64) {
 }
 
 // ReceiveCredit applies an upstream-bound credit at output port p.
-func (r *Router) ReceiveCredit(p int, c flit.Credit) {
-	// Branch-devirtualized like the SA polls: one credit arrives per
-	// link per cycle at saturation, and the direct call skips the
-	// interface dispatch.
-	if o := &r.out[p]; o.vichar != nil {
-		o.vichar.OnCredit(c)
-	} else {
-		o.view.OnCredit(c)
-	}
-}
+func (r *Router) ReceiveCredit(p int, c flit.Credit) { r.out[p].view.OnCredit(c) }
 
 // Tick advances the router one cycle. Stages run in reverse pipeline
 // order (SA, then VA, then RC) so a flit progresses exactly one stage
@@ -465,17 +471,7 @@ func (r *Router) portFree(p, k, class int, escape bool) bool {
 		// Unconnected edge ports stay dark; a dead output link accepts
 		// no new packets (worms granted the link before it died keep
 		// draining — SA does not consult candidates).
-		ok := o.view != nil && (r.faults == nil || !r.faults.LinkDead(p))
-		if ok {
-			// Branch-devirtualized like the SA polls: the direct
-			// vicharView call inlines.
-			if o.vichar != nil {
-				ok = o.vichar.HasFreeVCIn(class, escape)
-			} else {
-				ok = o.view.HasFreeVCIn(class, escape)
-			}
-		}
-		if ok {
+		if o.view != nil && (r.faults == nil || !r.faults.LinkDead(p)) && o.view.HasFreeVCIn(class, escape) {
 			r.vaFree[k] |= bit
 		}
 	}
@@ -489,12 +485,7 @@ func (r *Router) portSlots(p int) int {
 	bit := uint64(1) << uint(p)
 	if r.vaSlotsKnown&bit == 0 {
 		r.vaSlotsKnown |= bit
-		o := &r.out[p]
-		if o.vichar != nil {
-			r.vaSlots[p] = o.vichar.FreeSlots()
-		} else {
-			r.vaSlots[p] = o.view.FreeSlots()
-		}
+		r.vaSlots[p] = r.out[p].view.FreeSlots()
 	}
 	return r.vaSlots[p]
 }
@@ -660,32 +651,34 @@ func (r *Router) tickVAViChaR(now int64) {
 			continue
 		}
 		n := noms[w]
-		win := &r.in[w]
-		st := &win.vc[n.invc]
-		var vc int
-		var ok bool
-		if o := &r.out[op]; o.vichar != nil {
-			vc, ok = o.vichar.AllocVCIn(int(st.pkt.Class), n.escape)
-		} else {
-			vc, ok = o.view.AllocVCIn(int(st.pkt.Class), n.escape)
-		}
+		class := int(r.in[w].vc[n.invc].pkt.Class)
+		vc, ok := r.out[op].view.AllocVCIn(class, n.escape)
 		if !ok {
 			continue // availability changed within the cycle; retry next
 		}
-		st.state = vcActive
-		win.vaMask[n.invc>>6] &^= 1 << (uint(n.invc) & 63)
-		win.actMask[n.invc>>6] |= 1 << (uint(n.invc) & 63)
-		st.outPort = op
-		st.outVC = vc
-		win.outInfo[n.invc] = op<<outInfoShift | vc
-		r.Counters.VCGrants++
+		r.grant(w, n.invc, op, vc, now)
 		grants++
-		if r.probe != nil {
-			r.probe.VAGrant()
-			r.probe.Event(metrics.EvVAGrant, now, r.id, st.pkt.ID, -1, op, vc)
-		}
 	}
 	r.probe.VADenials(contenders - grants)
+}
+
+// grant commits a VA decision: input VC v of port ip becomes active on
+// output (op, ovc), in the state machine, the scan masks and the
+// packed SA route alike.
+func (r *Router) grant(ip, v, op, ovc int, now int64) {
+	in := &r.in[ip]
+	st := &in.vc[v]
+	st.state = vcActive
+	in.vaMask[v>>6] &^= 1 << (uint(v) & 63)
+	in.actMask[v>>6] |= 1 << (uint(v) & 63)
+	st.outPort = op
+	st.outVC = ovc
+	in.outInfo[v] = op<<outInfoShift | ovc
+	r.Counters.VCGrants++
+	if r.probe != nil {
+		r.probe.VAGrant()
+		r.probe.Event(metrics.EvVAGrant, now, r.id, st.pkt.ID, -1, op, ovc)
+	}
 }
 
 // vaPick is one stage-1 VA nomination: the (output port, output VC)
@@ -732,12 +725,7 @@ func (r *Router) tickVAGeneric(now int64) {
 				if op < 0 {
 					continue
 				}
-				alloc, ok := r.out[op].view.(perVCAllocator)
-				if !ok {
-					//vichar:invariant non-ViChaR configurations always wire per-VC credit views; a mismatch is a construction bug
-					panic(fmt.Sprintf("router %d: %T cannot allocate per-VC", r.id, r.out[op].view))
-				}
-				ovc := alloc.GrantableVCIn(class, escape, v)
+				ovc := r.out[op].alloc.GrantableVCIn(class, escape, v)
 				if ovc < 0 {
 					continue
 				}
@@ -787,22 +775,9 @@ func (r *Router) tickVAGeneric(now int64) {
 			continue
 		}
 		ip, v := w/r.maxVCs, w%r.maxVCs
-		win := &r.in[ip]
-		st := &win.vc[v]
-		alloc := r.out[op].view.(perVCAllocator)
-		alloc.ClaimVCIn(int(st.pkt.Class), ovc)
-		st.state = vcActive
-		win.vaMask[v>>6] &^= 1 << (uint(v) & 63)
-		win.actMask[v>>6] |= 1 << (uint(v) & 63)
-		st.outPort = op
-		st.outVC = ovc
-		win.outInfo[v] = op<<outInfoShift | ovc
-		r.Counters.VCGrants++
+		r.out[op].alloc.ClaimVCIn(int(r.in[ip].vc[v].pkt.Class), ovc)
+		r.grant(ip, v, op, ovc, now)
 		grants++
-		if r.probe != nil {
-			r.probe.VAGrant()
-			r.probe.Event(metrics.EvVAGrant, now, r.id, st.pkt.ID, -1, op, ovc)
-		}
 	}
 	r.probe.VADenials(len(flats) - grants)
 }
@@ -818,84 +793,35 @@ func (r *Router) tickSA(now int64) {
 			continue
 		}
 		in := &r.in[ip]
+		act := uint64(0)
+		for _, wm := range in.actMask {
+			act |= wm
+		}
+		if act == 0 {
+			continue
+		}
+		// Stage 1 visits only VCs that hold a granted route (actMask)
+		// and a readable head flit (the buffer's readiness mask), one
+		// AND per 64 VCs, then polls downstream credit on the packed
+		// outInfo route.
+		rdy := in.buf.ReadyWords(now)
 		any := false
-		if r.probe == nil && in.ubs != nil {
-			// Uninstrumented ViChaR fast path: the unified buffer's
-			// readiness overlay collapses the whole-port head poll to
-			// one AND per 64 VCs, so the inner loop only visits VCs
-			// that both hold a granted route (actMask) and have a
-			// readable head flit — then checks downstream credit via
-			// the flat dispenser-view pointers and the packed outInfo
-			// route, all indexed loads with no dynamic dispatch.
-			rdy := in.ubs.ReadyWords(now)
-			for wi, wm := range in.actMask {
-				w := uint64(0)
-				for m := wm & rdy[wi]; m != 0; {
-					b := bits.TrailingZeros64(m)
-					m &^= 1 << uint(b)
-					info := in.outInfo[wi<<6+b]
-					ovc := info & (1<<outInfoShift - 1)
-					var ok bool
-					if ov := r.outVic[info>>outInfoShift]; ov != nil {
-						ok = ov.CanSendFlit(ovc)
-					} else {
-						ok = r.out[info>>outInfoShift].view.CanSendFlit(ovc)
-					}
-					if ok {
-						w |= 1 << uint(b)
-					}
+		for wi, wm := range in.actMask {
+			w := uint64(0)
+			for m := wm & rdy[wi]; m != 0; {
+				b := bits.TrailingZeros64(m)
+				m &^= 1 << uint(b)
+				info := in.outInfo[wi<<6+b]
+				op := info >> outInfoShift
+				if r.out[op].canSend(info & (1<<outInfoShift - 1)) {
+					w |= 1 << uint(b)
+				} else {
+					r.probe.CreditStall(op)
 				}
-				req[wi] = w
-				any = any || w != 0
 			}
-		} else if r.probe == nil {
-			// Uninstrumented fast path for the fixed organizations:
-			// per-VC Ready polls through the buffer interface.
-			for wi, wm := range in.actMask {
-				w := uint64(0)
-				for m := wm; m != 0; {
-					b := bits.TrailingZeros64(m)
-					m &^= 1 << uint(b)
-					v := wi<<6 + b
-					ok := in.buf.Ready(v, now)
-					if ok {
-						info := in.outInfo[v]
-						ovc := info & (1<<outInfoShift - 1)
-						ok = r.out[info>>outInfoShift].view.CanSendFlit(ovc)
-					}
-					if ok {
-						w |= 1 << uint(b)
-					}
-				}
-				req[wi] = w
-				any = any || w != 0
-			}
-		} else {
-			for wi, wm := range in.actMask {
-				w := uint64(0)
-				for m := wm; m != 0; {
-					b := bits.TrailingZeros64(m)
-					m &^= 1 << uint(b)
-					v := wi<<6 + b
-					info := in.outInfo[v]
-					op := info >> outInfoShift
-					ovc := info & (1<<outInfoShift - 1)
-					var ready bool
-					if in.ubs != nil {
-						ready = in.ubs.Ready(v, now)
-					} else {
-						ready = in.buf.Ready(v, now)
-					}
-					if ready && r.out[op].view.CanSendFlit(ovc) {
-						w |= 1 << uint(b)
-						contenders++
-					} else if ready {
-						r.probe.CreditStall(op)
-					}
-				}
-				req[wi] = w
-				any = any || w != 0
-			}
+			req[wi] = w
+			contenders += bits.OnesCount64(w)
+			any = any || w != 0
 		}
 		if !any {
 			continue
@@ -940,13 +866,7 @@ func (r *Router) tickSA(now int64) {
 func (r *Router) forward(ip, v, op int, now int64) {
 	in := &r.in[ip]
 	st := &in.vc[v]
-	var f *flit.Flit
-	var err error
-	if in.ubs != nil {
-		f, err = in.ubs.Pop(v, now)
-	} else {
-		f, err = in.buf.Pop(v, now)
-	}
+	f, err := in.buf.Pop(v, now)
 	if err != nil {
 		//vichar:invariant SA only nominates VCs with a readable front flit within the same cycle
 		panic(fmt.Sprintf("router %d: SA winner vanished: %v", r.id, err))
@@ -968,11 +888,7 @@ func (r *Router) forward(ip, v, op int, now int64) {
 	}
 
 	f.VC = st.outVC
-	if o := &r.out[op]; o.vichar != nil {
-		o.vichar.OnSend(f)
-	} else {
-		o.view.OnSend(f)
-	}
+	r.out[op].view.OnSend(f)
 	r.out[op].conn.SendFlit(f, now)
 
 	if f.IsTail() {
@@ -1049,10 +965,9 @@ func (r *Router) InputBuffer(p int) buffers.Buffer { return r.in[p].buf }
 // the UBS checks. The network invokes this every cycle when
 // Config.Audit is set.
 func (r *Router) AuditInvariants(now int64) error {
-	classes := r.cfg.VCClasses()
-	escBase := r.maxVCs
+	layout := vcLayout{escBase: r.maxVCs, total: r.maxVCs, classes: r.cfg.VCClasses()}
 	if r.cfg.NeedsEscape() {
-		escBase = r.maxVCs - r.cfg.EscapeVCs
+		layout.escBase -= r.cfg.EscapeVCs
 	}
 	for p := range r.in {
 		in := &r.in[p]
@@ -1086,15 +1001,15 @@ func (r *Router) AuditInvariants(now int64) error {
 			// VC-class separation: an occupied VC's ID chunk must match
 			// its packet's class, and so must a granted output VC (the
 			// ejection sink aside — its "VC 0" is not a real channel).
-			if classes > 1 && st != vcIdle {
+			if layout.classes > 1 && st != vcIdle {
 				pc := int(in.vc[v].pkt.Class)
-				if err := audit.CheckVCClass("input", r.id, p, v, classOfVC(v, escBase, r.maxVCs, classes), pc); err != nil {
+				if err := audit.CheckVCClass("input", r.id, p, v, layout.classOf(v), pc); err != nil {
 					return err
 				}
 				if op := in.vc[v].outPort; st == vcActive {
 					if _, sink := r.out[op].view.(*sinkView); !sink {
 						ovc := in.vc[v].outVC
-						if err := audit.CheckVCClass("output", r.id, op, ovc, classOfVC(ovc, escBase, r.maxVCs, classes), pc); err != nil {
+						if err := audit.CheckVCClass("output", r.id, op, ovc, layout.classOf(ovc), pc); err != nil {
 							return err
 						}
 					}

@@ -23,20 +23,16 @@ type CreditView interface {
 	OnSend(f *flit.Flit)
 	// OnCredit credits the view for a downstream departure.
 	OnCredit(c flit.Credit)
-	// HasFreeVC reports whether a VC of the given kind (escape or
-	// regular) could be granted to a new packet of class 0 this cycle.
-	HasFreeVC(escape bool) bool
-	// AllocVC grants a VC of the given kind to a new class-0 packet.
-	// The caller must route all the packet's flits onto the returned
-	// VC.
-	AllocVC(escape bool) (vc int, ok bool)
-	// HasFreeVCIn and AllocVCIn are the class-aware variants the VC
-	// allocator uses: each VC class (request, response) owns a disjoint
+	// HasFreeVCIn reports whether a VC of the given kind (escape or
+	// regular) could be granted to a new packet of the class this
+	// cycle. Each VC class (request, response) owns a disjoint
 	// contiguous chunk of the regular and escape VC ID ranges, so a
 	// grant for one class can never consume a channel the other class
-	// depends on. With one class (every non-transaction run) they are
-	// identical to HasFreeVC/AllocVC.
+	// depends on; every non-transaction run has the single class 0.
 	HasFreeVCIn(class int, escape bool) bool
+	// AllocVCIn grants a VC of the given kind to a new packet of the
+	// class. The caller must route all the packet's flits onto the
+	// returned VC.
 	AllocVCIn(class int, escape bool) (vc int, ok bool)
 	// FreeSlots returns the downstream slots currently available to
 	// new flits (summed over VCs for partitioned buffers); used by
@@ -71,18 +67,29 @@ func classSpan(lo, hi, classes, class int) (int, int) {
 	return start, end
 }
 
-// classOfVC returns the class whose regular or escape chunk contains
-// vc, given the port's VC layout ([0, escBase) regular, [escBase,
-// total) escape).
-func classOfVC(vc, escBase, total, classes int) int {
-	if classes <= 1 {
-		return 0
+// vcLayout is the VC ID layout of one port: regular IDs [0, escBase),
+// escape IDs [escBase, total) — escBase == total when there is no
+// escape set — each range chunked among classes VC classes (1 =
+// unpartitioned).
+type vcLayout struct {
+	escBase, total, classes int
+}
+
+// span returns the class's chunk of the ID range of the chosen kind.
+func (l vcLayout) span(class int, escape bool) (lo, hi int) {
+	if escape {
+		return classSpan(l.escBase, l.total, l.classes, class)
 	}
-	for c := 0; c < classes; c++ {
-		if lo, hi := classSpan(0, escBase, classes, c); vc >= lo && vc < hi {
+	return classSpan(0, l.escBase, l.classes, class)
+}
+
+// classOf returns the class whose regular or escape chunk contains vc.
+func (l vcLayout) classOf(vc int) int {
+	for c := 0; c < l.classes; c++ {
+		if lo, hi := l.span(c, false); vc >= lo && vc < hi {
 			return c
 		}
-		if lo, hi := classSpan(escBase, total, classes, c); vc >= lo && vc < hi {
+		if lo, hi := l.span(c, true); vc >= lo && vc < hi {
 			return c
 		}
 	}
@@ -120,23 +127,21 @@ func NewCreditViewIn(a *Arena, cfg *config.Config) CreditView {
 // allocation a VC is re-grantable only when fully drained; otherwise
 // packets may queue back-to-back within the FIFO.
 type genericView struct {
+	vcLayout
 	depth   int
 	credits []int
 	open    []bool // a packet holds the VC and its tail has not been sent
-	escBase int    // first escape VC ID; len(credits) when no escape set
 	atomic  bool
-	classes int // VC classes partitioning both ID ranges (1 = unpartitioned)
-	rr      int // round-robin pointer for AllocVC
+	rr      int // round-robin pointer for AllocVCIn
 }
 
 func newGenericView(a *soa.Arena, vcs, depth, escape int, atomic bool, classes int) *genericView {
 	v := &genericView{
-		depth:   depth,
-		credits: a.TakeInts(vcs),
-		open:    a.TakeBools(vcs),
-		escBase: vcs - escape,
-		atomic:  atomic,
-		classes: classes,
+		vcLayout: vcLayout{escBase: vcs - escape, total: vcs, classes: classes},
+		depth:    depth,
+		credits:  a.TakeInts(vcs),
+		open:     a.TakeBools(vcs),
+		atomic:   atomic,
 	}
 	for i := range v.credits {
 		v.credits[i] = depth
@@ -182,17 +187,8 @@ func (v *genericView) grantable(vc int) bool {
 	return true
 }
 
-func (v *genericView) vcRange(class int, escape bool) (lo, hi int) {
-	if escape {
-		return classSpan(v.escBase, len(v.credits), v.classes, class)
-	}
-	return classSpan(0, v.escBase, v.classes, class)
-}
-
-func (v *genericView) HasFreeVC(escape bool) bool { return v.HasFreeVCIn(0, escape) }
-
 func (v *genericView) HasFreeVCIn(class int, escape bool) bool {
-	lo, hi := v.vcRange(class, escape)
+	lo, hi := v.span(class, escape)
 	for vc := lo; vc < hi; vc++ {
 		if v.grantable(vc) {
 			return true
@@ -201,10 +197,8 @@ func (v *genericView) HasFreeVCIn(class int, escape bool) bool {
 	return false
 }
 
-func (v *genericView) AllocVC(escape bool) (int, bool) { return v.AllocVCIn(0, escape) }
-
 func (v *genericView) AllocVCIn(class int, escape bool) (int, bool) {
-	lo, hi := v.vcRange(class, escape)
+	lo, hi := v.span(class, escape)
 	n := hi - lo
 	if n <= 0 {
 		return -1, false
@@ -220,15 +214,11 @@ func (v *genericView) AllocVCIn(class int, escape bool) (int, bool) {
 	return -1, false
 }
 
-// GrantableVC returns a grantable class-0 VC of the kind, scanning
-// round-robin from hint, without claiming it (generic VA stage 1).
-func (v *genericView) GrantableVC(escape bool, hint int) int {
-	return v.GrantableVCIn(0, escape, hint)
-}
-
-// GrantableVCIn is GrantableVC restricted to the class's VC chunk.
+// GrantableVCIn returns a grantable VC of the kind within the class's
+// chunk, scanning round-robin from hint, without claiming it (generic
+// VA stage 1).
 func (v *genericView) GrantableVCIn(class int, escape bool, hint int) int {
-	lo, hi := v.vcRange(class, escape)
+	lo, hi := v.span(class, escape)
 	n := hi - lo
 	if n <= 0 {
 		return -1
@@ -245,17 +235,15 @@ func (v *genericView) GrantableVCIn(class int, escape bool, hint int) int {
 	return -1
 }
 
-// ClaimVC marks vc granted to a new packet (generic VA stage 2).
-func (v *genericView) ClaimVC(vc int) {
+// ClaimVCIn marks vc granted to a new packet (generic VA stage 2);
+// the class is implied by the VC's chunk.
+func (v *genericView) ClaimVCIn(class, vc int) {
 	if vc < 0 || vc >= len(v.open) || !v.grantable(vc) {
 		//vichar:invariant VA stage 2 claims only VCs stage 1 reported grantable within the same cycle
 		panic(fmt.Sprintf("router: claim of ungrantable vc %d", vc))
 	}
 	v.open[vc] = true
 }
-
-// ClaimVCIn is ClaimVC; the class is implied by the VC's chunk.
-func (v *genericView) ClaimVCIn(class, vc int) { v.ClaimVC(vc) }
 
 func (v *genericView) FreeSlots() int {
 	n := 0
@@ -293,13 +281,12 @@ func (v *genericView) OutstandingVCs() int {
 // packets whose flits cannot enter the pool deadlocks (hold-and-wait
 // through the shared storage, independent of routing acyclicity).
 type sharedView struct {
+	vcLayout
 	slots      int
 	sharedFree int    // pool slots beyond the per-queue reservations
 	resFree    []bool // per queue: reserved slot currently empty
 	held       []int  // per queue: flits resident downstream
 	open       []bool
-	escBase    int
-	classes    int // VC classes partitioning both ID ranges (1 = unpartitioned)
 	rr         int
 }
 
@@ -308,13 +295,12 @@ func newSharedView(a *soa.Arena, vcs, slots, escape, classes int) *sharedView {
 		panic(fmt.Sprintf("router: shared view needs a reservable slot per VC, got %d slots for %d VCs", slots, vcs))
 	}
 	v := &sharedView{
+		vcLayout:   vcLayout{escBase: vcs - escape, total: vcs, classes: classes},
 		slots:      slots,
 		sharedFree: slots - vcs,
 		resFree:    a.TakeBools(vcs),
 		held:       a.TakeInts(vcs),
 		open:       a.TakeBools(vcs),
-		escBase:    vcs - escape,
-		classes:    classes,
 	}
 	for i := range v.resFree {
 		v.resFree[i] = true
@@ -364,17 +350,8 @@ func (v *sharedView) OnCredit(c flit.Credit) {
 	}
 }
 
-func (v *sharedView) vcRange(class int, escape bool) (lo, hi int) {
-	if escape {
-		return classSpan(v.escBase, len(v.open), v.classes, class)
-	}
-	return classSpan(0, v.escBase, v.classes, class)
-}
-
-func (v *sharedView) HasFreeVC(escape bool) bool { return v.HasFreeVCIn(0, escape) }
-
 func (v *sharedView) HasFreeVCIn(class int, escape bool) bool {
-	lo, hi := v.vcRange(class, escape)
+	lo, hi := v.span(class, escape)
 	for vc := lo; vc < hi; vc++ {
 		if !v.open[vc] {
 			return true
@@ -383,10 +360,8 @@ func (v *sharedView) HasFreeVCIn(class int, escape bool) bool {
 	return false
 }
 
-func (v *sharedView) AllocVC(escape bool) (int, bool) { return v.AllocVCIn(0, escape) }
-
 func (v *sharedView) AllocVCIn(class int, escape bool) (int, bool) {
-	lo, hi := v.vcRange(class, escape)
+	lo, hi := v.span(class, escape)
 	n := hi - lo
 	if n <= 0 {
 		return -1, false
@@ -402,15 +377,10 @@ func (v *sharedView) AllocVCIn(class int, escape bool) (int, bool) {
 	return -1, false
 }
 
-// GrantableVC returns a grantable class-0 VC of the kind, scanning
-// round-robin from hint, without claiming it.
-func (v *sharedView) GrantableVC(escape bool, hint int) int {
-	return v.GrantableVCIn(0, escape, hint)
-}
-
-// GrantableVCIn is GrantableVC restricted to the class's VC chunk.
+// GrantableVCIn returns a grantable VC of the kind within the class's
+// chunk, scanning round-robin from hint, without claiming it.
 func (v *sharedView) GrantableVCIn(class int, escape bool, hint int) int {
-	lo, hi := v.vcRange(class, escape)
+	lo, hi := v.span(class, escape)
 	n := hi - lo
 	if n <= 0 {
 		return -1
@@ -427,17 +397,15 @@ func (v *sharedView) GrantableVCIn(class int, escape bool, hint int) int {
 	return -1
 }
 
-// ClaimVC marks vc granted to a new packet.
-func (v *sharedView) ClaimVC(vc int) {
+// ClaimVCIn marks vc granted to a new packet; the class is implied by
+// the VC's chunk.
+func (v *sharedView) ClaimVCIn(class, vc int) {
 	if vc < 0 || vc >= len(v.open) || v.open[vc] {
 		//vichar:invariant VA stage 2 claims only VCs stage 1 reported grantable within the same cycle
 		panic(fmt.Sprintf("router: claim of ungrantable vc %d", vc))
 	}
 	v.open[vc] = true
 }
-
-// ClaimVCIn is ClaimVC; the class is implied by the VC's chunk.
-func (v *sharedView) ClaimVCIn(class, vc int) { v.ClaimVC(vc) }
 
 func (v *sharedView) FreeSlots() int { return v.sharedFree }
 
@@ -491,27 +459,25 @@ func (v *sharedView) OutstandingVCs() int {
 // protocol-deadlock cycle through the unified storage. Slots freed by
 // a VC refill its own class's reserve before the shared pool.
 type vicharView struct {
+	vcLayout
 	slots      int
 	sharedFree int
 	dispenser  *core.Dispenser
 	resFree    []bool // per VC: reservation available (token outstanding)
 	granted    []bool // per VC: token outstanding
 	held       []int  // per VC: flits resident downstream
-	escBase    int    // first escape VC ID; == len(granted) when no escape set
-	classes    int
 	classRes   []bool // per class: grant-reserve slot currently free; nil when classes == 1
 }
 
 func newViCharView(a *soa.Arena, slots, vcs, escape, classes int) *vicharView {
 	v := &vicharView{
+		vcLayout:   vcLayout{escBase: vcs - escape, total: vcs, classes: classes},
 		slots:      slots,
 		sharedFree: slots,
 		dispenser:  core.NewDispenserIn(a, vcs, escape),
 		resFree:    a.TakeBools(vcs),
 		granted:    a.TakeBools(vcs),
 		held:       a.TakeInts(vcs),
-		escBase:    vcs - escape,
-		classes:    classes,
 	}
 	if classes > 1 {
 		if slots <= classes {
@@ -524,11 +490,6 @@ func newViCharView(a *soa.Arena, slots, vcs, escape, classes int) *vicharView {
 		}
 	}
 	return v
-}
-
-// classOf returns the VC class that owns vc's ID chunk.
-func (v *vicharView) classOf(vc int) int {
-	return classOfVC(vc, v.escBase, len(v.granted), v.classes)
 }
 
 // freeSlot returns the slot a departing flit (or unparked reservation)
@@ -611,34 +572,22 @@ func (v *vicharView) OnCredit(c flit.Credit) {
 	}
 }
 
-// tokenRange returns the class's chunk of the dispenser's global VC
-// ID range for the chosen token kind.
-func (v *vicharView) tokenRange(class int, escape bool) (lo, hi int) {
-	if escape {
-		return classSpan(v.escBase, len(v.granted), v.classes, class)
-	}
-	return classSpan(0, v.escBase, v.classes, class)
-}
-
-func (v *vicharView) HasFreeVC(escape bool) bool { return v.HasFreeVCIn(0, escape) }
-
 func (v *vicharView) HasFreeVCIn(class int, escape bool) bool {
 	if !v.grantSlotFree(class) {
 		return false // no slot left to carry the token's reservation
 	}
-	lo, hi := v.tokenRange(class, escape)
+	lo, hi := v.span(class, escape)
 	return v.dispenser.FreeIn(escape, lo, hi) > 0
 }
 
-// AllocVC grants the next token and moves one slot from the shared
-// pool (or the class's grant reserve) into the new VC's reservation.
-func (v *vicharView) AllocVC(escape bool) (int, bool) { return v.AllocVCIn(0, escape) }
-
+// AllocVCIn grants the class's next token and moves one slot from the
+// shared pool (or the class's grant reserve) into the new VC's
+// reservation.
 func (v *vicharView) AllocVCIn(class int, escape bool) (int, bool) {
 	if !v.grantSlotFree(class) {
 		return -1, false
 	}
-	lo, hi := v.tokenRange(class, escape)
+	lo, hi := v.span(class, escape)
 	vc, ok := v.dispenser.GrantIn(escape, lo, hi)
 	if !ok {
 		return -1, false
@@ -708,9 +657,7 @@ func (v *sinkView) OnSend(f *flit.Flit) {
 	}
 }
 
-func (v *sinkView) OnCredit(c flit.Credit)          {}
-func (v *sinkView) HasFreeVC(escape bool) bool      { return v.HasFreeVCIn(0, escape) }
-func (v *sinkView) AllocVC(escape bool) (int, bool) { return v.AllocVCIn(0, escape) }
+func (v *sinkView) OnCredit(c flit.Credit) {}
 
 func (v *sinkView) HasFreeVCIn(class int, escape bool) bool {
 	return v.admit == nil || v.admit.Peek(class)
@@ -733,21 +680,15 @@ func (v *sinkView) OutstandingVCs() int { return v.outstanding }
 // consumes flits immediately and sends no credits back.
 func (v *sinkView) OutstandingFlits() int { return 0 }
 
-// GrantableVC always offers VC 0: the processing element consumes
-// flits of any number of interleaved packets.
-func (v *sinkView) GrantableVC(escape bool, hint int) int { return v.GrantableVCIn(0, escape, hint) }
-
-// GrantableVCIn offers VC 0 unless the admission gate refuses the
-// class this cycle.
+// GrantableVCIn offers VC 0 — the processing element consumes flits
+// of any number of interleaved packets — unless the admission gate
+// refuses the class this cycle.
 func (v *sinkView) GrantableVCIn(class int, escape bool, hint int) int {
 	if v.admit != nil && !v.admit.Peek(class) {
 		return -1
 	}
 	return 0
 }
-
-// ClaimVC is a no-op at the sink.
-func (v *sinkView) ClaimVC(vc int) {}
 
 // ClaimVCIn reserves the admission slot GrantableVCIn peeked.
 func (v *sinkView) ClaimVCIn(class, vc int) {

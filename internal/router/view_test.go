@@ -43,7 +43,7 @@ func TestGenericViewCreditAccounting(t *testing.T) {
 	if v.FreeSlots() != 6 {
 		t.Fatalf("fresh free slots %d", v.FreeSlots())
 	}
-	vc, ok := v.AllocVC(false)
+	vc, ok := v.AllocVCIn(0, false)
 	if !ok {
 		t.Fatal("alloc failed on fresh view")
 	}
@@ -68,33 +68,33 @@ func TestGenericViewCreditAccounting(t *testing.T) {
 
 func TestGenericViewAtomicAllocation(t *testing.T) {
 	v := newGenericView(nil, 1, 4, 0, true, 1)
-	vc, ok := v.AllocVC(false)
+	vc, ok := v.AllocVCIn(0, false)
 	if !ok || vc != 0 {
 		t.Fatalf("alloc got %d/%v", vc, ok)
 	}
 	v.OnSend(headFlit(0))
 	v.OnSend(tailFlit(0)) // tail sent: VC closed but 2 flits downstream
-	if _, ok := v.AllocVC(false); ok {
+	if _, ok := v.AllocVCIn(0, false); ok {
 		t.Fatal("atomic view re-allocated a non-drained VC")
 	}
 	v.OnCredit(flit.Credit{VC: 0})
 	v.OnCredit(flit.Credit{VC: 0, ReleaseVC: true})
-	if _, ok := v.AllocVC(false); !ok {
+	if _, ok := v.AllocVCIn(0, false); !ok {
 		t.Fatal("atomic view refused a fully drained VC")
 	}
 }
 
 func TestGenericViewNonAtomicAllocation(t *testing.T) {
 	v := newGenericView(nil, 1, 4, 0, false, 1)
-	if _, ok := v.AllocVC(false); !ok {
+	if _, ok := v.AllocVCIn(0, false); !ok {
 		t.Fatal("fresh alloc failed")
 	}
 	v.OnSend(headFlit(0))
-	if _, ok := v.AllocVC(false); ok {
+	if _, ok := v.AllocVCIn(0, false); ok {
 		t.Fatal("allocated a VC whose packet is still open")
 	}
 	v.OnSend(tailFlit(0))
-	if _, ok := v.AllocVC(false); !ok {
+	if _, ok := v.AllocVCIn(0, false); !ok {
 		t.Fatal("non-atomic view refused VC after tail sent")
 	}
 }
@@ -103,18 +103,18 @@ func TestGenericViewEscapePartition(t *testing.T) {
 	v := newGenericView(nil, 4, 2, 1, true, 1)
 	// Normal allocations never touch the escape VC (id 3).
 	for i := 0; i < 3; i++ {
-		vc, ok := v.AllocVC(false)
+		vc, ok := v.AllocVCIn(0, false)
 		if !ok || vc == 3 {
 			t.Fatalf("normal alloc %d got %d/%v", i, vc, ok)
 		}
 	}
-	if _, ok := v.AllocVC(false); ok {
+	if _, ok := v.AllocVCIn(0, false); ok {
 		t.Fatal("normal class exhausted but alloc succeeded")
 	}
-	if !v.HasFreeVC(true) {
+	if !v.HasFreeVCIn(0, true) {
 		t.Fatal("escape VC should be free")
 	}
-	vc, ok := v.AllocVC(true)
+	vc, ok := v.AllocVCIn(0, true)
 	if !ok || vc != 3 {
 		t.Fatalf("escape alloc got %d/%v", vc, ok)
 	}
@@ -122,12 +122,12 @@ func TestGenericViewEscapePartition(t *testing.T) {
 
 func TestGenericViewGrantableClaim(t *testing.T) {
 	v := newGenericView(nil, 4, 2, 0, true, 1)
-	g := v.GrantableVC(false, 2)
+	g := v.GrantableVCIn(0, false, 2)
 	if g != 2 {
 		t.Fatalf("hint ignored: got %d", g)
 	}
-	v.ClaimVC(2)
-	if v.GrantableVC(false, 2) == 2 {
+	v.ClaimVCIn(0, 2)
+	if v.GrantableVCIn(0, false, 2) == 2 {
 		t.Fatal("claimed VC still grantable")
 	}
 	defer func() {
@@ -135,7 +135,7 @@ func TestGenericViewGrantableClaim(t *testing.T) {
 			t.Fatal("double claim did not panic")
 		}
 	}()
-	v.ClaimVC(2)
+	v.ClaimVCIn(0, 2)
 }
 
 func TestGenericViewPanics(t *testing.T) {
@@ -149,7 +149,7 @@ func TestGenericViewPanics(t *testing.T) {
 		}},
 		{"credit unknown vc", func(v *genericView) { v.OnCredit(flit.Credit{VC: 9}) }},
 		{"credit overflow", func(v *genericView) { v.OnCredit(flit.Credit{VC: 1}) }},
-		{"claim out of range", func(v *genericView) { v.ClaimVC(7) }},
+		{"claim out of range", func(v *genericView) { v.ClaimVCIn(0, 7) }},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -170,7 +170,7 @@ func TestSharedViewPoolAccounting(t *testing.T) {
 	if v.FreeSlots() != 2 {
 		t.Fatalf("fresh shared slots %d, want 2", v.FreeSlots())
 	}
-	vc, _ := v.AllocVC(false)
+	vc, _ := v.AllocVCIn(0, false)
 	// The queue can absorb the shared pool plus its own reservation.
 	for i := 0; i < 3; i++ {
 		if !v.CanSendFlit(vc) {
@@ -221,19 +221,19 @@ func TestSharedViewReservationGuarantee(t *testing.T) {
 
 func TestSharedViewVCLifecycle(t *testing.T) {
 	v := newSharedView(nil, 2, 8, 0, 1)
-	a, _ := v.AllocVC(false)
-	b, ok := v.AllocVC(false)
+	a, _ := v.AllocVCIn(0, false)
+	b, ok := v.AllocVCIn(0, false)
 	if !ok || a == b {
 		t.Fatalf("allocs %d %d", a, b)
 	}
 	if v.OutstandingVCs() != 2 {
 		t.Fatal("outstanding count wrong")
 	}
-	if _, ok := v.AllocVC(false); ok {
+	if _, ok := v.AllocVCIn(0, false); ok {
 		t.Fatal("over-allocated fixed VCs")
 	}
 	v.OnSend(tailFlit(a)) // tail closes the VC for new packets
-	if _, ok := v.AllocVC(false); !ok {
+	if _, ok := v.AllocVCIn(0, false); !ok {
 		t.Fatal("closed VC not re-allocatable (non-atomic queueing)")
 	}
 }
@@ -247,13 +247,13 @@ func TestViCharViewTokenFlow(t *testing.T) {
 	// paper's Figure 5 extreme of vk single-slot VCs.
 	seen := map[int]bool{}
 	for i := 0; i < 16; i++ {
-		vc, ok := v.AllocVC(false)
+		vc, ok := v.AllocVCIn(0, false)
 		if !ok || seen[vc] {
 			t.Fatalf("token %d: %d/%v", i, vc, ok)
 		}
 		seen[vc] = true
 	}
-	if _, ok := v.AllocVC(false); ok {
+	if _, ok := v.AllocVCIn(0, false); ok {
 		t.Fatal("17th token granted")
 	}
 	if v.OutstandingVCs() != 16 {
@@ -274,10 +274,10 @@ func TestViCharViewTokenFlow(t *testing.T) {
 	}
 	// A tail departure returns the flit's slot and the token.
 	v.OnCredit(flit.Credit{VC: 5, ReleaseVC: true})
-	if v.FreeSlots() != 1 || !v.HasFreeVC(false) {
+	if v.FreeSlots() != 1 || !v.HasFreeVCIn(0, false) {
 		t.Fatalf("release credit not applied: free=%d", v.FreeSlots())
 	}
-	if vc, ok := v.AllocVC(false); !ok || vc != 5 {
+	if vc, ok := v.AllocVCIn(0, false); !ok || vc != 5 {
 		t.Fatalf("released token not re-dispensed: %d/%v", vc, ok)
 	}
 }
@@ -286,8 +286,8 @@ func TestViCharViewTokenFlow(t *testing.T) {
 // reservation with departures even when the shared pool is empty.
 func TestViCharViewReservationCycling(t *testing.T) {
 	v := newViCharView(nil, 2, 2, 0, 1)
-	a, ok := v.AllocVC(false)
-	b, ok2 := v.AllocVC(false)
+	a, ok := v.AllocVCIn(0, false)
+	b, ok2 := v.AllocVCIn(0, false)
 	if !ok || !ok2 {
 		t.Fatal("setup allocs failed")
 	}
@@ -314,20 +314,20 @@ func TestViCharViewReservationCycling(t *testing.T) {
 
 func TestViCharViewEscapeTokens(t *testing.T) {
 	v := newViCharView(nil, 8, 8, 2, 1)
-	if v.HasFreeVC(true) != true {
+	if v.HasFreeVCIn(0, true) != true {
 		t.Fatal("escape tokens missing")
 	}
-	e, ok := v.AllocVC(true)
+	e, ok := v.AllocVCIn(0, true)
 	if !ok || e < 6 {
 		t.Fatalf("escape token %d/%v", e, ok)
 	}
 	// Normal tokens unaffected.
 	for i := 0; i < 6; i++ {
-		if _, ok := v.AllocVC(false); !ok {
+		if _, ok := v.AllocVCIn(0, false); !ok {
 			t.Fatalf("normal token %d missing", i)
 		}
 	}
-	if _, ok := v.AllocVC(false); ok {
+	if _, ok := v.AllocVCIn(0, false); ok {
 		t.Fatal("normal pool should be empty")
 	}
 }
@@ -356,10 +356,10 @@ func TestViCharViewPanics(t *testing.T) {
 
 func TestSinkViewAlwaysAvailable(t *testing.T) {
 	v := NewSinkView()
-	if !v.CanSendFlit(3) || !v.HasFreeVC(false) || !v.HasFreeVC(true) {
+	if !v.CanSendFlit(3) || !v.HasFreeVCIn(0, false) || !v.HasFreeVCIn(0, true) {
 		t.Fatal("sink refused")
 	}
-	vc, ok := v.AllocVC(false)
+	vc, ok := v.AllocVCIn(0, false)
 	if !ok || vc != 0 {
 		t.Fatalf("sink alloc %d/%v", vc, ok)
 	}
@@ -379,20 +379,20 @@ func TestSinkViewAlwaysAvailable(t *testing.T) {
 func TestSharedViewGrantableClaim(t *testing.T) {
 	v := newSharedView(nil, 4, 8, 1, 1) // queue 3 is the escape class
 	// Normal class scans 0..2 from the hint.
-	if got := v.GrantableVC(false, 2); got != 2 {
+	if got := v.GrantableVCIn(0, false, 2); got != 2 {
 		t.Fatalf("hint ignored: %d", got)
 	}
-	v.ClaimVC(2)
-	if got := v.GrantableVC(false, 2); got == 2 {
+	v.ClaimVCIn(0, 2)
+	if got := v.GrantableVCIn(0, false, 2); got == 2 {
 		t.Fatal("claimed queue still grantable")
 	}
 	// Escape class only offers queue 3.
-	if got := v.GrantableVC(true, 0); got != 3 {
+	if got := v.GrantableVCIn(0, true, 0); got != 3 {
 		t.Fatalf("escape grantable %d, want 3", got)
 	}
-	v.ClaimVC(0)
-	v.ClaimVC(1)
-	if got := v.GrantableVC(false, 0); got != -1 {
+	v.ClaimVCIn(0, 0)
+	v.ClaimVCIn(0, 1)
+	if got := v.GrantableVCIn(0, false, 0); got != -1 {
 		t.Fatalf("exhausted class still grants %d", got)
 	}
 	defer func() {
@@ -400,7 +400,7 @@ func TestSharedViewGrantableClaim(t *testing.T) {
 			t.Fatal("double claim did not panic")
 		}
 	}()
-	v.ClaimVC(1)
+	v.ClaimVCIn(0, 1)
 }
 
 func TestSharedViewOutstanding(t *testing.T) {
@@ -408,8 +408,8 @@ func TestSharedViewOutstanding(t *testing.T) {
 	if v.OutstandingVCs() != 0 {
 		t.Fatal("fresh outstanding nonzero")
 	}
-	v.ClaimVC(0)
-	v.ClaimVC(2)
+	v.ClaimVCIn(0, 0)
+	v.ClaimVCIn(0, 2)
 	if v.OutstandingVCs() != 2 {
 		t.Fatalf("outstanding %d, want 2", v.OutstandingVCs())
 	}
