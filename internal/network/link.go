@@ -25,12 +25,14 @@ type flitLink struct {
 	// closure so the deliver phase's hottest call is a direct method
 	// invocation on stable memory. Exactly one shape is wired per link:
 	// an ejection link stages into *eject; every other link hands the
-	// flit to dst.ReceiveFlit(inPort, ...), bumping *count (the
-	// network's per-link flit counter) and the probe when attached.
+	// flit to dst.ReceiveFlit(inPort, ...); an inter-router link also
+	// bumps *count (the network's per-link flit counter) and stages the
+	// arrival on rec, the receiving router's event recorder (nil unless
+	// tracing).
 	dst    *router.Router
 	inPort int
 	count  *uint64
-	lp     *metrics.LinkProbe
+	rec    *metrics.Recorder
 	eject  *[]*flit.Flit
 
 	// Active-router worklist wiring (DESIGN.md §14): owner is the
@@ -44,11 +46,10 @@ type flitLink struct {
 	wake  *[]int
 
 	// faults is the link's fault-model state (retransmission buffer,
-	// scheduled drops); nil without Config.Faults, which keeps the
-	// fault-free tick path identical to the seed's. fprobe mirrors
-	// fault activity into the observability layer (nil-safe).
+	// scheduled drops, and the drop/corrupt/retransmit tallies); nil
+	// without Config.Faults, which keeps the fault-free tick path
+	// identical to the seed's.
 	faults *faults.LinkState
-	fprobe *metrics.LinkFaultProbe
 }
 
 // SendFlit enqueues f for delivery delay cycles from now.
@@ -83,9 +84,10 @@ func (l *flitLink) deliverFlit(f *flit.Flit, now int64) {
 	}
 	if l.count != nil {
 		*l.count++
-	}
-	if l.lp != nil {
-		l.lp.Deliver(now, f.Pkt.ID, f.Seq, f.VC)
+		l.rec.StageEvent(metrics.Event{
+			Cycle: now, Kind: metrics.EvLink, Packet: f.Pkt.ID, Flit: f.Seq,
+			Node: l.owner, Port: l.inPort, VC: f.VC,
+		})
 	}
 	l.dst.ReceiveFlit(l.inPort, f, now)
 }
@@ -121,12 +123,10 @@ func (l *flitLink) tick(now int64) bool {
 func (l *flitLink) tickFaulty(now int64) {
 	s := l.faults
 	if s.HeldDue(now) {
-		l.fprobe.Retransmit()
 		if out := s.Attempt(now); out == faults.Deliver {
 			l.deliverFlit(s.Release(), now)
 		} else {
 			s.Rearm(now)
-			l.fprobe.Fault(out == faults.Corrupt)
 		}
 	}
 	for l.head < len(l.q) && l.q[l.head].at <= now && !s.Blocked() {
@@ -137,7 +137,6 @@ func (l *flitLink) tickFaulty(now int64) {
 			l.deliverFlit(tf.f, now)
 		} else {
 			s.Hold(tf.f, now)
-			l.fprobe.Fault(out == faults.Corrupt)
 		}
 	}
 	if l.head == len(l.q) {

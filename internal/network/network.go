@@ -117,9 +117,9 @@ type Network struct {
 	auditErrs    []error
 
 	// fplan is the compiled fault schedule (nil without Config.Faults);
-	// faultLinks collects every inter-router link's fault state so
-	// totalCounters can fold drop/corrupt/retransmit tallies into the
-	// run's Counters.
+	// faultLinks collects every inter-router link's fault state, in
+	// linkMeta order, so totalCounters and the registry's store pass can
+	// read the drop/corrupt/retransmit tallies.
 	fplan      *faults.Plan
 	faultLinks []*faults.LinkState
 
@@ -150,7 +150,11 @@ type Network struct {
 	haveStart bool
 	haveEnd   bool
 
-	created int64
+	// created and ejectedFlits count packets generated and flits
+	// consumed at their destination over the whole run (the collector's
+	// flit count covers the measurement window only).
+	created      int64
+	ejectedFlits uint64
 
 	// expectSeq tracks, per in-flight packet, the next flit sequence
 	// number the sink must observe: the end-to-end ordering check.
@@ -165,30 +169,13 @@ type Network struct {
 	recording bool
 	recorded  []trace.Entry
 
-	// obs is the live observability layer (internal/metrics); nil when
-	// Config.Metrics and Config.TraceEvents are both off. netProbe is
-	// obs's serial-phase probe, kept as its own field so eject and
-	// InjectPacketSized pay one nil check when observability is off.
-	obs      *obsState
-	netProbe *metrics.NetProbe
-}
-
-// obsState bundles the network's observability wiring: the shared
-// registry, one recorder per shard-owned node (index 1+id) plus one
-// for the serial phase (index 0), the optional event tracer and the
-// network-level gauges. Recorders are merged and drained — in fixed
-// index order — only from the serial side of the kernel (flushObs),
-// which is what keeps registry and event-stream state bit-identical
-// for any worker count.
-type obsState struct {
-	reg    *metrics.Registry
-	tracer *metrics.Tracer
-	recs   []*metrics.Recorder
-
-	gCycle    metrics.GaugeID
-	gOcc      metrics.GaugeID
-	gVCs      metrics.GaugeID
-	gInflight metrics.GaugeID
+	// obs is the live observability layer (obs.go); nil when
+	// Config.Metrics and Config.TraceEvents are both off. rec is the
+	// serial phase's event recorder (nil unless tracing) and storeFn
+	// the registry's store pass, bound once like the phase closures.
+	obs     *obsState
+	rec     *metrics.Recorder
+	storeFn func(vals []uint64)
 }
 
 // New builds and wires a network for the configuration. It panics on
@@ -259,34 +246,13 @@ func New(cfg *config.Config) *Network {
 		}
 	}
 
-	// Observability layer: one recorder per node (written only by the
-	// shard that owns the node) plus one for the serial phase, built
-	// before link wiring so deliver closures can capture link probes.
+	// Observability layer, built before link wiring so every component
+	// can be handed its owner's event recorder (nil unless tracing).
 	if cfg.Metrics || cfg.TraceEvents > 0 {
-		o := &obsState{reg: metrics.NewRegistry()}
-		tracing := cfg.TraceEvents > 0
-		if tracing {
-			o.tracer = metrics.NewTracer(o.reg, cfg.TraceEvents)
-		}
-		o.recs = make([]*metrics.Recorder, 1+mesh.Nodes())
-		for i := range o.recs {
-			o.recs[i] = o.reg.NewRecorder(tracing)
-		}
-		n.netProbe = metrics.NewNetProbe(o.recs[0])
-		o.gCycle = o.reg.Gauge("vichar_cycle", "Current simulation cycle.", nil)
-		o.gOcc = o.reg.Gauge("vichar_buffer_occupancy_fraction",
-			"Network-wide input-buffer occupancy over total slots, at the last sample.", nil)
-		o.gVCs = o.reg.Gauge("vichar_inuse_vcs_per_port_avg",
-			"Mean in-use virtual channels per input port across the network, at the last sample.", nil)
-		o.gInflight = o.reg.Gauge("vichar_packets_inflight",
-			"Packets created but not yet fully ejected.", nil)
-		n.obs = o
-		portNames := make([]string, cfg.Ports())
-		for p := range portNames {
-			portNames[p] = topology.PortName(p)
-		}
+		n.obs = newObsState(cfg, mesh.Nodes())
+		n.rec = n.obs.recorder(0)
 		for id, r := range n.routers {
-			r.SetProbe(metrics.NewRouterProbe(o.recs[1+id], id, portNames))
+			r.SetRecorder(n.obs.recorder(1 + id))
 		}
 	}
 
@@ -357,8 +323,8 @@ func New(cfg *config.Config) *Network {
 
 			// Delivery mutates the downstream router's input buffer
 			// (and this link's own flit counter), so the link belongs
-			// to the receiver's deliver-phase plan — and its probe
-			// writes on the receiver's recorder. The same ownership
+			// to the receiver's deliver-phase plan — and stages its
+			// events on the receiver's recorder. The same ownership
 			// covers the link's fault state: only the receiver's shard
 			// ticks it.
 			// Worklist: router id's compute writes this link; router
@@ -366,16 +332,11 @@ func New(cfg *config.Config) *Network {
 			fl := takeFlitLink(flitLink{
 				delay: router.FlitDelay, owner: nb, wake: &n.wakes[id],
 				dst: dst, inPort: inPort, count: &n.linkFlits[linkIdx],
+				rec: n.obs.recorder(1 + nb),
 			})
 			if fs := n.fplan.Link(id, port); fs != nil {
 				fl.faults = fs
 				n.faultLinks = append(n.faultLinks, fs)
-				if n.obs != nil {
-					fl.fprobe = metrics.NewLinkFaultProbe(n.obs.recs[1+nb], id, nb, topology.PortName(port))
-				}
-			}
-			if n.obs != nil {
-				fl.lp = metrics.NewLinkProbe(n.obs.recs[1+nb], id, nb, inPort, topology.PortName(port))
 			}
 
 			// Credit delivery mutates the upstream router's output
@@ -429,9 +390,7 @@ func New(cfg *config.Config) *Network {
 			view:    router.NewCreditViewIn(n.arena, cfg),
 			streams: make([]niStream, cfg.VCClasses()),
 			txn:     n.txn,
-		}
-		if n.obs != nil {
-			s.probe = metrics.NewNIProbe(n.obs.recs[1+id], id)
+			rec:     n.obs.recorder(1 + id),
 		}
 		inj := takeFlitLink(flitLink{
 			delay: 1, owner: id, wake: &n.wakes[id],
@@ -461,6 +420,7 @@ func New(cfg *config.Config) *Network {
 	n.auditLinksFn = n.auditLinksShard
 	n.auditRoutersFn = n.auditRoutersShard
 	n.injectFn = n.injectGenerated
+	n.registerSeries()
 	n.samplePerNode = make([]float64, mesh.Nodes())
 	return n
 }

@@ -41,9 +41,12 @@ type ni struct {
 	// only this node's responder state, so the call is race-free.
 	txn *txn.Engine
 
-	// probe mirrors injection activity into the live metrics
-	// registry; nil (no-op) without an observability layer.
-	probe *metrics.NIProbe
+	// injected counts flits pushed onto the injection link and
+	// creditStalls cycles a flit was held for lack of injection credit;
+	// rec stages the injection events (nil unless tracing).
+	injected     uint64
+	creditStalls uint64
+	rec          *metrics.Recorder
 }
 
 func (s *ni) enqueue(p *flit.Packet) {
@@ -118,9 +121,11 @@ func (s *ni) tick(now int64) {
 		f.VC = st.vc
 		s.view.OnSend(f)
 		s.link.SendFlit(f, now)
-		if s.probe != nil {
-			s.probe.Inject(now, f.Pkt.ID, f.Seq, st.vc)
-		}
+		s.injected++
+		s.rec.StageEvent(metrics.Event{
+			Cycle: now, Kind: metrics.EvInject, Packet: f.Pkt.ID, Flit: f.Seq,
+			Node: s.node, Port: -1, VC: st.vc,
+		})
 		st.idx++
 		if st.idx == len(st.cur) {
 			if s.txn != nil {
@@ -137,6 +142,6 @@ func (s *ni) tick(now int64) {
 		return
 	}
 	if blocked {
-		s.probe.CreditStall()
+		s.creditStalls++
 	}
 }

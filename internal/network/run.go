@@ -61,7 +61,10 @@ func (n *Network) SendTxnPacket(src, dst, size int, kind, class uint8, req uint6
 	// compute phase, so waking the source here preserves same-cycle NI
 	// processing for a sleeping node.
 	n.computeActive[src] = true
-	n.netProbe.PacketCreated(n.now, p.ID, src)
+	n.rec.StageEvent(metrics.Event{
+		Cycle: n.now, Kind: metrics.EvCreate, Packet: p.ID, Flit: -1,
+		Node: src, Port: -1, VC: -1,
+	})
 	if n.recording {
 		//vichar:alloc trace recording is an opt-in diagnostic mode; one entry per recorded packet
 		n.recorded = append(n.recorded, trace.Entry{Cycle: n.now, Src: src, Dst: dst, Size: size})

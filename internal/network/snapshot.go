@@ -241,6 +241,8 @@ func saveNI(w *snap.Writer, s *ni) {
 		}
 	}
 	w.Int(s.rr)
+	w.U64(s.injected)
+	w.U64(s.creditStalls)
 	router.SaveView(w, s.view)
 }
 
@@ -297,6 +299,8 @@ func loadNI(r *snap.Reader, s *ni, t *pktTable) error {
 		}
 	}
 	s.rr = r.Int()
+	s.injected = r.U64()
+	s.creditStalls = r.U64()
 	if err := r.Err(); err != nil {
 		return err
 	}
@@ -306,8 +310,9 @@ func loadNI(r *snap.Reader, s *ni, t *pktTable) error {
 	return router.LoadView(r, s.view)
 }
 
-// saveObs writes the observability layer's registry totals, staged
-// recorder state and tracer ring.
+// saveObs writes the observability layer's sampled gauges, staged
+// events and tracer ring. Counter values are not part of it: their
+// owners serialize them and loadObs re-stores the view.
 func (n *Network) saveObs(w *snap.Writer) {
 	w.Section("obs")
 	w.Bool(n.obs != nil)
@@ -328,7 +333,8 @@ func (n *Network) saveObs(w *snap.Writer) {
 	}
 }
 
-// loadObs restores the observability layer.
+// loadObs restores the observability layer. It runs last in
+// LoadState, so the closing store pass reads fully restored counters.
 func (n *Network) loadObs(r *snap.Reader) error {
 	if err := r.Section("obs"); err != nil {
 		return err
@@ -368,8 +374,12 @@ func (n *Network) loadObs(r *snap.Reader) error {
 		return fmt.Errorf("network: snapshot tracer present=%v, configuration has %v", hasTracer, o.tracer != nil)
 	}
 	if o.tracer != nil {
-		return o.tracer.LoadState(r)
+		if err := o.tracer.LoadState(r); err != nil {
+			return err
+		}
 	}
+	//vichar:nolint probe-guard the obs layer wires reg at construction; nil obs already returned above
+	o.reg.Store(n.storeFn)
 	return nil
 }
 
@@ -451,6 +461,7 @@ func (n *Network) SaveState(w *snap.Writer) error {
 	w.I64(n.now)
 	w.U64(n.nextID)
 	w.I64(n.created)
+	w.U64(n.ejectedFlits)
 
 	pkts := n.collectPackets()
 	w.Section("packets")
@@ -538,6 +549,7 @@ func (n *Network) LoadState(r *snap.Reader) error {
 	n.now = r.I64()
 	n.nextID = r.U64()
 	n.created = r.I64()
+	n.ejectedFlits = r.U64()
 
 	if err := r.Section("packets"); err != nil {
 		return err

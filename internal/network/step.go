@@ -5,6 +5,7 @@ import (
 
 	"vichar/internal/audit"
 	"vichar/internal/flit"
+	"vichar/internal/metrics"
 	"vichar/internal/stats"
 )
 
@@ -21,9 +22,11 @@ func (n *Network) eject(node int, f *flit.Flit, now int64) {
 		//vichar:invariant wormhole switching on a fixed VC cannot reorder flits of one packet
 		panic(fmt.Sprintf("network: flit %s ejected out of order (want seq %d)", f, want))
 	}
-	if n.netProbe != nil {
-		n.netProbe.FlitEjected(now, f.Pkt.ID, f.Seq, f.Pkt.Dst, f.VC, f.IsTail())
-	}
+	n.ejectedFlits++
+	n.rec.StageEvent(metrics.Event{
+		Cycle: now, Kind: metrics.EvEject, Packet: f.Pkt.ID, Flit: f.Seq,
+		Node: node, Port: -1, VC: f.VC,
+	})
 	if !f.IsTail() {
 		n.expectSeq[f.Pkt.ID] = want + 1
 		return
@@ -62,7 +65,7 @@ func (n *Network) eject(node int, f *flit.Flit, now int64) {
 func (n *Network) totalCounters() stats.Counters {
 	var c stats.Counters
 	for _, r := range n.routers {
-		c.Add(r.Counters)
+		c.Add(r.Counters())
 	}
 	for _, f := range n.linkFlits {
 		c.LinkTraversals += f
@@ -205,26 +208,6 @@ func (n *Network) computeShard(shard int) {
 			n.computeActive[id] = false
 		}
 	}
-}
-
-// flushObs commits the observability layer: staged counter deltas
-// merge into the registry and staged events drain into the tracer,
-// both in fixed recorder index order, and the network-level gauges
-// refresh. Runs only on the serial side of the kernel — Step's sample
-// cadence and the end of Run/Drain — after the compute barrier, so
-// recorders are quiescent. A live scrape therefore lags the
-// simulation by at most SampleEvery cycles.
-func (n *Network) flushObs() {
-	o := n.obs
-	if o == nil {
-		return
-	}
-	o.reg.MergeRecorders(o.recs)
-	if o.tracer != nil {
-		o.tracer.Drain(o.recs)
-	}
-	o.reg.SetGauge(o.gCycle, float64(n.now))
-	o.reg.SetGauge(o.gInflight, float64(n.created-n.collector.Ejected()))
 }
 
 // audit runs the per-cycle invariant auditor (internal/audit) over

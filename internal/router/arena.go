@@ -68,6 +68,9 @@ func NewArena(cfg *config.Config, mesh topology.Mesh) *Arena {
 	words += inPorts * 3 * w
 	ints += inPorts * v
 
+	// Per router: the activity record's four per-port counter rows.
+	words += nodes * 4 * p
+
 	// Per router: arbiter banks (vaS1, saS1 over VCs; vaS2, saS2 over
 	// ports; the generic organization adds a per-output-VC stage 2).
 	rrs := nodes * 4 * p

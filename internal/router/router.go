@@ -160,14 +160,15 @@ type Router struct {
 	saS1  []arbiter.RoundRobin // per input port, over its VCs
 	saS2  []arbiter.RoundRobin // per output port, over input ports
 
-	// Counters accumulates activity events since construction; the
-	// network snapshots it around the measurement window.
-	Counters stats.Counters
+	// act counts every pipeline event since construction, once, at the
+	// site that produces it; stats.Counters (Counters) and the /metrics
+	// router series are both views over it. Shard-owned like the rest
+	// of the router, read only in the kernel's serial phase.
+	act Activity
 
-	// probe mirrors Counters into the live metrics registry with
-	// per-port, per-stage resolution; nil (all calls no-ops) unless
-	// the network attached an observability layer.
-	probe *metrics.RouterProbe
+	// rec stages flit-lifecycle events for the tracer; nil (StageEvent
+	// is a no-op) unless Config.TraceEvents is set.
+	rec *metrics.Recorder
 
 	// faults is the router's fault-model state (port stalls, dead
 	// output links); nil without Config.Faults. escapeTree replaces
@@ -203,6 +204,48 @@ type Router struct {
 	vaFree       []uint64 // per kind: ports that can grant
 	vaSlots      []int    // per output port: FreeSlots memo
 	vaSlotsKnown uint64   // ports with a valid vaSlots entry this tick
+}
+
+// Activity is a router's event record. A buffer read is one crossbar
+// traversal and one switch-allocator grant, so those are derived from
+// BufReads, not counted.
+type Activity struct {
+	BufWrites  []uint64 // per input port: flits written into the buffer
+	BufReads   []uint64 // per input port: flits read out (SA grants)
+	PortStalls []uint64 // per input port: cycles frozen by a fault-model stall
+
+	// CreditStalls counts, per output port, cycles an active VC held a
+	// ready flit but lacked downstream credit.
+	CreditStalls []uint64
+
+	RC        uint64 // head flits routed
+	VAOps     uint64 // VC allocator invocations
+	VAGrants  uint64 // output VCs granted
+	VADenials uint64 // VC requests that competed and lost
+	SAOps     uint64 // switch allocator invocations
+	SADenials uint64 // switch requests that competed and lost
+	Reroutes  uint64 // packets re-channelled onto the escape network
+}
+
+// Activity exposes the router's event record. Serial phase only.
+func (r *Router) Activity() *Activity { return &r.act }
+
+// Counters derives the power model's activity totals from the event
+// record.
+func (r *Router) Counters() stats.Counters {
+	a := &r.act
+	var c stats.Counters
+	for p := 0; p < r.ports; p++ {
+		c.BufferWrites += a.BufWrites[p]
+		c.BufferReads += a.BufReads[p]
+		c.StallCycles += a.PortStalls[p]
+	}
+	c.XbarTraversals = c.BufferReads
+	c.VAOps = a.VAOps
+	c.SAOps = a.SAOps
+	c.VCGrants = a.VAGrants
+	c.EscapeReroutes = a.Reroutes
+	return c
 }
 
 // vaNominee is the per-input-port nomination of the ViChaR VA stage:
@@ -281,6 +324,10 @@ func NewIn(a *Arena, id int, cfg *config.Config, mesh topology.Mesh) *Router {
 		in.actMask = soa.TakeWords(r.maskW)
 		in.outInfo = soa.TakeInts(r.maxVCs)
 	}
+	r.act.BufWrites = soa.TakeWords(p)
+	r.act.BufReads = soa.TakeWords(p)
+	r.act.PortStalls = soa.TakeWords(p)
+	r.act.CreditStalls = soa.TakeWords(p)
 	r.vaS1 = a.takeBank(p, r.maxVCs)
 	r.saS1 = a.takeBank(p, r.maxVCs)
 	r.vaS2 = a.takeBank(p, p)
@@ -331,10 +378,9 @@ func (r *Router) ConnectInputCredit(p int, credit CreditSender) {
 	r.in[p].credit = credit
 }
 
-// SetProbe attaches the live-metrics probe. Like the ports it must be
-// wired before the first tick; a nil probe (the default) keeps every
-// instrumentation site a single pointer check.
-func (r *Router) SetProbe(p *metrics.RouterProbe) { r.probe = p }
+// SetRecorder attaches the flit-event staging buffer. Like the ports
+// it must be wired before the first tick.
+func (r *Router) SetRecorder(rec *metrics.Recorder) { r.rec = rec }
 
 // SetFaults attaches the router's fault-model state; wired before the
 // first tick, nil (the default) keeps the fault paths a pointer check.
@@ -358,8 +404,7 @@ func (r *Router) ReceiveFlit(p int, f *flit.Flit, now int64) {
 		panic(fmt.Sprintf("router %d port %d: %v", r.id, p, err))
 	}
 	r.in[p].bufMask[f.VC>>6] |= 1 << (uint(f.VC) & 63)
-	r.Counters.BufferWrites++
-	r.probe.BufferWrite(p)
+	r.act.BufWrites[p]++
 }
 
 // ReceiveCredit applies an upstream-bound credit at output port p.
@@ -387,8 +432,7 @@ func (r *Router) Tick(now int64) {
 		r.faults.BeginCycle(now)
 		for p := 0; p < r.ports; p++ {
 			if r.faults.Stalled(p) {
-				r.Counters.StallCycles++
-				r.probe.PortStall(p)
+				r.act.PortStalls[p]++
 			}
 		}
 	}
@@ -441,10 +485,11 @@ func (r *Router) tickRC(now int64) {
 				st.state = vcWaitVA
 				in.vaMask[wi] |= 1 << uint(b)
 				st.waitSince = now
-				if r.probe != nil {
-					r.probe.RC()
-					r.probe.Event(metrics.EvRC, now, r.id, f.Pkt.ID, -1, -1, v)
-				}
+				r.act.RC++
+				r.rec.StageEvent(metrics.Event{
+					Cycle: now, Kind: metrics.EvRC, Packet: f.Pkt.ID, Flit: -1,
+					Node: r.id, Port: -1, VC: v,
+				})
 			}
 		}
 	}
@@ -550,8 +595,7 @@ func (r *Router) escapeCheck(now int64) {
 					st.pkt.Escaped = true
 					//vichar:alloc rewrites the VC's cands scratch in place; RC already grew it to hold at least one port
 					st.cands = append(st.cands[:0], r.escapePort(st.pkt.Dst))
-					r.Counters.EscapeReroutes++
-					r.probe.EscapeReroute()
+					r.act.Reroutes++
 				}
 			}
 		}
@@ -616,8 +660,7 @@ func (r *Router) tickVAViChaR(now int64) {
 		if !any {
 			continue
 		}
-		r.Counters.VAOps++
-		r.probe.VAOp()
+		r.act.VAOps++
 		w := r.vaS1[ip].ArbitrateMask(req)
 		if w < 0 {
 			continue
@@ -659,7 +702,7 @@ func (r *Router) tickVAViChaR(now int64) {
 		r.grant(w, n.invc, op, vc, now)
 		grants++
 	}
-	r.probe.VADenials(contenders - grants)
+	r.act.VADenials += uint64(contenders - grants)
 }
 
 // grant commits a VA decision: input VC v of port ip becomes active on
@@ -674,11 +717,11 @@ func (r *Router) grant(ip, v, op, ovc int, now int64) {
 	st.outPort = op
 	st.outVC = ovc
 	in.outInfo[v] = op<<outInfoShift | ovc
-	r.Counters.VCGrants++
-	if r.probe != nil {
-		r.probe.VAGrant()
-		r.probe.Event(metrics.EvVAGrant, now, r.id, st.pkt.ID, -1, op, ovc)
-	}
+	r.act.VAGrants++
+	r.rec.StageEvent(metrics.Event{
+		Cycle: now, Kind: metrics.EvVAGrant, Packet: st.pkt.ID, Flit: -1,
+		Node: r.id, Port: op, VC: ovc,
+	})
 }
 
 // vaPick is one stage-1 VA nomination: the (output port, output VC)
@@ -733,8 +776,7 @@ func (r *Router) tickVAGeneric(now int64) {
 				picks[flat] = vaPick{op: op, ovc: ovc, escape: escape, valid: true}
 				//vichar:alloc the nomination scratch is pre-sized to ports*maxVCs at construction; append never exceeds that capacity
 				flats = append(flats, flat)
-				r.Counters.VAOps++
-				r.probe.VAOp()
+				r.act.VAOps++
 			}
 		}
 	}
@@ -779,7 +821,7 @@ func (r *Router) tickVAGeneric(now int64) {
 		r.grant(ip, v, op, ovc, now)
 		grants++
 	}
-	r.probe.VADenials(len(flats) - grants)
+	r.act.VADenials += uint64(len(flats) - grants)
 }
 
 // tickSA performs the two-stage switch allocation and moves winners
@@ -816,7 +858,7 @@ func (r *Router) tickSA(now int64) {
 				if r.out[op].canSend(info & (1<<outInfoShift - 1)) {
 					w |= 1 << uint(b)
 				} else {
-					r.probe.CreditStall(op)
+					r.act.CreditStalls[op]++
 				}
 			}
 			req[wi] = w
@@ -826,8 +868,7 @@ func (r *Router) tickSA(now int64) {
 		if !any {
 			continue
 		}
-		r.Counters.SAOps++
-		r.probe.SAOp()
+		r.act.SAOps++
 		r.saNominee[ip] = r.saS1[ip].ArbitrateMask(req)
 	}
 	// Stage 2: one pass over the nominees builds each contested output
@@ -858,7 +899,7 @@ func (r *Router) tickSA(now int64) {
 		r.forward(w, r.saNominee[w], op, now)
 		grants++
 	}
-	r.probe.SADenials(contenders - grants)
+	r.act.SADenials += uint64(contenders - grants)
 }
 
 // forward pops the SA-winning flit and sends it across the crossbar
@@ -874,14 +915,11 @@ func (r *Router) forward(ip, v, op int, now int64) {
 	if in.buf.Len(v) == 0 {
 		in.bufMask[v>>6] &^= 1 << (uint(v) & 63)
 	}
-	r.Counters.BufferReads++
-	r.Counters.XbarTraversals++
-	if r.probe != nil {
-		r.probe.BufferRead(ip)
-		r.probe.Xbar()
-		r.probe.SAGrant()
-		r.probe.Event(metrics.EvSAGrant, now, r.id, f.Pkt.ID, f.Seq, op, st.outVC)
-	}
+	r.act.BufReads[ip]++
+	r.rec.StageEvent(metrics.Event{
+		Cycle: now, Kind: metrics.EvSAGrant, Packet: f.Pkt.ID, Flit: f.Seq,
+		Node: r.id, Port: op, VC: st.outVC,
+	})
 
 	if in.credit != nil {
 		in.credit.SendCredit(flit.Credit{VC: v, ReleaseVC: f.IsTail()}, now)
@@ -917,8 +955,8 @@ func (r *Router) Occupied() int {
 // grant, and no fault model is attached (fault schedules mutate state
 // every cycle regardless of traffic). The network's active-router
 // worklist uses this to put drained routers to sleep; every stage
-// iterates only the masks checked here, and the arbiters, counters
-// and probes are untouched when no request exists, so skipping a
+// iterates only the masks checked here, and the arbiters and counters
+// are untouched when no request exists, so skipping a
 // quiescent router's Tick is bit-exact (DESIGN.md §14).
 func (r *Router) Quiescent() bool {
 	if r.faults != nil {

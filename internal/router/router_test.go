@@ -301,7 +301,7 @@ func TestCounters(t *testing.T) {
 	node := topology.New(cfg.Width, cfg.Height).Node(1, 1)
 	h := newHarness(cfg, node)
 	h.runPacket(t, topology.West, 0, h.mesh.Node(5, 1), 1, 10)
-	c := h.r.Counters
+	c := h.r.Counters()
 	if c.BufferWrites != 4 || c.BufferReads != 4 || c.XbarTraversals != 4 {
 		t.Fatalf("flit counters wrong: %+v", c)
 	}

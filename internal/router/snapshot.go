@@ -183,7 +183,18 @@ func loadVC(r *snap.Reader, st *vcState, pkts snap.PacketResolver) error {
 // SaveState serializes the router's mutable pipeline state.
 func (r *Router) SaveState(w *snap.Writer) {
 	w.Section("router")
-	r.Counters.SaveState(w)
+	a := &r.act
+	w.U64s(a.BufWrites)
+	w.U64s(a.BufReads)
+	w.U64s(a.PortStalls)
+	w.U64s(a.CreditStalls)
+	w.U64(a.RC)
+	w.U64(a.VAOps)
+	w.U64(a.VAGrants)
+	w.U64(a.VADenials)
+	w.U64(a.SAOps)
+	w.U64(a.SADenials)
+	w.U64(a.Reroutes)
 	for p := range r.in {
 		in := &r.in[p]
 		in.buf.SaveState(w)
@@ -212,7 +223,19 @@ func (r *Router) LoadState(rd *snap.Reader, resolve snap.Resolver, pkts snap.Pac
 	if err := rd.Section("router"); err != nil {
 		return err
 	}
-	if err := r.Counters.LoadState(rd); err != nil {
+	a := &r.act
+	rd.U64sInto(a.BufWrites)
+	rd.U64sInto(a.BufReads)
+	rd.U64sInto(a.PortStalls)
+	rd.U64sInto(a.CreditStalls)
+	a.RC = rd.U64()
+	a.VAOps = rd.U64()
+	a.VAGrants = rd.U64()
+	a.VADenials = rd.U64()
+	a.SAOps = rd.U64()
+	a.SADenials = rd.U64()
+	a.Reroutes = rd.U64()
+	if err := rd.Err(); err != nil {
 		return err
 	}
 	for p := range r.in {

@@ -30,7 +30,10 @@ const (
 	// Version is the snapshot format version; Open rejects any other.
 	// Version 2 added packet Class/Kind/Req, per-class NI streams,
 	// ViChaR class reserves and the transaction-engine section.
-	Version = 2
+	// Version 3 moved the event counters to their owners (router
+	// activity record, NI, network core) and dropped the registry's
+	// counter values and the recorder deltas, which are derived.
+	Version = 3
 )
 
 // Writer accumulates a snapshot payload and seals it with Finish.

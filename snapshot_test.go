@@ -17,9 +17,10 @@ import (
 // This file enforces the checkpoint/restore contract: a simulator
 // restored from a snapshot taken at cycle C and run to completion is
 // bit-identical to the simulator that ran straight through — results,
-// per-packet latencies, counters and flit-event streams — for every
-// architecture, with faults and metrics on, at several C including
-// cuts landing mid-packet, in-process and across a process boundary.
+// per-packet latencies, counters, the final metrics registry and
+// flit-event streams — for every architecture, with faults and
+// metrics on, at several C including cuts landing mid-packet,
+// in-process and across a process boundary.
 
 // snapCfg is the matrix base: a small mesh with enough traffic that
 // any cut past the first few cycles lands mid-packet.
@@ -51,24 +52,31 @@ func withFaults(cfg vichar.Config) vichar.Config {
 	return cfg
 }
 
-// runOutput is everything the bit-identical contract covers.
+// runOutput is everything the bit-identical contract covers. metrics
+// is the registry at the end of the run (zero with the layer off):
+// every whole-run counter a snapshot must carry shows up there, so a
+// counter left out of SaveState fails the wall even when Results'
+// measurement window never sees it.
 type runOutput struct {
-	res    vichar.Results
-	lats   []int64
-	events []vichar.FlitEvent
+	res     vichar.Results
+	lats    []int64
+	events  []vichar.FlitEvent
+	metrics vichar.MetricsSnapshot
 }
 
 // finish runs s to completion and captures the contract surface.
 func finish(s *vichar.Simulator) runOutput {
 	defer s.Close()
-	return runOutput{res: s.Run(), lats: s.Latencies(), events: s.FlitEvents()}
+	o := runOutput{res: s.Run(), lats: s.Latencies(), events: s.FlitEvents()}
+	o.metrics, _ = s.MetricsSnapshot()
+	return o
 }
 
 // digest hashes a run's output exactly: %#v prints float64s with the
 // shortest round-tripping representation, so equal digests mean
 // bit-equal values.
 func (o runOutput) digest() string {
-	h := sha256.Sum256([]byte(fmt.Sprintf("%#v|%#v|%#v", o.res, o.lats, o.events)))
+	h := sha256.Sum256([]byte(fmt.Sprintf("%#v|%#v|%#v|%#v", o.res, o.lats, o.events, o.metrics)))
 	return fmt.Sprintf("%x", h)
 }
 
@@ -82,6 +90,14 @@ func compareRuns(t *testing.T, want, got runOutput, label string) {
 	}
 	if !reflect.DeepEqual(want.events, got.events) {
 		t.Errorf("%s: flit-event streams diverge (%d vs %d events)", label, len(want.events), len(got.events))
+	}
+	if !reflect.DeepEqual(want.metrics, got.metrics) {
+		t.Errorf("%s: final metrics registries diverge", label)
+		for i, c := range want.metrics.Counters {
+			if i < len(got.metrics.Counters) && got.metrics.Counters[i].Value != c.Value {
+				t.Errorf("  %s{%s} = %d resumed, %d straight", c.Name, c.Labels, got.metrics.Counters[i].Value, c.Value)
+			}
+		}
 	}
 }
 
