@@ -161,9 +161,10 @@ type Options struct {
 	// jobWorkers).
 	Workers int
 	// KernelWorkers, when positive, sets each run's cycle-kernel
-	// worker count (Config.Workers): the two-phase kernel shards every
-	// cycle across that many goroutines. Results are bit-identical at
-	// any setting; it trades run-level for cycle-level parallelism.
+	// shard count (Config.Workers): the two-phase kernel shards every
+	// cycle that many ways, on at most GOMAXPROCS lanes. Results are
+	// bit-identical at any setting; it trades run-level for cycle-level
+	// parallelism.
 	KernelWorkers int
 	// Seed overrides every run's seed when nonzero.
 	Seed int64
@@ -211,8 +212,9 @@ func (o Options) apply(cfg vichar.Config) vichar.Config {
 // requested worker count (0 meaning all of GOMAXPROCS), clamped to
 // the job total, and capped so that job-level parallelism times the
 // widest per-run cycle kernel stays within GOMAXPROCS — each parallel
-// run spawns its own kernel pool, and oversubscribing the scheduler
-// with jobs x kernel workers goroutines would slow every run down.
+// run has its own kernel lanes, and a lane waits for the next phase by
+// spinning: an oversubscribed lane does not just queue behind the
+// others, it holds a processor away from the very lane it waits for.
 func jobWorkers(requested, total, maxKernel, gomaxprocs int) int {
 	if maxKernel < 1 {
 		maxKernel = 1

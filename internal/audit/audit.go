@@ -141,7 +141,7 @@ func CheckLinkFaults(name string, drops, corrupts, retransmits uint64, held int)
 
 // CheckLinks verifies a batch of link snapshots in order and returns
 // the first violation, or nil. The two-phase kernel shards the audit
-// across its worker pool: each shard snapshots and checks a contiguous
+// across its lanes: each shard snapshots and checks a contiguous
 // chunk of links with this function, and the kernel merges the
 // per-shard results in shard index order — so the violation reported
 // is the same one a serial scan of all links would find first. Like

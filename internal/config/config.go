@@ -217,13 +217,15 @@ type Config struct {
 	// produce identical results.
 	Seed int64
 
-	// Workers is the number of worker goroutines of the two-phase
-	// cycle kernel (see DESIGN.md §10). 0 or 1 runs the kernel
-	// serially; higher values shard the deliver and compute phases of
-	// every cycle across that many workers. Results are bit-identical
-	// at every setting — the kernel's ownership contract and its
-	// index-ordered commit phase make the outcome independent of
-	// worker scheduling — so Workers is purely a wall-clock knob.
+	// Workers is the shard count of the two-phase cycle kernel (see
+	// DESIGN.md §10). 0 or 1 runs the kernel serially; higher values
+	// split the deliver and compute phases of every cycle into that
+	// many router-ID shards, run on min(Workers, GOMAXPROCS, CPUs)
+	// lanes — goroutines that each keep the same shards for the whole
+	// run. Results are bit-identical at every setting — the kernel's
+	// ownership contract and its index-ordered commit phase make the
+	// outcome independent of lane scheduling — so Workers is purely a
+	// wall-clock knob.
 	Workers int
 
 	// Audit enables the per-cycle invariant auditor (internal/audit):

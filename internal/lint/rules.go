@@ -20,7 +20,7 @@ const (
 )
 
 // shardExecutorFile is the one file under internal/ allowed to spawn
-// goroutines: the two-phase cycle kernel's worker pool (DESIGN.md
+// goroutines: the two-phase cycle kernel's lane executor (DESIGN.md
 // §10). Everywhere else a `go` statement bypasses the kernel's
 // ownership contract and its deterministic merge, so the
 // concurrency-ownership rule rejects it unless the site carries a

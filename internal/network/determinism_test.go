@@ -56,11 +56,12 @@ func TestDeterministicCountersAndLatencies(t *testing.T) {
 // TestWorkersBitIdentical is the parallel kernel's contract test: a
 // same-seed run must produce bit-identical Results — every counter and
 // every per-packet latency in ejection order — whether the two-phase
-// kernel steps serially (Workers=1) or shards cycles across a worker
-// pool (Workers=GOMAXPROCS, floored at 4 so the parallel path is
-// exercised even on small CI hosts). The per-cycle invariant auditor
-// runs throughout, so a sharding bug that corrupts flow-control state
-// without flipping an arbitration is caught too.
+// kernel steps serially (Workers=1) or shards cycles across the lane
+// executor: Workers=2, Workers=3 (unequal shards, and more shards than
+// a 2-CPU host has lanes) and Workers=GOMAXPROCS floored at 4, on the
+// 4x4 mesh and on a non-square 5x3 one. The per-cycle invariant
+// auditor runs throughout, so a sharding bug that corrupts
+// flow-control state without flipping an arbitration is caught too.
 //
 // The run has the full observability layer on: the metrics registry
 // (merged serially in recorder index order) and the flit-event tracer
@@ -72,98 +73,113 @@ func TestWorkersBitIdentical(t *testing.T) {
 	if parallel < 4 {
 		parallel = 4
 	}
-	modes := []struct {
+	type mode struct {
 		suffix string
+		w, h   int
 		faulty bool
 		txn    bool
-	}{
-		{"", false, false},
-		{"-faults", true, false},
+	}
+	modes := []mode{
+		{"", 4, 4, false, false},
+		{"-faults", 4, 4, true, false},
 		// NIU transaction layer on top of faulty links: the serial
 		// engine tick, ejection-side admission gates and per-class NI
 		// streams must shard as cleanly as the rest.
-		{"-txn", true, true},
+		{"-txn", 4, 4, true, true},
 	}
+	type cell struct {
+		arch config.BufferArch
+		mode
+	}
+	var cells []cell
 	for _, arch := range allArchs {
-		for _, mode := range modes {
-			arch, faulty, txnOn := arch, mode.faulty, mode.txn
-			name := arch.String() + mode.suffix
-			t.Run(name, func(t *testing.T) {
-				run := func(workers int) (stats.Results, []int64, metrics.Snapshot, []metrics.Event) {
-					cfg := config.Default()
-					cfg.Width, cfg.Height = 4, 4
-					cfg.Arch = arch
-					cfg.InjectionRate = 0.3
-					cfg.WarmupPackets = 50
-					cfg.MeasurePackets = 300
-					cfg.Seed = 4242
-					cfg.Audit = true
-					cfg.Workers = workers
-					cfg.Metrics = true
-					cfg.TraceEvents = 4096
-					if faulty {
-						// Transient faults and stalls on every link class,
-						// plus scheduled events: the fault layer's state
-						// (retransmission buffers, stall windows, hash
-						// rolls) must shard as cleanly as the rest.
-						cfg.Faults = config.FaultsConfig{
-							Seed:        99,
-							DropRate:    0.002,
-							CorruptRate: 0.001,
-							StallRate:   0.0005,
-							Events: []config.FaultEvent{
-								{Cycle: 40, Kind: config.DropFlit, Node: 5, Port: 1},
-								{Cycle: 60, Kind: config.StallPort, Node: 10, Port: 0, Cycles: 9},
-							},
-						}
-					}
-					if txnOn {
-						cfg.Txn = config.TxnConfig{
-							Enabled:    true,
-							Rate:       0.05,
-							ReadFrac:   0.7,
-							WriteFrac:  0.25,
-							AtomicFrac: 0.05,
-							PostedFrac: 0.5,
-							MemEdge:    true,
-						}
-					}
-					n := New(&cfg)
-					defer n.Close()
-					res := n.Run()
-					return res, n.Collector().Latencies(), n.Metrics().Snapshot(), n.FlitTracer().Events()
-				}
-				r1, l1, s1, e1 := run(1)
-				rN, lN, sN, eN := run(parallel)
-				if !reflect.DeepEqual(r1, rN) {
-					t.Fatalf("Workers=1 vs Workers=%d diverged in results:\n%+v\n%+v", parallel, r1, rN)
-				}
-				if len(l1) != len(lN) {
-					t.Fatalf("Workers=1 vs Workers=%d measured %d vs %d packets", parallel, len(l1), len(lN))
-				}
-				for i := range l1 {
-					if l1[i] != lN[i] {
-						t.Fatalf("Workers=1 vs Workers=%d diverged at packet %d: latency %d vs %d", parallel, i, l1[i], lN[i])
-					}
-				}
-				if !reflect.DeepEqual(s1, sN) {
-					t.Fatalf("Workers=1 vs Workers=%d diverged in metrics registry state", parallel)
-				}
-				if !reflect.DeepEqual(e1, eN) {
-					t.Fatalf("Workers=1 vs Workers=%d diverged in the flit event stream (%d vs %d events)", parallel, len(e1), len(eN))
-				}
-				if faulty && r1.Counters.FlitDrops+r1.Counters.FlitCorrupts == 0 {
-					t.Fatal("faulty run recorded no drops or corruptions: fault rates not applied")
-				}
-			})
+		for _, m := range modes {
+			cells = append(cells, cell{arch, m})
 		}
+	}
+	// 15 routers over 2, 3 or 4 shards: every partition is uneven and
+	// shard boundaries cut through mesh rows.
+	cells = append(cells, cell{config.ViChaR, mode{"-5x3", 5, 3, true, false}})
+	for _, c := range cells {
+		c := c
+		t.Run(c.arch.String()+c.suffix, func(t *testing.T) {
+			type outcome struct {
+				res    stats.Results
+				lat    []int64
+				snap   metrics.Snapshot
+				events []metrics.Event
+			}
+			run := func(workers int) outcome {
+				cfg := config.Default()
+				cfg.Width, cfg.Height = c.w, c.h
+				cfg.Arch = c.arch
+				cfg.InjectionRate = 0.3
+				cfg.WarmupPackets = 50
+				cfg.MeasurePackets = 300
+				cfg.Seed = 4242
+				cfg.Audit = true
+				cfg.Workers = workers
+				cfg.Metrics = true
+				cfg.TraceEvents = 4096
+				if c.faulty {
+					// Transient faults and stalls on every link class,
+					// plus scheduled events: the fault layer's state
+					// (retransmission buffers, stall windows, hash
+					// rolls) must shard as cleanly as the rest.
+					cfg.Faults = config.FaultsConfig{
+						Seed:        99,
+						DropRate:    0.002,
+						CorruptRate: 0.001,
+						StallRate:   0.0005,
+						Events: []config.FaultEvent{
+							{Cycle: 40, Kind: config.DropFlit, Node: 5, Port: 1},
+							{Cycle: 60, Kind: config.StallPort, Node: 10, Port: 0, Cycles: 9},
+						},
+					}
+				}
+				if c.txn {
+					cfg.Txn = config.TxnConfig{
+						Enabled:    true,
+						Rate:       0.05,
+						ReadFrac:   0.7,
+						WriteFrac:  0.25,
+						AtomicFrac: 0.05,
+						PostedFrac: 0.5,
+						MemEdge:    true,
+					}
+				}
+				n := New(&cfg)
+				defer n.Close()
+				res := n.Run()
+				return outcome{res, n.Collector().Latencies(), n.Metrics().Snapshot(), n.FlitTracer().Events()}
+			}
+			serial := run(1)
+			if c.faulty && serial.res.Counters.FlitDrops+serial.res.Counters.FlitCorrupts == 0 {
+				t.Fatal("faulty run recorded no drops or corruptions: fault rates not applied")
+			}
+			for _, workers := range []int{2, 3, parallel} {
+				sharded := run(workers)
+				if !reflect.DeepEqual(serial.res, sharded.res) {
+					t.Fatalf("Workers=1 vs Workers=%d diverged in results:\n%+v\n%+v", workers, serial.res, sharded.res)
+				}
+				if !reflect.DeepEqual(serial.lat, sharded.lat) {
+					t.Fatalf("Workers=1 vs Workers=%d diverged in per-packet latencies (%d vs %d packets)", workers, len(serial.lat), len(sharded.lat))
+				}
+				if !reflect.DeepEqual(serial.snap, sharded.snap) {
+					t.Fatalf("Workers=1 vs Workers=%d diverged in metrics registry state", workers)
+				}
+				if !reflect.DeepEqual(serial.events, sharded.events) {
+					t.Fatalf("Workers=1 vs Workers=%d diverged in the flit event stream (%d vs %d events)", workers, len(serial.events), len(sharded.events))
+				}
+			}
+		})
 	}
 }
 
 // TestWorkersClampAndClose exercises the shard-count clamp (a worker
 // count beyond the node count degrades to one shard per router) and
 // verifies Close is idempotent and leaves the network usable: a
-// closed kernel lazily restarts its pool on the next parallel step.
+// closed kernel lazily restarts its lanes on the next parallel step.
 func TestWorkersClampAndClose(t *testing.T) {
 	cfg := config.Default()
 	cfg.Width, cfg.Height = 2, 2
@@ -181,7 +197,7 @@ func TestWorkersClampAndClose(t *testing.T) {
 	n.Close()
 	n.Close() // idempotent
 	for i := 0; i < 10; i++ {
-		n.Step() // pool restarts lazily
+		n.Step() // lanes restart lazily
 	}
 	n.Close()
 }

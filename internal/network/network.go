@@ -11,7 +11,7 @@
 // reverse order so that flits progress exactly one stage per cycle.
 // Every flit and credit link has exactly one writer router (compute
 // phase) and one receiver router (deliver phase), so both phases
-// shard by router ID across a fixed worker pool (Config.Workers) with
+// shard by router ID (Config.Workers shards on shard-affine lanes) with
 // barriers between them; all global accounting — collector ejections,
 // the end-to-end sequence check, link traversal totals — is either
 // per-router/per-link indexed or committed serially in index order
@@ -85,14 +85,16 @@ type Network struct {
 	deliverActive []bool
 	wakes         [][]int
 
-	// wlStats tallies worklist effectiveness per shard (shard-owned
-	// slots, summed on demand by WorklistStats).
-	wlStats []WorklistStats
+	// wlStats tallies worklist effectiveness per shard: each slot is
+	// padded to its own cache line and written once per shard call, by
+	// the lane that owns the shard; WorklistStats sums them on demand.
+	wlStats []shardTally
 
 	// shardCount is the number of kernel shards (1 = serial); exec is
-	// the lazily created worker pool behind runSharded.
+	// the lazily created lane executor behind runSharded, which runs
+	// them on at most GOMAXPROCS lanes.
 	shardCount int
-	exec       *shardExecutor
+	exec       *execHandle
 
 	// Phase closures bound once at construction: Step and audit hand
 	// runSharded (and the traffic generator) the same values every
@@ -208,7 +210,7 @@ func New(cfg *config.Config) *Network {
 	n.computeActive = make([]bool, mesh.Nodes())
 	n.deliverActive = make([]bool, mesh.Nodes())
 	n.wakes = make([][]int, mesh.Nodes())
-	n.wlStats = make([]WorklistStats, n.shardCount)
+	n.wlStats = make([]shardTally, n.shardCount)
 	for id := range n.computeActive {
 		n.computeActive[id] = true
 		n.deliverActive[id] = true

@@ -60,7 +60,9 @@ func (n *Network) SendTxnPacket(src, dst, size int, kind, class uint8, req uint6
 	// Injection happens on the serial side of the kernel, before the
 	// compute phase, so waking the source here preserves same-cycle NI
 	// processing for a sleeping node.
-	n.computeActive[src] = true
+	if !n.computeActive[src] {
+		n.computeActive[src] = true
+	}
 	n.rec.StageEvent(metrics.Event{
 		Cycle: n.now, Kind: metrics.EvCreate, Packet: p.ID, Flit: -1,
 		Node: src, Port: -1, VC: -1,
@@ -129,8 +131,8 @@ func (n *Network) FlitTracer() *metrics.Tracer {
 // steps); tests and custom protocols use it before reading snapshots.
 func (n *Network) FlushMetrics() { n.flushObs() }
 
-// Close releases the cycle kernel's worker pool (if any). The network
-// stays usable — a later parallel Step lazily restarts the pool — but
+// Close ends the cycle kernel's helper lanes (if any). The network
+// stays usable — a later parallel Step lazily restarts them — but
 // closing a finished network frees its goroutines immediately instead
 // of waiting for the garbage collector's finalizer.
 func (n *Network) Close() { n.stopKernel() }
@@ -240,6 +242,12 @@ type WorklistStats struct {
 	ComputeSkipped uint64
 	DeliverTicked  uint64
 	DeliverSkipped uint64
+}
+
+// shardTally is one shard's WorklistStats alone on its cache line.
+type shardTally struct {
+	WorklistStats
+	_ [cacheLine - 32]byte
 }
 
 // WorklistStats sums the per-shard worklist tallies accumulated since

@@ -130,7 +130,9 @@ func (n *Network) Step() {
 	// barrier, so the result is independent of worker scheduling.
 	for w := range n.wakes {
 		for _, owner := range n.wakes[w] {
-			n.deliverActive[owner] = true
+			if !n.deliverActive[owner] {
+				n.deliverActive[owner] = true
+			}
 		}
 		n.wakes[w] = n.wakes[w][:0]
 	}
@@ -150,19 +152,22 @@ func (n *Network) Step() {
 // delivery commits into a single streaming sweep. Reads n.now itself
 // (set before the phase barrier) so the bound closure carries no
 // per-cycle state.
+//
+// Neighbouring shards run on different cores: the worklist tally is
+// local, flushed once into the shard's own line, and the activity flags
+// (a line of them spans shards) are stored only when the value changes.
 func (n *Network) deliverShard(shard int) {
 	now := n.now
 	lo, hi := n.shardBounds(shard)
-	st := &n.wlStats[shard]
+	var ticked uint64
 	for id := lo; id < hi; id++ {
 		// Skip routers none of whose links carry payloads; the flag is
 		// re-armed by the serial wake merge when a writer makes one of
 		// them non-empty again.
 		if !n.deliverActive[id] {
-			st.DeliverSkipped++
 			continue
 		}
-		st.DeliverTicked++
+		ticked++
 		pending := false
 		for i := n.flitOff[id]; i < n.flitOff[id+1]; i++ {
 			if n.flitSlab[i].tick(now) {
@@ -179,9 +184,15 @@ func (n *Network) deliverShard(shard int) {
 		// the phase barrier. Anything delivered (or still in flight)
 		// may have changed router id's state, so its compute entry is
 		// re-armed conservatively.
-		n.deliverActive[id] = pending
-		n.computeActive[id] = true
+		if !pending {
+			n.deliverActive[id] = false
+		}
+		if !n.computeActive[id] {
+			n.computeActive[id] = true
+		}
 	}
+	n.wlStats[shard].DeliverTicked += ticked
+	n.wlStats[shard].DeliverSkipped += uint64(hi-lo) - ticked
 }
 
 // computeShard is phase 3 for one shard: the shard's network
@@ -189,13 +200,12 @@ func (n *Network) deliverShard(shard int) {
 func (n *Network) computeShard(shard int) {
 	now := n.now
 	lo, hi := n.shardBounds(shard)
-	st := &n.wlStats[shard]
+	var ticked uint64
 	for id := lo; id < hi; id++ {
 		if !n.computeActive[id] {
-			st.ComputeSkipped++
 			continue
 		}
-		st.ComputeTicked++
+		ticked++
 		s := n.nis[id]
 		s.tick(now)
 		n.routers[id].Tick(now)
@@ -208,13 +218,15 @@ func (n *Network) computeShard(shard int) {
 			n.computeActive[id] = false
 		}
 	}
+	n.wlStats[shard].ComputeTicked += ticked
+	n.wlStats[shard].ComputeSkipped += uint64(hi-lo) - ticked
 }
 
 // audit runs the per-cycle invariant auditor (internal/audit) over
 // every credit-carrying link and every unified buffer. All router and
 // link mutation for the cycle has completed behind the compute-phase
 // barrier, so the checks are pure reads over quiescent state and are
-// sharded across the same worker pool as the kernel; per-shard first
+// sharded across the same lanes as the kernel; per-shard first
 // violations are merged in index order, so the reported violation is
 // the same one the serial kernel would find. Any violation is a
 // simulator bug and panics.

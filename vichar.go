@@ -196,10 +196,11 @@ func (s *Simulator) Run() Results {
 // Step advances the simulation by one cycle.
 func (s *Simulator) Step() { s.net.Step() }
 
-// Close releases the cycle kernel's worker pool (only present when
-// Config.Workers > 1). Optional — a finalizer backstops it — but
-// closing a finished simulator frees its goroutines immediately. The
-// simulator stays usable; a later Step restarts the pool.
+// Close frees the cycle kernel's helper goroutines (only present when
+// Config.Workers > 1 on a multi-processor host). Helpers of an idle
+// simulator park on their own within a millisecond and burn no CPU;
+// Close — or, for a dropped simulator, a finalizer — ends them. The
+// simulator stays usable; a later Step restarts them.
 func (s *Simulator) Close() { s.net.Close() }
 
 // Now returns the current simulation cycle.

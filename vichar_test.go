@@ -128,7 +128,7 @@ func TestArchitectureConstantsDistinct(t *testing.T) {
 // TestSimulatorCloseIdempotent locks the Close contract at the public
 // API level: Close may be called any number of times, interleaved
 // with Step, on a parallel simulator, without panicking or leaking
-// the worker pool.
+// the kernel's helper goroutines.
 func TestSimulatorCloseIdempotent(t *testing.T) {
 	cfg := quickCfg()
 	cfg.Workers = 4
