@@ -29,9 +29,12 @@ lint-hot:
 	$(GO) run ./cmd/vichar-lint -escape-audit ./...
 
 # The runtime half of the purity contract: Network.Step performs zero
-# heap allocations at steady state for all four buffer architectures.
+# heap allocations on a drained network and none per packet, flit or
+# link send under load, for all four buffer architectures; and what
+# network.New holds per router stays inside its budget (-v prints the
+# per-component account).
 alloc-check:
-	$(GO) test ./internal/network/ -run TestStepAllocFree -count=1 -v
+	$(GO) test ./internal/network/ -run 'TestStepAllocFree|TestHeapBytesPerRouterBudget' -count=1 -v
 
 # The bit-identical resume contract (DESIGN.md §15): snapshot at C,
 # restore, run to completion — results, latencies, counters, the final

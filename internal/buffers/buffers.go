@@ -93,10 +93,25 @@ type queues struct {
 	words   []uint64 // ReadyWords scratch
 }
 
-func newQueues(vcs int) queues {
+// newQueues returns vcs empty queues. A positive depth is a hard
+// per-queue bound (the statically partitioned buffer): every ring is
+// carved at that capacity from one array and never grows. With depth
+// zero (the shared-pool organizations, whose queues lend each other
+// space) rings start empty and double on demand.
+func newQueues(vcs, depth int) queues {
 	q := queues{qs: make([]fifo, vcs), readyAt: make([]int64, vcs), words: make([]uint64, (vcs+63)/64)}
 	for i := range q.readyAt {
 		q.readyAt[i] = neverReady
+	}
+	if depth > 0 {
+		c := 1
+		for c < depth {
+			c <<= 1
+		}
+		rings := make([]*flit.Flit, vcs*c)
+		for i := range q.qs {
+			q.qs[i].buf = rings[i*c : (i+1)*c : (i+1)*c]
+		}
 	}
 	return q
 }
@@ -112,6 +127,7 @@ func (q *queues) restamp(vc int, lag, floor int64) {
 
 // push appends f to queue f.VC, stamping it when it becomes the head.
 func (q *queues) push(f *flit.Flit, lag, floor int64) {
+	//vichar:alloc fifo.push doubles a shared-pool queue's ring until it has held its deepest backlog; bounded queues are pre-sized and never grow
 	q.qs[f.VC].push(f)
 	if q.qs[f.VC].len() == 1 {
 		q.restamp(f.VC, lag, floor)
@@ -168,36 +184,44 @@ func (q *queues) ReadyWords(now int64) []uint64 {
 	return q.words
 }
 
-// fifo is a slice-backed FIFO with O(1) amortized operations; it
-// recycles its backing array once the head index grows past half the
-// capacity.
+// fifo is a FIFO of flits over a power-of-two ring: head indexes the
+// front, n counts the occupants. A full ring doubles (a queue sized
+// to its bound by newQueues never does), and no ring ever shrinks.
 type fifo struct {
-	items []*flit.Flit
-	head  int
+	buf  []*flit.Flit
+	head uint32
+	n    uint32
 }
 
 func (q *fifo) push(f *flit.Flit) {
-	//vichar:alloc grows the recycled backing array to the buffer's steady-state depth, then reuses it
-	q.items = append(q.items, f)
+	if int(q.n) == len(q.buf) {
+		//vichar:alloc a shared-pool queue doubles until it has held its deepest backlog (at most the pool), then never again
+		grown := make([]*flit.Flit, max(2, 2*len(q.buf)))
+		for i := range q.buf {
+			grown[i] = q.at(i)
+		}
+		q.buf, q.head = grown, 0
+	}
+	q.buf[(q.head+q.n)&uint32(len(q.buf)-1)] = f
+	q.n++
 }
 
 func (q *fifo) pop() *flit.Flit {
-	f := q.items[q.head]
-	q.items[q.head] = nil
-	q.head++
-	if q.head > len(q.items)/2 && q.head > 8 {
-		n := copy(q.items, q.items[q.head:])
-		q.items = q.items[:n]
-		q.head = 0
-	}
+	f := q.buf[q.head]
+	q.buf[q.head] = nil
+	q.head = (q.head + 1) & uint32(len(q.buf)-1)
+	q.n--
 	return f
 }
 
+// at returns the i-th flit from the front.
+func (q *fifo) at(i int) *flit.Flit { return q.buf[(q.head+uint32(i))&uint32(len(q.buf)-1)] }
+
 func (q *fifo) front() *flit.Flit {
-	if q.len() == 0 {
+	if q.n == 0 {
 		return nil
 	}
-	return q.items[q.head]
+	return q.buf[q.head]
 }
 
-func (q *fifo) len() int { return len(q.items) - q.head }
+func (q *fifo) len() int { return int(q.n) }

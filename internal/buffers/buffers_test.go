@@ -377,3 +377,51 @@ func TestRandomOpsInvariants(t *testing.T) {
 		})
 	}
 }
+
+// The per-VC FIFO is a power-of-two ring: FIFO order must survive
+// wrap-around and every doubling (a shared-pool queue starts empty and
+// grows on demand), and a queue pre-sized to its bound must never
+// allocate.
+func TestFifoRingOrderThroughGrowthAndWrap(t *testing.T) {
+	mk := func(id uint64) *flit.Flit { return &flit.Flit{Pkt: &flit.Packet{ID: id}} }
+	var q fifo
+	var model []uint64
+	next := uint64(0)
+	// Advance the head first so later doublings copy a wrapped ring.
+	for step := 0; step < 400; step++ {
+		if step%7 < 4 || len(model) == 0 {
+			q.push(mk(next))
+			model = append(model, next)
+			next++
+		} else {
+			if got := q.pop().Pkt.ID; got != model[0] {
+				t.Fatalf("step %d: popped %d, want %d", step, got, model[0])
+			}
+			model = model[1:]
+		}
+		if q.len() != len(model) {
+			t.Fatalf("step %d: len %d, model %d", step, q.len(), len(model))
+		}
+		for i, want := range model {
+			if got := q.at(i).Pkt.ID; got != want {
+				t.Fatalf("step %d: at(%d) = %d, want %d", step, i, got, want)
+			}
+		}
+		if f := q.front(); (f == nil) != (len(model) == 0) || (f != nil && f.Pkt.ID != model[0]) {
+			t.Fatalf("step %d: front disagrees with the model", step)
+		}
+	}
+
+	bounded := newQueues(3, 4)
+	f := mk(1)
+	if n := testing.AllocsPerRun(100, func() {
+		for i := 0; i < 4; i++ {
+			bounded.qs[2].push(f)
+		}
+		for i := 0; i < 4; i++ {
+			bounded.qs[2].pop()
+		}
+	}); n != 0 {
+		t.Fatalf("a queue pre-sized to its depth allocates %.0f times per fill", n)
+	}
+}

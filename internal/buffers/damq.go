@@ -45,7 +45,7 @@ func NewDAMQ(vcs, slots, delay int) *DAMQ {
 		vcs:         vcs,
 		slots:       slots,
 		delay:       int64(delay),
-		queues:      newQueues(vcs),
+		queues:      newQueues(vcs, 0),
 		readReadyAt: make([]int64, vcs),
 	}
 }

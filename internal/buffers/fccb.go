@@ -31,7 +31,7 @@ func NewFCCB(vcs, slots int) *FCCB {
 	if vcs < 1 || slots < vcs {
 		panic(fmt.Sprintf("buffers: FC-CB needs at least one slot per VC, got %d VCs, %d slots", vcs, slots))
 	}
-	return &FCCB{vcs: vcs, slots: slots, queues: newQueues(vcs)}
+	return &FCCB{vcs: vcs, slots: slots, queues: newQueues(vcs, 0)}
 }
 
 // Slots returns the shared pool size.

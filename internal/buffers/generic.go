@@ -24,7 +24,7 @@ func NewGeneric(vcs, depth int) *Generic {
 	if vcs < 1 || depth < 1 {
 		panic(fmt.Sprintf("buffers: generic buffer needs positive shape, got %dx%d", vcs, depth))
 	}
-	return &Generic{vcs: vcs, depth: depth, queues: newQueues(vcs)}
+	return &Generic{vcs: vcs, depth: depth, queues: newQueues(vcs, depth)}
 }
 
 // Slots returns vcs*depth.

@@ -18,8 +18,8 @@ import (
 func (q *queues) ForEachFlit(fn func(*flit.Flit)) {
 	for i := range q.qs {
 		fq := &q.qs[i]
-		for j := fq.head; j < len(fq.items); j++ {
-			fn(fq.items[j])
+		for j := 0; j < fq.len(); j++ {
+			fn(fq.at(j))
 		}
 	}
 }
@@ -27,14 +27,14 @@ func (q *queues) ForEachFlit(fn func(*flit.Flit)) {
 // saveFIFO writes q's live contents in FIFO order.
 func saveFIFO(w *snap.Writer, q *fifo) {
 	w.Int(q.len())
-	for i := q.head; i < len(q.items); i++ {
-		w.Flit(q.items[i])
+	for i := 0; i < q.len(); i++ {
+		w.Flit(q.at(i))
 	}
 }
 
 // loadFIFO rebuilds q's live contents from saveFIFO output,
-// compacting the head to zero (head position is memory layout, not
-// simulator state).
+// rewinding the ring to slot zero (head position is memory layout,
+// not simulator state).
 func loadFIFO(r *snap.Reader, q *fifo, resolve snap.Resolver) error {
 	n := r.Int()
 	if r.Err() != nil {
@@ -43,7 +43,9 @@ func loadFIFO(r *snap.Reader, q *fifo, resolve snap.Resolver) error {
 	if n < 0 {
 		return fmt.Errorf("buffers: negative FIFO length %d in snapshot", n)
 	}
-	q.items = q.items[:0]
+	for q.len() > 0 {
+		q.pop()
+	}
 	q.head = 0
 	for i := 0; i < n; i++ {
 		f, err := r.Flit(resolve)

@@ -384,6 +384,24 @@ func (c *Config) EffectiveMaxCycles() int64 {
 	return cycles
 }
 
+// MaxBufferSlots bounds BufferSlots and VCs (and with them MaxVCs
+// and VCDepth): the simulator stores slot ids, VC ids and per-VC flit
+// counts in 16-bit signed fields — the VC Control Table's links, the
+// credit views' counters, the router's packed (port, VC) routes.
+const MaxBufferSlots = 1<<15 - 1
+
+// RangeError reports a configuration field whose value exceeds what
+// the simulator's packed state can represent.
+type RangeError struct {
+	Field string
+	Value int
+	Max   int
+}
+
+func (e *RangeError) Error() string {
+	return fmt.Sprintf("config: %s is %d, above the supported maximum %d", e.Field, e.Value, e.Max)
+}
+
 // Validate reports the first problem with the configuration, or nil.
 func (c *Config) Validate() error {
 	switch {
@@ -393,6 +411,10 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("config: need at least 1 VC, got %d", c.VCs)
 	case c.BufferSlots < 1:
 		return fmt.Errorf("config: need at least 1 buffer slot, got %d", c.BufferSlots)
+	case c.VCs > MaxBufferSlots:
+		return &RangeError{Field: "VCs", Value: c.VCs, Max: MaxBufferSlots}
+	case c.BufferSlots > MaxBufferSlots:
+		return &RangeError{Field: "BufferSlots", Value: c.BufferSlots, Max: MaxBufferSlots}
 	case c.PacketSize < 1:
 		return fmt.Errorf("config: packet size must be positive, got %d", c.PacketSize)
 	case c.FlitWidthBits < 1:

@@ -1,6 +1,7 @@
 package config
 
 import (
+	"errors"
 	"strings"
 	"testing"
 )
@@ -310,5 +311,50 @@ func TestHotspotFractionZeroValue(t *testing.T) {
 	cfg.Dest = NormalRandom
 	if err := cfg.Validate(); err != nil {
 		t.Fatalf("zero fraction without hotspot traffic rejected: %v", err)
+	}
+}
+
+// The simulator stores slot ids, VC ids and per-VC flit counts in
+// 16-bit fields, so Validate bounds every count that feeds them and
+// names the offending field in a structured error.
+func TestValidateUpperBounds(t *testing.T) {
+	cases := []struct {
+		name   string
+		mutate func(*Config)
+		field  string // "" = accepted
+	}{
+		{"vichar at the bound", func(c *Config) { c.Arch, c.BufferSlots = ViChaR, MaxBufferSlots }, ""},
+		{"vichar past the bound", func(c *Config) { c.Arch, c.BufferSlots = ViChaR, MaxBufferSlots+1 }, "BufferSlots"},
+		{"vichar capped dispenser, pool past the bound", func(c *Config) {
+			c.Arch, c.BufferSlots, c.VCLimit = ViChaR, 1<<16, 8
+		}, "BufferSlots"},
+		{"damq pool past the bound", func(c *Config) { c.Arch, c.BufferSlots = DAMQ, 40_000 }, "BufferSlots"},
+		{"fccb VCs past the bound", func(c *Config) { c.Arch, c.VCs, c.BufferSlots = FCCB, 1<<15, 1<<15 }, "VCs"},
+		{"generic depth past the bound", func(c *Config) { c.VCs, c.VCDepth, c.BufferSlots = 1, 1<<15, 1<<15 }, "BufferSlots"},
+		{"generic at the bound", func(c *Config) { c.VCs, c.VCDepth, c.BufferSlots = 1, MaxBufferSlots, MaxBufferSlots }, ""},
+		{"generic VCs past the bound", func(c *Config) { c.VCs, c.VCDepth, c.BufferSlots = 1<<15, 1, 1<<15 }, "VCs"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := Default()
+			c.mutate(&cfg)
+			err := cfg.Validate()
+			if c.field == "" {
+				if err != nil {
+					t.Fatalf("rejected: %v", err)
+				}
+				if cfg.MaxVCs() > MaxBufferSlots {
+					t.Fatalf("accepted with %d VCs per port", cfg.MaxVCs())
+				}
+				return
+			}
+			var re *RangeError
+			if !errors.As(err, &re) {
+				t.Fatalf("got %v, want a *RangeError", err)
+			}
+			if re.Field != c.field || re.Max != MaxBufferSlots || !strings.Contains(re.Error(), c.field) {
+				t.Fatalf("error %+v (%q) does not name field %s with bound %d", re, re, c.field, MaxBufferSlots)
+			}
+		})
 	}
 }

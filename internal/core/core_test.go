@@ -108,7 +108,7 @@ func TestTrackerConservation(t *testing.T) {
 
 func TestTableAppendPopOrder(t *testing.T) {
 	tab := NewTable(4)
-	slots := []int{9, 2, 7, 0} // deliberately non-consecutive
+	slots := []int{3, 0, 2, 1} // deliberately non-consecutive
 	for _, s := range slots {
 		tab.Append(1, s)
 	}
@@ -139,14 +139,141 @@ func TestTablePopEmptyPanics(t *testing.T) {
 
 func TestTableSlotsCopy(t *testing.T) {
 	tab := NewTable(2)
-	tab.Append(0, 3)
+	tab.Append(0, 1)
 	s := tab.Slots(0)
 	s[0] = 99
-	if tab.Head(0) != 3 {
+	if tab.Head(0) != 1 {
 		t.Fatal("Slots returned aliased storage")
 	}
 	if tab.Slots(7) != nil {
 		t.Fatal("out-of-range row returned slots")
+	}
+}
+
+func TestTableAppendOutOfRangeSlotPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("append of a slot outside the table did not panic")
+		}
+	}()
+	NewTable(4).Append(0, 4)
+}
+
+// Property: the slot-linked table behaves as a slice of slices. A
+// random interleaving of appends (of slots no row holds, the Slot
+// Availability Tracker's contract) and pops over rows x slots shapes
+// — more slots than rows, the capped-dispenser shape, included — keeps
+// every row's FIFO order, length, head, the active-row count and the
+// Slots copy equal to the model's, through a mid-sequence checkpoint
+// round trip into a fresh table.
+func TestTableMatchesSliceModel(t *testing.T) {
+	shapes := []struct{ vcs, slots int }{{1, 1}, {4, 4}, {3, 16}, {16, 16}, {5, 64}}
+	for _, sh := range shapes {
+		sh := sh
+		prop := func(seed int64) bool {
+			rng := rand.New(rand.NewSource(seed))
+			tab := &Table{}
+			tab.init(sh.vcs, sh.slots, nil)
+			model := make([][]int, sh.vcs)
+			var free []int
+			for s := 0; s < sh.slots; s++ {
+				free = append(free, s)
+			}
+			for step := 0; step < 800; step++ {
+				if step == 400 {
+					w := snap.NewWriter()
+					tab.save(w)
+					r, err := snap.Open(w.Finish())
+					if err != nil {
+						return false
+					}
+					fresh := &Table{}
+					fresh.init(sh.vcs, sh.slots, nil)
+					if fresh.load(r) != nil {
+						return false
+					}
+					tab = fresh
+				}
+				vc := rng.Intn(sh.vcs)
+				if rng.Intn(2) == 0 && len(free) > 0 {
+					k := rng.Intn(len(free))
+					slot := free[k]
+					free = append(free[:k], free[k+1:]...)
+					tab.Append(vc, slot)
+					model[vc] = append(model[vc], slot)
+				} else if len(model[vc]) > 0 {
+					slot, next := tab.PopHeadNext(vc)
+					if slot != model[vc][0] {
+						return false
+					}
+					model[vc] = model[vc][1:]
+					want := -1
+					if len(model[vc]) > 0 {
+						want = model[vc][0]
+					}
+					if next != want {
+						return false
+					}
+					free = append(free, slot)
+				}
+				active := 0
+				for v, row := range model {
+					if tab.Len(v) != len(row) {
+						return false
+					}
+					got := tab.Slots(v)
+					for i := range row {
+						if got[i] != row[i] {
+							return false
+						}
+					}
+					if len(row) > 0 {
+						active++
+						if tab.Head(v) != row[0] {
+							return false
+						}
+					} else if tab.Head(v) != -1 {
+						return false
+					}
+				}
+				if tab.ActiveRows() != active {
+					return false
+				}
+			}
+			return true
+		}
+		if err := quick.Check(prop, &quick.Config{MaxCount: 25}); err != nil {
+			t.Errorf("%d rows x %d slots: %v", sh.vcs, sh.slots, err)
+		}
+	}
+}
+
+// A snapshot whose table rows name one slot twice, or more slots than
+// the pool has, is refused instead of linking a corrupt list.
+func TestTableLoadRejectsCorruptRows(t *testing.T) {
+	for name, write := range map[string]func(w *snap.Writer){
+		"duplicate slot": func(w *snap.Writer) {
+			w.I16s([]int16{2, 0})
+			w.I16(1)
+			w.I16(1)
+		},
+		"slot out of range": func(w *snap.Writer) {
+			w.I16s([]int16{1, 0})
+			w.I16(2)
+		},
+		"row longer than the pool": func(w *snap.Writer) {
+			w.I16s([]int16{3, 0})
+		},
+	} {
+		w := snap.NewWriter()
+		write(w)
+		r, err := snap.Open(w.Finish())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := NewTable(2).load(r); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
 	}
 }
 

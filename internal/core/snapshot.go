@@ -9,7 +9,7 @@ import (
 
 // This file implements the checkpoint half of ViChaR's control
 // structures. Everything here loads *in place*: the slot array,
-// tracker bitmaps and control-table rings are arena-backed and
+// tracker bitmaps and control-table links are arena-backed and
 // aliased by live pointers, so restore copies values into the
 // existing arrays rather than replacing them.
 
@@ -33,28 +33,49 @@ func (t *Tracker) load(r *snap.Reader) error {
 	return nil
 }
 
-// save writes the control table's rings, head/count registers and
-// active-row count.
+// save writes the control table as its rows: the per-row counts, then
+// each row's slot IDs in FIFO order. Successor links of free slots
+// are dead state and do not travel.
 func (t *Table) save(w *snap.Writer) {
-	w.Ints(t.flat)
-	w.Ints(t.head)
-	w.Ints(t.count)
-	w.Int(t.active)
+	w.I16s(t.count)
+	for vc, n := range t.count {
+		slot := t.head[vc]
+		for ; n > 0; n-- {
+			w.I16(slot)
+			slot = t.next[slot]
+		}
+	}
 }
 
-// load restores a table of identical shape in place.
+// load rebuilds a table of identical shape in place, refusing rows
+// that overrun the slot pool or name a slot twice.
 func (t *Table) load(r *snap.Reader) error {
-	r.IntsInto(t.flat)
-	r.IntsInto(t.head)
-	r.IntsInto(t.count)
-	active := r.Int()
+	counts := make([]int16, len(t.count))
+	r.I16sInto(counts)
 	if err := r.Err(); err != nil {
 		return err
 	}
-	if active < 0 || active > len(t.head) {
-		return fmt.Errorf("core: snapshot table active rows %d outside [0,%d]", active, len(t.head))
+	for vc := range t.count {
+		t.count[vc] = 0
 	}
-	t.active = active
+	t.active = 0
+	linked := make([]bool, len(t.next))
+	for vc, n := range counts {
+		if n < 0 || int(n) > len(t.next) {
+			return fmt.Errorf("core: snapshot table row %d holds %d slots of %d", vc, n, len(t.next))
+		}
+		for ; n > 0; n-- {
+			slot := int(r.I16())
+			if err := r.Err(); err != nil {
+				return err
+			}
+			if slot < 0 || slot >= len(t.next) || linked[slot] {
+				return fmt.Errorf("core: snapshot table row %d names slot %d (out of range or already linked)", vc, slot)
+			}
+			linked[slot] = true
+			t.Append(vc, slot)
+		}
+	}
 	return nil
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"vichar/internal/soa"
 )
@@ -13,43 +14,47 @@ import (
 // mark free VCs; a VC's slots may be non-consecutive, which is what
 // frees ViChaR from the contiguity constraints of static buffers.
 //
-// Rows are fixed-stride ring buffers over one flat arena-backed array
-// (vcs rows x stride entries): Append, Head and PopHead are all O(1)
-// index arithmetic, and a router's whole table packs into a handful
-// of cache lines instead of per-row heap slices.
+// A slot is owned by at most one VC at a time, so the rows are linked
+// lists threaded through one per-slot successor array: next[slot] is
+// the slot holding the VC's following flit, and head/tail/count[vc]
+// are the row registers. That is slots + 3*vcs entries at the width
+// the paper gives its slot pointers (log2(vk) bits; int16 here, under
+// config.MaxBufferSlots) where a ring per row would need vcs*slots.
+// Append, Head and PopHead are O(1), and a port's whole table fits two
+// cache lines at 16 slots.
 //
-// The Arriving Flit Pointer of a VC corresponds to appending to its
-// row; the Departing Flit Pointer is the row's first entry.
+// The Arriving Flit Pointer of a VC is its tail register; the
+// Departing Flit Pointer is its head register.
 type Table struct {
-	flat   []int // vcs rows x stride ring entries
-	head   []int // per row: ring index of the departing-flit pointer
-	count  []int // per row: entries held
-	stride int
+	next   []int16 // per slot: successor within its row; dead for a row's tail and for free slots
+	head   []int16 // per row: slot of the departing-flit pointer (valid while count > 0)
+	tail   []int16 // per row: slot of the arriving-flit pointer (valid while count > 0)
+	count  []int16 // per row: entries held
 	active int
 }
 
-// NewTable returns a control table with vcs rows, each able to hold
-// vcs entries (the paper sizes it at vk rows so every slot can be its
-// own VC; the UBS widens rows to its slot count via newTable).
+// NewTable returns a control table with vcs rows over vcs slots (the
+// paper sizes it at vk rows so every slot can be its own VC; the UBS
+// passes its own slot count via init).
 func NewTable(vcs int) *Table {
 	t := &Table{}
 	t.init(vcs, vcs, nil)
 	return t
 }
 
-// init readies a (possibly embedded) table of vcs rows x stride
-// entries, drawing storage from the arena when one is supplied.
-func (t *Table) init(vcs, stride int, a *soa.Arena) {
+// init readies a (possibly embedded) table of vcs rows over slots
+// slot IDs, drawing storage from the arena when one is supplied.
+func (t *Table) init(vcs, slots int, a *soa.Arena) {
 	if vcs < 1 {
 		panic(fmt.Sprintf("core: control table needs at least one row, got %d", vcs))
 	}
-	if stride < 1 {
-		panic(fmt.Sprintf("core: control table rows need at least one entry, got %d", stride))
+	if slots < 1 || slots > math.MaxInt16 {
+		panic(fmt.Sprintf("core: control table slot count must be in [1,%d], got %d", math.MaxInt16, slots))
 	}
-	t.stride = stride
-	t.flat = a.TakeInts(vcs * stride)
-	t.head = a.TakeInts(vcs)
-	t.count = a.TakeInts(vcs)
+	t.next = a.TakeInt16s(slots)
+	t.head = a.TakeInt16s(vcs)
+	t.tail = a.TakeInt16s(vcs)
+	t.count = a.TakeInt16s(vcs)
 }
 
 // Rows returns the number of VC rows.
@@ -64,29 +69,30 @@ func (t *Table) Len(vc int) int {
 	if vc < 0 || vc >= len(t.head) {
 		return 0
 	}
-	return t.count[vc]
+	return int(t.count[vc])
 }
 
 // Append records that the newest flit of VC vc was steered into slot.
+// The slot must not already be linked into a row — the Slot
+// Availability Tracker hands each slot out once — or the row it sits
+// in is silently cut short; the invariant audit cross-checks this.
 func (t *Table) Append(vc, slot int) {
 	if vc < 0 || vc >= len(t.head) {
 		//vichar:invariant the UBS validates VC ids before steering a flit; an out-of-range row is bookkeeping corruption
 		panic(fmt.Sprintf("core: control table append to row %d of %d", vc, len(t.head)))
 	}
-	n := t.count[vc]
-	if n == t.stride {
-		//vichar:invariant a row holds at most the buffer's slot count; overflowing it means tracker/table divergence
-		panic(fmt.Sprintf("core: control table row %d overflows its %d-entry ring", vc, t.stride))
+	if slot < 0 || slot >= len(t.next) {
+		//vichar:invariant slot ids come from the Slot Availability Tracker, which spans exactly the table's slots
+		panic(fmt.Sprintf("core: control table append of slot %d outside %d", slot, len(t.next)))
 	}
-	if n == 0 {
+	if t.count[vc] == 0 {
 		t.active++
+		t.head[vc] = int16(slot)
+	} else {
+		t.next[t.tail[vc]] = int16(slot)
 	}
-	pos := t.head[vc] + n
-	if pos >= t.stride {
-		pos -= t.stride
-	}
-	t.flat[vc*t.stride+pos] = slot
-	t.count[vc] = n + 1
+	t.tail[vc] = int16(slot)
+	t.count[vc]++
 }
 
 // Head returns the slot ID of VC vc's departing-flit pointer (its
@@ -95,7 +101,7 @@ func (t *Table) Head(vc int) int {
 	if vc < 0 || vc >= len(t.head) || t.count[vc] == 0 {
 		return -1
 	}
-	return t.flat[vc*t.stride+t.head[vc]]
+	return int(t.head[vc])
 }
 
 // PopHead NULLs out VC vc's first entry (its flit departed) and
@@ -115,19 +121,14 @@ func (t *Table) PopHeadNext(vc int) (slot, next int) {
 		panic(fmt.Sprintf("core: control table pop from empty row %d", vc))
 	}
 	h := t.head[vc]
-	slot = t.flat[vc*t.stride+h]
-	h++
-	if h == t.stride {
-		h = 0
-	}
-	t.head[vc] = h
-	n := t.count[vc] - 1
-	t.count[vc] = n
-	if n == 0 {
+	t.count[vc]--
+	if t.count[vc] == 0 {
 		t.active--
-		return slot, -1
+		return int(h), -1
 	}
-	return slot, t.flat[vc*t.stride+h]
+	nx := t.next[h]
+	t.head[vc] = nx
+	return int(h), int(nx)
 }
 
 // Slots returns a copy of VC vc's slot list in FIFO order; intended
@@ -138,12 +139,10 @@ func (t *Table) Slots(vc int) []int {
 	}
 	//vichar:alloc diagnostic copy for tests and the invariant audit; not on the steady-state tick path
 	out := make([]int, t.count[vc])
+	slot := t.head[vc]
 	for i := range out {
-		pos := t.head[vc] + i
-		if pos >= t.stride {
-			pos -= t.stride
-		}
-		out[i] = t.flat[vc*t.stride+pos]
+		out[i] = int(slot)
+		slot = t.next[slot]
 	}
 	return out
 }

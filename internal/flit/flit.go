@@ -56,6 +56,11 @@ func (t Type) IsTail() bool { return t == Tail || t == HeadTail }
 // Packet carries the simulation-level metadata shared by all flits of
 // one message. Flits point back at their packet, so per-packet fields
 // (destination, timestamps) are stored exactly once.
+//
+// A Packet is also the record the network recycles: it owns the
+// backing array of its own flits (Materialize), so a packet the
+// network draws from its free list carries its flit storage with it
+// and a steady-state run allocates neither packets nor flits.
 type Packet struct {
 	// ID is unique across one simulation run.
 	ID uint64
@@ -89,6 +94,55 @@ type Packet struct {
 	// Req is the packet ID of the request this packet responds to
 	// (response kinds only; 0 otherwise).
 	Req uint64
+	// NextSeq is the sink's ejection cursor: the sequence number of the
+	// next flit the destination must observe (Size once the tail has
+	// ejected). The end-to-end ordering check advances it.
+	NextSeq int
+	// Pooled marks a packet drawn from the network's free list: it is
+	// reused for a later packet once its tail has ejected, so no
+	// pointer to it may be held past that cycle. Packets handed to a
+	// caller (Network.InjectPacket, Simulator.Inject) are never pooled.
+	Pooled bool
+
+	// flits is the packet's own flit storage, kept across Reset.
+	flits []Flit
+}
+
+// Reset clears the packet for reuse as a new message, keeping its
+// flit storage.
+func (p *Packet) Reset() { *p = Packet{flits: p.flits[:0]} }
+
+// Materialize builds the packet's Size flits in its own storage
+// (allocating only when the storage is smaller than Size) exactly as
+// MakeFlits would: same types and sequence numbers, VC and ArrivedAt
+// zero. Flit(i) then addresses them.
+func (p *Packet) Materialize() {
+	if cap(p.flits) < p.Size {
+		p.flits = make([]Flit, p.Size)
+	}
+	p.flits = p.flits[:p.Size]
+	for i := range p.flits {
+		p.flits[i] = Flit{Pkt: p, Type: typeAt(i, p.Size), Seq: i}
+	}
+}
+
+// Materialized reports whether Materialize has built the flits.
+func (p *Packet) Materialized() bool { return len(p.flits) > 0 }
+
+// Flit returns flit i of a materialized packet.
+func (p *Packet) Flit(i int) *Flit { return &p.flits[i] }
+
+// typeAt classifies flit i of a size-flit packet.
+func typeAt(i, size int) Type {
+	switch {
+	case size == 1:
+		return HeadTail
+	case i == 0:
+		return Head
+	case i == size-1:
+		return Tail
+	}
+	return Body
 }
 
 // Latency returns the packet's network latency in cycles: creation (at
@@ -129,25 +183,18 @@ func (f *Flit) String() string {
 	return fmt.Sprintf("%s[%d] of %s vc=%d", f.Type, f.Seq, f.Pkt, f.VC)
 }
 
-// MakeFlits decomposes a packet into its flit sequence. The returned
-// flits share the packet pointer; VC and ArrivedAt are zero until the
-// network assigns them.
+// MakeFlits decomposes a packet into a freshly allocated flit
+// sequence. The returned flits share the packet pointer; VC and
+// ArrivedAt are zero until the network assigns them. The network
+// itself uses Materialize; MakeFlits serves standalone drivers (tests,
+// the benchmark's layer drives).
 func MakeFlits(p *Packet) []*Flit {
 	if p.Size <= 0 {
 		return nil
 	}
 	fs := make([]*Flit, p.Size)
 	for i := range fs {
-		t := Body
-		switch {
-		case p.Size == 1:
-			t = HeadTail
-		case i == 0:
-			t = Head
-		case i == p.Size-1:
-			t = Tail
-		}
-		fs[i] = &Flit{Pkt: p, Type: t, Seq: i}
+		fs[i] = &Flit{Pkt: p, Type: typeAt(i, p.Size), Seq: i}
 	}
 	return fs
 }

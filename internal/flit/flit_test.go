@@ -130,3 +130,48 @@ func TestStrings(t *testing.T) {
 		t.Errorf("flit string %q", got)
 	}
 }
+
+// Materialize builds, in the packet's own storage, exactly the flits
+// MakeFlits would allocate — and a record reused for a packet of
+// another size rebuilds them without carrying anything over.
+func TestMaterializeMatchesMakeFlits(t *testing.T) {
+	p := &Packet{}
+	for _, size := range []int{4, 1, 9, 2, 9} {
+		p.Reset()
+		p.ID, p.Size = uint64(size), size
+		if p.Materialized() {
+			t.Fatalf("size %d: a reset packet reports its flits built", size)
+		}
+		p.Materialize()
+		// Dirty the mutable fields the way a trip through the network does.
+		p.Flit(size-1).VC, p.Flit(0).ArrivedAt = 7, 99
+		p.Materialize()
+		want := MakeFlits(p)
+		for i, w := range want {
+			if got := p.Flit(i); *got != *w {
+				t.Fatalf("size %d flit %d: materialized %+v, MakeFlits %+v", size, i, *got, *w)
+			}
+		}
+		if !p.Materialized() {
+			t.Fatalf("size %d: materialized packet reports no flits", size)
+		}
+	}
+}
+
+// Reset keeps nothing of the previous packet but its flit storage.
+func TestResetKeepsOnlyStorage(t *testing.T) {
+	p := &Packet{ID: 3, Src: 1, Dst: 2, Size: 6, EjectedAt: 40, NextSeq: 6, Escaped: true, Pooled: true, Class: 1, Req: 9}
+	p.Materialize()
+	first := p.Flit(0)
+	p.Reset()
+	if p.ID != 0 || p.Size != 0 || p.NextSeq != 0 || p.EjectedAt != 0 || p.Escaped || p.Pooled || p.Class != 0 || p.Req != 0 {
+		t.Fatalf("reset left fields behind: %+v", p)
+	}
+	p.Size = 4
+	if n := testing.AllocsPerRun(10, p.Materialize); n != 0 {
+		t.Fatalf("re-materializing a smaller packet in a recycled record allocates %.0f times", n)
+	}
+	if p.Flit(0) != first {
+		t.Fatal("a recycled record did not reuse its flit storage")
+	}
+}

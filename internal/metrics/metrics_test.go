@@ -123,6 +123,27 @@ func TestTracerRingAndTimeline(t *testing.T) {
 	}
 }
 
+// The ring — 64 bytes per retained event, 4 MiB at the benchmark's
+// 65536 — is allocated by the first drained event, not by NewTracer:
+// constructing a traced simulator must cost what an untraced one does.
+func TestTracerRingAllocatedOnFirstEvent(t *testing.T) {
+	reg := NewRegistry()
+	tr := NewTracer(reg, 1<<16)
+	rec := &Recorder{}
+	tr.Drain([]*Recorder{rec})
+	if tr.buf != nil {
+		t.Fatalf("ring of %d events allocated before any event was recorded", cap(tr.buf))
+	}
+	if len(tr.Events()) != 0 || tr.Timeline(1) != nil {
+		t.Fatal("an empty tracer reported events")
+	}
+	rec.StageEvent(Event{Cycle: 1, Kind: EvCreate, Packet: 1, Flit: -1})
+	tr.Drain([]*Recorder{rec})
+	if cap(tr.buf) != tr.Cap() || len(tr.Events()) != 1 {
+		t.Fatalf("after the first event: ring cap %d, %d events; want cap %d, 1 event", cap(tr.buf), len(tr.Events()), tr.Cap())
+	}
+}
+
 func TestTracerSeqOrderAcrossRecorders(t *testing.T) {
 	reg := NewRegistry()
 	r1 := &Recorder{}

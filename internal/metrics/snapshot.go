@@ -125,7 +125,7 @@ func (t *Tracer) LoadState(r *snap.Reader) error {
 	if n < 0 || n > t.cap {
 		return fmt.Errorf("metrics: snapshot ring holds %d events, tracer capacity is %d", n, t.cap)
 	}
-	t.buf = t.buf[:0]
+	t.buf = t.ring()[:0]
 	for i := 0; i < n; i++ {
 		t.buf = append(t.buf, loadEvent(r))
 		if r.Err() != nil {

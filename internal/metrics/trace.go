@@ -60,7 +60,10 @@ type Event struct {
 // Tracer keeps the most recent events in a bounded ring buffer.
 // Writes happen only via Drain in the kernel's serial phase; Events,
 // Timeline and WriteJSONL copy under the same lock that guards
-// drains, so they are safe from the exporter goroutine.
+// drains, so they are safe from the exporter goroutine. The ring is
+// allocated by the first Drain that carries an event (or LoadState):
+// constructing a tracer costs nothing, so building a traced simulator
+// is as cheap as building an untraced one.
 type Tracer struct {
 	reg     *Registry // lock owner; drains and reads synchronize on it
 	buf     []Event
@@ -75,7 +78,17 @@ func NewTracer(reg *Registry, capacity int) *Tracer {
 	if capacity <= 0 {
 		panic("metrics: tracer capacity must be positive")
 	}
-	return &Tracer{reg: reg, buf: make([]Event, 0, capacity), cap: capacity}
+	return &Tracer{reg: reg, cap: capacity}
+}
+
+// ring returns the event buffer, allocating it at full capacity on
+// first use. Callers hold the registry lock.
+func (t *Tracer) ring() []Event {
+	if t.buf == nil {
+		//vichar:alloc the one ring allocation of a run, made by the first event instead of by the constructor
+		t.buf = make([]Event, 0, t.cap)
+	}
+	return t.buf
 }
 
 // Cap returns the ring capacity.
@@ -92,7 +105,7 @@ func (t *Tracer) Drain(recs []*Recorder) {
 			t.next++
 			if len(t.buf) < t.cap {
 				//vichar:alloc the ring fills to its fixed cap once, then overwrites slots in place
-				t.buf = append(t.buf, e)
+				t.buf = append(t.ring(), e)
 			} else {
 				t.buf[int(e.Seq)%t.cap] = e
 				t.dropped++

@@ -1,6 +1,8 @@
 package network
 
 import (
+	"fmt"
+
 	"vichar/internal/buffers"
 	"vichar/internal/faults"
 	"vichar/internal/flit"
@@ -14,12 +16,47 @@ type timedFlit struct {
 	at int64
 }
 
+// ring is the in-flight queue of one link: a fixed-capacity circular
+// buffer, sized once at wiring time (ringCap) and never grown. head
+// and tail are free-running counters; their difference is the
+// occupancy and their low bits index buf, whose length is a power of
+// two.
+type ring[T any] struct {
+	buf        []T
+	head, tail uint32
+}
+
+// ringCap returns the power-of-two capacity for a link that can hold
+// at most bound payloads.
+func ringCap(bound int) int {
+	c := 1
+	for c < bound {
+		c <<= 1
+	}
+	return c
+}
+
+func (r *ring[T]) len() int { return int(r.tail - r.head) }
+
+// at returns the i-th oldest queued payload.
+func (r *ring[T]) at(i int) *T { return &r.buf[(r.head+uint32(i))&uint32(len(r.buf)-1)] }
+
+func (r *ring[T]) push(v T) {
+	if r.len() == len(r.buf) {
+		//vichar:invariant a link carries one payload per cycle for a fixed delay (plus, under faults, what downstream credit admits), which is what ringCap sized the ring for
+		panic(fmt.Sprintf("network: link ring overflow at %d payloads", len(r.buf)))
+	}
+	r.buf[r.tail&uint32(len(r.buf)-1)] = v
+	r.tail++
+}
+
+func (r *ring[T]) reset() { r.head, r.tail = 0, 0 }
+
 // flitLink is a fixed-latency flit pipeline between an output port
 // and a receiver.
 type flitLink struct {
 	delay int64
-	q     []timedFlit
-	head  int
+	q     ring[timedFlit]
 
 	// Delivery target, encoded as plain fields instead of a per-link
 	// closure so the deliver phase's hottest call is a direct method
@@ -54,12 +91,11 @@ type flitLink struct {
 
 // SendFlit enqueues f for delivery delay cycles from now.
 func (l *flitLink) SendFlit(f *flit.Flit, now int64) {
-	if l.head == len(l.q) && l.wake != nil {
+	if l.q.len() == 0 && l.wake != nil {
 		//vichar:alloc edge-triggered wake: at most one append per empty->non-empty transition, into a per-writer buffer reset each cycle
 		*l.wake = append(*l.wake, l.owner)
 	}
-	//vichar:alloc in-flight queue is bounded by link occupancy; tick resets it to its backing array, so capacity reaches steady state after warm-up
-	l.q = append(l.q, timedFlit{f: f, at: now + l.delay})
+	l.q.push(timedFlit{f: f, at: now + l.delay})
 }
 
 // pending reports whether the link still carries undelivered work: an
@@ -68,7 +104,7 @@ func (l *flitLink) SendFlit(f *flit.Flit, now int64) {
 // while any plan link is pending, so fault-held links keep their
 // router on the worklist until the retransmission drains.
 func (l *flitLink) pending() bool {
-	if l.head < len(l.q) {
+	if l.q.len() > 0 {
 		return true
 	}
 	return l.faults != nil && l.faults.Held() > 0
@@ -100,18 +136,12 @@ func (l *flitLink) tick(now int64) bool {
 		l.tickFaulty(now)
 		return l.pending()
 	}
-	for l.head < len(l.q) && l.q[l.head].at <= now {
-		tf := l.q[l.head]
-		l.q[l.head] = timedFlit{}
-		l.head++
-		l.deliverFlit(tf.f, now)
+	for l.q.len() > 0 && l.q.at(0).at <= now {
+		f := l.q.at(0).f
+		l.q.head++
+		l.deliverFlit(f, now)
 	}
-	if l.head == len(l.q) {
-		l.q = l.q[:0]
-		l.head = 0
-		return false
-	}
-	return true
+	return l.q.len() > 0
 }
 
 // tickFaulty is the fault-model delivery path: each due flit's fate
@@ -129,19 +159,14 @@ func (l *flitLink) tickFaulty(now int64) {
 			s.Rearm(now)
 		}
 	}
-	for l.head < len(l.q) && l.q[l.head].at <= now && !s.Blocked() {
-		tf := l.q[l.head]
-		l.q[l.head] = timedFlit{}
-		l.head++
+	for l.q.len() > 0 && l.q.at(0).at <= now && !s.Blocked() {
+		f := l.q.at(0).f
+		l.q.head++
 		if out := s.Attempt(now); out == faults.Deliver {
-			l.deliverFlit(tf.f, now)
+			l.deliverFlit(f, now)
 		} else {
-			s.Hold(tf.f, now)
+			s.Hold(f, now)
 		}
-	}
-	if l.head == len(l.q) {
-		l.q = l.q[:0]
-		l.head = 0
 	}
 }
 
@@ -154,8 +179,7 @@ type timedCredit struct {
 // creditLink is the fixed-latency reverse channel of a link.
 type creditLink struct {
 	delay int64
-	q     []timedCredit
-	head  int
+	q     ring[timedCredit]
 
 	// Delivery target as plain fields (same rationale as flitLink): an
 	// inter-router reverse channel credits dst's output port outPort;
@@ -171,39 +195,27 @@ type creditLink struct {
 
 // SendCredit enqueues c for delivery delay cycles from now.
 func (l *creditLink) SendCredit(c flit.Credit, now int64) {
-	if l.head == len(l.q) && l.wake != nil {
+	if l.q.len() == 0 && l.wake != nil {
 		//vichar:alloc edge-triggered wake: at most one append per empty->non-empty transition, into a per-writer buffer reset each cycle
 		*l.wake = append(*l.wake, l.owner)
 	}
-	//vichar:alloc in-flight queue is bounded by link occupancy; tick resets it to its backing array, so capacity reaches steady state after warm-up
-	l.q = append(l.q, timedCredit{c: c, at: now + l.delay})
+	l.q.push(timedCredit{c: c, at: now + l.delay})
 }
 
 // tick delivers every credit due at or before now and reports whether
 // the channel still carries undelivered credits.
 func (l *creditLink) tick(now int64) bool {
-	for l.head < len(l.q) && l.q[l.head].at <= now {
-		tc := l.q[l.head]
-		l.head++
+	for l.q.len() > 0 && l.q.at(0).at <= now {
+		c := l.q.at(0).c
+		l.q.head++
 		if l.dst != nil {
-			l.dst.ReceiveCredit(l.outPort, tc.c)
+			l.dst.ReceiveCredit(l.outPort, c)
 		} else {
-			l.view.OnCredit(tc.c)
+			l.view.OnCredit(c)
 		}
 	}
-	if l.head == len(l.q) {
-		l.q = l.q[:0]
-		l.head = 0
-		return false
-	}
-	return true
+	return l.q.len() > 0
 }
-
-// inflight returns the number of undelivered flits on the link.
-func (l *flitLink) inflight() int { return len(l.q) - l.head }
-
-// inflight returns the number of undelivered credits on the link.
-func (l *creditLink) inflight() int { return len(l.q) - l.head }
 
 // auditedLink ties together the four parties of one directed link's
 // credit-conservation equation: the upstream credit view, the forward

@@ -158,9 +158,13 @@ type Network struct {
 	created      int64
 	ejectedFlits uint64
 
-	// expectSeq tracks, per in-flight packet, the next flit sequence
-	// number the sink must observe: the end-to-end ordering check.
-	expectSeq map[uint64]int
+	// free is the packet free list (DESIGN.md §13): records — a packet
+	// with its own flit storage — that finished a trip and wait for the
+	// next. SendTxnPacket pops in the serial inject sub-phase and eject
+	// pushes in the serial commit sub-phase, so the list needs no lock
+	// and behaves identically at every worker count. Packets handed to
+	// a caller by InjectPacket* never enter it.
+	free []*flit.Packet
 
 	// schedule replays a recorded trace (sorted by cycle);
 	// scheduleIdx is the next entry to inject.
@@ -196,7 +200,6 @@ func New(cfg *config.Config) *Network {
 		nis:          make([]*ni, mesh.Nodes()),
 		pendingEject: make([][]*flit.Flit, mesh.Nodes()),
 		collector:    stats.NewCollector(cfg.WarmupPackets, cfg.MeasurePackets, mesh.Nodes()),
-		expectSeq:    make(map[uint64]int),
 	}
 	n.shardCount = cfg.Workers
 	if n.shardCount < 1 {
@@ -278,6 +281,28 @@ func New(cfg *config.Config) *Network {
 	}
 	n.flitSlab = make([]flitLink, nLinks+2*nodes)
 	n.creditSlab = make([]creditLink, nLinks+nodes)
+	// In-flight rings, sized once and carved from one array per kind. A
+	// link accepts one payload per cycle and delivers it a fixed delay
+	// later, so at most delay are in flight when the next is sent; a
+	// faulted link's retransmission hold blocks the flits behind it, and
+	// then what bounds the queue is the downstream buffer's credit.
+	interCap := ringCap(router.FlitDelay + 1)
+	if n.fplan != nil {
+		interCap = ringCap(max(router.FlitDelay+1, cfg.BufferSlots))
+	}
+	ejectCap, injectCap, creditCap := ringCap(router.FlitDelay+1), ringCap(1+1), ringCap(router.CreditDelay+1)
+	flitRings := make([]timedFlit, nLinks*interCap+nodes*(ejectCap+injectCap))
+	creditRings := make([]timedCredit, (nLinks+nodes)*creditCap)
+	flitRing := func(c int) ring[timedFlit] {
+		r := ring[timedFlit]{buf: flitRings[:c:c]}
+		flitRings = flitRings[c:]
+		return r
+	}
+	creditRing := func() ring[timedCredit] {
+		r := ring[timedCredit]{buf: creditRings[:creditCap:creditCap]}
+		creditRings = creditRings[creditCap:]
+		return r
+	}
 	// Exact capacity up front: links hold *count pointers into this
 	// array, so it must never reallocate.
 	n.linkFlits = make([]uint64, 0, nLinks)
@@ -332,7 +357,7 @@ func New(cfg *config.Config) *Network {
 			// Worklist: router id's compute writes this link; router
 			// nb's deliver drains it.
 			fl := takeFlitLink(flitLink{
-				delay: router.FlitDelay, owner: nb, wake: &n.wakes[id],
+				delay: router.FlitDelay, q: flitRing(interCap), owner: nb, wake: &n.wakes[id],
 				dst: dst, inPort: inPort, count: &n.linkFlits[linkIdx],
 				rec: n.obs.recorder(1 + nb),
 			})
@@ -345,7 +370,7 @@ func New(cfg *config.Config) *Network {
 			// view, so the reverse channel belongs to the upstream
 			// router's plan; the downstream router nb writes it.
 			cl := takeCreditLink(creditLink{
-				delay: router.CreditDelay, owner: id, wake: &n.wakes[nb],
+				delay: router.CreditDelay, q: creditRing(), owner: id, wake: &n.wakes[nb],
 				dst: r, outPort: port,
 			})
 
@@ -375,7 +400,7 @@ func New(cfg *config.Config) *Network {
 		// ascending node order. A responder node's finite service
 		// queue gates its sink's ejection grants.
 		ej := takeFlitLink(flitLink{
-			delay: router.FlitDelay, owner: id, wake: &n.wakes[id],
+			delay: router.FlitDelay, q: flitRing(ejectCap), owner: id, wake: &n.wakes[id],
 			eject: &n.pendingEject[id],
 		})
 		sink := router.NewSinkView()
@@ -395,13 +420,13 @@ func New(cfg *config.Config) *Network {
 			rec:     n.obs.recorder(1 + id),
 		}
 		inj := takeFlitLink(flitLink{
-			delay: 1, owner: id, wake: &n.wakes[id],
+			delay: 1, q: flitRing(injectCap), owner: id, wake: &n.wakes[id],
 			dst: r, inPort: topology.Local,
 		})
 		s.link = inj
 
 		cl := takeCreditLink(creditLink{
-			delay: router.CreditDelay, owner: id, wake: &n.wakes[id],
+			delay: router.CreditDelay, q: creditRing(), owner: id, wake: &n.wakes[id],
 			view: s.view,
 		})
 		r.ConnectInputCredit(topology.Local, cl)

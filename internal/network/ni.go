@@ -16,7 +16,9 @@ type niStream struct {
 	queue []*flit.Packet
 	qhead int
 
-	cur []*flit.Flit
+	// cur is the packet being injected (nil between packets), idx its
+	// next flit and vc the channel the packet was granted.
+	cur *flit.Packet
 	idx int
 	vc  int
 }
@@ -50,7 +52,7 @@ type ni struct {
 }
 
 func (s *ni) enqueue(p *flit.Packet) {
-	//vichar:alloc one append per generated packet, amortized by tick's queue compaction — not per-cycle churn
+	//vichar:alloc the source queue grows by doubling to the deepest backlog the run reaches and tick's compaction reuses the array, so appends stop allocating once the backlog peaks
 	s.streams[p.Class].queue = append(s.streams[p.Class].queue, p)
 }
 
@@ -93,8 +95,9 @@ func (s *ni) tick(now int64) {
 				st.qhead = 0
 			}
 			p.InjectedAt = now
-			//vichar:alloc packet materialization allocates its flits once at injection, amortized over the packet's network lifetime
-			st.cur = flit.MakeFlits(p)
+			//vichar:alloc a record's flit storage is allocated by the first packet it carries (and again only by a larger one), then recycled with the record
+			p.Materialize()
+			st.cur = p
 			st.idx = 0
 			st.vc = vc
 		}
@@ -117,7 +120,7 @@ func (s *ni) tick(now int64) {
 			blocked = true
 			continue
 		}
-		f := st.cur[st.idx]
+		f := st.cur.Flit(st.idx)
 		f.VC = st.vc
 		s.view.OnSend(f)
 		s.link.SendFlit(f, now)
@@ -127,9 +130,9 @@ func (s *ni) tick(now int64) {
 			Node: s.node, Port: -1, VC: st.vc,
 		})
 		st.idx++
-		if st.idx == len(st.cur) {
+		if st.idx == st.cur.Size {
 			if s.txn != nil {
-				s.txn.OnInjected(s.node, f.Pkt)
+				s.txn.OnInjected(s.node, st.cur)
 			}
 			st.cur = nil
 		}

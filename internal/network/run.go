@@ -26,35 +26,60 @@ func (n *Network) CreatedPackets() int64 { return n.created }
 
 // InjectPacket creates a packet from src to dst at the current cycle
 // and enqueues it at src's network interface; tests and custom
-// workloads use it instead of the built-in traffic generator.
+// workloads use it instead of the built-in traffic generator. The
+// returned packet belongs to the caller: the network never recycles
+// it, so its fields (EjectedAt, Latency) stay readable after the run.
 func (n *Network) InjectPacket(src, dst int) *flit.Packet {
 	return n.InjectPacketSized(src, dst, n.cfg.PacketSize)
 }
 
-// InjectPacketSized creates a packet with an explicit flit count
-// (variable-size packet protocol).
+// InjectPacketSized creates a caller-owned packet with an explicit
+// flit count (variable-size packet protocol).
 func (n *Network) InjectPacketSized(src, dst, size int) *flit.Packet {
-	return n.SendTxnPacket(src, dst, size, 0, 0, 0)
+	p := &flit.Packet{}
+	n.send(p, src, dst, size, 0, 0, 0)
+	return p
 }
+
+// recordChunk is how many packet records the free list grows by.
+const recordChunk = 64
 
 // SendTxnPacket implements txn.Sender: it creates a packet carrying a
 // transaction-layer kind, VC class and request reference, and
 // enqueues it on the source interface's stream for that class. Plain
-// fire-and-forget injection is the zero-kind, zero-class case.
+// fire-and-forget injection (the traffic generator, trace replay) is
+// the zero-kind, zero-class case. The packet is a pooled record:
+// valid until its tail ejects, then reused.
 func (n *Network) SendTxnPacket(src, dst, size int, kind, class uint8, req uint64) *flit.Packet {
-	n.nextID++
-	//vichar:alloc one packet object per generated packet — the protocol unit, not per-cycle churn
-	p := &flit.Packet{
-		ID:        n.nextID,
-		Src:       src,
-		Dst:       dst,
-		Size:      size,
-		CreatedAt: n.now,
-		SeqNo:     n.nextID,
-		Class:     class,
-		Kind:      kind,
-		Req:       req,
+	if len(n.free) == 0 {
+		// Every record is in flight: grow the population by one chunk.
+		// A record's flit storage comes later, at its first injection
+		// (ni.tick), so packets waiting in a deep source queue cost a
+		// packet each, not a packet and its flits.
+		//vichar:alloc the record population grows to the peak number of packets in flight, a chunk at a time, then the free list serves every packet
+		recs := make([]flit.Packet, recordChunk)
+		for i := range recs {
+			//vichar:alloc the free list grows by doubling to the peak number of packets in flight, then is reused
+			n.free = append(n.free, &recs[i])
+		}
 	}
+	k := len(n.free) - 1
+	p := n.free[k]
+	n.free = n.free[:k]
+	p.Reset()
+	p.Pooled = true
+	n.send(p, src, dst, size, kind, class, req)
+	return p
+}
+
+// send fills in a blank packet and queues it at its source interface.
+func (n *Network) send(p *flit.Packet, src, dst, size int, kind, class uint8, req uint64) {
+	n.nextID++
+	p.ID = n.nextID
+	p.Src, p.Dst, p.Size = src, dst, size
+	p.CreatedAt = n.now
+	p.SeqNo = n.nextID
+	p.Class, p.Kind, p.Req = class, kind, req
 	n.created++
 	n.nis[src].enqueue(p)
 	// Injection happens on the serial side of the kernel, before the
@@ -71,12 +96,11 @@ func (n *Network) SendTxnPacket(src, dst, size int, kind, class uint8, req uint6
 		//vichar:alloc trace recording is an opt-in diagnostic mode; one entry per recorded packet
 		n.recorded = append(n.recorded, trace.Entry{Cycle: n.now, Src: src, Dst: dst, Size: size})
 	}
-	return p
 }
 
-// injectGenerated adapts InjectPacketSized to the traffic generator's
+// injectGenerated adapts SendTxnPacket to the traffic generator's
 // callback signature; bound once in New as n.injectFn.
-func (n *Network) injectGenerated(src, dst, size int) { n.InjectPacketSized(src, dst, size) }
+func (n *Network) injectGenerated(src, dst, size int) { n.SendTxnPacket(src, dst, size, 0, 0, 0) }
 
 // RecordTrace turns on packet-creation recording; RecordedTrace
 // returns the events captured so far.

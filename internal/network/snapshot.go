@@ -19,8 +19,8 @@ import (
 //
 // Packets are serialized exactly once, in a table sorted by ID; every
 // other occurrence of a packet or flit travels as a reference that
-// resolves against the table at load time. Flit objects are rebuilt
-// per packet via flit.MakeFlits, so a packet's flits keep their
+// resolves against the table at load time. A packet's flits are
+// rebuilt in the packet record's own storage, so they keep their
 // shared-identity structure, and each container applies the mutable
 // (VC, ArrivedAt) fields of exactly the flits it holds.
 //
@@ -34,8 +34,7 @@ import (
 // their NI builds the flits at injection time, exactly like the
 // straight-through run).
 type pktTable struct {
-	pkts  map[uint64]*flit.Packet
-	flits map[uint64][]*flit.Flit
+	pkts map[uint64]*flit.Packet
 }
 
 func (t *pktTable) packet(id uint64) (*flit.Packet, error) {
@@ -46,28 +45,24 @@ func (t *pktTable) packet(id uint64) (*flit.Packet, error) {
 	return p, nil
 }
 
-func (t *pktTable) flitsOf(id uint64) ([]*flit.Flit, error) {
-	if fs, ok := t.flits[id]; ok {
-		return fs, nil
-	}
+// materialized returns packet id with its flits built.
+func (t *pktTable) materialized(id uint64) (*flit.Packet, error) {
 	p, err := t.packet(id)
-	if err != nil {
-		return nil, err
+	if err == nil && !p.Materialized() {
+		p.Materialize()
 	}
-	fs := flit.MakeFlits(p)
-	t.flits[id] = fs
-	return fs, nil
+	return p, err
 }
 
 func (t *pktTable) flit(id uint64, seq int) (*flit.Flit, error) {
-	fs, err := t.flitsOf(id)
+	p, err := t.materialized(id)
 	if err != nil {
 		return nil, err
 	}
-	if seq < 0 || seq >= len(fs) {
-		return nil, fmt.Errorf("network: snapshot references flit %d of packet %d (%d flits)", seq, id, len(fs))
+	if seq < 0 || seq >= p.Size {
+		return nil, fmt.Errorf("network: snapshot references flit %d of packet %d (%d flits)", seq, id, p.Size)
 	}
-	return fs[seq], nil
+	return p.Flit(seq), nil
 }
 
 // collectPackets gathers every packet still referenced by live
@@ -90,15 +85,13 @@ func (n *Network) collectPackets() []*flit.Packet {
 			for i := st.qhead; i < len(st.queue); i++ {
 				add(st.queue[i])
 			}
-			if st.cur != nil {
-				add(st.cur[0].Pkt)
-			}
+			add(st.cur)
 		}
 	}
 	for li := range n.flitSlab {
 		l := &n.flitSlab[li]
-		for i := l.head; i < len(l.q); i++ {
-			add(l.q[i].f.Pkt)
+		for i := 0; i < l.q.len(); i++ {
+			add(l.q.at(i).f.Pkt)
 		}
 		add(heldPacket(l))
 	}
@@ -132,9 +125,12 @@ func savePacket(w *snap.Writer, p *flit.Packet) {
 	w.U8(p.Class)
 	w.U8(p.Kind)
 	w.U64(p.Req)
+	w.Int(p.NextSeq)
 }
 
-// loadPacket reads one packet record.
+// loadPacket reads one packet record. Every restored packet is a
+// pooled record: whoever held the original's pointer holds none into
+// the restored network.
 func loadPacket(r *snap.Reader) *flit.Packet {
 	return &flit.Packet{
 		ID:         r.U64(),
@@ -149,32 +145,33 @@ func loadPacket(r *snap.Reader) *flit.Packet {
 		Class:      r.U8(),
 		Kind:       r.U8(),
 		Req:        r.U64(),
+		NextSeq:    r.Int(),
+		Pooled:     true,
 	}
 }
 
 // saveFlitLink writes one flit link's in-flight payloads and fault
 // state.
 func (n *Network) saveFlitLink(w *snap.Writer, l *flitLink) {
-	w.Int(l.inflight())
-	for i := l.head; i < len(l.q); i++ {
-		w.Flit(l.q[i].f)
-		w.I64(l.q[i].at)
+	w.Int(l.q.len())
+	for i := 0; i < l.q.len(); i++ {
+		w.Flit(l.q.at(i).f)
+		w.I64(l.q.at(i).at)
 	}
 	l.faults.SaveState(w)
 }
 
-// loadFlitLink restores one flit link, compacting the queue head to
+// loadFlitLink restores one flit link, rewinding the ring to slot
 // zero (layout, not state).
 func (n *Network) loadFlitLink(r *snap.Reader, l *flitLink, resolve snap.Resolver) error {
 	cnt := r.Int()
 	if err := r.Err(); err != nil {
 		return err
 	}
-	if cnt < 0 {
-		return fmt.Errorf("network: negative link occupancy %d in snapshot", cnt)
+	if cnt < 0 || cnt > len(l.q.buf) {
+		return fmt.Errorf("network: link occupancy %d in snapshot outside its %d-entry ring", cnt, len(l.q.buf))
 	}
-	l.q = l.q[:0]
-	l.head = 0
+	l.q.reset()
 	for i := 0; i < cnt; i++ {
 		f, err := r.Flit(resolve)
 		if err != nil {
@@ -183,7 +180,7 @@ func (n *Network) loadFlitLink(r *snap.Reader, l *flitLink, resolve snap.Resolve
 		if f == nil {
 			return fmt.Errorf("network: nil flit reference on a link")
 		}
-		l.q = append(l.q, timedFlit{f: f, at: r.I64()})
+		l.q.push(timedFlit{f: f, at: r.I64()})
 		if r.Err() != nil {
 			return r.Err()
 		}
@@ -193,11 +190,12 @@ func (n *Network) loadFlitLink(r *snap.Reader, l *flitLink, resolve snap.Resolve
 
 // saveCreditLink writes one credit link's in-flight credits.
 func (n *Network) saveCreditLink(w *snap.Writer, l *creditLink) {
-	w.Int(l.inflight())
-	for i := l.head; i < len(l.q); i++ {
-		w.Int(l.q[i].c.VC)
-		w.Bool(l.q[i].c.ReleaseVC)
-		w.I64(l.q[i].at)
+	w.Int(l.q.len())
+	for i := 0; i < l.q.len(); i++ {
+		tc := l.q.at(i)
+		w.Int(tc.c.VC)
+		w.Bool(tc.c.ReleaseVC)
+		w.I64(tc.at)
 	}
 }
 
@@ -207,14 +205,13 @@ func (n *Network) loadCreditLink(r *snap.Reader, l *creditLink) error {
 	if err := r.Err(); err != nil {
 		return err
 	}
-	if cnt < 0 {
-		return fmt.Errorf("network: negative credit-link occupancy %d in snapshot", cnt)
+	if cnt < 0 || cnt > len(l.q.buf) {
+		return fmt.Errorf("network: credit-link occupancy %d in snapshot outside its %d-entry ring", cnt, len(l.q.buf))
 	}
-	l.q = l.q[:0]
-	l.head = 0
+	l.q.reset()
 	for i := 0; i < cnt; i++ {
 		c := flit.Credit{VC: r.Int(), ReleaseVC: r.Bool()}
-		l.q = append(l.q, timedCredit{c: c, at: r.I64()})
+		l.q.push(timedCredit{c: c, at: r.I64()})
 		if r.Err() != nil {
 			return r.Err()
 		}
@@ -235,7 +232,7 @@ func saveNI(w *snap.Writer, s *ni) {
 		}
 		w.Bool(st.cur != nil)
 		if st.cur != nil {
-			w.U64(st.cur[0].Pkt.ID)
+			w.U64(st.cur.ID)
 			w.Int(st.idx)
 			w.Int(st.vc)
 		}
@@ -286,12 +283,12 @@ func loadNI(r *snap.Reader, s *ni, t *pktTable) error {
 			if err := r.Err(); err != nil {
 				return err
 			}
-			cur, err := t.flitsOf(id)
+			cur, err := t.materialized(id)
 			if err != nil {
 				return err
 			}
-			if idx < 0 || idx >= len(cur) {
-				return fmt.Errorf("network: NI injection cursor %d outside packet %d (%d flits)", idx, id, len(cur))
+			if idx < 0 || idx >= cur.Size {
+				return fmt.Errorf("network: NI injection cursor %d outside packet %d (%d flits)", idx, id, cur.Size)
 			}
 			st.cur = cur
 			st.idx = idx
@@ -470,23 +467,6 @@ func (n *Network) SaveState(w *snap.Writer) error {
 		savePacket(w, p)
 	}
 
-	w.Section("expect")
-	type exp struct {
-		id  uint64
-		seq int
-	}
-	exps := make([]exp, 0, len(n.expectSeq))
-	//vichar:ordered collected pairs are sorted by packet ID below before serialization
-	for id, seq := range n.expectSeq {
-		exps = append(exps, exp{id: id, seq: seq})
-	}
-	sort.Slice(exps, func(i, j int) bool { return exps[i].id < exps[j].id })
-	w.Int(len(exps))
-	for _, e := range exps {
-		w.U64(e.id)
-		w.Int(e.seq)
-	}
-
 	for _, r := range n.routers {
 		r.SaveState(w)
 	}
@@ -561,10 +541,7 @@ func (n *Network) LoadState(r *snap.Reader) error {
 	if cnt < 0 {
 		return fmt.Errorf("network: negative packet-table length %d in snapshot", cnt)
 	}
-	t := &pktTable{
-		pkts:  make(map[uint64]*flit.Packet, cnt),
-		flits: make(map[uint64][]*flit.Flit, cnt),
-	}
+	t := &pktTable{pkts: make(map[uint64]*flit.Packet, cnt)}
 	for i := 0; i < cnt; i++ {
 		p := loadPacket(r)
 		if r.Err() != nil {
@@ -573,30 +550,13 @@ func (n *Network) LoadState(r *snap.Reader) error {
 		if p.Size <= 0 {
 			return fmt.Errorf("network: packet %d has non-positive size %d in snapshot", p.ID, p.Size)
 		}
+		if p.NextSeq < 0 || p.NextSeq >= p.Size {
+			return fmt.Errorf("network: packet %d has ejection cursor %d of %d flits in snapshot", p.ID, p.NextSeq, p.Size)
+		}
 		if _, dup := t.pkts[p.ID]; dup {
 			return fmt.Errorf("network: duplicate packet %d in snapshot table", p.ID)
 		}
 		t.pkts[p.ID] = p
-	}
-
-	if err := r.Section("expect"); err != nil {
-		return err
-	}
-	cnt = r.Int()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if cnt < 0 {
-		return fmt.Errorf("network: negative expect-table length %d in snapshot", cnt)
-	}
-	n.expectSeq = make(map[uint64]int, cnt)
-	for i := 0; i < cnt; i++ {
-		id := r.U64()
-		seq := r.Int()
-		if r.Err() != nil {
-			return r.Err()
-		}
-		n.expectSeq[id] = seq
 	}
 
 	for _, rt := range n.routers {

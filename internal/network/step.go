@@ -17,26 +17,24 @@ func (n *Network) eject(node int, f *flit.Flit, now int64) {
 		//vichar:invariant the routing function must deliver every flit to its packet destination
 		panic(fmt.Sprintf("network: flit %s ejected at wrong node %d", f, node))
 	}
-	want := n.expectSeq[f.Pkt.ID]
-	if f.Seq != want {
+	p := f.Pkt
+	if f.Seq != p.NextSeq {
 		//vichar:invariant wormhole switching on a fixed VC cannot reorder flits of one packet
-		panic(fmt.Sprintf("network: flit %s ejected out of order (want seq %d)", f, want))
+		panic(fmt.Sprintf("network: flit %s ejected out of order (want seq %d)", f, p.NextSeq))
 	}
+	p.NextSeq++
 	n.ejectedFlits++
 	n.rec.StageEvent(metrics.Event{
 		Cycle: now, Kind: metrics.EvEject, Packet: f.Pkt.ID, Flit: f.Seq,
 		Node: node, Port: -1, VC: f.VC,
 	})
 	if !f.IsTail() {
-		n.expectSeq[f.Pkt.ID] = want + 1
 		return
 	}
-	if f.Seq != f.Pkt.Size-1 {
+	if f.Seq != p.Size-1 {
 		//vichar:invariant a tail at the wrong sequence number means flits were lost or duplicated in flight
-		panic(fmt.Sprintf("network: tail %s at seq %d of %d", f, f.Seq, f.Pkt.Size))
+		panic(fmt.Sprintf("network: tail %s at seq %d of %d", f, f.Seq, p.Size))
 	}
-	delete(n.expectSeq, f.Pkt.ID)
-	p := f.Pkt
 	p.EjectedAt = now
 	was := n.collector.Measuring()
 	n.collector.PacketEjected(p, now)
@@ -56,6 +54,12 @@ func (n *Network) eject(node int, f *flit.Flit, now int64) {
 		// Serial commit sub-phase: requests enter their responder's
 		// service queue, responses retire their transaction.
 		n.txn.OnEject(p, now, was)
+	}
+	// The record's trip is over: the collector and the transaction
+	// hooks above were its last readers.
+	if p.Pooled {
+		//vichar:alloc the free list grows by doubling to the peak number of packets in flight, then is reused
+		n.free = append(n.free, p)
 	}
 }
 
@@ -115,7 +119,7 @@ func (n *Network) Step() {
 	for n.scheduleIdx < len(n.schedule) && n.schedule[n.scheduleIdx].Cycle <= now {
 		e := n.schedule[n.scheduleIdx]
 		n.scheduleIdx++
-		n.InjectPacketSized(e.Src, e.Dst, e.Size)
+		n.SendTxnPacket(e.Src, e.Dst, e.Size, 0, 0, 0)
 	}
 	if n.txn != nil {
 		// Serial like the generator: responder completions inject
@@ -257,9 +261,9 @@ func (n *Network) auditLinksShard(shard int) {
 		states = append(states, audit.LinkState{
 			Name:               al.name,
 			Outstanding:        al.view.OutstandingFlits(),
-			InFlightFlits:      al.fl.inflight(),
+			InFlightFlits:      al.fl.q.len(),
 			DownstreamOccupied: al.buf.Occupied(),
-			InFlightCredits:    al.cl.inflight(),
+			InFlightCredits:    al.cl.q.len(),
 			RetxHeld:           al.retxHeld(),
 		})
 	}

@@ -14,16 +14,17 @@ import (
 // state and arbiter banks. The network builds one per simulation and
 // threads it through NewIn / NewCreditViewIn in ascending router-id
 // order, so the hot per-(router, port, VC) state — UBS slots and
-// bitmaps, control-table rings, credit counters, VC state machines,
+// bitmaps, control-table links, credit counters, VC state machines,
 // arbiter pointers, scan masks — lands in construction order on one
 // contiguous slab.
 //
 // A nil *Arena degrades every take to a plain allocation; standalone
 // routers (unit tests) need no pool.
 type Arena struct {
-	soa *soa.Arena
-	vcs *soa.Pool[vcState]
-	rrs *soa.Pool[arbiter.RoundRobin]
+	soa    *soa.Arena
+	vcs    *soa.Pool[vcState]
+	routes *soa.Pool[uint32] // packed SA routes (inputPort.outInfo)
+	rrs    *soa.Pool[arbiter.RoundRobin]
 	// tables is the network-wide route memoization (one per arena, not
 	// per router): every router's RC stage reads the same flat byte
 	// tables, carved from the soa byte pool.
@@ -49,10 +50,10 @@ func NewArena(cfg *config.Config, mesh topology.Mesh) *Arena {
 	// ejection port's sink view holds no arrays).
 	views := links + nodes
 
-	var flits, ints, int64s, words, bools int
+	var flits, int16s, int64s, words, bools int
 
 	// Per input port: the buffer. Only the ViChaR UBS is arena-backed;
-	// the fixed organizations keep their self-recycling FIFO slices.
+	// the fixed organizations keep their own per-VC FIFO rings.
 	inPorts := nodes * p
 	if cfg.Arch == config.ViChaR {
 		slots := cfg.BufferSlots
@@ -60,13 +61,12 @@ func NewArena(cfg *config.Config, mesh topology.Mesh) *Arena {
 		int64s += inPorts * (slots + v)        // arrival stamps: per slot + head cache
 		words += inPorts * ((slots + 63) / 64) // slot availability tracker
 		words += inPorts * 2 * ((v + 63) / 64) // readiness overlay (ready + pending)
-		ints += inPorts * (v*slots + 2*v)      // control-table rings + head/count
+		int16s += inPorts * (slots + 3*v)      // control-table links + head/tail/count
 	}
 
-	// Per input port: VC pipeline state, the three scan masks and the
-	// packed (outPort, outVC) route of each granted VC.
+	// Per input port: the three scan masks (VC pipeline state and the
+	// packed (outPort, outVC) routes have their own pools below).
 	words += inPorts * 3 * w
-	ints += inPorts * v
 
 	// Per router: the activity record's four per-port counter rows.
 	words += nodes * 4 * p
@@ -85,10 +85,10 @@ func NewArena(cfg *config.Config, mesh topology.Mesh) *Arena {
 	}
 	switch cfg.Arch {
 	case config.Generic:
-		ints += views * cfg.VCs  // credits
-		bools += views * cfg.VCs // open
+		int16s += views * cfg.VCs // credits
+		bools += views * cfg.VCs  // open
 	case config.ViChaR:
-		ints += views * v      // held
+		int16s += views * v    // held
 		bools += views * 2 * v // resFree + granted
 		dw := (v - escape + 63) / 64
 		if escape > 0 {
@@ -96,7 +96,7 @@ func NewArena(cfg *config.Config, mesh topology.Mesh) *Arena {
 		}
 		words += views * dw // dispenser availability bitmaps
 	case config.DAMQ, config.FCCB:
-		ints += views * cfg.VCs      // held
+		int16s += views * cfg.VCs    // held
 		bools += views * 2 * cfg.VCs // resFree + open
 	}
 
@@ -105,9 +105,10 @@ func NewArena(cfg *config.Config, mesh topology.Mesh) *Arena {
 	bytes := routing.TableBytes(route, mesh)
 
 	a := &Arena{
-		soa: soa.NewArena(flits, ints, int64s, words, bools, bytes),
-		vcs: soa.NewPool[vcState](inPorts * v),
-		rrs: soa.NewPool[arbiter.RoundRobin](rrs),
+		soa:    soa.NewArena(flits, int16s, int64s, words, bools, bytes),
+		vcs:    soa.NewPool[vcState](inPorts * v),
+		routes: soa.NewPool[uint32](inPorts * v),
+		rrs:    soa.NewPool[arbiter.RoundRobin](rrs),
 	}
 	a.tables = routing.NewTablesIn(a.soa, route, mesh)
 	return a
@@ -136,7 +137,7 @@ func (a *Arena) Overflow() int {
 	if a == nil {
 		return 0
 	}
-	return a.soa.Overflow() + a.vcs.Overflow() + a.rrs.Overflow()
+	return a.soa.Overflow() + a.vcs.Overflow() + a.routes.Overflow() + a.rrs.Overflow()
 }
 
 // takeVCs carves n VC state machines (nil-arena safe).
@@ -145,6 +146,14 @@ func (a *Arena) takeVCs(n int) []vcState {
 		return make([]vcState, n)
 	}
 	return a.vcs.Take(n)
+}
+
+// takeRoutes carves n packed SA routes (nil-arena safe).
+func (a *Arena) takeRoutes(n int) []uint32 {
+	if a == nil {
+		return make([]uint32, n)
+	}
+	return a.routes.Take(n)
 }
 
 // takeBank carves a round-robin arbiter bank (nil-arena safe),

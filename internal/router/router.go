@@ -69,13 +69,17 @@ const (
 	vcActive
 )
 
+// vcState is 24 bytes: every field is stored at the width its values
+// need (config.MaxBufferSlots bounds VC ids to int16, a router has
+// five ports, and a routing decision is the route tables' one packed
+// byte).
 type vcState struct {
-	state     uint8
 	pkt       *flit.Packet
-	cands     []int
-	outPort   int
-	outVC     int
 	waitSince int64
+	outVC     int16
+	state     uint8
+	outPort   uint8
+	cands     routing.Candidates
 }
 
 type inputPort struct {
@@ -99,12 +103,15 @@ type inputPort struct {
 	// only this pair; the packed side array keeps that poll off the
 	// much wider vcState records. Meaningful only while actMask bit v
 	// is set (cross-checked by AuditInvariants).
-	outInfo []int
+	outInfo []uint32
 }
 
-// outInfoShift packs (outPort, outVC) into one outInfo word; 16 bits
-// of VC id is far beyond any configured unified buffer depth.
+// outInfoShift packs (outPort, outVC) into one outInfo word: VC ids
+// stay below 1<<15 (config.MaxBufferSlots, enforced by Validate).
 const outInfoShift = 16
+
+// packRoute is the outInfo word of a VC granted (op, ovc).
+func packRoute(op, ovc int) uint32 { return uint32(op)<<outInfoShift | uint32(ovc) }
 
 type outputPort struct {
 	view CreditView
@@ -184,10 +191,14 @@ type Router struct {
 	saReq     []bool      // per input port, for the port-wide stage-2 arbiters
 	opReq     []uint64    // per output port: input-port request bits (stage 2)
 	vaNoms    []vaNominee // ViChaR VA: per input port nominee
-	vaPicks   []vaPick    // generic VA stage 1, by flat input-VC id
-	vaFlats   []int       // flat ids picked this cycle, ascending
-	vaKeys    []int       // contested output VCs (op*maxVCs+ovc)
-	vaGroups  [][]int     // per output VC: requesting flat ids
+	vaFlats   []int       // generic VA stage 1: flat input-VC ids that nominated this cycle, ascending
+	vaKeys    []int       // contested output VCs (op*maxVCs+ovc), in first-nomination order
+	// Generic VA stage 2 groups the nominations by output VC as linked
+	// chains over fixed arrays: vaPick[flat] is the output VC flat
+	// nominated, vaHead/vaTail[key] the first and last requester of an
+	// output VC (vaHead is -1 outside stage 2) and vaNext[flat] the
+	// following requester of the same output VC, -1 at the end.
+	vaPick, vaHead, vaTail, vaNext []int32
 
 	// VA candidate-masking bitmasks (DESIGN.md §17), filled lazily
 	// within each VA tick: for every (class, escape) kind,
@@ -322,7 +333,7 @@ func NewIn(a *Arena, id int, cfg *config.Config, mesh topology.Mesh) *Router {
 		in.bufMask = soa.TakeWords(r.maskW)
 		in.vaMask = soa.TakeWords(r.maskW)
 		in.actMask = soa.TakeWords(r.maskW)
-		in.outInfo = soa.TakeInts(r.maxVCs)
+		in.outInfo = a.takeRoutes(r.maxVCs)
 	}
 	r.act.BufWrites = soa.TakeWords(p)
 	r.act.BufReads = soa.TakeWords(p)
@@ -343,10 +354,15 @@ func NewIn(a *Arena, id int, cfg *config.Config, mesh topology.Mesh) *Router {
 	r.vaFree = make([]uint64, cfg.VCClasses()*2)
 	r.vaSlots = make([]int, p)
 	if cfg.Arch != config.ViChaR {
-		r.vaPicks = make([]vaPick, p*r.maxVCs)
 		r.vaFlats = make([]int, 0, p*r.maxVCs)
 		r.vaKeys = make([]int, 0, p*r.maxVCs)
-		r.vaGroups = make([][]int, p*r.maxVCs)
+		chains := make([]int32, 4*p*r.maxVCs)
+		r.vaPick, chains = chains[:p*r.maxVCs], chains[p*r.maxVCs:]
+		r.vaHead, chains = chains[:p*r.maxVCs], chains[p*r.maxVCs:]
+		r.vaTail, r.vaNext = chains[:p*r.maxVCs], chains[p*r.maxVCs:]
+		for k := range r.vaHead {
+			r.vaHead[k] = -1
+		}
 	}
 	return r
 }
@@ -474,13 +490,12 @@ func (r *Router) tickRC(now int64) {
 				}
 				st.pkt = f.Pkt
 				if f.Pkt.Escaped {
-					//vichar:alloc appends into the VC's cands scratch, which forward preserves across packets; capacity settles at ≤ 2
-					st.cands = append(st.cands[:0], r.escapePort(f.Pkt.Dst))
+					st.cands = routing.OneCandidate(r.escapePort(f.Pkt.Dst))
 				} else {
 					// Memoized RC: a flat table load per head flit
 					// (DESIGN.md §17), same candidates in the same order
 					// as the routing function itself.
-					st.cands = r.tables.AppendCandidates(st.cands[:0], r.id, f.Pkt.Dst)
+					st.cands = r.tables.Candidates(r.id, f.Pkt.Dst)
 				}
 				st.state = vcWaitVA
 				in.vaMask[wi] |= 1 << uint(b)
@@ -550,14 +565,15 @@ func (r *Router) bestCandidate(st *vcState, class int, escape bool) int {
 		k |= 1
 	}
 	cands := st.cands
-	if len(cands) == 1 {
-		if p := cands[0]; r.portFree(p, k, class, escape) {
+	if cands.Len() == 1 {
+		if p := cands.At(0); r.portFree(p, k, class, escape) {
 			return p
 		}
 		return -1
 	}
 	best, bestSlots := -1, -1
-	for _, p := range cands {
+	for i := 0; i < cands.Len(); i++ {
+		p := cands.At(i)
 		if !r.portFree(p, k, class, escape) {
 			continue
 		}
@@ -593,8 +609,7 @@ func (r *Router) escapeCheck(now int64) {
 				}
 				if now-st.waitSince > int64(r.cfg.DeadlockThreshold) {
 					st.pkt.Escaped = true
-					//vichar:alloc rewrites the VC's cands scratch in place; RC already grew it to hold at least one port
-					st.cands = append(st.cands[:0], r.escapePort(st.pkt.Dst))
+					st.cands = routing.OneCandidate(r.escapePort(st.pkt.Dst))
 					r.act.Reroutes++
 				}
 			}
@@ -714,22 +729,14 @@ func (r *Router) grant(ip, v, op, ovc int, now int64) {
 	st.state = vcActive
 	in.vaMask[v>>6] &^= 1 << (uint(v) & 63)
 	in.actMask[v>>6] |= 1 << (uint(v) & 63)
-	st.outPort = op
-	st.outVC = ovc
-	in.outInfo[v] = op<<outInfoShift | ovc
+	st.outPort = uint8(op)
+	st.outVC = int16(ovc)
+	in.outInfo[v] = packRoute(op, ovc)
 	r.act.VAGrants++
 	r.rec.StageEvent(metrics.Event{
 		Cycle: now, Kind: metrics.EvVAGrant, Packet: st.pkt.ID, Flit: -1,
 		Node: r.id, Port: op, VC: ovc,
 	})
-}
-
-// vaPick is one stage-1 VA nomination: the (output port, output VC)
-// pair a waiting input VC reduced its requests to.
-type vaPick struct {
-	op, ovc int
-	escape  bool
-	valid   bool
 }
 
 // tickVAGeneric implements paper Figure 7(a): each waiting input VC
@@ -745,10 +752,6 @@ type vaPick struct {
 // into arbiter priority evolution. vichar-lint's map-range rule
 // enforces this structurally.
 func (r *Router) tickVAGeneric(now int64) {
-	picks := r.vaPicks
-	for i := range picks {
-		picks[i] = vaPick{}
-	}
 	r.resetVAMasks()
 	flats := r.vaFlats[:0]
 	for ip := range r.in {
@@ -773,7 +776,7 @@ func (r *Router) tickVAGeneric(now int64) {
 					continue
 				}
 				flat := ip*r.maxVCs + v
-				picks[flat] = vaPick{op: op, ovc: ovc, escape: escape, valid: true}
+				r.vaPick[flat] = int32(op*r.maxVCs + ovc)
 				//vichar:alloc the nomination scratch is pre-sized to ports*maxVCs at construction; append never exceeds that capacity
 				flats = append(flats, flat)
 				r.act.VAOps++
@@ -790,16 +793,17 @@ func (r *Router) tickVAGeneric(now int64) {
 	// their first nomination (ascending flat id), which is a pure
 	// function of router state.
 	keys := r.vaKeys[:0]
-	groups := r.vaGroups
 	for _, flat := range flats {
-		pk := picks[flat]
-		k := pk.op*r.maxVCs + pk.ovc
-		if len(groups[k]) == 0 {
+		k := r.vaPick[flat]
+		if r.vaHead[k] < 0 {
 			//vichar:alloc the key scratch is pre-sized to ports*maxVCs at construction; append never exceeds that capacity
-			keys = append(keys, k)
+			keys = append(keys, int(k))
+			r.vaHead[k] = int32(flat)
+		} else {
+			r.vaNext[r.vaTail[k]] = int32(flat)
 		}
-		//vichar:alloc each group row grows to at most the input VC count once, then is reset to length zero per tick
-		groups[k] = append(groups[k], flat)
+		r.vaTail[k] = int32(flat)
+		r.vaNext[flat] = -1
 	}
 	r.vaKeys = keys
 	req := r.reqWords
@@ -808,10 +812,10 @@ func (r *Router) tickVAGeneric(now int64) {
 		for i := range req {
 			req[i] = 0
 		}
-		for _, flat := range groups[k] {
+		for flat := r.vaHead[k]; flat >= 0; flat = r.vaNext[flat] {
 			req[flat>>6] |= 1 << (uint(flat) & 63)
 		}
-		groups[k] = groups[k][:0]
+		r.vaHead[k] = -1
 		w := r.vaS2G[k].ArbitrateMask(req)
 		if w < 0 {
 			continue
@@ -855,7 +859,7 @@ func (r *Router) tickSA(now int64) {
 				m &^= 1 << uint(b)
 				info := in.outInfo[wi<<6+b]
 				op := info >> outInfoShift
-				if r.out[op].canSend(info & (1<<outInfoShift - 1)) {
+				if r.out[op].canSend(int(info & (1<<outInfoShift - 1))) {
 					w |= 1 << uint(b)
 				} else {
 					r.act.CreditStalls[op]++
@@ -883,8 +887,8 @@ func (r *Router) tickSA(now int64) {
 			continue
 		}
 		op := r.in[ip].outInfo[v] >> outInfoShift
-		if anyOp&(1<<uint(op)) == 0 {
-			anyOp |= 1 << uint(op)
+		if anyOp&(1<<op) == 0 {
+			anyOp |= 1 << op
 			opReq[op] = 0
 		}
 		opReq[op] |= 1 << uint(ip)
@@ -918,26 +922,21 @@ func (r *Router) forward(ip, v, op int, now int64) {
 	r.act.BufReads[ip]++
 	r.rec.StageEvent(metrics.Event{
 		Cycle: now, Kind: metrics.EvSAGrant, Packet: f.Pkt.ID, Flit: f.Seq,
-		Node: r.id, Port: op, VC: st.outVC,
+		Node: r.id, Port: op, VC: int(st.outVC),
 	})
 
 	if in.credit != nil {
 		in.credit.SendCredit(flit.Credit{VC: v, ReleaseVC: f.IsTail()}, now)
 	}
 
-	f.VC = st.outVC
+	f.VC = int(st.outVC)
 	r.out[op].view.OnSend(f)
 	r.out[op].conn.SendFlit(f, now)
 
 	if f.IsTail() {
 		in.actMask[v>>6] &^= 1 << (uint(v) & 63)
 		in.outInfo[v] = 0
-		// Reset the VC state machine but keep the cands backing array:
-		// dropping it would make the next packet's routing computation
-		// reallocate on every VC turnover.
-		cands := st.cands[:0]
 		*st = vcState{}
-		st.cands = cands
 	}
 }
 
@@ -1030,7 +1029,7 @@ func (r *Router) AuditInvariants(now int64) error {
 			// The packed SA-scan route must mirror the VC state machine
 			// while the VC is active (it is dead state otherwise).
 			if st == vcActive {
-				want := in.vc[v].outPort<<outInfoShift | in.vc[v].outVC
+				want := packRoute(int(in.vc[v].outPort), int(in.vc[v].outVC))
 				if in.outInfo[v] != want {
 					//vichar:alloc violation reporting on the opt-in audit path (Config.Audit), not the steady-state tick
 					return fmt.Errorf("router %d port %d vc %d: outInfo=%#x want %#x", r.id, p, v, in.outInfo[v], want)
@@ -1044,9 +1043,9 @@ func (r *Router) AuditInvariants(now int64) error {
 				if err := audit.CheckVCClass("input", r.id, p, v, layout.classOf(v), pc); err != nil {
 					return err
 				}
-				if op := in.vc[v].outPort; st == vcActive {
+				if op := int(in.vc[v].outPort); st == vcActive {
 					if _, sink := r.out[op].view.(*sinkView); !sink {
-						ovc := in.vc[v].outVC
+						ovc := int(in.vc[v].outVC)
 						if err := audit.CheckVCClass("output", r.id, op, ovc, layout.classOf(ovc), pc); err != nil {
 							return err
 						}
@@ -1085,7 +1084,7 @@ func (r *Router) DebugState() string {
 			}
 			b = fmt.Appendf(b, "  in[%s] vc%d: %s len=%d", topology.PortName(ip), v, stateName[st.state], in.buf.Len(v))
 			if st.state != vcIdle {
-				b = fmt.Appendf(b, " pkt=%v out=%s/vc%d", st.pkt, topology.PortName(st.outPort), st.outVC)
+				b = fmt.Appendf(b, " pkt=%v out=%s/vc%d", st.pkt, topology.PortName(int(st.outPort)), st.outVC)
 				if st.state == vcWaitVA {
 					b = fmt.Appendf(b, " cands=%v since=%d esc=%v", st.cands, st.waitSince, st.pkt.Escaped)
 				}

@@ -2,6 +2,7 @@ package router
 
 import (
 	"testing"
+	"unsafe"
 
 	"vichar/internal/config"
 	"vichar/internal/flit"
@@ -498,5 +499,15 @@ func TestAdaptiveCreditScoring(t *testing.T) {
 	if len(h.flits[topology.South].sent) != 2 {
 		t.Fatalf("adaptive VA did not prefer the uncongested South port (S=%d E=%d)",
 			len(h.flits[topology.South].sent), len(h.flits[topology.East].sent))
+	}
+}
+
+// The VC state machine is one record per (port, VC) — 80 per ViC-16
+// router — so its size is part of the per-router memory budget
+// (network.TestHeapBytesPerRouterBudget): 64 bytes before the
+// narrowing, at most 32 since.
+func TestVCStateSize(t *testing.T) {
+	if got := unsafe.Sizeof(vcState{}); got > 32 {
+		t.Fatalf("vcState is %d bytes, budget 32", got)
 	}
 }

@@ -5,6 +5,7 @@ import (
 
 	"vichar/internal/arbiter"
 	"vichar/internal/flit"
+	"vichar/internal/routing"
 	"vichar/internal/snap"
 )
 
@@ -13,7 +14,8 @@ import (
 // machines, scan masks and packed routes, each output port's credit
 // view, the arbiter banks' priority pointers, and the fault-model
 // stall registers. Per-tick scratch (nominee arrays, request masks)
-// is dead between Steps and never serialized. Everything loads into a
+// is dead between Steps and never serialized, and the packed SA routes
+// re-derive from the VC state machines. Everything loads into a
 // router freshly constructed from the same configuration: masks and
 // outInfo are arena-backed and aliased by the network's worklist
 // scans, so they load in place.
@@ -45,14 +47,14 @@ func SaveView(w *snap.Writer, v CreditView) {
 		w.Section("noview")
 	case *genericView:
 		w.Section("genview")
-		w.Ints(cv.credits)
+		w.I16s(cv.credits)
 		w.Bools(cv.open)
 		w.Int(cv.rr)
 	case *sharedView:
 		w.Section("sharedview")
 		w.Int(cv.sharedFree)
 		w.Bools(cv.resFree)
-		w.Ints(cv.held)
+		w.I16s(cv.held)
 		w.Bools(cv.open)
 		w.Int(cv.rr)
 	case *vicharView:
@@ -60,7 +62,7 @@ func SaveView(w *snap.Writer, v CreditView) {
 		w.Int(cv.sharedFree)
 		w.Bools(cv.resFree)
 		w.Bools(cv.granted)
-		w.Ints(cv.held)
+		w.I16s(cv.held)
 		w.Bools(cv.classRes)
 		cv.dispenser.SaveState(w)
 	case *sinkView:
@@ -84,7 +86,7 @@ func LoadView(r *snap.Reader, v CreditView) error {
 		if err := r.Section("genview"); err != nil {
 			return err
 		}
-		r.IntsInto(cv.credits)
+		r.I16sInto(cv.credits)
 		r.BoolsInto(cv.open)
 		cv.rr = r.Int()
 	case *sharedView:
@@ -93,7 +95,7 @@ func LoadView(r *snap.Reader, v CreditView) error {
 		}
 		cv.sharedFree = r.Int()
 		r.BoolsInto(cv.resFree)
-		r.IntsInto(cv.held)
+		r.I16sInto(cv.held)
 		r.BoolsInto(cv.open)
 		cv.rr = r.Int()
 	case *vicharView:
@@ -103,7 +105,7 @@ func LoadView(r *snap.Reader, v CreditView) error {
 		cv.sharedFree = r.Int()
 		r.BoolsInto(cv.resFree)
 		r.BoolsInto(cv.granted)
-		r.IntsInto(cv.held)
+		r.I16sInto(cv.held)
 		r.BoolsInto(cv.classRes)
 		if err := cv.dispenser.LoadState(r); err != nil {
 			return err
@@ -151,14 +153,13 @@ func loadBank(r *snap.Reader, bank []arbiter.RoundRobin) error {
 func saveVC(w *snap.Writer, st *vcState) {
 	w.U8(st.state)
 	w.Packet(st.pkt)
-	w.Ints(st.cands)
-	w.Int(st.outPort)
-	w.Int(st.outVC)
+	w.U8(uint8(st.cands))
+	w.U8(st.outPort)
+	w.I16(st.outVC)
 	w.I64(st.waitSince)
 }
 
-// loadVC restores one input VC's allocation state machine, reusing
-// the candidate slice's backing array.
+// loadVC restores one input VC's allocation state machine.
 func loadVC(r *snap.Reader, st *vcState, pkts snap.PacketResolver) error {
 	state := r.U8()
 	if r.Err() != nil {
@@ -173,9 +174,12 @@ func loadVC(r *snap.Reader, st *vcState, pkts snap.PacketResolver) error {
 	}
 	st.state = state
 	st.pkt = pkt
-	st.cands = r.IntsAppend(st.cands)
-	st.outPort = r.Int()
-	st.outVC = r.Int()
+	st.cands = routing.Candidates(r.U8())
+	if st.cands.Len() > 2 {
+		return fmt.Errorf("router: snapshot VC holds %d route candidates", st.cands.Len())
+	}
+	st.outPort = r.U8()
+	st.outVC = r.I16()
 	st.waitSince = r.I64()
 	return r.Err()
 }
@@ -204,7 +208,6 @@ func (r *Router) SaveState(w *snap.Writer) {
 		w.U64s(in.bufMask)
 		w.U64s(in.vaMask)
 		w.U64s(in.actMask)
-		w.Ints(in.outInfo)
 	}
 	for p := range r.out {
 		SaveView(w, r.out[p].view)
@@ -251,7 +254,13 @@ func (r *Router) LoadState(rd *snap.Reader, resolve snap.Resolver, pkts snap.Pac
 		rd.U64sInto(in.bufMask)
 		rd.U64sInto(in.vaMask)
 		rd.U64sInto(in.actMask)
-		rd.IntsInto(in.outInfo)
+		// The packed SA routes mirror the active VCs' state machines.
+		for v := range in.outInfo {
+			in.outInfo[v] = 0
+			if st := &in.vc[v]; st.state == vcActive {
+				in.outInfo[v] = packRoute(int(st.outPort), int(st.outVC))
+			}
+		}
 		if err := rd.Err(); err != nil {
 			return err
 		}

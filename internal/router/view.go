@@ -128,9 +128,9 @@ func NewCreditViewIn(a *Arena, cfg *config.Config) CreditView {
 // packets may queue back-to-back within the FIFO.
 type genericView struct {
 	vcLayout
-	depth   int
-	credits []int
-	open    []bool // a packet holds the VC and its tail has not been sent
+	depth   int16
+	credits []int16 // per VC; config.MaxBufferSlots bounds the depth
+	open    []bool  // a packet holds the VC and its tail has not been sent
 	atomic  bool
 	rr      int // round-robin pointer for AllocVCIn
 }
@@ -138,13 +138,13 @@ type genericView struct {
 func newGenericView(a *soa.Arena, vcs, depth, escape int, atomic bool, classes int) *genericView {
 	v := &genericView{
 		vcLayout: vcLayout{escBase: vcs - escape, total: vcs, classes: classes},
-		depth:    depth,
-		credits:  a.TakeInts(vcs),
+		depth:    int16(depth),
+		credits:  a.TakeInt16s(vcs),
 		open:     a.TakeBools(vcs),
 		atomic:   atomic,
 	}
 	for i := range v.credits {
-		v.credits[i] = depth
+		v.credits[i] = v.depth
 	}
 	return v
 }
@@ -248,7 +248,7 @@ func (v *genericView) ClaimVCIn(class, vc int) {
 func (v *genericView) FreeSlots() int {
 	n := 0
 	for _, c := range v.credits {
-		n += c
+		n += int(c)
 	}
 	return n
 }
@@ -256,7 +256,7 @@ func (v *genericView) FreeSlots() int {
 func (v *genericView) OutstandingFlits() int {
 	n := 0
 	for _, c := range v.credits {
-		n += v.depth - c
+		n += int(v.depth - c)
 	}
 	return n
 }
@@ -283,9 +283,9 @@ func (v *genericView) OutstandingVCs() int {
 type sharedView struct {
 	vcLayout
 	slots      int
-	sharedFree int    // pool slots beyond the per-queue reservations
-	resFree    []bool // per queue: reserved slot currently empty
-	held       []int  // per queue: flits resident downstream
+	sharedFree int     // pool slots beyond the per-queue reservations
+	resFree    []bool  // per queue: reserved slot currently empty
+	held       []int16 // per queue: flits resident downstream (at most slots)
 	open       []bool
 	rr         int
 }
@@ -299,7 +299,7 @@ func newSharedView(a *soa.Arena, vcs, slots, escape, classes int) *sharedView {
 		slots:      slots,
 		sharedFree: slots - vcs,
 		resFree:    a.TakeBools(vcs),
-		held:       a.TakeInts(vcs),
+		held:       a.TakeInt16s(vcs),
 		open:       a.TakeBools(vcs),
 	}
 	for i := range v.resFree {
@@ -412,7 +412,7 @@ func (v *sharedView) FreeSlots() int { return v.sharedFree }
 func (v *sharedView) OutstandingFlits() int {
 	n := 0
 	for _, h := range v.held {
-		n += h
+		n += int(h)
 	}
 	return n
 }
@@ -463,10 +463,10 @@ type vicharView struct {
 	slots      int
 	sharedFree int
 	dispenser  *core.Dispenser
-	resFree    []bool // per VC: reservation available (token outstanding)
-	granted    []bool // per VC: token outstanding
-	held       []int  // per VC: flits resident downstream
-	classRes   []bool // per class: grant-reserve slot currently free; nil when classes == 1
+	resFree    []bool  // per VC: reservation available (token outstanding)
+	granted    []bool  // per VC: token outstanding
+	held       []int16 // per VC: flits resident downstream (at most slots)
+	classRes   []bool  // per class: grant-reserve slot currently free; nil when classes == 1
 }
 
 func newViCharView(a *soa.Arena, slots, vcs, escape, classes int) *vicharView {
@@ -477,7 +477,7 @@ func newViCharView(a *soa.Arena, slots, vcs, escape, classes int) *vicharView {
 		dispenser:  core.NewDispenserIn(a, vcs, escape),
 		resFree:    a.TakeBools(vcs),
 		granted:    a.TakeBools(vcs),
-		held:       a.TakeInts(vcs),
+		held:       a.TakeInt16s(vcs),
 	}
 	if classes > 1 {
 		if slots <= classes {
@@ -607,7 +607,7 @@ func (v *vicharView) FreeSlots() int { return v.sharedFree }
 func (v *vicharView) OutstandingFlits() int {
 	n := 0
 	for _, h := range v.held {
-		n += h
+		n += int(h)
 	}
 	return n
 }

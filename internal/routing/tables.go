@@ -104,20 +104,44 @@ func packCandidates(cands []int) uint8 {
 	return w
 }
 
-// AppendCandidates appends the memoized candidates for (cur, dst) to
-// out: identical contents and order to the underlying function's
-// AppendCandidates (pinned exhaustively by TestTablesEquivalence).
-func (t *Tables) AppendCandidates(out []int, cur, dst int) []int {
-	if t.ports != nil {
-		//vichar:alloc grows the caller's scratch to capacity 1 on the first routing computation, then reuses it
-		return append(out, int(t.ports[cur*t.n+dst]))
+// Candidates is an ordered set of one or two output ports in the
+// tables' packed form (see Tables.cands): what a router's VC state
+// keeps of a routing decision, one byte instead of a slice.
+type Candidates uint8
+
+// OneCandidate packs the single port p (a 5-port router's port ids
+// fit the 3-bit field).
+func OneCandidate(p int) Candidates { return 1<<6 | Candidates(p&7) }
+
+func (c Candidates) String() string {
+	if c.Len() == 2 {
+		return fmt.Sprintf("[%d %d]", c.At(0), c.At(1))
 	}
-	w := t.cands[cur*t.n+dst]
-	//vichar:alloc grows the caller's scratch to capacity ≤ 2 on early routing computations, then reuses it
-	out = append(out, int(w&7))
-	if w>>6 > 1 {
-		//vichar:alloc grows the caller's scratch to capacity ≤ 2 on early routing computations, then reuses it
-		out = append(out, int(w>>3&7))
+	return fmt.Sprintf("[%d]", c.At(0))
+}
+
+// Len returns the number of candidates.
+func (c Candidates) Len() int { return int(c >> 6) }
+
+// At returns candidate i (0 is the routing function's first choice).
+func (c Candidates) At(i int) int { return int(c >> (3 * uint(i)) & 7) }
+
+// Candidates returns the memoized candidates for (cur, dst): identical
+// contents and order to the underlying function's AppendCandidates
+// (pinned exhaustively by TestTablesEquivalence).
+func (t *Tables) Candidates(cur, dst int) Candidates {
+	if t.ports != nil {
+		return 1<<6 | Candidates(t.ports[cur*t.n+dst])
+	}
+	return Candidates(t.cands[cur*t.n+dst])
+}
+
+// AppendCandidates appends the memoized candidates for (cur, dst) to
+// out, unpacked.
+func (t *Tables) AppendCandidates(out []int, cur, dst int) []int {
+	c := t.Candidates(cur, dst)
+	for i := 0; i < c.Len(); i++ {
+		out = append(out, c.At(i))
 	}
 	return out
 }
@@ -125,13 +149,10 @@ func (t *Tables) AppendCandidates(out []int, cur, dst int) []int {
 // CandidateMask returns the candidates for (cur, dst) as a bitmask
 // over output ports, for order-insensitive membership tests.
 func (t *Tables) CandidateMask(cur, dst int) uint8 {
-	if t.ports != nil {
-		return 1 << (t.ports[cur*t.n+dst] & 7)
-	}
-	w := t.cands[cur*t.n+dst]
-	m := uint8(1) << (w & 7)
-	if w>>6 > 1 {
-		m |= 1 << (w >> 3 & 7)
+	c := t.Candidates(cur, dst)
+	m := uint8(1) << c.At(0)
+	if c.Len() > 1 {
+		m |= 1 << c.At(1)
 	}
 	return m
 }

@@ -33,7 +33,12 @@ const (
 	// Version 3 moved the event counters to their owners (router
 	// activity record, NI, network core) and dropped the registry's
 	// counter values and the recorder deltas, which are derived.
-	Version = 3
+	// Version 4 stores the VC Control Table as its rows (slot lists)
+	// instead of raw rings, per-VC credit counters as int16, VC
+	// candidates as one packed byte, the ejection cursor inside each
+	// packet record (the separate expect table is gone), and drops the
+	// router's packed SA routes, which re-derive from the VC state.
+	Version = 4
 )
 
 // Writer accumulates a snapshot payload and seals it with Finish.
@@ -108,6 +113,18 @@ func (w *Writer) I64s(v []int64) {
 	w.U32(uint32(len(v)))
 	for _, x := range v {
 		w.I64(x)
+	}
+}
+
+// I16 emits a little-endian int16 (slot and VC ids, per-VC flit
+// counts: everything config.MaxBufferSlots bounds).
+func (w *Writer) I16(v int16) { w.buf = binary.LittleEndian.AppendUint16(w.buf, uint16(v)) }
+
+// I16s emits a length-prefixed []int16.
+func (w *Writer) I16s(v []int16) {
+	w.U32(uint32(len(v)))
+	for _, x := range v {
+		w.I16(x)
 	}
 }
 
@@ -351,6 +368,30 @@ func (r *Reader) I64sInto(dst []int64) {
 	}
 }
 
+// I16 reads an int16.
+func (r *Reader) I16() int16 {
+	b := r.take(2)
+	if b == nil {
+		return 0
+	}
+	return int16(binary.LittleEndian.Uint16(b))
+}
+
+// I16sInto copies a length-prefixed []int16 into dst (exact length).
+func (r *Reader) I16sInto(dst []int16) {
+	n := r.Len()
+	if r.err != nil {
+		return
+	}
+	if n != len(dst) {
+		r.fail("[]int16 length %d does not match constructed length %d", n, len(dst))
+		return
+	}
+	for i := range dst {
+		dst[i] = r.I16()
+	}
+}
+
 // IntsInto copies a length-prefixed []int into dst (exact length).
 func (r *Reader) IntsInto(dst []int) {
 	n := r.Len()
@@ -410,22 +451,9 @@ func (r *Reader) room(n, size int) bool {
 	return true
 }
 
-// IntsAppend reads a length-prefixed []int appending into dst[:0],
+// I64sAppend reads a length-prefixed []int64 appending into dst[:0],
 // for scratch-backed slices whose length varies but whose backing
 // array should be reused.
-func (r *Reader) IntsAppend(dst []int) []int {
-	n := r.Len()
-	if !r.room(n, 8) {
-		return dst[:0]
-	}
-	dst = dst[:0]
-	for i := 0; i < n; i++ {
-		dst = append(dst, r.Int())
-	}
-	return dst
-}
-
-// I64sAppend reads a length-prefixed []int64 appending into dst[:0].
 func (r *Reader) I64sAppend(dst []int64) []int64 {
 	n := r.Len()
 	if !r.room(n, 8) {

@@ -1,7 +1,9 @@
 package snap
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"strings"
 	"testing"
 
@@ -24,6 +26,8 @@ func TestRoundTrip(t *testing.T) {
 	w.U64s([]uint64{9, 8})
 	w.I64s([]int64{-1, 2})
 	w.Ints([]int{4, -4})
+	w.I16(-300)
+	w.I16s([]int16{32767, -1})
 	w.Bools([]bool{true, false, true})
 	w.F64s([]float64{0.5, -0.25})
 	data := w.Finish()
@@ -77,6 +81,14 @@ func TestRoundTrip(t *testing.T) {
 	if ints[0] != 4 || ints[1] != -4 {
 		t.Fatalf("IntsInto = %v", ints)
 	}
+	if got := r.I16(); got != -300 {
+		t.Fatalf("I16 = %d", got)
+	}
+	i16 := make([]int16, 2)
+	r.I16sInto(i16)
+	if i16[0] != 32767 || i16[1] != -1 {
+		t.Fatalf("I16sInto = %v", i16)
+	}
 	bools := make([]bool, 3)
 	r.BoolsInto(bools)
 	if !bools[0] || bools[1] || !bools[2] {
@@ -105,6 +117,23 @@ func TestEveryByteMutationRejectedOrDetected(t *testing.T) {
 		if _, err := Open(mut); err == nil {
 			t.Fatalf("mutation at byte %d of %d was not rejected", i, len(data))
 		}
+	}
+}
+
+// A version-3 snapshot (the format before the slot-linked control
+// table and the packet-record cursor) carries a valid envelope —
+// magic, checksum — but a layout this reader would misparse; Open
+// must refuse it by version, naming both.
+func TestVersion3Rejected(t *testing.T) {
+	data := NewWriter().Finish()
+	body := data[:len(data)-4]
+	binary.LittleEndian.PutUint32(body[len(magic):], 3)
+	_, err := Open(binary.LittleEndian.AppendUint32(body, crc32.ChecksumIEEE(body)))
+	if err == nil {
+		t.Fatal("a version-3 snapshot was opened")
+	}
+	if want := "format version 3 not supported (want 4)"; !strings.Contains(err.Error(), want) {
+		t.Fatalf("error %q, want it to say %q", err, want)
 	}
 }
 

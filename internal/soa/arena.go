@@ -3,9 +3,10 @@ package soa
 import "vichar/internal/flit"
 
 // Arena bundles the typed pools the simulator's hot state draws from:
-// flit slot arrays, integer bookkeeping (control-table rings, credit
-// counters), and uint64 bitmap words (availability trackers, VC
-// masks). One Arena is built per Network with capacities from a
+// flit slot arrays, 16-bit bookkeeping (control-table links, credit
+// counters — config.Validate bounds every slot and VC count by
+// config.MaxBufferSlots, so they fit), and uint64 bitmap words
+// (availability trackers, VC masks). One Arena is built per Network with capacities from a
 // closed-form sizing formula; every router, buffer and credit view
 // then takes its per-(router, port, VC) arrays from it in ascending
 // router-id order, which is what lays the whole mesh's tick-path state
@@ -16,7 +17,7 @@ import "vichar/internal/flit"
 // tests building one Router or UBS) needs no pool.
 type Arena struct {
 	Flits  *Pool[*flit.Flit]
-	Ints   *Pool[int]
+	Int16s *Pool[int16]
 	Int64s *Pool[int64]
 	Words  *Pool[uint64]
 	Bools  *Pool[bool]
@@ -24,10 +25,10 @@ type Arena struct {
 }
 
 // NewArena returns an arena with the given per-pool capacities.
-func NewArena(flits, ints, int64s, words, bools, bytes int) *Arena {
+func NewArena(flits, int16s, int64s, words, bools, bytes int) *Arena {
 	return &Arena{
 		Flits:  NewPool[*flit.Flit](flits),
-		Ints:   NewPool[int](ints),
+		Int16s: NewPool[int16](int16s),
 		Int64s: NewPool[int64](int64s),
 		Words:  NewPool[uint64](words),
 		Bools:  NewPool[bool](bools),
@@ -43,12 +44,12 @@ func (a *Arena) TakeFlits(n int) []*flit.Flit {
 	return a.Flits.Take(n)
 }
 
-// TakeInts carves n ints (nil-arena safe).
-func (a *Arena) TakeInts(n int) []int {
+// TakeInt16s carves n 16-bit slot/VC-indexed entries (nil-arena safe).
+func (a *Arena) TakeInt16s(n int) []int16 {
 	if a == nil {
-		return make([]int, n)
+		return make([]int16, n)
 	}
-	return a.Ints.Take(n)
+	return a.Int16s.Take(n)
 }
 
 // TakeInt64s carves n int64 cycle stamps (nil-arena safe).
@@ -90,6 +91,6 @@ func (a *Arena) Overflow() int {
 	if a == nil {
 		return 0
 	}
-	return a.Flits.Overflow() + a.Ints.Overflow() + a.Int64s.Overflow() +
+	return a.Flits.Overflow() + a.Int16s.Overflow() + a.Int64s.Overflow() +
 		a.Words.Overflow() + a.Bools.Overflow() + a.Bytes.Overflow()
 }

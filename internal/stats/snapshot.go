@@ -86,6 +86,9 @@ func (c *Collector) LoadState(r *snap.Reader) error {
 	c.ejectedFlits = r.I64()
 	c.measuring = r.Bool()
 	c.opened = r.Bool()
+	if c.opened {
+		c.reserveLatencies()
+	}
 	c.measureStart = r.I64()
 	c.measureEnd = r.I64()
 	c.occSum = r.F64()

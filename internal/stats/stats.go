@@ -282,6 +282,25 @@ func NewCollector(warmupPackets, measurePackets, nodes int) *Collector {
 	}
 }
 
+// maxLatencyReserve caps the latency reservation below: a quota set
+// absurdly high to mean "run to the cycle cap" must not reserve
+// gigabytes; past the cap the slice grows by doubling.
+const maxLatencyReserve = 1 << 18
+
+// reserveLatencies sizes the per-packet latency record for the whole
+// measurement window in one allocation, so recording a latency never
+// reallocates (and re-copies) the record mid-run.
+func (c *Collector) reserveLatencies() {
+	want := int(min(c.measure, maxLatencyReserve))
+	if cap(c.latencies) >= want {
+		return
+	}
+	//vichar:alloc one reservation per run, made when the measurement window opens
+	grown := make([]int64, len(c.latencies), want)
+	copy(grown, c.latencies)
+	c.latencies = grown
+}
+
 // Measuring reports whether the measurement window is open at the
 // given moment.
 func (c *Collector) Measuring() bool { return c.measuring }
@@ -313,6 +332,7 @@ func (c *Collector) PacketEjected(p *flit.Packet, now int64) {
 		c.measuring = true
 		c.opened = true
 		c.measureStart = now
+		c.reserveLatencies()
 	}
 	if c.measuring && c.ejected > c.warmup && c.measured < c.measure {
 		c.measured++

@@ -58,7 +58,9 @@ type SeriesPoint = stats.SeriesPoint
 type Counters = stats.Counters
 
 // Packet is a simulated message; returned by Simulator.Inject for
-// tests and custom workloads.
+// tests and custom workloads. A packet returned by Inject or
+// InjectSized belongs to the caller (Pooled is false): the simulator
+// never reuses it, so its timestamps stay readable after the run.
 type Packet = flit.Packet
 
 // BufferArch selects the router input-buffer organization.
@@ -212,10 +214,15 @@ func (s *Simulator) Now() int64 { return s.net.Now() }
 func (s *Simulator) RouteTableBytes() int { return s.net.RouteTableBytes() }
 
 // Inject creates one packet from src to dst at the current cycle,
-// bypassing the configured traffic generator.
+// bypassing the configured traffic generator. The returned pointer
+// stays valid for as long as the caller keeps it — unlike the packets
+// of the traffic generator, trace replay and the transaction layer,
+// which live in recycled records — so EjectedAt and Latency() can be
+// read once the packet has drained.
 func (s *Simulator) Inject(src, dst int) *Packet { return s.net.InjectPacket(src, dst) }
 
-// InjectSized creates one packet with an explicit flit count.
+// InjectSized creates one caller-owned packet (see Inject) with an
+// explicit flit count.
 func (s *Simulator) InjectSized(src, dst, size int) *Packet {
 	return s.net.InjectPacketSized(src, dst, size)
 }
