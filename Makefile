@@ -2,21 +2,13 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-hot alloc-check snapshot-check test race cover shape bench bench-ab bench-kernel bench-compare bench-smoke experiments paper synth examples clean
-
-all: build vet lint test
-
-build:
-	$(GO) build ./...
-
-vet:
-	$(GO) vet ./...
+.PHONY: lint lint-hot alloc-check snapshot-check race cover bench-ab profile experiments paper examples clean
 
 # Project-specific determinism, invariant & hot-path purity rules
 # (cmd/vichar-lint): no map ranges or ambient entropy in the simulator
 # core, no dropped errors, panics only in constructors or at annotated
-# invariants, no allocation on the tick path beyond the committed
-# lint.baseline ratchet, nil-guarded probes, and shard-owned writes in
+# invariants, no allocation on the tick path without a reasoned
+# //vichar:alloc waiver, nil-guarded probes, and shard-owned writes in
 # phase functions (DESIGN.md §9, §13). Runs go vet first.
 lint:
 	$(GO) vet ./...
@@ -36,7 +28,7 @@ lint-hot:
 alloc-check:
 	$(GO) test ./internal/network/ -run 'TestStepAllocFree|TestHeapBytesPerRouterBudget' -count=1 -v
 
-# The bit-identical resume contract (DESIGN.md §15): snapshot at C,
+# The bit-identical resume contract (DESIGN.md §14): snapshot at C,
 # restore, run to completion — results, latencies, counters, the final
 # metrics registry and flit events byte-equal to the straight-through
 # run for every architecture, with faults and metrics on, in-process
@@ -46,9 +38,6 @@ snapshot-check:
 	$(GO) test . -run 'TestSnapshot|TestRestore|TestRunCheckpointed' -count=1
 	$(GO) test ./internal/network/ -run 'TestSnapshot' -count=1
 	$(GO) test ./experiments/ -run 'TestBranchSweep' -count=1
-
-test:
-	$(GO) test ./...
 
 race:
 	$(GO) test -race ./...
@@ -67,14 +56,6 @@ cover:
 		if (t+0 < floor+0) { printf "coverage %.1f%% is below the %.1f%% floor\n", t, floor; exit 1 } \
 		printf "coverage %.1f%% meets the %.1f%% floor\n", t, floor }'
 
-# Just the statistical assertions of the paper's claims.
-shape:
-	$(GO) test . -run TestShape -v
-
-# One benchmark per paper table/figure plus ablations.
-bench:
-	$(GO) test -bench=. -benchmem
-
 # Same-host A/B of the repository benchmark (bench/README.md): check
 # REF out beside the working tree, measure a complete result set in
 # each, and judge the working tree against REF by the bounds in
@@ -89,58 +70,15 @@ bench-ab:
 	$(GO) run ./bench -out .bench_build/ab-head.json
 	$(GO) run ./bench -compare .bench_build/ab-ref.json .bench_build/ab-head.json
 
-# The two-phase cycle kernel sweep (all four architectures, workers
-# 1/2/max near saturation plus a single-threaded near-idle point on an
-# 8x8 mesh), persisted as BENCH_kernel.json with host provenance. The
-# harness warns when the artifact it is about to replace (or
-# VICHAR_BENCH_BASELINE) was recorded with a different GOMAXPROCS.
-bench-kernel:
-	VICHAR_BENCH_JSON=$(CURDIR)/BENCH_kernel.json $(GO) test . -run TestKernelBenchArtifact -v
-
-# Re-measure the kernel sweep into a scratch artifact and print a
-# benchstat-style delta report against the checked-in
-# BENCH_kernel.json, without touching it.
-bench-compare:
-	VICHAR_BENCH_JSON=$(CURDIR)/results/BENCH_kernel_new.json \
-		VICHAR_BENCH_BASELINE=$(CURDIR)/BENCH_kernel.json \
-		sh -c 'mkdir -p results && $(GO) test . -run TestKernelBenchArtifact -v'
-	$(GO) run ./cmd/vichar-benchcmp BENCH_kernel.json results/BENCH_kernel_new.json
-
-# One fast iteration of every kernel benchmark cell — CI's guard that
-# the benchmark harness itself can never silently rot — followed by
-# the throughput-regression gate: the smoke sweep is written as an
-# artifact and compared against the committed
-# results/BENCH_kernel_pre.json lineage; a saturated-rate cell losing
-# more than 10% of its router-cycles/s fails the build. Shared-host
-# noise is one-sided slow, so each cell keeps the fastest of three
-# one-iteration repetitions (VICHAR_BENCH_BEST_OF) — a lower bound on
-# true cost that keeps the gate from flaking on load spikes while a
-# structural regression still fails every repetition.
-bench-smoke:
-	mkdir -p results
-	VICHAR_BENCH_JSON=$(CURDIR)/results/BENCH_kernel_smoke.json \
-		VICHAR_BENCH_BASELINE=$(CURDIR)/results/BENCH_kernel_pre.json \
-		VICHAR_BENCH_BEST_OF=3 \
-		$(GO) test . -run TestKernelBenchArtifact -benchtime 1x
-	$(GO) run ./cmd/vichar-benchcmp -max-loss 10 \
-		results/BENCH_kernel_pre.json results/BENCH_kernel_smoke.json
-
-# CPU profile of the saturated single-threaded ViChaR kernel cell —
-# the PR-over-PR optimization loop's instrument. Writes the raw
-# profile to results/kernel.prof and checks in the top-10 flat/cum
-# report as results/PROFILE_kernel.txt so the hot-spot ranking is
-# reviewable without rerunning the profiler.
+# CPU profile of the saturated single-threaded ViChaR cell of
+# BenchmarkKernel; prints the top-10 flat and cumulative reports. The
+# binary and the raw profile stay under the ignored .bench_build/.
 profile:
-	mkdir -p results
-	$(GO) test . -run 'TestNone$$' -bench 'BenchmarkKernel/ViC/rate=0.40/workers=1' \
-		-benchtime 20x -cpuprofile results/kernel.prof -o results/kernel.test
-	{ echo "# Top-10 flat (self) CPU, BenchmarkKernel ViChaR rate=0.40 workers=1"; \
-	  $(GO) tool pprof -top -nodecount=10 results/kernel.test results/kernel.prof; \
-	  echo; \
-	  echo "# Top-10 cumulative CPU"; \
-	  $(GO) tool pprof -top -cum -nodecount=10 results/kernel.test results/kernel.prof; \
-	} > results/PROFILE_kernel.txt
-	@echo wrote results/PROFILE_kernel.txt
+	mkdir -p .bench_build
+	$(GO) test . -run '^$$' -bench 'BenchmarkKernel/ViC/rate=0.40/workers=1$$' \
+		-benchtime 20x -cpuprofile .bench_build/kernel.prof -o .bench_build/kernel.test
+	$(GO) tool pprof -top -nodecount=10 .bench_build/kernel.test .bench_build/kernel.prof
+	$(GO) tool pprof -top -cum -nodecount=10 .bench_build/kernel.test .bench_build/kernel.prof
 
 # Regenerate every figure/table at quick scale into results/.
 experiments:
@@ -150,15 +88,10 @@ experiments:
 paper:
 	$(GO) run ./cmd/vichar-experiments -all -paper -csv results-paper
 
-synth:
-	$(GO) run ./cmd/vichar-synth
-
+# Every program under examples/ must build and run to completion.
 examples:
-	$(GO) run ./examples/quickstart
-	$(GO) run ./examples/bufferpressure
-	$(GO) run ./examples/adaptive
-	$(GO) run ./examples/powerbudget
-	$(GO) run ./examples/tracereplay
+	@for d in examples/*/; do echo "== $$d"; $(GO) run ./$$d || exit 1; done
 
+# Removes untracked outputs only; results/ is checked in.
 clean:
-	rm -rf results results-paper test_output.txt bench_output.txt coverage.out
+	rm -rf results-paper coverage.out .bench_build

@@ -25,21 +25,13 @@
 //	//vichar:alloc <reason>         waives hot-path-alloc
 //	//vichar:nolint <rule> <reason> waives any rule
 //
-// A bare marker with no reason never suppresses anything.
-//
-// The committed lint.baseline at the module root is a ratchet: it
-// grandfathers pre-existing hot-path findings by (rule, package,
-// function, count). New findings still fail; when the tree improves
-// past an entry, the run fails with baseline-stale until the file is
-// regenerated with -update-baseline, so the baseline only shrinks.
+// A bare marker with no reason never suppresses anything, and a
+// waiver is the only way a finding is accepted.
 //
 // Flags:
 //
-//	-json             emit findings as a JSON array instead of text
-//	-baseline PATH    ratchet file to apply (default <module>/lint.baseline)
-//	-no-baseline      ignore any baseline; report raw findings
-//	-update-baseline  rewrite the baseline to grandfather today's findings
-//	-escape-audit     cross-check the AST pass against go build -gcflags=-m
+//	-json          emit findings as a JSON array instead of text
+//	-escape-audit  cross-check the AST pass against go build -gcflags=-m
 //
 // Exit status: 0 clean, 1 diagnostics found, 2 load/usage error.
 package main
@@ -49,18 +41,14 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 
 	"vichar/internal/lint"
 )
 
 func main() {
 	var (
-		jsonOut        = flag.Bool("json", false, "emit findings as a JSON array")
-		baselinePath   = flag.String("baseline", "", "ratchet file to apply (default <module root>/lint.baseline)")
-		noBaseline     = flag.Bool("no-baseline", false, "ignore any baseline; report raw findings")
-		updateBaseline = flag.Bool("update-baseline", false, "rewrite the baseline to grandfather today's findings")
-		escapeAudit    = flag.Bool("escape-audit", false, "cross-check the AST pass against go build -gcflags=-m -m")
+		jsonOut     = flag.Bool("json", false, "emit findings as a JSON array")
+		escapeAudit = flag.Bool("escape-audit", false, "cross-check the AST pass against go build -gcflags=-m -m")
 	)
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(), "usage: vichar-lint [flags] [packages]\n\n"+
@@ -69,37 +57,16 @@ func main() {
 		flag.PrintDefaults()
 	}
 	flag.Parse()
-	if *noBaseline && *updateBaseline {
-		fmt.Fprintln(os.Stderr, "vichar-lint: -no-baseline and -update-baseline are mutually exclusive")
-		os.Exit(2)
-	}
 
 	cwd, err := os.Getwd()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "vichar-lint:", err)
 		os.Exit(2)
 	}
-	res, err := lint.Analyze(cwd, lint.Options{
-		Patterns:     flag.Args(),
-		BaselinePath: *baselinePath,
-		NoBaseline:   *noBaseline,
-	})
+	res, err := lint.Analyze(cwd, lint.Options{Patterns: flag.Args()})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "vichar-lint:", err)
 		os.Exit(2)
-	}
-
-	if *updateBaseline {
-		path := *baselinePath
-		if path == "" {
-			path = filepath.Join(res.ModuleRoot, lint.BaselineName)
-		}
-		if err := lint.WriteBaseline(path, res.Raw); err != nil {
-			fmt.Fprintln(os.Stderr, "vichar-lint:", err)
-			os.Exit(2)
-		}
-		fmt.Fprintf(os.Stderr, "vichar-lint: wrote %s (%d grandfathered finding(s))\n", path, len(res.Raw))
-		return
 	}
 
 	diags := res.Diags

@@ -33,7 +33,7 @@ type UBS struct {
 	// to an empty row or a pop.
 	headArrived []int64
 	// readyMask/pendMask accelerate the switch allocator's whole-port
-	// readiness poll to one AND per 64 VCs (DESIGN.md §14). Bit v of
+	// readiness poll to one AND per 64 VCs (DESIGN.md §10). Bit v of
 	// readyMask is set iff Front(v, now) != nil for every now > pendCycle;
 	// bits whose head arrived AT cycle pendCycle wait in pendMask and
 	// are promoted by the first operation of a later cycle. The stamps

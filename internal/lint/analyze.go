@@ -1,12 +1,12 @@
-// Analyze is the full lint pipeline: per-package determinism rules,
-// the cross-package hot-path purity passes over the call graph, and
-// the lint.baseline ratchet. Run (rules.go) is the thin wrapper the
-// tests and simple callers use.
+// Analyze is the full lint pipeline: per-package determinism rules
+// and the cross-package hot-path purity passes over the call graph.
+// A finding is accepted only by a reasoned //vichar: waiver at its
+// site. Run (rules.go) is the thin wrapper the tests and simple
+// callers use.
 package lint
 
 import (
 	"fmt"
-	"path/filepath"
 	"sort"
 )
 
@@ -14,29 +14,17 @@ import (
 type Options struct {
 	// Patterns are the package patterns to lint; empty means "./...".
 	Patterns []string
-	// BaselinePath overrides the ratchet file location; empty means
-	// <module root>/lint.baseline (applied only if it exists).
-	BaselinePath string
-	// NoBaseline disables the ratchet entirely (raw findings).
-	NoBaseline bool
 }
 
 // Result is the outcome of one Analyze run.
 type Result struct {
-	// Diags are the actionable findings: post-waiver, post-baseline,
-	// including baseline-stale entries. Non-empty means the lint fails.
+	// Diags are the findings no waiver covers, sorted by position.
+	// Non-empty means the lint fails.
 	Diags []Diagnostic
-	// Raw are the post-waiver, pre-baseline findings — the set a
-	// regenerated baseline would grandfather.
-	Raw []Diagnostic
-	// Suppressed counts findings the baseline grandfathered.
-	Suppressed int
 	// Hot is the AST pass's hot-set view, for EscapeAudit.
 	Hot *HotReport
 	// ModuleRoot is the enclosing module directory.
 	ModuleRoot string
-	// BaselinePath is the ratchet file applied, or "" if none was.
-	BaselinePath string
 }
 
 // Analyze loads the packages matched by the patterns and runs every
@@ -70,38 +58,16 @@ func Analyze(cwd string, opts Options) (*Result, error) {
 	attributeFuncs(graph, diags)
 	sortDiags(diags)
 
-	res := &Result{
-		Raw:        diags,
+	return &Result{
+		Diags:      diags,
 		Hot:        hotReport(graph, h, linted),
 		ModuleRoot: l.moduleRoot,
-	}
-	if opts.NoBaseline {
-		res.Diags = diags
-		return res, nil
-	}
-	path := opts.BaselinePath
-	if path == "" {
-		path = filepath.Join(l.moduleRoot, BaselineName)
-	}
-	b, err := ReadBaseline(path)
-	if err != nil {
-		return nil, err
-	}
-	if b == nil {
-		res.Diags = diags
-		return res, nil
-	}
-	kept, suppressed, stale := b.apply(diags, linted, graph.rootsFound)
-	res.Diags = append(kept, stale...)
-	sortDiags(res.Diags)
-	res.Suppressed = suppressed
-	res.BaselinePath = path
-	return res, nil
+	}, nil
 }
 
 // attributeFuncs fills each diagnostic's Func field from the call
-// graph's declaration extents, so the baseline can key findings by
-// enclosing function.
+// graph's declaration extents, so -json consumers see the enclosing
+// function of every finding.
 func attributeFuncs(g *callGraph, diags []Diagnostic) {
 	type extent struct {
 		start, end int

@@ -94,11 +94,6 @@ type callGraph struct {
 
 	// implCache memoizes interface-method fan-out.
 	implCache map[*types.Func][]*cgNode
-
-	// rootsFound records whether any tick root was present in the
-	// loaded graph; without roots the hot-path-alloc pass cannot run,
-	// so baseline staleness for it is not decidable.
-	rootsFound bool
 }
 
 // buildCallGraph constructs the graph over every type-checked package
@@ -415,7 +410,6 @@ func (g *callGraph) markHot() {
 			}
 		}
 	}
-	g.rootsFound = len(queue) > 0
 	for len(queue) > 0 {
 		n := queue[0]
 		queue = queue[1:]

@@ -42,8 +42,8 @@ var deterministicPkgs = map[string]bool{
 	"txn":     true,
 }
 
-// Diagnostic is one rule violation. Pkg and Func key the finding for
-// the lint.baseline ratchet; they do not appear in String().
+// Diagnostic is one rule violation. Pkg and Func locate the finding
+// for -json consumers; they do not appear in String().
 type Diagnostic struct {
 	Pos  token.Position
 	Rule string
@@ -441,9 +441,8 @@ func (c *checker) checkPanics(f *ast.File, ann annotations) {
 
 // Run loads the packages matched by the patterns (resolved relative
 // to cwd within the enclosing module) and returns every diagnostic,
-// sorted by position. An empty pattern list means "./...". The module
-// root's lint.baseline, when present, is applied automatically; use
-// Analyze for finer control.
+// sorted by position. An empty pattern list means "./...". Analyze
+// also returns the hot-set view the escape audit needs.
 func Run(cwd string, patterns []string) ([]Diagnostic, error) {
 	res, err := Analyze(cwd, Options{Patterns: patterns})
 	if err != nil {

@@ -62,7 +62,8 @@ func testStepAllocFree(t *testing.T, arch config.BufferArch, workers int) {
 // created, materialized, forwarded over every link, ejected and their
 // records recycled every cycle — Network.Step does not allocate. All
 // four buffer organizations at offered load 0.30 with one and two
-// kernel shards, plus the transaction layer at the benchmark's rate.
+// kernel shards, the transaction layer at the benchmark's rate, and
+// ViChaR with faults, metrics, tracing and adaptive torus routing on.
 // After warm-up the survivors are amortized doublings only — the stats
 // VC time series (one point per SampleEvery cycles), an NI source
 // queue, the record free list or a DAMQ/FC-CB per-VC FIFO reaching a
@@ -89,6 +90,33 @@ func TestStepAllocFreeLoaded(t *testing.T) {
 		}
 		testStepAllocFreeLoaded(t, &cfg)
 	})
+	// The modes whose tick code the cases above never enter — the
+	// faulted link path (tickFaulty, retransmission holds, port
+	// stalls), the recorder and tracer stores, and adaptive routing
+	// over wraparound links with an escape VC — so that an allocation
+	// there fails at runtime too, not only in the static passes
+	// (DESIGN.md §13 has the which-gate-catches-what table).
+	for _, mode := range []struct {
+		name string
+		set  func(*config.Config)
+	}{
+		{"faults", func(c *config.Config) {
+			c.Faults = config.FaultsConfig{DropRate: 0.01, CorruptRate: 0.01, StallRate: 0.001}
+		}},
+		{"metrics", func(c *config.Config) { c.Metrics = true }},
+		{"metrics-traced", func(c *config.Config) { c.Metrics, c.TraceEvents = true, 4096 }},
+		{"adaptive-torus", func(c *config.Config) {
+			c.Routing, c.Torus, c.EscapeVCs = config.MinimalAdaptive, true, 1
+		}},
+	} {
+		mode := mode
+		t.Run(mode.name, func(t *testing.T) {
+			cfg := smokeCfg(config.ViChaR)
+			cfg.InjectionRate = 0.30
+			mode.set(&cfg)
+			testStepAllocFreeLoaded(t, &cfg)
+		})
+	}
 }
 
 func testStepAllocFreeLoaded(t *testing.T, cfg *config.Config) {

@@ -72,7 +72,7 @@ type flitLink struct {
 	rec    *metrics.Recorder
 	eject  *[]*flit.Flit
 
-	// Active-router worklist wiring (DESIGN.md §14): owner is the
+	// Active-router worklist wiring (DESIGN.md §10): owner is the
 	// router whose deliver-phase plan ticks this link; wake points at
 	// the WRITER router's wake buffer (Network.wakes[writer]). A send
 	// that makes an empty link non-empty appends owner there; the

@@ -45,7 +45,7 @@ type Network struct {
 	routers []*router.Router
 	nis     []*ni
 
-	// Link slabs in delivery order (DESIGN.md §17), grouped by owning
+	// Link slabs in delivery order (DESIGN.md §10), grouped by owning
 	// router: flitSlab[flitOff[id]:flitOff[id+1]] and the matching
 	// creditSlab range are router id's deliver-phase plan — every link
 	// whose delivery mutates state owned by that router: flit links
@@ -68,7 +68,7 @@ type Network struct {
 	// serial kernel's ejection-link order exactly.
 	pendingEject [][]*flit.Flit
 
-	// Active-router worklist (DESIGN.md §14). computeActive[id] marks
+	// Active-router worklist (DESIGN.md §10). computeActive[id] marks
 	// routers the compute phase must tick; it is cleared by the
 	// owning shard once router id is quiescent, its NI idle and no
 	// fault plan is attached, and re-set by the same shard's deliver
@@ -126,7 +126,7 @@ type Network struct {
 	faultLinks []*faults.LinkState
 
 	// arena owns the struct-of-arrays backing store for every router's
-	// and credit view's hot state (DESIGN.md §14).
+	// and credit view's hot state (DESIGN.md §10).
 	arena *router.Arena
 
 	gen       *traffic.Generator
@@ -158,7 +158,7 @@ type Network struct {
 	created      int64
 	ejectedFlits uint64
 
-	// free is the packet free list (DESIGN.md §13): records — a packet
+	// free is the packet free list (DESIGN.md §10): records — a packet
 	// with its own flit storage — that finished a trip and wait for the
 	// next. SendTxnPacket pops in the serial inject sub-phase and eject
 	// pushes in the serial commit sub-phase, so the list needs no lock

@@ -294,7 +294,7 @@ func (n *Network) WorklistStats() WorklistStats {
 func (n *Network) ArenaOverflow() int { return n.arena.Overflow() }
 
 // RouteTableBytes returns the memory footprint of the network's
-// route-memoization tables (DESIGN.md §17): the price paid at
+// route-memoization tables (DESIGN.md §10): the price paid at
 // construction for an RC stage that is a flat array load. Grows as
-// nodes² — the kernel benchmark's big-mesh cells record it.
+// nodes².
 func (n *Network) RouteTableBytes() int { return n.arena.Tables().Bytes() }

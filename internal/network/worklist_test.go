@@ -7,7 +7,7 @@ import (
 	"vichar/internal/trace"
 )
 
-// The active-router worklist tests (DESIGN.md §14): a drained network
+// The active-router worklist tests (DESIGN.md §10): a drained network
 // must step in near-zero time touching no router, and every event
 // that can make a sleeping router relevant again — scheduled
 // injection, credit return, a compiled fault plan — must keep or put

@@ -9,7 +9,7 @@ import (
 )
 
 // Arena is the router layer's view of the network-owned
-// struct-of-arrays backing store (DESIGN.md §14): the shared typed
+// struct-of-arrays backing store (DESIGN.md §10): the shared typed
 // pools of internal/soa plus router-private pools for VC pipeline
 // state and arbiter banks. The network builds one per simulation and
 // threads it through NewIn / NewCreditViewIn in ascending router-id
@@ -100,7 +100,7 @@ func NewArena(cfg *config.Config, mesh topology.Mesh) *Arena {
 		bools += views * 2 * cfg.VCs // resFree + open
 	}
 
-	// The network-wide route memoization tables (DESIGN.md §17).
+	// The network-wide route memoization tables (DESIGN.md §10).
 	route := routeFor(cfg)
 	bytes := routing.TableBytes(route, mesh)
 

@@ -87,7 +87,7 @@ type inputPort struct {
 	vc     []vcState
 	credit CreditSender
 
-	// Per-VC scan masks, one bit per VC id (DESIGN.md §14). The tick
+	// Per-VC scan masks, one bit per VC id (DESIGN.md §10). The tick
 	// stages iterate set bits instead of scanning every VC, and the
 	// network's active-router worklist derives quiescence from them.
 	// Invariants (cross-checked by AuditInvariants): bit v of bufMask
@@ -146,7 +146,7 @@ type Router struct {
 	cfg  *config.Config
 	mesh topology.Mesh
 	// tables memoizes the routing function and the escape network over
-	// every (cur, dst) pair (DESIGN.md §17): RC is a flat array load,
+	// every (cur, dst) pair (DESIGN.md §10): RC is a flat array load,
 	// with no interface dispatch left on the steady-state tick. Shared
 	// across the network's routers when an arena is supplied.
 	tables *routing.Tables
@@ -200,7 +200,7 @@ type Router struct {
 	// following requester of the same output VC, -1 at the end.
 	vaPick, vaHead, vaTail, vaNext []int32
 
-	// VA candidate-masking bitmasks (DESIGN.md §17), filled lazily
+	// VA candidate-masking bitmasks (DESIGN.md §10), filled lazily
 	// within each VA tick: for every (class, escape) kind,
 	// vaKnown[kind] holds one bit per output port already polled this
 	// tick and vaFree[kind] the subset that can grant a VC of that
@@ -303,7 +303,7 @@ func New(id int, cfg *config.Config, mesh topology.Mesh) *Router {
 // NewIn is New drawing the router's hot state — buffers, VC state
 // machines, scan masks, arbiter banks — from the network arena, so
 // adjacent routers' tick-path state packs contiguously (DESIGN.md
-// §14). A nil arena allocates normally.
+// §10). A nil arena allocates normally.
 func NewIn(a *Arena, id int, cfg *config.Config, mesh topology.Mesh) *Router {
 	p := cfg.Ports()
 	r := &Router{
@@ -493,7 +493,7 @@ func (r *Router) tickRC(now int64) {
 					st.cands = routing.OneCandidate(r.escapePort(f.Pkt.Dst))
 				} else {
 					// Memoized RC: a flat table load per head flit
-					// (DESIGN.md §17), same candidates in the same order
+					// (DESIGN.md §10), same candidates in the same order
 					// as the routing function itself.
 					st.cands = r.tables.Candidates(r.id, f.Pkt.Dst)
 				}
@@ -956,7 +956,7 @@ func (r *Router) Occupied() int {
 // worklist uses this to put drained routers to sleep; every stage
 // iterates only the masks checked here, and the arbiters and counters
 // are untouched when no request exists, so skipping a
-// quiescent router's Tick is bit-exact (DESIGN.md §14).
+// quiescent router's Tick is bit-exact (DESIGN.md §10).
 func (r *Router) Quiescent() bool {
 	if r.faults != nil {
 		return false
@@ -1058,6 +1058,7 @@ func (r *Router) AuditInvariants(now int64) error {
 			continue
 		}
 		if err := audit.CheckUBS(ubs); err != nil {
+			//vichar:alloc violation reporting on the opt-in audit path (Config.Audit), not the steady-state tick
 			return fmt.Errorf("router %d port %d: %w", r.id, p, err)
 		}
 		if err := ubs.CheckReadyMasks(now); err != nil {

@@ -103,7 +103,7 @@ func NewCreditView(cfg *config.Config) CreditView { return NewCreditViewIn(nil, 
 // NewCreditViewIn is NewCreditView drawing the view's per-VC counters
 // and flags from the network arena (nil-arena safe), so the credit
 // state the tick path debits sits beside the rest of the router's hot
-// state (DESIGN.md §14).
+// state (DESIGN.md §10).
 func NewCreditViewIn(a *Arena, cfg *config.Config) CreditView {
 	escape := 0
 	if cfg.NeedsEscape() {

@@ -1,4 +1,4 @@
-// Route-compute memoization (DESIGN.md §17): a routing function is a
+// Route-compute memoization (DESIGN.md §10): a routing function is a
 // pure function of (cur, dst), so the whole mesh's routing decisions
 // can be precomputed at construction time into flat byte tables. The
 // router's RC stage then becomes an array load (deterministic

@@ -10,7 +10,7 @@ import "vichar/internal/flit"
 // closed-form sizing formula; every router, buffer and credit view
 // then takes its per-(router, port, VC) arrays from it in ascending
 // router-id order, which is what lays the whole mesh's tick-path state
-// out contiguously (DESIGN.md §14).
+// out contiguously (DESIGN.md §10).
 //
 // A nil *Arena is valid everywhere an Arena is accepted and degrades
 // every take to a plain allocation — standalone construction (unit

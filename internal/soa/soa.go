@@ -1,5 +1,5 @@
 // Package soa provides the struct-of-arrays backing store for the
-// simulator's hot per-(router, port, VC) state (DESIGN.md §14).
+// simulator's hot per-(router, port, VC) state (DESIGN.md §10).
 //
 // The tick path touches a handful of small per-VC arrays every cycle
 // — credit counters, VC-grant flags, UBS table rows, tracker bitmaps,

@@ -208,11 +208,6 @@ func (s *Simulator) Close() { s.net.Close() }
 // Now returns the current simulation cycle.
 func (s *Simulator) Now() int64 { return s.net.Now() }
 
-// RouteTableBytes returns the footprint of the network's precomputed
-// routing tables in bytes (grows as nodes²); the kernel benchmark
-// artifact records it for the scaling cells.
-func (s *Simulator) RouteTableBytes() int { return s.net.RouteTableBytes() }
-
 // Inject creates one packet from src to dst at the current cycle,
 // bypassing the configured traffic generator. The returned pointer
 // stays valid for as long as the caller keeps it — unlike the packets
