@@ -32,9 +32,12 @@ alloc-check:
 # restore, run to completion — results, latencies, counters, the final
 # metrics registry and flit events byte-equal to the straight-through
 # run for every architecture, with faults and metrics on, in-process
-# and across a process boundary, plus corruption rejection and the
-# mid-hold cut.
+# and across a process boundary, plus the codec's own cases, the
+# format's byte-identity wall (TestSnapshotBytesWall), corruption
+# rejection before and behind the checksum
+# (TestRestoreResealedMutations) and the mid-hold cut.
 snapshot-check:
+	$(GO) test ./internal/snap -count=1
 	$(GO) test . -run 'TestSnapshot|TestRestore|TestRunCheckpointed' -count=1
 	$(GO) test ./internal/network/ -run 'TestSnapshot' -count=1
 	$(GO) test ./experiments/ -run 'TestBranchSweep' -count=1

@@ -8,6 +8,8 @@ package arbiter
 import (
 	"fmt"
 	"math/bits"
+
+	"vichar/internal/snap"
 )
 
 // Arbiter selects one winner among a set of requesters each cycle.
@@ -44,17 +46,11 @@ func (a *RoundRobin) Size() int { return a.n }
 // Reset restores the priority pointer to input 0.
 func (a *RoundRobin) Reset() { a.next = 0 }
 
-// Pos returns the priority pointer — the arbiter's only mutable
+// State walks the priority pointer — the arbiter's only mutable
 // state — for checkpointing.
-func (a *RoundRobin) Pos() int { return a.next }
-
-// SetPos restores a checkpointed priority pointer.
-func (a *RoundRobin) SetPos(pos int) error {
-	if pos < 0 || pos >= a.n {
-		return fmt.Errorf("arbiter: priority pointer %d outside a %d-input arbiter", pos, a.n)
-	}
-	a.next = pos
-	return nil
+func (a *RoundRobin) State(c *snap.Codec) {
+	c.Int(&a.next)
+	c.Range(a.next, 0, a.n-1, "arbiter: priority pointer")
 }
 
 // Arbitrate grants the first requester at or after the priority

@@ -63,18 +63,12 @@ type Buffer interface {
 	Occupied() int
 	// InUseVCs returns how many VCs currently hold at least one flit.
 	InUseVCs() int
-	// ForEachFlit calls fn for every flit currently stored, in no
-	// particular order; checkpointing walks it to find every packet
-	// still referenced by buffered flits.
-	ForEachFlit(fn func(*flit.Flit))
-	// SaveState serializes the buffer's mutable contents for a
-	// checkpoint; wiring and shape are not stored — they re-derive
-	// from the configuration at restore time.
-	SaveState(w *snap.Writer)
-	// LoadState restores contents saved by SaveState into a buffer
-	// constructed with the same shape. Flit references resolve
-	// through the caller's resolver; queue backing arrays are reused.
-	LoadState(r *snap.Reader, resolve snap.Resolver) error
+	// State walks the buffer's mutable contents for a checkpoint;
+	// wiring and shape are not stored — they re-derive from the
+	// configuration at restore time, and loading needs a buffer
+	// constructed with the same shape. Flit references resolve through
+	// the codec; queue backing arrays are reused.
+	State(c *snap.Codec)
 }
 
 // neverReady stamps an empty queue: no cycle count reaches it.
@@ -86,7 +80,8 @@ const neverReady = math.MaxInt64
 // whenever the head changes — a push to an empty queue or a pop.
 // Front and ReadyWords gate on it, so the per-cycle readiness poll is
 // one integer compare per queue with no flit-pointer chase. The stamps
-// are derived from the queue contents; LoadState recomputes them.
+// are derived from the queue contents; loading a checkpoint recomputes
+// them.
 type queues struct {
 	qs      []fifo
 	readyAt []int64
@@ -214,8 +209,11 @@ func (q *fifo) pop() *flit.Flit {
 	return f
 }
 
+// slot addresses the i-th entry from the front.
+func (q *fifo) slot(i int) **flit.Flit { return &q.buf[(q.head+uint32(i))&uint32(len(q.buf)-1)] }
+
 // at returns the i-th flit from the front.
-func (q *fifo) at(i int) *flit.Flit { return q.buf[(q.head+uint32(i))&uint32(len(q.buf)-1)] }
+func (q *fifo) at(i int) *flit.Flit { return *q.slot(i) }
 
 func (q *fifo) front() *flit.Flit {
 	if q.n == 0 {

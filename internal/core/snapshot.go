@@ -1,164 +1,114 @@
 package core
 
 import (
-	"fmt"
+	"math/bits"
 
 	"vichar/internal/flit"
 	"vichar/internal/snap"
 )
 
-// This file implements the checkpoint half of ViChaR's control
-// structures. Everything here loads *in place*: the slot array,
-// tracker bitmaps and control-table links are arena-backed and
-// aliased by live pointers, so restore copies values into the
-// existing arrays rather than replacing them.
+// This file is the checkpoint walk of ViChaR's control structures.
+// Everything here loads *in place*: the slot array, tracker bitmaps
+// and control-table links are arena-backed and aliased by live
+// pointers, so restore writes values into the existing arrays rather
+// than replacing them.
 
-// save writes the tracker's bitmap and free count.
-func (t *Tracker) save(w *snap.Writer) {
-	w.U64s(t.words)
-	w.Int(t.free)
-}
-
-// load restores a tracker of identical size in place.
-func (t *Tracker) load(r *snap.Reader) error {
-	r.U64sInto(t.words)
-	free := r.Int()
-	if err := r.Err(); err != nil {
-		return err
+// state walks the tracker's bitmap and free count; the two must agree.
+func (t *Tracker) state(c *snap.Codec) {
+	c.U64s(t.words)
+	c.Int(&t.free)
+	c.Range(t.free, 0, t.n, "core: tracker free count")
+	set := 0
+	for _, w := range t.words {
+		set += bits.OnesCount64(w)
 	}
-	if free < 0 || free > t.n {
-		return fmt.Errorf("core: snapshot tracker free count %d outside [0,%d]", free, t.n)
-	}
-	t.free = free
-	return nil
-}
-
-// save writes the control table as its rows: the per-row counts, then
-// each row's slot IDs in FIFO order. Successor links of free slots
-// are dead state and do not travel.
-func (t *Table) save(w *snap.Writer) {
-	w.I16s(t.count)
-	for vc, n := range t.count {
-		slot := t.head[vc]
-		for ; n > 0; n-- {
-			w.I16(slot)
-			slot = t.next[slot]
-		}
+	c.Mask(t.words, t.n, "core: tracker bitmap")
+	if set != t.free {
+		c.Failf("core: snapshot tracker bitmap marks %d of %d entries free, free count says %d", set, t.n, t.free)
 	}
 }
 
-// load rebuilds a table of identical shape in place, refusing rows
-// that overrun the slot pool or name a slot twice.
-func (t *Table) load(r *snap.Reader) error {
-	counts := make([]int16, len(t.count))
-	r.I16sInto(counts)
-	if err := r.Err(); err != nil {
-		return err
-	}
-	for vc := range t.count {
-		t.count[vc] = 0
-	}
-	t.active = 0
+// state walks the control table as its rows: the per-row counts, then
+// each row's slot IDs in FIFO order, through the links that hold them.
+// Successor links of free slots are dead state and do not travel. A
+// row that overruns the slot pool or names a slot twice is refused,
+// and holds, when given, vets each (row, slot) pair against the slot's
+// contents (rows come in order, each row's slots in FIFO order).
+func (t *Table) state(c *snap.Codec, holds func(vc, slot int) bool) {
+	c.I16s(t.count)
 	linked := make([]bool, len(t.next))
-	for vc, n := range counts {
-		if n < 0 || int(n) > len(t.next) {
-			return fmt.Errorf("core: snapshot table row %d holds %d slots of %d", vc, n, len(t.next))
+	active := 0
+	for vc, n := range t.count {
+		c.Range(int(n), 0, len(t.next), "core: control-table row length")
+		if n > 0 {
+			active++
 		}
-		for ; n > 0; n-- {
-			slot := int(r.I16())
-			if err := r.Err(); err != nil {
-				return err
-			}
-			if slot < 0 || slot >= len(t.next) || linked[slot] {
-				return fmt.Errorf("core: snapshot table row %d names slot %d (out of range or already linked)", vc, slot)
+		link := &t.head[vc]
+		for ; n > 0 && c.Err() == nil; n-- {
+			c.I16(link)
+			slot := int(*link)
+			if slot < 0 || slot >= len(t.next) || linked[slot] || (holds != nil && !holds(vc, slot)) {
+				c.Failf("core: snapshot table row %d names slot %d (out of range, already linked, or not holding the next flit of that VC)", vc, slot)
+				break
 			}
 			linked[slot] = true
-			t.Append(vc, slot)
+			if c.Loading() {
+				t.tail[vc] = *link
+			}
+			link = &t.next[slot]
 		}
 	}
-	return nil
-}
-
-// SaveState serializes the Token Dispenser's availability bitmaps.
-func (d *Dispenser) SaveState(w *snap.Writer) {
-	w.Section("dispenser")
-	d.normal.save(w)
-	w.Bool(d.hasEscape)
-	if d.hasEscape {
-		d.escape.save(w)
+	if c.Loading() {
+		t.active = active
 	}
 }
 
-// LoadState restores a dispenser constructed with the same token
-// shape.
-func (d *Dispenser) LoadState(r *snap.Reader) error {
-	if err := r.Section("dispenser"); err != nil {
-		return err
-	}
-	if err := d.normal.load(r); err != nil {
-		return err
-	}
-	if has := r.Bool(); has != d.hasEscape {
-		return fmt.Errorf("core: snapshot dispenser escape set %v, constructed %v", has, d.hasEscape)
-	}
-	if d.hasEscape {
-		if err := d.escape.load(r); err != nil {
-			return err
-		}
-	}
-	return r.Err()
-}
-
-// ForEachFlit calls fn for every flit stored in the unified buffer.
-func (b *UBS) ForEachFlit(fn func(*flit.Flit)) {
-	for _, f := range b.slots {
-		if f != nil {
-			fn(f)
-		}
+// State walks the Token Dispenser's availability bitmaps. Loading
+// needs a dispenser constructed with the same token shape.
+func (d *Dispenser) State(c *snap.Codec) {
+	c.Section("dispenser")
+	d.normal.state(c)
+	if c.Present(d.hasEscape, "core: dispenser escape set") {
+		d.escape.state(c)
 	}
 }
 
-// SaveState serializes the unified buffer's mutable contents: slot
-// occupancy (as flit references), arrival stamps, the readiness
-// overlay, the Slot Availability Tracker and the VC Control Table.
-func (b *UBS) SaveState(w *snap.Writer) {
-	w.Section("ubs")
-	w.Int(len(b.slots))
-	for _, f := range b.slots {
-		w.Flit(f)
-	}
-	w.I64s(b.arrived)
-	w.I64s(b.headArrived)
-	w.U64s(b.readyMask)
-	w.U64s(b.pendMask)
-	w.I64(b.pendCycle)
-	b.tracker.save(w)
-	b.table.save(w)
-}
-
-// LoadState restores contents saved by SaveState into a UBS
-// constructed with the same slot and VC-row counts.
-func (b *UBS) LoadState(r *snap.Reader, resolve snap.Resolver) error {
-	if err := r.Section("ubs"); err != nil {
-		return err
-	}
-	if n := r.Int(); n != len(b.slots) {
-		return fmt.Errorf("core: snapshot has %d UBS slots, buffer has %d", n, len(b.slots))
-	}
+// State walks the unified buffer's mutable contents: slot occupancy
+// (as flit references), arrival stamps, the readiness overlay, the
+// Slot Availability Tracker and the VC Control Table. Loading needs a
+// UBS constructed with the same slot and VC-row counts.
+func (b *UBS) State(c *snap.Codec) {
+	c.Section("ubs")
+	c.Expect(len(b.slots), "core: UBS slots")
 	for i := range b.slots {
-		f, err := r.Flit(resolve)
-		if err != nil {
-			return err
+		c.Flit(&b.slots[i])
+	}
+	c.I64s(b.arrived)
+	c.I64s(b.headArrived)
+	c.U64s(b.readyMask)
+	c.U64s(b.pendMask)
+	c.Mask(b.readyMask, len(b.headArrived), "core: readiness mask")
+	c.Mask(b.pendMask, len(b.headArrived), "core: pending-readiness mask")
+	c.I64(&b.pendCycle)
+	b.tracker.state(c)
+	var prev *flit.Flit // the flit before this one in its row
+	b.table.state(c, func(vc, slot int) bool {
+		f := b.slots[slot]
+		ok := f != nil && f.VC == vc && f.ArrivedAt == b.arrived[slot] && (prev == nil || prev.VC != vc || f.Follows(prev))
+		prev = f
+		return ok
+	})
+	// The head stamps are derived from the rows and the slot stamps.
+	for vc, at := range b.headArrived {
+		if c.Err() != nil {
+			break
 		}
-		b.slots[i] = f
+		want := neverReady
+		if head := b.table.Head(vc); head >= 0 {
+			want = b.arrived[head]
+		}
+		if at != want {
+			c.Failf("core: snapshot head stamp of VC %d is %d, its row says %d", vc, at, want)
+		}
 	}
-	r.I64sInto(b.arrived)
-	r.I64sInto(b.headArrived)
-	r.U64sInto(b.readyMask)
-	r.U64sInto(b.pendMask)
-	b.pendCycle = r.I64()
-	if err := b.tracker.load(r); err != nil {
-		return err
-	}
-	return b.table.load(r)
 }

@@ -206,16 +206,20 @@ func (b *UBS) Pop(vc int, now int64) (*flit.Flit, error) {
 }
 
 // CheckReadyMasks cross-checks the readiness overlay against the
-// authoritative head stamps at cycle now: bit v of (readyMask OR
-// still-pending-from-now pendMask-for-next-cycle) must equal
-// (head stamp < now) after promotion. Used by the invariant audit.
+// authoritative head stamps at cycle now: bit v of readyMask — OR'd
+// with pendMask when the pending bits were stamped before now and the
+// next operation will promote them — must equal (head stamp < now),
+// and bit v is pending exactly while v's head is stamped pendCycle. A
+// pure read, used by the invariant audit and on freshly loaded
+// checkpoints.
 func (b *UBS) CheckReadyMasks(now int64) error {
-	b.flushPend(now)
 	for v := 0; v < len(b.headArrived); v++ {
-		got := b.readyMask[uint(v)>>6]&(1<<(uint(v)&63)) != 0
-		if want := b.headArrived[v] < now; got != want {
+		w, bit := uint(v)>>6, uint64(1)<<(uint(v)&63)
+		pend := b.pendMask[w]&bit != 0
+		got := b.readyMask[w]&bit != 0 || (b.pendCycle != now && pend)
+		if want := b.headArrived[v] < now; got != want || pend != (b.headArrived[v] == b.pendCycle) {
 			//vichar:alloc error construction on the audit mismatch path
-			return fmt.Errorf("core: readyMask bit %d is %v, head stamp says %v (stamp %d, now %d)", v, got, want, b.headArrived[v], now)
+			return fmt.Errorf("core: readyMask bit %d is %v (pending: %v, since cycle %d), head stamp says %v (stamp %d, now %d)", v, got, pend, b.pendCycle, want, b.headArrived[v], now)
 		}
 	}
 	return nil

@@ -256,8 +256,7 @@ func (s *LinkState) Release() *flit.Flit {
 }
 
 // HeldFlit returns the flit parked in the retransmission buffer, or
-// nil. Safe on nil; checkpointing walks it to find every packet still
-// referenced by a mid-retransmission flit.
+// nil. Safe on nil.
 func (s *LinkState) HeldFlit() *flit.Flit {
 	if s == nil {
 		return nil

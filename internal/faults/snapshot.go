@@ -1,109 +1,45 @@
 package faults
 
-import (
-	"fmt"
+import "vichar/internal/snap"
 
-	"vichar/internal/snap"
-)
+// This file is the checkpoint walk of the fault subsystem. The Plan
+// is immutable and re-derives from the configuration, so only the
+// per-link retransmission state and the per-router stall registers
+// travel. RouterState's now/stalled scratch is recomputed by the first
+// BeginCycle after restore.
 
-// This file implements the checkpoint half of the fault subsystem.
-// The Plan is immutable and re-derives from the configuration, so
-// only the per-link retransmission state and the per-router stall
-// registers are serialized. RouterState's now/stalled scratch is
-// recomputed by the first BeginCycle after restore.
-
-// SaveState serializes the link's delivery-attempt counter, scheduled
-// drop cursor, retransmission buffer and fault tallies. Safe on nil
-// (writes a presence marker only), matching nil-plan wiring.
-func (s *LinkState) SaveState(w *snap.Writer) {
-	w.Section("linkfaults")
-	w.Bool(s != nil)
-	if s == nil {
+// State walks the link's delivery-attempt counter, scheduled drop
+// cursor, retransmission buffer and fault tallies; vcs is the VC count
+// of the port the link feeds. Safe on nil (a presence marker only),
+// matching nil-plan wiring.
+func (s *LinkState) State(c *snap.Codec, vcs int) {
+	c.Section("linkfaults")
+	if !c.Present(s != nil, "faults: link state") {
 		return
 	}
-	w.U64(s.attempt)
-	w.Int(s.dropIdx)
-	w.Flit(s.holding)
-	w.I64(s.readyAt)
-	w.U64(s.Drops)
-	w.U64(s.Corrupts)
-	w.U64(s.Retransmits)
+	c.U64(&s.attempt)
+	c.Int(&s.dropIdx)
+	c.Range(s.dropIdx, 0, len(s.drops), "faults: scheduled-drop cursor")
+	c.Flit(&s.holding)
+	if s.holding != nil {
+		c.Range(s.holding.VC, 0, vcs-1, "faults: VC of the flit held for retransmission")
+	}
+	c.I64(&s.readyAt)
+	c.U64(&s.Drops)
+	c.U64(&s.Corrupts)
+	c.U64(&s.Retransmits)
 }
 
-// LoadState restores state saved by SaveState into a link rebuilt
-// from the same plan.
-func (s *LinkState) LoadState(r *snap.Reader, resolve snap.Resolver) error {
-	if err := r.Section("linkfaults"); err != nil {
-		return err
-	}
-	has := r.Bool()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if has != (s != nil) {
-		return fmt.Errorf("faults: snapshot link state present=%v, wiring has %v", has, s != nil)
-	}
-	if s == nil {
-		return nil
-	}
-	s.attempt = r.U64()
-	dropIdx := r.Int()
-	if dropIdx < 0 || dropIdx > len(s.drops) {
-		if r.Err() == nil {
-			return fmt.Errorf("faults: snapshot drop cursor %d outside [0,%d]", dropIdx, len(s.drops))
-		}
-		return r.Err()
-	}
-	s.dropIdx = dropIdx
-	f, err := r.Flit(resolve)
-	if err != nil {
-		return err
-	}
-	s.holding = f
-	s.readyAt = r.I64()
-	s.Drops = r.U64()
-	s.Corrupts = r.U64()
-	s.Retransmits = r.U64()
-	return r.Err()
-}
-
-// SaveState serializes the router's stall registers: per-port stall
-// deadlines and scheduled-window cursors. Safe on nil.
-func (s *RouterState) SaveState(w *snap.Writer) {
-	w.Section("routerfaults")
-	w.Bool(s != nil)
-	if s == nil {
+// State walks the router's stall registers: per-port stall deadlines
+// and scheduled-window cursors. Safe on nil.
+func (s *RouterState) State(c *snap.Codec) {
+	c.Section("routerfaults")
+	if !c.Present(s != nil, "faults: router state") {
 		return
 	}
-	w.I64s(s.stallUntil)
-	w.Ints(s.winIdx)
-}
-
-// LoadState restores state saved by SaveState into a router fault
-// state rebuilt from the same plan.
-func (s *RouterState) LoadState(r *snap.Reader) error {
-	if err := r.Section("routerfaults"); err != nil {
-		return err
-	}
-	has := r.Bool()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if has != (s != nil) {
-		return fmt.Errorf("faults: snapshot router state present=%v, wiring has %v", has, s != nil)
-	}
-	if s == nil {
-		return nil
-	}
-	r.I64sInto(s.stallUntil)
-	r.IntsInto(s.winIdx)
-	if err := r.Err(); err != nil {
-		return err
-	}
+	c.I64s(s.stallUntil)
+	c.Ints(s.winIdx)
 	for port, idx := range s.winIdx {
-		if idx < 0 || idx > len(s.windows[port]) {
-			return fmt.Errorf("faults: snapshot stall cursor %d on port %d outside [0,%d]", idx, port, len(s.windows[port]))
-		}
+		c.Range(idx, 0, len(s.windows[port]), "faults: stall-window cursor")
 	}
-	return nil
 }

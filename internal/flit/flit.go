@@ -179,6 +179,16 @@ func (f *Flit) IsHead() bool { return f.Type.IsHead() }
 // IsTail reports whether this flit closes its packet.
 func (f *Flit) IsTail() bool { return f.Type.IsTail() }
 
+// Follows reports whether f may sit directly behind prev in one
+// virtual channel's FIFO: the next flit of prev's packet, or the head
+// of another once prev closed its own.
+func (f *Flit) Follows(prev *Flit) bool {
+	if f.Pkt == prev.Pkt {
+		return f.Seq == prev.Seq+1
+	}
+	return prev.IsTail() && f.Seq == 0
+}
+
 func (f *Flit) String() string {
 	return fmt.Sprintf("%s[%d] of %s vc=%d", f.Type, f.Seq, f.Pkt, f.VC)
 }

@@ -61,7 +61,7 @@ type Event struct {
 // Writes happen only via Drain in the kernel's serial phase; Events,
 // Timeline and WriteJSONL copy under the same lock that guards
 // drains, so they are safe from the exporter goroutine. The ring is
-// allocated by the first Drain that carries an event (or LoadState):
+// allocated by the first Drain that carries an event (or a restore):
 // constructing a tracer costs nothing, so building a traced simulator
 // is as cheap as building an untraced one.
 type Tracer struct {

@@ -50,8 +50,6 @@ func (r *ring[T]) push(v T) {
 	r.tail++
 }
 
-func (r *ring[T]) reset() { r.head, r.tail = 0, 0 }
-
 // flitLink is a fixed-latency flit pipeline between an output port
 // and a receiver.
 type flitLink struct {

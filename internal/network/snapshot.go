@@ -2,649 +2,381 @@ package network
 
 import (
 	"fmt"
-	"sort"
+	"math"
 
+	"vichar/internal/config"
 	"vichar/internal/flit"
-	"vichar/internal/router"
 	"vichar/internal/snap"
 	"vichar/internal/trace"
 )
 
-// This file implements the network-level checkpoint: SaveState writes
-// the complete mutable simulation state into a snap.Writer, and
-// LoadState restores it into a network freshly constructed from the
-// same configuration (construct-then-load: New rebuilds all wiring,
-// arenas and slabs; load copies only values, in place wherever live
-// pointers alias the backing arrays).
+// This file is the network-level checkpoint walk: State names the
+// complete mutable simulation state once, for a saving codec to read
+// and for a loading one to fill into a network freshly constructed
+// from the same configuration (construct-then-load: New rebuilds all
+// wiring, arenas and slabs; the walk moves only values, in place
+// wherever live pointers alias the backing arrays).
 //
 // Packets are serialized exactly once, in a table sorted by ID; every
 // other occurrence of a packet or flit travels as a reference that
-// resolves against the table at load time. A packet's flits are
-// rebuilt in the packet record's own storage, so they keep their
-// shared-identity structure, and each container applies the mutable
-// (VC, ArrivedAt) fields of exactly the flits it holds.
+// resolves against the table at load time (snap.Codec.PacketTable). A
+// packet's flits are rebuilt in the packet record's own storage, so
+// they keep their shared-identity structure, and each container
+// applies the mutable (VC, ArrivedAt) fields of exactly the flits it
+// holds.
 //
 // Snapshots are legal only between Steps: ejection staging and wake
-// buffers are empty there, and router per-tick scratch is dead.
-// SaveState verifies the former and refuses otherwise.
+// buffers are empty there, and router per-tick scratch is dead. State
+// verifies the former and refuses otherwise.
 
-// pktTable resolves packet and flit references against the snapshot's
-// packet table, materializing each packet's flit sequence on first
-// use (packets still waiting in a source queue never materialize —
-// their NI builds the flits at injection time, exactly like the
-// straight-through run).
-type pktTable struct {
-	pkts map[uint64]*flit.Packet
+// packetState walks one packet's full record. A packet's flit storage
+// is sized by Size at injection or at load, so the body bytes left
+// bound it.
+func (n *Network) packetState(c *snap.Codec, p *flit.Packet) {
+	c.U64(&p.ID)
+	c.Int(&p.Src)
+	c.Int(&p.Dst)
+	c.Int(&p.Size)
+	c.I64(&p.CreatedAt)
+	c.I64(&p.InjectedAt)
+	c.I64(&p.EjectedAt)
+	c.U64(&p.SeqNo)
+	c.Bool(&p.Escaped)
+	c.U8(&p.Class)
+	c.U8(&p.Kind)
+	c.U64(&p.Req)
+	c.Int(&p.NextSeq)
+	c.Range(p.Src, 0, n.mesh.Nodes()-1, "network: packet source node")
+	c.Range(p.Dst, 0, n.mesh.Nodes()-1, "network: packet destination node")
+	c.Range(p.Size, 1, c.Room(), "network: packet size (flits, at most the bytes left)")
+	c.Range(p.NextSeq, 0, p.Size-1, "network: packet ejection cursor")
+	c.Range(int(p.Class), 0, n.cfg.VCClasses()-1, "network: packet VC class")
 }
 
-func (t *pktTable) packet(id uint64) (*flit.Packet, error) {
-	p, ok := t.pkts[id]
-	if !ok {
-		return nil, fmt.Errorf("network: snapshot references unknown packet %d", id)
+// state walks the ring's payloads, oldest first, through elem. Loading
+// rewinds the ring to slot zero (layout, not state).
+func (r *ring[T]) state(c *snap.Codec, what string, elem func(*T)) {
+	cnt := c.Len(r.len(), len(r.buf), what)
+	if c.Loading() {
+		r.head, r.tail = 0, uint32(cnt)
 	}
-	return p, nil
-}
-
-// materialized returns packet id with its flits built.
-func (t *pktTable) materialized(id uint64) (*flit.Packet, error) {
-	p, err := t.packet(id)
-	if err == nil && !p.Materialized() {
-		p.Materialize()
-	}
-	return p, err
-}
-
-func (t *pktTable) flit(id uint64, seq int) (*flit.Flit, error) {
-	p, err := t.materialized(id)
-	if err != nil {
-		return nil, err
-	}
-	if seq < 0 || seq >= p.Size {
-		return nil, fmt.Errorf("network: snapshot references flit %d of packet %d (%d flits)", seq, id, p.Size)
-	}
-	return p.Flit(seq), nil
-}
-
-// collectPackets gathers every packet still referenced by live
-// simulation state — source queues, mid-injection flit sequences,
-// link payloads, retransmission buffers, input buffers and VC state
-// machines — deduplicated and sorted by ID.
-func (n *Network) collectPackets() []*flit.Packet {
-	seen := make(map[uint64]bool)
-	var out []*flit.Packet
-	add := func(p *flit.Packet) {
-		if p == nil || seen[p.ID] {
-			return
-		}
-		seen[p.ID] = true
-		out = append(out, p)
-	}
-	for _, s := range n.nis {
-		for si := range s.streams {
-			st := &s.streams[si]
-			for i := st.qhead; i < len(st.queue); i++ {
-				add(st.queue[i])
-			}
-			add(st.cur)
-		}
-	}
-	for li := range n.flitSlab {
-		l := &n.flitSlab[li]
-		for i := 0; i < l.q.len(); i++ {
-			add(l.q.at(i).f.Pkt)
-		}
-		add(heldPacket(l))
-	}
-	for _, r := range n.routers {
-		r.Packets(add)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
-}
-
-// heldPacket returns the packet of the link's retransmission-held
-// flit, if any.
-func heldPacket(l *flitLink) *flit.Packet {
-	if f := l.faults.HeldFlit(); f != nil {
-		return f.Pkt
-	}
-	return nil
-}
-
-// savePacket writes one packet's full record.
-func savePacket(w *snap.Writer, p *flit.Packet) {
-	w.U64(p.ID)
-	w.Int(p.Src)
-	w.Int(p.Dst)
-	w.Int(p.Size)
-	w.I64(p.CreatedAt)
-	w.I64(p.InjectedAt)
-	w.I64(p.EjectedAt)
-	w.U64(p.SeqNo)
-	w.Bool(p.Escaped)
-	w.U8(p.Class)
-	w.U8(p.Kind)
-	w.U64(p.Req)
-	w.Int(p.NextSeq)
-}
-
-// loadPacket reads one packet record. Every restored packet is a
-// pooled record: whoever held the original's pointer holds none into
-// the restored network.
-func loadPacket(r *snap.Reader) *flit.Packet {
-	return &flit.Packet{
-		ID:         r.U64(),
-		Src:        r.Int(),
-		Dst:        r.Int(),
-		Size:       r.Int(),
-		CreatedAt:  r.I64(),
-		InjectedAt: r.I64(),
-		EjectedAt:  r.I64(),
-		SeqNo:      r.U64(),
-		Escaped:    r.Bool(),
-		Class:      r.U8(),
-		Kind:       r.U8(),
-		Req:        r.U64(),
-		NextSeq:    r.Int(),
-		Pooled:     true,
-	}
-}
-
-// saveFlitLink writes one flit link's in-flight payloads and fault
-// state.
-func (n *Network) saveFlitLink(w *snap.Writer, l *flitLink) {
-	w.Int(l.q.len())
-	for i := 0; i < l.q.len(); i++ {
-		w.Flit(l.q.at(i).f)
-		w.I64(l.q.at(i).at)
-	}
-	l.faults.SaveState(w)
-}
-
-// loadFlitLink restores one flit link, rewinding the ring to slot
-// zero (layout, not state).
-func (n *Network) loadFlitLink(r *snap.Reader, l *flitLink, resolve snap.Resolver) error {
-	cnt := r.Int()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if cnt < 0 || cnt > len(l.q.buf) {
-		return fmt.Errorf("network: link occupancy %d in snapshot outside its %d-entry ring", cnt, len(l.q.buf))
-	}
-	l.q.reset()
 	for i := 0; i < cnt; i++ {
-		f, err := r.Flit(resolve)
-		if err != nil {
-			return err
-		}
-		if f == nil {
-			return fmt.Errorf("network: nil flit reference on a link")
-		}
-		l.q.push(timedFlit{f: f, at: r.I64()})
-		if r.Err() != nil {
-			return r.Err()
-		}
-	}
-	return l.faults.LoadState(r, resolve)
-}
-
-// saveCreditLink writes one credit link's in-flight credits.
-func (n *Network) saveCreditLink(w *snap.Writer, l *creditLink) {
-	w.Int(l.q.len())
-	for i := 0; i < l.q.len(); i++ {
-		tc := l.q.at(i)
-		w.Int(tc.c.VC)
-		w.Bool(tc.c.ReleaseVC)
-		w.I64(tc.at)
+		elem(r.at(i))
 	}
 }
 
-// loadCreditLink restores one credit link.
-func (n *Network) loadCreditLink(r *snap.Reader, l *creditLink) error {
-	cnt := r.Int()
-	if err := r.Err(); err != nil {
-		return err
+// state walks one flit link's in-flight payloads and fault state at
+// cycle now. A payload is due within the link's delay, and names a VC
+// of the input port it feeds (an ejection link feeds none).
+func (l *flitLink) state(c *snap.Codec, now int64) {
+	vcs := math.MaxInt
+	if l.dst != nil {
+		vcs = l.dst.InputBuffer(l.inPort).MaxVCs()
 	}
-	if cnt < 0 || cnt > len(l.q.buf) {
-		return fmt.Errorf("network: credit-link occupancy %d in snapshot outside its %d-entry ring", cnt, len(l.q.buf))
-	}
-	l.q.reset()
-	for i := 0; i < cnt; i++ {
-		c := flit.Credit{VC: r.Int(), ReleaseVC: r.Bool()}
-		l.q.push(timedCredit{c: c, at: r.I64()})
-		if r.Err() != nil {
-			return r.Err()
+	l.q.state(c, "network: link occupancy", func(e *timedFlit) {
+		c.Flit(&e.f)
+		c.I64(&e.at)
+		if e.f == nil || e.f.VC < 0 || e.f.VC >= vcs || e.at > now+l.delay || (l.eject != nil && e.f.Pkt.Dst != l.owner) {
+			c.Failf("network: snapshot link payload is nil, on a VC outside %d, due at %d, beyond cycle %d + delay %d, or ejecting at the wrong node", vcs, e.at, now, l.delay)
 		}
-	}
-	return r.Err()
+	})
+	l.faults.State(c, vcs)
 }
 
-// saveNI writes one network interface's per-class source queues,
+// state walks one credit link's in-flight credits at cycle now, each
+// for one of the vcs channels and due within the link's delay.
+func (l *creditLink) state(c *snap.Codec, now int64, vcs int) {
+	l.q.state(c, "network: credit-link occupancy", func(e *timedCredit) {
+		c.Int(&e.c.VC)
+		c.Bool(&e.c.ReleaseVC)
+		c.I64(&e.at)
+		if e.c.VC < 0 || e.c.VC >= vcs || e.at > now+l.delay {
+			c.Failf("network: snapshot credit is for VC %d of %d or due at %d, beyond cycle %d + delay %d", e.c.VC, vcs, e.at, now, l.delay)
+		}
+	})
+}
+
+// state walks one network interface's per-class source queues,
 // mid-injection cursors, round-robin pointer and credit view.
-func saveNI(w *snap.Writer, s *ni) {
-	w.Section("ni")
-	w.Int(len(s.streams))
+func (s *ni) state(c *snap.Codec, vcs int) {
+	c.Section("ni")
+	c.Expect(len(s.streams), "network: NI streams")
 	for si := range s.streams {
 		st := &s.streams[si]
-		w.Int(st.queued())
-		for i := st.qhead; i < len(st.queue); i++ {
-			w.Packet(st.queue[i])
+		queued := st.queue[st.qhead:]
+		snap.Seq(c, &queued, math.MaxInt, "network: NI queue length", func(p **flit.Packet) {
+			c.Packet(p)
+			c.Check(*p != nil, "network: nil packet reference in an NI queue")
+		})
+		if c.Loading() {
+			st.queue, st.qhead = queued, 0
 		}
-		w.Bool(st.cur != nil)
+		c.Packet(&st.cur)
 		if st.cur != nil {
-			w.U64(st.cur.ID)
-			w.Int(st.idx)
-			w.Int(st.vc)
+			c.Injecting(st.cur, &st.idx)
+			c.Int(&st.vc)
+			c.Range(st.vc, 0, vcs-1, "network: NI injection VC")
 		}
 	}
-	w.Int(s.rr)
-	w.U64(s.injected)
-	w.U64(s.creditStalls)
-	router.SaveView(w, s.view)
-}
-
-// loadNI restores one network interface.
-func loadNI(r *snap.Reader, s *ni, t *pktTable) error {
-	if err := r.Section("ni"); err != nil {
-		return err
-	}
-	if cnt := r.Int(); cnt != len(s.streams) {
-		if r.Err() != nil {
-			return r.Err()
-		}
-		return fmt.Errorf("network: snapshot NI has %d streams, configuration has %d", cnt, len(s.streams))
-	}
+	c.Int(&s.rr)
+	c.U64(&s.injected)
+	c.U64(&s.creditStalls)
+	c.Range(s.rr, 0, len(s.streams)-1, "network: NI round-robin pointer")
+	s.view.State(c)
 	for si := range s.streams {
-		st := &s.streams[si]
-		cnt := r.Int()
-		if err := r.Err(); err != nil {
-			return err
-		}
-		if cnt < 0 {
-			return fmt.Errorf("network: negative NI queue length %d in snapshot", cnt)
-		}
-		st.queue = st.queue[:0]
-		st.qhead = 0
-		for i := 0; i < cnt; i++ {
-			p, err := r.Packet(t.packet)
-			if err != nil {
-				return err
-			}
-			if p == nil {
-				return fmt.Errorf("network: nil packet reference in an NI queue")
-			}
-			st.queue = append(st.queue, p)
-		}
-		st.cur = nil
-		if r.Bool() {
-			id := r.U64()
-			idx := r.Int()
-			vc := r.Int()
-			if err := r.Err(); err != nil {
-				return err
-			}
-			cur, err := t.materialized(id)
-			if err != nil {
-				return err
-			}
-			if idx < 0 || idx >= cur.Size {
-				return fmt.Errorf("network: NI injection cursor %d outside packet %d (%d flits)", idx, id, cur.Size)
-			}
-			st.cur = cur
-			st.idx = idx
-			st.vc = vc
+		if st := &s.streams[si]; st.cur != nil && c.Err() == nil && !s.view.Holds(st.vc) {
+			c.Failf("network: snapshot NI %d injects on VC %d, which its view has not granted", s.node, st.vc)
 		}
 	}
-	s.rr = r.Int()
-	s.injected = r.U64()
-	s.creditStalls = r.U64()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if s.rr < 0 || s.rr >= len(s.streams) {
-		return fmt.Errorf("network: NI round-robin pointer %d outside %d streams", s.rr, len(s.streams))
-	}
-	return router.LoadView(r, s.view)
 }
 
-// saveObs writes the observability layer's sampled gauges, staged
+// sending fills pkts, indexed by injection VC, with the packet each
+// stream is part-way through injecting there (nil where none is).
+func (s *ni) sending(pkts []*flit.Packet) {
+	clear(pkts)
+	for si := range s.streams {
+		if st := &s.streams[si]; st.cur != nil {
+			pkts[st.vc] = st.cur
+		}
+	}
+}
+
+// obsState walks the observability layer's sampled gauges, staged
 // events and tracer ring. Counter values are not part of it: their
-// owners serialize them and loadObs re-stores the view.
-func (n *Network) saveObs(w *snap.Writer) {
-	w.Section("obs")
-	w.Bool(n.obs != nil)
-	if n.obs == nil {
+// owners serialize them, and a load ends by re-storing the view. It
+// runs last in State, so that store pass reads fully restored
+// counters.
+func (n *Network) obsState(c *snap.Codec) {
+	c.Section("obs")
+	o := n.obs
+	if !c.Present(o != nil, "network: observability layer") {
 		return
 	}
-	o := n.obs
 	//vichar:nolint probe-guard the obs layer wires reg and every recorder at construction; nil obs already returned above
-	o.reg.SaveState(w)
-	w.Int(len(o.recs))
+	o.reg.State(c)
+	c.Expect(len(o.recs), "network: recorders")
 	for _, rec := range o.recs {
 		//vichar:nolint probe-guard recorders are never nil inside a wired obs layer
-		rec.SaveState(w)
+		rec.State(c)
 	}
-	w.Bool(o.tracer != nil)
+	c.Present(o.tracer != nil, "network: tracer")
 	if o.tracer != nil {
-		o.tracer.SaveState(w)
+		o.tracer.State(c)
+	}
+	if c.Loading() {
+		//vichar:nolint probe-guard the obs layer wires reg at construction; nil obs already returned above
+		o.reg.Store(n.storeFn)
 	}
 }
 
-// loadObs restores the observability layer. It runs last in
-// LoadState, so the closing store pass reads fully restored counters.
-func (n *Network) loadObs(r *snap.Reader) error {
-	if err := r.Section("obs"); err != nil {
-		return err
+// traceState walks the remaining replay schedule and the recording
+// state.
+func (n *Network) traceState(c *snap.Codec) {
+	entry := func(e *trace.Entry) {
+		c.I64(&e.Cycle)
+		c.Int(&e.Src)
+		c.Int(&e.Dst)
+		c.Int(&e.Size)
 	}
-	has := r.Bool()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if has != (n.obs != nil) {
-		return fmt.Errorf("network: snapshot observability present=%v, configuration has %v", has, n.obs != nil)
-	}
-	if n.obs == nil {
-		return nil
-	}
-	o := n.obs
-	//vichar:nolint probe-guard the obs layer wires reg and every recorder at construction; nil obs already returned above
-	if err := o.reg.LoadState(r); err != nil {
-		return err
-	}
-	if cnt := r.Int(); cnt != len(o.recs) {
-		if r.Err() != nil {
-			return r.Err()
-		}
-		return fmt.Errorf("network: snapshot has %d recorders, configuration has %d", cnt, len(o.recs))
-	}
-	for _, rec := range o.recs {
-		//vichar:nolint probe-guard recorders are never nil inside a wired obs layer
-		if err := rec.LoadState(r); err != nil {
-			return err
-		}
-	}
-	hasTracer := r.Bool()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if hasTracer != (o.tracer != nil) {
-		return fmt.Errorf("network: snapshot tracer present=%v, configuration has %v", hasTracer, o.tracer != nil)
-	}
-	if o.tracer != nil {
-		if err := o.tracer.LoadState(r); err != nil {
-			return err
-		}
-	}
-	//vichar:nolint probe-guard the obs layer wires reg at construction; nil obs already returned above
-	o.reg.Store(n.storeFn)
-	return nil
-}
-
-// saveTraceState writes the remaining replay schedule and the
-// recording state.
-func (n *Network) saveTraceState(w *snap.Writer) {
-	w.Section("tracestate")
+	c.Section("tracestate")
 	rest := n.schedule[n.scheduleIdx:]
-	w.Int(len(rest))
-	for _, e := range rest {
-		w.I64(e.Cycle)
-		w.Int(e.Src)
-		w.Int(e.Dst)
-		w.Int(e.Size)
+	snap.Seq(c, &rest, math.MaxInt, "network: schedule length", entry)
+	if c.Loading() {
+		n.schedule, n.scheduleIdx = rest, 0
 	}
-	w.Bool(n.recording)
-	w.Int(len(n.recorded))
-	for _, e := range n.recorded {
-		w.I64(e.Cycle)
-		w.Int(e.Src)
-		w.Int(e.Dst)
-		w.Int(e.Size)
+	c.Bool(&n.recording)
+	snap.Seq(c, &n.recorded, math.MaxInt, "network: recorded-trace length", entry)
+}
+
+// windowLoads walks one optional per-link snapshot bracketing the
+// measurement window: absent until its edge of the window passes.
+func (n *Network) windowLoads(c *snap.Codec, s *[]uint64) {
+	has := *s != nil
+	c.Bool(&has)
+	if c.Loading() {
+		*s = nil
+		if has {
+			*s = make([]uint64, len(n.linkFlits))
+		}
+	}
+	if has {
+		c.U64s(*s)
 	}
 }
 
-// loadTraceState restores the replay schedule and recording state.
-func (n *Network) loadTraceState(r *snap.Reader) error {
-	if err := r.Section("tracestate"); err != nil {
-		return err
-	}
-	cnt := r.Int()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if cnt < 0 {
-		return fmt.Errorf("network: negative schedule length %d in snapshot", cnt)
-	}
-	n.schedule = n.schedule[:0]
-	n.scheduleIdx = 0
-	for i := 0; i < cnt; i++ {
-		n.schedule = append(n.schedule, trace.Entry{Cycle: r.I64(), Src: r.Int(), Dst: r.Int(), Size: r.Int()})
-		if r.Err() != nil {
-			return r.Err()
-		}
-	}
-	n.recording = r.Bool()
-	cnt = r.Int()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if cnt < 0 {
-		return fmt.Errorf("network: negative recorded-trace length %d in snapshot", cnt)
-	}
-	n.recorded = n.recorded[:0]
-	for i := 0; i < cnt; i++ {
-		n.recorded = append(n.recorded, trace.Entry{Cycle: r.I64(), Src: r.Int(), Dst: r.Int(), Size: r.Int()})
-		if r.Err() != nil {
-			return r.Err()
-		}
-	}
-	return r.Err()
-}
-
-// SaveState writes the network's complete mutable state. It must be
-// called between Steps; mid-cycle staging (pending ejections, wake
-// buffers) would be lost, so SaveState refuses if any is live.
-func (n *Network) SaveState(w *snap.Writer) error {
+// State walks the network's complete mutable state. Saving must happen
+// between Steps; mid-cycle staging (pending ejections, wake buffers)
+// would be lost, so the walk refuses if any is live. Loading needs a
+// network freshly constructed from the same configuration, and ends by
+// auditing what it loaded.
+func (n *Network) State(c *snap.Codec) {
 	for id := range n.pendingEject {
-		if len(n.pendingEject[id]) != 0 {
-			return fmt.Errorf("network: snapshot mid-cycle: node %d has staged ejections", id)
-		}
+		c.Range(len(n.pendingEject[id]), 0, 0, "network: snapshot mid-cycle: staged ejections")
+		c.Range(len(n.wakes[id]), 0, 0, "network: snapshot mid-cycle: unmerged wakes")
 	}
-	for id := range n.wakes {
-		if len(n.wakes[id]) != 0 {
-			return fmt.Errorf("network: snapshot mid-cycle: router %d has unmerged wakes", id)
-		}
-	}
-	w.Section("network")
-	w.I64(n.now)
-	w.U64(n.nextID)
-	w.I64(n.created)
-	w.U64(n.ejectedFlits)
+	c.Section("network")
+	c.I64(&n.now)
+	c.Check(n.now >= 0, "network: snapshot cycle %d is negative", n.now)
+	c.U64(&n.nextID)
+	c.I64(&n.created)
+	c.U64(&n.ejectedFlits)
 
-	pkts := n.collectPackets()
-	w.Section("packets")
-	w.Int(len(pkts))
-	for _, p := range pkts {
-		savePacket(w, p)
-	}
+	c.Section("packets")
+	c.PacketTable(func(p *flit.Packet) { n.packetState(c, p) })
 
 	for _, r := range n.routers {
-		r.SaveState(w)
+		r.State(c)
 	}
 	for _, s := range n.nis {
-		saveNI(w, s)
+		s.state(c, n.cfg.MaxVCs())
 	}
 
-	w.Section("links")
+	c.Section("links")
 	for id := range n.routers {
 		for i := n.flitOff[id]; i < n.flitOff[id+1]; i++ {
-			n.saveFlitLink(w, &n.flitSlab[i])
+			n.flitSlab[i].state(c, n.now)
 		}
 		for i := n.creditOff[id]; i < n.creditOff[id+1]; i++ {
-			n.saveCreditLink(w, &n.creditSlab[i])
+			n.creditSlab[i].state(c, n.now, n.cfg.MaxVCs())
 		}
 	}
 
-	w.Section("linkstats")
-	w.U64s(n.linkFlits)
-	w.Bool(n.linkStartSnap != nil)
-	if n.linkStartSnap != nil {
-		w.U64s(n.linkStartSnap)
-	}
-	w.Bool(n.linkEndSnap != nil)
-	if n.linkEndSnap != nil {
-		w.U64s(n.linkEndSnap)
-	}
-	n.startSnap.SaveState(w)
-	n.endSnap.SaveState(w)
-	w.Bool(n.haveStart)
-	w.Bool(n.haveEnd)
+	c.Section("linkstats")
+	c.U64s(n.linkFlits)
+	n.windowLoads(c, &n.linkStartSnap)
+	n.windowLoads(c, &n.linkEndSnap)
+	n.startSnap.State(c)
+	n.endSnap.State(c)
+	c.Bool(&n.haveStart)
+	c.Bool(&n.haveEnd)
 
-	w.Section("worklist")
-	w.Bools(n.computeActive)
-	w.Bools(n.deliverActive)
-	w.Int(len(n.wlStats))
+	c.Section("worklist")
+	c.Bools(n.computeActive)
+	c.Bools(n.deliverActive)
+	c.Expect(len(n.wlStats), "network: worklist shards")
 	for i := range n.wlStats {
-		w.U64(n.wlStats[i].ComputeTicked)
-		w.U64(n.wlStats[i].ComputeSkipped)
-		w.U64(n.wlStats[i].DeliverTicked)
-		w.U64(n.wlStats[i].DeliverSkipped)
+		w := &n.wlStats[i]
+		c.U64(&w.ComputeTicked)
+		c.U64(&w.ComputeSkipped)
+		c.U64(&w.DeliverTicked)
+		c.U64(&w.DeliverSkipped)
+		// Every router is ticked or skipped in both phases of every
+		// cycle, which ties the cycle counter — all that bounds the
+		// random streams' replay — to four other fields.
+		lo, hi := chunkBounds(len(n.routers), n.shardCount, i)
+		want := uint64(n.now) * uint64(hi-lo)
+		if n.now > math.MaxInt64/int64(len(n.routers)) || w.ComputeTicked+w.ComputeSkipped != want || w.DeliverTicked+w.DeliverSkipped != want {
+			c.Failf("network: snapshot worklist shard %d has not counted %d routers over %d cycles", i, hi-lo, n.now)
+		}
 	}
 
-	n.saveTraceState(w)
-	n.collector.SaveState(w)
-	n.gen.SaveState(w)
+	n.traceState(c)
+	n.collector.State(c)
+	n.gen.State(c, n.now)
 	if n.txn != nil {
-		n.txn.SaveState(w)
+		n.txn.State(c, n.now)
 	}
-	n.saveObs(w)
+	n.obsState(c)
+	if c.Loading() && c.Err() == nil {
+		if err := n.auditLoaded(); err != nil {
+			c.Failf("network: snapshot state is inconsistent: %v", err)
+		}
+	}
+}
+
+// auditLoaded runs the per-cycle invariant auditors (step.go) once,
+// serially, over freshly loaded state: a snapshot whose fields each
+// pass their range check can still describe flow-control state no run
+// produces — a credit that was never sent, a scan mask naming an empty
+// VC — and must be refused here rather than panic in a later Step.
+//
+// Two checks go beyond the per-cycle audit, which can assume its own
+// previous cycle: credit conservation must hold per VC, not only per
+// link (checkLinkVCs), and a sleeping worklist entry must really have
+// nothing to do — a link never ticked again fills its ring.
+func (n *Network) auditLoaded() error {
+	for shard := 0; shard < n.shardCount; shard++ {
+		if n.auditLinksShard(shard); n.auditErrs[shard] != nil {
+			return n.auditErrs[shard]
+		}
+	}
+	for shard := 0; shard < n.shardCount; shard++ {
+		if n.auditRoutersShard(shard); n.auditErrs[shard] != nil {
+			return n.auditErrs[shard]
+		}
+	}
+	holders := make([]*flit.Packet, n.cfg.MaxVCs())
+	for i := range n.auditedLinks {
+		if err := n.checkLinkVCs(&n.auditedLinks[i], holders); err != nil {
+			return err
+		}
+	}
+	for id, r := range n.routers {
+		pending := false
+		for i := n.flitOff[id]; i < n.flitOff[id+1]; i++ {
+			pending = pending || n.flitSlab[i].pending()
+		}
+		for i := n.creditOff[id]; i < n.creditOff[id+1]; i++ {
+			pending = pending || n.creditSlab[i].q.len() > 0
+		}
+		if pending && !n.deliverActive[id] {
+			return fmt.Errorf("router %d sleeps in the deliver worklist with payloads on its links", id)
+		}
+		if !n.computeActive[id] && !(n.fplan == nil && n.nis[id].idle() && r.Quiescent()) {
+			return fmt.Errorf("router %d sleeps in the compute worklist with work to do", id)
+		}
+	}
 	return nil
 }
 
-// LoadState restores state saved by SaveState into a network freshly
-// constructed from the same configuration.
-func (n *Network) LoadState(r *snap.Reader) error {
-	if err := r.Section("network"); err != nil {
-		return err
+// checkLinkVCs is link credit conservation (audit.CheckLink) VC by VC:
+// what the upstream view has outstanding on a VC is in flight, held
+// for retransmission, buffered downstream or on its way back as
+// credit. Under ViChaR a VC carries one packet at a time and its token
+// stays out until the tail's credit is back, so a view "holds" a VC
+// that is merely draining: there a credit that releases its VC must be
+// the last thing the link carries for it, and a VC some upstream packet
+// is still sending on (holders, scratch of MaxVCs entries) carries that
+// packet's flits only and has no release on its way back.
+func (n *Network) checkLinkVCs(al *auditedLink, holders []*flit.Packet) error {
+	vichar := n.cfg.Arch == config.ViChaR
+	if up := al.cl.dst; up != nil {
+		up.Granted(al.cl.outPort, holders)
+	} else {
+		n.nis[al.fl.owner].sending(holders)
 	}
-	n.now = r.I64()
-	n.nextID = r.U64()
-	n.created = r.I64()
-	n.ejectedFlits = r.U64()
-
-	if err := r.Section("packets"); err != nil {
-		return err
-	}
-	cnt := r.Int()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if cnt < 0 {
-		return fmt.Errorf("network: negative packet-table length %d in snapshot", cnt)
-	}
-	t := &pktTable{pkts: make(map[uint64]*flit.Packet, cnt)}
-	for i := 0; i < cnt; i++ {
-		p := loadPacket(r)
-		if r.Err() != nil {
-			return r.Err()
+	held := al.fl.faults.HeldFlit()
+	for vc, holder := range holders {
+		// The oldest flit on the VC; behind it the buffer's own load
+		// check (flit.Follows) admits only the same packet's next flits.
+		foreign := func(f *flit.Flit) bool { return vichar && holder != nil && f != nil && f.Pkt != holder }
+		flits, mixed := al.buf.Len(vc), foreign(al.buf.Front(vc, math.MaxInt64))
+		if held != nil && held.VC == vc {
+			flits++
+			mixed = mixed || foreign(held)
 		}
-		if p.Size <= 0 {
-			return fmt.Errorf("network: packet %d has non-positive size %d in snapshot", p.ID, p.Size)
-		}
-		if p.NextSeq < 0 || p.NextSeq >= p.Size {
-			return fmt.Errorf("network: packet %d has ejection cursor %d of %d flits in snapshot", p.ID, p.NextSeq, p.Size)
-		}
-		if _, dup := t.pkts[p.ID]; dup {
-			return fmt.Errorf("network: duplicate packet %d in snapshot table", p.ID)
-		}
-		t.pkts[p.ID] = p
-	}
-
-	for _, rt := range n.routers {
-		if err := rt.LoadState(r, t.flit, t.packet); err != nil {
-			return err
-		}
-	}
-	for _, s := range n.nis {
-		if err := loadNI(r, s, t); err != nil {
-			return err
-		}
-	}
-
-	if err := r.Section("links"); err != nil {
-		return err
-	}
-	for id := range n.routers {
-		for i := n.flitOff[id]; i < n.flitOff[id+1]; i++ {
-			if err := n.loadFlitLink(r, &n.flitSlab[i], t.flit); err != nil {
-				return err
+		for i := 0; i < al.fl.q.len(); i++ {
+			if f := al.fl.q.at(i).f; f.VC == vc {
+				flits++
+				mixed = mixed || foreign(f)
 			}
 		}
-		for i := n.creditOff[id]; i < n.creditOff[id+1]; i++ {
-			if err := n.loadCreditLink(r, &n.creditSlab[i]); err != nil {
-				return err
+		credits, released := 0, false
+		for i := 0; i < al.cl.q.len(); i++ {
+			if cr := al.cl.q.at(i).c; cr.VC == vc {
+				credits++
+				if released || (cr.ReleaseVC && flits > 0 && vichar) {
+					return fmt.Errorf("link %s: VC %d is released by a credit that is not the last payload on it", al.name, vc)
+				}
+				released = cr.ReleaseVC && vichar
 			}
 		}
-	}
-
-	if err := r.Section("linkstats"); err != nil {
-		return err
-	}
-	r.U64sInto(n.linkFlits)
-	n.linkStartSnap = nil
-	if r.Bool() {
-		s := make([]uint64, len(n.linkFlits))
-		r.U64sInto(s)
-		n.linkStartSnap = s
-	}
-	n.linkEndSnap = nil
-	if r.Bool() {
-		s := make([]uint64, len(n.linkFlits))
-		r.U64sInto(s)
-		n.linkEndSnap = s
-	}
-	if err := n.startSnap.LoadState(r); err != nil {
-		return err
-	}
-	if err := n.endSnap.LoadState(r); err != nil {
-		return err
-	}
-	n.haveStart = r.Bool()
-	n.haveEnd = r.Bool()
-
-	if err := r.Section("worklist"); err != nil {
-		return err
-	}
-	r.BoolsInto(n.computeActive)
-	r.BoolsInto(n.deliverActive)
-	if cnt := r.Int(); cnt != len(n.wlStats) {
-		if r.Err() != nil {
-			return r.Err()
+		if mixed || (released && holder != nil) {
+			return fmt.Errorf("link %s: VC %d is held upstream by packet %d but is draining another", al.name, vc, holder.ID)
 		}
-		return fmt.Errorf("network: snapshot has %d worklist shards, configuration has %d", cnt, len(n.wlStats))
-	}
-	for i := range n.wlStats {
-		n.wlStats[i].ComputeTicked = r.U64()
-		n.wlStats[i].ComputeSkipped = r.U64()
-		n.wlStats[i].DeliverTicked = r.U64()
-		n.wlStats[i].DeliverSkipped = r.U64()
-	}
-
-	if err := n.loadTraceState(r); err != nil {
-		return err
-	}
-	if err := n.collector.LoadState(r); err != nil {
-		return err
-	}
-	if err := n.gen.LoadState(r); err != nil {
-		return err
-	}
-	if n.txn != nil {
-		if err := n.txn.LoadState(r); err != nil {
-			return err
+		if out := al.view.OutstandingOn(vc); out != flits+credits {
+			return fmt.Errorf("link %s: view has %d flits outstanding on VC %d, %d are in flight or buffered and %d credited back", al.name, out, vc, flits, credits)
 		}
 	}
-	if err := n.loadObs(r); err != nil {
-		return err
-	}
-	return r.Err()
+	return nil
 }

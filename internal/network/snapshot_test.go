@@ -8,34 +8,30 @@ import (
 	"vichar/internal/snap"
 )
 
+// saveBytes serializes n's state for byte comparison.
+func saveBytes(t *testing.T, n *Network) []byte {
+	t.Helper()
+	blob, err := snap.Save(n.State)
+	if err != nil {
+		t.Fatalf("save: %v", err)
+	}
+	return blob
+}
+
 // roundTrip saves n into a fresh network of the same configuration
-// and returns both, failing the test on any codec error.
+// and returns it, failing the test on any codec error.
 func roundTrip(t *testing.T, n *Network, cfg *config.Config) *Network {
 	t.Helper()
-	w := snap.NewWriter()
-	if err := n.SaveState(w); err != nil {
-		t.Fatalf("SaveState: %v", err)
-	}
-	blob := w.Finish()
-	r, err := snap.Open(blob)
+	c, err := snap.Open(saveBytes(t, n))
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
 	n2 := New(cfg)
-	if err := n2.LoadState(r); err != nil {
-		t.Fatalf("LoadState: %v", err)
+	n2.State(c)
+	if err := c.Finish(); err != nil {
+		t.Fatalf("load: %v", err)
 	}
 	return n2
-}
-
-// saveBytes serializes n's state for byte comparison.
-func saveBytes(t *testing.T, n *Network) []byte {
-	t.Helper()
-	w := snap.NewWriter()
-	if err := n.SaveState(w); err != nil {
-		t.Fatalf("SaveState: %v", err)
-	}
-	return w.Finish()
 }
 
 // heldFlits counts flits parked in retransmission buffers across all
@@ -43,9 +39,7 @@ func saveBytes(t *testing.T, n *Network) []byte {
 func heldFlits(n *Network) int {
 	held := 0
 	for i := range n.flitSlab {
-		if n.flitSlab[i].faults.HeldFlit() != nil {
-			held++
-		}
+		held += n.flitSlab[i].faults.Held()
 	}
 	return held
 }
@@ -101,7 +95,7 @@ func TestSnapshotMidRetransmissionHold(t *testing.T) {
 }
 
 // TestSnapshotRejectsMidCycleState documents the between-Steps
-// contract: SaveState refuses when ejection staging is live.
+// contract: a save refuses when ejection staging is live.
 func TestSnapshotRejectsMidCycleState(t *testing.T) {
 	cfg := faultBase()
 	cfg.Audit = false
@@ -113,12 +107,9 @@ func TestSnapshotRejectsMidCycleState(t *testing.T) {
 		n.Step()
 	}
 	n.pendingEject[0] = append(n.pendingEject[0], nil)
-	w := snap.NewWriter()
-	if err := n.SaveState(w); err == nil {
-		t.Fatalf("SaveState accepted mid-cycle state with staged ejections")
+	if _, err := snap.Save(n.State); err == nil {
+		t.Fatalf("save accepted mid-cycle state with staged ejections")
 	}
 	n.pendingEject[0] = n.pendingEject[0][:0]
-	if err := n.SaveState(snap.NewWriter()); err != nil {
-		t.Fatalf("SaveState after clearing staged ejections: %v", err)
-	}
+	saveBytes(t, n)
 }

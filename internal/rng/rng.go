@@ -15,6 +15,8 @@ package rng
 import (
 	"fmt"
 	"math/rand"
+
+	"vichar/internal/snap"
 )
 
 // countingSource wraps a rand.Source64 and counts generator steps.
@@ -52,15 +54,29 @@ func New(seed int64) *Stream {
 	return s
 }
 
-// Restore returns a stream positioned as if draws generator steps had
-// already been consumed from a fresh stream with the given seed.
-func Restore(seed int64, draws uint64) *Stream {
-	s := New(seed)
-	for i := uint64(0); i < draws; i++ {
-		s.src.src.Uint64()
+// maxDrawsPerCycle bounds how many generator steps one per-node stream
+// consumes per simulated cycle: the traffic and transaction layers
+// draw a handful of variates per node per cycle, and math/rand's
+// rejection loops add a step with probability below 2^-31 each.
+const maxDrawsPerCycle = 64
+
+// State walks the stream's position — its draw count — for a
+// checkpoint taken at cycle now. Loading needs a stream freshly
+// constructed with the same seed, like every other load: it sits at or
+// before the saved position (construction may already have drawn), and
+// the rest of the way is replayed one step at a time, so the count must
+// be one a stream can have reached by then.
+func (s *Stream) State(c *snap.Codec, now int64) {
+	draws := s.src.draws
+	c.U64(&draws)
+	if draws < s.src.draws || draws > maxDrawsPerCycle*uint64(max(now, 0)+1) {
+		c.Failf("rng: snapshot stream has %d draws at cycle %d, constructed with %d", draws, now, s.src.draws)
 	}
-	s.src.draws = draws
-	return s
+	if c.Err() == nil {
+		for ; s.src.draws < draws; s.src.draws++ {
+			s.src.src.Uint64()
+		}
+	}
 }
 
 // Seed returns the seed the stream was created with.

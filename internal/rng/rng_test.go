@@ -3,6 +3,8 @@ package rng
 import (
 	"math/rand"
 	"testing"
+
+	"vichar/internal/snap"
 )
 
 // TestSequenceMatchesMathRand pins the shim's contract with the golden
@@ -32,9 +34,10 @@ func TestSequenceMatchesMathRand(t *testing.T) {
 	}
 }
 
-// TestRestoreFastForward checks the checkpoint contract: capturing
-// (Seed, Draws) at any point and restoring yields a stream whose
-// future output is identical to the original's.
+// TestRestoreFastForward checks the checkpoint contract: a stream's
+// State, loaded into a fresh stream of the same seed, yields one whose
+// future output is identical to the original's; a stream already past
+// the saved position refuses it.
 func TestRestoreFastForward(t *testing.T) {
 	s := New(99)
 	// Consume a mixed prefix; Int63n's rejection sampling makes the
@@ -44,8 +47,25 @@ func TestRestoreFastForward(t *testing.T) {
 		s.Int63n(3)
 		s.Intn(1 << 30)
 	}
-	seed, draws := s.Seed(), s.Draws()
-	r := Restore(seed, draws)
+	draws := s.Draws()
+	blob, err := snap.Save(func(c *snap.Codec) {
+		s.State(c, 1234)
+	})
+	if err != nil {
+		t.Fatalf("save: %v", err)
+	}
+	load := func(into *Stream) error {
+		c, err := snap.Open(blob)
+		if err != nil {
+			t.Fatalf("open: %v", err)
+		}
+		into.State(c, 1234)
+		return c.Finish()
+	}
+	r := New(99)
+	if err := load(r); err != nil {
+		t.Fatalf("load: %v", err)
+	}
 	if r.Draws() != draws {
 		t.Fatalf("restored draw count %d, want %d", r.Draws(), draws)
 	}
@@ -59,6 +79,9 @@ func TestRestoreFastForward(t *testing.T) {
 	}
 	if r.Draws() != s.Draws() {
 		t.Fatalf("draw counters diverged: %d != %d", r.Draws(), s.Draws())
+	}
+	if err := load(r); err == nil {
+		t.Fatalf("a stream at draw %d accepted a snapshot taken at draw %d", r.Draws(), draws)
 	}
 }
 

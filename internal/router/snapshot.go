@@ -1,282 +1,236 @@
 package router
 
 import (
-	"fmt"
+	"math"
 
 	"vichar/internal/arbiter"
 	"vichar/internal/flit"
-	"vichar/internal/routing"
 	"vichar/internal/snap"
 )
 
-// This file implements the checkpoint half of the router pipeline:
-// the activity counters, each input port's buffer contents, VC state
-// machines, scan masks and packed routes, each output port's credit
-// view, the arbiter banks' priority pointers, and the fault-model
-// stall registers. Per-tick scratch (nominee arrays, request masks)
-// is dead between Steps and never serialized, and the packed SA routes
-// re-derive from the VC state machines. Everything loads into a
-// router freshly constructed from the same configuration: masks and
-// outInfo are arena-backed and aliased by the network's worklist
-// scans, so they load in place.
+// This file is the router's checkpoint walk: the activity counters,
+// each input port's buffer contents, VC state machines and scan masks,
+// each output port's credit view, the arbiter banks' priority pointers,
+// and the fault-model stall registers. Per-tick scratch (nominee
+// arrays, request masks) is dead between Steps and never serialized,
+// and the packed SA routes re-derive from the VC state machines.
+// Everything loads into a router freshly constructed from the same
+// configuration: masks and outInfo are arena-backed and aliased by the
+// network's worklist scans, so they load in place.
 
-// Packets calls fn for every packet referenced by this router's input
-// buffers or VC state machines; the network's checkpoint walks it to
-// build the snapshot's packet table. fn may see the same packet more
-// than once.
-func (r *Router) Packets(fn func(*flit.Packet)) {
-	for p := range r.in {
-		in := &r.in[p]
-		in.buf.ForEachFlit(func(f *flit.Flit) { fn(f.Pkt) })
-		for v := range in.vc {
-			if pkt := in.vc[v].pkt; pkt != nil {
-				fn(pkt)
-			}
-		}
+// State walks a credit view's mutable mirror state. The view kind is
+// wiring (it re-derives from the configuration and port role), so the
+// kind marker travels only to catch a snapshot of another
+// configuration.
+func (v *genericView) State(c *snap.Codec) {
+	c.Section("genview")
+	c.I16s(v.credits)
+	for _, n := range v.credits {
+		c.Range(int(n), 0, int(v.depth), "router: per-VC credit count")
 	}
+	c.Bools(v.open)
+	c.Int(&v.rr)
+	c.Range(v.rr, 0, len(v.credits)-1, "router: credit-view allocation pointer")
 }
 
-// SaveView serializes a credit view's mutable mirror state. The view
-// kind is wiring (it re-derives from the configuration and port
-// role), so a kind marker travels only to catch writer/reader drift.
-func SaveView(w *snap.Writer, v CreditView) {
-	switch cv := v.(type) {
-	case nil:
-		// Boundary output ports of a mesh face no neighbor and carry
-		// no view.
-		w.Section("noview")
-	case *genericView:
-		w.Section("genview")
-		w.I16s(cv.credits)
-		w.Bools(cv.open)
-		w.Int(cv.rr)
-	case *sharedView:
-		w.Section("sharedview")
-		w.Int(cv.sharedFree)
-		w.Bools(cv.resFree)
-		w.I16s(cv.held)
-		w.Bools(cv.open)
-		w.Int(cv.rr)
-	case *vicharView:
-		w.Section("vicview")
-		w.Int(cv.sharedFree)
-		w.Bools(cv.resFree)
-		w.Bools(cv.granted)
-		w.I16s(cv.held)
-		w.Bools(cv.classRes)
-		cv.dispenser.SaveState(w)
-	case *sinkView:
-		w.Section("sinkview")
-		w.Int(cv.outstanding)
-	default:
-		//vichar:invariant every credit view the network wires is one of the four kinds above
-		panic(fmt.Sprintf("router: unknown credit view %T", v))
+// State walks the shared-pool view's mirror state.
+func (v *sharedView) State(c *snap.Codec) {
+	c.Section("sharedview")
+	c.Int(&v.sharedFree)
+	c.Range(v.sharedFree, 0, v.slots-len(v.open), "router: shared-pool free count")
+	c.Bools(v.resFree)
+	c.I16s(v.held)
+	for _, n := range v.held {
+		c.Range(int(n), 0, v.slots, "router: per-VC resident flit count")
 	}
+	c.Bools(v.open)
+	c.Int(&v.rr)
+	c.Range(v.rr, 0, len(v.open)-1, "router: credit-view allocation pointer")
+	// Every slot is free in the pool, parked as a queue's reservation,
+	// or holding a resident flit.
+	slots := v.sharedFree
+	for vc, held := range v.held {
+		slots += int(held)
+		if v.resFree[vc] {
+			slots++
+		}
+	}
+	c.Range(slots, v.slots, v.slots, "router: shared-pool slots accounted for")
 }
 
-// LoadView restores state saved by SaveView into a view of the same
-// kind and shape.
-func LoadView(r *snap.Reader, v CreditView) error {
-	switch cv := v.(type) {
-	case nil:
-		if err := r.Section("noview"); err != nil {
-			return err
-		}
-	case *genericView:
-		if err := r.Section("genview"); err != nil {
-			return err
-		}
-		r.I16sInto(cv.credits)
-		r.BoolsInto(cv.open)
-		cv.rr = r.Int()
-	case *sharedView:
-		if err := r.Section("sharedview"); err != nil {
-			return err
-		}
-		cv.sharedFree = r.Int()
-		r.BoolsInto(cv.resFree)
-		r.I16sInto(cv.held)
-		r.BoolsInto(cv.open)
-		cv.rr = r.Int()
-	case *vicharView:
-		if err := r.Section("vicview"); err != nil {
-			return err
-		}
-		cv.sharedFree = r.Int()
-		r.BoolsInto(cv.resFree)
-		r.BoolsInto(cv.granted)
-		r.I16sInto(cv.held)
-		r.BoolsInto(cv.classRes)
-		if err := cv.dispenser.LoadState(r); err != nil {
-			return err
-		}
-	case *sinkView:
-		if err := r.Section("sinkview"); err != nil {
-			return err
-		}
-		cv.outstanding = r.Int()
-	default:
-		return fmt.Errorf("router: unknown credit view %T", v)
+// State walks the dispenser view's mirror state.
+func (v *vicharView) State(c *snap.Codec) {
+	c.Section("vicview")
+	c.Int(&v.sharedFree)
+	c.Range(v.sharedFree, 0, v.slots-len(v.classRes), "router: shared-pool free count")
+	c.Bools(v.resFree)
+	c.Bools(v.granted)
+	c.I16s(v.held)
+	for _, n := range v.held {
+		c.Range(int(n), 0, v.slots, "router: per-VC resident flit count")
 	}
-	return r.Err()
+	c.Bools(v.classRes)
+	v.dispenser.State(c)
+	// Every slot is free in the pool, parked as a class's grant reserve
+	// or a granted VC's reservation, or holding a resident flit — and
+	// only a VC whose token is out has either of the last two.
+	slots, tokens := v.sharedFree, 0
+	for vc, held := range v.held {
+		slots += int(held)
+		if v.resFree[vc] {
+			slots++
+		}
+		if v.granted[vc] {
+			tokens++
+		} else if held > 0 || v.resFree[vc] {
+			c.Failf("router: snapshot VC %d holds UBS slots without a token", vc)
+		}
+	}
+	for _, free := range v.classRes {
+		if free {
+			slots++
+		}
+	}
+	c.Range(slots, v.slots, v.slots, "router: UBS slots accounted for")
+	c.Range(tokens, v.dispenser.InUse(), v.dispenser.InUse(), "router: VCs granted, against tokens out of the dispenser")
 }
 
-// saveBank writes the priority pointers of one arbiter bank.
-func saveBank(w *snap.Writer, bank []arbiter.RoundRobin) {
-	w.Int(len(bank))
+// State walks the ejection sink's outstanding-packet count.
+func (v *sinkView) State(c *snap.Codec) {
+	c.Section("sinkview")
+	c.Int(&v.outstanding)
+	c.Range(v.outstanding, 0, math.MaxInt, "router: ejection sink outstanding packets")
+}
+
+// bankState walks the priority pointers of one arbiter bank.
+func bankState(c *snap.Codec, bank []arbiter.RoundRobin) {
+	c.Expect(len(bank), "router: arbiter bank size")
 	for i := range bank {
-		w.Int(bank[i].Pos())
+		bank[i].State(c)
 	}
 }
 
-// loadBank restores the priority pointers of a bank of the same size.
-func loadBank(r *snap.Reader, bank []arbiter.RoundRobin) error {
-	if n := r.Int(); n != len(bank) {
-		if r.Err() != nil {
-			return r.Err()
-		}
-		return fmt.Errorf("router: snapshot arbiter bank size %d, constructed %d", n, len(bank))
+// walk is the checkpoint walk of one input VC's allocation state
+// machine.
+func (st *vcState) walk(c *snap.Codec, ports, vcs int) {
+	c.U8(&st.state)
+	c.Range(int(st.state), int(vcIdle), int(vcActive), "router: VC state")
+	c.Packet(&st.pkt)
+	c.Check((st.pkt != nil) == (st.state != vcIdle), "router: snapshot VC holds a packet exactly when it is not idle")
+	c.U8((*uint8)(&st.cands))
+	c.Range(st.cands.Len(), 0, 2, "router: VC route candidates")
+	for i := 0; i < st.cands.Len(); i++ {
+		c.Range(st.cands.At(i), 0, ports-1, "router: VC route candidate port")
 	}
-	for i := range bank {
-		pos := r.Int()
-		if r.Err() != nil {
-			return r.Err()
-		}
-		if err := bank[i].SetPos(pos); err != nil {
-			return err
-		}
-	}
-	return r.Err()
+	c.U8(&st.outPort)
+	c.Range(int(st.outPort), 0, ports-1, "router: VC output port")
+	c.I16(&st.outVC)
+	c.Range(int(st.outVC), 0, vcs-1, "router: VC output channel")
+	c.I64(&st.waitSince)
 }
 
-// saveVC writes one input VC's allocation state machine.
-func saveVC(w *snap.Writer, st *vcState) {
-	w.U8(st.state)
-	w.Packet(st.pkt)
-	w.U8(uint8(st.cands))
-	w.U8(st.outPort)
-	w.I16(st.outVC)
-	w.I64(st.waitSince)
+// wormholeOK reports whether input VC v's state machine agrees with
+// its queue and its route: an idle VC holds nothing or a head flit
+// still to be routed, a busy one only flits of its packet, and a
+// granted output VC is one its port's view has out, to this VC alone
+// (taken marks the ones seen so far) — and the ejection port is granted
+// only at the packet's destination.
+func (r *Router) wormholeOK(in *inputPort, v int, taken []bool) bool {
+	st := &in.vc[v]
+	head := in.buf.Front(v, math.MaxInt64) // the head flit, readable yet or not
+	if st.state == vcIdle {
+		return head == nil || head.Seq == 0
+	}
+	if head != nil && head.Pkt != st.pkt {
+		return false
+	}
+	if st.state != vcActive {
+		return true
+	}
+	view := r.out[st.outPort].view
+	if _, sink := view.(*sinkView); sink {
+		return st.pkt.Dst == r.id
+	}
+	held := &taken[int(st.outPort)*r.maxVCs+int(st.outVC)]
+	if view == nil || !view.Holds(int(st.outVC)) || *held {
+		return false
+	}
+	*held = true
+	return true
 }
 
-// loadVC restores one input VC's allocation state machine.
-func loadVC(r *snap.Reader, st *vcState, pkts snap.PacketResolver) error {
-	state := r.U8()
-	if r.Err() != nil {
-		return r.Err()
-	}
-	if state > vcActive {
-		return fmt.Errorf("router: snapshot VC state %d out of range", state)
-	}
-	pkt, err := r.Packet(pkts)
-	if err != nil {
-		return err
-	}
-	st.state = state
-	st.pkt = pkt
-	st.cands = routing.Candidates(r.U8())
-	if st.cands.Len() > 2 {
-		return fmt.Errorf("router: snapshot VC holds %d route candidates", st.cands.Len())
-	}
-	st.outPort = r.U8()
-	st.outVC = r.I16()
-	st.waitSince = r.I64()
-	return r.Err()
-}
-
-// SaveState serializes the router's mutable pipeline state.
-func (r *Router) SaveState(w *snap.Writer) {
-	w.Section("router")
-	a := &r.act
-	w.U64s(a.BufWrites)
-	w.U64s(a.BufReads)
-	w.U64s(a.PortStalls)
-	w.U64s(a.CreditStalls)
-	w.U64(a.RC)
-	w.U64(a.VAOps)
-	w.U64(a.VAGrants)
-	w.U64(a.VADenials)
-	w.U64(a.SAOps)
-	w.U64(a.SADenials)
-	w.U64(a.Reroutes)
+// Granted fills pkts, indexed by output VC, with the packet each active
+// input VC routed through port is sending there (nil where none is) —
+// the upstream half of the network's loaded-checkpoint check that a
+// held VC carries its holder's flits.
+func (r *Router) Granted(port int, pkts []*flit.Packet) {
+	clear(pkts)
 	for p := range r.in {
-		in := &r.in[p]
-		in.buf.SaveState(w)
-		for v := range in.vc {
-			saveVC(w, &in.vc[v])
-		}
-		w.U64s(in.bufMask)
-		w.U64s(in.vaMask)
-		w.U64s(in.actMask)
-	}
-	for p := range r.out {
-		SaveView(w, r.out[p].view)
-	}
-	saveBank(w, r.vaS1)
-	saveBank(w, r.vaS2)
-	saveBank(w, r.vaS2G)
-	saveBank(w, r.saS1)
-	saveBank(w, r.saS2)
-	r.faults.SaveState(w)
-}
-
-// LoadState restores state saved by SaveState into a router freshly
-// constructed and wired from the same configuration.
-func (r *Router) LoadState(rd *snap.Reader, resolve snap.Resolver, pkts snap.PacketResolver) error {
-	if err := rd.Section("router"); err != nil {
-		return err
-	}
-	a := &r.act
-	rd.U64sInto(a.BufWrites)
-	rd.U64sInto(a.BufReads)
-	rd.U64sInto(a.PortStalls)
-	rd.U64sInto(a.CreditStalls)
-	a.RC = rd.U64()
-	a.VAOps = rd.U64()
-	a.VAGrants = rd.U64()
-	a.VADenials = rd.U64()
-	a.SAOps = rd.U64()
-	a.SADenials = rd.U64()
-	a.Reroutes = rd.U64()
-	if err := rd.Err(); err != nil {
-		return err
-	}
-	for p := range r.in {
-		in := &r.in[p]
-		if err := in.buf.LoadState(rd, resolve); err != nil {
-			return err
-		}
-		for v := range in.vc {
-			if err := loadVC(rd, &in.vc[v], pkts); err != nil {
-				return err
+		for v := range r.in[p].vc {
+			if st := &r.in[p].vc[v]; st.state == vcActive && int(st.outPort) == port {
+				pkts[st.outVC] = st.pkt
 			}
 		}
-		rd.U64sInto(in.bufMask)
-		rd.U64sInto(in.vaMask)
-		rd.U64sInto(in.actMask)
-		// The packed SA routes mirror the active VCs' state machines.
-		for v := range in.outInfo {
-			in.outInfo[v] = 0
-			if st := &in.vc[v]; st.state == vcActive {
-				in.outInfo[v] = packRoute(int(st.outPort), int(st.outVC))
-			}
+	}
+}
+
+// State walks the router's mutable pipeline state. Loading needs a
+// router freshly constructed and wired from the same configuration.
+func (r *Router) State(c *snap.Codec) {
+	c.Section("router")
+	a := &r.act
+	c.U64s(a.BufWrites)
+	c.U64s(a.BufReads)
+	c.U64s(a.PortStalls)
+	c.U64s(a.CreditStalls)
+	c.U64(&a.RC)
+	c.U64(&a.VAOps)
+	c.U64(&a.VAGrants)
+	c.U64(&a.VADenials)
+	c.U64(&a.SAOps)
+	c.U64(&a.SADenials)
+	c.U64(&a.Reroutes)
+	for p := range r.in {
+		in := &r.in[p]
+		in.buf.State(c)
+		for v := range in.vc {
+			in.vc[v].walk(c, r.ports, r.maxVCs)
 		}
-		if err := rd.Err(); err != nil {
-			return err
+		for _, mask := range [][]uint64{in.bufMask, in.vaMask, in.actMask} {
+			c.U64s(mask)
+			c.Mask(mask, r.maxVCs, "router: VC scan mask")
+		}
+		if c.Loading() {
+			// The packed SA routes mirror the active VCs' state machines.
+			for v := range in.outInfo {
+				in.outInfo[v] = 0
+				if st := &in.vc[v]; st.state == vcActive {
+					in.outInfo[v] = packRoute(int(st.outPort), int(st.outVC))
+				}
+			}
 		}
 	}
 	for p := range r.out {
-		if err := LoadView(rd, r.out[p].view); err != nil {
-			return err
+		// Boundary output ports of a mesh face no neighbor and carry no
+		// view.
+		if v := r.out[p].view; v != nil {
+			v.State(c)
+		} else {
+			c.Section("noview")
 		}
 	}
-	for _, bank := range [][]arbiter.RoundRobin{r.vaS1, r.vaS2, r.vaS2G, r.saS1, r.saS2} {
-		if err := loadBank(rd, bank); err != nil {
-			return err
+	taken := make([]bool, r.ports*r.maxVCs) // output VCs some active input VC holds
+	for p := range r.in {
+		for v := range r.in[p].vc {
+			if c.Err() == nil && !r.wormholeOK(&r.in[p], v, taken) {
+				c.Failf("router %d port %d vc %d: snapshot VC state disagrees with the flit at its head or with the output VC it was granted", r.id, p, v)
+			}
 		}
 	}
-	if err := r.faults.LoadState(rd); err != nil {
-		return err
-	}
-	return rd.Err()
+	bankState(c, r.vaS1)
+	bankState(c, r.vaS2)
+	bankState(c, r.vaS2G)
+	bankState(c, r.saS1)
+	bankState(c, r.saS2)
+	r.faults.State(c)
 }

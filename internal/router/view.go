@@ -6,6 +6,7 @@ import (
 	"vichar/internal/config"
 	"vichar/internal/core"
 	"vichar/internal/flit"
+	"vichar/internal/snap"
 	"vichar/internal/soa"
 )
 
@@ -46,6 +47,17 @@ type CreditView interface {
 	// link's in-flight flits, the downstream occupancy and the
 	// in-flight credits.
 	OutstandingFlits() int
+	// OutstandingOn is OutstandingFlits restricted to one VC: the
+	// per-VC form of the same balance, which a loaded checkpoint must
+	// satisfy before any credit for that VC is applied.
+	OutstandingOn(vc int) int
+	// Holds reports whether vc is granted to a packet whose tail the
+	// view has not seen leave — what must be true of the output VC any
+	// active input VC of a loaded checkpoint names.
+	Holds(vc int) bool
+	// State walks the view's mutable mirror state for a checkpoint
+	// (snapshot.go); kind and shape are wiring and do not travel.
+	State(c *snap.Codec)
 }
 
 // classSpan splits the VC ID range [lo, hi) into classes contiguous
@@ -261,6 +273,10 @@ func (v *genericView) OutstandingFlits() int {
 	return n
 }
 
+func (v *genericView) OutstandingOn(vc int) int { return int(v.depth - v.credits[vc]) }
+
+func (v *genericView) Holds(vc int) bool { return v.open[vc] }
+
 func (v *genericView) OutstandingVCs() int {
 	n := 0
 	for vc := range v.open {
@@ -416,6 +432,10 @@ func (v *sharedView) OutstandingFlits() int {
 	}
 	return n
 }
+
+func (v *sharedView) OutstandingOn(vc int) int { return int(v.held[vc]) }
+
+func (v *sharedView) Holds(vc int) bool { return v.open[vc] }
 
 func (v *sharedView) OutstandingVCs() int {
 	n := 0
@@ -612,6 +632,10 @@ func (v *vicharView) OutstandingFlits() int {
 	return n
 }
 
+func (v *vicharView) OutstandingOn(vc int) int { return int(v.held[vc]) }
+
+func (v *vicharView) Holds(vc int) bool { return v.granted[vc] }
+
 func (v *vicharView) OutstandingVCs() int { return v.dispenser.InUse() }
 
 // Admission is the per-class back-pressure a network-interface
@@ -679,6 +703,10 @@ func (v *sinkView) OutstandingVCs() int { return v.outstanding }
 // OutstandingFlits is always zero at the sink: the processing element
 // consumes flits immediately and sends no credits back.
 func (v *sinkView) OutstandingFlits() int { return 0 }
+
+func (v *sinkView) OutstandingOn(int) int { return 0 }
+
+func (v *sinkView) Holds(int) bool { return true }
 
 // GrantableVCIn offers VC 0 — the processing element consumes flits
 // of any number of interleaved packets — unless the admission gate

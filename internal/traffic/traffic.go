@@ -20,7 +20,7 @@ import (
 // reproducible and insensitive to node iteration order. The streams
 // are rng.Stream draw-counting shims, so a generator's position can
 // be checkpointed as per-node (seed, draws) pairs and restored
-// bit-exactly (SaveState/LoadState).
+// bit-exactly (State).
 type Generator struct {
 	cfg     *config.Config
 	mesh    topology.Mesh
@@ -246,41 +246,21 @@ func (g *Generator) uniformOther(stream *rng.Stream, src int) int {
 // HotNode returns the hotspot destination (the mesh center).
 func (g *Generator) HotNode() int { return g.hot }
 
-// SaveState serializes the generator's mutable state: per-node stream
-// draw counts plus the ON/OFF source phases. Seeds are not stored —
-// they re-derive from the config at restore time.
-func (g *Generator) SaveState(w *snap.Writer) {
-	w.Section("traffic")
-	w.Int(len(g.rngs))
+// State walks the generator's mutable state for a checkpoint taken at
+// cycle now: per-node stream draw counts plus the ON/OFF source
+// phases. Seeds do not travel — they re-derive from the config — and
+// loading, into a generator freshly constructed from the same
+// structural configuration, fast-forwards each node stream to its
+// saved draw count.
+func (g *Generator) State(c *snap.Codec, now int64) {
+	c.Section("traffic")
+	c.Expect(len(g.rngs), "traffic: node streams")
 	for _, s := range g.rngs {
-		w.U64(s.Draws())
+		s.State(c, now)
 	}
-	w.Int(len(g.onoff))
-	for _, st := range g.onoff {
-		w.Bool(st.on)
-		w.I64(st.remaining)
-	}
-}
-
-// LoadState restores the state written by SaveState into a generator
-// freshly constructed from the same structural configuration: each
-// node stream is re-seeded and fast-forwarded to its saved draw
-// count.
-func (g *Generator) LoadState(r *snap.Reader) error {
-	if err := r.Section("traffic"); err != nil {
-		return err
-	}
-	if n := r.Int(); n != len(g.rngs) {
-		return fmt.Errorf("traffic: snapshot has %d node streams, generator has %d", n, len(g.rngs))
-	}
-	for i := range g.rngs {
-		g.rngs[i] = rng.Restore(seedFor(g.cfg.Seed, i), r.U64())
-	}
-	if n := r.Int(); n != len(g.onoff) {
-		return fmt.Errorf("traffic: snapshot has %d ON/OFF sources, generator has %d", n, len(g.onoff))
-	}
+	c.Expect(len(g.onoff), "traffic: ON/OFF sources")
 	for i := range g.onoff {
-		g.onoff[i] = onOffState{on: r.Bool(), remaining: r.I64()}
+		c.Bool(&g.onoff[i].on)
+		c.I64(&g.onoff[i].remaining)
 	}
-	return r.Err()
 }

@@ -2,6 +2,7 @@ package traffic
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"vichar/internal/rng"
 	"vichar/internal/snap"
@@ -567,16 +568,30 @@ func TestGeneratorStateRoundTrip(t *testing.T) {
 		for now := int64(1); now <= 5_000; now++ {
 			g.Tick(now, func(src, dst, size int) {})
 		}
-		w := snap.NewWriter()
-		g.SaveState(w)
-		data := w.Finish()
+		data, err := snap.Save(func(c *snap.Codec) {
+			g.State(c, 5_000)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		// A draw count no stream reaches by the cut's cycle is refused
+		// before the restore fast-forwards through it.
+		early, err := snap.Open(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if New(cfg, mesh).State(early, 3); early.Err() == nil || !strings.Contains(early.Err().Error(), "draws at cycle 3") {
+			t.Fatalf("%v: implausible draw count = %v", proc, early.Err())
+		}
 
 		r, err := snap.Open(data)
 		if err != nil {
 			t.Fatal(err)
 		}
 		g2 := New(cfg, mesh)
-		if err := g2.LoadState(r); err != nil {
+		g2.State(r, 5_000)
+		if err := r.Finish(); err != nil {
 			t.Fatal(err)
 		}
 		for now := int64(5_001); now <= 10_000; now++ {

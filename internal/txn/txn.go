@@ -22,8 +22,7 @@
 // order off per-node rng streams — and the only compute-phase entry
 // point, Responder.Peek/Admit/Injected, touches state owned by the
 // calling node alone. Results are therefore bit-identical for any
-// worker count, and the engine checkpoints exactly (SaveState /
-// LoadState).
+// worker count, and the engine checkpoints exactly (State).
 package txn
 
 import (

@@ -363,22 +363,31 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	// draining their source interface.
 	e1.resps[0].egress++
 
-	w1 := snap.NewWriter()
-	e1.SaveState(w1)
-	blob := w1.Finish()
+	save := func(e *Engine) []byte {
+		data, err := snap.Save(func(c *snap.Codec) {
+			e.State(c, h.now)
+		})
+		if err != nil {
+			t.Fatalf("save snapshot: %v", err)
+		}
+		return data
+	}
+	blob := save(e1)
 
 	r, err := snap.Open(blob)
 	if err != nil {
 		t.Fatalf("open snapshot: %v", err)
 	}
 	e2, f2 := newEngine(cfg)
-	if err := e2.LoadState(r); err != nil {
+	e2.State(r, h.now)
+	if err := r.Finish(); err != nil {
 		t.Fatalf("load snapshot: %v", err)
 	}
-	w2 := snap.NewWriter()
-	e2.SaveState(w2)
-	if !bytes.Equal(blob, w2.Finish()) {
+	if !bytes.Equal(blob, save(e2)) {
 		t.Fatal("re-saved snapshot differs from the original blob")
+	}
+	if !bytes.Equal(blob, save(e1)) {
+		t.Fatal("saving changed the engine it saved")
 	}
 
 	// The restored engine must continue bit-identically: same packets,
@@ -414,76 +423,103 @@ func loadStateCfg() *config.Config {
 	return &cfg
 }
 
-func TestLoadStateRejectsCorruptCounts(t *testing.T) {
+func TestLoadRejectsCorruptCounts(t *testing.T) {
 	cfg := loadStateCfg()
-
-	t.Run("pending-beyond-flight", func(t *testing.T) {
-		w := snap.NewWriter()
-		w.Section("txn")
-		w.I64(0) // issued
-		w.I64(0) // retired
-		w.I64s(nil)
-		for range 2 { // requester nodes 1 and 4
-			w.I64(1) // seed
-			w.U64(0) // draws
-			w.Int(0) // flight
-			w.Int(0) // issued
-			w.Int(1) // pending count > flight
-			w.U64(7)
-			w.I64(3)
+	// load walks a fresh engine over a hand-written blob and returns
+	// the codec's verdict.
+	load := func(t *testing.T, write func(i64 func(int64), u8 func(uint8), c *snap.Codec)) error {
+		t.Helper()
+		data, err := snap.Save(func(c *snap.Codec) {
+			write(func(v int64) { c.I64(&v) }, func(v uint8) { c.U8(&v) }, c)
+		})
+		if err != nil {
+			t.Fatalf("seal: %v", err)
 		}
-		r, err := snap.Open(w.Finish())
+		r, err := snap.Open(data)
 		if err != nil {
 			t.Fatalf("open: %v", err)
 		}
 		e, _ := newEngine(cfg)
-		if err := e.LoadState(r); err == nil || !strings.Contains(err.Error(), "pending entries") {
-			t.Fatalf("LoadState = %v, want pending-count validation error", err)
+		e.State(r, 0)
+		return r.Finish()
+	}
+	// seedOf is the stream seed the engine constructs for a requester;
+	// a snapshot must carry the same one.
+	seedOf := func(id int) int64 { return streamSeed(cfg.Txn.EffectiveSeed(cfg.Seed), id) }
+	header := func(i64 func(int64), c *snap.Codec) {
+		c.Section("txn")
+		i64(0) // issued
+		i64(0) // retired
+		c.I64sVar(new([]int64))
+	}
+
+	t.Run("pending-beyond-flight", func(t *testing.T) {
+		err := load(t, func(i64 func(int64), u8 func(uint8), c *snap.Codec) {
+			header(i64, c)
+			for _, id := range []int{1, 4} { // the requester nodes
+				i64(seedOf(id))
+				i64(0) // draws
+				i64(0) // flight
+				i64(0) // issued
+				i64(1) // pending count > flight
+				i64(7)
+				i64(3)
+			}
+		})
+		if err == nil || !strings.Contains(err.Error(), "pending entries") {
+			t.Fatalf("load = %v, want pending-count validation error", err)
 		}
 	})
 
 	t.Run("queue-beyond-depth", func(t *testing.T) {
-		w := snap.NewWriter()
-		w.Section("txn")
-		w.I64(0)
-		w.I64(0)
-		w.I64s(nil)
-		for range 2 { // valid, empty requesters
-			w.I64(1)
-			w.U64(0)
-			w.Int(0)
-			w.Int(0)
-			w.Int(0)
+		err := load(t, func(i64 func(int64), u8 func(uint8), c *snap.Codec) {
+			header(i64, c)
+			for _, id := range []int{1, 4} { // valid, empty requesters
+				i64(seedOf(id))
+				for range 4 {
+					i64(0)
+				}
+			}
+			i64(0)                                        // target 0: reserved
+			i64(0)                                        // egress
+			i64(int64(cfg.Txn.EffectiveQueueDepth() + 1)) // queued services beyond depth
+			for range cfg.Txn.EffectiveQueueDepth() + 1 {
+				i64(0)
+				u8(ReadRsp)
+				i64(1)
+				i64(1)
+			}
+		})
+		if err == nil || !strings.Contains(err.Error(), "queued services") {
+			t.Fatalf("load = %v, want queue-depth validation error", err)
 		}
-		w.Int(0)                                 // target 0: reserved
-		w.Int(0)                                 // egress
-		w.Int(cfg.Txn.EffectiveQueueDepth() + 1) // queued services beyond depth
-		for range cfg.Txn.EffectiveQueueDepth() + 1 {
-			w.I64(0)
-			w.U8(ReadRsp)
-			w.U64(1)
-			w.Int(1)
+	})
+
+	t.Run("implausible-draws", func(t *testing.T) {
+		err := load(t, func(i64 func(int64), u8 func(uint8), c *snap.Codec) {
+			header(i64, c)
+			i64(seedOf(1))
+			i64(1 << 40) // draws no stream reaches by cycle 0
+		})
+		if err == nil || !strings.Contains(err.Error(), "draws at cycle 0") {
+			t.Fatalf("load = %v, want draw-count validation error", err)
 		}
-		r, err := snap.Open(w.Finish())
-		if err != nil {
-			t.Fatalf("open: %v", err)
-		}
-		e, _ := newEngine(cfg)
-		if err := e.LoadState(r); err == nil || !strings.Contains(err.Error(), "beyond depth") {
-			t.Fatalf("LoadState = %v, want queue-depth validation error", err)
+	})
+
+	t.Run("foreign-seed", func(t *testing.T) {
+		err := load(t, func(i64 func(int64), u8 func(uint8), c *snap.Codec) {
+			header(i64, c)
+			i64(seedOf(1) + 1)
+		})
+		if err == nil || !strings.Contains(err.Error(), "stream seed") {
+			t.Fatalf("load = %v, want seed validation error", err)
 		}
 	})
 
 	t.Run("wrong-section", func(t *testing.T) {
-		w := snap.NewWriter()
-		w.Section("gen")
-		r, err := snap.Open(w.Finish())
-		if err != nil {
-			t.Fatalf("open: %v", err)
-		}
-		e, _ := newEngine(cfg)
-		if err := e.LoadState(r); err == nil {
-			t.Fatal("LoadState accepted a foreign section")
+		err := load(t, func(i64 func(int64), u8 func(uint8), c *snap.Codec) { c.Section("gen") })
+		if err == nil {
+			t.Fatal("load accepted a foreign section")
 		}
 	})
 }

@@ -24,7 +24,10 @@ import (
 // follows a construct-then-load discipline: the embedded configuration
 // rebuilds all wiring, then only mutable values are loaded, so a
 // snapshot never carries pointers, and any single corrupted byte is
-// rejected by the envelope checksum before state is touched.
+// rejected by the envelope checksum before state is touched. A blob
+// that passes the checksum is still untrusted: every loaded field is
+// range-checked, the loaded state is audited for consistency, and the
+// body must be consumed exactly.
 
 // Snapshot serializes the simulator's complete state. The staged
 // metrics pipeline is captured as-is — deliberately not flushed first,
@@ -35,13 +38,15 @@ func (s *Simulator) Snapshot() ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("vichar: snapshot config: %w", err)
 	}
-	w := snap.NewWriter()
-	w.Section("config")
-	w.Bytes(cfgJSON)
-	if err := s.net.SaveState(w); err != nil {
+	data, err := snap.Save(func(c *snap.Codec) {
+		c.Section("config")
+		c.Bytes(&cfgJSON)
+		s.net.State(c)
+	})
+	if err != nil {
 		return nil, fmt.Errorf("vichar: snapshot: %w", err)
 	}
-	return w.Finish(), nil
+	return data, nil
 }
 
 // Overrides names the protocol parameters RestoreWith may change on a
@@ -70,15 +75,14 @@ func Restore(data []byte) (*Simulator, error) {
 // RestoreWith rebuilds a simulator from a Snapshot blob with selected
 // protocol parameters overridden; see Overrides.
 func RestoreWith(data []byte, o Overrides) (*Simulator, error) {
-	r, err := snap.Open(data)
+	c, err := snap.Open(data)
 	if err != nil {
 		return nil, fmt.Errorf("vichar: restore: %w", err)
 	}
-	if err := r.Section("config"); err != nil {
-		return nil, fmt.Errorf("vichar: restore: %w", err)
-	}
-	raw := r.Bytes()
-	if err := r.Err(); err != nil {
+	var raw []byte
+	c.Section("config")
+	c.Bytes(&raw)
+	if err := c.Err(); err != nil {
 		return nil, fmt.Errorf("vichar: restore: %w", err)
 	}
 	var cfg Config
@@ -105,7 +109,8 @@ func RestoreWith(data []byte, o Overrides) (*Simulator, error) {
 		net:   network.New(&cfg),
 		model: power.NewModel(&cfg),
 	}
-	if err := s.net.LoadState(r); err != nil {
+	s.net.State(c)
+	if err := c.Finish(); err != nil {
 		return nil, fmt.Errorf("vichar: restore: %w", err)
 	}
 	return s, nil

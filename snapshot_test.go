@@ -4,11 +4,15 @@ import (
 	"bufio"
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 
 	"vichar"
@@ -55,8 +59,8 @@ func withFaults(cfg vichar.Config) vichar.Config {
 // runOutput is everything the bit-identical contract covers. metrics
 // is the registry at the end of the run (zero with the layer off):
 // every whole-run counter a snapshot must carry shows up there, so a
-// counter left out of SaveState fails the wall even when Results'
-// measurement window never sees it.
+// counter left out of its owner's State walk fails the wall even when
+// Results' measurement window never sees it.
 type runOutput struct {
 	res     vichar.Results
 	lats    []int64
@@ -111,9 +115,10 @@ func stepTo(t *testing.T, s *vichar.Simulator, c int64) {
 
 // checkResume asserts the bit-identical resume contract for cfg at
 // three cuts spread across the run (all strictly before the
-// straight-through run's final cycle, where the protocols align), and
-// that restoring and immediately re-snapshotting reproduces the blob
-// byte for byte. It returns whether any cut landed mid-packet.
+// straight-through run's final cycle, where the protocols align), that
+// restoring and immediately re-snapshotting reproduces the blob byte
+// for byte, and that taking a snapshot leaves the simulator it was
+// taken from untouched. It returns whether any cut landed mid-packet.
 func checkResume(t *testing.T, cfg vichar.Config) bool {
 	t.Helper()
 	base, err := vichar.NewSimulator(cfg)
@@ -145,7 +150,18 @@ func checkResume(t *testing.T, cfg vichar.Config) bool {
 		if err != nil {
 			t.Fatalf("Snapshot at cycle %d: %v", c, err)
 		}
-		s.Close()
+		// Saving is read-only: one walk serves both directions, so a
+		// save that wrote through a pointer would show up as a second
+		// snapshot that differs, or as a run that no longer finishes
+		// like the straight-through one.
+		twice, err := s.Snapshot()
+		if err != nil {
+			t.Fatalf("second Snapshot at cycle %d: %v", c, err)
+		}
+		if !bytes.Equal(blob, twice) {
+			t.Errorf("cycle %d: two consecutive snapshots differ", c)
+		}
+		compareRuns(t, want, finish(s), fmt.Sprintf("snapshotted twice at cycle %d, then run on", c))
 
 		r, err := vichar.Restore(blob)
 		if err != nil {
@@ -422,41 +438,186 @@ func TestSnapshotCorruptionRejected(t *testing.T) {
 	if _, err := vichar.Restore(append(append([]byte(nil), blob...), 0xEE)); err == nil {
 		t.Fatalf("Restore accepted a snapshot with trailing garbage")
 	}
+	// Garbage inside the sealed body — appended before the trailer,
+	// checksum recomputed — passes the envelope and must be refused by
+	// the end-of-body check.
+	padded := append(append([]byte(nil), blob[:len(blob)-4]...), 0xEE, 0xEE, 0xEE, 0xEE, 0, 0, 0, 0)
+	if _, err := vichar.Restore(reseal(padded)); err == nil || !strings.Contains(err.Error(), "4 unread bytes") {
+		t.Fatalf("Restore of a re-sealed snapshot with 4 extra body bytes = %v", err)
+	}
 }
 
-// FuzzRestore feeds arbitrary mutations of a valid snapshot to
-// Restore: it must either reject the input or yield a simulator that
-// survives stepping — never panic.
-func FuzzRestore(f *testing.F) {
-	cfg := withFaults(snapCfg(vichar.ViChaR))
-	cfg.Metrics = true
-	s, err := vichar.NewSimulator(cfg)
-	if err != nil {
-		f.Fatalf("NewSimulator: %v", err)
+// reseal recomputes the envelope's CRC-32 trailer over a mutated body,
+// so the mutant reaches the load-side validation instead of dying at
+// the checksum.
+func reseal(blob []byte) []byte {
+	if len(blob) < 4 {
+		return blob
 	}
-	stepTo := func(c int64) {
-		for s.Now() < c {
+	body := blob[:len(blob)-4]
+	return binary.LittleEndian.AppendUint32(append([]byte(nil), body...), crc32.ChecksumIEEE(body))
+}
+
+// restoreAndStep is the contract every checksum-valid blob is held to:
+// Restore rejects it with an error, or yields a simulator that
+// survives stepping. It reports a panic from either as a string.
+func restoreAndStep(data []byte, steps int) (err error, panicked string) {
+	defer func() {
+		if r := recover(); r != nil {
+			panicked = fmt.Sprint(r)
+		}
+	}()
+	r, err := vichar.Restore(data)
+	if err != nil {
+		return err, ""
+	}
+	defer r.Close()
+	for i := 0; i < steps; i++ {
+		r.Step()
+	}
+	return nil, ""
+}
+
+// mutationBlobs are the two snapshots the re-sealed mutation sweep
+// walks: ViChaR with faults and metrics (every optional section
+// present) and the plain generic organization.
+func mutationBlobs(t testing.TB) map[string][]byte {
+	vic := withFaults(snapCfg(vichar.ViChaR))
+	vic.Metrics = true
+	out := make(map[string][]byte)
+	for name, cfg := range map[string]vichar.Config{"ViC-faults-metrics": vic, "GEN": snapCfg(vichar.Generic)} {
+		s, err := vichar.NewSimulator(cfg)
+		if err != nil {
+			t.Fatalf("NewSimulator: %v", err)
+		}
+		for s.Now() < 120 {
 			s.Step()
 		}
+		blob, err := s.Snapshot()
+		if err != nil {
+			t.Fatalf("Snapshot: %v", err)
+		}
+		s.Close()
+		out[name] = blob
 	}
-	stepTo(90)
-	blob, err := s.Snapshot()
-	if err != nil {
-		f.Fatalf("Snapshot: %v", err)
+	return out
+}
+
+// allocated returns the bytes fn allocates.
+func allocated(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// mutationStride spaces the sweep's mutants. It is coprime to every
+// field width, so successive mutants land on different bytes of
+// different fields.
+const mutationStride = 37
+
+// TestRestoreResealedMutations is FuzzRestore's deterministic
+// companion: one-bit flips strided across both blobs, each re-sealed
+// so it passes the checksum, then Restore and 20 Steps under recover.
+// Every mutant must be rejected with an error or survive its steps —
+// no panic — and none may allocate beyond the clean restore plus a
+// fixed multiple of the blob's own length: the only snapshot fields
+// that size an allocation are bounded by the bytes left to read (a
+// packet's 40-byte flit records by its Size, staged events by their
+// count). The named rows are the mutants this sweep first caught.
+func TestRestoreResealedMutations(t *testing.T) {
+	for name, blob := range mutationBlobs(t) {
+		// section returns the offset just past the nth (from zero)
+		// occurrence of a section marker.
+		section := func(marker string, nth int) int {
+			at := 0
+			for ; nth >= 0; nth-- {
+				i := bytes.Index(blob[at:], append([]byte{byte(len(marker)), 0, 0, 0}, marker...))
+				if i < 0 {
+					t.Fatalf("%s: no %q section", name, marker)
+				}
+				at += i + 4 + len(marker)
+			}
+			return at
+		}
+		pkts := section("packets", 0)
+		type row struct {
+			what string
+			off  int
+			bit  uint
+			want string // the field the rejection must name
+		}
+		rows := []row{
+			{"(a) bit 28 of the packet-table count", pkts + 3, 4, "packet-table length"},
+			{"(b) bit 36 of the first packet's Size", pkts + 8 + 24 + 4, 4, "packet size"},
+			{"(c) bit 4 of the current cycle", section("network", 0), 4, "beyond cycle 104"},
+			{"(d) bit 52 of node 0's draw count", section("traffic", 0) + 8 + 6, 4, "draws at cycle"},
+		}
+		if name == "ViC-faults-metrics" {
+			// What an every-bit form of this sweep found last: an active
+			// VC's route moved onto an output VC whose token is still out
+			// for a packet that is draining downstream, and a readiness
+			// bit pending on an empty VC.
+			rows = append(rows,
+				row{"(e) router 5: output VC 4 -> 0, draining on link 5->1", section("router", 5) + 2098, 2, "link 5->1: VC 0 is held upstream by packet 74"},
+				row{"(f) router 6: output VC 3 -> 1, draining on link 6->10", section("router", 6) + 709, 1, "link 6->10: VC 1 is held upstream by packet 90"},
+				row{"(g) router 1 port 2: pending-readiness bit of empty VC 0", section("ubs", 7) + 304, 0, "router 1 port 2: core: readyMask bit 0 is false (pending: true"})
+		}
+		var clean uint64
+		clean = allocated(func() {
+			if err, p := restoreAndStep(blob, 20); err != nil || p != "" {
+				t.Fatalf("%s: clean blob: error %v, panic %q", name, err, p)
+			}
+		})
+		budget := clean + 64*uint64(len(blob))
+		try := func(what string, off int, bit uint, want string) {
+			mutant := append([]byte(nil), blob...)
+			mutant[off] ^= 1 << bit
+			mutant = reseal(mutant)
+			var err error
+			var p string
+			if got := allocated(func() { err, p = restoreAndStep(mutant, 20) }); got > budget {
+				t.Errorf("%s: %s (byte %d bit %d): allocated %d bytes, clean restore %d, blob %d", name, what, off, bit, got, clean, len(blob))
+			}
+			if p != "" {
+				t.Errorf("%s: %s (byte %d bit %d): panic: %s", name, what, off, bit, p)
+			}
+			if want != "" && (err == nil || !strings.Contains(err.Error(), want)) {
+				t.Errorf("%s: %s (byte %d): Restore = %v, want a rejection naming %q", name, what, off, err, want)
+			}
+		}
+		for _, r := range rows {
+			try(r.what, r.off, r.bit, r.want)
+		}
+		// The bit index cycles through all eight.
+		for i, off := 0, 0; off < len(blob)-4; i, off = i+1, off+mutationStride {
+			try("strided flip", off, uint(i)&7, "")
+		}
 	}
-	s.Close()
+}
+
+// FuzzRestore feeds arbitrary mutations of a valid snapshot, re-sealed
+// so they pass the envelope checksum, to Restore: it must either
+// reject the input or yield a simulator that survives stepping — never
+// panic. (Unsealed, nearly every mutant would die at the CRC and the
+// load-side validation would go unfuzzed.) Mutants that touch the
+// embedded configuration are skipped: it is ordinary validated input,
+// fuzzed by FuzzParse, and a mutated digit there asks for a thousand-
+// router mesh rather than for a corrupt state.
+func FuzzRestore(f *testing.F) {
+	blob := mutationBlobs(f)["ViC-faults-metrics"]
+	state := bytes.Index(blob, []byte("\x07\x00\x00\x00network"))
 	f.Add(blob)
 	f.Add(blob[:len(blob)/2])
-	f.Add(blob[:9])
+	f.Add(blob[:state+64])
 	f.Add([]byte("VCHRSNAP"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r, err := vichar.Restore(data)
-		if err != nil {
+		if !bytes.HasPrefix(data, blob[:min(len(data), state)]) {
 			return
 		}
-		defer r.Close()
-		for i := 0; i < 3; i++ {
-			r.Step()
+		if _, p := restoreAndStep(reseal(data), 3); p != "" {
+			t.Fatalf("panic: %s", p)
 		}
 	})
 }
