@@ -35,9 +35,12 @@ alloc-check:
 # and across a process boundary, plus the codec's own cases, the
 # format's byte-identity wall (TestSnapshotBytesWall), corruption
 # rejection before and behind the checksum
-# (TestRestoreResealedMutations) and the mid-hold cut.
+# (TestRestoreResealedMutations) and the mid-hold cut. The tracer's
+# two tests guard what a resumed event stream rests on: Seqs rebuilt
+# from ring positions, against a model that stores them.
 snapshot-check:
 	$(GO) test ./internal/snap -count=1
+	$(GO) test ./internal/metrics -run 'TestTracerMatchesNaiveRing|TestEventRecordSize' -count=1
 	$(GO) test . -run 'TestSnapshot|TestRestore|TestRunCheckpointed' -count=1
 	$(GO) test ./internal/network/ -run 'TestSnapshot' -count=1
 	$(GO) test ./experiments/ -run 'TestBranchSweep' -count=1

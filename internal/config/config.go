@@ -390,6 +390,14 @@ func (c *Config) EffectiveMaxCycles() int64 {
 // credit views' counters, the router's packed (port, VC) routes.
 const MaxBufferSlots = 1<<15 - 1
 
+// MaxNodes and MaxPacketSize bound the mesh and the packet length: the
+// event tracer stores a node id and a flit index (-1 for none) in
+// 16-bit signed fields, as it does the VC ids MaxBufferSlots bounds.
+const (
+	MaxNodes      = 1<<15 - 1
+	MaxPacketSize = 1 << 15
+)
+
 // RangeError reports a configuration field whose value exceeds what
 // the simulator's packed state can represent.
 type RangeError struct {
@@ -415,8 +423,18 @@ func (c *Config) Validate() error {
 		return &RangeError{Field: "VCs", Value: c.VCs, Max: MaxBufferSlots}
 	case c.BufferSlots > MaxBufferSlots:
 		return &RangeError{Field: "BufferSlots", Value: c.BufferSlots, Max: MaxBufferSlots}
+	case c.Width > MaxNodes:
+		return &RangeError{Field: "Width", Value: c.Width, Max: MaxNodes}
+	case c.Height > MaxNodes:
+		return &RangeError{Field: "Height", Value: c.Height, Max: MaxNodes}
+	case c.Nodes() > MaxNodes: // a product of two that cannot overflow
+		return &RangeError{Field: "Width*Height", Value: c.Nodes(), Max: MaxNodes}
 	case c.PacketSize < 1:
 		return fmt.Errorf("config: packet size must be positive, got %d", c.PacketSize)
+	case c.PacketSize > MaxPacketSize:
+		return &RangeError{Field: "PacketSize", Value: c.PacketSize, Max: MaxPacketSize}
+	case c.PacketSizeMax > MaxPacketSize:
+		return &RangeError{Field: "PacketSizeMax", Value: c.PacketSizeMax, Max: MaxPacketSize}
 	case c.FlitWidthBits < 1:
 		return fmt.Errorf("config: flit width must be positive, got %d", c.FlitWidthBits)
 	case c.InjectionRate < 0 || c.InjectionRate > 1:

@@ -315,24 +315,35 @@ func TestHotspotFractionZeroValue(t *testing.T) {
 }
 
 // The simulator stores slot ids, VC ids and per-VC flit counts in
-// 16-bit fields, so Validate bounds every count that feeds them and
-// names the offending field in a structured error.
+// 16-bit fields, and the event tracer node ids and flit indices, so
+// Validate bounds every count that feeds them and names the offending
+// field in a structured error.
 func TestValidateUpperBounds(t *testing.T) {
 	cases := []struct {
 		name   string
 		mutate func(*Config)
 		field  string // "" = accepted
+		max    int    // the bound a rejection must report
 	}{
-		{"vichar at the bound", func(c *Config) { c.Arch, c.BufferSlots = ViChaR, MaxBufferSlots }, ""},
-		{"vichar past the bound", func(c *Config) { c.Arch, c.BufferSlots = ViChaR, MaxBufferSlots+1 }, "BufferSlots"},
+		{"mesh at the node bound", func(c *Config) { c.Width, c.Height = 217, 151 }, "", 0},
+		{"mesh one column past the node bound", func(c *Config) { c.Width, c.Height = 218, 151 }, "Width*Height", MaxNodes},
+		{"mesh one node past the node bound", func(c *Config) { c.Width, c.Height = 2, 1<<14 }, "Width*Height", MaxNodes},
+		{"mesh whose node count overflows", func(c *Config) { c.Width, c.Height = 1<<62, 4 }, "Width", MaxNodes},
+		{"mesh taller than the node bound", func(c *Config) { c.Width, c.Height = 2, 1<<15 }, "Height", MaxNodes},
+		{"packet size at the bound", func(c *Config) { c.PacketSize = MaxPacketSize }, "", 0},
+		{"packet size past the bound", func(c *Config) { c.PacketSize = MaxPacketSize + 1 }, "PacketSize", MaxPacketSize},
+		{"largest packet size at the bound", func(c *Config) { c.PacketSizeMax = MaxPacketSize }, "", 0},
+		{"largest packet size past the bound", func(c *Config) { c.PacketSizeMax = MaxPacketSize + 1 }, "PacketSizeMax", MaxPacketSize},
+		{"vichar at the bound", func(c *Config) { c.Arch, c.BufferSlots = ViChaR, MaxBufferSlots }, "", 0},
+		{"vichar past the bound", func(c *Config) { c.Arch, c.BufferSlots = ViChaR, MaxBufferSlots+1 }, "BufferSlots", MaxBufferSlots},
 		{"vichar capped dispenser, pool past the bound", func(c *Config) {
 			c.Arch, c.BufferSlots, c.VCLimit = ViChaR, 1<<16, 8
-		}, "BufferSlots"},
-		{"damq pool past the bound", func(c *Config) { c.Arch, c.BufferSlots = DAMQ, 40_000 }, "BufferSlots"},
-		{"fccb VCs past the bound", func(c *Config) { c.Arch, c.VCs, c.BufferSlots = FCCB, 1<<15, 1<<15 }, "VCs"},
-		{"generic depth past the bound", func(c *Config) { c.VCs, c.VCDepth, c.BufferSlots = 1, 1<<15, 1<<15 }, "BufferSlots"},
-		{"generic at the bound", func(c *Config) { c.VCs, c.VCDepth, c.BufferSlots = 1, MaxBufferSlots, MaxBufferSlots }, ""},
-		{"generic VCs past the bound", func(c *Config) { c.VCs, c.VCDepth, c.BufferSlots = 1<<15, 1, 1<<15 }, "VCs"},
+		}, "BufferSlots", MaxBufferSlots},
+		{"damq pool past the bound", func(c *Config) { c.Arch, c.BufferSlots = DAMQ, 40_000 }, "BufferSlots", MaxBufferSlots},
+		{"fccb VCs past the bound", func(c *Config) { c.Arch, c.VCs, c.BufferSlots = FCCB, 1<<15, 1<<15 }, "VCs", MaxBufferSlots},
+		{"generic depth past the bound", func(c *Config) { c.VCs, c.VCDepth, c.BufferSlots = 1, 1<<15, 1<<15 }, "BufferSlots", MaxBufferSlots},
+		{"generic at the bound", func(c *Config) { c.VCs, c.VCDepth, c.BufferSlots = 1, MaxBufferSlots, MaxBufferSlots }, "", 0},
+		{"generic VCs past the bound", func(c *Config) { c.VCs, c.VCDepth, c.BufferSlots = 1<<15, 1, 1<<15 }, "VCs", MaxBufferSlots},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -352,8 +363,8 @@ func TestValidateUpperBounds(t *testing.T) {
 			if !errors.As(err, &re) {
 				t.Fatalf("got %v, want a *RangeError", err)
 			}
-			if re.Field != c.field || re.Max != MaxBufferSlots || !strings.Contains(re.Error(), c.field) {
-				t.Fatalf("error %+v (%q) does not name field %s with bound %d", re, re, c.field, MaxBufferSlots)
+			if re.Field != c.field || re.Max != c.max || !strings.Contains(re.Error(), c.field) {
+				t.Fatalf("error %+v (%q) does not name field %s with bound %d", re, re, c.field, c.max)
 			}
 		})
 	}

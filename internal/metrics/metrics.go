@@ -137,18 +137,19 @@ func (r *Registry) SetGauge(id GaugeID, v float64) {
 // writes against the serial Tracer.Drain. Recorders exist only when
 // tracing is on; components hold a nil *Recorder otherwise.
 type Recorder struct {
-	events []Event
+	events []record
 }
 
 // StageEvent appends a flit-lifecycle event to the staging buffer; a
-// no-op on a nil recorder (tracing off). The event's Seq is assigned
-// later, when the tracer drains the recorder in the serial phase.
+// no-op on a nil recorder (tracing off). The event is stored packed
+// and without its Seq, which is its place in the order the tracer
+// drains the recorders in the serial phase.
 func (rec *Recorder) StageEvent(e Event) {
 	if rec == nil {
 		return
 	}
 	//vichar:alloc the staging buffer grows to the per-tick event peak, then Drain resets it to length zero in place
-	rec.events = append(rec.events, e)
+	rec.events = append(rec.events, pack(e))
 }
 
 // Pending returns the number of staged, undrained events (tests).

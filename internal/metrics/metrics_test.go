@@ -1,10 +1,18 @@
 package metrics
 
 import (
+	"fmt"
+	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
+	"unsafe"
+
+	"vichar/internal/snap"
 )
 
 // The registry is a view: series register by index, Store overwrites
@@ -123,7 +131,7 @@ func TestTracerRingAndTimeline(t *testing.T) {
 	}
 }
 
-// The ring — 64 bytes per retained event, 4 MiB at the benchmark's
+// The ring — 24 bytes per retained event, 1.5 MiB at the benchmark's
 // 65536 — is allocated by the first drained event, not by NewTracer:
 // constructing a traced simulator must cost what an untraced one does.
 func TestTracerRingAllocatedOnFirstEvent(t *testing.T) {
@@ -143,6 +151,175 @@ func TestTracerRingAllocatedOnFirstEvent(t *testing.T) {
 		t.Fatalf("after the first event: ring cap %d, %d events; want cap %d, 1 event", cap(tr.buf), len(tr.Events()), tr.Cap())
 	}
 }
+
+// The stored record is what the ring's and the recorders' footprints
+// are multiples of; a field added or widened past 24 bytes would give
+// back what packing it bought.
+func TestEventRecordSize(t *testing.T) {
+	if got := unsafe.Sizeof(record{}); got > 24 {
+		t.Fatalf("stored event record is %d bytes, want at most 24", got)
+	}
+	e := Event{Seq: 9, Cycle: 1 << 40, Kind: EvEject, Packet: 1 << 50, Flit: 1<<15 - 1, Node: 1<<15 - 1, Port: 4, VC: 1<<15 - 2}
+	if got := pack(e).event(e.Seq); got != e {
+		t.Fatalf("an event at the top of every field's range came back as %+v, want %+v", got, e)
+	}
+	e = Event{Flit: -1, Port: -1, VC: -1}
+	if got := pack(e).event(0); got != e {
+		t.Fatalf("an event with every optional field absent came back as %+v, want %+v", got, e)
+	}
+}
+
+// Drain's wrap-aware bulk copies against the obvious model: append
+// every event, Seq is the index, the last cap are retained. Each drain
+// lists how many events each recorder staged; the named shapes are the
+// ones a copy can get wrong, the rest are random and leave some
+// recorders empty.
+func TestTracerMatchesNaiveRing(t *testing.T) {
+	cases := []struct {
+		name   string
+		cap    int
+		drains [][]int // nil = random
+	}{
+		{"nothing recorded", 4, [][]int{{0, 0}, {}}},
+		{"cap 1", 1, nil},
+		{"cap 3", 3, nil},
+		{"cap 4", 4, nil},
+		{"cap 65536", 1 << 16, nil},
+		{"batch ends on the wrap", 4, [][]int{{2}, {2}, {4}}},
+		{"batch straddles the wrap", 4, [][]int{{3}, {3}}},
+		{"second recorder straddles the wrap", 4, [][]int{{3, 0, 3}}},
+		{"batch straddles the wrap of a filling ring", 3, [][]int{{2}, {2}}},
+		{"batch larger than an empty ring", 4, [][]int{{11}}},
+		{"batch larger than a wrapped ring", 4, [][]int{{6}, {9}}},
+		{"batch of twice the ring", 3, [][]int{{1}, {6}}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(c.cap)))
+			drains := c.drains
+			for i := 0; c.drains == nil && i < 40; i++ {
+				most := 2 * min(c.cap, 2048)
+				drains = append(drains, []int{rng.Intn(most + 1), 0, rng.Intn(most + 1), rng.Intn(2)})
+			}
+			tr := NewTracer(NewRegistry(), c.cap)
+			recs := []*Recorder{{}, {}, {}, {}}
+			var model []Event
+			for _, staged := range drains {
+				// Recorders drain in index order, so staging in that order
+				// makes the model's index the Seq.
+				for i, n := range staged {
+					for ; n > 0; n-- {
+						e := Event{
+							Cycle: int64(rng.Intn(4)), Kind: EventKind(rng.Intn(7)), Packet: uint64(rng.Intn(5)),
+							Flit: rng.Intn(5) - 1, Node: i, Port: rng.Intn(6) - 1, VC: rng.Intn(17) - 1,
+						}
+						recs[i].StageEvent(e)
+						e.Seq = uint64(len(model))
+						model = append(model, e)
+					}
+				}
+				tr.Drain(recs)
+				want := model[max(0, len(model)-c.cap):]
+				if got := tr.Events(); len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
+					t.Fatalf("after %d events Events() = %d events %+v, want the last %d: %+v", len(model), len(got), head(got), len(want), head(want))
+				}
+			}
+			want := model[max(0, len(model)-c.cap):]
+			if tr.Total() != uint64(len(model)) || tr.Dropped() != uint64(len(model)-len(want)) {
+				t.Fatalf("total/dropped = %d/%d, want %d/%d", tr.Total(), tr.Dropped(), len(model), len(model)-len(want))
+			}
+			for packet := uint64(0); packet < 6; packet++ {
+				var tl []Event
+				for _, e := range want {
+					if e.Packet == packet {
+						tl = append(tl, e)
+					}
+				}
+				sort.SliceStable(tl, func(i, j int) bool { return tl[i].Cycle < tl[j].Cycle })
+				if got := tr.Timeline(packet); !reflect.DeepEqual(got, tl) {
+					t.Fatalf("Timeline(%d) = %+v, want %+v", packet, head(got), head(tl))
+				}
+			}
+			var got, naive strings.Builder
+			if err := tr.WriteJSONL(&got); err != nil {
+				t.Fatal(err)
+			}
+			for _, e := range want {
+				fmt.Fprintf(&naive, `{"seq":%d,"cycle":%d,"kind":%q,"packet":%d,"flit":%d,"node":%d,"port":%d,"vc":%d}`+"\n",
+					e.Seq, e.Cycle, e.Kind.String(), e.Packet, e.Flit, e.Node, e.Port, e.VC)
+			}
+			if got.String() != naive.String() {
+				t.Fatalf("JSONL differs from the model's rendering:\n%.400s\nwant:\n%.400s", got.String(), naive.String())
+			}
+
+			// A checkpoint carries the ring slot by slot, each event with
+			// the Seq its slot implies; a restored tracer reports the same.
+			blob, err := snap.Save(tr.State)
+			if err != nil {
+				t.Fatal(err)
+			}
+			restored := NewTracer(NewRegistry(), c.cap)
+			load, err := snap.Open(blob)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if restored.State(load); load.Finish() != nil {
+				t.Fatalf("restoring the tracer: %v", load.Finish())
+			}
+			if got := restored.Events(); !reflect.DeepEqual(got, tr.Events()) || restored.Dropped() != tr.Dropped() {
+				t.Fatalf("restored tracer holds %d events (%d dropped), the saved one %d (%d)", len(got), restored.Dropped(), len(want), tr.Dropped())
+			}
+		})
+	}
+}
+
+// The exporter goroutine reads while the kernel drains. Every read
+// must see a whole number of batches: consecutive Seqs ending at a
+// total the drain had reached, never a ring caught between its two
+// copies. Run under -race by CI.
+func TestTracerReadsDuringDrain(t *testing.T) {
+	const batch, drains = 5, 400
+	tr := NewTracer(NewRegistry(), 16) // not a multiple of the batch: drains straddle the wrap
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		rec := &Recorder{}
+		for i := 0; i < drains; i++ {
+			for j := 0; j < batch; j++ {
+				rec.StageEvent(Event{Cycle: int64(i), Packet: uint64(i*batch + j)})
+			}
+			tr.Drain([]*Recorder{rec})
+		}
+	}()
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false // and read once more, after the last drain
+		default:
+		}
+		evs := tr.Events()
+		for i, e := range evs {
+			if e.Seq != evs[0].Seq+uint64(i) || e.Packet != e.Seq {
+				t.Fatalf("event %d of a concurrent read has seq %d, packet %d; the first has seq %d", i, e.Seq, e.Packet, evs[0].Seq)
+			}
+		}
+		if n := len(evs); n > 0 && (evs[n-1].Seq+1)%batch != 0 {
+			t.Fatalf("a concurrent read ends at seq %d, inside a batch of %d", evs[n-1].Seq, batch)
+		}
+		if tl := tr.Timeline(7); len(tl) > 1 {
+			t.Fatalf("Timeline(7) = %+v, want the one event of packet 7 or none", tl)
+		}
+		if err := tr.WriteJSONL(io.Discard); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if tr.Total() != batch*drains || tr.Dropped() != batch*drains-16 {
+		t.Fatalf("total/dropped = %d/%d, want %d/%d", tr.Total(), tr.Dropped(), batch*drains, batch*drains-16)
+	}
+}
+
+// head trims an event list for a failure message.
+func head(evs []Event) []Event { return evs[:min(len(evs), 8)] }
 
 func TestTracerSeqOrderAcrossRecorders(t *testing.T) {
 	reg := NewRegistry()

@@ -57,6 +57,39 @@ type Event struct {
 	VC     int // virtual channel involved; -1 when not applicable
 }
 
+// record is an Event as the recorders and the ring hold it: 24 bytes
+// for the 64 of an Event. The fields are as narrow as Config.Validate
+// lets their values be (config.MaxPacketSize, MaxNodes and
+// MaxBufferSlots; a router has five ports), and Seq is not stored: a
+// staged event has none yet, and ring slot i holds the newest event
+// whose Seq is i modulo the capacity.
+type record struct {
+	cycle  int64
+	packet uint64
+	flit   int16
+	node   int16
+	vc     int16
+	port   int8
+	kind   EventKind
+}
+
+// pack narrows e to its stored form, leaving Seq behind.
+func pack(e Event) record {
+	return record{
+		cycle: e.Cycle, packet: e.Packet, flit: int16(e.Flit), node: int16(e.Node),
+		vc: int16(e.VC), port: int8(e.Port), kind: e.Kind,
+	}
+}
+
+// event widens r back to the public Event, with the Seq its position
+// implies.
+func (r record) event(seq uint64) Event {
+	return Event{
+		Seq: seq, Cycle: r.cycle, Kind: r.kind, Packet: r.packet,
+		Flit: int(r.flit), Node: int(r.node), Port: int(r.port), VC: int(r.vc),
+	}
+}
+
 // Tracer keeps the most recent events in a bounded ring buffer.
 // Writes happen only via Drain in the kernel's serial phase; Events,
 // Timeline and WriteJSONL copy under the same lock that guards
@@ -65,11 +98,10 @@ type Event struct {
 // constructing a tracer costs nothing, so building a traced simulator
 // is as cheap as building an untraced one.
 type Tracer struct {
-	reg     *Registry // lock owner; drains and reads synchronize on it
-	buf     []Event
-	cap     int
-	next    uint64 // total events ever appended == next Seq
-	dropped uint64
+	reg  *Registry // lock owner; drains and reads synchronize on it
+	buf  []record  // the first min(next, cap) slots of the ring; slot i holds Seq ≡ i (mod cap)
+	cap  int
+	next uint64 // total events ever appended == next Seq
 }
 
 // NewTracer returns a tracer retaining at most capacity events. The
@@ -81,46 +113,46 @@ func NewTracer(reg *Registry, capacity int) *Tracer {
 	return &Tracer{reg: reg, cap: capacity}
 }
 
-// ring returns the event buffer, allocating it at full capacity on
-// first use. Callers hold the registry lock.
-func (t *Tracer) ring() []Event {
-	if t.buf == nil {
-		//vichar:alloc the one ring allocation of a run, made by the first event instead of by the constructor
-		t.buf = make([]Event, 0, t.cap)
-	}
-	return t.buf
-}
-
 // Cap returns the ring capacity.
 func (t *Tracer) Cap() int { return t.cap }
 
 // Drain moves every staged event out of the recorders, in recorder
-// index order, assigning each a global Seq. Serial phase only; the
-// fixed drain order makes the event stream worker-count invariant.
+// index order, which is the order of their Seqs. Serial phase only;
+// the fixed drain order makes the event stream worker-count invariant.
 func (t *Tracer) Drain(recs []*Recorder) {
 	t.reg.mu.Lock()
 	for _, rec := range recs {
-		for _, e := range rec.events {
-			e.Seq = t.next
-			t.next++
-			if len(t.buf) < t.cap {
-				//vichar:alloc the ring fills to its fixed cap once, then overwrites slots in place
-				t.buf = append(t.ring(), e)
-			} else {
-				t.buf[int(e.Seq)%t.cap] = e
-				t.dropped++
-			}
-		}
+		t.push(rec.events)
 		rec.events = rec.events[:0]
 	}
 	t.reg.mu.Unlock()
+}
+
+// push appends a batch to the ring in at most two copies. Of a batch
+// longer than the ring only the last cap events survive, each in the
+// slot its Seq names.
+func (t *Tracer) push(batch []record) {
+	keep := batch[max(0, len(batch)-t.cap):]
+	t.next += uint64(len(batch))
+	at := int((t.next - uint64(len(keep))) % uint64(t.cap))
+	// Until the ring has filled once, at is its length: growing it is a
+	// reslice of the full-capacity allocation.
+	if end := min(at+len(keep), t.cap); len(t.buf) < end {
+		if t.buf == nil {
+			//vichar:alloc the one ring allocation of a run, made by the first event instead of by the constructor
+			t.buf = make([]record, 0, t.cap)
+		}
+		t.buf = t.buf[:end]
+	}
+	n := copy(t.buf[at:], keep)
+	copy(t.buf, keep[n:])
 }
 
 // Dropped reports how many events were evicted from the ring.
 func (t *Tracer) Dropped() uint64 {
 	t.reg.mu.RLock()
 	defer t.reg.mu.RUnlock()
-	return t.dropped
+	return t.next - uint64(len(t.buf))
 }
 
 // Total reports how many events were ever recorded (retained or not).
@@ -130,13 +162,39 @@ func (t *Tracer) Total() uint64 {
 	return t.next
 }
 
+// seqAt returns the Seq of the event in ring slot i: the newest one
+// below next that is i modulo the capacity. Callers hold the lock.
+func (t *Tracer) seqAt(i int) uint64 {
+	seq := t.next - t.next%uint64(t.cap) + uint64(i)
+	if seq >= t.next {
+		seq -= uint64(t.cap)
+	}
+	return seq
+}
+
+// retained copies the ring, oldest event first, and returns it with
+// that event's Seq; the rest follow in Seq order. The copy is of
+// packed records, so a reader holds the lock for two copies and
+// widens or renders after releasing it.
+func (t *Tracer) retained() ([]record, uint64) {
+	t.reg.mu.RLock()
+	defer t.reg.mu.RUnlock()
+	out := make([]record, len(t.buf))
+	// The oldest event sits where the next one will land; before the
+	// ring has filled that is its end, and the first copy is empty.
+	oldest := int(t.next % uint64(t.cap))
+	n := copy(out, t.buf[oldest:])
+	copy(out[n:], t.buf)
+	return out, t.next - uint64(len(t.buf))
+}
+
 // Events returns the retained events in Seq order.
 func (t *Tracer) Events() []Event {
-	t.reg.mu.RLock()
-	out := make([]Event, len(t.buf))
-	copy(out, t.buf)
-	t.reg.mu.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
+	ring, first := t.retained()
+	out := make([]Event, len(ring))
+	for i, r := range ring {
+		out[i] = r.event(first + uint64(i))
+	}
 	return out
 }
 
@@ -149,9 +207,9 @@ func (t *Tracer) Events() []Event {
 func (t *Tracer) Timeline(packet uint64) []Event {
 	var out []Event
 	t.reg.mu.RLock()
-	for _, e := range t.buf {
-		if e.Packet == packet {
-			out = append(out, e)
+	for i, r := range t.buf {
+		if r.packet == packet {
+			out = append(out, r.event(t.seqAt(i)))
 		}
 	}
 	t.reg.mu.RUnlock()
@@ -168,10 +226,11 @@ func (t *Tracer) Timeline(packet uint64) []Event {
 // in Seq order. The fields are rendered by hand in a fixed key order
 // so the sink is byte-deterministic.
 func (t *Tracer) WriteJSONL(w io.Writer) error {
-	for _, e := range t.Events() {
+	ring, first := t.retained()
+	for i, r := range ring {
 		_, err := fmt.Fprintf(w,
 			`{"seq":%d,"cycle":%d,"kind":%q,"packet":%d,"flit":%d,"node":%d,"port":%d,"vc":%d}`+"\n",
-			e.Seq, e.Cycle, e.Kind.String(), e.Packet, e.Flit, e.Node, e.Port, e.VC)
+			first+uint64(i), r.cycle, r.kind.String(), r.packet, r.flit, r.node, r.port, r.vc)
 		if err != nil {
 			return err
 		}

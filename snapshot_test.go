@@ -484,8 +484,12 @@ func restoreAndStep(data []byte, steps int) (err error, panicked string) {
 func mutationBlobs(t testing.TB) map[string][]byte {
 	vic := withFaults(snapCfg(vichar.ViChaR))
 	vic.Metrics = true
+	// A ring small enough to have wrapped by the cut, which falls between
+	// two drains: events wait in the recorders too.
+	traced := snapCfg(vichar.ViChaR)
+	traced.TraceEvents = 48
 	out := make(map[string][]byte)
-	for name, cfg := range map[string]vichar.Config{"ViC-faults-metrics": vic, "GEN": snapCfg(vichar.Generic)} {
+	for name, cfg := range map[string]vichar.Config{"ViC-faults-metrics": vic, "ViC-traced": traced, "GEN": snapCfg(vichar.Generic)} {
 		s, err := vichar.NewSimulator(cfg)
 		if err != nil {
 			t.Fatalf("NewSimulator: %v", err)
@@ -563,6 +567,23 @@ func TestRestoreResealedMutations(t *testing.T) {
 				row{"(e) router 5: output VC 4 -> 0, draining on link 5->1", section("router", 5) + 2098, 2, "link 5->1: VC 0 is held upstream by packet 74"},
 				row{"(f) router 6: output VC 3 -> 1, draining on link 6->10", section("router", 6) + 709, 1, "link 6->10: VC 1 is held upstream by packet 90"},
 				row{"(g) router 1 port 2: pending-readiness bit of empty VC 0", section("ubs", 7) + 304, 0, "router 1 port 2: core: readyMask bit 0 is false (pending: true"})
+		}
+		if name == "ViC-traced" {
+			// The tracer's Seqs and eviction count are implied by where
+			// its events sit; a snapshot that says otherwise is refused.
+			// The ring follows the section's three counts, and each
+			// event starts with its Seq.
+			ring := section("tracer", 0) + 24
+			staged := 0
+			for k := 0; staged == 0; k++ {
+				if at := section("recorder", k); binary.LittleEndian.Uint64(blob[at:]) > 0 {
+					staged = at + 8
+				}
+			}
+			rows = append(rows,
+				row{"(h) bit 0 of the first ring slot's Seq", ring, 0, "where its position implies"},
+				row{"(i) bit 0 of a staged event's Seq", staged, 0, "carries seq 1 where its position implies 0"},
+				row{"(j) bit 1 of the tracer's eviction count", ring - 16, 1, "snapshot ring holds 48 events and evicted"})
 		}
 		var clean uint64
 		clean = allocated(func() {
