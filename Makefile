@@ -2,27 +2,23 @@
 
 GO ?= go
 
-.PHONY: lint lint-hot alloc-check snapshot-check race cover bench-ab profile experiments paper examples clean
+.PHONY: lint alloc-check snapshot-check race cover bench-ab profile experiments paper examples clean
 
-# Project-specific determinism, invariant & hot-path purity rules
-# (cmd/vichar-lint): no map ranges or ambient entropy in the simulator
-# core, no dropped errors, panics only in constructors or at annotated
-# invariants, no allocation on the tick path without a reasoned
-# //vichar:alloc waiver, nil-guarded probes, and shard-owned writes in
-# phase functions (DESIGN.md §9, §13). Runs go vet first.
+# The one static gate (cmd/vichar-lint, after go vet): no map ranges
+# or ambient entropy in the simulator core, no dropped errors, panics
+# only in constructors or at annotated invariants, goroutines only in
+# the shard executor, and no allocation on the tick path — every heap
+# decision `go build -gcflags='-m -m'` reports in a function reachable
+# from Step, plus the five constructs it cannot see — without a
+# reasoned //vichar:alloc on the statement (DESIGN.md §9, §13).
 lint:
 	$(GO) vet ./...
 	$(GO) run ./cmd/vichar-lint ./...
 
-# The hot-path purity contract cross-checked against the compiler:
-# the AST pass's hot set and explanations must account for every heap
-# decision `go build -gcflags='-m -m'` reports in a hot function.
-lint-hot:
-	$(GO) run ./cmd/vichar-lint -escape-audit ./...
-
 # The runtime half of the purity contract: Network.Step performs zero
 # heap allocations on a drained network and none per packet, flit or
-# link send under load, for all four buffer architectures; and what
+# link send under load (at most 0.01 allocations and 64 bytes per
+# cycle), for all four buffer architectures; and what
 # network.New holds per router stays inside its budget (-v prints the
 # per-component account).
 alloc-check:

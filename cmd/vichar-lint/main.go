@@ -1,5 +1,5 @@
 // Command vichar-lint enforces the simulator's determinism, invariant
-// and hot-path purity contracts (DESIGN.md, "Determinism &
+// and hot-path allocation contracts (DESIGN.md §9 "Determinism &
 // invariants" and §13 "Hot-path purity contract") over the given
 // package patterns:
 //
@@ -12,26 +12,25 @@
 // panic-discipline (panics only in constructors or annotated
 // invariant violations), concurrency-ownership (no `go` statements
 // in internal packages outside the cycle kernel's shard executor,
-// internal/network/shards.go), hot-path-alloc (no allocation in
-// functions reachable from the tick roots Network.Step and
-// Router.Tick), probe-guard (metrics accesses in deterministic
-// packages must be nil-guarded or nil-receiver-safe) and
-// phase-ownership (shard functions passed to runSharded may only
-// write through shard-derived indexes). Sites proven safe are
-// annotated in source:
+// internal/network/shards.go), and the allocation contract over every
+// function reachable from the tick roots Network.Step and
+// Router.Tick: escape-audit (no heap decision in the compiler's
+// `go build -gcflags='-m -m'` report) and hot-path-alloc (none of the
+// five constructs that report cannot see: append, string
+// concatenation, string↔byte-slice conversion, map literal,
+// make(chan)). Sites proven safe are annotated in source:
 //
 //	//vichar:ordered <reason>       waives map-range
 //	//vichar:invariant <reason>     waives panic-discipline
-//	//vichar:alloc <reason>         waives hot-path-alloc
-//	//vichar:nolint <rule> <reason> waives any rule
+//	//vichar:alloc <reason>         waives escape-audit and hot-path-alloc
+//	//vichar:nolint <rule> <reason> waives any other rule
 //
 // A bare marker with no reason never suppresses anything, and a
 // waiver is the only way a finding is accepted.
 //
 // Flags:
 //
-//	-json          emit findings as a JSON array instead of text
-//	-escape-audit  cross-check the AST pass against go build -gcflags=-m
+//	-json  emit findings as a JSON array instead of text
 //
 // Exit status: 0 clean, 1 diagnostics found, 2 load/usage error.
 package main
@@ -46,10 +45,7 @@ import (
 )
 
 func main() {
-	var (
-		jsonOut     = flag.Bool("json", false, "emit findings as a JSON array")
-		escapeAudit = flag.Bool("escape-audit", false, "cross-check the AST pass against go build -gcflags=-m -m")
-	)
+	jsonOut := flag.Bool("json", false, "emit findings as a JSON array")
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(), "usage: vichar-lint [flags] [packages]\n\n"+
 			"Package patterns are directories relative to the current module,\n"+
@@ -63,20 +59,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "vichar-lint:", err)
 		os.Exit(2)
 	}
-	res, err := lint.Analyze(cwd, lint.Options{Patterns: flag.Args()})
+	diags, err := lint.Run(cwd, flag.Args())
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "vichar-lint:", err)
 		os.Exit(2)
-	}
-
-	diags := res.Diags
-	if *escapeAudit {
-		audit, err := lint.EscapeAudit(res.ModuleRoot, res.Hot)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "vichar-lint:", err)
-			os.Exit(2)
-		}
-		diags = append(diags, audit...)
 	}
 
 	if *jsonOut {

@@ -122,7 +122,6 @@ func (q *queues) restamp(vc int, lag, floor int64) {
 
 // push appends f to queue f.VC, stamping it when it becomes the head.
 func (q *queues) push(f *flit.Flit, lag, floor int64) {
-	//vichar:alloc fifo.push doubles a shared-pool queue's ring until it has held its deepest backlog; bounded queues are pre-sized and never grow
 	q.qs[f.VC].push(f)
 	if q.qs[f.VC].len() == 1 {
 		q.restamp(f.VC, lag, floor)

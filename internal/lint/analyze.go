@@ -1,8 +1,3 @@
-// Analyze is the full lint pipeline: per-package determinism rules
-// and the cross-package hot-path purity passes over the call graph.
-// A finding is accepted only by a reasoned //vichar: waiver at its
-// site. Run (rules.go) is the thin wrapper the tests and simple
-// callers use.
 package lint
 
 import (
@@ -10,27 +5,14 @@ import (
 	"sort"
 )
 
-// Options configures an Analyze run.
-type Options struct {
-	// Patterns are the package patterns to lint; empty means "./...".
-	Patterns []string
-}
-
-// Result is the outcome of one Analyze run.
-type Result struct {
-	// Diags are the findings no waiver covers, sorted by position.
-	// Non-empty means the lint fails.
-	Diags []Diagnostic
-	// Hot is the AST pass's hot-set view, for EscapeAudit.
-	Hot *HotReport
-	// ModuleRoot is the enclosing module directory.
-	ModuleRoot string
-}
-
-// Analyze loads the packages matched by the patterns and runs every
-// pass.
-func Analyze(cwd string, opts Options) (*Result, error) {
-	patterns := opts.Patterns
+// Run is the lint pipeline: it loads the packages matched by the
+// patterns (resolved relative to cwd within the enclosing module; an
+// empty list means "./..."), applies the per-package determinism
+// rules, then checks the hot-path allocation contract over the call
+// graph with the compiler's escape report (hotpath.go). It returns
+// the findings no reasoned //vichar: waiver covers, sorted by
+// position; non-empty means the lint fails.
+func Run(cwd string, patterns []string) ([]Diagnostic, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
@@ -53,16 +35,12 @@ func Analyze(cwd string, opts Options) (*Result, error) {
 		c.run()
 	}
 	graph := buildCallGraph(l)
-	h := newHotChecker(l, graph, linted, &diags)
-	h.run()
+	if err := checkHotPaths(l, graph, linted, &diags); err != nil {
+		return nil, err
+	}
 	attributeFuncs(graph, diags)
 	sortDiags(diags)
-
-	return &Result{
-		Diags:      diags,
-		Hot:        hotReport(graph, h, linted),
-		ModuleRoot: l.moduleRoot,
-	}, nil
+	return diags, nil
 }
 
 // attributeFuncs fills each diagnostic's Func field from the call
@@ -93,27 +71,6 @@ func attributeFuncs(g *callGraph, diags []Diagnostic) {
 			}
 		}
 	}
-}
-
-// hotReport assembles the escape-audit view: the extents of every
-// hot function in the linted deterministic packages, plus the lines
-// the AST pass explained.
-func hotReport(g *callGraph, h *hotChecker, linted map[string]bool) *HotReport {
-	rep := &HotReport{Explained: h.explained}
-	for _, n := range g.hotNodes(func(p *Package) bool {
-		return deterministicPkgs[p.Name] && linted[p.ImportPath]
-	}) {
-		start := g.fset.Position(n.body().Pos())
-		end := g.fset.Position(n.body().End())
-		rep.Funcs = append(rep.Funcs, HotFunc{
-			File:      start.Filename,
-			Name:      n.name,
-			Root:      n.root,
-			StartLine: start.Line,
-			EndLine:   end.Line,
-		})
-	}
-	return rep
 }
 
 // sortDiags orders diagnostics by position, then rule.

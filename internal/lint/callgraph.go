@@ -1,8 +1,8 @@
 // Static call graph over the loaded module, rooted at the cycle
-// kernel's tick entry points. The hot-path purity passes (hotpath.go)
-// run over the reachable set — the "hot set" — so a new allocation or
-// ownership violation is caught wherever it hides, not just in the
-// function that textually contains the tick loop.
+// kernel's tick entry points. The allocation contract (hotpath.go)
+// runs over the reachable set — the "hot set" — so a new allocation
+// is caught wherever it hides, not just in the function that
+// textually contains the tick loop.
 //
 // Edge kinds:
 //
@@ -29,7 +29,6 @@ import (
 	"go/token"
 	"go/types"
 	"sort"
-	"strings"
 )
 
 // rootSpec names a hot-set root by package name, receiver base type
@@ -71,16 +70,14 @@ func (n *cgNode) body() *ast.BlockStmt {
 	return n.lit.Body
 }
 
-// callGraph is the module-wide graph plus the indexes the hot-path
-// passes need.
+// callGraph is the module-wide graph plus the indexes edge
+// resolution needs.
 type callGraph struct {
-	fset       *token.FileSet
-	modulePath string
+	fset *token.FileSet
 
 	pkgs  []*Package
 	nodes []*cgNode // all nodes, deterministic order
 
-	byDecl map[*ast.FuncDecl]*cgNode
 	byLit  map[*ast.FuncLit]*cgNode
 	byFunc map[*types.Func]*cgNode
 
@@ -102,8 +99,6 @@ type callGraph struct {
 func buildCallGraph(l *loader) *callGraph {
 	g := &callGraph{
 		fset:         l.fset,
-		modulePath:   l.modulePath,
-		byDecl:       map[*ast.FuncDecl]*cgNode{},
 		byLit:        map[*ast.FuncLit]*cgNode{},
 		byFunc:       map[*types.Func]*cgNode{},
 		fieldAssigns: map[*types.Var][]*cgNode{},
@@ -170,7 +165,6 @@ func (g *callGraph) collectNodes() {
 					n.fn = obj
 					g.byFunc[obj] = n
 				}
-				g.byDecl[fd] = n
 				g.nodes = append(g.nodes, n)
 				encl := n
 				ast.Inspect(fd.Body, func(x ast.Node) bool {
@@ -440,11 +434,4 @@ func (g *callGraph) hotNodes(keep func(p *Package) bool) []*cgNode {
 		return pi.Offset < pj.Offset
 	})
 	return out
-}
-
-// isMetricsPath reports whether the import path is the observability
-// package (internal/metrics), whose own internals are exempt from the
-// probe-guard rule.
-func (g *callGraph) isMetricsPath(path string) bool {
-	return strings.HasSuffix(path, "/internal/metrics")
 }

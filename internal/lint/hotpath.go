@@ -1,9 +1,26 @@
-// The hot-path purity passes (DESIGN.md §13): hot-path-alloc,
-// probe-guard and phase-ownership. They run over the call graph of
-// callgraph.go after the per-package rules, because all three need
-// cross-package facts — reachability from the tick roots, the
-// nil-safety of metrics methods, and the resolution of shard
-// functions wired through struct fields.
+// The hot-path allocation contract (DESIGN.md §13), start to finish:
+//
+//	call graph → hot extents → (compiler report ∪ five constructs) − waived statements
+//
+// The compiler is the detector. `go build -gcflags='-m -m'` states
+// every heap decision it takes, so a composite literal, make, new,
+// closure, method value, interface box or fmt call that really
+// allocates inside a function reachable from the tick roots is an
+// escape-audit finding, and one that stays on the stack is not. What
+// the escape report cannot see is kept as the syntactic rule
+// hot-path-alloc — five constructs that allocate at run time without
+// the report saying so: append growing its backing array, a string
+// concatenation or a string↔byte/rune-slice conversion longer than
+// the 32-byte stack buffer, a map literal past eight entries, and
+// make(chan).
+//
+// Either kind of finding is accepted by a reasoned //vichar:alloc on
+// the statement that allocates and by nothing else. A waiver explains
+// exactly one statement: written after code it covers its own line;
+// written on a line of its own it covers the simple statement that
+// starts on the next line, through that statement's last line (but
+// not into the body of a func literal). There is no slack around it,
+// so an allocation on the line after a waived one is still a finding.
 package lint
 
 import (
@@ -11,922 +28,278 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"os/exec"
+	"path/filepath"
+	"sort"
+	"strconv"
+	"strings"
 )
 
-// Hot-path rule names.
+// Allocation rule names. //vichar:alloc waives both.
 const (
-	RuleHotPathAlloc   = "hot-path-alloc"
-	RuleProbeGuard     = "probe-guard"
-	RulePhaseOwnership = "phase-ownership"
+	RuleHotPathAlloc = "hot-path-alloc"
+	RuleEscapeAudit  = "escape-audit"
 )
 
-// hotChecker runs the cross-package passes.
-type hotChecker struct {
-	fset       *token.FileSet
-	modulePath string
-	graph      *callGraph
-	linted     map[string]bool // import paths matched by the patterns
-	diags      *[]Diagnostic
-
-	ann      map[*ast.File]annotations
-	callFuns map[ast.Expr]bool // callee positions of the body being scanned
-
-	// explained records, per file and line, every allocation the AST
-	// pass is aware of — findings before suppression plus the lines a
-	// //vichar:alloc waiver covers. The escape-audit mode cross-checks
-	// the compiler's decisions against this set.
-	explained map[string]map[int]bool
+// hotFunc is one hot function's body extent.
+type hotFunc struct {
+	pkg        string // import path
+	name, root string // display name; witness tick root
+	start, end int    // first and last line of the body
+	lit        bool   // a func literal, whose extent starts at the literal itself
 }
 
-func newHotChecker(l *loader, graph *callGraph, linted map[string]bool, diags *[]Diagnostic) *hotChecker {
-	return &hotChecker{
-		fset:       l.fset,
-		modulePath: l.modulePath,
-		graph:      graph,
-		linted:     linted,
-		diags:      diags,
-		ann:        map[*ast.File]annotations{},
-		explained:  map[string]map[int]bool{},
-	}
+// hotSet is what the compiler's report is matched against, per
+// absolute file name.
+type hotSet struct {
+	funcs  map[string][]hotFunc
+	waived map[string]map[int]bool // lines of waived statements and of panic calls
 }
 
-func (h *hotChecker) annotationsFor(f *ast.File) annotations {
-	a, ok := h.ann[f]
-	if !ok {
-		a = parseAnnotations(h.fset, f)
-		h.ann[f] = a
-	}
-	return a
-}
-
-func (h *hotChecker) report(rule string, pos token.Pos, pkg, fn, format string, args ...any) {
-	p := h.fset.Position(pos)
-	*h.diags = append(*h.diags, Diagnostic{Pos: p, Rule: rule, Msg: fmt.Sprintf(format, args...), Pkg: pkg, Func: fn})
-}
-
-func (h *hotChecker) markExplained(pos token.Pos) {
-	p := h.fset.Position(pos)
-	m := h.explained[p.Filename]
+func (h *hotSet) waive(file string, from, to int) {
+	m := h.waived[file]
 	if m == nil {
 		m = map[int]bool{}
-		h.explained[p.Filename] = m
+		h.waived[file] = m
 	}
-	m[p.Line] = true
+	for l := from; l <= to; l++ {
+		m[l] = true
+	}
 }
 
-// run executes the three passes. Hot-path-alloc covers the hot set;
-// probe-guard and phase-ownership are package-wide over the linted
-// deterministic packages (guard discipline and shard ownership hold
-// everywhere, not only on paths the graph can prove hot).
-func (h *hotChecker) run() {
-	deterministic := func(p *Package) bool {
-		return deterministicPkgs[p.Name] && h.linted[p.ImportPath]
-	}
-	h.markWaiverLines(deterministic)
-	for _, n := range h.graph.hotNodes(deterministic) {
-		h.checkAllocs(n)
-	}
-	for _, p := range h.graph.pkgs {
-		if !deterministic(p) {
-			continue
+// checkHotPaths runs the allocation contract over the hot functions
+// of the linted deterministic packages.
+func checkHotPaths(l *loader, g *callGraph, linted map[string]bool, diags *[]Diagnostic) error {
+	hot := &hotSet{funcs: map[string][]hotFunc{}, waived: map[string]map[int]bool{}}
+	ann := map[*ast.File]annotations{}
+	dirs := map[string]bool{}
+	for _, n := range g.hotNodes(func(p *Package) bool { return deterministicPkgs[p.Name] && linted[p.ImportPath] }) {
+		if ann[n.file] == nil {
+			ann[n.file] = parseAnnotations(l.fset, n.file)
 		}
-		if !h.graph.isMetricsPath(p.ImportPath) {
-			h.checkProbeGuards(p)
-		}
-		h.checkPhaseOwnership(p)
+		dirs[n.pkg.Dir] = true
+		*diags = append(*diags, hot.scan(l.fset, n, ann[n.file])...)
 	}
+	if len(dirs) == 0 {
+		return nil
+	}
+	args := []string{"build", "-gcflags=-m -m"}
+	for dir := range dirs {
+		args = append(args, dir)
+	}
+	sort.Strings(args[2:])
+	cmd := exec.Command("go", args...)
+	cmd.Dir = l.moduleRoot
+	out, err := cmd.CombinedOutput()
+	if err != nil {
+		return fmt.Errorf("lint: escape audit build failed: %v\n%s", err, out)
+	}
+	*diags = append(*diags, auditEscapes(hot, parseEscapeOutput(l.moduleRoot, string(out)))...)
+	return nil
 }
 
-// markWaiverLines records every //vichar:alloc (and nolint
-// hot-path-alloc) annotation in the deterministic packages as
-// explained, so a compiler-reported escape on a waived line does not
-// trip the escape audit.
-func (h *hotChecker) markWaiverLines(keep func(p *Package) bool) {
-	for _, p := range h.graph.pkgs {
-		if !keep(p) {
-			continue
-		}
-		for _, f := range p.Files {
-			for line, as := range h.annotationsFor(f) {
-				for _, a := range as {
-					if a.reason == "" {
-						continue
-					}
-					if a.kind == "alloc" || (a.kind == "nolint" && a.rule == RuleHotPathAlloc) {
-						pos := f.Pos() // any pos in the file resolves the name
-						pp := h.fset.Position(pos)
-						m := h.explained[pp.Filename]
-						if m == nil {
-							m = map[int]bool{}
-							h.explained[pp.Filename] = m
-						}
-						// An annotation covers its own line and the next
-						// (doc-comment style), mirroring suppresses.
-						m[line] = true
-						m[line+1] = true
-					}
-				}
-			}
-		}
-	}
-}
-
-// ---------------------------------------------------------------- hot-path-alloc
-
-// allocReport is the shared tail of every allocation finding: mark
-// the line explained for the escape audit, then emit unless waived.
-func (h *hotChecker) allocReport(n *cgNode, ann annotations, pos token.Pos, what string) {
-	h.markExplained(pos)
-	line := h.fset.Position(pos).Line
-	if ann.suppresses(RuleHotPathAlloc, line) {
-		return
-	}
-	h.report(RuleHotPathAlloc, pos, n.pkg.ImportPath, n.name,
-		"%s on the tick path (%s reachable from %s); hoist it to construction time, reuse a scratch buffer, or annotate //vichar:alloc <reason>",
-		what, n.name, n.root)
-}
-
-// pointerShaped reports whether converting t to an interface stores
-// the value directly in the data word (no heap allocation).
-func pointerShaped(t types.Type) bool {
-	switch t.Underlying().(type) {
-	case *types.Pointer, *types.Chan, *types.Map, *types.Signature:
-		return true
-	case *types.Basic:
-		return t.Underlying().(*types.Basic).Kind() == types.UnsafePointer
-	}
-	return false
-}
-
-// checkAllocs walks one hot function body flagging
-// allocation-causing constructs. Nested function literals are their
-// own hot nodes and are skipped here; panic arguments are exempt
+// scan walks one hot function body. It records the body's extent and
+// the lines its waivers and panic calls cover, and returns a finding
+// for each unwaived one of the five constructs outside a panic call
 // (terminating error paths, already policed by panic-discipline).
-func (h *hotChecker) checkAllocs(n *cgNode) {
+// Nested func literals are their own hot nodes and are skipped.
+func (h *hotSet) scan(fset *token.FileSet, n *cgNode, ann annotations) []Diagnostic {
 	info := n.pkg.Info
-	ann := h.annotationsFor(n.file)
-	handled := map[ast.Node]bool{} // &T{} reported once at the unary op
-	var walk func(x ast.Node) bool
-	walk = func(x ast.Node) bool {
+	line := func(p token.Pos) int { return fset.Position(p).Line }
+	file := fset.Position(n.body().Pos()).Filename
+	start, end := line(n.body().Pos()), line(n.body().End())
+	h.funcs[file] = append(h.funcs[file], hotFunc{pkg: n.pkg.ImportPath, name: n.name, root: n.root, start: start, end: end, lit: n.lit != nil})
+
+	var found []Diagnostic
+	flag := func(pos token.Pos, what string) {
+		found = append(found, Diagnostic{Pos: fset.Position(pos), Rule: RuleHotPathAlloc, Pkg: n.pkg.ImportPath, Func: n.name,
+			Msg: fmt.Sprintf("%s on the tick path (%s reachable from %s); hoist it to construction time, reuse a scratch buffer, or annotate //vichar:alloc <reason>",
+				what, n.name, n.root)})
+	}
+	code := map[int]bool{}       // lines on which some syntax node starts or ends
+	stmtAt := map[int]ast.Stmt{} // first simple statement starting on each line
+	ast.Inspect(n.body(), func(x ast.Node) bool {
+		if _, comment := x.(*ast.CommentGroup); x == nil || comment {
+			return false
+		}
+		code[line(x.Pos())], code[line(x.End()-1)] = true, true
 		switch e := x.(type) {
 		case *ast.FuncLit:
-			if e == n.lit {
-				return true
+			return e == n.lit
+		case *ast.AssignStmt, *ast.ExprStmt, *ast.ReturnStmt, *ast.GoStmt, *ast.DeferStmt, *ast.SendStmt, *ast.IncDecStmt, *ast.DeclStmt:
+			if l := line(x.Pos()); stmtAt[l] == nil {
+				stmtAt[l] = x.(ast.Stmt)
 			}
-			if capt := h.capturedVar(n, e); capt != "" {
-				h.allocReport(n, ann, e.Pos(), "func literal capturing "+capt+" allocates a closure")
-			}
-			return false // the literal's body is its own hot node
-		case *ast.DeferStmt:
-			h.allocReport(n, ann, e.Defer, "defer allocates a deferred-call record")
-			return true
-		case *ast.GoStmt:
-			h.allocReport(n, ann, e.Go, "go statement allocates a goroutine")
-			return true
-		case *ast.UnaryExpr:
-			if e.Op == token.AND {
-				if cl, ok := ast.Unparen(e.X).(*ast.CompositeLit); ok {
-					handled[cl] = true
-					h.allocReport(n, ann, e.Pos(), "&-composite literal allocates")
-				}
-			}
-			return true
 		case *ast.CompositeLit:
-			if handled[e] {
-				return true
-			}
-			tv, ok := info.Types[e]
-			if !ok {
-				return true
-			}
-			switch tv.Type.Underlying().(type) {
-			case *types.Slice:
-				h.allocReport(n, ann, e.Pos(), "slice literal allocates")
-			case *types.Map:
-				h.allocReport(n, ann, e.Pos(), "map literal allocates")
-			}
-			return true
-		case *ast.BinaryExpr:
-			if e.Op == token.ADD {
-				if tv, ok := info.Types[e]; ok && tv.Value == nil {
-					if b, ok := tv.Type.Underlying().(*types.Basic); ok && b.Info()&types.IsString != 0 {
-						h.allocReport(n, ann, e.OpPos, "string concatenation allocates")
-					}
+			if tv, ok := info.Types[e]; ok {
+				if _, isMap := tv.Type.Underlying().(*types.Map); isMap {
+					flag(e.Pos(), "map literal allocates past eight entries")
 				}
 			}
-			return true
-		case *ast.SelectorExpr:
-			// A method value (x.M used as a value) allocates a bound
-			// closure.
-			if sel, ok := info.Selections[e]; ok && sel.Kind() == types.MethodVal && !h.callFuns[e] {
-				h.allocReport(n, ann, e.Pos(), "method value allocates a closure")
+		case *ast.BinaryExpr:
+			if tv, ok := info.Types[e]; ok && e.Op == token.ADD && tv.Value == nil && isString(tv.Type) {
+				flag(e.OpPos, "string concatenation allocates past 32 bytes")
 			}
-			return true
 		case *ast.CallExpr:
-			return h.checkCall(n, ann, info, e)
-		}
-		return true
-	}
-	// Pre-pass: record which selector expressions are call callees so
-	// the method-value case above can tell `x.M()` from `x.M`.
-	h.callFuns = map[ast.Expr]bool{}
-	ast.Inspect(n.body(), func(x ast.Node) bool {
-		if call, ok := x.(*ast.CallExpr); ok {
-			h.callFuns[ast.Unparen(call.Fun)] = true
+			fun := ast.Unparen(e.Fun)
+			if id, ok := fun.(*ast.Ident); ok {
+				if b, ok := info.Uses[id].(*types.Builtin); ok {
+					switch b.Name() {
+					case "panic":
+						// The compiler heap-allocates a panic's boxed
+						// argument; the whole call is exempt.
+						h.waive(file, line(e.Pos()), line(e.End()))
+						return false
+					case "append":
+						flag(e.Pos(), "append may grow its backing array")
+					case "make":
+						if _, isChan := info.Types[e].Type.Underlying().(*types.Chan); isChan {
+							flag(e.Pos(), "make(chan) allocates the channel")
+						}
+					}
+					return true
+				}
+			}
+			if tv, ok := info.Types[fun]; ok && tv.IsType() && len(e.Args) == 1 {
+				if from, ok := info.Types[e.Args[0]]; ok && copyingConversion(from.Type, tv.Type) {
+					flag(e.Pos(), "conversion between string and byte/rune slice allocates past 32 bytes")
+				}
+			}
 		}
 		return true
 	})
-	ast.Inspect(n.body(), walk)
-}
 
-// checkCall handles the CallExpr cases of checkAllocs: builtins,
-// allocating conversions, fmt/strings, and interface boxing of
-// arguments. Returns false when the subtree should be skipped.
-func (h *hotChecker) checkCall(n *cgNode, ann annotations, info *types.Info, call *ast.CallExpr) bool {
-	fun := ast.Unparen(call.Fun)
-	// Builtins.
-	if id, ok := fun.(*ast.Ident); ok {
-		if b, ok := info.Uses[id].(*types.Builtin); ok {
-			switch b.Name() {
-			case "panic":
-				// Terminating error path; panic-discipline owns it. The
-				// compiler still heap-allocates the panic argument, so
-				// mark every line of the call as explained for the
-				// escape audit.
-				for line := h.fset.Position(call.Pos()).Line; line <= h.fset.Position(call.End()).Line; line++ {
-					p := h.fset.Position(call.Pos())
-					m := h.explained[p.Filename]
-					if m == nil {
-						m = map[int]bool{}
-						h.explained[p.Filename] = m
-					}
-					m[line] = true
+	for l := start; l <= end; l++ {
+		if !ann.has(l, RuleHotPathAlloc) {
+			continue
+		}
+		if s := stmtAt[l+1]; s != nil && !code[l] {
+			last := s.End()
+			ast.Inspect(s, func(x ast.Node) bool {
+				if lit, ok := x.(*ast.FuncLit); ok && lit.Body.Lbrace < last {
+					last = lit.Body.Lbrace
 				}
-				return false
-			case "make":
-				h.allocReport(n, ann, call.Pos(), "make allocates")
-			case "new":
-				h.allocReport(n, ann, call.Pos(), "new allocates")
-			case "append":
-				h.allocReport(n, ann, call.Pos(), "append may grow its backing array")
-			}
-			return true
+				return true
+			})
+			h.waive(file, l+1, line(last))
+		} else {
+			h.waive(file, l, l)
 		}
 	}
-	// Conversions: string <-> []byte/[]rune copy their payload.
-	if tv, ok := info.Types[fun]; ok && tv.IsType() && len(call.Args) == 1 {
-		to := tv.Type
-		if from, ok := info.Types[call.Args[0]]; ok && allocatingConversion(from.Type, to) {
-			h.allocReport(n, ann, call.Pos(), "conversion between string and byte/rune slice allocates")
-		}
-		return true
-	}
-	fn := calleeFunc(info, call)
-	if fn != nil && fn.Pkg() != nil {
-		switch fn.Pkg().Path() {
-		case "fmt":
-			h.allocReport(n, ann, call.Pos(), "fmt."+fn.Name()+" allocates")
-			return true // args feed the flagged call; don't double-report boxing
-		case "strings":
-			h.allocReport(n, ann, call.Pos(), "strings."+fn.Name()+" allocates")
-			return true
+	unwaived := found[:0]
+	for _, d := range found {
+		if !h.waived[file][d.Pos.Line] {
+			unwaived = append(unwaived, d)
 		}
 	}
-	// Interface boxing: a concrete, non-pointer-shaped argument
-	// passed to an interface parameter heap-allocates the box.
-	if fn != nil {
-		if sig, ok := fn.Type().(*types.Signature); ok {
-			h.checkBoxing(n, ann, info, call, sig)
-		}
-	}
-	return true
+	return unwaived
 }
 
-// allocatingConversion reports whether a conversion from -> to copies
+func isString(t types.Type) bool {
+	b, ok := t.Underlying().(*types.Basic)
+	return ok && b.Info()&types.IsString != 0
+}
+
+// copyingConversion reports whether a conversion from -> to copies
 // its payload (string <-> []byte / []rune).
-func allocatingConversion(from, to types.Type) bool {
-	isStr := func(t types.Type) bool {
-		b, ok := t.Underlying().(*types.Basic)
-		return ok && b.Info()&types.IsString != 0
-	}
+func copyingConversion(from, to types.Type) bool {
 	isByteOrRune := func(t types.Type) bool {
 		s, ok := t.Underlying().(*types.Slice)
 		if !ok {
 			return false
 		}
 		b, ok := s.Elem().Underlying().(*types.Basic)
-		return ok && (b.Kind() == types.Byte || b.Kind() == types.Rune ||
-			b.Kind() == types.Uint8 || b.Kind() == types.Int32)
+		return ok && (b.Kind() == types.Uint8 || b.Kind() == types.Int32)
 	}
-	return (isStr(from) && isByteOrRune(to)) || (isByteOrRune(from) && isStr(to))
+	return (isString(from) && isByteOrRune(to)) || (isByteOrRune(from) && isString(to))
 }
 
-// checkBoxing flags concrete values boxed into interface parameters.
-// Constants are exempt (the compiler materializes them statically),
-// as are pointer-shaped values (stored directly in the data word).
-func (h *hotChecker) checkBoxing(n *cgNode, ann annotations, info *types.Info, call *ast.CallExpr, sig *types.Signature) {
-	params := sig.Params()
-	for i, arg := range call.Args {
-		var pt types.Type
-		switch {
-		case i < params.Len()-1 || (i < params.Len() && !sig.Variadic()):
-			pt = params.At(i).Type()
-		case sig.Variadic() && params.Len() > 0:
-			if call.Ellipsis.IsValid() {
-				continue // forwarding a slice; no per-element boxing
-			}
-			s, ok := params.At(params.Len() - 1).Type().(*types.Slice)
-			if !ok {
+// escapeLine is one parsed compiler diagnostic.
+type escapeLine struct {
+	file string
+	line int
+	msg  string
+}
+
+// parseEscapeOutput extracts the heap decisions ("escapes to heap",
+// "moved to heap") from the compiler output, normalizing file paths
+// to absolute.
+func parseEscapeOutput(moduleRoot, out string) []escapeLine {
+	var lines []escapeLine
+	seen := map[escapeLine]bool{}
+	for _, raw := range strings.Split(out, "\n") {
+		raw = strings.TrimSpace(raw)
+		if !strings.Contains(raw, "escapes to heap") && !strings.Contains(raw, "moved to heap") {
+			continue
+		}
+		if strings.Contains(raw, "does not escape") {
+			continue
+		}
+		// file.go:line:col: message
+		parts := strings.SplitN(raw, ":", 4)
+		if len(parts) < 4 {
+			continue
+		}
+		line, err := strconv.Atoi(parts[1])
+		if err != nil {
+			continue
+		}
+		file := parts[0]
+		if !filepath.IsAbs(file) {
+			file = filepath.Join(moduleRoot, filepath.FromSlash(file))
+		}
+		// -m -m restates a decision with a trailing colon before the
+		// flow explanation, and once more per inlined copy; normalize
+		// and dedupe.
+		el := escapeLine{
+			file: filepath.Clean(file),
+			line: line,
+			msg:  strings.TrimSuffix(strings.TrimSpace(parts[3]), ":"),
+		}
+		if seen[el] {
+			continue
+		}
+		seen[el] = true
+		lines = append(lines, el)
+	}
+	return lines
+}
+
+// auditEscapes returns a finding for every compiler-reported heap
+// decision inside a hot extent that no waived statement or panic
+// call covers. An allocation inlined from another package is
+// reported at the call site, and that is where its waiver goes.
+func auditEscapes(hot *hotSet, lines []escapeLine) []Diagnostic {
+	var diags []Diagnostic
+	for _, el := range lines {
+		// A quoted literal "escaping" is a string constant boxed into
+		// an interface: the box points at read-only data and nothing
+		// is allocated.
+		_, err := strconv.Unquote(strings.TrimSuffix(el.msg, " escapes to heap"))
+		if err == nil || hot.waived[el.file][el.line] {
+			continue
+		}
+		for _, f := range hot.funcs[el.file] {
+			if el.line < f.start || el.line > f.end {
 				continue
 			}
-			pt = s.Elem()
-		default:
-			continue
-		}
-		if pt == nil || !types.IsInterface(pt) {
-			continue
-		}
-		tv, ok := info.Types[arg]
-		if !ok || tv.Type == nil || tv.Value != nil {
-			continue
-		}
-		at := tv.Type
-		if types.IsInterface(at) || pointerShaped(at) {
-			continue
-		}
-		if b, ok := at.Underlying().(*types.Basic); ok && b.Kind() == types.UntypedNil {
-			continue
-		}
-		h.allocReport(n, ann, arg.Pos(),
-			"argument boxes "+types.TypeString(at, types.RelativeTo(n.pkg.Types))+" into an interface, which allocates")
-	}
-}
-
-// capturedVar returns the name of a variable the literal captures
-// from its enclosing function, or "" if it captures nothing (the
-// compiler materializes capture-free literals statically).
-func (h *hotChecker) capturedVar(n *cgNode, lit *ast.FuncLit) string {
-	info := n.pkg.Info
-	encl := n.body()
-	captured := ""
-	ast.Inspect(lit.Body, func(x ast.Node) bool {
-		if captured != "" {
-			return false
-		}
-		id, ok := x.(*ast.Ident)
-		if !ok {
-			return true
-		}
-		v, ok := info.Uses[id].(*types.Var)
-		if !ok || v.IsField() {
-			return true
-		}
-		// Declared in the enclosing function (or its params/receiver)
-		// but outside the literal itself.
-		if v.Pos() >= lit.Pos() && v.Pos() <= lit.End() {
-			return true
-		}
-		start := encl.Pos()
-		if n.decl != nil {
-			start = n.decl.Pos() // include receiver and parameters
-		}
-		if v.Pos() >= start && v.Pos() <= encl.End() {
-			captured = v.Name()
-			return false
-		}
-		return true
-	})
-	return captured
-}
-
-// ---------------------------------------------------------------- probe-guard
-
-// checkProbeGuards enforces that every call of an internal/metrics
-// method from a deterministic package is either nil-receiver-safe in
-// the callee (the probe convention) or dominated by an
-// `if x != nil` / `if x == nil { return }` guard on a prefix of the
-// receiver chain. This pins the observability layer's
-// ~zero-cost-when-disabled property: no probe wiring can dereference
-// or record unconditionally.
-func (h *hotChecker) checkProbeGuards(p *Package) {
-	info := p.Info
-	for _, f := range p.Files {
-		ann := h.annotationsFor(f)
-		w := &pathWalker{}
-		w.inspect(f, func(x ast.Node, path []ast.Node) {
-			call, ok := x.(*ast.CallExpr)
-			if !ok {
-				return
-			}
-			// Constructors wire probes at build time, outside the tick
-			// loop; the disabled-observability contract is about the
-			// per-cycle path (same carve-out as panic-discipline).
-			for _, anc := range path {
-				if fd, ok := anc.(*ast.FuncDecl); ok && constructorName(fd.Name.Name) {
-					return
-				}
-			}
-			sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-			if !ok {
-				return
-			}
-			fn, ok := info.Uses[sel.Sel].(*types.Func)
-			if !ok || fn.Pkg() == nil || !h.graph.isMetricsPath(fn.Pkg().Path()) {
-				return
-			}
-			sig, ok := fn.Type().(*types.Signature)
-			if !ok || sig.Recv() == nil {
-				return // package-level constructor: not a probe access
-			}
-			if h.nilSafeMethod(fn) {
-				return
-			}
-			prefixes := receiverPrefixes(sel.X)
-			if len(prefixes) > 0 && guardedByNilCheck(info, path, prefixes) {
-				return
-			}
-			line := h.fset.Position(call.Pos()).Line
-			if ann.suppresses(RuleProbeGuard, line) {
-				return
-			}
-			h.report(RuleProbeGuard, call.Pos(), p.ImportPath, "",
-				"metrics call %s.%s is not dominated by a nil guard on its receiver and the method is not nil-receiver-safe; wrap it in `if x != nil` or annotate //vichar:nolint %s <reason>",
-				exprString(sel.X), fn.Name(), RuleProbeGuard)
-		})
-	}
-}
-
-// nilSafeMethod reports whether the metrics method's first statement
-// is the nil-receiver bail-out `if p == nil { return }` (possibly
-// `if p == nil || ... { return }`).
-func (h *hotChecker) nilSafeMethod(fn *types.Func) bool {
-	n := h.graph.byFunc[fn]
-	if n == nil || n.decl == nil || n.decl.Recv == nil || len(n.decl.Recv.List) == 0 {
-		return false
-	}
-	names := n.decl.Recv.List[0].Names
-	if len(names) == 0 {
-		return false
-	}
-	recv := names[0].Name
-	body := n.decl.Body
-	if body == nil || len(body.List) == 0 {
-		return false
-	}
-	ifs, ok := body.List[0].(*ast.IfStmt)
-	if !ok || ifs.Init != nil {
-		return false
-	}
-	return condNilEq(ifs.Cond, recv) && terminates(ifs.Body)
-}
-
-// condNilEq reports whether cond guarantees `name == nil` when true
-// travels to the then-branch: a `name == nil` comparison, possibly
-// as a disjunct (`name == nil || ...` still implies the branch runs
-// whenever name is nil).
-func condNilEq(cond ast.Expr, name string) bool {
-	switch e := ast.Unparen(cond).(type) {
-	case *ast.BinaryExpr:
-		switch e.Op {
-		case token.LOR:
-			return condNilEq(e.X, name) || condNilEq(e.Y, name)
-		case token.EQL:
-			return nilComparison(e, name)
-		}
-	}
-	return false
-}
-
-// nilComparison reports whether e compares the named identifier (or
-// dotted path) against nil with the expression's own operator.
-func nilComparison(e *ast.BinaryExpr, name string) bool {
-	isNil := func(x ast.Expr) bool {
-		id, ok := ast.Unparen(x).(*ast.Ident)
-		return ok && id.Name == "nil"
-	}
-	matches := func(x ast.Expr) bool { return exprString(ast.Unparen(x)) == name }
-	return (isNil(e.X) && matches(e.Y)) || (isNil(e.Y) && matches(e.X))
-}
-
-// condNilNeq reports whether cond guarantees `name != nil` in the
-// then-branch: a `name != nil` conjunct (`name != nil && ...`).
-func condNilNeq(cond ast.Expr, name string) bool {
-	switch e := ast.Unparen(cond).(type) {
-	case *ast.BinaryExpr:
-		switch e.Op {
-		case token.LAND:
-			return condNilNeq(e.X, name) || condNilNeq(e.Y, name)
-		case token.NEQ:
-			return nilComparison(e, name)
-		}
-	}
-	return false
-}
-
-// terminates reports whether the block always transfers control away
-// (return, branch, or panic as its last statement).
-func terminates(b *ast.BlockStmt) bool {
-	if len(b.List) == 0 {
-		return false
-	}
-	switch last := b.List[len(b.List)-1].(type) {
-	case *ast.ReturnStmt, *ast.BranchStmt:
-		return true
-	case *ast.ExprStmt:
-		if call, ok := last.X.(*ast.CallExpr); ok {
-			if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "panic" {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// receiverPrefixes renders the dotted prefixes of a receiver chain:
-// for `n.obs.reg` it returns ["n", "n.obs", "n.obs.reg"]. A guard on
-// any prefix dominates the access. Non-ident/selector chains yield
-// nothing (indexing and calls are not tractable as guard subjects).
-func receiverPrefixes(e ast.Expr) []string {
-	var parts []string
-	for {
-		switch v := ast.Unparen(e).(type) {
-		case *ast.SelectorExpr:
-			parts = append(parts, v.Sel.Name)
-			e = v.X
-		case *ast.Ident:
-			parts = append(parts, v.Name)
-			out := make([]string, 0, len(parts))
-			acc := ""
-			for i := len(parts) - 1; i >= 0; i-- {
-				if acc == "" {
-					acc = parts[i]
-				} else {
-					acc += "." + parts[i]
-				}
-				out = append(out, acc)
-			}
-			return out
-		default:
-			return nil
-		}
-	}
-}
-
-// exprString renders an ident/selector chain as source text.
-func exprString(e ast.Expr) string {
-	switch v := ast.Unparen(e).(type) {
-	case *ast.Ident:
-		return v.Name
-	case *ast.SelectorExpr:
-		x := exprString(v.X)
-		if x == "" {
-			return ""
-		}
-		return x + "." + v.Sel.Name
-	}
-	return ""
-}
-
-// guardedByNilCheck reports whether any prefix of the receiver chain
-// is proven non-nil at the call: an enclosing `if prefix != nil`
-// then-branch (or `if prefix == nil` else-branch), or an earlier
-// sibling `if prefix == nil { return/... }` early exit.
-func guardedByNilCheck(info *types.Info, path []ast.Node, prefixes []string) bool {
-	for _, name := range prefixes {
-		for i := len(path) - 1; i >= 0; i-- {
-			ifs, ok := path[i].(*ast.IfStmt)
-			if !ok {
+			// "func literal escapes to heap" is anchored on the literal,
+			// but the closure is allocated by the ENCLOSING function
+			// when it builds the value; the literal's own extent, which
+			// starts on this very line, is not the allocator.
+			if f.lit && el.line == f.start && strings.HasPrefix(el.msg, "func literal escapes") {
 				continue
 			}
-			inThen := i+1 < len(path) && path[i+1] == ifs.Body
-			inElse := i+1 < len(path) && ifs.Else != nil && path[i+1] == ifs.Else
-			if inThen && condNilNeq(ifs.Cond, name) {
-				return true
-			}
-			if inElse && condNilEq(ifs.Cond, name) {
-				return true
-			}
-		}
-		// Early-exit guard in an enclosing block, before the statement
-		// leading to the call.
-		for i := 0; i < len(path)-1; i++ {
-			block, ok := path[i].(*ast.BlockStmt)
-			if !ok {
-				continue
-			}
-			for _, stmt := range block.List {
-				if stmt == path[i+1] || containsNode(stmt, path[i+1]) {
-					break
-				}
-				ifs, ok := stmt.(*ast.IfStmt)
-				if !ok || ifs.Init != nil {
-					continue
-				}
-				if condNilEq(ifs.Cond, name) && terminates(ifs.Body) {
-					return true
-				}
-			}
+			diags = append(diags, Diagnostic{
+				Pos:  token.Position{Filename: el.file, Line: el.line, Column: 1},
+				Rule: RuleEscapeAudit,
+				Pkg:  f.pkg,
+				Func: f.name,
+				Msg: fmt.Sprintf("compiler reports %q inside hot function %s (reachable from %s); keep the value on the stack, hoist the allocation to construction time, or annotate the statement //vichar:alloc <reason>",
+					el.msg, f.name, f.root),
+			})
+			break
 		}
 	}
-	return false
-}
-
-// containsNode reports whether outer's extent encloses inner.
-func containsNode(outer, inner ast.Node) bool {
-	return outer.Pos() <= inner.Pos() && inner.End() <= outer.End()
-}
-
-// pathWalker is an ast.Inspect wrapper that maintains the ancestor
-// path of the visited node.
-type pathWalker struct {
-	stack []ast.Node
-}
-
-func (w *pathWalker) inspect(root ast.Node, visit func(x ast.Node, path []ast.Node)) {
-	ast.Inspect(root, func(x ast.Node) bool {
-		if x == nil {
-			w.stack = w.stack[:len(w.stack)-1]
-			return true
-		}
-		visit(x, w.stack)
-		w.stack = append(w.stack, x)
-		return true
-	})
-}
-
-// ---------------------------------------------------------------- phase-ownership
-
-// checkPhaseOwnership machine-checks the sharded-phase contract of
-// DESIGN.md §10: a function passed to runSharded may only write
-// state selected by a shard-derived index. It resolves the shard
-// functions at each runSharded call site — inline literals, named
-// methods, and functions wired through struct fields — and analyzes
-// each once.
-func (h *hotChecker) checkPhaseOwnership(p *Package) {
-	info := p.Info
-	analyzed := map[*cgNode]bool{}
-	for _, f := range p.Files {
-		ast.Inspect(f, func(x ast.Node) bool {
-			call, ok := x.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			var calleeName string
-			switch fe := ast.Unparen(call.Fun).(type) {
-			case *ast.Ident:
-				calleeName = fe.Name
-			case *ast.SelectorExpr:
-				calleeName = fe.Sel.Name
-			}
-			if calleeName != "runSharded" {
-				return true
-			}
-			for _, arg := range call.Args {
-				for _, n := range h.shardFuncNodes(info, arg) {
-					if analyzed[n] {
-						continue
-					}
-					analyzed[n] = true
-					h.analyzeShardFunc(n)
-				}
-			}
-			return true
-		})
-	}
-}
-
-// shardFuncNodes resolves a runSharded argument to the function
-// node(s) it denotes.
-func (h *hotChecker) shardFuncNodes(info *types.Info, arg ast.Expr) []*cgNode {
-	if n := h.graph.funcValueNode(info, arg); n != nil {
-		return []*cgNode{n}
-	}
-	if sel, ok := ast.Unparen(arg).(*ast.SelectorExpr); ok {
-		if field, ok := info.Uses[sel.Sel].(*types.Var); ok && field.IsField() {
-			return h.graph.fieldAssigns[field]
-		}
-	}
-	return nil
-}
-
-// analyzeShardFunc checks one shard function body. Shared roots are
-// the receiver (for methods) and every variable captured from an
-// enclosing scope (for literals); writes through them require a
-// shard-derived index somewhere in the access chain. Local aliases
-// into shared state (`l := &n.links[i]`) are accepted as shard-owned
-// by construction — the contract is enforced at the selection point.
-func (h *hotChecker) analyzeShardFunc(n *cgNode) {
-	info := n.pkg.Info
-	ann := h.annotationsFor(n.file)
-	body := n.body()
-
-	var params []*ast.Field
-	start := body.Pos()
-	var recvObj types.Object
-	if n.decl != nil {
-		start = n.decl.Pos()
-		if n.decl.Type.Params != nil {
-			params = n.decl.Type.Params.List
-		}
-		if n.decl.Recv != nil && len(n.decl.Recv.List) > 0 && len(n.decl.Recv.List[0].Names) > 0 {
-			recvObj = info.Defs[n.decl.Recv.List[0].Names[0]]
-		}
-	} else {
-		start = n.lit.Pos()
-		if n.lit.Type.Params != nil {
-			params = n.lit.Type.Params.List
-		}
-	}
-
-	// The shard parameter is the function's first parameter.
-	derived := map[types.Object]bool{}
-	if len(params) > 0 && len(params[0].Names) > 0 {
-		if obj := info.Defs[params[0].Names[0]]; obj != nil {
-			derived[obj] = true
-		}
-	}
-
-	// Fixpoint: anything computed from a derived value is derived.
-	usesDerived := func(e ast.Expr) bool {
-		found := false
-		ast.Inspect(e, func(x ast.Node) bool {
-			if id, ok := x.(*ast.Ident); ok && derived[info.Uses[id]] {
-				found = true
-			}
-			return !found
-		})
-		return found
-	}
-	for changed := true; changed; {
-		changed = false
-		ast.Inspect(body, func(x ast.Node) bool {
-			switch s := x.(type) {
-			case *ast.AssignStmt:
-				rhsDerived := false
-				for _, r := range s.Rhs {
-					if usesDerived(r) {
-						rhsDerived = true
-					}
-				}
-				if !rhsDerived {
-					return true
-				}
-				for _, l := range s.Lhs {
-					if id, ok := l.(*ast.Ident); ok {
-						obj := info.Defs[id]
-						if obj == nil {
-							obj = info.Uses[id]
-						}
-						if obj != nil && !derived[obj] {
-							derived[obj] = true
-							changed = true
-						}
-					}
-				}
-			case *ast.RangeStmt:
-				if !usesDerived(s.X) {
-					return true
-				}
-				for _, k := range []ast.Expr{s.Key, s.Value} {
-					if id, ok := k.(*ast.Ident); ok && id.Name != "_" {
-						obj := info.Defs[id]
-						if obj == nil {
-							obj = info.Uses[id]
-						}
-						if obj != nil && !derived[obj] {
-							derived[obj] = true
-							changed = true
-						}
-					}
-				}
-			}
-			return true
-		})
-	}
-
-	// shared reports whether the chain root lives outside the shard
-	// function (captured variable, receiver, or package-level state).
-	shared := func(id *ast.Ident) bool {
-		obj := info.Uses[id]
-		if obj == nil {
-			obj = info.Defs[id]
-		}
-		v, ok := obj.(*types.Var)
-		if !ok {
-			return false
-		}
-		if recvObj != nil && obj == recvObj {
-			return true
-		}
-		return v.Pos() < start || v.Pos() > body.End()
-	}
-
-	flag := func(pos token.Pos, target string) {
-		line := h.fset.Position(pos).Line
-		if ann.suppresses(RulePhaseOwnership, line) {
-			return
-		}
-		h.report(RulePhaseOwnership, pos, n.pkg.ImportPath, n.name,
-			"write to %s in sharded phase function %s without a shard-derived index; shard functions may only mutate state their shard owns (DESIGN.md §10) or annotate //vichar:nolint %s <reason>",
-			target, n.name, RulePhaseOwnership)
-	}
-
-	checkTarget := func(e ast.Expr) {
-		root, hasDerivedIndex := chainRoot(e, usesDerived)
-		if root == nil || !shared(root) {
-			return
-		}
-		if !hasDerivedIndex {
-			flag(e.Pos(), exprChainString(e))
-		}
-	}
-
-	ast.Inspect(body, func(x ast.Node) bool {
-		if lit, ok := x.(*ast.FuncLit); ok && lit != n.lit {
-			return false // nested literal: out of the phase contract's scope
-		}
-		switch s := x.(type) {
-		case *ast.AssignStmt:
-			for _, l := range s.Lhs {
-				if id, ok := l.(*ast.Ident); ok && (id.Name == "_" || !shared(id)) {
-					continue
-				}
-				checkTarget(l)
-			}
-		case *ast.IncDecStmt:
-			checkTarget(s.X)
-		case *ast.ExprStmt:
-			// A discarded method-call result on shared state is
-			// presumptively a mutation; require shard ownership of the
-			// receiver chain.
-			call, ok := s.X.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-			if !ok {
-				return true
-			}
-			if _, isMethod := info.Selections[sel]; !isMethod {
-				return true
-			}
-			root, hasDerivedIndex := chainRoot(sel.X, usesDerived)
-			if root == nil || !shared(root) {
-				return true
-			}
-			if !hasDerivedIndex {
-				flag(call.Pos(), exprChainString(sel.X)+"."+sel.Sel.Name+"(...)")
-			}
-		}
-		return true
-	})
-}
-
-// chainRoot walks an access chain (selectors, indexing, derefs) to
-// its root identifier, reporting whether any index along the chain
-// uses a shard-derived value.
-func chainRoot(e ast.Expr, usesDerived func(ast.Expr) bool) (*ast.Ident, bool) {
-	hasDerived := false
-	for {
-		switch v := ast.Unparen(e).(type) {
-		case *ast.Ident:
-			return v, hasDerived
-		case *ast.SelectorExpr:
-			e = v.X
-		case *ast.IndexExpr:
-			if usesDerived(v.Index) {
-				hasDerived = true
-			}
-			e = v.X
-		case *ast.SliceExpr:
-			for _, ix := range []ast.Expr{v.Low, v.High, v.Max} {
-				if ix != nil && usesDerived(ix) {
-					hasDerived = true
-				}
-			}
-			e = v.X
-		case *ast.StarExpr:
-			e = v.X
-		default:
-			return nil, hasDerived
-		}
-	}
-}
-
-// exprChainString renders an access chain for diagnostics, falling
-// back to a placeholder for complex sub-expressions.
-func exprChainString(e ast.Expr) string {
-	switch v := ast.Unparen(e).(type) {
-	case *ast.Ident:
-		return v.Name
-	case *ast.SelectorExpr:
-		return exprChainString(v.X) + "." + v.Sel.Name
-	case *ast.IndexExpr:
-		return exprChainString(v.X) + "[...]"
-	case *ast.SliceExpr:
-		return exprChainString(v.X) + "[...]"
-	case *ast.StarExpr:
-		return "*" + exprChainString(v.X)
-	}
-	return "<expr>"
+	return diags
 }

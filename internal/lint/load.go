@@ -16,6 +16,11 @@
 //     silently dropped in the deterministic packages.
 //   - panic-discipline: panics only in constructors or at annotated
 //     invariant-violation sites (`//vichar:invariant <reason>`).
+//   - concurrency-ownership: no `go` statement in internal packages
+//     outside the cycle kernel's shard executor.
+//   - escape-audit and hot-path-alloc: no allocation in a function
+//     reachable from the tick roots (hotpath.go; DESIGN.md §13)
+//     without `//vichar:alloc <reason>` on the statement.
 //
 // The engine loads packages itself (no go/packages dependency): it
 // resolves `./...`-style patterns against the enclosing module,

@@ -91,23 +91,28 @@ func parseAnnotations(fset *token.FileSet, f *ast.File) annotations {
 	return out
 }
 
-// suppresses reports whether an annotation on the diagnostic's line
-// (or the line directly above, for doc-comment style) waives the
+// waiverKind names the dedicated //vichar:<kind> annotation of the
+// rules that have one; //vichar:nolint <rule> waives any rule.
+var waiverKind = map[string]string{RuleMapRange: "ordered", RulePanics: "invariant", RuleHotPathAlloc: "alloc"}
+
+// has reports whether an annotation on exactly this line waives the
 // rule. Annotations must carry a justification; a bare marker does
 // not suppress.
-func (ann annotations) suppresses(rule string, line int) bool {
-	kind := map[string]string{RuleMapRange: "ordered", RulePanics: "invariant", RuleHotPathAlloc: "alloc"}[rule]
-	for _, l := range []int{line, line - 1} {
-		for _, a := range ann[l] {
-			if a.reason == "" {
-				continue
-			}
-			if a.kind == kind || (a.kind == "nolint" && a.rule == rule) {
-				return true
-			}
+func (ann annotations) has(line int, rule string) bool {
+	for _, a := range ann[line] {
+		if a.reason != "" && (a.kind == waiverKind[rule] || (a.kind == "nolint" && a.rule == rule)) {
+			return true
 		}
 	}
 	return false
+}
+
+// suppresses reports whether an annotation on the diagnostic's line
+// (or the line directly above, for doc-comment style) waives the
+// rule. The allocation rules match waivers to statements instead
+// (hotpath.go).
+func (ann annotations) suppresses(rule string, line int) bool {
+	return ann.has(line, rule) || ann.has(line-1, rule)
 }
 
 // checker runs the rules over one loaded package.
@@ -437,16 +442,4 @@ func (c *checker) checkPanics(f *ast.File, ann annotations) {
 			return true
 		})
 	}
-}
-
-// Run loads the packages matched by the patterns (resolved relative
-// to cwd within the enclosing module) and returns every diagnostic,
-// sorted by position. An empty pattern list means "./...". Analyze
-// also returns the hot-set view the escape audit needs.
-func Run(cwd string, patterns []string) ([]Diagnostic, error) {
-	res, err := Analyze(cwd, Options{Patterns: patterns})
-	if err != nil {
-		return nil, err
-	}
-	return res.Diags, nil
 }

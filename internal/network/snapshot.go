@@ -152,11 +152,9 @@ func (n *Network) obsState(c *snap.Codec) {
 	if !c.Present(o != nil, "network: observability layer") {
 		return
 	}
-	//vichar:nolint probe-guard the obs layer wires reg and every recorder at construction; nil obs already returned above
 	o.reg.State(c)
 	c.Expect(len(o.recs), "network: recorders")
 	for _, rec := range o.recs {
-		//vichar:nolint probe-guard recorders are never nil inside a wired obs layer
 		rec.State(c)
 	}
 	c.Present(o.tracer != nil, "network: tracer")
@@ -164,7 +162,6 @@ func (n *Network) obsState(c *snap.Codec) {
 		o.tracer.State(c)
 	}
 	if c.Loading() {
-		//vichar:nolint probe-guard the obs layer wires reg at construction; nil obs already returned above
 		o.reg.Store(n.storeFn)
 	}
 }

@@ -46,7 +46,6 @@ func (x XY) Candidates(m topology.Mesh, cur, dst int) []int {
 
 // AppendCandidates appends the single dimension-ordered port to out.
 func (XY) AppendCandidates(out []int, m topology.Mesh, cur, dst int) []int {
-	//vichar:alloc grows the caller's scratch to capacity 1 on the first routing computation, then reuses it
 	return append(out, xyPort(m, cur, dst))
 }
 
@@ -129,15 +128,12 @@ func (MinimalAdaptive) AppendCandidates(out []int, m topology.Mesh, cur, dst int
 	cx, cy := m.XY(cur)
 	dx, dy := m.XY(dst)
 	if cx == dx && cy == dy {
-		//vichar:alloc grows the caller's scratch to capacity ≤ 2 on early routing computations, then reuses it
 		return append(out, topology.Local)
 	}
 	if cx != dx {
-		//vichar:alloc grows the caller's scratch to capacity ≤ 2 on early routing computations, then reuses it
 		out = append(out, xDir(m, cx, dx))
 	}
 	if cy != dy {
-		//vichar:alloc grows the caller's scratch to capacity ≤ 2 on early routing computations, then reuses it
 		out = append(out, yDir(m, cy, dy))
 	}
 	return out

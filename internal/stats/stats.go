@@ -295,7 +295,6 @@ func (c *Collector) reserveLatencies() {
 	if cap(c.latencies) >= want {
 		return
 	}
-	//vichar:alloc one reservation per run, made when the measurement window opens
 	grown := make([]int64, len(c.latencies), want)
 	copy(grown, c.latencies)
 	c.latencies = grown
