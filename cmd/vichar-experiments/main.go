@@ -31,30 +31,21 @@ func main() {
 	log.SetPrefix("vichar-experiments: ")
 
 	var (
-		id         = flag.String("id", "", "run a single experiment by id (see -list)")
-		all        = flag.Bool("all", false, "run every paper experiment")
-		extras     = flag.Bool("extras", false, "also run the extension experiments (speculative, hotspot, variable packets)")
-		list       = flag.Bool("list", false, "list experiment ids and exit")
-		paper      = flag.Bool("paper", false, "use the paper's full measurement protocol (slow)")
-		workers    = flag.Int("workers", 0, "parallel simulations (0 = GOMAXPROCS; capped so jobs x kernel workers fit the machine)")
-		kernel     = flag.Int("kernel-workers", 0, "cycle-kernel workers per simulation (0/1 = serial; results identical at any setting)")
-		reps       = flag.Int("replicates", 1, "independent replicates per point (reports the mean)")
-		csvDir     = flag.String("csv", "", "also write <id>.csv files into this directory")
-		svgDir     = flag.String("svg", "", "also write <id>.svg charts into this directory")
-		chart      = flag.Bool("chart", false, "also print each experiment as an ASCII chart")
-		quiet      = flag.Bool("quiet", false, "suppress progress output")
-		observe    = flag.Bool("observe", false, "run one instrumented simulation and print the metrics-registry report instead of an experiment")
-		resilience = flag.Bool("resilience", false, "run the fault-resilience sweep (shorthand for -id ext-resilience)")
-		txns       = flag.Bool("transactions", false, "run the NIU transaction-layer sweep (shorthand for -id ext-transactions)")
+		id      = flag.String("id", "", "run a single experiment by id (see -list)")
+		all     = flag.Bool("all", false, "run every paper experiment")
+		extras  = flag.Bool("extras", false, "also run the extension experiments (speculative, hotspot, variable packets)")
+		list    = flag.Bool("list", false, "list experiment ids and exit")
+		paper   = flag.Bool("paper", false, "use the paper's full measurement protocol (slow)")
+		workers = flag.Int("workers", 0, "parallel simulations (0 = GOMAXPROCS; capped so jobs x kernel workers fit the machine)")
+		kernel  = flag.Int("kernel-workers", 0, "cycle-kernel workers per simulation (0/1 = serial; results identical at any setting)")
+		reps    = flag.Int("replicates", 1, "independent replicates per point (reports the mean)")
+		csvDir  = flag.String("csv", "", "also write <id>.csv files into this directory")
+		svgDir  = flag.String("svg", "", "also write <id>.svg charts into this directory")
+		chart   = flag.Bool("chart", false, "also print each experiment as an ASCII chart")
+		quiet   = flag.Bool("quiet", false, "suppress progress output")
+		observe = flag.Bool("observe", false, "run one instrumented simulation and print the metrics-registry report instead of an experiment")
 	)
 	flag.Parse()
-
-	if *resilience {
-		*id = "ext-resilience"
-	}
-	if *txns {
-		*id = "ext-transactions"
-	}
 
 	if *list {
 		for _, e := range experiments.All() {

@@ -28,15 +28,14 @@
 // A bare marker with no reason never suppresses anything, and a
 // waiver is the only way a finding is accepted.
 //
-// Flags:
-//
-//	-json  emit findings as a JSON array instead of text
+// Arguments are package patterns as the go tool reads them, resolved
+// by `go list` from the current directory (default ./...); findings
+// print one per line as file:line:col: [rule] message.
 //
 // Exit status: 0 clean, 1 diagnostics found, 2 load/usage error.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -45,12 +44,10 @@ import (
 )
 
 func main() {
-	jsonOut := flag.Bool("json", false, "emit findings as a JSON array")
 	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: vichar-lint [flags] [packages]\n\n"+
-			"Package patterns are directories relative to the current module,\n"+
-			"optionally ending in /... (default ./...).\n\n")
-		flag.PrintDefaults()
+		fmt.Fprintf(flag.CommandLine.Output(), "usage: vichar-lint [packages]\n\n"+
+			"Package patterns are resolved by go list from the current\n"+
+			"directory (default ./...).\n")
 	}
 	flag.Parse()
 
@@ -64,26 +61,11 @@ func main() {
 		fmt.Fprintln(os.Stderr, "vichar-lint:", err)
 		os.Exit(2)
 	}
-
-	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "\t")
-		if diags == nil {
-			diags = []lint.Diagnostic{}
-		}
-		if err := enc.Encode(diags); err != nil {
-			fmt.Fprintln(os.Stderr, "vichar-lint:", err)
-			os.Exit(2)
-		}
-	} else {
-		for _, d := range diags {
-			fmt.Println(d)
-		}
+	for _, d := range diags {
+		fmt.Println(d)
 	}
 	if len(diags) > 0 {
-		if !*jsonOut {
-			fmt.Fprintf(os.Stderr, "vichar-lint: %d issue(s)\n", len(diags))
-		}
+		fmt.Fprintf(os.Stderr, "vichar-lint: %d issue(s)\n", len(diags))
 		os.Exit(1)
 	}
 }

@@ -93,9 +93,9 @@ type callGraph struct {
 	implCache map[*types.Func][]*cgNode
 }
 
-// buildCallGraph constructs the graph over every type-checked package
-// the loader knows (linted and loaded-on-demand alike) and marks the
-// hot set from hotRoots.
+// buildCallGraph constructs the graph over every module package the
+// loader checked (linted and dependency alike, test variants aside) and
+// marks the hot set from hotRoots.
 func buildCallGraph(l *loader) *callGraph {
 	g := &callGraph{
 		fset:         l.fset,
@@ -104,18 +104,12 @@ func buildCallGraph(l *loader) *callGraph {
 		fieldAssigns: map[*types.Var][]*cgNode{},
 		implCache:    map[*types.Func][]*cgNode{},
 	}
-	var paths []string
-	for path := range l.pkgs {
-		paths = append(paths, path)
-	}
-	sort.Strings(paths)
-	for _, path := range paths {
-		p := l.pkgs[path]
-		if p.Info == nil {
-			continue
+	for _, p := range l.pkgs {
+		if p.ForTest == "" {
+			g.pkgs = append(g.pkgs, p)
 		}
-		g.pkgs = append(g.pkgs, p)
 	}
+	sort.Slice(g.pkgs, func(i, j int) bool { return g.pkgs[i].ImportPath < g.pkgs[j].ImportPath })
 	g.collectNodes()
 	g.collectNamedTypes()
 	g.collectFieldAssigns()

@@ -13,11 +13,8 @@ func buildFixtureGraph(t *testing.T) *callGraph {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, err := newLoader(cwd)
+	l, _, err := load(cwd, []string{"./testdata/src/hotnet"})
 	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := l.load(cwd, []string{"./testdata/src/hotnet"}); err != nil {
 		t.Fatal(err)
 	}
 	return buildCallGraph(l)

@@ -43,7 +43,6 @@ const (
 
 // hotFunc is one hot function's body extent.
 type hotFunc struct {
-	pkg        string // import path
 	name, root string // display name; witness tick root
 	start, end int    // first and last line of the body
 	lit        bool   // a func literal, whose extent starts at the literal itself
@@ -108,11 +107,11 @@ func (h *hotSet) scan(fset *token.FileSet, n *cgNode, ann annotations) []Diagnos
 	line := func(p token.Pos) int { return fset.Position(p).Line }
 	file := fset.Position(n.body().Pos()).Filename
 	start, end := line(n.body().Pos()), line(n.body().End())
-	h.funcs[file] = append(h.funcs[file], hotFunc{pkg: n.pkg.ImportPath, name: n.name, root: n.root, start: start, end: end, lit: n.lit != nil})
+	h.funcs[file] = append(h.funcs[file], hotFunc{name: n.name, root: n.root, start: start, end: end, lit: n.lit != nil})
 
 	var found []Diagnostic
 	flag := func(pos token.Pos, what string) {
-		found = append(found, Diagnostic{Pos: fset.Position(pos), Rule: RuleHotPathAlloc, Pkg: n.pkg.ImportPath, Func: n.name,
+		found = append(found, Diagnostic{Pos: fset.Position(pos), Rule: RuleHotPathAlloc,
 			Msg: fmt.Sprintf("%s on the tick path (%s reachable from %s); hoist it to construction time, reuse a scratch buffer, or annotate //vichar:alloc <reason>",
 				what, n.name, n.root)})
 	}
@@ -293,8 +292,6 @@ func auditEscapes(hot *hotSet, lines []escapeLine) []Diagnostic {
 			diags = append(diags, Diagnostic{
 				Pos:  token.Position{Filename: el.file, Line: el.line, Column: 1},
 				Rule: RuleEscapeAudit,
-				Pkg:  f.pkg,
-				Func: f.name,
 				Msg: fmt.Sprintf("compiler reports %q inside hot function %s (reachable from %s); keep the value on the stack, hoist the allocation to construction time, or annotate the statement //vichar:alloc <reason>",
 					el.msg, f.name, f.root),
 			})

@@ -153,18 +153,11 @@ func TestAnnotationRequiresReason(t *testing.T) {
 // unannotated panic or unwaived tick-path allocation in the simulator
 // core fails this test.
 func TestRepositoryIsClean(t *testing.T) {
-	if testing.Short() {
-		t.Skip("type-checks the whole module; skipped in -short")
-	}
 	cwd, err := os.Getwd()
 	if err != nil {
 		t.Fatal(err)
 	}
-	moduleRoot, _, err := findModule(cwd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	diags, err := Run(moduleRoot, []string{"./..."})
+	diags, err := Run(cwd, []string{"vichar/..."}) // the whole module, as ./... from its root
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,6 +166,31 @@ func TestRepositoryIsClean(t *testing.T) {
 	}
 	if len(diags) > 0 {
 		t.Log("fix the site or annotate it (//vichar:ordered, //vichar:invariant, //vichar:alloc, //vichar:nolint) with a justification")
+	}
+}
+
+// TestLoadErrors pins that a load failure is an error naming what
+// failed, never a clean run: the go tool only warns about a pattern
+// that matches nothing, so the loader checks every pattern itself.
+func TestLoadErrors(t *testing.T) {
+	cwd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ name, pattern, want string }{
+		{"missing directory", "./nope", "./nope"},
+		{"no package matched", "vichar/nope/...", "vichar/nope/..."},
+		{"type error", "./testdata/broken", "vichar/internal/lint/testdata/broken"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			diags, err := Run(cwd, []string{tc.pattern})
+			if err == nil {
+				t.Fatalf("Run(%s) = %d diagnostics and no error", tc.pattern, len(diags))
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("error %q does not name %s", err, tc.want)
+			}
+		})
 	}
 }
 

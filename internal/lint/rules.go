@@ -42,14 +42,11 @@ var deterministicPkgs = map[string]bool{
 	"txn":     true,
 }
 
-// Diagnostic is one rule violation. Pkg and Func locate the finding
-// for -json consumers; they do not appear in String().
+// Diagnostic is one rule violation.
 type Diagnostic struct {
 	Pos  token.Position
 	Rule string
 	Msg  string
-	Pkg  string // import path of the package containing the finding
-	Func string // enclosing function, e.g. "Network.Step"; "" at file scope
 }
 
 func (d Diagnostic) String() string {
@@ -125,17 +122,26 @@ type checker struct {
 
 func (c *checker) report(rule string, pos token.Pos, format string, args ...any) {
 	p := c.fset.Position(pos)
-	*c.diags = append(*c.diags, Diagnostic{Pos: p, Rule: rule, Msg: fmt.Sprintf(format, args...), Pkg: c.pkg.ImportPath})
+	*c.diags = append(*c.diags, Diagnostic{Pos: p, Rule: rule, Msg: fmt.Sprintf(format, args...)})
 }
 
-// run applies every applicable rule to the package.
+// run applies every applicable rule to the package. A test variant
+// repeats its package's files: only its _test.go files are new, and
+// they answer to ambient-entropy alone.
 func (c *checker) run() {
 	deterministic := deterministicPkgs[c.pkg.Name]
 	internal := strings.Contains(c.pkg.ImportPath, "/internal/") ||
 		strings.HasSuffix(c.pkg.ImportPath, "/internal")
+	test := c.pkg.ForTest != ""
 	for _, f := range c.pkg.Files {
+		if test && !strings.HasSuffix(c.fset.File(f.Pos()).Name(), "_test.go") {
+			continue
+		}
 		ann := parseAnnotations(c.fset, f)
 		c.checkEntropy(f, ann)
+		if test {
+			continue
+		}
 		if internal {
 			c.checkConcurrency(f, ann)
 		}
@@ -144,10 +150,6 @@ func (c *checker) run() {
 			c.checkErrors(f, ann)
 			c.checkPanics(f, ann)
 		}
-	}
-	for _, f := range c.pkg.TestFiles {
-		ann := parseAnnotations(c.fset, f)
-		c.checkEntropySyntactic(f, ann)
 	}
 }
 
@@ -253,72 +255,6 @@ func (c *checker) checkEntropy(f *ast.File, ann annotations) {
 			return true
 		}
 		why, banned := entropyBanned(fn)
-		if !banned {
-			return true
-		}
-		line := c.fset.Position(sel.Pos()).Line
-		if ann.suppresses(RuleAmbientEntropy, line) {
-			return true
-		}
-		c.report(RuleAmbientEntropy, sel.Pos(),
-			"%s; route randomness through a seeded *rand.Rand from config", why)
-		return true
-	})
-}
-
-// checkEntropySyntactic is the test-file variant of checkEntropy:
-// _test.go files are not type-checked, so it resolves the banned
-// names through the file's import table instead.
-func (c *checker) checkEntropySyntactic(f *ast.File, ann annotations) {
-	names := map[string]string{} // local name -> import path
-	for _, imp := range f.Imports {
-		path := strings.Trim(imp.Path.Value, `"`)
-		switch path {
-		case "math/rand", "math/rand/v2", "time", "crypto/rand":
-		default:
-			continue
-		}
-		name := path[strings.LastIndex(path, "/")+1:]
-		if path == "math/rand/v2" {
-			name = "rand"
-		}
-		if imp.Name != nil {
-			name = imp.Name.Name
-		}
-		names[name] = path
-	}
-	if len(names) == 0 {
-		return
-	}
-	ast.Inspect(f, func(n ast.Node) bool {
-		sel, ok := n.(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		id, ok := sel.X.(*ast.Ident)
-		if !ok {
-			return true
-		}
-		path, ok := names[id.Name]
-		if !ok {
-			return true
-		}
-		banned, why := false, ""
-		switch path {
-		case "math/rand", "math/rand/v2":
-			switch sel.Sel.Name {
-			case "New", "NewSource", "NewZipf", "NewChaCha8", "NewPCG", "Rand", "Source":
-			default:
-				banned, why = true, fmt.Sprintf("global %s.%s draws from ambient process-wide state", id.Name, sel.Sel.Name)
-			}
-		case "time":
-			switch sel.Sel.Name {
-			case "Now", "Since", "Until":
-				banned, why = true, fmt.Sprintf("time.%s injects wall-clock entropy", sel.Sel.Name)
-			}
-		case "crypto/rand":
-			banned, why = true, fmt.Sprintf("crypto/rand.%s is nondeterministic by design", sel.Sel.Name)
-		}
 		if !banned {
 			return true
 		}

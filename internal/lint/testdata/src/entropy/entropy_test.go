@@ -1,6 +1,6 @@
-// Test-file fixture for the syntactic ambient-entropy scan: _test.go
-// files are not type-checked, but global rand and clock reads are
-// still banned under internal/.
+// Test-file fixture for ambient-entropy: _test.go files are typed
+// through the package's test variant and answer to the same check,
+// so global rand and clock reads are banned in tests too.
 package entropy
 
 import (
