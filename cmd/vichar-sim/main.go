@@ -6,10 +6,16 @@
 //
 //	vichar-sim -arch vichar -rate 0.40
 //	vichar-sim -arch generic -rate 0.40
+//
+// Exit status: 0 when the run completes or hits its cycle cap, 1 on a
+// configuration, trace or file error, 2 on a bad flag, and 3 when the
+// forward-progress watchdog finds the network wedged — the error, with
+// the state of the router holding the most flits, goes to stderr.
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -236,7 +242,7 @@ func main() {
 			}
 			return os.Rename(tmp, *ckptFile)
 		})
-		if err != nil {
+		if err != nil && !errors.As(err, new(*vichar.WedgeError)) {
 			log.Fatal(err)
 		}
 	} else {
@@ -265,6 +271,12 @@ func main() {
 		if err := f.Close(); err != nil {
 			log.Fatal(err)
 		}
+	}
+	// A wedged run's results describe only the packets that got out
+	// before the deadlock: report the watchdog's verdict instead.
+	if err := sim.CheckProgress(); err != nil {
+		fmt.Fprintf(os.Stderr, "vichar-sim: %v", err)
+		os.Exit(3)
 	}
 
 	if *jsonOut {

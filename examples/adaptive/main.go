@@ -34,12 +34,10 @@ func main() {
 			cfg.MeasurePackets = 10_000
 			cfg.Seed = 7
 
+			// A deadlock the recovery failed to break is a *WedgeError.
 			res, err := vichar.Run(cfg)
 			if err != nil {
 				log.Fatal(err)
-			}
-			if res.Saturated && rate < 0.30 {
-				log.Fatalf("%s wedged at %.2f — deadlock recovery failed", res.Label, rate)
 			}
 			lat[i] = res.AvgLatency
 		}

@@ -398,15 +398,19 @@ const (
 	MaxPacketSize = 1 << 15
 )
 
-// RangeError reports a configuration field whose value exceeds what
-// the simulator's packed state can represent.
+// RangeError reports a configuration field whose value lies outside
+// [Min, Max]: above what the simulator's packed state can represent,
+// or below what the configured structure needs.
 type RangeError struct {
-	Field string
-	Value int
-	Max   int
+	Field    string
+	Value    int
+	Min, Max int
 }
 
 func (e *RangeError) Error() string {
+	if e.Value < e.Min {
+		return fmt.Sprintf("config: %s is %d, below the supported minimum %d", e.Field, e.Value, e.Min)
+	}
 	return fmt.Sprintf("config: %s is %d, above the supported maximum %d", e.Field, e.Value, e.Max)
 }
 
@@ -506,7 +510,15 @@ func (c *Config) Validate() error {
 	if err := c.Faults.validate(c); err != nil {
 		return err
 	}
-	return c.Txn.validate(c)
+	if err := c.Txn.validate(c); err != nil {
+		return err
+	}
+	if k := c.VCKinds(); c.Arch == ViChaR && k > 1 && c.BufferSlots <= k {
+		// One slot per VC kind is carved out of the unified pool as that
+		// kind's grant reserve; at least one shared slot must remain.
+		return &RangeError{Field: "BufferSlots", Value: c.BufferSlots, Min: k + 1, Max: MaxBufferSlots}
+	}
+	return nil
 }
 
 // Label returns a compact identifier such as "ViC-16" or "GEN-16"

@@ -317,7 +317,8 @@ func TestHotspotFractionZeroValue(t *testing.T) {
 // The simulator stores slot ids, VC ids and per-VC flit counts in
 // 16-bit fields, and the event tracer node ids and flit indices, so
 // Validate bounds every count that feeds them and names the offending
-// field in a structured error.
+// field in a structured error — as it does a ViChaR pool too small for
+// one grant reserve per VC kind plus a shared slot.
 func TestValidateUpperBounds(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -336,6 +337,12 @@ func TestValidateUpperBounds(t *testing.T) {
 		{"largest packet size past the bound", func(c *Config) { c.PacketSizeMax = MaxPacketSize + 1 }, "PacketSizeMax", MaxPacketSize},
 		{"vichar at the bound", func(c *Config) { c.Arch, c.BufferSlots = ViChaR, MaxBufferSlots }, "", 0},
 		{"vichar past the bound", func(c *Config) { c.Arch, c.BufferSlots = ViChaR, MaxBufferSlots+1 }, "BufferSlots", MaxBufferSlots},
+		{"vichar escape pool below its reserves", func(c *Config) {
+			c.Arch, c.BufferSlots, c.Routing = ViChaR, 2, MinimalAdaptive
+		}, "BufferSlots", MaxBufferSlots},
+		{"vichar escape pool one slot past its reserves", func(c *Config) {
+			c.Arch, c.BufferSlots, c.Routing = ViChaR, 3, MinimalAdaptive
+		}, "", 0},
 		{"vichar capped dispenser, pool past the bound", func(c *Config) {
 			c.Arch, c.BufferSlots, c.VCLimit = ViChaR, 1<<16, 8
 		}, "BufferSlots", MaxBufferSlots},

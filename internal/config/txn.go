@@ -125,6 +125,17 @@ func (c *Config) VCClasses() int {
 	return 1
 }
 
+// VCKinds returns the number of (class, escape) VC kinds every port's
+// VC range is split into: one per class, and one more per class when
+// the routing relation needs escape VCs. A ViChaR port with more than
+// one kind carves one grant-reserve slot per kind out of its pool.
+func (c *Config) VCKinds() int {
+	if c.NeedsEscape() {
+		return 2 * c.VCClasses()
+	}
+	return c.VCClasses()
+}
+
 // validate checks the transaction configuration against the enclosing
 // configuration; called from Config.Validate.
 func (t *TxnConfig) validate(c *Config) error {
@@ -160,12 +171,6 @@ func (t *TxnConfig) validate(c *Config) error {
 		}
 		if regular := c.MaxVCs() - esc; regular < classes {
 			return fmt.Errorf("config: class-separated transactions need one regular VC per class, got %d of %d VCs after %d escape (want >= %d)", regular, c.MaxVCs(), esc, classes)
-		}
-		if c.Arch == ViChaR && c.BufferSlots <= classes {
-			// One slot per class is carved out of the unified pool as the
-			// class's forward-progress reserve; at least one shared slot
-			// must remain.
-			return fmt.Errorf("config: class-separated ViChaR needs more buffer slots (%d) than classes (%d)", c.BufferSlots, classes)
 		}
 	}
 	return nil

@@ -154,7 +154,7 @@ func TestTxnValidate(t *testing.T) {
 		{"vichar-slots", func(c *Config) {
 			c.Arch = ViChaR
 			c.BufferSlots = 2
-		}, "more buffer slots"},
+		}, "BufferSlots is 2, below the supported minimum 3"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

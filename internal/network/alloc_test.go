@@ -92,7 +92,7 @@ func TestStepAllocFreeLoaded(t *testing.T) {
 		testStepAllocFreeLoaded(t, &cfg)
 	})
 	// The modes whose tick code the cases above never enter — the
-	// faulted link path (tickFaulty, retransmission holds, port
+	// faulted link path (tick's fault hook, retransmission holds, port
 	// stalls), the recorder and tracer stores, and adaptive routing
 	// over wraparound links with an escape VC — so that an allocation
 	// there fails at runtime too, not only in the static passes

@@ -2,6 +2,7 @@ package network
 
 import (
 	"errors"
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -17,7 +18,7 @@ import (
 // (b) deliver every packet, and (c) conserve buffers and credits
 // after a drain. This is the broadest invariant sweep in the suite —
 // any flow-control hole in a feature interaction shows up here as a
-// wedge or a panic.
+// panic or as the watchdog's wedge verdict, which also ends the drain.
 func TestConfigFuzz(t *testing.T) {
 	prop := func(bits uint32, seed int64) bool {
 		cfg := config.Default()
@@ -71,8 +72,13 @@ func TestConfigFuzz(t *testing.T) {
 				n.Step()
 			}
 		}
-		if left := n.Drain(150_000); left != 0 {
-			t.Logf("cfg %+v: %d packets stuck", cfg, left)
+		left := n.Drain(math.MaxInt64)
+		if err := n.CheckProgress(); err != nil {
+			t.Logf("cfg %+v: %v", cfg, err)
+			return false
+		}
+		if left != 0 {
+			t.Logf("cfg %+v: %d packets undelivered", cfg, left)
 			return false
 		}
 		for i := 0; i < 10; i++ {

@@ -82,8 +82,7 @@ type flitLink struct {
 
 	// faults is the link's fault-model state (retransmission buffer,
 	// scheduled drops, and the drop/corrupt/retransmit tallies); nil
-	// without Config.Faults, which keeps the fault-free tick path
-	// identical to the seed's.
+	// without Config.Faults, and then tick's fault hook is skipped.
 	faults *faults.LinkState
 }
 
@@ -129,43 +128,32 @@ func (l *flitLink) deliverFlit(f *flit.Flit, now int64) {
 // tick delivers every flit due at or before now and reports whether
 // the link still carries undelivered work (pending, folded in so the
 // deliver sweep needs no second pass over the link).
+//
+// The fault model hooks in where s is non-nil: each due flit's fate is
+// rolled per attempt; a dropped or corrupted flit moves into the link's
+// single-flit retransmission buffer and blocks the flits behind it
+// until re-sent (preserving wormhole order), and a retransmission
+// attempt may itself be faulted. The held flit stays inside the link's
+// credit accounting as the RetxHeld audit term.
 func (l *flitLink) tick(now int64) bool {
-	if l.faults != nil {
-		l.tickFaulty(now)
-		return l.pending()
-	}
-	for l.q.len() > 0 && l.q.at(0).at <= now {
-		f := l.q.at(0).f
-		l.q.head++
-		l.deliverFlit(f, now)
-	}
-	return l.q.len() > 0
-}
-
-// tickFaulty is the fault-model delivery path: each due flit's fate
-// is rolled per attempt; a dropped or corrupted flit moves into the
-// link's single-flit retransmission buffer and blocks the flits
-// behind it until re-sent (preserving wormhole order), and a
-// retransmission attempt may itself be faulted. The held flit stays
-// inside the link's credit accounting as the RetxHeld audit term.
-func (l *flitLink) tickFaulty(now int64) {
 	s := l.faults
-	if s.HeldDue(now) {
-		if out := s.Attempt(now); out == faults.Deliver {
+	if s != nil && s.HeldDue(now) {
+		if s.Attempt(now) == faults.Deliver {
 			l.deliverFlit(s.Release(), now)
 		} else {
 			s.Rearm(now)
 		}
 	}
-	for l.q.len() > 0 && l.q.at(0).at <= now && !s.Blocked() {
+	for l.q.len() > 0 && l.q.at(0).at <= now && (s == nil || !s.Blocked()) {
 		f := l.q.at(0).f
 		l.q.head++
-		if out := s.Attempt(now); out == faults.Deliver {
-			l.deliverFlit(f, now)
-		} else {
+		if s != nil && s.Attempt(now) != faults.Deliver {
 			s.Hold(f, now)
+			continue
 		}
+		l.deliverFlit(f, now)
 	}
+	return l.pending()
 }
 
 // timedCredit is a credit in flight on a reverse channel.

@@ -158,6 +158,9 @@ type Network struct {
 	created      int64
 	ejectedFlits uint64
 
+	// wd is the forward-progress watchdog's mark (watchdog.go).
+	wd watchdog
+
 	// free is the packet free list (DESIGN.md §10): records — a packet
 	// with its own flit storage — that finished a trip and wait for the
 	// next. SendTxnPacket pops in the serial inject sub-phase and eject
@@ -200,6 +203,7 @@ func New(cfg *config.Config) *Network {
 		nis:          make([]*ni, mesh.Nodes()),
 		pendingEject: make([][]*flit.Flit, mesh.Nodes()),
 		collector:    stats.NewCollector(cfg.WarmupPackets, cfg.MeasurePackets, mesh.Nodes()),
+		wd:           watchdog{window: wedgeWindow(cfg)},
 	}
 	n.shardCount = cfg.Workers
 	if n.shardCount < 1 {

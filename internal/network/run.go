@@ -162,10 +162,11 @@ func (n *Network) FlushMetrics() { n.flushObs() }
 func (n *Network) Close() { n.stopKernel() }
 
 // Run executes the full measurement protocol: inject until the
-// ejection quota (warm-up + measurement) is met or the cycle cap is
-// hit, then finalize statistics. The returned results carry the
-// configuration label and offered load; power annotation is the
-// caller's concern.
+// ejection quota (warm-up + measurement) is met, the cycle cap is hit
+// or the watchdog finds the network wedged, then finalize statistics;
+// the last two mark the results Saturated, and CheckProgress tells
+// them apart. The returned results carry the configuration label and
+// offered load; power annotation is the caller's concern.
 func (n *Network) Run() stats.Results {
 	res, _ := n.RunWith(nil)
 	return res
@@ -174,10 +175,13 @@ func (n *Network) Run() stats.Results {
 // RunWith executes the measurement protocol exactly like Run, calling
 // hook (when non-nil) between completed cycles — the only point where
 // a checkpoint is legal. A non-nil error from hook aborts the run and
-// is returned verbatim; the hook must not Step the network itself.
+// is returned verbatim; the hook must not Step the network itself. A
+// wedged run returns its results so far, marked Saturated, with the
+// *WedgeError.
 func (n *Network) RunWith(hook func(now int64) error) (stats.Results, error) {
 	maxCycles := n.cfg.EffectiveMaxCycles()
 	saturated := false
+	var wedge error
 	for {
 		n.Step()
 		if hook != nil {
@@ -188,7 +192,7 @@ func (n *Network) RunWith(hook func(now int64) error) (stats.Results, error) {
 		if n.collector.Done() {
 			break
 		}
-		if n.now >= maxCycles {
+		if wedge = n.CheckProgress(); wedge != nil || n.now >= maxCycles {
 			saturated = true
 			break
 		}
@@ -211,7 +215,7 @@ func (n *Network) RunWith(hook func(now int64) error) (stats.Results, error) {
 	if n.txn != nil {
 		res.Txn = stats.FinalizeTxn(n.txn.Samples(), n.txn.Issued(), n.txn.Retired())
 	}
-	return res, nil
+	return res, wedge
 }
 
 // channelLoads converts the bracketed per-link flit counts into loads
@@ -237,16 +241,20 @@ func (n *Network) channelLoads(cycles int64) ([]stats.ChannelLoad, float64) {
 }
 
 // Drain runs without injection until every in-flight packet has been
-// ejected or maxCycles elapse; tests use it after manual InjectPacket
-// calls. It returns the number of packets still unejected.
+// ejected, maxCycles elapse or the watchdog finds the network wedged
+// (CheckProgress then returns the *WedgeError); tests use it after
+// manual InjectPacket calls. It returns the number of packets still
+// unejected.
 func (n *Network) Drain(maxCycles int64) int64 {
-	deadline := n.now + maxCycles
-	for n.now < deadline {
+	for start := n.now; n.now-start < maxCycles; {
 		if n.collector.Ejected() >= n.created && n.TracePending() == 0 &&
 			(n.txn == nil || n.txn.Quiescent()) {
 			break
 		}
 		n.Step()
+		if n.CheckProgress() != nil {
+			break
+		}
 	}
 	n.flushObs()
 	return n.created - n.collector.Ejected() + int64(n.TracePending())

@@ -1,6 +1,7 @@
 package network
 
 import (
+	"errors"
 	"testing"
 
 	"vichar/internal/config"
@@ -45,28 +46,27 @@ func txnWallConfig(arch config.BufferArch, shared bool) config.Config {
 // TestTxnProtocolDeadlockWall is the protocol-deadlock regression
 // wall. With request and response classes separated onto disjoint VC
 // partitions, the saturating memory-edge workload must drain on every
-// buffer architecture within a generous cycle bound: responses always
+// buffer architecture without the watchdog firing: responses always
 // find forward progress, so the memory controllers' finite queues
 // always eventually drain and every request retires. The negative
 // control runs the identical workload with both message classes on
 // one shared VC partition — read requests wedged at a full memory
 // controller hold the very channel VCs its outbound read responses
 // need, the classic request/response protocol deadlock — and must
-// freeze: not just miss the bound, but stop retiring entirely.
+// freeze: the watchdog fires one window after the last ejection, on a
+// router that holds flits, and nothing retired after that ejection.
 func TestTxnProtocolDeadlockWall(t *testing.T) {
-	const bound = 50_000
 	for _, arch := range allArchs {
 		arch := arch
 		t.Run(arch.String(), func(t *testing.T) {
 			cfg := txnWallConfig(arch, false)
 			n := New(&cfg)
 			defer n.Close()
-			for n.Now() < bound && !n.Txn().Done() {
+			for !n.Txn().Done() {
 				n.Step()
-			}
-			if !n.Txn().Done() {
-				t.Fatalf("class-separated workload did not drain within %d cycles (%d retired)",
-					int64(bound), n.Txn().Retired())
+				if err := n.CheckProgress(); err != nil {
+					t.Fatalf("class-separated workload wedged (%d retired): %v", n.Txn().Retired(), err)
+				}
 			}
 		})
 	}
@@ -74,20 +74,26 @@ func TestTxnProtocolDeadlockWall(t *testing.T) {
 		cfg := txnWallConfig(config.Generic, true)
 		n := New(&cfg)
 		defer n.Close()
-		for n.Now() < bound/2 && !n.Txn().Done() {
+		var lastRetire, retired int64
+		var err error
+		for err == nil {
+			if n.Txn().Done() {
+				t.Fatalf("shared-VC negative control drained %d transactions; the deadlock wall lost its teeth",
+					n.Txn().Retired())
+			}
 			n.Step()
+			if r := n.Txn().Retired(); r != retired {
+				lastRetire, retired = n.Now(), r
+			}
+			err = n.CheckProgress()
 		}
-		atHalf := n.Txn().Retired()
-		for n.Now() < bound && !n.Txn().Done() {
-			n.Step()
+		var w *WedgeError
+		if !errors.As(err, &w) {
+			t.Fatalf("verdict %v, want a *WedgeError", err)
 		}
-		if n.Txn().Done() {
-			t.Fatalf("shared-VC negative control drained %d transactions; the deadlock wall lost its teeth",
-				n.Txn().Retired())
-		}
-		if got := n.Txn().Retired(); got != atHalf {
-			t.Fatalf("shared-VC negative control still retiring (%d at cycle %d, %d at %d): starvation, not deadlock",
-				atHalf, int64(bound/2), got, int64(bound))
+		if w.LastEject != 323 || w.Cycle != w.LastEject+w.Window+1 || w.Flits == 0 || lastRetire > w.LastEject {
+			t.Fatalf("last ejection %d, wedge at %d (window %d), router %d holds %d flits, last retirement %d; want ejection 323, wedge one window later on a router holding flits, no retirement after the ejection",
+				w.LastEject, w.Cycle, w.Window, w.Router, w.Flits, lastRetire)
 		}
 	})
 }

@@ -90,6 +90,9 @@ func NewArena(cfg *config.Config, mesh topology.Mesh) *Arena {
 	case config.ViChaR:
 		int16s += views * v    // held
 		bools += views * 2 * v // resFree + granted
+		if k := cfg.VCKinds(); k > 1 {
+			bools += views * k // per-kind grant reserves
+		}
 		dw := (v - escape + 63) / 64
 		if escape > 0 {
 			dw += (escape + 63) / 64

@@ -62,16 +62,16 @@ func (v *sharedView) State(c *snap.Codec) {
 func (v *vicharView) State(c *snap.Codec) {
 	c.Section("vicview")
 	c.Int(&v.sharedFree)
-	c.Range(v.sharedFree, 0, v.slots-len(v.classRes), "router: shared-pool free count")
+	c.Range(v.sharedFree, 0, v.slots-len(v.kindRes), "router: shared-pool free count")
 	c.Bools(v.resFree)
 	c.Bools(v.granted)
 	c.I16s(v.held)
 	for _, n := range v.held {
 		c.Range(int(n), 0, v.slots, "router: per-VC resident flit count")
 	}
-	c.Bools(v.classRes)
+	c.Bools(v.kindRes)
 	v.dispenser.State(c)
-	// Every slot is free in the pool, parked as a class's grant reserve
+	// Every slot is free in the pool, parked as a kind's grant reserve
 	// or a granted VC's reservation, or holding a resident flit — and
 	// only a VC whose token is out has either of the last two.
 	slots, tokens := v.sharedFree, 0
@@ -86,7 +86,7 @@ func (v *vicharView) State(c *snap.Codec) {
 			c.Failf("router: snapshot VC %d holds UBS slots without a token", vc)
 		}
 	}
-	for _, free := range v.classRes {
+	for _, free := range v.kindRes {
 		if free {
 			slots++
 		}

@@ -95,6 +95,28 @@ func (l vcLayout) span(class int, escape bool) (lo, hi int) {
 	return classSpan(0, l.escBase, l.classes, class)
 }
 
+// kinds returns the number of (class, escape) kinds of the layout: one
+// per class, doubled when there is an escape set.
+func (l vcLayout) kinds() int {
+	if l.escBase < l.total {
+		return 2 * l.classes
+	}
+	return l.classes
+}
+
+// kind returns the index of the (class, escape) kind, in the router's
+// class<<1|escape order when there is an escape set.
+func (l vcLayout) kind(class int, escape bool) int {
+	if l.escBase == l.total {
+		return class
+	}
+	k := class << 1
+	if escape {
+		k |= 1
+	}
+	return k
+}
+
 // classOf returns the class whose regular or escape chunk contains vc.
 func (l vcLayout) classOf(vc int) int {
 	for c := 0; c < l.classes; c++ {
@@ -468,16 +490,20 @@ func (v *sharedView) OutstandingVCs() int {
 // Maintained invariant for every granted VC: reservation parked OR at
 // least one flit resident. This keeps busy VCs from idling buffer
 // capacity while preserving the deadlock-freedom guarantee.
-// With VC classes (classes > 1), the dispenser's regular and escape
-// ID ranges are chunked per class and grants come from the requesting
-// class's chunk only (Dispenser.GrantIn), and one pool slot per class
-// is carved out as that class's grant reserve (classRes): a class can
-// take a token — and with it the token's landing-slot reservation —
-// even when the shared pool has been exhausted by the other class.
-// Together these make the response class's progress independent of
-// request-class congestion, which is what breaks the request/response
-// protocol-deadlock cycle through the unified storage. Slots freed by
-// a VC refill its own class's reserve before the shared pool.
+// The dispenser's regular and escape ID ranges are chunked per VC
+// class, and grants come from the requesting class's chunk only
+// (Dispenser.GrantIn). When the port has more than one (class, escape)
+// kind, one pool slot per kind is carved out as that kind's grant
+// reserve (kindRes): a kind can take a token — and with it the token's
+// landing-slot reservation — even when the shared pool has been
+// exhausted by the others. For classes this makes the response class's
+// progress independent of request-class congestion, which breaks the
+// request/response protocol-deadlock cycle through the unified
+// storage. For the escape set it keeps Duato's escape path open when
+// adaptive traffic has filled the downstream pool: without it every
+// waiting head can be on the escape path with no slot to carry an
+// escape token's reservation, and the network wedges. Slots freed by a
+// VC refill its own kind's reserve before the shared pool.
 type vicharView struct {
 	vcLayout
 	slots      int
@@ -486,7 +512,7 @@ type vicharView struct {
 	resFree    []bool  // per VC: reservation available (token outstanding)
 	granted    []bool  // per VC: token outstanding
 	held       []int16 // per VC: flits resident downstream (at most slots)
-	classRes   []bool  // per class: grant-reserve slot currently free; nil when classes == 1
+	kindRes    []bool  // per (class, escape) kind: grant-reserve slot currently free; nil with one kind
 }
 
 func newViCharView(a *soa.Arena, slots, vcs, escape, classes int) *vicharView {
@@ -499,36 +525,36 @@ func newViCharView(a *soa.Arena, slots, vcs, escape, classes int) *vicharView {
 		granted:    a.TakeBools(vcs),
 		held:       a.TakeInt16s(vcs),
 	}
-	if classes > 1 {
-		if slots <= classes {
-			panic(fmt.Sprintf("router: class-partitioned UBS needs more slots (%d) than classes (%d)", slots, classes))
+	if kinds := v.kinds(); kinds > 1 {
+		if slots <= kinds {
+			panic(fmt.Sprintf("router: UBS needs more slots (%d) than VC kinds (%d)", slots, kinds))
 		}
-		v.sharedFree = slots - classes
-		v.classRes = a.TakeBools(classes)
-		for c := range v.classRes {
-			v.classRes[c] = true
+		v.sharedFree = slots - kinds
+		v.kindRes = a.TakeBools(kinds)
+		for k := range v.kindRes {
+			v.kindRes[k] = true
 		}
 	}
 	return v
 }
 
 // freeSlot returns the slot a departing flit (or unparked reservation)
-// of vc just vacated: the VC's class reserve refills first so every
-// class keeps its token-grant guarantee, then the shared pool.
+// of vc just vacated: the VC's kind reserve refills first so every
+// kind keeps its token-grant guarantee, then the shared pool.
 func (v *vicharView) freeSlot(vc int) {
-	if v.classRes != nil {
-		if c := v.classOf(vc); !v.classRes[c] {
-			v.classRes[c] = true
+	if v.kindRes != nil {
+		if k := v.kind(v.classOf(vc), vc >= v.escBase); !v.kindRes[k] {
+			v.kindRes[k] = true
 			return
 		}
 	}
 	v.sharedFree++
 }
 
-// grantSlotFree reports whether a token grant for the class could
-// carry its one-slot reservation.
-func (v *vicharView) grantSlotFree(class int) bool {
-	return v.sharedFree > 0 || (v.classRes != nil && v.classRes[class])
+// grantSlotFree reports whether a token grant of the kind could carry
+// its one-slot reservation.
+func (v *vicharView) grantSlotFree(class int, escape bool) bool {
+	return v.sharedFree > 0 || (v.kindRes != nil && v.kindRes[v.kind(class, escape)])
 }
 
 func (v *vicharView) CanSendFlit(vc int) bool {
@@ -582,29 +608,25 @@ func (v *vicharView) OnCredit(c flit.Credit) {
 	default:
 		v.freeSlot(c.VC)
 	}
-	limit := v.slots
-	if v.classRes != nil {
-		limit -= len(v.classRes)
-	}
-	if v.sharedFree > limit {
+	if v.sharedFree > v.slots-len(v.kindRes) {
 		//vichar:invariant free slots exceeding pool capacity means a slot was credited twice
 		panic("router: UBS credit overflow")
 	}
 }
 
 func (v *vicharView) HasFreeVCIn(class int, escape bool) bool {
-	if !v.grantSlotFree(class) {
+	if !v.grantSlotFree(class, escape) {
 		return false // no slot left to carry the token's reservation
 	}
 	lo, hi := v.span(class, escape)
 	return v.dispenser.FreeIn(escape, lo, hi) > 0
 }
 
-// AllocVCIn grants the class's next token and moves one slot from the
-// shared pool (or the class's grant reserve) into the new VC's
+// AllocVCIn grants the kind's next token and moves one slot from the
+// shared pool (or the kind's grant reserve) into the new VC's
 // reservation.
 func (v *vicharView) AllocVCIn(class int, escape bool) (int, bool) {
-	if !v.grantSlotFree(class) {
+	if !v.grantSlotFree(class, escape) {
 		return -1, false
 	}
 	lo, hi := v.span(class, escape)
@@ -615,7 +637,7 @@ func (v *vicharView) AllocVCIn(class int, escape bool) (int, bool) {
 	if v.sharedFree > 0 {
 		v.sharedFree--
 	} else {
-		v.classRes[class] = false
+		v.kindRes[v.kind(class, escape)] = false
 	}
 	v.resFree[vc] = true
 	v.granted[vc] = true

@@ -20,6 +20,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"vichar/internal/config"
 )
 
 // Entry is one packet creation event.
@@ -45,8 +47,8 @@ func (e Entry) Validate(nodes int) error {
 		return fmt.Errorf("trace: destination %d outside %d nodes", e.Dst, nodes)
 	case e.Src == e.Dst:
 		return fmt.Errorf("trace: self-addressed packet at node %d", e.Src)
-	case e.Size < 1:
-		return fmt.Errorf("trace: packet size %d", e.Size)
+	case e.Size < 1 || e.Size > config.MaxPacketSize:
+		return fmt.Errorf("trace: packet size %d outside 1..%d flits", e.Size, config.MaxPacketSize)
 	}
 	return nil
 }

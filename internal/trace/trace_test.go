@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+
+	"vichar/internal/config"
 )
 
 func TestWriteReadRoundTrip(t *testing.T) {
@@ -107,6 +109,9 @@ func TestValidate(t *testing.T) {
 		{Entry{Cycle: 0, Src: 0, Dst: 64, Size: 1}, false},
 		{Entry{Cycle: 0, Src: 3, Dst: 3, Size: 1}, false},
 		{Entry{Cycle: 0, Src: 0, Dst: 1, Size: 0}, false},
+		{Entry{Cycle: 0, Src: 0, Dst: 1, Size: config.MaxPacketSize}, true},
+		{Entry{Cycle: 0, Src: 0, Dst: 1, Size: config.MaxPacketSize + 1}, false},
+		{Entry{Cycle: 0, Src: 0, Dst: 1, Size: 1<<31 - 1}, false},
 	}
 	for i, c := range cases {
 		err := c.e.Validate(64)

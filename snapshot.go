@@ -2,6 +2,7 @@ package vichar
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 
 	"vichar/internal/network"
@@ -130,7 +131,8 @@ func (s *Simulator) Latencies() []int64 { return s.net.Collector().Latencies() }
 
 // RunCheckpointed executes the full measurement protocol like Run,
 // additionally handing sink a fresh snapshot roughly every `every`
-// cycles. A non-nil error from sink aborts the run.
+// cycles. A non-nil error from sink aborts the run; a wedged run
+// returns its results so far, marked Saturated, with the *WedgeError.
 func (s *Simulator) RunCheckpointed(every int64, sink func(cycle int64, data []byte) error) (Results, error) {
 	if every <= 0 {
 		return Results{}, fmt.Errorf("vichar: checkpoint interval %d, want > 0", every)
@@ -147,9 +149,9 @@ func (s *Simulator) RunCheckpointed(every int64, sink func(cycle int64, data []b
 		}
 		return sink(now, data)
 	})
-	if err != nil {
+	if err != nil && !errors.As(err, new(*WedgeError)) {
 		return Results{}, err
 	}
 	s.model.Annotate(&res)
-	return res, nil
+	return res, err
 }

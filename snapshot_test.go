@@ -447,6 +447,38 @@ func TestSnapshotCorruptionRejected(t *testing.T) {
 	}
 }
 
+// TestRestoreRefusesPreReserveBlob: the escape grant reserve kept
+// snap.Version 4 but gave every ViChaR credit view of an escape
+// configuration one reserve flag per (class, escape) kind, where it
+// had none. A blob of such a configuration cut before the reserve
+// existed (testdata: a 2x2 adaptive ViC-4 at cycle 40) must be refused
+// with an error, not misread; the same configuration cut today
+// restores.
+func TestRestoreRefusesPreReserveBlob(t *testing.T) {
+	old, err := os.ReadFile(filepath.Join("testdata", "vic-adaptive-prereserve.snap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := vichar.Restore(old); err == nil {
+		t.Fatal("Restore accepted a ViChaR escape-configuration blob cut before the grant reserve")
+	}
+	cfg := vichar.DefaultConfig()
+	cfg.Width, cfg.Height = 2, 2
+	cfg.Arch = vichar.ViChaR
+	cfg.BufferSlots = 4
+	cfg.Routing = vichar.MinimalAdaptive
+	cfg.InjectionRate = 0.2
+	cfg.WarmupPackets, cfg.MeasurePackets = 20, 40
+	cfg.Seed = 5
+	s, blob := snapshotAt(t, cfg, 40)
+	s.Close()
+	if r, err := vichar.Restore(blob); err != nil {
+		t.Fatalf("Restore of the same configuration cut today: %v", err)
+	} else {
+		r.Close()
+	}
+}
+
 // reseal recomputes the envelope's CRC-32 trailer over a mutated body,
 // so the mutant reaches the load-side validation instead of dying at
 // the checksum.

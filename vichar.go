@@ -188,12 +188,27 @@ func (s *Simulator) Config() Config { return s.cfg }
 
 // Run executes the full measurement protocol (inject until the
 // warm-up + measurement ejection quota is met) and returns the
-// power-annotated results.
+// power-annotated results. A run that hits its cycle cap, or that the
+// forward-progress watchdog finds wedged, ends early marked Saturated;
+// CheckProgress then tells the two apart.
 func (s *Simulator) Run() Results {
 	res := s.net.Run()
 	s.model.Annotate(&res)
 	return res
 }
+
+// WedgeError reports a run that stopped making forward progress:
+// packets in flight and no flit ejected for a window derived from the
+// configuration. It names the cycle, the last ejection, the packets in
+// flight and the router holding the most flits, with its state.
+type WedgeError = network.WedgeError
+
+// CheckProgress returns the forward-progress watchdog's verdict at the
+// current cycle: nil, or a *WedgeError once packets in flight have
+// ejected no flit for the window. Run, RunCheckpointed and Drain check
+// after every cycle; a caller driving Step by hand calls it after each
+// Step.
+func (s *Simulator) CheckProgress() error { return s.net.CheckProgress() }
 
 // Step advances the simulation by one cycle.
 func (s *Simulator) Step() { s.net.Step() }
@@ -235,9 +250,10 @@ func (s *Simulator) RecordedTrace() []TraceEntry { return s.net.RecordedTrace() 
 // for a pure replay.
 func (s *Simulator) LoadTrace(entries []TraceEntry) error { return s.net.ScheduleTrace(entries) }
 
-// Drain runs until all injected packets are ejected or maxCycles
-// elapse, returning the number still in flight. Use with
-// InjectionRate zero and manual Inject calls.
+// Drain runs until all injected packets are ejected, maxCycles elapse
+// or the network wedges (see CheckProgress), returning the number
+// still in flight. Use with InjectionRate zero and manual Inject
+// calls.
 func (s *Simulator) Drain(maxCycles int64) int64 { return s.net.Drain(maxCycles) }
 
 // MetricsSnapshot is a consistent copy of the live metrics registry.
@@ -308,14 +324,17 @@ func (s *Simulator) MetricsHandler() http.Handler {
 // exact mid-run snapshot.
 func (s *Simulator) FlushMetrics() { s.net.FlushMetrics() }
 
-// Run is the one-shot convenience API: validate, simulate, annotate.
+// Run is the one-shot convenience API: validate, simulate, annotate. A
+// wedged run returns its results so far, marked Saturated, with the
+// *WedgeError.
 func Run(cfg Config) (Results, error) {
 	s, err := NewSimulator(cfg)
 	if err != nil {
 		return Results{}, err
 	}
 	defer s.Close()
-	return s.Run(), nil
+	res := s.Run()
+	return res, s.CheckProgress()
 }
 
 // TraceEntry is one packet creation event of a recorded workload.

@@ -1,6 +1,7 @@
 package vichar_test
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -50,6 +51,45 @@ func TestRunValidatesConfig(t *testing.T) {
 	if _, err := vichar.NewSimulator(cfg); err == nil {
 		t.Fatal("NewSimulator accepted invalid config")
 	}
+}
+
+// TestRunReportsWedge: a protocol deadlock (both transaction classes on
+// one VC partition) surfaces as a *WedgeError from every run entry
+// point, with the results so far marked Saturated, long before the
+// cycle cap.
+func TestRunReportsWedge(t *testing.T) {
+	cfg := vichar.DefaultConfig()
+	cfg.Width, cfg.Height = 4, 4
+	cfg.VCs, cfg.BufferSlots = 2, 8
+	cfg.InjectionRate = 0
+	cfg.Seed = 61
+	cfg.Txn = vichar.Txn{Enabled: true, Rate: 0.5, Window: 16, ReadFrac: 1, ServiceCycles: 4,
+		QueueDepth: 2, MemEdge: true, Requests: 30, SharedVCs: true}
+	check := func(how string, res vichar.Results, err error) {
+		t.Helper()
+		var w *vichar.WedgeError
+		if !errors.As(err, &w) || !res.Saturated || res.TotalCycles != w.Cycle || w.Cycle > 2_000 {
+			t.Fatalf("%s: results saturated=%v after %d cycles, error %v; want a *WedgeError within 2 000 cycles", how, res.Saturated, res.TotalCycles, err)
+		}
+	}
+	res, err := vichar.Run(cfg)
+	check("Run", res, err)
+
+	s, err := vichar.NewSimulator(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	res = s.Run()
+	check("Simulator.Run then CheckProgress", res, s.CheckProgress())
+
+	s2, err := vichar.NewSimulator(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	res, err = s2.RunCheckpointed(100, func(int64, []byte) error { return nil })
+	check("RunCheckpointed", res, err)
 }
 
 func TestSimulatorManualControl(t *testing.T) {
