@@ -67,7 +67,8 @@ func testStepAllocFree(t *testing.T, arch config.BufferArch, workers int) {
 // After warm-up the survivors are amortized doublings only — the stats
 // VC time series (one point per SampleEvery cycles), an NI source
 // queue, the record free list or a DAMQ/FC-CB per-VC FIFO reaching a
-// new peak depth, and the transaction layer's latency samples — and
+// new peak depth, and the transaction layer's latency histogram
+// widening to a new maximum — and
 // stay under 0.01 allocations and 64 bytes per Step averaged over
 // 2 000 cycles (every case measures at most 0.003 and 5 bytes; a
 // per-cycle append that never stops growing costs hundreds of bytes).

@@ -71,13 +71,15 @@ type flitLink struct {
 	eject  *[]*flit.Flit
 
 	// Active-router worklist wiring (DESIGN.md §10): owner is the
-	// router whose deliver-phase plan ticks this link; wake points at
-	// the WRITER router's wake buffer (Network.wakes[writer]). A send
-	// that makes an empty link non-empty appends owner there; the
-	// serial merge after the compute barrier re-activates the owner's
-	// deliver entry. Only the writer's shard touches the buffer, so
-	// the edge-triggered append is race-free at any worker count.
+	// router whose deliver-phase plan ticks this link, and tag names
+	// the link's bit in the owner's deliverLinks mask (linkTag); wake
+	// points at the WRITER router's wake buffer (Network.wakes[writer]).
+	// A send that makes an empty link non-empty appends tag there; the
+	// serial merge after the compute barrier sets the link's bit again.
+	// Only the writer's shard touches the buffer, so the edge-triggered
+	// append is race-free at any worker count.
 	owner int
+	tag   int
 	wake  *[]int
 
 	// faults is the link's fault-model state (retransmission buffer,
@@ -90,16 +92,16 @@ type flitLink struct {
 func (l *flitLink) SendFlit(f *flit.Flit, now int64) {
 	if l.q.len() == 0 && l.wake != nil {
 		//vichar:alloc edge-triggered wake: at most one append per empty->non-empty transition, into a per-writer buffer reset each cycle
-		*l.wake = append(*l.wake, l.owner)
+		*l.wake = append(*l.wake, l.tag)
 	}
 	l.q.push(timedFlit{f: f, at: now + l.delay})
 }
 
 // pending reports whether the link still carries undelivered work: an
 // in-flight payload or a flit parked in its retransmission buffer.
-// The deliver shard keeps the owning router's deliver entry active
-// while any plan link is pending, so fault-held links keep their
-// router on the worklist until the retransmission drains.
+// The deliver shard keeps the link's bit in its owner's deliverLinks
+// while it is pending, so a fault-held link stays on the worklist
+// until the retransmission drains.
 func (l *flitLink) pending() bool {
 	if l.q.len() > 0 {
 		return true
@@ -174,8 +176,9 @@ type creditLink struct {
 	outPort int
 	view    router.CreditView
 
-	// Worklist wiring, identical contract to flitLink.owner/wake.
+	// Worklist wiring, identical contract to flitLink.owner/tag/wake.
 	owner int
+	tag   int
 	wake  *[]int
 }
 
@@ -183,7 +186,7 @@ type creditLink struct {
 func (l *creditLink) SendCredit(c flit.Credit, now int64) {
 	if l.q.len() == 0 && l.wake != nil {
 		//vichar:alloc edge-triggered wake: at most one append per empty->non-empty transition, into a per-writer buffer reset each cycle
-		*l.wake = append(*l.wake, l.owner)
+		*l.wake = append(*l.wake, l.tag)
 	}
 	l.q.push(timedCredit{c: c, at: now + l.delay})
 }

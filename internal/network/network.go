@@ -72,17 +72,20 @@ type Network struct {
 	// routers the compute phase must tick; it is cleared by the
 	// owning shard once router id is quiescent, its NI idle and no
 	// fault plan is attached, and re-set by the same shard's deliver
-	// pass or by the serial injection path. deliverActive[id] marks
-	// routers whose plan links may carry payloads; the owning shard
-	// recomputes it from link occupancy each cycle, and cross-shard
-	// sends re-arm it through wakes: wakes[w] is written only by
-	// router w's shard (during its compute) and drained serially
-	// after the compute barrier, so activation is deterministic (a
-	// pure OR over an order-free set) and race-free at any worker
-	// count. Skipped entries are exact no-ops, so results stay
-	// bit-identical to the always-tick kernel.
+	// pass or by the serial injection path. deliverLinks[id] has one
+	// bit per plan link of router id that may carry payloads — flit
+	// links in the low 16 bits and credit links in the high 16, each in
+	// slab order; a router with no bit set sleeps in the deliver phase.
+	// The owning shard clears a link's bit once the link has drained,
+	// and sends re-arm it through wakes: wakes[w] holds the tags
+	// (linkTag) of links router w's shard made non-empty during its
+	// compute, drained serially after the compute barrier, so
+	// activation is deterministic (a pure OR over an order-free set)
+	// and race-free at any worker count. Skipped links and routers are
+	// exact no-ops, so results stay bit-identical to the always-tick
+	// kernel.
 	computeActive []bool
-	deliverActive []bool
+	deliverLinks  []uint32
 	wakes         [][]int
 
 	// wlStats tallies worklist effectiveness per shard: each slot is
@@ -215,12 +218,11 @@ func New(cfg *config.Config) *Network {
 	n.auditStates = make([][]audit.LinkState, n.shardCount)
 	n.auditErrs = make([]error, n.shardCount)
 	n.computeActive = make([]bool, mesh.Nodes())
-	n.deliverActive = make([]bool, mesh.Nodes())
+	n.deliverLinks = make([]uint32, mesh.Nodes())
 	n.wakes = make([][]int, mesh.Nodes())
 	n.wlStats = make([]shardTally, n.shardCount)
 	for id := range n.computeActive {
 		n.computeActive[id] = true
-		n.deliverActive[id] = true
 	}
 	// The struct-of-arrays arena: routers and credit views below draw
 	// their hot per-(router, port, VC) state from it in ascending id
@@ -323,6 +325,7 @@ func New(cfg *config.Config) *Network {
 		fCur[l.owner] = i + 1
 		p := &n.flitSlab[i]
 		*p = l
+		p.tag = linkTag(l.owner, int(i-n.flitOff[l.owner]))
 		return p
 	}
 	takeCreditLink := func(l creditLink) *creditLink {
@@ -334,6 +337,7 @@ func New(cfg *config.Config) *Network {
 		cCur[l.owner] = i + 1
 		p := &n.creditSlab[i]
 		*p = l
+		p.tag = linkTag(l.owner, creditBit0+int(i-n.creditOff[l.owner]))
 		return p
 	}
 
@@ -443,6 +447,9 @@ func New(cfg *config.Config) *Network {
 	}
 
 	n.gen = traffic.New(cfg, mesh)
+	for id := range n.deliverLinks {
+		n.deliverLinks[id] = n.planLinks(id)
+	}
 
 	// Bind the phase closures once; Step and audit reuse them every
 	// cycle (see the field comments on Network).
@@ -454,4 +461,21 @@ func New(cfg *config.Config) *Network {
 	n.registerSeries()
 	n.samplePerNode = make([]float64, mesh.Nodes())
 	return n
+}
+
+// creditBit0 is the deliverLinks bit of a router's first credit link;
+// its flit links take the bits below. A router owns at most Degree + 2
+// flit links and Degree + 1 credit links, and Degree is at most 4.
+const creditBit0 = 16
+
+// linkTag is the wake tag of the link at deliverLinks bit b of router
+// owner: the serial wake merge sets bit tag&31 of deliverLinks[tag>>5].
+func linkTag(owner, b int) int { return owner<<5 | b }
+
+// planLinks returns the deliverLinks mask with every plan link of
+// router id set.
+func (n *Network) planLinks(id int) uint32 {
+	flits := uint32(n.flitOff[id+1] - n.flitOff[id])
+	credits := uint32(n.creditOff[id+1] - n.creditOff[id])
+	return 1<<flits - 1 | (1<<credits-1)<<creditBit0
 }

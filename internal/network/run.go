@@ -213,7 +213,7 @@ func (n *Network) RunWith(hook func(now int64) error) (stats.Results, error) {
 	res.Label = n.cfg.Label()
 	res.InjectionRate = n.cfg.InjectionRate
 	if n.txn != nil {
-		res.Txn = stats.FinalizeTxn(n.txn.Samples(), n.txn.Issued(), n.txn.Retired())
+		res.Txn = stats.FinalizeTxn(n.txn.Latency(), n.txn.Issued(), n.txn.Retired())
 	}
 	return res, wedge
 }

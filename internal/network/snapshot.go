@@ -249,7 +249,22 @@ func (n *Network) State(c *snap.Codec) {
 
 	c.Section("worklist")
 	c.Bools(n.computeActive)
-	c.Bools(n.deliverActive)
+	// The deliver worklist travels as one flag per router, "some link
+	// may carry payloads"; loading wakes every plan link of a flagged
+	// router, which ticks a drained link once for nothing.
+	deliverActive := make([]bool, len(n.deliverLinks))
+	for id, links := range n.deliverLinks {
+		deliverActive[id] = links != 0
+	}
+	c.Bools(deliverActive)
+	if c.Loading() {
+		for id, active := range deliverActive {
+			n.deliverLinks[id] = 0
+			if active {
+				n.deliverLinks[id] = n.planLinks(id)
+			}
+		}
+	}
 	c.Expect(len(n.wlStats), "network: worklist shards")
 	for i := range n.wlStats {
 		w := &n.wlStats[i]
@@ -309,14 +324,18 @@ func (n *Network) auditLoaded() error {
 		}
 	}
 	for id, r := range n.routers {
-		pending := false
+		pending := uint32(0)
 		for i := n.flitOff[id]; i < n.flitOff[id+1]; i++ {
-			pending = pending || n.flitSlab[i].pending()
+			if n.flitSlab[i].pending() {
+				pending |= 1 << (n.flitSlab[i].tag & 31)
+			}
 		}
 		for i := n.creditOff[id]; i < n.creditOff[id+1]; i++ {
-			pending = pending || n.creditSlab[i].q.len() > 0
+			if n.creditSlab[i].q.len() > 0 {
+				pending |= 1 << (n.creditSlab[i].tag & 31)
+			}
 		}
-		if pending && !n.deliverActive[id] {
+		if pending&^n.deliverLinks[id] != 0 {
 			return fmt.Errorf("router %d sleeps in the deliver worklist with payloads on its links", id)
 		}
 		if !n.computeActive[id] && !(n.fplan == nil && n.nis[id].idle() && r.Quiescent()) {

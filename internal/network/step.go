@@ -2,6 +2,7 @@ package network
 
 import (
 	"fmt"
+	"math/bits"
 
 	"vichar/internal/audit"
 	"vichar/internal/flit"
@@ -129,14 +130,12 @@ func (n *Network) Step() {
 	}
 	n.runSharded(n.computeFn)
 	// Merge the per-writer wake buffers: sends that made an empty link
-	// non-empty re-activate the owning router's deliver entry. A pure
+	// non-empty set the link's bit in its owner's deliver mask. A pure
 	// OR over an order-free set, run serially after the compute
 	// barrier, so the result is independent of worker scheduling.
 	for w := range n.wakes {
-		for _, owner := range n.wakes[w] {
-			if !n.deliverActive[owner] {
-				n.deliverActive[owner] = true
-			}
+		for _, tag := range n.wakes[w] {
+			n.deliverLinks[tag>>5] |= 1 << (tag & 31)
 		}
 		n.wakes[w] = n.wakes[w][:0]
 	}
@@ -150,46 +149,49 @@ func (n *Network) Step() {
 }
 
 // deliverShard is phase 1 for one shard: every link owned by the
-// shard's routers delivers its due flits and credits. The walk runs
-// over the owner-grouped link slabs in slab order — one contiguous
-// range per router (flitOff/creditOff), batching each router's
-// delivery commits into a single streaming sweep. Reads n.now itself
-// (set before the phase barrier) so the bound closure carries no
-// per-cycle state.
+// shard's routers that may carry payloads delivers its due flits and
+// credits. The walk visits the set bits of each router's deliverLinks
+// in ascending order — its flit links, then its credit links, each in
+// slab order (flitOff/creditOff) — so delivery order is the order of a
+// sweep over every link. Reads n.now itself (set before the phase
+// barrier) so the bound closure carries no per-cycle state.
 //
 // Neighbouring shards run on different cores: the worklist tally is
-// local, flushed once into the shard's own line, and the activity flags
-// (a line of them spans shards) are stored only when the value changes.
+// local, flushed once into the shard's own line, and the per-router
+// masks and flags (a line of them spans shards) are stored only when
+// the value changes.
 func (n *Network) deliverShard(shard int) {
 	now := n.now
 	lo, hi := n.shardBounds(shard)
 	var ticked uint64
 	for id := lo; id < hi; id++ {
-		// Skip routers none of whose links carry payloads; the flag is
-		// re-armed by the serial wake merge when a writer makes one of
-		// them non-empty again.
-		if !n.deliverActive[id] {
+		// Skip routers none of whose links carry payloads; a bit is set
+		// again by the serial wake merge when a writer makes its link
+		// non-empty.
+		links := n.deliverLinks[id]
+		if links == 0 {
 			continue
 		}
 		ticked++
-		pending := false
-		for i := n.flitOff[id]; i < n.flitOff[id+1]; i++ {
-			if n.flitSlab[i].tick(now) {
-				pending = true
+		for m := links; m != 0; m &= m - 1 {
+			b := bits.TrailingZeros32(m)
+			var pending bool
+			if b < creditBit0 {
+				pending = n.flitSlab[int(n.flitOff[id])+b].tick(now)
+			} else {
+				pending = n.creditSlab[int(n.creditOff[id])+b-creditBit0].tick(now)
+			}
+			if !pending {
+				links &^= 1 << b
 			}
 		}
-		for i := n.creditOff[id]; i < n.creditOff[id+1]; i++ {
-			if n.creditSlab[i].tick(now) {
-				pending = true
-			}
-		}
-		// Both flags are shard-owned here: deliver and compute shard
+		// Both entries are shard-owned here: deliver and compute shard
 		// by the same id ranges, so no other worker reads them before
 		// the phase barrier. Anything delivered (or still in flight)
 		// may have changed router id's state, so its compute entry is
 		// re-armed conservatively.
-		if !pending {
-			n.deliverActive[id] = false
+		if links != n.deliverLinks[id] {
+			n.deliverLinks[id] = links
 		}
 		if !n.computeActive[id] {
 			n.computeActive[id] = true

@@ -47,7 +47,10 @@ const (
 	// candidates as one packed byte, the ejection cursor inside each
 	// packet record (the separate expect table is gone), and drops the
 	// router's packed SA routes, which re-derive from the VC state.
-	Version = 4
+	// Version 5 stores the transaction engine's latencies as a
+	// histogram (its counts, then its smallest value) instead of one
+	// entry per sample.
+	Version = 5
 )
 
 var le = binary.LittleEndian

@@ -142,7 +142,7 @@ func TestEveryByteMutationRejectedOrDetected(t *testing.T) {
 // valid envelope (magic, checksum) but a layout this codec would
 // misparse; Open must refuse it by version, naming both.
 func TestVersion3Rejected(t *testing.T) {
-	for _, v := range []uint32{0, 1, 2, 3, 5} {
+	for _, v := range []uint32{0, 1, 2, 3, 6} {
 		data := sealed(t, func(*Codec) {})
 		le.PutUint32(data[len(magic):], v)
 		_, err := Open(reseal(data))
@@ -152,6 +152,26 @@ func TestVersion3Rejected(t *testing.T) {
 		if want := fmt.Sprintf("format version %d not supported (want %d)", v, Version); !strings.Contains(err.Error(), want) {
 			t.Fatalf("error %q, want it to say %q", err, want)
 		}
+	}
+}
+
+// Version 4, the format before the transaction engine's latency
+// histogram, stored one int64 per measured transaction where version 5
+// stores counts over the latency range. A version-4 transaction section
+// would misparse here — its sample list read as counts, the next field
+// as the smallest latency — so Open refuses the blob at the envelope.
+func TestVersion4Rejected(t *testing.T) {
+	data := sealed(t, func(c *Codec) {
+		c.Section("txn")
+		issued, retired, samples := int64(2), int64(2), []int64{31, 17}
+		c.I64(&issued)
+		c.I64(&retired)
+		c.I64sVar(&samples)
+	})
+	le.PutUint32(data[len(magic):], 4)
+	_, err := Open(reseal(data))
+	if want := "format version 4 not supported (want 5)"; err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Open of a version-4 blob = %v, want an error saying %q", err, want)
 	}
 }
 

@@ -57,3 +57,30 @@ func (c *Collector) State(s *snap.Codec) {
 	})
 	c.counters.State(s)
 }
+
+// State walks the histogram as its counts, then — when there are any —
+// its smallest sample; the sample count and sum re-derive from them.
+// An empty histogram is therefore the four bytes of an empty []int64.
+// maxN bounds the samples and maxV the largest of them, so a loaded
+// histogram's derivation cannot overflow its count and a later Add
+// cannot index outside its counts.
+func (h *Histogram) State(s *snap.Codec, maxN, maxV int64) {
+	s.I64sVar(&h.counts)
+	var n, sum int64
+	if last := len(h.counts) - 1; last >= 0 {
+		s.I64(&h.lo)
+		s.Check(h.lo >= 0 && h.lo <= maxV-int64(last) && h.counts[0] > 0 && h.counts[last] > 0,
+			"stats: histogram range [%d, %d] in snapshot, want both ends counted within [0, %d]", h.lo, h.lo+int64(last), maxV)
+		for i, k := range h.counts {
+			if k < 0 || k > maxN-n {
+				s.Failf("stats: histogram holds more than %d samples", maxN)
+				break
+			}
+			n += k
+			sum += (h.lo + int64(i)) * k
+		}
+	}
+	if s.Loading() {
+		h.n, h.sum = n, sum
+	}
+}

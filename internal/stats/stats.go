@@ -11,30 +11,9 @@ package stats
 
 import (
 	"fmt"
-	"sort"
 
 	"vichar/internal/flit"
 )
-
-// percentile returns the p-quantile (0..1) of an ascending-sorted
-// sample using linear interpolation between the two closest ranks
-// (the "C = 1" / inclusive convention: pos = p*(n-1), the value
-// interpolated between sorted[floor(pos)] and sorted[ceil(pos)]).
-// A single-element sample returns that element for every p, and
-// p = 1.0 returns the maximum.
-func percentile(sorted []int64, p float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	pos := p * float64(len(sorted)-1)
-	lo := int(pos)
-	hi := lo + 1
-	if hi >= len(sorted) {
-		return float64(sorted[len(sorted)-1])
-	}
-	frac := pos - float64(lo)
-	return float64(sorted[lo])*(1-frac) + float64(sorted[hi])*frac
-}
 
 // Counters tallies the microarchitectural events the power model
 // converts into energy. All counts are network-wide totals.
@@ -206,25 +185,21 @@ type TxnResults struct {
 	MaxLatency int64
 }
 
-// FinalizeTxn reduces the engine's latency samples into TxnResults.
-// samples is not retained; a nil or empty slice yields zero latency
-// statistics.
-func FinalizeTxn(samples []int64, issued, retired int64) *TxnResults {
-	t := &TxnResults{Issued: issued, Retired: retired, MeasuredTxns: int64(len(samples))}
-	if len(samples) == 0 {
+// FinalizeTxn reduces the engine's latency histogram into
+// TxnResults; an empty histogram yields zero latency statistics.
+func FinalizeTxn(h *Histogram, issued, retired int64) *TxnResults {
+	t := &TxnResults{Issued: issued, Retired: retired, MeasuredTxns: h.Count()}
+	if h.Count() == 0 {
 		return t
 	}
-	sorted := append([]int64(nil), samples...)
-	sort.Slice(sorted, func(a, b int) bool { return sorted[a] < sorted[b] })
-	sum := 0.0
-	for _, l := range sorted {
-		sum += float64(l)
-	}
-	t.AvgLatency = sum / float64(len(sorted))
-	t.P50Latency = percentile(sorted, 0.50)
-	t.P95Latency = percentile(sorted, 0.95)
-	t.P99Latency = percentile(sorted, 0.99)
-	t.MaxLatency = sorted[len(sorted)-1]
+	// Every partial sum of integer latencies stays far below 2^53, so
+	// the exact integer sum converts to the same float64 a running
+	// float sum reaches.
+	t.AvgLatency = float64(h.Sum()) / float64(h.Count())
+	t.P50Latency = h.Quantile(0.50)
+	t.P95Latency = h.Quantile(0.95)
+	t.P99Latency = h.Quantile(0.99)
+	t.MaxLatency = h.Max()
 	return t
 }
 
@@ -246,10 +221,14 @@ type Collector struct {
 	measure int64
 	nodes   int
 
-	ejected      int64
-	measured     int64
-	latencySum   float64
-	queueSum     float64
+	ejected    int64
+	measured   int64
+	latencySum float64
+	queueSum   float64
+	// latencies is the ordered per-packet record: Latencies, the digest
+	// walls and the bit-identical resume contract need every sample in
+	// ejection order. Finalize reduces it through a Histogram, never a
+	// sorted copy.
 	latencies    []int64
 	ejectedFlits int64
 
@@ -310,13 +289,14 @@ func (c *Collector) Done() bool { return c.ejected >= c.warmup+c.measure }
 // Ejected returns the total ejected packet count so far.
 func (c *Collector) Ejected() int64 { return c.ejected }
 
-// Latencies returns a copy of the per-packet latencies recorded in
-// the measurement window, in ejection order. The determinism
-// regression test compares them element-wise across same-seed runs.
+// Latencies returns the per-packet latencies recorded in the
+// measurement window, in ejection order: a read-only view of the
+// collector's record, capacity clipped to its length so an append by
+// the caller copies instead of writing into the record. The
+// determinism regression test compares them element-wise across
+// same-seed runs.
 func (c *Collector) Latencies() []int64 {
-	out := make([]int64, len(c.latencies))
-	copy(out, c.latencies)
-	return out
+	return c.latencies[:len(c.latencies):len(c.latencies)]
 }
 
 // PacketEjected records the ejection of p at cycle now. The
@@ -414,13 +394,14 @@ func (c *Collector) Finalize(now int64, saturated bool) Results {
 		r.AvgLatency = c.latencySum / float64(c.measured)
 		r.AvgQueueLatency = c.queueSum / float64(c.measured)
 		r.AvgNetworkLatency = r.AvgLatency - r.AvgQueueLatency
-		sorted := make([]int64, len(c.latencies))
-		copy(sorted, c.latencies)
-		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-		r.P50Latency = percentile(sorted, 0.50)
-		r.P95Latency = percentile(sorted, 0.95)
-		r.P99Latency = percentile(sorted, 0.99)
-		r.MaxLatency = sorted[len(sorted)-1]
+		var h Histogram
+		for _, l := range c.latencies {
+			h.Add(l)
+		}
+		r.P50Latency = h.Quantile(0.50)
+		r.P95Latency = h.Quantile(0.95)
+		r.P99Latency = h.Quantile(0.99)
+		r.MaxLatency = h.Max()
 	}
 	if r.MeasureCycles > 0 {
 		r.Throughput = float64(c.ejectedFlits) / float64(r.MeasureCycles)

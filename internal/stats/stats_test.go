@@ -2,6 +2,9 @@ package stats
 
 import (
 	"math"
+	"math/rand"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -160,14 +163,24 @@ func TestLatencyPercentiles(t *testing.T) {
 	}
 }
 
+// quantile is the histogram's p-quantile of samples (given in any
+// order).
+func quantile(samples []int64, p float64) float64 {
+	var h Histogram
+	for _, v := range samples {
+		h.Add(v)
+	}
+	return h.Quantile(p)
+}
+
 func TestPercentileHelper(t *testing.T) {
-	if percentile(nil, 0.5) != 0 {
+	if quantile(nil, 0.5) != 0 {
 		t.Fatal("empty sample percentile nonzero")
 	}
-	if got := percentile([]int64{7}, 0.99); got != 7 {
+	if got := quantile([]int64{7}, 0.99); got != 7 {
 		t.Fatalf("singleton percentile %.1f", got)
 	}
-	if got := percentile([]int64{1, 3}, 0.5); got != 2 {
+	if got := quantile([]int64{1, 3}, 0.5); got != 2 {
 		t.Fatalf("interpolated median %.1f, want 2", got)
 	}
 }
@@ -192,9 +205,102 @@ func TestPercentileLinearInterpolation(t *testing.T) {
 		{"n=5 exact rank", []int64{1, 2, 3, 4, 5}, 0.5, 3},
 	}
 	for _, c := range cases {
-		if got := percentile(c.sorted, c.p); got != c.want {
-			t.Errorf("%s: percentile(%v, %g) = %g, want %g", c.name, c.sorted, c.p, got, c.want)
+		if got := quantile(c.sorted, c.p); got != c.want {
+			t.Errorf("%s: quantile(%v, %g) = %g, want %g", c.name, c.sorted, c.p, got, c.want)
 		}
+	}
+}
+
+// sortedPercentile is the sort-based reference: linear interpolation
+// over a sorted copy of the samples.
+func sortedPercentile(sorted []int64, p float64) float64 {
+	pos := p * float64(len(sorted)-1)
+	lo := int(pos)
+	if lo+1 >= len(sorted) {
+		return float64(sorted[len(sorted)-1])
+	}
+	frac := pos - float64(lo)
+	return float64(sorted[lo])*(1-frac) + float64(sorted[lo+1])*frac
+}
+
+// TestHistogramMatchesSortedReference: over random samples, the
+// histogram's P50, P95, P99, Max and mean equal the sort-based
+// reduction bit for bit — at sizes from 1 to 5 000, with heavy ties,
+// at n = 2 and with one outlier far above the rest, the range widening
+// on every new minimum and maximum on the way.
+func TestHistogramMatchesSortedReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	draws := map[string]func(i, n int) int64{
+		"uniform": func(int, int) int64 { return 10 + rng.Int63n(500) },
+		"ties":    func(int, int) int64 { return 20 + rng.Int63n(4) },
+		"outlier": func(i, n int) int64 {
+			if i == n/2 {
+				return 100_000
+			}
+			return 5 + rng.Int63n(60)
+		},
+	}
+	sizes := []int{1, 2, 3, 7, 100, 101, 999, 5_000}
+	for n := 1; n <= 5_000; n += 1 + n/4 {
+		sizes = append(sizes, n)
+	}
+	for _, name := range []string{"uniform", "ties", "outlier"} {
+		for _, n := range sizes {
+			samples := make([]int64, n)
+			var h Histogram
+			for i := range samples {
+				samples[i] = draws[name](i, n)
+				h.Add(samples[i])
+			}
+			sorted := append([]int64(nil), samples...)
+			slices.Sort(sorted)
+			sum := 0.0
+			for _, v := range sorted {
+				sum += float64(v)
+			}
+			for _, p := range []float64{0, 0.50, 0.95, 0.99, 1} {
+				if got, want := h.Quantile(p), sortedPercentile(sorted, p); got != want {
+					t.Fatalf("%s n=%d: Quantile(%g) = %v, sorted reference %v", name, n, p, got, want)
+				}
+			}
+			if h.Max() != sorted[n-1] || h.Count() != int64(n) {
+				t.Fatalf("%s n=%d: max %d count %d, want %d and %d", name, n, h.Max(), h.Count(), sorted[n-1], n)
+			}
+			if got, want := float64(h.Sum())/float64(h.Count()), sum/float64(n); got != want {
+				t.Fatalf("%s n=%d: mean %v, float-loop reference %v", name, n, got, want)
+			}
+		}
+	}
+}
+
+// TestFinalizeAllocBudget: the memory of a reduction is bounded by the
+// latency range, not the sample count. With 200 000 latencies recorded,
+// Finalize plus Latencies() allocate under 64 KB — a histogram over the
+// range and the result's small slices — where a sorted copy and a
+// defensive copy of the record would take 3.2 MB.
+func TestFinalizeAllocBudget(t *testing.T) {
+	const samples = 200_000
+	c := NewCollector(0, samples, 4)
+	rng := rand.New(rand.NewSource(1))
+	for i := int64(0); i < samples; i++ {
+		lat := 20 + rng.Int63n(1_000)
+		c.PacketEjected(&flit.Packet{Size: 4, CreatedAt: i, InjectedAt: i, EjectedAt: i + lat}, i+lat)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	r := c.Finalize(samples+2_000, false)
+	lats := c.Latencies()
+	runtime.ReadMemStats(&after)
+	if r.MeasuredPackets != samples || len(lats) != samples {
+		t.Fatalf("measured %d packets, %d latencies; want %d", r.MeasuredPackets, len(lats), samples)
+	}
+	if cap(lats) != len(lats) {
+		t.Fatalf("Latencies() has capacity %d past its %d samples: an append would write into the record", cap(lats), len(lats))
+	}
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("Finalize + Latencies allocated %d bytes for %d samples", got, samples)
+	if got >= 64<<10 {
+		t.Fatalf("Finalize + Latencies allocated %d bytes for %d samples, want < 64 KB", got, samples)
 	}
 }
 

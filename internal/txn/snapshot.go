@@ -5,7 +5,7 @@ import (
 )
 
 // State walks the engine for a checkpoint taken at cycle now: global
-// transaction counts and latency samples, each requester's rng
+// transaction counts and the latency histogram, each requester's rng
 // position, window and pending table (IDs ascending), and each
 // responder's admission and service-queue state. Node roles are
 // derived from the configuration, so only per-role payloads travel;
@@ -15,7 +15,9 @@ func (e *Engine) State(c *snap.Codec, now int64) {
 	c.Section("txn")
 	c.I64(&e.issued)
 	c.I64(&e.retired)
-	c.I64sVar(&e.samples)
+	// A measured latency is at most now, and there is one per retired
+	// transaction at most.
+	e.latency.State(c, e.retired, now)
 	for _, id := range e.requesters {
 		q := &e.reqs[id]
 		seed := q.stream.Seed()

@@ -32,6 +32,7 @@ import (
 	"vichar/internal/config"
 	"vichar/internal/flit"
 	"vichar/internal/rng"
+	"vichar/internal/stats"
 	"vichar/internal/topology"
 )
 
@@ -212,7 +213,7 @@ type Engine struct {
 
 	issued  int64
 	retired int64
-	samples []int64 // end-to-end transaction latencies, measurement window only
+	latency stats.Histogram // end-to-end transaction latencies, measurement window only
 }
 
 // New builds the engine for the configuration. The mesh must match
@@ -415,8 +416,7 @@ func (e *Engine) retire(node int, req uint64, now int64, measuring bool) {
 	q.flight--
 	e.retired++
 	if measuring {
-		//vichar:alloc one latency sample per measured transaction — the metric being collected, not per-cycle churn
-		e.samples = append(e.samples, now-created)
+		e.latency.Add(now - created)
 	}
 }
 
@@ -451,9 +451,9 @@ func (e *Engine) Done() bool {
 func (e *Engine) Issued() int64  { return e.issued }
 func (e *Engine) Retired() int64 { return e.retired }
 
-// Samples returns the recorded end-to-end transaction latencies
+// Latency returns the histogram of end-to-end transaction latencies
 // (measurement window only); the caller must not mutate it.
-func (e *Engine) Samples() []int64 { return e.samples }
+func (e *Engine) Latency() *stats.Histogram { return &e.latency }
 
 // Quiescent reports whether the engine can generate no further work
 // without network input: no responder holds queued or egress work and

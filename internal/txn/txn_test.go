@@ -2,6 +2,7 @@ package txn
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -230,13 +231,11 @@ func TestCappedWorkloadDrains(t *testing.T) {
 	if e.Outstanding() != 0 {
 		t.Fatalf("drained engine reports %d outstanding", e.Outstanding())
 	}
-	if got := len(e.Samples()); got != int(want) {
+	if got := e.Latency().Count(); got != want {
 		t.Fatalf("recorded %d latency samples, want one per transaction (%d)", got, want)
 	}
-	for _, s := range e.Samples() {
-		if s < 1 {
-			t.Fatalf("latency sample %d cycles; the perfect network still takes a round trip", s)
-		}
+	if fastest := e.Latency().Quantile(0); fastest < 1 {
+		t.Fatalf("fastest transaction took %g cycles; the perfect network still takes a round trip", fastest)
 	}
 	// Let the in-service posted writes finish, then the layer is fully
 	// quiescent.
@@ -403,14 +402,8 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		t.Fatalf("resumed run diverged: %d/%d issued, %d/%d retired",
 			e1.Issued(), e2.Issued(), e1.Retired(), e2.Retired())
 	}
-	s1, s2 := e1.Samples(), e2.Samples()
-	if len(s1) != len(s2) {
-		t.Fatalf("resumed run recorded %d samples, original %d", len(s2), len(s1))
-	}
-	for i := range s1 {
-		if s1[i] != s2[i] {
-			t.Fatalf("sample %d diverged: %d vs %d cycles", i, s1[i], s2[i])
-		}
+	if h1, h2 := e1.Latency(), e2.Latency(); h1.Count() == 0 || !reflect.DeepEqual(h1, h2) {
+		t.Fatalf("resumed run's latency histogram diverged: %+v vs original %+v", h2, h1)
 	}
 }
 
@@ -513,6 +506,32 @@ func TestLoadRejectsCorruptCounts(t *testing.T) {
 		})
 		if err == nil || !strings.Contains(err.Error(), "stream seed") {
 			t.Fatalf("load = %v, want seed validation error", err)
+		}
+	})
+
+	t.Run("histogram-beyond-retired", func(t *testing.T) {
+		err := load(t, func(i64 func(int64), u8 func(uint8), c *snap.Codec) {
+			c.Section("txn")
+			i64(0)                 // issued
+			i64(0)                 // retired
+			c.I64sVar(&[]int64{1}) // one latency sample
+			i64(0)                 // of 0 cycles
+		})
+		if err == nil || !strings.Contains(err.Error(), "more than 0 samples") {
+			t.Fatalf("load = %v, want histogram-count validation error", err)
+		}
+	})
+
+	t.Run("histogram-beyond-now", func(t *testing.T) {
+		err := load(t, func(i64 func(int64), u8 func(uint8), c *snap.Codec) {
+			c.Section("txn")
+			i64(1)                 // issued
+			i64(1)                 // retired
+			c.I64sVar(&[]int64{1}) // one latency sample
+			i64(5)                 // of 5 cycles, measured by cycle 0
+		})
+		if err == nil || !strings.Contains(err.Error(), "histogram range") {
+			t.Fatalf("load = %v, want histogram-range validation error", err)
 		}
 	})
 

@@ -124,9 +124,13 @@ func (s *Simulator) Ejected() int64 { return s.net.Collector().Ejected() }
 // Created returns the number of packets created so far.
 func (s *Simulator) Created() int64 { return s.net.CreatedPackets() }
 
-// Latencies returns a copy of the per-packet latencies recorded in
-// the measurement window so far; the bit-identical resume contract
-// covers it sample for sample.
+// Latencies returns the per-packet latencies recorded in the
+// measurement window so far, in ejection order, under the same
+// bit-identical resume contract, sample for sample. The slice is a
+// read-only view of the simulator's own record, not a copy: do not
+// write to it (an append copies, since its capacity ends at its
+// length). Later steps only record past its end, so it stays a valid
+// prefix of the record.
 func (s *Simulator) Latencies() []int64 { return s.net.Collector().Latencies() }
 
 // RunCheckpointed executes the full measurement protocol like Run,

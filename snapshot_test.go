@@ -453,7 +453,9 @@ func TestSnapshotCorruptionRejected(t *testing.T) {
 // had none. A blob of such a configuration cut before the reserve
 // existed (testdata: a 2x2 adaptive ViC-4 at cycle 40) must be refused
 // with an error, not misread; the same configuration cut today
-// restores.
+// restores. Since version 5 (the transaction latency histogram) the
+// blob is refused at the envelope, by its version word, before any
+// section is read.
 func TestRestoreRefusesPreReserveBlob(t *testing.T) {
 	old, err := os.ReadFile(filepath.Join("testdata", "vic-adaptive-prereserve.snap"))
 	if err != nil {
@@ -461,6 +463,8 @@ func TestRestoreRefusesPreReserveBlob(t *testing.T) {
 	}
 	if _, err := vichar.Restore(old); err == nil {
 		t.Fatal("Restore accepted a ViChaR escape-configuration blob cut before the grant reserve")
+	} else if !strings.Contains(err.Error(), "format version 4 not supported") {
+		t.Fatalf("Restore of a version-4 blob = %v, want it refused by its version", err)
 	}
 	cfg := vichar.DefaultConfig()
 	cfg.Width, cfg.Height = 2, 2
