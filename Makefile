@@ -20,12 +20,14 @@ lint:
 # link send under load (at most 0.01 allocations and 64 bytes per
 # cycle), for all four buffer architectures; what network.New holds
 # per router stays inside its budget (-v prints the per-component
-# account); and reducing a run's results is bounded by the latency
+# account); reducing a run's results is bounded by the latency
 # range, not the sample count (Finalize plus Latencies() over 200 000
-# recorded latencies allocate under 64 KB).
+# recorded latencies allocate under 64 KB); and the traffic generator's
+# per-node streams are one slab (traffic.New allocates as often on a
+# 16x16 mesh as on a 4x4 one).
 alloc-check:
 	$(GO) test ./internal/network/ -run 'TestStepAllocFree|TestHeapBytesPerRouterBudget' -count=1 -v
-	$(GO) test ./internal/stats/ -run 'TestFinalizeAllocBudget' -count=1 -v
+	$(GO) test ./internal/stats/ ./internal/traffic/ -run 'TestFinalizeAllocBudget|TestNewAllocsIndependentOfMesh' -count=1 -v
 
 # The bit-identical resume contract (DESIGN.md §14): snapshot at C,
 # restore, run to completion — results, latencies, counters, the final

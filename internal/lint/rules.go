@@ -40,6 +40,8 @@ var deterministicPkgs = map[string]bool{
 	"metrics": true,
 	"faults":  true,
 	"txn":     true,
+	"rng":     true,
+	"traffic": true,
 }
 
 // Diagnostic is one rule violation.

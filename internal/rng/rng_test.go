@@ -1,34 +1,63 @@
 package rng
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
 	"vichar/internal/snap"
 )
 
-// TestSequenceMatchesMathRand pins the shim's contract with the golden
-// fixture wall: a Stream must produce exactly the sequence of
-// rand.New(rand.NewSource(seed)) across the method mix the traffic
-// generator uses.
+// TestSequenceMatchesMathRand pins the generator's contract with the
+// golden fixture wall: a Stream must produce exactly the sequence of
+// rand.New(rand.NewSource(seed)), math/rand being the oracle. The seeds
+// cover every branch of seed normalisation (zero, negatives, multiples
+// of the modulus, the int64 extremes) plus a thousand drawn ones; each
+// runs past two register lengths, so every word seeding wrote is read
+// and then overwritten; the method mix covers Float64, both Intn paths
+// (31-bit masked and rejected, 63-bit above 2³¹) and Int63n. It also
+// checks the seeding power table against a serial walk of the Lehmer
+// recurrence.
 func TestSequenceMatchesMathRand(t *testing.T) {
-	for _, seed := range []int64{1, 42, -7, 1_000_003} {
+	x := uint64(1)
+	for k, p := range powers {
+		if p != x {
+			t.Fatalf("powers[%d] = %d, serial walk %d", k, p, x)
+		}
+		x = x * lehmerA % lehmerM
+	}
+
+	seeds := []int64{0, 1, -1, lehmerM, -lehmerM, 2 * lehmerM, 89482311, math.MinInt64, math.MaxInt64, 42, 1_000_003}
+	pick := rand.New(rand.NewSource(2024))
+	for range 1000 {
+		seeds = append(seeds, pick.Int63()-pick.Int63())
+	}
+	const draws = 2*regLen + 50
+	for _, seed := range seeds {
 		s := New(seed)
 		ref := rand.New(rand.NewSource(seed))
-		for i := 0; i < 5000; i++ {
-			switch i % 3 {
+		for i := 0; i < draws; i++ {
+			var got, want any
+			switch i % 8 {
 			case 0:
-				if got, want := s.Float64(), ref.Float64(); got != want {
-					t.Fatalf("seed %d draw %d: Float64 %v != %v", seed, i, got, want)
-				}
+				got, want = s.Float64(), ref.Float64()
 			case 1:
-				if got, want := s.Intn(97), ref.Intn(97); got != want {
-					t.Fatalf("seed %d draw %d: Intn %v != %v", seed, i, got, want)
-				}
+				got, want = s.Intn(97), ref.Intn(97)
 			case 2:
-				if got, want := s.Int63n(1_000_003), ref.Int63n(1_000_003); got != want {
-					t.Fatalf("seed %d draw %d: Int63n %v != %v", seed, i, got, want)
-				}
+				got, want = s.Intn(64), ref.Intn(64)
+			case 3: // 31-bit path, about half of all draws rejected
+				got, want = s.Intn(1<<30+1), ref.Intn(1<<30+1)
+			case 4: // above 2³¹: the Int63n path, a quarter rejected
+				got, want = s.Intn(3<<61), ref.Intn(3<<61)
+			case 5:
+				got, want = s.Int63n(1_000_003), ref.Int63n(1_000_003)
+			case 6:
+				got, want = s.Int63n(1<<40), ref.Int63n(1<<40)
+			case 7: // about half rejected
+				got, want = s.Int63n(1<<62+1), ref.Int63n(1<<62+1)
+			}
+			if got != want {
+				t.Fatalf("seed %d draw %d (method %d): %v != %v", seed, i, i%8, got, want)
 			}
 		}
 	}

@@ -18,14 +18,14 @@ import (
 // Generator produces packet creation events for every node. Each node
 // owns an independent deterministic random stream so results are
 // reproducible and insensitive to node iteration order. The streams
-// are rng.Stream draw-counting shims, so a generator's position can
-// be checkpointed as per-node (seed, draws) pairs and restored
-// bit-exactly (State).
+// sit by value in one slab and count their own generator steps, so a
+// generator's position can be checkpointed as per-node (seed, draws)
+// pairs and restored bit-exactly (State).
 type Generator struct {
 	cfg     *config.Config
 	mesh    topology.Mesh
 	pktProb float64 // per-cycle packet probability at the target rate
-	rngs    []*rng.Stream
+	rngs    []rng.Stream
 	onoff   []onOffState // used when cfg.Traffic == SelfSimilar
 	peak    float64      // ON-state injection rate, flits/cycle
 	hot     int          // hotspot destination node
@@ -63,13 +63,13 @@ func New(cfg *config.Config, mesh topology.Mesh) *Generator {
 		cfg:     cfg,
 		mesh:    mesh,
 		pktProb: cfg.InjectionRate / meanPacketSize(cfg),
-		rngs:    make([]*rng.Stream, mesh.Nodes()),
+		rngs:    make([]rng.Stream, mesh.Nodes()),
 		peak:    1.0,
 		hot:     mesh.Node(mesh.Width/2, mesh.Height/2),
 	}
 	for i := range g.rngs {
 		// Distinct, seed-derived stream per node.
-		g.rngs[i] = rng.New(seedFor(cfg.Seed, i))
+		g.rngs[i].Init(seedFor(cfg.Seed, i))
 	}
 	if cfg.Dest == config.Transpose && mesh.Width != mesh.Height {
 		panic(fmt.Sprintf("traffic: transpose needs a square mesh, got %dx%d", mesh.Width, mesh.Height))
@@ -85,7 +85,7 @@ func New(cfg *config.Config, mesh topology.Mesh) *Generator {
 			// Int63n(meanOn) phase would start low-rate runs with OFF
 			// periods far shorter than steady state, biasing the early
 			// cycles toward synchronized over-injection.
-			g.onoff[i] = onOffState{on: false, remaining: g.offPeriod(g.rngs[i])}
+			g.onoff[i] = onOffState{on: false, remaining: g.offPeriod(&g.rngs[i])}
 		}
 	}
 	return g
@@ -161,7 +161,7 @@ func (g *Generator) PacketSize(node int) int {
 
 // generates decides whether the node creates a packet this cycle.
 func (g *Generator) generates(node int) bool {
-	stream := g.rngs[node]
+	stream := &g.rngs[node]
 	switch g.cfg.Traffic {
 	case config.UniformRandom:
 		return g.pktProb > 0 && stream.Float64() < g.pktProb
@@ -181,6 +181,7 @@ func (g *Generator) generates(node int) bool {
 		}
 		return stream.Float64() < g.peak/meanPacketSize(g.cfg)
 	default:
+		//vichar:invariant ParseTraffic and the exported constants yield only the processes above; any other value is a caller's programming error
 		panic(fmt.Sprintf("traffic: unknown process %v", g.cfg.Traffic))
 	}
 }
@@ -195,7 +196,7 @@ func (g *Generator) generates(node int) bool {
 // nodes. The fallback consumes the node's own RNG stream, keeping the
 // draw order deterministic and independent of other nodes.
 func (g *Generator) Destination(src int) int {
-	stream := g.rngs[src]
+	stream := &g.rngs[src]
 	switch g.cfg.Dest {
 	case config.NormalRandom:
 		return g.uniformOther(stream, src)
@@ -229,6 +230,7 @@ func (g *Generator) Destination(src int) int {
 		}
 		return g.uniformOther(stream, src)
 	default:
+		//vichar:invariant ParseDest and the exported constants yield only the patterns above; any other value is a caller's programming error
 		panic(fmt.Sprintf("traffic: unknown destination pattern %v", g.cfg.Dest))
 	}
 }
@@ -255,8 +257,8 @@ func (g *Generator) HotNode() int { return g.hot }
 func (g *Generator) State(c *snap.Codec, now int64) {
 	c.Section("traffic")
 	c.Expect(len(g.rngs), "traffic: node streams")
-	for _, s := range g.rngs {
-		s.State(c, now)
+	for i := range g.rngs {
+		g.rngs[i].State(c, now)
 	}
 	c.Expect(len(g.onoff), "traffic: ON/OFF sources")
 	for i := range g.onoff {

@@ -609,3 +609,22 @@ func TestGeneratorStateRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// TestNewAllocsIndependentOfMesh pins the stream slab: New allocates as
+// often on a 16x16 mesh as on a 4x4 one, so the per-node streams (and
+// ON/OFF sources) cost one allocation per generator, not one per node.
+func TestNewAllocsIndependentOfMesh(t *testing.T) {
+	for _, proc := range []config.TrafficProcess{config.UniformRandom, config.SelfSimilar} {
+		allocs := func(side int) float64 {
+			cfg := cfgWith(proc, config.NormalRandom, 0.2, 3)
+			cfg.Width, cfg.Height = side, side
+			mesh := topology.New(side, side)
+			// Enough runs that the runtime's own occasional allocations
+			// (GC workers, pool cleanup) average out below one.
+			return testing.AllocsPerRun(50, func() { New(cfg, mesh) })
+		}
+		if small, large := allocs(4), allocs(16); small != large {
+			t.Errorf("%v: New allocates %.0f times on 4x4, %.0f on 16x16", proc, small, large)
+		}
+	}
+}

@@ -186,7 +186,7 @@ func (r *Responder) Injected() {
 
 // requester is one node's request-issue state.
 type requester struct {
-	stream  *rng.Stream
+	stream  *rng.Stream      // into the engine's stream slab
 	flight  int              // outstanding (issued, not retired) requests
 	issued  int              // total requests issued, against Config.Txn.Requests
 	pending map[uint64]int64 // request packet ID -> creation cycle
@@ -251,9 +251,14 @@ func New(cfg *config.Config, mesh topology.Mesh, send Sender) *Engine {
 		}
 		if !t.MemEdge || !edge {
 			e.requesters = append(e.requesters, id)
-			e.reqs[id].stream = rng.New(streamSeed(t.EffectiveSeed(cfg.Seed), id))
 			e.reqs[id].pending = make(map[uint64]int64)
 		}
+	}
+	// The request streams share one slab, seeded in place.
+	streams := make([]rng.Stream, len(e.requesters))
+	for j, id := range e.requesters {
+		streams[j].Init(streamSeed(t.EffectiveSeed(cfg.Seed), id))
+		e.reqs[id].stream = &streams[j]
 	}
 	return e
 }

@@ -16,10 +16,10 @@ package workloads
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 
 	"vichar"
+	"vichar/internal/rng"
 )
 
 // Edge is one producer→consumer stream of a task graph.
@@ -119,7 +119,7 @@ func (g TaskGraph) Trace(cfg vichar.Config, mapping map[string]int, cycles int64
 
 	total := g.TotalBandwidth()
 	size := cfg.PacketSize
-	rng := rand.New(rand.NewSource(seed))
+	stream := rng.New(seed)
 
 	// Per-edge per-cycle packet probability.
 	probs := make([]float64, len(g.Edges))
@@ -135,7 +135,7 @@ func (g TaskGraph) Trace(cfg vichar.Config, mapping map[string]int, cycles int64
 	var entries []vichar.TraceEntry
 	for now := int64(1); now <= cycles; now++ {
 		for i, e := range g.Edges {
-			if rng.Float64() < probs[i] {
+			if stream.Float64() < probs[i] {
 				entries = append(entries, vichar.TraceEntry{
 					Cycle: now,
 					Src:   mapping[e.Src],
