@@ -47,12 +47,14 @@ type Buffer interface {
 	// Front returns the flit at the head of vc if it is readable at
 	// cycle now, or nil.
 	Front(vc int, now int64) *flit.Flit
-	// ReadyWords returns the port's readiness mask at cycle now: bit v
-	// is set iff Front(v, now) != nil. Switch allocation ANDs it
-	// against its active-VC mask, so the whole-port head poll never
-	// touches flit storage. The words are read-only and valid for this
-	// cycle only; re-call each cycle.
-	ReadyWords(now int64) []uint64
+	// ReadyAt returns the per-VC first-readable cycles: entry v is the
+	// first cycle the head flit of v is readable, NeverReady while v is
+	// empty, so for every now below NeverReady Front(v, now) != nil iff
+	// ReadyAt()[v] <= now. Switch allocation compares it for the VCs
+	// its active mask names, so the whole-port head poll never touches
+	// flit storage. The slice is read-only and aliased for the buffer's
+	// lifetime: call once, read every cycle.
+	ReadyAt() []int64
 	// Pop removes and returns the head of vc. It fails if Front would
 	// have returned nil.
 	Pop(vc int, now int64) (*flit.Flit, error)
@@ -61,8 +63,6 @@ type Buffer interface {
 	Len(vc int) int
 	// Occupied returns the total number of flits currently stored.
 	Occupied() int
-	// InUseVCs returns how many VCs currently hold at least one flit.
-	InUseVCs() int
 	// State walks the buffer's mutable contents for a checkpoint;
 	// wiring and shape are not stored — they re-derive from the
 	// configuration at restore time, and loading needs a buffer
@@ -71,21 +71,21 @@ type Buffer interface {
 	State(c *snap.Codec)
 }
 
-// neverReady stamps an empty queue: no cycle count reaches it.
-const neverReady = math.MaxInt64
+// NeverReady is the first-readable stamp of an empty VC: no cycle
+// count reaches it.
+const NeverReady = math.MaxInt64
 
 // queues is the per-VC FIFO storage of the fixed organizations
 // together with its readiness state: readyAt[vc] is the first cycle
-// queue vc's head flit is readable (neverReady when empty), restamped
+// queue vc's head flit is readable (NeverReady when empty), restamped
 // whenever the head changes — a push to an empty queue or a pop.
-// Front and ReadyWords gate on it, so the per-cycle readiness poll is
-// one integer compare per queue with no flit-pointer chase. The stamps
-// are derived from the queue contents; loading a checkpoint recomputes
-// them.
+// Front gates on it and ReadyAt exposes it, so the per-cycle readiness
+// poll is one integer compare per queue with no flit-pointer chase.
+// The stamps are derived from the queue contents; loading a checkpoint
+// recomputes them.
 type queues struct {
 	qs      []fifo
 	readyAt []int64
-	words   []uint64 // ReadyWords scratch
 }
 
 // newQueues returns vcs empty queues. A positive depth is a hard
@@ -94,9 +94,9 @@ type queues struct {
 // zero (the shared-pool organizations, whose queues lend each other
 // space) rings start empty and double on demand.
 func newQueues(vcs, depth int) queues {
-	q := queues{qs: make([]fifo, vcs), readyAt: make([]int64, vcs), words: make([]uint64, (vcs+63)/64)}
+	q := queues{qs: make([]fifo, vcs), readyAt: make([]int64, vcs)}
 	for i := range q.readyAt {
-		q.readyAt[i] = neverReady
+		q.readyAt[i] = NeverReady
 	}
 	if depth > 0 {
 		c := 1
@@ -114,7 +114,7 @@ func newQueues(vcs, depth int) queues {
 // restamp recomputes queue vc's first-readable cycle from its head:
 // lag cycles after the head's arrival and not before floor.
 func (q *queues) restamp(vc int, lag, floor int64) {
-	q.readyAt[vc] = neverReady
+	q.readyAt[vc] = NeverReady
 	if f := q.qs[vc].front(); f != nil {
 		q.readyAt[vc] = max(f.ArrivedAt+lag, floor)
 	}
@@ -152,31 +152,8 @@ func (q *queues) Len(vc int) int {
 	return q.qs[vc].len()
 }
 
-// InUseVCs returns the number of non-empty queues.
-func (q *queues) InUseVCs() int {
-	n := 0
-	for i := range q.qs {
-		if q.qs[i].len() > 0 {
-			n++
-		}
-	}
-	return n
-}
-
-// ReadyWords returns the readiness mask at cycle now: bit vc is set
-// iff Front(vc, now) != nil.
-func (q *queues) ReadyWords(now int64) []uint64 {
-	for wi := range q.words {
-		w := uint64(0)
-		for i, at := range q.readyAt[wi<<6 : min(wi<<6+64, len(q.readyAt))] {
-			if at <= now {
-				w |= 1 << uint(i)
-			}
-		}
-		q.words[wi] = w
-	}
-	return q.words
-}
+// ReadyAt returns the per-queue first-readable stamps.
+func (q *queues) ReadyAt() []int64 { return q.readyAt }
 
 // fifo is a FIFO of flits over a power-of-two ring: head indexes the
 // front, n counts the occupants. A full ring doubles (a queue sized

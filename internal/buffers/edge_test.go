@@ -28,8 +28,8 @@ func TestDepthOneBuffers(t *testing.T) {
 					t.Fatalf("vc %d: %v", vc, err)
 				}
 			}
-			if b.Occupied() != 4 || b.InUseVCs() != 4 {
-				t.Fatalf("occupied %d, in-use VCs %d; want 4, 4", b.Occupied(), b.InUseVCs())
+			if b.Occupied() != 4 || inUse(b) != 4 {
+				t.Fatalf("occupied %d, in-use VCs %d; want 4, 4", b.Occupied(), inUse(b))
 			}
 			for vc := 0; vc < 4; vc++ {
 				if free := b.FreeSlotsFor(vc); free != 0 {
@@ -155,8 +155,8 @@ func TestInterleavedAllocFree(t *testing.T) {
 					}
 				}
 			}
-			if b.Occupied() != 0 || b.InUseVCs() != 0 {
-				t.Fatalf("pool not empty after drain: occupied %d, in-use %d", b.Occupied(), b.InUseVCs())
+			if b.Occupied() != 0 || inUse(b) != 0 {
+				t.Fatalf("pool not empty after drain: occupied %d, in-use %d", b.Occupied(), inUse(b))
 			}
 			for vc := 0; vc < 2; vc++ {
 				if free := b.FreeSlotsFor(vc); free != 4 {

@@ -6,8 +6,10 @@
 // The defaults mirror the evaluation platform of the ViChaR paper
 // (MICRO 2006, §4.1): an 8x8 mesh of 5-port, 4-stage pipelined
 // routers; 4 virtual channels per port, each 4 flits deep (16 slots
-// per port, 80 per router); 128-bit flits; 4-flit packets; 500 MHz;
-// 300,000 ejected messages of which 100,000 are warm-up.
+// per port, 80 per router); 128-bit flits; 4-flit packets; 300,000
+// ejected messages of which 100,000 are warm-up. The paper's 500 MHz
+// clock belongs to the synthesis model (internal/synth), not to the
+// cycle-level configuration.
 package config
 
 import "fmt"
@@ -291,10 +293,6 @@ type Config struct {
 	// SampleEvery is the stats sampling period, in cycles, for the
 	// time-series metrics (buffer occupancy, in-use VC counts).
 	SampleEvery int64
-
-	// ClockHz is the router clock (paper: 500 MHz); used by the power
-	// model to convert per-event energy into watts.
-	ClockHz float64
 }
 
 // Default returns the paper's evaluation configuration: an 8x8 mesh,
@@ -335,8 +333,6 @@ func Default() Config {
 		DAMQDelay: 3,
 
 		SampleEvery: 100,
-
-		ClockHz: 500e6,
 	}
 }
 
@@ -447,8 +443,6 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("config: need non-negative warm-up and positive measurement packet counts, got %d/%d", c.WarmupPackets, c.MeasurePackets)
 	case c.SampleEvery < 1:
 		return fmt.Errorf("config: sample period must be positive, got %d", c.SampleEvery)
-	case c.ClockHz <= 0:
-		return fmt.Errorf("config: clock frequency must be positive, got %g", c.ClockHz)
 	case c.Workers < 0:
 		return fmt.Errorf("config: kernel workers cannot be negative, got %d", c.Workers)
 	case c.TraceEvents < 0:

@@ -33,7 +33,6 @@ func TestValidateRejections(t *testing.T) {
 		{"bad rate", func(c *Config) { c.InjectionRate = 1.5 }, "rate"},
 		{"bad measure", func(c *Config) { c.MeasurePackets = 0 }, "measurement"},
 		{"bad sample", func(c *Config) { c.SampleEvery = 0 }, "sample"},
-		{"bad clock", func(c *Config) { c.ClockHz = 0 }, "clock"},
 		{"generic depth", func(c *Config) { c.VCDepth = 0 }, "depth"},
 		{"generic mismatch", func(c *Config) { c.BufferSlots = 12 }, "equal"},
 		{"shared starved", func(c *Config) {

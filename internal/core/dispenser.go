@@ -84,34 +84,13 @@ func (d *Dispenser) FreeEscape() int {
 // the "number of VCs dispensed" metric of paper Figures 13(e)/(f).
 func (d *Dispenser) InUse() int { return d.Tokens() - d.FreeNormal() - d.FreeEscape() }
 
-// Grant dispenses the next free token FCFS. With escape set, the
-// grant comes from the escape set (deadlock recovery path of paper
-// Figure 10's flow diagram); otherwise from the regular set. It
-// returns ok=false when the relevant availability table is all-zero,
-// in which case the dispenser "stops granting new VCs to requesting
-// packets".
-func (d *Dispenser) Grant(escape bool) (vc int, ok bool) {
-	if escape {
-		if !d.hasEscape {
-			return -1, false
-		}
-		i := d.escape.Acquire()
-		if i < 0 {
-			return -1, false
-		}
-		return d.escBase + i, true
-	}
-	i := d.normal.Acquire()
-	if i < 0 {
-		return -1, false
-	}
-	return i, true
-}
-
-// GrantIn dispenses the lowest free token whose global VC ID falls in
-// [lo, hi) of the chosen set — the class-partitioned grant the
-// transaction layer uses so the regulator dispenses within a VC
-// class. GrantIn over a set's full ID range is identical to Grant.
+// GrantIn dispenses the lowest free token FCFS whose global VC ID
+// falls in [lo, hi) of the chosen set: with escape, the escape set
+// (deadlock recovery path of paper Figure 10's flow diagram), otherwise
+// the regular set; the span is the VC class the packet belongs to. It
+// returns ok=false when that span of the availability table is
+// all-zero, in which case the dispenser "stops granting new VCs to
+// requesting packets".
 func (d *Dispenser) GrantIn(escape bool, lo, hi int) (vc int, ok bool) {
 	if escape {
 		if !d.hasEscape {
@@ -140,11 +119,6 @@ func (d *Dispenser) FreeIn(escape bool, lo, hi int) int {
 		return d.escape.FreeInRange(lo-d.escBase, hi-d.escBase)
 	}
 	return d.normal.FreeInRange(lo, hi)
-}
-
-// IsEscape reports whether the VC ID belongs to the escape set.
-func (d *Dispenser) IsEscape(vc int) bool {
-	return d.hasEscape && vc >= d.escBase
 }
 
 // Return releases a previously granted token (the packet's tail left

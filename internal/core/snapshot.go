@@ -37,12 +37,8 @@ func (t *Tracker) state(c *snap.Codec) {
 func (t *Table) state(c *snap.Codec, holds func(vc, slot int) bool) {
 	c.I16s(t.count)
 	linked := make([]bool, len(t.next))
-	active := 0
 	for vc, n := range t.count {
 		c.Range(int(n), 0, len(t.next), "core: control-table row length")
-		if n > 0 {
-			active++
-		}
 		link := &t.head[vc]
 		for ; n > 0 && c.Err() == nil; n-- {
 			c.I16(link)
@@ -58,9 +54,6 @@ func (t *Table) state(c *snap.Codec, holds func(vc, slot int) bool) {
 			link = &t.next[slot]
 		}
 	}
-	if c.Loading() {
-		t.active = active
-	}
 }
 
 // State walks the Token Dispenser's availability bitmaps. Loading
@@ -74,41 +67,28 @@ func (d *Dispenser) State(c *snap.Codec) {
 }
 
 // State walks the unified buffer's mutable contents: slot occupancy
-// (as flit references), arrival stamps, the readiness overlay, the
-// Slot Availability Tracker and the VC Control Table. Loading needs a
-// UBS constructed with the same slot and VC-row counts.
+// (as flit references, which carry their arrival stamps), the Slot
+// Availability Tracker and the VC Control Table. The readiness stamps
+// are derived from the rows' head flits and recomputed on load.
+// Loading needs a UBS constructed with the same slot and VC-row
+// counts.
 func (b *UBS) State(c *snap.Codec) {
 	c.Section("ubs")
 	c.Expect(len(b.slots), "core: UBS slots")
 	for i := range b.slots {
 		c.Flit(&b.slots[i])
 	}
-	c.I64s(b.arrived)
-	c.I64s(b.headArrived)
-	c.U64s(b.readyMask)
-	c.U64s(b.pendMask)
-	c.Mask(b.readyMask, len(b.headArrived), "core: readiness mask")
-	c.Mask(b.pendMask, len(b.headArrived), "core: pending-readiness mask")
-	c.I64(&b.pendCycle)
 	b.tracker.state(c)
 	var prev *flit.Flit // the flit before this one in its row
 	b.table.state(c, func(vc, slot int) bool {
 		f := b.slots[slot]
-		ok := f != nil && f.VC == vc && f.ArrivedAt == b.arrived[slot] && (prev == nil || prev.VC != vc || f.Follows(prev))
+		ok := f != nil && f.VC == vc && (prev == nil || prev.VC != vc || f.Follows(prev))
 		prev = f
 		return ok
 	})
-	// The head stamps are derived from the rows and the slot stamps.
-	for vc, at := range b.headArrived {
-		if c.Err() != nil {
-			break
-		}
-		want := neverReady
-		if head := b.table.Head(vc); head >= 0 {
-			want = b.arrived[head]
-		}
-		if at != want {
-			c.Failf("core: snapshot head stamp of VC %d is %d, its row says %d", vc, at, want)
+	if c.Loading() && c.Err() == nil {
+		for vc := range b.readyAt {
+			b.restamp(vc)
 		}
 	}
 }

@@ -26,11 +26,10 @@ import (
 // The Arriving Flit Pointer of a VC is its tail register; the
 // Departing Flit Pointer is its head register.
 type Table struct {
-	next   []int16 // per slot: successor within its row; dead for a row's tail and for free slots
-	head   []int16 // per row: slot of the departing-flit pointer (valid while count > 0)
-	tail   []int16 // per row: slot of the arriving-flit pointer (valid while count > 0)
-	count  []int16 // per row: entries held
-	active int
+	next  []int16 // per slot: successor within its row; dead for a row's tail and for free slots
+	head  []int16 // per row: slot of the departing-flit pointer (valid while count > 0)
+	tail  []int16 // per row: slot of the arriving-flit pointer (valid while count > 0)
+	count []int16 // per row: entries held
 }
 
 // NewTable returns a control table with vcs rows over vcs slots (the
@@ -60,10 +59,6 @@ func (t *Table) init(vcs, slots int, a *soa.Arena) {
 // Rows returns the number of VC rows.
 func (t *Table) Rows() int { return len(t.head) }
 
-// ActiveRows returns the number of rows currently holding at least
-// one slot ID (in-use VCs with buffered flits).
-func (t *Table) ActiveRows() int { return t.active }
-
 // Len returns the number of slots row vc currently holds.
 func (t *Table) Len(vc int) int {
 	if vc < 0 || vc >= len(t.head) {
@@ -86,7 +81,6 @@ func (t *Table) Append(vc, slot int) {
 		panic(fmt.Sprintf("core: control table append of slot %d outside %d", slot, len(t.next)))
 	}
 	if t.count[vc] == 0 {
-		t.active++
 		t.head[vc] = int16(slot)
 	} else {
 		t.next[t.tail[vc]] = int16(slot)
@@ -108,27 +102,16 @@ func (t *Table) Head(vc int) int {
 // returns the freed slot ID. It panics on an empty row — the router
 // must not dequeue from an empty VC.
 func (t *Table) PopHead(vc int) int {
-	slot, _ := t.PopHeadNext(vc)
-	return slot
-}
-
-// PopHeadNext is PopHead that also reports the row's new head slot
-// (-1 when the row emptied), saving the departure path a second
-// head lookup.
-func (t *Table) PopHeadNext(vc int) (slot, next int) {
 	if vc < 0 || vc >= len(t.head) || t.count[vc] == 0 {
 		//vichar:invariant the router must not dequeue from an empty VC; Front gates every Pop
 		panic(fmt.Sprintf("core: control table pop from empty row %d", vc))
 	}
 	h := t.head[vc]
 	t.count[vc]--
-	if t.count[vc] == 0 {
-		t.active--
-		return int(h), -1
+	if t.count[vc] > 0 {
+		t.head[vc] = t.next[h]
 	}
-	nx := t.next[h]
-	t.head[vc] = nx
-	return int(h), int(nx)
+	return int(h)
 }
 
 // Slots returns a copy of VC vc's slot list in FIFO order; intended

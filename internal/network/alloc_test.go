@@ -228,13 +228,12 @@ func TestHeapBytesPerRouterBudget(t *testing.T) {
 			}
 			// Organization-specific terms: the UBS arrays exist only for
 			// ViChaR, the per-output-VC stage-2 arbiters only without it.
-			var ubsSlots, table, stamps, ubsBitmaps, vaS2G, viewState float64
+			var ubsSlots, table, ubsBitmaps, vaS2G, viewState float64
 			switch arch {
 			case config.ViChaR:
 				ubsSlots = p * slots * 8
 				table = p * (slots + 3*v) * 2
-				stamps = p * (slots + v) * 8
-				ubsBitmaps = p * (float64((cfg.BufferSlots+63)/64) + 2*maskWords) * 8
+				ubsBitmaps = p * float64((cfg.BufferSlots+63)/64) * 8
 				viewState = views * (v*2 + 2*v + 8) // held int16, resFree+granted bools, dispenser bitmap
 			case config.Generic:
 				vaS2G = p * v * 16
@@ -249,9 +248,9 @@ func TestHeapBytesPerRouterBudget(t *testing.T) {
 			}{
 				{"slots (UBS flit pointers)", ubsSlots},
 				{"control table (int16 links + head/tail/count)", table},
-				{"arrival stamps (per slot + per-VC head cache)", stamps},
+				{"readiness stamps (one per VC, every organization)", p * v * 8},
 				{"vcState (24 B, pinned by router.TestVCStateSize)", p * v * 24},
-				{"masks + packed routes + UBS bitmaps", p*3*maskWords*8 + p*v*4 + ubsBitmaps},
+				{"masks + packed routes + UBS tracker bitmap", p*3*maskWords*8 + p*v*4 + ubsBitmaps},
 				{"arbiter banks", 4*p*16 + vaS2G},
 				{"credit views' per-VC counters and flags", viewState},
 				{"link rings", ringBytes / nodes},

@@ -291,7 +291,7 @@ func (n *Network) auditRoutersShard(shard int) {
 	n.auditErrs[shard] = nil
 	lo, hi := n.shardBounds(shard)
 	for id := lo; id < hi; id++ {
-		if err := n.routers[id].AuditInvariants(n.now); err != nil {
+		if err := n.routers[id].AuditInvariants(); err != nil {
 			n.auditErrs[shard] = err
 			return
 		}

@@ -58,9 +58,8 @@ func NewArena(cfg *config.Config, mesh topology.Mesh) *Arena {
 	if cfg.Arch == config.ViChaR {
 		slots := cfg.BufferSlots
 		flits += inPorts * slots               // UBS slot array
-		int64s += inPorts * (slots + v)        // arrival stamps: per slot + head cache
+		int64s += inPorts * v                  // first-readable stamp per VC row
 		words += inPorts * ((slots + 63) / 64) // slot availability tracker
-		words += inPorts * 2 * ((v + 63) / 64) // readiness overlay (ready + pending)
 		int16s += inPorts * (slots + 3*v)      // control-table links + head/tail/count
 	}
 

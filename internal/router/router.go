@@ -83,9 +83,13 @@ type vcState struct {
 }
 
 type inputPort struct {
-	buf    buffers.Buffer
-	vc     []vcState
-	credit CreditSender
+	buf buffers.Buffer
+	// readyAt is buf.ReadyAt(), fetched once at construction: the SA
+	// scan compares it for each active VC instead of calling into the
+	// buffer.
+	readyAt []int64
+	vc      []vcState
+	credit  CreditSender
 
 	// Per-VC scan masks, one bit per VC id (DESIGN.md §10). The tick
 	// stages iterate set bits instead of scanning every VC, and the
@@ -329,6 +333,7 @@ func NewIn(a *Arena, id int, cfg *config.Config, mesh topology.Mesh) *Router {
 	for i := 0; i < p; i++ {
 		in := &r.in[i]
 		in.buf = newBuffer(cfg, a)
+		in.readyAt = in.buf.ReadyAt()
 		in.vc = a.takeVCs(r.maxVCs)
 		in.bufMask = soa.TakeWords(r.maskW)
 		in.vaMask = soa.TakeWords(r.maskW)
@@ -839,25 +844,20 @@ func (r *Router) tickSA(now int64) {
 			continue
 		}
 		in := &r.in[ip]
-		act := uint64(0)
-		for _, wm := range in.actMask {
-			act |= wm
-		}
-		if act == 0 {
-			continue
-		}
 		// Stage 1 visits only VCs that hold a granted route (actMask)
-		// and a readable head flit (the buffer's readiness mask), one
-		// AND per 64 VCs, then polls downstream credit on the packed
-		// outInfo route.
-		rdy := in.buf.ReadyWords(now)
+		// and a readable head flit (the buffer's first-readable stamp),
+		// then polls downstream credit on the packed outInfo route.
 		any := false
 		for wi, wm := range in.actMask {
 			w := uint64(0)
-			for m := wm & rdy[wi]; m != 0; {
+			for m := wm; m != 0; {
 				b := bits.TrailingZeros64(m)
 				m &^= 1 << uint(b)
-				info := in.outInfo[wi<<6+b]
+				v := wi<<6 + b
+				if in.readyAt[v] > now {
+					continue
+				}
+				info := in.outInfo[v]
 				op := info >> outInfoShift
 				if r.out[op].canSend(int(info & (1<<outInfoShift - 1))) {
 					w |= 1 << uint(b)
@@ -993,15 +993,15 @@ func (r *Router) InUseVCsPerPort() float64 {
 // diagnostics.
 func (r *Router) InputBuffer(p int) buffers.Buffer { return r.in[p].buf }
 
-// AuditInvariants runs the invariant auditor over every input port
-// with a unified buffer, returning the first violation: VC Control
-// Table ↔ Slot Availability Tracker coherence, slot-leak freedom,
-// one-packet-per-VC, and the readiness overlay agreeing with the
-// head stamps at cycle now. Ports without a UBS (the fixed
-// organizations) have no cross-view bookkeeping to diverge and skip
-// the UBS checks. The network invokes this every cycle when
-// Config.Audit is set.
-func (r *Router) AuditInvariants(now int64) error {
+// AuditInvariants runs the invariant auditor over every input port,
+// returning the first violation: scan masks and packed routes
+// mirroring the VC state machines, VC-class separation, and — for
+// ports with a unified buffer — VC Control Table ↔ Slot Availability
+// Tracker coherence, slot-leak freedom and one-packet-per-VC. Ports
+// without a UBS (the fixed organizations) have no cross-view
+// bookkeeping to diverge and skip the UBS checks. The network invokes
+// this every cycle when Config.Audit is set.
+func (r *Router) AuditInvariants() error {
 	layout := vcLayout{escBase: r.maxVCs, total: r.maxVCs, classes: r.cfg.VCClasses()}
 	if r.cfg.NeedsEscape() {
 		layout.escBase -= r.cfg.EscapeVCs
@@ -1058,10 +1058,6 @@ func (r *Router) AuditInvariants(now int64) error {
 			continue
 		}
 		if err := audit.CheckUBS(ubs); err != nil {
-			//vichar:alloc violation reporting on the opt-in audit path (Config.Audit), not the steady-state tick
-			return fmt.Errorf("router %d port %d: %w", r.id, p, err)
-		}
-		if err := ubs.CheckReadyMasks(now); err != nil {
 			//vichar:alloc violation reporting on the opt-in audit path (Config.Audit), not the steady-state tick
 			return fmt.Errorf("router %d port %d: %w", r.id, p, err)
 		}

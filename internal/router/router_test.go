@@ -1,9 +1,12 @@
 package router
 
 import (
+	"errors"
+	"math"
 	"testing"
 	"unsafe"
 
+	"vichar/internal/buffers"
 	"vichar/internal/config"
 	"vichar/internal/flit"
 	"vichar/internal/topology"
@@ -509,5 +512,40 @@ func TestAdaptiveCreditScoring(t *testing.T) {
 func TestVCStateSize(t *testing.T) {
 	if got := unsafe.Sizeof(vcState{}); got > 32 {
 		t.Fatalf("vcState is %d bytes, budget 32", got)
+	}
+}
+
+// An empty VC has no head at any cycle, NeverReady included: the
+// loaded-checkpoint checks (wormholeOK here, checkLinkVCs in the
+// network) probe Front at math.MaxInt64 for "the head flit, readable
+// yet or not", and there an empty VC's stamp equals the probe cycle.
+// Every organization must answer nil, for a never-used VC and for a
+// drained one alike, and Pop must refuse.
+func TestFrontAtNeverReadyOnEmptyVC(t *testing.T) {
+	for _, arch := range []config.BufferArch{config.Generic, config.ViChaR, config.DAMQ, config.FCCB} {
+		cfg := config.Default()
+		cfg.Arch = arch
+		b := newBuffer(&cfg, nil)
+		f := &flit.Flit{Pkt: &flit.Packet{ID: 1, Size: 1}, Type: flit.HeadTail, VC: 1}
+		if err := b.Write(f, 3); err != nil {
+			t.Fatalf("%v: %v", arch, err)
+		}
+		if b.Front(1, math.MaxInt64) != f {
+			t.Fatalf("%v: the buffered head is not visible at math.MaxInt64", arch)
+		}
+		if _, err := b.Pop(1, 100); err != nil {
+			t.Fatalf("%v: %v", arch, err)
+		}
+		for v := 0; v < b.MaxVCs(); v++ {
+			if b.ReadyAt()[v] != buffers.NeverReady {
+				t.Errorf("%v: empty VC %d is stamped %d", arch, v, b.ReadyAt()[v])
+			}
+			if got := b.Front(v, math.MaxInt64); got != nil {
+				t.Errorf("%v: empty VC %d answers %v at math.MaxInt64", arch, v, got)
+			}
+			if _, err := b.Pop(v, math.MaxInt64); !errors.Is(err, buffers.ErrEmpty) {
+				t.Errorf("%v: Pop of empty VC %d at math.MaxInt64 returned %v", arch, v, err)
+			}
+		}
 	}
 }

@@ -50,7 +50,10 @@ const (
 	// Version 5 stores the transaction engine's latencies as a
 	// histogram (its counts, then its smallest value) instead of one
 	// entry per sample.
-	Version = 5
+	// Version 6 drops the unified buffer's per-slot arrival stamps, head
+	// stamps and readiness masks, which re-derive from the flits, and
+	// the configuration's ClockHz key.
+	Version = 6
 )
 
 var le = binary.LittleEndian

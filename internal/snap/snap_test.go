@@ -138,11 +138,13 @@ func TestEveryByteMutationRejectedOrDetected(t *testing.T) {
 }
 
 // A snapshot of any other format version — 3, the format before the
-// slot-linked control table, was the first case pinned here — carries a
-// valid envelope (magic, checksum) but a layout this codec would
-// misparse; Open must refuse it by version, naming both.
+// slot-linked control table, was the first case pinned here; 5 stored
+// the unified buffer's arrival stamps and readiness masks, which a
+// version-6 reader would take for its tracker bitmap — carries a valid
+// envelope (magic, checksum) but a layout this codec would misparse;
+// Open must refuse it by version, naming both.
 func TestVersion3Rejected(t *testing.T) {
-	for _, v := range []uint32{0, 1, 2, 3, 6} {
+	for _, v := range []uint32{0, 1, 2, 3, 5, 7} {
 		data := sealed(t, func(*Codec) {})
 		le.PutUint32(data[len(magic):], v)
 		_, err := Open(reseal(data))
@@ -170,7 +172,7 @@ func TestVersion4Rejected(t *testing.T) {
 	})
 	le.PutUint32(data[len(magic):], 4)
 	_, err := Open(reseal(data))
-	if want := "format version 4 not supported (want 5)"; err == nil || !strings.Contains(err.Error(), want) {
+	if want := fmt.Sprintf("format version 4 not supported (want %d)", Version); err == nil || !strings.Contains(err.Error(), want) {
 		t.Fatalf("Open of a version-4 blob = %v, want an error saying %q", err, want)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
+	"flag"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -552,10 +553,13 @@ func allocated(fn func()) uint64 {
 	return after.TotalAlloc - before.TotalAlloc
 }
 
-// mutationStride spaces the sweep's mutants. It is coprime to every
-// field width, so successive mutants land on different bytes of
-// different fields.
-const mutationStride = 37
+// mutationStride spaces the sweep's mutants: it visits every Nth byte,
+// and the ith byte visited gets one mutant per bit b ≡ i (mod min(N,
+// 8)). At the default, coprime to every field width, successive
+// mutants land on different bytes of different fields, one bit each,
+// the bit index cycling through all eight; -mutation-stride=1 flips
+// every bit of every byte.
+var mutationStride = flag.Int("mutation-stride", 37, "TestRestoreResealedMutations visits every Nth byte (1 flips every bit)")
 
 // TestRestoreResealedMutations is FuzzRestore's deterministic
 // companion: one-bit flips strided across both blobs, each re-sealed
@@ -597,12 +601,10 @@ func TestRestoreResealedMutations(t *testing.T) {
 		if name == "ViC-faults-metrics" {
 			// What an every-bit form of this sweep found last: an active
 			// VC's route moved onto an output VC whose token is still out
-			// for a packet that is draining downstream, and a readiness
-			// bit pending on an empty VC.
+			// for a packet that is draining downstream.
 			rows = append(rows,
-				row{"(e) router 5: output VC 4 -> 0, draining on link 5->1", section("router", 5) + 2098, 2, "link 5->1: VC 0 is held upstream by packet 74"},
-				row{"(f) router 6: output VC 3 -> 1, draining on link 6->10", section("router", 6) + 709, 1, "link 6->10: VC 1 is held upstream by packet 90"},
-				row{"(g) router 1 port 2: pending-readiness bit of empty VC 0", section("ubs", 7) + 304, 0, "router 1 port 2: core: readyMask bit 0 is false (pending: true"})
+				row{"(e) router 5: output VC 4 -> 0, draining on link 5->1", section("router", 5) + 1210, 2, "link 5->1: VC 0 is held upstream by packet 74"},
+				row{"(f) router 6: output VC 3 -> 1, draining on link 6->10", section("router", 6) + 413, 1, "link 6->10: VC 1 is held upstream by packet 90"})
 		}
 		if name == "ViC-traced" {
 			// The tracer's Seqs and eviction count are implied by where
@@ -647,10 +649,14 @@ func TestRestoreResealedMutations(t *testing.T) {
 		for _, r := range rows {
 			try(r.what, r.off, r.bit, r.want)
 		}
-		// The bit index cycles through all eight.
-		for i, off := 0, 0; off < len(blob)-4; i, off = i+1, off+mutationStride {
-			try("strided flip", off, uint(i)&7, "")
+		n, mutants := max(*mutationStride, 1), 0
+		for i, off := 0, 0; off < len(blob)-4; i, off = i+1, off+n {
+			for bit := i % min(n, 8); bit < 8; bit += min(n, 8) {
+				try("strided flip", off, uint(bit), "")
+				mutants++
+			}
 		}
+		t.Logf("%s: %d strided mutants (stride %d) over %d bytes", name, mutants, n, len(blob))
 	}
 }
 

@@ -159,7 +159,7 @@ const (
 
 // DefaultConfig returns the paper's evaluation platform: an 8x8 mesh
 // of 5-port routers with 4 VCs x 4 flits of 128 bits per port, XY
-// routing, uniform random traffic, 500 MHz.
+// routing, uniform random traffic.
 func DefaultConfig() Config { return config.Default() }
 
 // Simulator drives one network simulation. Construct with
