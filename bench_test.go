@@ -287,31 +287,6 @@ func BenchmarkFig13fTemporalVCs(b *testing.B) {
 
 // --- Ablations: design choices DESIGN.md calls out ---
 
-// BenchmarkAblationAtomicVC compares atomic vs non-atomic VC
-// allocation in the generic router.
-func BenchmarkAblationAtomicVC(b *testing.B) {
-	run := func(atomic bool) float64 {
-		cfg := vichar.DefaultConfig()
-		cfg.AtomicVCAlloc = atomic
-		cfg.InjectionRate = 0.40
-		cfg.WarmupPackets, cfg.MeasurePackets = 1_000, 5_000
-		cfg.MaxCycles = 80_000
-		cfg.Seed = 99
-		res, err := vichar.Run(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return res.AvgLatency
-	}
-	var atomicLat, nonAtomicLat float64
-	for i := 0; i < b.N; i++ {
-		atomicLat = run(true)
-		nonAtomicLat = run(false)
-	}
-	b.ReportMetric(atomicLat, "lat-atomic")
-	b.ReportMetric(nonAtomicLat, "lat-nonatomic")
-}
-
 // BenchmarkAblationCappedDispenser isolates ViChaR's unified storage
 // from its dynamic VC count: a ViChaR whose dispenser is capped at
 // the generic router's v=4 VCs keeps the shared slot pool but loses

@@ -252,13 +252,6 @@ type Config struct {
 	// tracing.
 	TraceEvents int
 
-	// AtomicVCAlloc, when true, lets a Generic VC be re-allocated
-	// only once it has fully drained (atomic buffer allocation). When
-	// false, packets may queue back-to-back within a VC FIFO, which
-	// exposes head-of-line blocking. ViChaR always allocates at most
-	// one packet per VC so this flag does not affect it.
-	AtomicVCAlloc bool
-
 	// EscapeVCs is the number of virtual channels (or ViChaR tokens)
 	// reserved as deadlock-recovery escape channels when routing is
 	// MinimalAdaptive. They carry deterministically (XY) routed
@@ -324,8 +317,6 @@ func Default() Config {
 		MaxCycles:      0,
 
 		Seed: 1,
-
-		AtomicVCAlloc: true,
 
 		EscapeVCs:         1,
 		DeadlockThreshold: 64,

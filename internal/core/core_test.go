@@ -273,100 +273,104 @@ func TestTableLoadRejectsCorruptRows(t *testing.T) {
 	}
 }
 
-// --- Token Dispenser ---
+// --- Token Dispenser: one VC Availability Tracker over every VC ID ---
+//
+// The router's ViChaR credit view dispenses a token as AcquireRange
+// over the requesting kind's span and returns it with Release; these
+// tests pin that policy on the tracker alone (the view's own tests
+// cover the slot reservations that ride on each token).
 
 func TestDispenserGrantReturn(t *testing.T) {
-	d := NewDispenser(4, 0)
-	got := map[int]bool{}
-	for i := 0; i < 4; i++ {
-		vc, ok := d.GrantIn(false, 0, 4)
-		if !ok || got[vc] {
-			t.Fatalf("grant %d: vc=%d ok=%v", i, vc, ok)
+	tr := NewTracker(4)
+	for want := 0; want < 4; want++ {
+		if vc := tr.AcquireRange(0, 4); vc != want {
+			t.Fatalf("grant %d: vc=%d, want the lowest free %d", want, vc, want)
 		}
-		got[vc] = true
 	}
-	if d.InUse() != 4 {
-		t.Fatalf("in use %d, want 4", d.InUse())
+	if in := tr.Size() - tr.Free(); in != 4 {
+		t.Fatalf("in use %d, want 4", in)
 	}
-	if _, ok := d.GrantIn(false, 0, 4); ok {
-		t.Fatal("grant with all tokens out")
+	if vc := tr.AcquireRange(0, 4); vc != -1 {
+		t.Fatalf("grant %d with all tokens out", vc)
 	}
-	d.Return(2)
-	if vc, ok := d.GrantIn(false, 0, 4); !ok || vc != 2 {
-		t.Fatalf("after return got %d/%v", vc, ok)
+	tr.Release(2)
+	if vc := tr.AcquireRange(0, 4); vc != 2 {
+		t.Fatalf("after return got %d, want 2", vc)
 	}
 }
 
 func TestDispenserEscapeSet(t *testing.T) {
-	d := NewDispenser(8, 2)
-	if d.FreeNormal() != 6 || d.FreeEscape() != 2 {
-		t.Fatalf("free split %d/%d", d.FreeNormal(), d.FreeEscape())
+	// Eight VC IDs; the highest two are the escape span.
+	tr := NewTracker(8)
+	regular, escape := [2]int{0, 6}, [2]int{6, 8}
+	if tr.FreeInRange(regular[0], regular[1]) != 6 || tr.FreeInRange(escape[0], escape[1]) != 2 {
+		t.Fatalf("free split %d/%d", tr.FreeInRange(0, 6), tr.FreeInRange(6, 8))
 	}
-	// Escape tokens are the highest IDs and only granted on request.
-	e1, ok1 := d.GrantIn(true, 6, 8)
-	e2, ok2 := d.GrantIn(true, 6, 8)
-	if !ok1 || !ok2 || e1 < 6 || e2 < 6 || e1 == e2 {
-		t.Fatalf("escape grants %d,%d", e1, e2)
+	// Escape grants come from the escape span only, lowest first.
+	if e1, e2 := tr.AcquireRange(escape[0], escape[1]), tr.AcquireRange(escape[0], escape[1]); e1 != 6 || e2 != 7 {
+		t.Fatalf("escape grants %d,%d, want 6,7", e1, e2)
 	}
-	if d.FreeIn(true, 6, 8) != 0 || d.FreeIn(false, 0, 8) != 6 {
-		t.Fatalf("free after escape grants: escape %d, regular %d", d.FreeIn(true, 6, 8), d.FreeIn(false, 0, 8))
+	if tr.FreeInRange(escape[0], escape[1]) != 0 || tr.FreeInRange(regular[0], regular[1]) != 6 {
+		t.Fatalf("free after escape grants: escape %d, regular %d", tr.FreeInRange(6, 8), tr.FreeInRange(0, 6))
 	}
-	if _, ok := d.GrantIn(true, 0, 8); ok {
-		t.Fatal("escape grant with escape set exhausted")
+	if vc := tr.AcquireRange(escape[0], escape[1]); vc != -1 {
+		t.Fatalf("escape grant %d with escape span exhausted", vc)
 	}
-	// Normal grants are unaffected, and never reach the escape IDs even
-	// when the span asked for covers them.
+	// Regular grants are unaffected and never reach the escape IDs.
 	for i := 0; i < 6; i++ {
-		if vc, ok := d.GrantIn(false, 0, 8); !ok || vc >= 6 {
-			t.Fatalf("normal grant %d: %d/%v", i, vc, ok)
+		if vc := tr.AcquireRange(regular[0], regular[1]); vc != i {
+			t.Fatalf("regular grant %d: %d", i, vc)
 		}
 	}
-	d.Return(e1)
-	if d.FreeEscape() != 1 {
-		t.Fatal("escape return not reflected")
+	tr.Release(6)
+	if tr.FreeInRange(escape[0], escape[1]) != 1 || tr.FreeInRange(regular[0], regular[1]) != 0 {
+		t.Fatal("escape return not reflected in the escape span alone")
 	}
 }
 
 func TestDispenserNoEscapeConfigured(t *testing.T) {
-	d := NewDispenser(4, 0)
-	if _, ok := d.GrantIn(true, 0, 4); ok {
-		t.Fatal("escape grant without an escape set")
+	// Without an escape set the escape span is empty: [total, total).
+	tr := NewTracker(4)
+	if vc := tr.AcquireRange(4, 4); vc != -1 {
+		t.Fatalf("escape grant %d without an escape set", vc)
 	}
-	if d.FreeEscape() != 0 {
+	if tr.FreeInRange(4, 4) != 0 || tr.Free() != 4 {
 		t.Fatal("phantom escape tokens")
 	}
 }
 
 func TestDispenserFCFSOrder(t *testing.T) {
-	// Tokens are dispensed from the top-most available entry, so the
-	// grant order after interleaved returns is deterministic.
-	d := NewDispenser(3, 0)
-	a, _ := d.GrantIn(false, 0, 3)
-	b, _ := d.GrantIn(false, 0, 3)
-	d.Return(a)
-	c, _ := d.GrantIn(false, 0, 3)
-	if c != a {
-		t.Fatalf("expected the freed token %d, got %d", a, c)
+	// Tokens are dispensed from the top-most available entry of the
+	// span, so the grant order after interleaved returns is
+	// deterministic — within a class chunk as over the whole range.
+	tr := NewTracker(6)
+	a, b := tr.AcquireRange(3, 6), tr.AcquireRange(3, 6)
+	tr.Release(a)
+	if c := tr.AcquireRange(3, 6); c != a || a != 3 || b != 4 {
+		t.Fatalf("grants %d,%d then %d; want 3,4 then the freed 3", a, b, c)
 	}
-	d.Return(b)
-	d.Return(c)
+	if vc := tr.AcquireRange(0, 3); vc != 0 {
+		t.Fatalf("the other chunk granted %d, want 0", vc)
+	}
 }
 
 func TestDispenserBadReturnPanics(t *testing.T) {
-	d := NewDispenser(4, 1)
+	tr := NewTracker(4)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("out-of-range return did not panic")
 		}
 	}()
-	d.Return(4)
+	tr.Release(4)
 }
 
+// The escape set's shape (at least one regular VC) is config.Validate's
+// rule; the tracker itself refuses an empty ID range.
 func TestDispenserConstructorPanics(t *testing.T) {
 	for i, c := range []func(){
-		func() { NewDispenser(0, 0) },
-		func() { NewDispenser(4, 4) },
-		func() { NewDispenser(4, -1) },
+		func() { NewTracker(0) },
+		func() { NewTracker(-1) },
+		func() { new(Tracker).Init(0, nil) },
 	} {
 		func() {
 			defer func() {

@@ -16,10 +16,11 @@
 //     ID lists; a NULLed row is a free VC.
 //   - Slot Availability Tracker → Tracker (tracker.go): a bitmap with
 //     a top-most-available pointer.
-//   - VC Availability Tracker   → Tracker, instantiated over VC IDs
-//     inside the Dispenser.
-//   - Token (VC) Dispenser  → Dispenser (dispenser.go): FCFS grant of
-//     free VC tokens, escape-channel fallback for deadlock recovery.
+//   - VC Availability Tracker   → Tracker, one over all of a port's VC
+//     IDs, held by the router's ViChaR credit view (internal/router).
+//   - Token (VC) Dispenser  → that view's AllocVCIn: FCFS grant of the
+//     lowest free VC ID in the requesting packet's span (Tracker
+//     AcquireRange), the escape span for deadlock recovery.
 //   - Arriving/Departing Flit Pointers Logic → the Write/Front/Pop
 //     paths of UBS (ubs.go), which steer flits to slots indicated by
 //     the Slot Availability Tracker and read each VC's first non-NULL
@@ -30,7 +31,7 @@
 // the DAMQ's 3-cycle linked lists).
 //
 // In the full router, the UBS sits at each input port while the
-// Dispenser state is mirrored at the upstream router's output port —
+// token state is mirrored at the upstream router's output port —
 // exactly the logical split of paper Figure 6, where the token
 // dispenser and second-stage VC arbitration serve "all flits destined
 // to a particular output port".

@@ -13,8 +13,9 @@ import (
 // pointers, so restore writes values into the existing arrays rather
 // than replacing them.
 
-// state walks the tracker's bitmap and free count; the two must agree.
-func (t *Tracker) state(c *snap.Codec) {
+// State walks the tracker's bitmap and free count; the two must agree.
+// Loading needs a tracker initialized over the same entry count.
+func (t *Tracker) State(c *snap.Codec) {
 	c.U64s(t.words)
 	c.Int(&t.free)
 	c.Range(t.free, 0, t.n, "core: tracker free count")
@@ -56,16 +57,6 @@ func (t *Table) state(c *snap.Codec, holds func(vc, slot int) bool) {
 	}
 }
 
-// State walks the Token Dispenser's availability bitmaps. Loading
-// needs a dispenser constructed with the same token shape.
-func (d *Dispenser) State(c *snap.Codec) {
-	c.Section("dispenser")
-	d.normal.state(c)
-	if c.Present(d.hasEscape, "core: dispenser escape set") {
-		d.escape.state(c)
-	}
-}
-
 // State walks the unified buffer's mutable contents: slot occupancy
 // (as flit references, which carry their arrival stamps), the Slot
 // Availability Tracker and the VC Control Table. The readiness stamps
@@ -78,7 +69,7 @@ func (b *UBS) State(c *snap.Codec) {
 	for i := range b.slots {
 		c.Flit(&b.slots[i])
 	}
-	b.tracker.state(c)
+	b.tracker.State(c)
 	var prev *flit.Flit // the flit before this one in its row
 	b.table.state(c, func(vc, slot int) bool {
 		f := b.slots[slot]

@@ -15,6 +15,11 @@ import (
 // trailing-zero count, matching the combinational single-cycle
 // hardware; the bitmap words live in the network arena so every
 // tracker of a router sits on adjacent cache lines.
+//
+// As the VC Availability Tracker it spans every VC ID of a port, the
+// escape set included: a grant is AcquireRange over the requesting
+// kind's span (regular or escape, chunked per VC class), so the
+// lowest free ID of that span is dispensed first.
 type Tracker struct {
 	words []uint64
 	n     int
@@ -24,13 +29,13 @@ type Tracker struct {
 // NewTracker returns a tracker over n entries, all available.
 func NewTracker(n int) *Tracker {
 	t := &Tracker{}
-	t.init(n, nil)
+	t.Init(n, nil)
 	return t
 }
 
-// init readies a (possibly embedded) tracker over n entries, drawing
-// its bitmap from the arena when one is supplied.
-func (t *Tracker) init(n int, a *soa.Arena) {
+// Init readies a (possibly embedded) tracker over n entries, drawing
+// its bitmap from the arena when one is supplied (nil-arena safe).
+func (t *Tracker) Init(n int, a *soa.Arena) {
 	if n < 1 {
 		panic(fmt.Sprintf("core: tracker needs at least one entry, got %d", n))
 	}

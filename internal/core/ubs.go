@@ -61,7 +61,7 @@ func NewUBSIn(a *soa.Arena, slots, vcs int) *UBS {
 	for i := range b.readyAt {
 		b.readyAt[i] = buffers.NeverReady
 	}
-	b.tracker.init(slots, a)
+	b.tracker.Init(slots, a)
 	// Any slot can serve any VC, so each row's ring must be able to
 	// hold every slot.
 	b.table.init(vcs, slots, a)

@@ -338,10 +338,10 @@ func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
 }
 
 // constructorName reports whether the function name marks a
-// constructor (New*, new*) or initializer, where argument-validation
-// panics are the package convention.
+// constructor (New*, new*) or initializer (init, Init), where
+// argument-validation panics are the package convention.
 func constructorName(name string) bool {
-	return strings.HasPrefix(name, "New") || strings.HasPrefix(name, "new") || name == "init"
+	return strings.HasPrefix(name, "New") || strings.HasPrefix(name, "new") || name == "init" || name == "Init"
 }
 
 // checkPanics enforces panic discipline: in the deterministic

@@ -234,7 +234,7 @@ func TestHeapBytesPerRouterBudget(t *testing.T) {
 				ubsSlots = p * slots * 8
 				table = p * (slots + 3*v) * 2
 				ubsBitmaps = p * float64((cfg.BufferSlots+63)/64) * 8
-				viewState = views * (v*2 + 2*v + 8) // held int16, resFree+granted bools, dispenser bitmap
+				viewState = views * (v*2 + v + maskWords*8) // held int16, resFree bools, token tracker bitmap
 			case config.Generic:
 				vaS2G = p * v * 16
 				viewState = views * (v*2 + v) // credits int16, open bools

@@ -100,7 +100,9 @@ func fuzzedConfig(i int) config.Config {
 		}
 		cfg.InjectionRate = 0.05 + 0.4*rnd.Float64()
 		cfg.Speculative = rnd.Intn(3) == 0
-		cfg.AtomicVCAlloc = rnd.Intn(2) == 0
+		// This draw chose atomic or non-atomic generic VC allocation;
+		// only atomic remains, and the draw stays so no later one shifts.
+		_ = rnd.Intn(2)
 		cfg.DAMQDelay = rnd.Intn(4)
 		if rnd.Intn(5) == 0 {
 			cfg.InjectionRate = 0.05 * float64(rnd.Intn(2))

@@ -27,7 +27,8 @@ func TestConfigFuzz(t *testing.T) {
 		cfg.Arch = config.BufferArch(int(bits>>4) % 4)
 		cfg.Torus = bits>>6&1 == 1
 		cfg.Speculative = bits>>7&1 == 1
-		cfg.AtomicVCAlloc = bits>>8&1 == 1
+		// Bit 8 chose atomic or non-atomic generic VC allocation; only
+		// atomic remains, and the bit stays unused so no other bit moves.
 		if bits>>9&1 == 1 {
 			cfg.Routing = config.MinimalAdaptive
 		}

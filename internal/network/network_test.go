@@ -347,23 +347,6 @@ func TestCountersAccumulate(t *testing.T) {
 	}
 }
 
-// Non-atomic generic allocation lets packets queue back-to-back in a
-// VC FIFO; everything still delivers and conserves credits.
-func TestNonAtomicGenericDelivery(t *testing.T) {
-	cfg := config.Default()
-	cfg.Width, cfg.Height = 4, 4
-	cfg.AtomicVCAlloc = false
-	cfg.InjectionRate = 0.35
-	cfg.WarmupPackets = 300
-	cfg.MeasurePackets = 1200
-	cfg.Seed = 91
-	n := New(&cfg)
-	res := n.Run()
-	if res.Saturated || res.MeasuredPackets != 1200 {
-		t.Fatalf("non-atomic run failed: %+v", res)
-	}
-}
-
 // A capped-dispenser ViChaR behaves like a v-VC unified buffer and
 // still conserves everything through a drain.
 func TestCappedViCharDrain(t *testing.T) {

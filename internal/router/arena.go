@@ -78,25 +78,17 @@ func NewArena(cfg *config.Config, mesh topology.Mesh) *Arena {
 	}
 
 	// Per credit view.
-	escape := 0
-	if cfg.NeedsEscape() {
-		escape = cfg.EscapeVCs
-	}
 	switch cfg.Arch {
 	case config.Generic:
 		int16s += views * cfg.VCs // credits
 		bools += views * cfg.VCs  // open
 	case config.ViChaR:
-		int16s += views * v    // held
-		bools += views * 2 * v // resFree + granted
+		int16s += views * v // held
+		bools += views * v  // resFree
 		if k := cfg.VCKinds(); k > 1 {
 			bools += views * k // per-kind grant reserves
 		}
-		dw := (v - escape + 63) / 64
-		if escape > 0 {
-			dw += (escape + 63) / 64
-		}
-		words += views * dw // dispenser availability bitmaps
+		words += views * w // VC availability tracker
 	case config.DAMQ, config.FCCB:
 		int16s += views * cfg.VCs    // held
 		bools += views * 2 * cfg.VCs // resFree + open

@@ -62,23 +62,14 @@ type perVCAllocator interface {
 	ClaimVCIn(class, vc int)
 }
 
-// VC allocation state machine of one input virtual channel.
-const (
-	vcIdle uint8 = iota
-	vcWaitVA
-	vcActive
-)
-
-// vcState is 24 bytes: every field is stored at the width its values
-// need (config.MaxBufferSlots bounds VC ids to int16, a router has
-// five ports, and a routing decision is the route tables' one packed
-// byte).
+// vcState is the packet an input VC is routing and what RC and VA
+// know of it: the routing decision (the route tables' one packed byte)
+// and the cycle it started waiting for a VC. Its place in the
+// allocation state machine lives in the port's scan masks, and its
+// granted route in outInfo.
 type vcState struct {
 	pkt       *flit.Packet
 	waitSince int64
-	outVC     int16
-	state     uint8
-	outPort   uint8
 	cands     routing.Candidates
 }
 
@@ -94,19 +85,19 @@ type inputPort struct {
 	// Per-VC scan masks, one bit per VC id (DESIGN.md §10). The tick
 	// stages iterate set bits instead of scanning every VC, and the
 	// network's active-router worklist derives quiescence from them.
-	// Invariants (cross-checked by AuditInvariants): bit v of bufMask
-	// is set iff buf.Len(v) > 0; vaMask iff vc[v] is in vcWaitVA;
-	// actMask iff vc[v] is in vcActive.
+	// bufMask bit v is set iff buf.Len(v) > 0 (cross-checked by
+	// AuditInvariants). vaMask and actMask are the VC allocation state
+	// machine itself: a VC waiting for VA has its vaMask bit set, one
+	// holding a granted route its actMask bit, an idle VC neither —
+	// never both. vc[v].pkt is set exactly while one of them is.
 	bufMask []uint64
 	vaMask  []uint64
 	actMask []uint64
 
-	// outInfo[v] packs the granted route of an active VC:
-	// outPort<<outInfoShift | outVC, mirrored from vc[v] at VA-grant
-	// time. The SA scan polls every active VC every cycle and needs
-	// only this pair; the packed side array keeps that poll off the
-	// much wider vcState records. Meaningful only while actMask bit v
-	// is set (cross-checked by AuditInvariants).
+	// outInfo[v] is an active VC's granted route, the only record of
+	// it: outPort<<outInfoShift | outVC, written by grant, zero once
+	// the tail leaves. The SA scan polls every active VC every cycle
+	// and needs only this word, kept off the wider vcState records.
 	outInfo []uint32
 }
 
@@ -116,6 +107,14 @@ const outInfoShift = 16
 
 // packRoute is the outInfo word of a VC granted (op, ovc).
 func packRoute(op, ovc int) uint32 { return uint32(op)<<outInfoShift | uint32(ovc) }
+
+// route unpacks input VC v's granted (output port, output VC).
+func (in *inputPort) route(v int) (op, ovc int) {
+	return int(in.outInfo[v] >> outInfoShift), int(in.outInfo[v] & (1<<outInfoShift - 1))
+}
+
+// has reports whether bit v of a per-VC mask is set.
+func has(mask []uint64, v int) bool { return mask[v>>6]&(1<<(uint(v)&63)) != 0 }
 
 type outputPort struct {
 	view CreditView
@@ -502,7 +501,6 @@ func (r *Router) tickRC(now int64) {
 					// as the routing function itself.
 					st.cands = r.tables.Candidates(r.id, f.Pkt.Dst)
 				}
-				st.state = vcWaitVA
 				in.vaMask[wi] |= 1 << uint(b)
 				st.waitSince = now
 				r.act.RC++
@@ -635,7 +633,7 @@ func (r *Router) escapePort(dst int) int {
 
 // tickVA performs the two-stage virtual channel allocation.
 // Deadlock-escape re-channeling (escapeCheck) has already run at the
-// top of Tick; it only retargets VCs still in vcWaitVA, which tickSA
+// top of Tick; it only retargets VCs still waiting (vaMask), which tickSA
 // never touches, so hoisting it out of VA leaves the serial semantics
 // unchanged in both pipeline organizations.
 func (r *Router) tickVA(now int64) {
@@ -725,21 +723,16 @@ func (r *Router) tickVAViChaR(now int64) {
 	r.act.VADenials += uint64(contenders - grants)
 }
 
-// grant commits a VA decision: input VC v of port ip becomes active on
-// output (op, ovc), in the state machine, the scan masks and the
-// packed SA route alike.
+// grant commits a VA decision: input VC v of port ip moves from
+// waiting to active on output (op, ovc).
 func (r *Router) grant(ip, v, op, ovc int, now int64) {
 	in := &r.in[ip]
-	st := &in.vc[v]
-	st.state = vcActive
 	in.vaMask[v>>6] &^= 1 << (uint(v) & 63)
 	in.actMask[v>>6] |= 1 << (uint(v) & 63)
-	st.outPort = uint8(op)
-	st.outVC = int16(ovc)
 	in.outInfo[v] = packRoute(op, ovc)
 	r.act.VAGrants++
 	r.rec.StageEvent(metrics.Event{
-		Cycle: now, Kind: metrics.EvVAGrant, Packet: st.pkt.ID, Flit: -1,
+		Cycle: now, Kind: metrics.EvVAGrant, Packet: in.vc[v].pkt.ID, Flit: -1,
 		Node: r.id, Port: op, VC: ovc,
 	})
 }
@@ -910,7 +903,7 @@ func (r *Router) tickSA(now int64) {
 // and link, returning a credit upstream.
 func (r *Router) forward(ip, v, op int, now int64) {
 	in := &r.in[ip]
-	st := &in.vc[v]
+	_, ovc := in.route(v)
 	f, err := in.buf.Pop(v, now)
 	if err != nil {
 		//vichar:invariant SA only nominates VCs with a readable front flit within the same cycle
@@ -922,21 +915,21 @@ func (r *Router) forward(ip, v, op int, now int64) {
 	r.act.BufReads[ip]++
 	r.rec.StageEvent(metrics.Event{
 		Cycle: now, Kind: metrics.EvSAGrant, Packet: f.Pkt.ID, Flit: f.Seq,
-		Node: r.id, Port: op, VC: int(st.outVC),
+		Node: r.id, Port: op, VC: ovc,
 	})
 
 	if in.credit != nil {
 		in.credit.SendCredit(flit.Credit{VC: v, ReleaseVC: f.IsTail()}, now)
 	}
 
-	f.VC = int(st.outVC)
+	f.VC = ovc
 	r.out[op].view.OnSend(f)
 	r.out[op].conn.SendFlit(f, now)
 
 	if f.IsTail() {
 		in.actMask[v>>6] &^= 1 << (uint(v) & 63)
 		in.outInfo[v] = 0
-		*st = vcState{}
+		in.vc[v] = vcState{}
 	}
 }
 
@@ -994,8 +987,8 @@ func (r *Router) InUseVCsPerPort() float64 {
 func (r *Router) InputBuffer(p int) buffers.Buffer { return r.in[p].buf }
 
 // AuditInvariants runs the invariant auditor over every input port,
-// returning the first violation: scan masks and packed routes
-// mirroring the VC state machines, VC-class separation, and — for
+// returning the first violation: the buffer scan mask mirroring the
+// buffer, VC-class separation, and — for
 // ports with a unified buffer — VC Control Table ↔ Slot Availability
 // Tracker coherence, slot-leak freedom and one-packet-per-VC. Ports
 // without a UBS (the fixed organizations) have no cross-view
@@ -1008,44 +1001,23 @@ func (r *Router) AuditInvariants() error {
 	}
 	for p := range r.in {
 		in := &r.in[p]
-		// Scan masks must mirror the buffer and VC state machines —
-		// the worklist's quiescence decision and every tick stage's
-		// iteration set depend on it.
 		for v := 0; v < r.maxVCs; v++ {
-			w, bit := v>>6, uint64(1)<<(uint(v)&63)
-			if got, want := in.bufMask[w]&bit != 0, in.buf.Len(v) > 0; got != want {
+			// bufMask must mirror the buffer — the worklist's quiescence
+			// decision and RC's iteration set depend on it.
+			if got, want := has(in.bufMask, v), in.buf.Len(v) > 0; got != want {
 				//vichar:alloc violation reporting on the opt-in audit path (Config.Audit), not the steady-state tick
 				return fmt.Errorf("router %d port %d vc %d: bufMask=%v but buffered=%d", r.id, p, v, got, in.buf.Len(v))
-			}
-			st := in.vc[v].state
-			if got, want := in.vaMask[w]&bit != 0, st == vcWaitVA; got != want {
-				//vichar:alloc violation reporting on the opt-in audit path (Config.Audit), not the steady-state tick
-				return fmt.Errorf("router %d port %d vc %d: vaMask=%v but state=%d", r.id, p, v, got, st)
-			}
-			if got, want := in.actMask[w]&bit != 0, st == vcActive; got != want {
-				//vichar:alloc violation reporting on the opt-in audit path (Config.Audit), not the steady-state tick
-				return fmt.Errorf("router %d port %d vc %d: actMask=%v but state=%d", r.id, p, v, got, st)
-			}
-			// The packed SA-scan route must mirror the VC state machine
-			// while the VC is active (it is dead state otherwise).
-			if st == vcActive {
-				want := packRoute(int(in.vc[v].outPort), int(in.vc[v].outVC))
-				if in.outInfo[v] != want {
-					//vichar:alloc violation reporting on the opt-in audit path (Config.Audit), not the steady-state tick
-					return fmt.Errorf("router %d port %d vc %d: outInfo=%#x want %#x", r.id, p, v, in.outInfo[v], want)
-				}
 			}
 			// VC-class separation: an occupied VC's ID chunk must match
 			// its packet's class, and so must a granted output VC (the
 			// ejection sink aside — its "VC 0" is not a real channel).
-			if layout.classes > 1 && st != vcIdle {
+			if layout.classes > 1 && (has(in.vaMask, v) || has(in.actMask, v)) {
 				pc := int(in.vc[v].pkt.Class)
 				if err := audit.CheckVCClass("input", r.id, p, v, layout.classOf(v), pc); err != nil {
 					return err
 				}
-				if op := int(in.vc[v].outPort); st == vcActive {
+				if op, ovc := in.route(v); has(in.actMask, v) {
 					if _, sink := r.out[op].view.(*sinkView); !sink {
-						ovc := int(in.vc[v].outVC)
 						if err := audit.CheckVCClass("output", r.id, op, ovc, layout.classOf(ovc), pc); err != nil {
 							return err
 						}
@@ -1071,20 +1043,22 @@ func (r *Router) AuditInvariants() error {
 func (r *Router) DebugState() string {
 	var b []byte
 	b = fmt.Appendf(b, "router %d\n", r.id)
-	stateName := map[uint8]string{vcIdle: "idle", vcWaitVA: "waitVA", vcActive: "active"}
 	for ip := range r.in {
 		in := &r.in[ip]
 		for v := range in.vc {
 			st := &in.vc[v]
-			if st.state == vcIdle && in.buf.Len(v) == 0 {
+			switch {
+			case has(in.vaMask, v):
+				b = fmt.Appendf(b, "  in[%s] vc%d: waitVA len=%d pkt=%v cands=%v since=%d esc=%v",
+					topology.PortName(ip), v, in.buf.Len(v), st.pkt, st.cands, st.waitSince, st.pkt.Escaped)
+			case has(in.actMask, v):
+				op, ovc := in.route(v)
+				b = fmt.Appendf(b, "  in[%s] vc%d: active len=%d pkt=%v out=%s/vc%d",
+					topology.PortName(ip), v, in.buf.Len(v), st.pkt, topology.PortName(op), ovc)
+			case in.buf.Len(v) > 0:
+				b = fmt.Appendf(b, "  in[%s] vc%d: idle len=%d", topology.PortName(ip), v, in.buf.Len(v))
+			default:
 				continue
-			}
-			b = fmt.Appendf(b, "  in[%s] vc%d: %s len=%d", topology.PortName(ip), v, stateName[st.state], in.buf.Len(v))
-			if st.state != vcIdle {
-				b = fmt.Appendf(b, " pkt=%v out=%s/vc%d", st.pkt, topology.PortName(int(st.outPort)), st.outVC)
-				if st.state == vcWaitVA {
-					b = fmt.Appendf(b, " cands=%v since=%d esc=%v", st.cands, st.waitSince, st.pkt.Escaped)
-				}
 			}
 			b = append(b, '\n')
 		}

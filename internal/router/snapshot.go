@@ -9,11 +9,11 @@ import (
 )
 
 // This file is the router's checkpoint walk: the activity counters,
-// each input port's buffer contents, VC state machines and scan masks,
-// each output port's credit view, the arbiter banks' priority pointers,
-// and the fault-model stall registers. Per-tick scratch (nominee
-// arrays, request masks) is dead between Steps and never serialized,
-// and the packed SA routes re-derive from the VC state machines.
+// each input port's buffer contents, scan masks (the VC state machines)
+// and per-VC packet records with the active VCs' granted routes, each
+// output port's credit view, the arbiter banks' priority pointers, and
+// the fault-model stall registers. Per-tick scratch (nominee arrays,
+// request masks) is dead between Steps and never serialized.
 // Everything loads into a router freshly constructed from the same
 // configuration: masks and outInfo are arena-backed and aliased by the
 // network's worklist scans, so they load in place.
@@ -64,25 +64,22 @@ func (v *vicharView) State(c *snap.Codec) {
 	c.Int(&v.sharedFree)
 	c.Range(v.sharedFree, 0, v.slots-len(v.kindRes), "router: shared-pool free count")
 	c.Bools(v.resFree)
-	c.Bools(v.granted)
 	c.I16s(v.held)
 	for _, n := range v.held {
 		c.Range(int(n), 0, v.slots, "router: per-VC resident flit count")
 	}
 	c.Bools(v.kindRes)
-	v.dispenser.State(c)
+	v.tokens.State(c)
 	// Every slot is free in the pool, parked as a kind's grant reserve
 	// or a granted VC's reservation, or holding a resident flit — and
 	// only a VC whose token is out has either of the last two.
-	slots, tokens := v.sharedFree, 0
+	slots := v.sharedFree
 	for vc, held := range v.held {
 		slots += int(held)
 		if v.resFree[vc] {
 			slots++
 		}
-		if v.granted[vc] {
-			tokens++
-		} else if held > 0 || v.resFree[vc] {
+		if v.tokens.Available(vc) && (held > 0 || v.resFree[vc]) {
 			c.Failf("router: snapshot VC %d holds UBS slots without a token", vc)
 		}
 	}
@@ -92,7 +89,6 @@ func (v *vicharView) State(c *snap.Codec) {
 		}
 	}
 	c.Range(slots, v.slots, v.slots, "router: UBS slots accounted for")
-	c.Range(tokens, v.dispenser.InUse(), v.dispenser.InUse(), "router: VCs granted, against tokens out of the dispenser")
 }
 
 // State walks the ejection sink's outstanding-packet count.
@@ -110,23 +106,36 @@ func bankState(c *snap.Codec, bank []arbiter.RoundRobin) {
 	}
 }
 
-// walk is the checkpoint walk of one input VC's allocation state
-// machine.
-func (st *vcState) walk(c *snap.Codec, ports, vcs int) {
-	c.U8(&st.state)
-	c.Range(int(st.state), int(vcIdle), int(vcActive), "router: VC state")
+// walk is the checkpoint walk of input VC v: its packet record and,
+// while active, its granted route. The scan masks that say which of
+// the two the VC has are walked before it.
+func (in *inputPort) walk(c *snap.Codec, v, ports, vcs int) {
+	wait, active := has(in.vaMask, v), has(in.actMask, v)
+	if wait && active {
+		c.Failf("router: snapshot VC %d is set in both vaMask and actMask", v)
+	}
+	st := &in.vc[v]
 	c.Packet(&st.pkt)
-	c.Check((st.pkt != nil) == (st.state != vcIdle), "router: snapshot VC holds a packet exactly when it is not idle")
+	if (st.pkt != nil) != (wait || active) {
+		c.Failf("router: snapshot VC %d is busy in vaMask|actMask (%v) but holds a packet (%v)", v, wait || active, st.pkt != nil)
+	}
 	c.U8((*uint8)(&st.cands))
 	c.Range(st.cands.Len(), 0, 2, "router: VC route candidates")
 	for i := 0; i < st.cands.Len(); i++ {
 		c.Range(st.cands.At(i), 0, ports-1, "router: VC route candidate port")
 	}
-	c.U8(&st.outPort)
-	c.Range(int(st.outPort), 0, ports-1, "router: VC output port")
-	c.I16(&st.outVC)
-	c.Range(int(st.outVC), 0, vcs-1, "router: VC output channel")
 	c.I64(&st.waitSince)
+	if active {
+		op, ovc := in.route(v)
+		port, ch := uint8(op), int16(ovc)
+		c.U8(&port)
+		c.Range(int(port), 0, ports-1, "router: VC output port (outInfo)")
+		c.I16(&ch)
+		c.Range(int(ch), 0, vcs-1, "router: VC output channel (outInfo)")
+		if c.Loading() {
+			in.outInfo[v] = packRoute(int(port), int(ch))
+		}
+	}
 }
 
 // wormholeOK reports whether input VC v's state machine agrees with
@@ -138,21 +147,22 @@ func (st *vcState) walk(c *snap.Codec, ports, vcs int) {
 func (r *Router) wormholeOK(in *inputPort, v int, taken []bool) bool {
 	st := &in.vc[v]
 	head := in.buf.Front(v, math.MaxInt64) // the head flit, readable yet or not
-	if st.state == vcIdle {
+	if st.pkt == nil {
 		return head == nil || head.Seq == 0
 	}
 	if head != nil && head.Pkt != st.pkt {
 		return false
 	}
-	if st.state != vcActive {
+	if !has(in.actMask, v) {
 		return true
 	}
-	view := r.out[st.outPort].view
+	op, ovc := in.route(v)
+	view := r.out[op].view
 	if _, sink := view.(*sinkView); sink {
 		return st.pkt.Dst == r.id
 	}
-	held := &taken[int(st.outPort)*r.maxVCs+int(st.outVC)]
-	if view == nil || !view.Holds(int(st.outVC)) || *held {
+	held := &taken[op*r.maxVCs+ovc]
+	if view == nil || !view.Holds(ovc) || *held {
 		return false
 	}
 	*held = true
@@ -166,9 +176,13 @@ func (r *Router) wormholeOK(in *inputPort, v int, taken []bool) bool {
 func (r *Router) Granted(port int, pkts []*flit.Packet) {
 	clear(pkts)
 	for p := range r.in {
-		for v := range r.in[p].vc {
-			if st := &r.in[p].vc[v]; st.state == vcActive && int(st.outPort) == port {
-				pkts[st.outVC] = st.pkt
+		in := &r.in[p]
+		for v := range in.vc {
+			if !has(in.actMask, v) {
+				continue
+			}
+			if op, ovc := in.route(v); op == port {
+				pkts[ovc] = in.vc[v].pkt
 			}
 		}
 	}
@@ -193,21 +207,12 @@ func (r *Router) State(c *snap.Codec) {
 	for p := range r.in {
 		in := &r.in[p]
 		in.buf.State(c)
-		for v := range in.vc {
-			in.vc[v].walk(c, r.ports, r.maxVCs)
-		}
 		for _, mask := range [][]uint64{in.bufMask, in.vaMask, in.actMask} {
 			c.U64s(mask)
 			c.Mask(mask, r.maxVCs, "router: VC scan mask")
 		}
-		if c.Loading() {
-			// The packed SA routes mirror the active VCs' state machines.
-			for v := range in.outInfo {
-				in.outInfo[v] = 0
-				if st := &in.vc[v]; st.state == vcActive {
-					in.outInfo[v] = packRoute(int(st.outPort), int(st.outVC))
-				}
-			}
+		for v := range in.vc {
+			in.walk(c, v, r.ports, r.maxVCs)
 		}
 	}
 	for p := range r.out {

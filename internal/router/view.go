@@ -146,7 +146,7 @@ func NewCreditViewIn(a *Arena, cfg *config.Config) CreditView {
 	classes := cfg.VCClasses()
 	switch cfg.Arch {
 	case config.Generic:
-		return newGenericView(a.Soa(), cfg.VCs, cfg.VCDepth, escape, cfg.AtomicVCAlloc, classes)
+		return newGenericView(a.Soa(), cfg.VCs, cfg.VCDepth, escape, classes)
 	case config.ViChaR:
 		return newViCharView(a.Soa(), cfg.BufferSlots, cfg.MaxVCs(), escape, classes)
 	case config.DAMQ, config.FCCB:
@@ -157,25 +157,23 @@ func NewCreditViewIn(a *Arena, cfg *config.Config) CreditView {
 }
 
 // genericView mirrors a statically partitioned buffer: one private
-// credit counter per VC plus per-VC allocation state. With atomic
-// allocation a VC is re-grantable only when fully drained; otherwise
-// packets may queue back-to-back within the FIFO.
+// credit counter per VC plus per-VC allocation state. Allocation is
+// atomic: a VC is re-grantable only once fully drained, so it never
+// holds flits of two packets.
 type genericView struct {
 	vcLayout
 	depth   int16
 	credits []int16 // per VC; config.MaxBufferSlots bounds the depth
 	open    []bool  // a packet holds the VC and its tail has not been sent
-	atomic  bool
-	rr      int // round-robin pointer for AllocVCIn
+	rr      int     // round-robin pointer for AllocVCIn
 }
 
-func newGenericView(a *soa.Arena, vcs, depth, escape int, atomic bool, classes int) *genericView {
+func newGenericView(a *soa.Arena, vcs, depth, escape, classes int) *genericView {
 	v := &genericView{
 		vcLayout: vcLayout{escBase: vcs - escape, total: vcs, classes: classes},
 		depth:    int16(depth),
 		credits:  a.TakeInt16s(vcs),
 		open:     a.TakeBools(vcs),
-		atomic:   atomic,
 	}
 	for i := range v.credits {
 		v.credits[i] = v.depth
@@ -210,15 +208,10 @@ func (v *genericView) OnCredit(c flit.Credit) {
 	}
 }
 
-// grantable reports whether the VC may be given to a new packet.
+// grantable reports whether the VC may be given to a new packet: no
+// packet holds it and it has fully drained.
 func (v *genericView) grantable(vc int) bool {
-	if v.open[vc] {
-		return false
-	}
-	if v.atomic {
-		return v.credits[vc] == v.depth
-	}
-	return true
+	return !v.open[vc] && v.credits[vc] == v.depth
 }
 
 func (v *genericView) HasFreeVCIn(class int, escape bool) bool {
@@ -471,7 +464,10 @@ func (v *sharedView) OutstandingVCs() int {
 
 // vicharView mirrors a ViChaR input port: a shared slot pool plus the
 // Token (VC) Dispenser. This is where the paper's per-output-port UCL
-// modules (Token Dispenser + VC Availability Tracker) live.
+// modules live: tokens is the VC Availability Tracker, one bit per VC
+// ID (escape set included, a clear bit a token out), and AllocVCIn is
+// the Token Dispenser, granting the lowest free ID of the requesting
+// kind's span.
 //
 // Every dispensed token carries a one-slot reservation, so an in-use
 // VC can always land at least one flit in the UBS even when the
@@ -489,10 +485,12 @@ func (v *sharedView) OutstandingVCs() int {
 // departure credit re-parks the reservation if it was the last).
 // Maintained invariant for every granted VC: reservation parked OR at
 // least one flit resident. This keeps busy VCs from idling buffer
-// capacity while preserving the deadlock-freedom guarantee.
-// The dispenser's regular and escape ID ranges are chunked per VC
-// class, and grants come from the requesting class's chunk only
-// (Dispenser.GrantIn). When the port has more than one (class, escape)
+// capacity while preserving the deadlock-freedom guarantee. Only a VC
+// whose token is out has a parked reservation (AllocVCIn parks it, the
+// release credit clears it), so resFree alone answers CanSendFlit.
+// The regular and escape ID ranges are chunked per VC class, and
+// grants come from the requesting class's chunk only (vcLayout.span).
+// When the port has more than one (class, escape)
 // kind, one pool slot per kind is carved out as that kind's grant
 // reserve (kindRes): a kind can take a token — and with it the token's
 // landing-slot reservation — even when the shared pool has been
@@ -508,11 +506,10 @@ type vicharView struct {
 	vcLayout
 	slots      int
 	sharedFree int
-	dispenser  *core.Dispenser
-	resFree    []bool  // per VC: reservation available (token outstanding)
-	granted    []bool  // per VC: token outstanding
-	held       []int16 // per VC: flits resident downstream (at most slots)
-	kindRes    []bool  // per (class, escape) kind: grant-reserve slot currently free; nil with one kind
+	tokens     core.Tracker // per VC: set while the token is free
+	resFree    []bool       // per VC: reservation available (token outstanding)
+	held       []int16      // per VC: flits resident downstream (at most slots)
+	kindRes    []bool       // per (class, escape) kind: grant-reserve slot currently free; nil with one kind
 }
 
 func newViCharView(a *soa.Arena, slots, vcs, escape, classes int) *vicharView {
@@ -520,11 +517,10 @@ func newViCharView(a *soa.Arena, slots, vcs, escape, classes int) *vicharView {
 		vcLayout:   vcLayout{escBase: vcs - escape, total: vcs, classes: classes},
 		slots:      slots,
 		sharedFree: slots,
-		dispenser:  core.NewDispenserIn(a, vcs, escape),
 		resFree:    a.TakeBools(vcs),
-		granted:    a.TakeBools(vcs),
 		held:       a.TakeInt16s(vcs),
 	}
+	v.tokens.Init(vcs, a)
 	if kinds := v.kinds(); kinds > 1 {
 		if slots <= kinds {
 			panic(fmt.Sprintf("router: UBS needs more slots (%d) than VC kinds (%d)", slots, kinds))
@@ -558,10 +554,10 @@ func (v *vicharView) grantSlotFree(class int, escape bool) bool {
 }
 
 func (v *vicharView) CanSendFlit(vc int) bool {
-	if vc < 0 || vc >= len(v.granted) {
+	if vc < 0 || vc >= len(v.resFree) {
 		return false
 	}
-	return v.sharedFree > 0 || (v.granted[vc] && v.resFree[vc])
+	return v.sharedFree > 0 || v.resFree[vc]
 }
 
 func (v *vicharView) OnSend(f *flit.Flit) {
@@ -584,7 +580,7 @@ func (v *vicharView) OnSend(f *flit.Flit) {
 }
 
 func (v *vicharView) OnCredit(c flit.Credit) {
-	if c.VC < 0 || c.VC >= len(v.granted) || v.held[c.VC] == 0 {
+	if c.VC < 0 || c.VC >= len(v.held) || v.held[c.VC] == 0 {
 		//vichar:invariant a credit for an ungranted or empty VC means Token Dispenser / UBS bookkeeping divergence
 		panic(fmt.Sprintf("router: stray UBS credit on vc %d", c.VC))
 	}
@@ -598,8 +594,7 @@ func (v *vicharView) OnCredit(c flit.Credit) {
 		// Tails depart last, so the reservation cannot be parked
 		// here; the departing flit's slot returns to the pool.
 		v.resFree[c.VC] = false
-		v.granted[c.VC] = false
-		v.dispenser.Return(c.VC)
+		v.tokens.Release(c.VC)
 		v.freeSlot(c.VC)
 	case v.held[c.VC] == 0:
 		// Last resident flit left mid-packet: re-park the reservation
@@ -618,8 +613,7 @@ func (v *vicharView) HasFreeVCIn(class int, escape bool) bool {
 	if !v.grantSlotFree(class, escape) {
 		return false // no slot left to carry the token's reservation
 	}
-	lo, hi := v.span(class, escape)
-	return v.dispenser.FreeIn(escape, lo, hi) > 0
+	return v.tokens.FreeInRange(v.span(class, escape)) > 0
 }
 
 // AllocVCIn grants the kind's next token and moves one slot from the
@@ -629,9 +623,8 @@ func (v *vicharView) AllocVCIn(class int, escape bool) (int, bool) {
 	if !v.grantSlotFree(class, escape) {
 		return -1, false
 	}
-	lo, hi := v.span(class, escape)
-	vc, ok := v.dispenser.GrantIn(escape, lo, hi)
-	if !ok {
+	vc := v.tokens.AcquireRange(v.span(class, escape))
+	if vc < 0 {
 		return -1, false
 	}
 	if v.sharedFree > 0 {
@@ -640,7 +633,6 @@ func (v *vicharView) AllocVCIn(class int, escape bool) (int, bool) {
 		v.kindRes[v.kind(class, escape)] = false
 	}
 	v.resFree[vc] = true
-	v.granted[vc] = true
 	return vc, true
 }
 
@@ -656,9 +648,9 @@ func (v *vicharView) OutstandingFlits() int {
 
 func (v *vicharView) OutstandingOn(vc int) int { return int(v.held[vc]) }
 
-func (v *vicharView) Holds(vc int) bool { return v.granted[vc] }
+func (v *vicharView) Holds(vc int) bool { return !v.tokens.Available(vc) }
 
-func (v *vicharView) OutstandingVCs() int { return v.dispenser.InUse() }
+func (v *vicharView) OutstandingVCs() int { return v.tokens.Size() - v.tokens.Free() }
 
 // Admission is the per-class back-pressure a network-interface
 // endpoint exerts on its ejection port. Peek reports whether a new

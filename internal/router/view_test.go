@@ -39,7 +39,7 @@ func TestNewCreditViewDispatch(t *testing.T) {
 }
 
 func TestGenericViewCreditAccounting(t *testing.T) {
-	v := newGenericView(nil, 2, 3, 0, true, 1)
+	v := newGenericView(nil, 2, 3, 0, 1)
 	if v.FreeSlots() != 6 {
 		t.Fatalf("fresh free slots %d", v.FreeSlots())
 	}
@@ -67,7 +67,7 @@ func TestGenericViewCreditAccounting(t *testing.T) {
 }
 
 func TestGenericViewAtomicAllocation(t *testing.T) {
-	v := newGenericView(nil, 1, 4, 0, true, 1)
+	v := newGenericView(nil, 1, 4, 0, 1)
 	vc, ok := v.AllocVCIn(0, false)
 	if !ok || vc != 0 {
 		t.Fatalf("alloc got %d/%v", vc, ok)
@@ -84,23 +84,8 @@ func TestGenericViewAtomicAllocation(t *testing.T) {
 	}
 }
 
-func TestGenericViewNonAtomicAllocation(t *testing.T) {
-	v := newGenericView(nil, 1, 4, 0, false, 1)
-	if _, ok := v.AllocVCIn(0, false); !ok {
-		t.Fatal("fresh alloc failed")
-	}
-	v.OnSend(headFlit(0))
-	if _, ok := v.AllocVCIn(0, false); ok {
-		t.Fatal("allocated a VC whose packet is still open")
-	}
-	v.OnSend(tailFlit(0))
-	if _, ok := v.AllocVCIn(0, false); !ok {
-		t.Fatal("non-atomic view refused VC after tail sent")
-	}
-}
-
 func TestGenericViewEscapePartition(t *testing.T) {
-	v := newGenericView(nil, 4, 2, 1, true, 1)
+	v := newGenericView(nil, 4, 2, 1, 1)
 	// Normal allocations never touch the escape VC (id 3).
 	for i := 0; i < 3; i++ {
 		vc, ok := v.AllocVCIn(0, false)
@@ -121,7 +106,7 @@ func TestGenericViewEscapePartition(t *testing.T) {
 }
 
 func TestGenericViewGrantableClaim(t *testing.T) {
-	v := newGenericView(nil, 4, 2, 0, true, 1)
+	v := newGenericView(nil, 4, 2, 0, 1)
 	g := v.GrantableVCIn(0, false, 2)
 	if g != 2 {
 		t.Fatalf("hint ignored: got %d", g)
@@ -153,7 +138,7 @@ func TestGenericViewPanics(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			v := newGenericView(nil, 2, 1, 0, true, 1)
+			v := newGenericView(nil, 2, 1, 0, 1)
 			defer func() {
 				if recover() == nil {
 					t.Errorf("%s did not panic", c.name)
@@ -317,18 +302,27 @@ func TestViCharViewEscapeTokens(t *testing.T) {
 	if v.HasFreeVCIn(0, true) != true {
 		t.Fatal("escape tokens missing")
 	}
-	e, ok := v.AllocVCIn(0, true)
-	if !ok || e < 6 {
-		t.Fatalf("escape token %d/%v", e, ok)
+	// The escape set is the highest IDs, dispensed lowest first.
+	if e, ok := v.AllocVCIn(0, true); !ok || e != 6 {
+		t.Fatalf("escape token %d/%v, want 6", e, ok)
 	}
-	// Normal tokens unaffected.
+	// Normal tokens unaffected, and never from the escape span.
 	for i := 0; i < 6; i++ {
-		if _, ok := v.AllocVCIn(0, false); !ok {
-			t.Fatalf("normal token %d missing", i)
+		if vc, ok := v.AllocVCIn(0, false); !ok || vc != i {
+			t.Fatalf("normal token %d: %d/%v", i, vc, ok)
 		}
 	}
 	if _, ok := v.AllocVCIn(0, false); ok {
 		t.Fatal("normal pool should be empty")
+	}
+	if !v.Holds(6) || v.Holds(7) || v.OutstandingVCs() != 7 {
+		t.Fatalf("token record: holds(6)=%v holds(7)=%v out=%d", v.Holds(6), v.Holds(7), v.OutstandingVCs())
+	}
+	// Without an escape set no escape token exists.
+	if n := newViCharView(nil, 4, 4, 0, 1); n.HasFreeVCIn(0, true) {
+		t.Fatal("phantom escape tokens")
+	} else if _, ok := n.AllocVCIn(0, true); ok {
+		t.Fatal("escape grant without an escape set")
 	}
 }
 

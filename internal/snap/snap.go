@@ -53,7 +53,12 @@ const (
 	// Version 6 drops the unified buffer's per-slot arrival stamps, head
 	// stamps and readiness masks, which re-derive from the flits, and
 	// the configuration's ClockHz key.
-	Version = 6
+	// Version 7 walks each input port's scan masks before its VCs, which
+	// carry no state byte and their granted route only while active;
+	// drops the ViChaR view's per-VC granted flags and its dispenser
+	// section (the token bitmap is one tracker over every VC ID); and
+	// drops the configuration's AtomicVCAlloc key.
+	Version = 7
 )
 
 var le = binary.LittleEndian

@@ -601,10 +601,20 @@ func TestRestoreResealedMutations(t *testing.T) {
 		if name == "ViC-faults-metrics" {
 			// What an every-bit form of this sweep found last: an active
 			// VC's route moved onto an output VC whose token is still out
-			// for a packet that is draining downstream.
+			// for a packet that is draining downstream. Router 5's port 2
+			// VC 0 is active on (port 4, VC 0), router 6's port 0 VC 1 on
+			// (port 2, VC 3); each route is a port byte and an int16 VC.
+			r5, r6 := section("router", 5), section("router", 6)
+			vaMask52 := r5 + 1090 // router 5, port 2: first vaMask word
 			rows = append(rows,
-				row{"(e) router 5: output VC 4 -> 0, draining on link 5->1", section("router", 5) + 1210, 2, "link 5->1: VC 0 is held upstream by packet 74"},
-				row{"(f) router 6: output VC 3 -> 1, draining on link 6->10", section("router", 6) + 413, 1, "link 6->10: VC 1 is held upstream by packet 90"})
+				row{"(e) router 5: output port 4 -> 0, draining on link 5->1", r5 + 1128, 2, "link 5->1: VC 0 is held upstream by packet 74"},
+				row{"(f) router 6: output VC 3 -> 1, draining on link 6->10", r6 + 452, 1, "link 6->10: VC 1 is held upstream by packet 90"},
+				// The scan masks are the VC state machine and outInfo the
+				// route; each is checked where it is walked.
+				row{"(k) router 5 port 2: active VC 0 also waiting", vaMask52, 0, "both vaMask and actMask"},
+				row{"(l) router 5 port 2: idle VC 1 waiting", vaMask52, 1, "busy in vaMask|actMask (true) but holds a packet (false)"},
+				row{"(m) router 5: output port 4 -> 5", r5 + 1128, 0, "VC output port (outInfo): 5 in snapshot"},
+				row{"(n) router 6: output VC 3 -> 19", r6 + 452, 4, "VC output channel (outInfo): 19 in snapshot"})
 		}
 		if name == "ViC-traced" {
 			// The tracer's Seqs and eviction count are implied by where
