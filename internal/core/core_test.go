@@ -275,26 +275,38 @@ func TestTableLoadRejectsCorruptRows(t *testing.T) {
 
 // --- Token Dispenser: one VC Availability Tracker over every VC ID ---
 //
-// The router's ViChaR credit view dispenses a token as AcquireRange
-// over the requesting kind's span and returns it with Release; these
-// tests pin that policy on the tracker alone (the view's own tests
-// cover the slot reservations that ride on each token).
+// The router's ViChaR credit view dispenses a token as FirstInRange
+// over the requesting kind's span, then Take, and returns it with
+// Release; these tests pin that policy on the tracker alone (the view's
+// own tests cover the slot reservations that ride on each token).
+
+// grant dispenses the span's next token as the view does.
+func grant(tr *Tracker, lo, hi int) int {
+	vc := tr.FirstInRange(lo, hi)
+	if vc >= 0 {
+		tr.Take(vc)
+	}
+	return vc
+}
 
 func TestDispenserGrantReturn(t *testing.T) {
 	tr := NewTracker(4)
 	for want := 0; want < 4; want++ {
-		if vc := tr.AcquireRange(0, 4); vc != want {
+		if peek := tr.FirstInRange(0, 4); peek != want || tr.Free() != 4-want {
+			t.Fatalf("peek %d (free %d), want the lowest free %d untaken", peek, tr.Free(), want)
+		}
+		if vc := grant(tr, 0, 4); vc != want {
 			t.Fatalf("grant %d: vc=%d, want the lowest free %d", want, vc, want)
 		}
 	}
 	if in := tr.Size() - tr.Free(); in != 4 {
 		t.Fatalf("in use %d, want 4", in)
 	}
-	if vc := tr.AcquireRange(0, 4); vc != -1 {
+	if vc := grant(tr, 0, 4); vc != -1 {
 		t.Fatalf("grant %d with all tokens out", vc)
 	}
 	tr.Release(2)
-	if vc := tr.AcquireRange(0, 4); vc != 2 {
+	if vc := grant(tr, 0, 4); vc != 2 {
 		t.Fatalf("after return got %d, want 2", vc)
 	}
 }
@@ -303,27 +315,24 @@ func TestDispenserEscapeSet(t *testing.T) {
 	// Eight VC IDs; the highest two are the escape span.
 	tr := NewTracker(8)
 	regular, escape := [2]int{0, 6}, [2]int{6, 8}
-	if tr.FreeInRange(regular[0], regular[1]) != 6 || tr.FreeInRange(escape[0], escape[1]) != 2 {
-		t.Fatalf("free split %d/%d", tr.FreeInRange(0, 6), tr.FreeInRange(6, 8))
+	if r, e := tr.FirstInRange(regular[0], regular[1]), tr.FirstInRange(escape[0], escape[1]); r != 0 || e != 6 {
+		t.Fatalf("first free regular %d, escape %d; want 0, 6", r, e)
 	}
 	// Escape grants come from the escape span only, lowest first.
-	if e1, e2 := tr.AcquireRange(escape[0], escape[1]), tr.AcquireRange(escape[0], escape[1]); e1 != 6 || e2 != 7 {
+	if e1, e2 := grant(tr, escape[0], escape[1]), grant(tr, escape[0], escape[1]); e1 != 6 || e2 != 7 {
 		t.Fatalf("escape grants %d,%d, want 6,7", e1, e2)
 	}
-	if tr.FreeInRange(escape[0], escape[1]) != 0 || tr.FreeInRange(regular[0], regular[1]) != 6 {
-		t.Fatalf("free after escape grants: escape %d, regular %d", tr.FreeInRange(6, 8), tr.FreeInRange(0, 6))
-	}
-	if vc := tr.AcquireRange(escape[0], escape[1]); vc != -1 {
-		t.Fatalf("escape grant %d with escape span exhausted", vc)
+	if r, e := tr.FirstInRange(regular[0], regular[1]), tr.FirstInRange(escape[0], escape[1]); r != 0 || e != -1 {
+		t.Fatalf("after escape grants: first free regular %d, escape %d; want 0, -1", r, e)
 	}
 	// Regular grants are unaffected and never reach the escape IDs.
 	for i := 0; i < 6; i++ {
-		if vc := tr.AcquireRange(regular[0], regular[1]); vc != i {
+		if vc := grant(tr, regular[0], regular[1]); vc != i {
 			t.Fatalf("regular grant %d: %d", i, vc)
 		}
 	}
 	tr.Release(6)
-	if tr.FreeInRange(escape[0], escape[1]) != 1 || tr.FreeInRange(regular[0], regular[1]) != 0 {
+	if r, e := tr.FirstInRange(regular[0], regular[1]), tr.FirstInRange(escape[0], escape[1]); r != -1 || e != 6 {
 		t.Fatal("escape return not reflected in the escape span alone")
 	}
 }
@@ -331,11 +340,8 @@ func TestDispenserEscapeSet(t *testing.T) {
 func TestDispenserNoEscapeConfigured(t *testing.T) {
 	// Without an escape set the escape span is empty: [total, total).
 	tr := NewTracker(4)
-	if vc := tr.AcquireRange(4, 4); vc != -1 {
-		t.Fatalf("escape grant %d without an escape set", vc)
-	}
-	if tr.FreeInRange(4, 4) != 0 || tr.Free() != 4 {
-		t.Fatal("phantom escape tokens")
+	if vc := tr.FirstInRange(4, 4); vc != -1 || tr.Free() != 4 {
+		t.Fatalf("escape token %d without an escape set", vc)
 	}
 }
 
@@ -344,24 +350,34 @@ func TestDispenserFCFSOrder(t *testing.T) {
 	// span, so the grant order after interleaved returns is
 	// deterministic — within a class chunk as over the whole range.
 	tr := NewTracker(6)
-	a, b := tr.AcquireRange(3, 6), tr.AcquireRange(3, 6)
+	a, b := grant(tr, 3, 6), grant(tr, 3, 6)
 	tr.Release(a)
-	if c := tr.AcquireRange(3, 6); c != a || a != 3 || b != 4 {
+	if c := grant(tr, 3, 6); c != a || a != 3 || b != 4 {
 		t.Fatalf("grants %d,%d then %d; want 3,4 then the freed 3", a, b, c)
 	}
-	if vc := tr.AcquireRange(0, 3); vc != 0 {
+	if vc := grant(tr, 0, 3); vc != 0 {
 		t.Fatalf("the other chunk granted %d, want 0", vc)
 	}
 }
 
 func TestDispenserBadReturnPanics(t *testing.T) {
-	tr := NewTracker(4)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("out-of-range return did not panic")
-		}
-	}()
-	tr.Release(4)
+	for _, c := range []struct {
+		name string
+		f    func(tr *Tracker)
+	}{
+		{"return out of range", func(tr *Tracker) { tr.Release(4) }},
+		{"take out of range", func(tr *Tracker) { tr.Take(4) }},
+		{"double take", func(tr *Tracker) { tr.Take(1); tr.Take(1) }},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s did not panic", c.name)
+				}
+			}()
+			c.f(NewTracker(4))
+		}()
+	}
 }
 
 // The escape set's shape (at least one regular VC) is config.Validate's

@@ -18,9 +18,10 @@
 //     a top-most-available pointer.
 //   - VC Availability Tracker   → Tracker, one over all of a port's VC
 //     IDs, held by the router's ViChaR credit view (internal/router).
-//   - Token (VC) Dispenser  → that view's AllocVCIn: FCFS grant of the
-//     lowest free VC ID in the requesting packet's span (Tracker
-//     AcquireRange), the escape span for deadlock recovery.
+//   - Token (VC) Dispenser  → that view's FreeVC and ClaimVC, the
+//     contract every credit view answers: FCFS grant of the lowest
+//     free VC ID in the requesting packet's span (Tracker FirstInRange
+//     to peek, Take to claim), the escape span for deadlock recovery.
 //   - Arriving/Departing Flit Pointers Logic → the Write/Front/Pop
 //     paths of UBS (ubs.go), which steer flits to slots indicated by
 //     the Slot Availability Tracker and read each VC's first non-NULL

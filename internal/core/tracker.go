@@ -17,9 +17,9 @@ import (
 // tracker of a router sits on adjacent cache lines.
 //
 // As the VC Availability Tracker it spans every VC ID of a port, the
-// escape set included: a grant is AcquireRange over the requesting
-// kind's span (regular or escape, chunked per VC class), so the
-// lowest free ID of that span is dispensed first.
+// escape set included: a grant is FirstInRange over the requesting
+// kind's span (regular or escape, chunked per VC class), then Take, so
+// the lowest free ID of that span is dispensed first.
 type Tracker struct {
 	words []uint64
 	n     int
@@ -98,47 +98,29 @@ func (t *Tracker) rangeWord(w, lo, hi int) uint64 {
 	return m
 }
 
-// AcquireRange claims and returns the top-most available entry within
-// [lo, hi), or -1 when that span is fully occupied. AcquireRange over
-// the whole tracker grants exactly what Acquire would — the span is a
-// restriction, not a different policy.
-func (t *Tracker) AcquireRange(lo, hi int) int {
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > t.n {
-		hi = t.n
-	}
-	if lo >= hi {
-		return -1
-	}
-	for w := lo >> 6; w <= (hi-1)>>6; w++ {
+// FirstInRange returns the top-most available entry within [lo, hi),
+// or -1 when that span is fully occupied. It only peeks: Take claims
+// the entry. Over the whole tracker it names exactly the entry Acquire
+// would grant — the span is a restriction, not a different policy.
+func (t *Tracker) FirstInRange(lo, hi int) int {
+	lo, hi = max(lo, 0), min(hi, t.n)
+	for w := lo >> 6; lo < hi && w <= (hi-1)>>6; w++ {
 		if m := t.rangeWord(w, lo, hi); m != 0 {
-			b := bits.TrailingZeros64(m)
-			t.words[w] &^= 1 << uint(b)
-			t.free--
-			return w<<6 + b
+			return w<<6 + bits.TrailingZeros64(m)
 		}
 	}
 	return -1
 }
 
-// FreeInRange returns the number of available entries within [lo, hi).
-func (t *Tracker) FreeInRange(lo, hi int) int {
-	if lo < 0 {
-		lo = 0
+// Take claims entry i. Taking an occupied entry is a bookkeeping bug
+// and panics, as releasing a free one does.
+func (t *Tracker) Take(i int) {
+	if !t.Available(i) {
+		//vichar:invariant a claim names an entry FirstInRange offered; an occupied one means a double grant
+		panic(fmt.Sprintf("core: take of occupied entry %d", i))
 	}
-	if hi > t.n {
-		hi = t.n
-	}
-	if lo >= hi {
-		return 0
-	}
-	n := 0
-	for w := lo >> 6; w <= (hi-1)>>6; w++ {
-		n += bits.OnesCount64(t.rangeWord(w, lo, hi))
-	}
-	return n
+	t.words[i>>6] &^= 1 << (uint(i) & 63)
+	t.free--
 }
 
 // Release marks entry i available again. Releasing a free entry is a

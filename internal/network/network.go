@@ -427,6 +427,10 @@ func New(cfg *config.Config) *Network {
 			txn:     n.txn,
 			rec:     n.obs.recorder(1 + id),
 		}
+		for c := range s.streams {
+			lo, hi := router.Span(cfg, c, false)
+			s.streams[c].lo, s.streams[c].n = lo, hi-lo
+		}
 		inj := takeFlitLink(flitLink{
 			delay: 1, q: flitRing(injectCap), owner: id, wake: &n.wakes[id],
 			dst: r, inPort: topology.Local,

@@ -21,6 +21,11 @@ type niStream struct {
 	cur *flit.Packet
 	idx int
 	vc  int
+
+	// lo and n are the class's regular VC chunk [lo, lo+n) at the local
+	// input port (router.Span), which the NI's allocation pointer is
+	// relative to.
+	lo, n int
 }
 
 func (st *niStream) queued() int { return len(st.queue) - st.qhead }
@@ -36,6 +41,11 @@ type ni struct {
 	link    *flitLink
 	streams []niStream
 	rr      int // round-robin pointer over streams for the one-flit-per-cycle send
+	// alloc is the VC allocation pointer, one for every stream: a grant
+	// of VC vc leaves it at the offset after vc in the granting class's
+	// chunk, and the next grant of any class scans its own chunk from
+	// there.
+	alloc int
 
 	// txn, when the transaction layer is on, receives the fully-
 	// injected notification that releases a responder's egress slot.
@@ -85,7 +95,9 @@ func (s *ni) tick(now int64) {
 		if st.cur != nil || st.queued() == 0 {
 			continue
 		}
-		if vc, ok := s.view.AllocVCIn(c, false); ok {
+		if vc := s.view.FreeVC(c, false, s.alloc); vc >= 0 {
+			s.view.ClaimVC(c, vc)
+			s.alloc = (vc - st.lo + 1) % st.n
 			p := st.queue[st.qhead]
 			st.queue[st.qhead] = nil
 			st.qhead++

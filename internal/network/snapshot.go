@@ -97,7 +97,8 @@ func (l *creditLink) state(c *snap.Codec, now int64, vcs int) {
 }
 
 // state walks one network interface's per-class source queues,
-// mid-injection cursors, round-robin pointer and credit view.
+// mid-injection cursors, round-robin and allocation pointers and credit
+// view.
 func (s *ni) state(c *snap.Codec, vcs int) {
 	c.Section("ni")
 	c.Expect(len(s.streams), "network: NI streams")
@@ -122,6 +123,8 @@ func (s *ni) state(c *snap.Codec, vcs int) {
 	c.U64(&s.injected)
 	c.U64(&s.creditStalls)
 	c.Range(s.rr, 0, len(s.streams)-1, "network: NI round-robin pointer")
+	c.Int(&s.alloc)
+	c.Range(s.alloc, 0, vcs-1, "network: NI allocation pointer")
 	s.view.State(c)
 	for si := range s.streams {
 		if st := &s.streams[si]; st.cur != nil && c.Err() == nil && !s.view.Holds(st.vc) {

@@ -49,19 +49,6 @@ type CreditSender interface {
 	SendCredit(c flit.Credit, now int64)
 }
 
-// perVCAllocator is the extra allocation surface of fixed-VC credit
-// views (generic, DAMQ, FC-CB, sink): the generic two-stage VA picks
-// a specific output VC in stage 1 and claims it only if it wins
-// stage 2.
-type perVCAllocator interface {
-	// GrantableVCIn returns a grantable VC within the class's chunk of
-	// the kind's ID range, scanning round-robin from hint, or -1. It
-	// does not claim.
-	GrantableVCIn(class int, escape bool, hint int) int
-	// ClaimVCIn marks the specific VC granted to a packet of the class.
-	ClaimVCIn(class, vc int)
-}
-
 // vcState is the packet an input VC is routing and what RC and VA
 // know of it: the routing decision (the route tables' one packed byte)
 // and the cycle it started waiting for a VC. Its place in the
@@ -122,11 +109,7 @@ type outputPort struct {
 	// view, nil otherwise (including the ejection sink). canSend is its
 	// only reader.
 	vichar *vicharView
-	// alloc is view's per-VC allocation surface, asserted once at
-	// ConnectOutput; nil in ViChaR configurations, whose VA asks the
-	// Token Dispenser instead.
-	alloc perVCAllocator
-	conn  FlitSender
+	conn   FlitSender
 }
 
 // canSend is the SA stage's credit poll. It is the one call into a
@@ -383,14 +366,6 @@ func (r *Router) ConnectOutput(p int, conn FlitSender, view CreditView) {
 	o.conn = conn
 	o.view = view
 	o.vichar, _ = view.(*vicharView)
-	if r.cfg.Arch != config.ViChaR {
-		alloc, ok := view.(perVCAllocator)
-		if !ok {
-			//vichar:invariant non-ViChaR configurations always wire per-VC credit views; a mismatch is a construction bug
-			panic(fmt.Sprintf("router %d: %T cannot allocate per-VC", r.id, view))
-		}
-		o.alloc = alloc
-	}
 }
 
 // ConnectInputCredit wires input port p's upstream credit channel.
@@ -534,7 +509,7 @@ func (r *Router) portFree(p, k, class int, escape bool) bool {
 		// Unconnected edge ports stay dark; a dead output link accepts
 		// no new packets (worms granted the link before it died keep
 		// draining — SA does not consult candidates).
-		if o.view != nil && (r.faults == nil || !r.faults.LinkDead(p)) && o.view.HasFreeVCIn(class, escape) {
+		if o.view != nil && (r.faults == nil || !r.faults.LinkDead(p)) && o.view.FreeVC(class, escape, 0) >= 0 {
 			r.vaFree[k] |= bit
 		}
 	}
@@ -713,10 +688,11 @@ func (r *Router) tickVAViChaR(now int64) {
 		}
 		n := noms[w]
 		class := int(r.in[w].vc[n.invc].pkt.Class)
-		vc, ok := r.out[op].view.AllocVCIn(class, n.escape)
-		if !ok {
+		vc := r.out[op].view.FreeVC(class, n.escape, 0)
+		if vc < 0 {
 			continue // availability changed within the cycle; retry next
 		}
+		r.out[op].view.ClaimVC(class, vc)
 		r.grant(w, n.invc, op, vc, now)
 		grants++
 	}
@@ -769,7 +745,7 @@ func (r *Router) tickVAGeneric(now int64) {
 				if op < 0 {
 					continue
 				}
-				ovc := r.out[op].alloc.GrantableVCIn(class, escape, v)
+				ovc := r.out[op].view.FreeVC(class, escape, v)
 				if ovc < 0 {
 					continue
 				}
@@ -819,7 +795,7 @@ func (r *Router) tickVAGeneric(now int64) {
 			continue
 		}
 		ip, v := w/r.maxVCs, w%r.maxVCs
-		r.out[op].alloc.ClaimVCIn(int(r.in[ip].vc[v].pkt.Class), ovc)
+		r.out[op].view.ClaimVC(int(r.in[ip].vc[v].pkt.Class), ovc)
 		r.grant(ip, v, op, ovc, now)
 		grants++
 	}
@@ -995,10 +971,7 @@ func (r *Router) InputBuffer(p int) buffers.Buffer { return r.in[p].buf }
 // bookkeeping to diverge and skip the UBS checks. The network invokes
 // this every cycle when Config.Audit is set.
 func (r *Router) AuditInvariants() error {
-	layout := vcLayout{escBase: r.maxVCs, total: r.maxVCs, classes: r.cfg.VCClasses()}
-	if r.cfg.NeedsEscape() {
-		layout.escBase -= r.cfg.EscapeVCs
-	}
+	layout := layoutOf(r.cfg)
 	for p := range r.in {
 		in := &r.in[p]
 		for v := 0; v < r.maxVCs; v++ {

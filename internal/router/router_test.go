@@ -211,7 +211,7 @@ func TestBackpressure(t *testing.T) {
 	// all 4 VCs).
 	view := h.r.OutputView(topology.East)
 	for i := 0; i < 4; i++ {
-		if _, ok := view.AllocVCIn(0, false); !ok {
+		if _, ok := alloc(view, 0, false); !ok {
 			t.Fatal("setup alloc failed")
 		}
 	}
@@ -274,8 +274,8 @@ func TestEscapeAfterThreshold(t *testing.T) {
 	// Drain all normal tokens of both candidate outputs.
 	for _, p := range []int{topology.East, topology.South} {
 		view := h.r.OutputView(p)
-		for view.HasFreeVCIn(0, false) {
-			view.AllocVCIn(0, false)
+		for view.FreeVC(0, false, 0) >= 0 {
+			alloc(view, 0, false)
 		}
 	}
 
@@ -325,7 +325,7 @@ func TestOccupancyProbes(t *testing.T) {
 	// Block East completely so the packet stays resident.
 	view := h.r.OutputView(topology.East)
 	for i := 0; i < 4; i++ {
-		view.AllocVCIn(0, false)
+		alloc(view, 0, false)
 	}
 	h.runPacket(t, topology.West, 0, h.mesh.Node(5, 1), 1, 8)
 	if h.r.Occupied() != 4 {
@@ -401,8 +401,8 @@ func TestHeadOfLineBlocking(t *testing.T) {
 		h := newHarness(cfg, node)
 		// Saturate every East VC so packets bound East stall in VA.
 		east := h.r.OutputView(topology.East)
-		for east.HasFreeVCIn(0, false) {
-			east.AllocVCIn(0, false)
+		for east.FreeVC(0, false, 0) >= 0 {
+			alloc(east, 0, false)
 		}
 		dstEast := h.mesh.Node(5, 1)
 		dstSouth := h.mesh.Node(1, 5)
@@ -446,7 +446,7 @@ func TestReceiveCredit(t *testing.T) {
 	node := topology.New(cfg.Width, cfg.Height).Node(1, 1)
 	h := newHarness(cfg, node)
 	view := h.r.OutputView(topology.East)
-	vc, _ := view.AllocVCIn(0, false)
+	vc, _ := alloc(view, 0, false)
 	h.r.OutputView(topology.East).OnSend(headFlit(vc))
 	before := view.FreeSlots()
 	h.r.ReceiveCredit(topology.East, flit.Credit{VC: vc})
@@ -482,7 +482,7 @@ func TestAdaptiveCreditScoring(t *testing.T) {
 
 	// Congest East: burn most of its slot credits.
 	east := h.r.OutputView(topology.East)
-	vc, _ := east.AllocVCIn(0, false)
+	vc, _ := alloc(east, 0, false)
 	for i := 0; i < 10; i++ {
 		f := headFlit(vc)
 		east.OnSend(f)

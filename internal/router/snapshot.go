@@ -29,8 +29,6 @@ func (v *genericView) State(c *snap.Codec) {
 		c.Range(int(n), 0, int(v.depth), "router: per-VC credit count")
 	}
 	c.Bools(v.open)
-	c.Int(&v.rr)
-	c.Range(v.rr, 0, len(v.credits)-1, "router: credit-view allocation pointer")
 }
 
 // State walks the shared-pool view's mirror state.
@@ -44,8 +42,6 @@ func (v *sharedView) State(c *snap.Codec) {
 		c.Range(int(n), 0, v.slots, "router: per-VC resident flit count")
 	}
 	c.Bools(v.open)
-	c.Int(&v.rr)
-	c.Range(v.rr, 0, len(v.open)-1, "router: credit-view allocation pointer")
 	// Every slot is free in the pool, parked as a queue's reservation,
 	// or holding a resident flit.
 	slots := v.sharedFree

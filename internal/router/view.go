@@ -24,17 +24,20 @@ type CreditView interface {
 	OnSend(f *flit.Flit)
 	// OnCredit credits the view for a downstream departure.
 	OnCredit(c flit.Credit)
-	// HasFreeVCIn reports whether a VC of the given kind (escape or
-	// regular) could be granted to a new packet of the class this
-	// cycle. Each VC class (request, response) owns a disjoint
-	// contiguous chunk of the regular and escape VC ID ranges, so a
-	// grant for one class can never consume a channel the other class
-	// depends on; every non-transaction run has the single class 0.
-	HasFreeVCIn(class int, escape bool) bool
-	// AllocVCIn grants a VC of the given kind to a new packet of the
-	// class. The caller must route all the packet's flits onto the
-	// returned VC.
-	AllocVCIn(class int, escape bool) (vc int, ok bool)
+	// FreeVC returns a VC of the given kind (escape or regular) that
+	// could be granted to a new packet of the class this cycle, or -1.
+	// It only peeks. Each VC class (request, response) owns a disjoint
+	// contiguous chunk of the regular and escape VC ID ranges
+	// (vcLayout.span), so a grant for one class can never consume a
+	// channel the other class depends on; every non-transaction run has
+	// the single class 0. Views with a fixed VC set scan the chunk
+	// round-robin from the non-negative chunk-relative offset from; the
+	// Token Dispenser ignores it and names its lowest free token.
+	FreeVC(class int, escape bool, from int) int
+	// ClaimVC grants vc, which FreeVC offered to the class this cycle,
+	// to a new packet; the caller routes all the packet's flits onto it.
+	// Claiming a VC that is not free panics.
+	ClaimVC(class, vc int)
 	// FreeSlots returns the downstream slots currently available to
 	// new flits (summed over VCs for partitioned buffers); used by
 	// adaptive routing to score candidate outputs.
@@ -87,12 +90,40 @@ type vcLayout struct {
 	escBase, total, classes int
 }
 
+// layoutOf returns the VC ID layout of every port of the
+// configuration.
+func layoutOf(cfg *config.Config) vcLayout {
+	l := vcLayout{escBase: cfg.MaxVCs(), total: cfg.MaxVCs(), classes: cfg.VCClasses()}
+	if cfg.NeedsEscape() {
+		l.escBase -= cfg.EscapeVCs
+	}
+	return l
+}
+
+// Span returns the VC ID chunk [lo, hi) that a credit view of the
+// configuration grants a (class, escape) kind from — the chunk FreeVC's
+// offset is relative to.
+func Span(cfg *config.Config, class int, escape bool) (lo, hi int) {
+	return layoutOf(cfg).span(class, escape)
+}
+
 // span returns the class's chunk of the ID range of the chosen kind.
 func (l vcLayout) span(class int, escape bool) (lo, hi int) {
 	if escape {
 		return classSpan(l.escBase, l.total, l.classes, class)
 	}
 	return classSpan(0, l.escBase, l.classes, class)
+}
+
+// scanStart returns the VC a round-robin scan of the chunk [lo, hi)
+// starts at: the chunk-relative offset from, taken modulo the chunk
+// size, with no divide for an offset inside the chunk (an empty chunk
+// is never scanned).
+func scanStart(lo, hi, from int) int {
+	if lo+from < hi || lo == hi {
+		return lo + from
+	}
+	return lo + from%(hi-lo)
 }
 
 // kinds returns the number of (class, escape) kinds of the layout: one
@@ -165,7 +196,6 @@ type genericView struct {
 	depth   int16
 	credits []int16 // per VC; config.MaxBufferSlots bounds the depth
 	open    []bool  // a packet holds the VC and its tail has not been sent
-	rr      int     // round-robin pointer for AllocVCIn
 }
 
 func newGenericView(a *soa.Arena, vcs, depth, escape, classes int) *genericView {
@@ -214,59 +244,23 @@ func (v *genericView) grantable(vc int) bool {
 	return !v.open[vc] && v.credits[vc] == v.depth
 }
 
-func (v *genericView) HasFreeVCIn(class int, escape bool) bool {
+func (v *genericView) FreeVC(class int, escape bool, from int) int {
 	lo, hi := v.span(class, escape)
-	for vc := lo; vc < hi; vc++ {
-		if v.grantable(vc) {
-			return true
-		}
-	}
-	return false
-}
-
-func (v *genericView) AllocVCIn(class int, escape bool) (int, bool) {
-	lo, hi := v.span(class, escape)
-	n := hi - lo
-	if n <= 0 {
-		return -1, false
-	}
-	for i := 0; i < n; i++ {
-		vc := lo + (v.rr+i)%n
-		if v.grantable(vc) {
-			v.rr = (vc - lo + 1) % n
-			v.open[vc] = true
-			return vc, true
-		}
-	}
-	return -1, false
-}
-
-// GrantableVCIn returns a grantable VC of the kind within the class's
-// chunk, scanning round-robin from hint, without claiming it (generic
-// VA stage 1).
-func (v *genericView) GrantableVCIn(class int, escape bool, hint int) int {
-	lo, hi := v.span(class, escape)
-	n := hi - lo
-	if n <= 0 {
-		return -1
-	}
-	if hint < 0 {
-		hint = 0
-	}
-	for i := 0; i < n; i++ {
-		vc := lo + (hint+i)%n
+	vc := scanStart(lo, hi, from)
+	for range hi - lo {
 		if v.grantable(vc) {
 			return vc
+		}
+		if vc++; vc == hi {
+			vc = lo
 		}
 	}
 	return -1
 }
 
-// ClaimVCIn marks vc granted to a new packet (generic VA stage 2);
-// the class is implied by the VC's chunk.
-func (v *genericView) ClaimVCIn(class, vc int) {
+func (v *genericView) ClaimVC(class, vc int) {
 	if vc < 0 || vc >= len(v.open) || !v.grantable(vc) {
-		//vichar:invariant VA stage 2 claims only VCs stage 1 reported grantable within the same cycle
+		//vichar:invariant VA claims only a VC FreeVC offered within the same cycle
 		panic(fmt.Sprintf("router: claim of ungrantable vc %d", vc))
 	}
 	v.open[vc] = true
@@ -318,7 +312,6 @@ type sharedView struct {
 	resFree    []bool  // per queue: reserved slot currently empty
 	held       []int16 // per queue: flits resident downstream (at most slots)
 	open       []bool
-	rr         int
 }
 
 func newSharedView(a *soa.Arena, vcs, slots, escape, classes int) *sharedView {
@@ -381,58 +374,23 @@ func (v *sharedView) OnCredit(c flit.Credit) {
 	}
 }
 
-func (v *sharedView) HasFreeVCIn(class int, escape bool) bool {
+func (v *sharedView) FreeVC(class int, escape bool, from int) int {
 	lo, hi := v.span(class, escape)
-	for vc := lo; vc < hi; vc++ {
-		if !v.open[vc] {
-			return true
-		}
-	}
-	return false
-}
-
-func (v *sharedView) AllocVCIn(class int, escape bool) (int, bool) {
-	lo, hi := v.span(class, escape)
-	n := hi - lo
-	if n <= 0 {
-		return -1, false
-	}
-	for i := 0; i < n; i++ {
-		vc := lo + (v.rr+i)%n
-		if !v.open[vc] {
-			v.rr = (vc - lo + 1) % n
-			v.open[vc] = true
-			return vc, true
-		}
-	}
-	return -1, false
-}
-
-// GrantableVCIn returns a grantable VC of the kind within the class's
-// chunk, scanning round-robin from hint, without claiming it.
-func (v *sharedView) GrantableVCIn(class int, escape bool, hint int) int {
-	lo, hi := v.span(class, escape)
-	n := hi - lo
-	if n <= 0 {
-		return -1
-	}
-	if hint < 0 {
-		hint = 0
-	}
-	for i := 0; i < n; i++ {
-		vc := lo + (hint+i)%n
+	vc := scanStart(lo, hi, from)
+	for range hi - lo {
 		if !v.open[vc] {
 			return vc
+		}
+		if vc++; vc == hi {
+			vc = lo
 		}
 	}
 	return -1
 }
 
-// ClaimVCIn marks vc granted to a new packet; the class is implied by
-// the VC's chunk.
-func (v *sharedView) ClaimVCIn(class, vc int) {
+func (v *sharedView) ClaimVC(class, vc int) {
 	if vc < 0 || vc >= len(v.open) || v.open[vc] {
-		//vichar:invariant VA stage 2 claims only VCs stage 1 reported grantable within the same cycle
+		//vichar:invariant VA claims only a VC FreeVC offered within the same cycle
 		panic(fmt.Sprintf("router: claim of ungrantable vc %d", vc))
 	}
 	v.open[vc] = true
@@ -465,9 +423,9 @@ func (v *sharedView) OutstandingVCs() int {
 // vicharView mirrors a ViChaR input port: a shared slot pool plus the
 // Token (VC) Dispenser. This is where the paper's per-output-port UCL
 // modules live: tokens is the VC Availability Tracker, one bit per VC
-// ID (escape set included, a clear bit a token out), and AllocVCIn is
-// the Token Dispenser, granting the lowest free ID of the requesting
-// kind's span.
+// ID (escape set included, a clear bit a token out), and FreeVC plus
+// ClaimVC are the Token Dispenser, granting the lowest free ID of the
+// requesting kind's span.
 //
 // Every dispensed token carries a one-slot reservation, so an in-use
 // VC can always land at least one flit in the UBS even when the
@@ -486,7 +444,7 @@ func (v *sharedView) OutstandingVCs() int {
 // Maintained invariant for every granted VC: reservation parked OR at
 // least one flit resident. This keeps busy VCs from idling buffer
 // capacity while preserving the deadlock-freedom guarantee. Only a VC
-// whose token is out has a parked reservation (AllocVCIn parks it, the
+// whose token is out has a parked reservation (ClaimVC parks it, the
 // release credit clears it), so resFree alone answers CanSendFlit.
 // The regular and escape ID ranges are chunked per VC class, and
 // grants come from the requesting class's chunk only (vcLayout.span).
@@ -609,31 +567,28 @@ func (v *vicharView) OnCredit(c flit.Credit) {
 	}
 }
 
-func (v *vicharView) HasFreeVCIn(class int, escape bool) bool {
+// FreeVC names the kind's lowest free token while a slot is left to
+// carry its reservation.
+func (v *vicharView) FreeVC(class int, escape bool, from int) int {
 	if !v.grantSlotFree(class, escape) {
-		return false // no slot left to carry the token's reservation
+		return -1
 	}
-	return v.tokens.FreeInRange(v.span(class, escape)) > 0
+	return v.tokens.FirstInRange(v.span(class, escape))
 }
 
-// AllocVCIn grants the kind's next token and moves one slot from the
-// shared pool (or the kind's grant reserve) into the new VC's
-// reservation.
-func (v *vicharView) AllocVCIn(class int, escape bool) (int, bool) {
-	if !v.grantSlotFree(class, escape) {
-		return -1, false
-	}
-	vc := v.tokens.AcquireRange(v.span(class, escape))
-	if vc < 0 {
-		return -1, false
-	}
+// ClaimVC dispenses token vc and moves one slot from the shared pool
+// (or the kind's grant reserve) into the new VC's reservation.
+func (v *vicharView) ClaimVC(class, vc int) {
+	v.tokens.Take(vc)
 	if v.sharedFree > 0 {
 		v.sharedFree--
+	} else if k := v.kind(class, vc >= v.escBase); v.kindRes != nil && v.kindRes[k] {
+		v.kindRes[k] = false
 	} else {
-		v.kindRes[v.kind(class, escape)] = false
+		//vichar:invariant VA claims only a token FreeVC offered within the same cycle, when a slot was free for its reservation
+		panic(fmt.Sprintf("router: claim of vc %d with no slot for its reservation", vc))
 	}
 	v.resFree[vc] = true
-	return vc, true
 }
 
 func (v *vicharView) FreeSlots() int { return v.sharedFree }
@@ -697,18 +652,25 @@ func (v *sinkView) OnSend(f *flit.Flit) {
 
 func (v *sinkView) OnCredit(c flit.Credit) {}
 
-func (v *sinkView) HasFreeVCIn(class int, escape bool) bool {
-	return v.admit == nil || v.admit.Peek(class)
+// FreeVC offers VC 0 — the processing element consumes flits of any
+// number of interleaved packets — unless the admission gate refuses
+// the class this cycle.
+func (v *sinkView) FreeVC(class int, escape bool, from int) int {
+	if v.admit != nil && !v.admit.Peek(class) {
+		return -1
+	}
+	return 0
 }
 
-func (v *sinkView) AllocVCIn(class int, escape bool) (int, bool) {
+// ClaimVC reserves the admission slot FreeVC peeked.
+func (v *sinkView) ClaimVC(class, vc int) {
+	if v.FreeVC(class, false, 0) != vc {
+		//vichar:invariant VA claims only the VC FreeVC offered within the same cycle; a refused admission means the gate changed under the grant
+		panic(fmt.Sprintf("router: sink claim of vc %d refused", vc))
+	}
 	if v.admit != nil {
-		if !v.admit.Peek(class) {
-			return -1, false
-		}
 		v.admit.Admit(class)
 	}
-	return 0, true
 }
 
 func (v *sinkView) FreeSlots() int      { return 1 << 20 }
@@ -721,23 +683,6 @@ func (v *sinkView) OutstandingFlits() int { return 0 }
 func (v *sinkView) OutstandingOn(int) int { return 0 }
 
 func (v *sinkView) Holds(int) bool { return true }
-
-// GrantableVCIn offers VC 0 — the processing element consumes flits
-// of any number of interleaved packets — unless the admission gate
-// refuses the class this cycle.
-func (v *sinkView) GrantableVCIn(class int, escape bool, hint int) int {
-	if v.admit != nil && !v.admit.Peek(class) {
-		return -1
-	}
-	return 0
-}
-
-// ClaimVCIn reserves the admission slot GrantableVCIn peeked.
-func (v *sinkView) ClaimVCIn(class, vc int) {
-	if v.admit != nil {
-		v.admit.Admit(class)
-	}
-}
 
 var (
 	_ CreditView = (*genericView)(nil)

@@ -1,10 +1,12 @@
 package router
 
 import (
+	"bytes"
 	"testing"
 
 	"vichar/internal/config"
 	"vichar/internal/flit"
+	"vichar/internal/snap"
 )
 
 func headFlit(vc int) *flit.Flit {
@@ -13,6 +15,108 @@ func headFlit(vc int) *flit.Flit {
 
 func tailFlit(vc int) *flit.Flit {
 	return &flit.Flit{Pkt: &flit.Packet{Size: 4}, Type: flit.Tail, VC: vc}
+}
+
+// alloc grants a VC of the kind as the allocators do: FreeVC, then
+// ClaimVC.
+func alloc(v CreditView, class int, escape bool) (int, bool) {
+	vc := v.FreeVC(class, escape, 0)
+	if vc < 0 {
+		return -1, false
+	}
+	v.ClaimVC(class, vc)
+	return vc, true
+}
+
+// onceGate admits one packet per class, then refuses the class.
+type onceGate [2]bool
+
+func (g *onceGate) Peek(class int) bool { return !g[class] }
+func (g *onceGate) Admit(class int)     { g[class] = true }
+
+// Every credit view answers the one allocation contract the two VC
+// allocators and the NI rely on: FreeVC is a pure peek that names a VC
+// of the requested (class, escape) kind's chunk, scanning round-robin
+// from the chunk-relative offset for the fixed VC sets; ClaimVC grants
+// exactly that VC, which the view then holds and does not offer again,
+// and a second claim of it panics. Each view is drained kind by kind:
+// two classes with uneven chunks (5 regular VCs split 3/2) and an
+// escape set.
+func TestCreditViewAllocationContract(t *testing.T) {
+	gen, shared := newGenericView(nil, 7, 2, 2, 2), newSharedView(nil, 7, 10, 2, 2)
+	vic := newViCharView(nil, 6, 8, 2, 2)
+	for _, tc := range []struct {
+		name  string
+		view  CreditView
+		span  func(class int, escape bool) (lo, hi int)
+		fixed bool  // FreeVC scans round-robin from its offset
+		kinds []int // grants each (class<<1|escape) kind gets before FreeVC refuses
+	}{
+		{"generic", gen, gen.span, true, []int{3, 1, 2, 1}},
+		{"shared", shared, shared.span, true, []int{3, 1, 2, 1}},
+		// 6 slots over 4 kinds: 2 shared plus one grant reserve per kind,
+		// so class 0's regular kind takes the shared pair and its reserve,
+		// and every later kind only its reserve.
+		{"vichar", vic, vic.span, false, []int{3, 1, 1, 1}},
+		{"sink", NewSinkViewWith(&onceGate{}), func(int, bool) (int, int) { return 0, 1 }, false, []int{1, 0, 1, 0}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			v := tc.view
+			state := func() []byte {
+				data, err := snap.Save(v.State)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return data
+			}
+			for k, want := range tc.kinds {
+				class, escape := k>>1, k&1 == 1
+				lo, hi := tc.span(class, escape)
+				for n := 0; ; n++ {
+					before := state()
+					vc := v.FreeVC(class, escape, 0)
+					for from := 0; from < 8; from++ {
+						got := v.FreeVC(class, escape, from)
+						if !tc.fixed && got != vc {
+							t.Fatalf("kind %d: FreeVC from %d = %d, from 0 = %d; only fixed VC sets honor the offset", k, from, got, vc)
+						}
+						if tc.fixed && n == 0 && got != lo+from%(hi-lo) {
+							t.Fatalf("kind %d: fresh FreeVC from %d = %d, want %d", k, from, got, lo+from%(hi-lo))
+						}
+					}
+					if again := v.FreeVC(class, escape, 0); again != vc || !bytes.Equal(state(), before) {
+						t.Fatalf("kind %d: FreeVC is not a pure peek (%d then %d)", k, vc, again)
+					}
+					if vc < 0 {
+						if n != want {
+							t.Fatalf("kind %d: %d grants before FreeVC refused, want %d", k, n, want)
+						}
+						break
+					}
+					if vc < lo || vc >= hi {
+						t.Fatalf("kind %d: FreeVC offered vc %d outside its chunk [%d, %d)", k, vc, lo, hi)
+					}
+					v.ClaimVC(class, vc)
+					if !v.Holds(vc) {
+						t.Fatalf("kind %d: claimed vc %d not held", k, vc)
+					}
+					for from := 0; from < 8; from++ {
+						if got := v.FreeVC(class, escape, from); got == vc {
+							t.Fatalf("kind %d: claimed vc %d offered again from %d", k, vc, from)
+						}
+					}
+					func() {
+						defer func() {
+							if recover() == nil {
+								t.Fatalf("kind %d: second claim of vc %d did not panic", k, vc)
+							}
+						}()
+						v.ClaimVC(class, vc)
+					}()
+				}
+			}
+		})
+	}
 }
 
 func TestNewCreditViewDispatch(t *testing.T) {
@@ -43,7 +147,7 @@ func TestGenericViewCreditAccounting(t *testing.T) {
 	if v.FreeSlots() != 6 {
 		t.Fatalf("fresh free slots %d", v.FreeSlots())
 	}
-	vc, ok := v.AllocVCIn(0, false)
+	vc, ok := alloc(v, 0, false)
 	if !ok {
 		t.Fatal("alloc failed on fresh view")
 	}
@@ -68,18 +172,18 @@ func TestGenericViewCreditAccounting(t *testing.T) {
 
 func TestGenericViewAtomicAllocation(t *testing.T) {
 	v := newGenericView(nil, 1, 4, 0, 1)
-	vc, ok := v.AllocVCIn(0, false)
+	vc, ok := alloc(v, 0, false)
 	if !ok || vc != 0 {
 		t.Fatalf("alloc got %d/%v", vc, ok)
 	}
 	v.OnSend(headFlit(0))
 	v.OnSend(tailFlit(0)) // tail sent: VC closed but 2 flits downstream
-	if _, ok := v.AllocVCIn(0, false); ok {
+	if _, ok := alloc(v, 0, false); ok {
 		t.Fatal("atomic view re-allocated a non-drained VC")
 	}
 	v.OnCredit(flit.Credit{VC: 0})
 	v.OnCredit(flit.Credit{VC: 0, ReleaseVC: true})
-	if _, ok := v.AllocVCIn(0, false); !ok {
+	if _, ok := alloc(v, 0, false); !ok {
 		t.Fatal("atomic view refused a fully drained VC")
 	}
 }
@@ -88,18 +192,18 @@ func TestGenericViewEscapePartition(t *testing.T) {
 	v := newGenericView(nil, 4, 2, 1, 1)
 	// Normal allocations never touch the escape VC (id 3).
 	for i := 0; i < 3; i++ {
-		vc, ok := v.AllocVCIn(0, false)
+		vc, ok := alloc(v, 0, false)
 		if !ok || vc == 3 {
 			t.Fatalf("normal alloc %d got %d/%v", i, vc, ok)
 		}
 	}
-	if _, ok := v.AllocVCIn(0, false); ok {
+	if _, ok := alloc(v, 0, false); ok {
 		t.Fatal("normal class exhausted but alloc succeeded")
 	}
-	if !v.HasFreeVCIn(0, true) {
+	if v.FreeVC(0, true, 0) < 0 {
 		t.Fatal("escape VC should be free")
 	}
-	vc, ok := v.AllocVCIn(0, true)
+	vc, ok := alloc(v, 0, true)
 	if !ok || vc != 3 {
 		t.Fatalf("escape alloc got %d/%v", vc, ok)
 	}
@@ -107,12 +211,12 @@ func TestGenericViewEscapePartition(t *testing.T) {
 
 func TestGenericViewGrantableClaim(t *testing.T) {
 	v := newGenericView(nil, 4, 2, 0, 1)
-	g := v.GrantableVCIn(0, false, 2)
+	g := v.FreeVC(0, false, 2)
 	if g != 2 {
-		t.Fatalf("hint ignored: got %d", g)
+		t.Fatalf("offset ignored: got %d", g)
 	}
-	v.ClaimVCIn(0, 2)
-	if v.GrantableVCIn(0, false, 2) == 2 {
+	v.ClaimVC(0, 2)
+	if v.FreeVC(0, false, 2) == 2 {
 		t.Fatal("claimed VC still grantable")
 	}
 	defer func() {
@@ -120,7 +224,7 @@ func TestGenericViewGrantableClaim(t *testing.T) {
 			t.Fatal("double claim did not panic")
 		}
 	}()
-	v.ClaimVCIn(0, 2)
+	v.ClaimVC(0, 2)
 }
 
 func TestGenericViewPanics(t *testing.T) {
@@ -134,7 +238,7 @@ func TestGenericViewPanics(t *testing.T) {
 		}},
 		{"credit unknown vc", func(v *genericView) { v.OnCredit(flit.Credit{VC: 9}) }},
 		{"credit overflow", func(v *genericView) { v.OnCredit(flit.Credit{VC: 1}) }},
-		{"claim out of range", func(v *genericView) { v.ClaimVCIn(0, 7) }},
+		{"claim out of range", func(v *genericView) { v.ClaimVC(0, 7) }},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -155,7 +259,7 @@ func TestSharedViewPoolAccounting(t *testing.T) {
 	if v.FreeSlots() != 2 {
 		t.Fatalf("fresh shared slots %d, want 2", v.FreeSlots())
 	}
-	vc, _ := v.AllocVCIn(0, false)
+	vc, _ := alloc(v, 0, false)
 	// The queue can absorb the shared pool plus its own reservation.
 	for i := 0; i < 3; i++ {
 		if !v.CanSendFlit(vc) {
@@ -206,19 +310,19 @@ func TestSharedViewReservationGuarantee(t *testing.T) {
 
 func TestSharedViewVCLifecycle(t *testing.T) {
 	v := newSharedView(nil, 2, 8, 0, 1)
-	a, _ := v.AllocVCIn(0, false)
-	b, ok := v.AllocVCIn(0, false)
+	a, _ := alloc(v, 0, false)
+	b, ok := alloc(v, 0, false)
 	if !ok || a == b {
 		t.Fatalf("allocs %d %d", a, b)
 	}
 	if v.OutstandingVCs() != 2 {
 		t.Fatal("outstanding count wrong")
 	}
-	if _, ok := v.AllocVCIn(0, false); ok {
+	if _, ok := alloc(v, 0, false); ok {
 		t.Fatal("over-allocated fixed VCs")
 	}
 	v.OnSend(tailFlit(a)) // tail closes the VC for new packets
-	if _, ok := v.AllocVCIn(0, false); !ok {
+	if _, ok := alloc(v, 0, false); !ok {
 		t.Fatal("closed VC not re-allocatable (non-atomic queueing)")
 	}
 }
@@ -232,13 +336,13 @@ func TestViCharViewTokenFlow(t *testing.T) {
 	// paper's Figure 5 extreme of vk single-slot VCs.
 	seen := map[int]bool{}
 	for i := 0; i < 16; i++ {
-		vc, ok := v.AllocVCIn(0, false)
+		vc, ok := alloc(v, 0, false)
 		if !ok || seen[vc] {
 			t.Fatalf("token %d: %d/%v", i, vc, ok)
 		}
 		seen[vc] = true
 	}
-	if _, ok := v.AllocVCIn(0, false); ok {
+	if _, ok := alloc(v, 0, false); ok {
 		t.Fatal("17th token granted")
 	}
 	if v.OutstandingVCs() != 16 {
@@ -259,10 +363,10 @@ func TestViCharViewTokenFlow(t *testing.T) {
 	}
 	// A tail departure returns the flit's slot and the token.
 	v.OnCredit(flit.Credit{VC: 5, ReleaseVC: true})
-	if v.FreeSlots() != 1 || !v.HasFreeVCIn(0, false) {
+	if v.FreeSlots() != 1 || v.FreeVC(0, false, 0) < 0 {
 		t.Fatalf("release credit not applied: free=%d", v.FreeSlots())
 	}
-	if vc, ok := v.AllocVCIn(0, false); !ok || vc != 5 {
+	if vc, ok := alloc(v, 0, false); !ok || vc != 5 {
 		t.Fatalf("released token not re-dispensed: %d/%v", vc, ok)
 	}
 }
@@ -271,8 +375,8 @@ func TestViCharViewTokenFlow(t *testing.T) {
 // reservation with departures even when the shared pool is empty.
 func TestViCharViewReservationCycling(t *testing.T) {
 	v := newViCharView(nil, 2, 2, 0, 1)
-	a, ok := v.AllocVCIn(0, false)
-	b, ok2 := v.AllocVCIn(0, false)
+	a, ok := alloc(v, 0, false)
+	b, ok2 := alloc(v, 0, false)
 	if !ok || !ok2 {
 		t.Fatal("setup allocs failed")
 	}
@@ -299,29 +403,29 @@ func TestViCharViewReservationCycling(t *testing.T) {
 
 func TestViCharViewEscapeTokens(t *testing.T) {
 	v := newViCharView(nil, 8, 8, 2, 1)
-	if v.HasFreeVCIn(0, true) != true {
+	if v.FreeVC(0, true, 0) < 0 {
 		t.Fatal("escape tokens missing")
 	}
 	// The escape set is the highest IDs, dispensed lowest first.
-	if e, ok := v.AllocVCIn(0, true); !ok || e != 6 {
+	if e, ok := alloc(v, 0, true); !ok || e != 6 {
 		t.Fatalf("escape token %d/%v, want 6", e, ok)
 	}
 	// Normal tokens unaffected, and never from the escape span.
 	for i := 0; i < 6; i++ {
-		if vc, ok := v.AllocVCIn(0, false); !ok || vc != i {
+		if vc, ok := alloc(v, 0, false); !ok || vc != i {
 			t.Fatalf("normal token %d: %d/%v", i, vc, ok)
 		}
 	}
-	if _, ok := v.AllocVCIn(0, false); ok {
+	if _, ok := alloc(v, 0, false); ok {
 		t.Fatal("normal pool should be empty")
 	}
 	if !v.Holds(6) || v.Holds(7) || v.OutstandingVCs() != 7 {
 		t.Fatalf("token record: holds(6)=%v holds(7)=%v out=%d", v.Holds(6), v.Holds(7), v.OutstandingVCs())
 	}
 	// Without an escape set no escape token exists.
-	if n := newViCharView(nil, 4, 4, 0, 1); n.HasFreeVCIn(0, true) {
+	if n := newViCharView(nil, 4, 4, 0, 1); n.FreeVC(0, true, 0) >= 0 {
 		t.Fatal("phantom escape tokens")
-	} else if _, ok := n.AllocVCIn(0, true); ok {
+	} else if _, ok := alloc(n, 0, true); ok {
 		t.Fatal("escape grant without an escape set")
 	}
 }
@@ -350,10 +454,10 @@ func TestViCharViewPanics(t *testing.T) {
 
 func TestSinkViewAlwaysAvailable(t *testing.T) {
 	v := NewSinkView()
-	if !v.CanSendFlit(3) || !v.HasFreeVCIn(0, false) || !v.HasFreeVCIn(0, true) {
+	if !v.CanSendFlit(3) || v.FreeVC(0, false, 0) != 0 || v.FreeVC(0, true, 0) != 0 {
 		t.Fatal("sink refused")
 	}
-	vc, ok := v.AllocVCIn(0, false)
+	vc, ok := alloc(v, 0, false)
 	if !ok || vc != 0 {
 		t.Fatalf("sink alloc %d/%v", vc, ok)
 	}
@@ -372,21 +476,21 @@ func TestSinkViewAlwaysAvailable(t *testing.T) {
 
 func TestSharedViewGrantableClaim(t *testing.T) {
 	v := newSharedView(nil, 4, 8, 1, 1) // queue 3 is the escape class
-	// Normal class scans 0..2 from the hint.
-	if got := v.GrantableVCIn(0, false, 2); got != 2 {
-		t.Fatalf("hint ignored: %d", got)
+	// Normal class scans 0..2 from the offset.
+	if got := v.FreeVC(0, false, 2); got != 2 {
+		t.Fatalf("offset ignored: %d", got)
 	}
-	v.ClaimVCIn(0, 2)
-	if got := v.GrantableVCIn(0, false, 2); got == 2 {
+	v.ClaimVC(0, 2)
+	if got := v.FreeVC(0, false, 2); got == 2 {
 		t.Fatal("claimed queue still grantable")
 	}
 	// Escape class only offers queue 3.
-	if got := v.GrantableVCIn(0, true, 0); got != 3 {
+	if got := v.FreeVC(0, true, 0); got != 3 {
 		t.Fatalf("escape grantable %d, want 3", got)
 	}
-	v.ClaimVCIn(0, 0)
-	v.ClaimVCIn(0, 1)
-	if got := v.GrantableVCIn(0, false, 0); got != -1 {
+	v.ClaimVC(0, 0)
+	v.ClaimVC(0, 1)
+	if got := v.FreeVC(0, false, 0); got != -1 {
 		t.Fatalf("exhausted class still grants %d", got)
 	}
 	defer func() {
@@ -394,7 +498,7 @@ func TestSharedViewGrantableClaim(t *testing.T) {
 			t.Fatal("double claim did not panic")
 		}
 	}()
-	v.ClaimVCIn(0, 1)
+	v.ClaimVC(0, 1)
 }
 
 func TestSharedViewOutstanding(t *testing.T) {
@@ -402,8 +506,8 @@ func TestSharedViewOutstanding(t *testing.T) {
 	if v.OutstandingVCs() != 0 {
 		t.Fatal("fresh outstanding nonzero")
 	}
-	v.ClaimVCIn(0, 0)
-	v.ClaimVCIn(0, 2)
+	v.ClaimVC(0, 0)
+	v.ClaimVC(0, 2)
 	if v.OutstandingVCs() != 2 {
 		t.Fatalf("outstanding %d, want 2", v.OutstandingVCs())
 	}

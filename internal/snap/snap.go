@@ -58,7 +58,10 @@ const (
 	// drops the ViChaR view's per-VC granted flags and its dispenser
 	// section (the token bitmap is one tracker over every VC ID); and
 	// drops the configuration's AtomicVCAlloc key.
-	Version = 7
+	// Version 8 moves the fixed organizations' VC allocation pointer
+	// from their credit views (genview, sharedview), where only the
+	// network interface advanced it, into the NI section.
+	Version = 8
 )
 
 var le = binary.LittleEndian

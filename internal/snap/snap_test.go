@@ -144,7 +144,7 @@ func TestEveryByteMutationRejectedOrDetected(t *testing.T) {
 // envelope (magic, checksum) but a layout this codec would misparse;
 // Open must refuse it by version, naming both.
 func TestVersion3Rejected(t *testing.T) {
-	for _, v := range []uint32{0, 1, 2, 3, 5, 6, 8} {
+	for _, v := range []uint32{0, 1, 2, 3, 5, 6, 7, 9} {
 		data := sealed(t, func(*Codec) {})
 		le.PutUint32(data[len(magic):], v)
 		_, err := Open(reseal(data))
