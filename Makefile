@@ -77,15 +77,21 @@ bench-ab:
 	$(GO) run ./bench -out .bench_build/ab-head.json
 	$(GO) run ./bench -compare .bench_build/ab-ref.json .bench_build/ab-head.json
 
-# CPU profile of the saturated single-threaded ViChaR cell of
-# BenchmarkKernel; prints the top-10 flat and cumulative reports. The
-# binary and the raw profile stay under the ignored .bench_build/.
+# CPU profiles of two single-threaded ViChaR cells of BenchmarkKernel:
+# saturated (router VA/SA work dominates) and idle (rate 0.05: most
+# routers sleep, and what a cycle touches around them shows). Prints
+# the top-10 flat and cumulative reports of each. The binary and the
+# raw profiles stay under the ignored .bench_build/.
 profile:
 	mkdir -p .bench_build
 	$(GO) test . -run '^$$' -bench 'BenchmarkKernel/ViC/rate=0.40/workers=1$$' \
 		-benchtime 20x -cpuprofile .bench_build/kernel.prof -o .bench_build/kernel.test
 	$(GO) tool pprof -top -nodecount=10 .bench_build/kernel.test .bench_build/kernel.prof
 	$(GO) tool pprof -top -cum -nodecount=10 .bench_build/kernel.test .bench_build/kernel.prof
+	$(GO) test . -run '^$$' -bench 'BenchmarkKernel/ViC/rate=0.05/workers=1$$' \
+		-benchtime 100x -cpuprofile .bench_build/kernel-idle.prof -o .bench_build/kernel.test
+	$(GO) tool pprof -top -nodecount=10 .bench_build/kernel.test .bench_build/kernel-idle.prof
+	$(GO) tool pprof -top -cum -nodecount=10 .bench_build/kernel.test .bench_build/kernel-idle.prof
 
 # Regenerate every figure/table at quick scale into results/.
 experiments:

@@ -374,10 +374,20 @@ const (
 	kernelIdleRate      = 0.05
 )
 
-// kernelMeshDims are the big-mesh scaling cells run on the ViChaR
-// configuration in addition to the paper's 8x8 platform; 32x32 is the
-// one size no BENCHMARK.json workload reaches.
-var kernelMeshDims = []int{16, 32}
+// kernelEqualLoad are the mesh-scaling cells, run on the ViChaR
+// configuration at Workers 1 and 2: each rate is about 40 % of the
+// uniform-random bisection bound 4/k of its k x k mesh, so a
+// router-cycle carries comparable work at every size and the cost per
+// router-cycle shows where the working set leaves the cache. 32x32 is
+// the one size no BENCHMARK.json workload reaches.
+var kernelEqualLoad = []struct {
+	Dim  int
+	Rate float64
+}{{8, 0.20}, {16, 0.10}, {32, 0.05}}
+
+// kernelWarmupCycles are stepped before an equal-load cell's clock
+// starts, so the timed cycles see a loaded network.
+const kernelWarmupCycles = 1_000
 
 // kernelBenchConfig is the kernel benchmark platform: a dim x dim
 // mesh (the paper's 8x8 for the main sweep) at the given injection
@@ -437,13 +447,16 @@ func kernelSweepCells() []kernelCell {
 	return append(cells, kernelCell{kernelMidRate, 1}, kernelCell{kernelIdleRate, 1})
 }
 
-// BenchmarkKernel measures the two-phase cycle kernel across all four
-// buffer architectures, the saturated/idle rate pair, and worker
-// counts 1/2/max. The per-iteration work is identical at every worker
-// count (results are bit-identical by the kernel's determinism
-// contract), so ns/op ratios are pure speedup. It is an ordinary Go
-// benchmark for use while working (`make profile` samples one cell);
-// the judged benchmark is BENCHMARK.json (`go run ./bench`).
+// BenchmarkKernel measures the two-phase cycle kernel: all four buffer
+// architectures at the saturated rate across worker counts 1/2/max and
+// at the mid-load and idle rates single-threaded, each op one complete
+// run, and the equal-load mesh-scaling cells (kernelEqualLoad), each
+// op one Step after warm-up, reported as ns per router-cycle. The work
+// is identical at every worker count (results are bit-identical by the
+// kernel's determinism contract), so time ratios are pure speedup. It
+// is an ordinary Go benchmark for use while working (`make profile`
+// samples two cells); the judged benchmark is BENCHMARK.json
+// (`go run ./bench`).
 func BenchmarkKernel(b *testing.B) {
 	runCell := func(b *testing.B, cfg vichar.Config) {
 		var cycles int64
@@ -465,14 +478,30 @@ func BenchmarkKernel(b *testing.B) {
 			})
 		}
 	}
-	// Big-mesh scaling cells: the ViChaR router at saturation on
-	// 16x16 and 32x32 meshes, single-threaded. These also exercise
-	// the route-memoization tables at their largest footprints.
-	for _, dim := range kernelMeshDims {
-		cfg := kernelBenchConfig(vichar.ViChaR, dim, kernelSaturatedRate, 1)
-		b.Run(fmt.Sprintf("%s/mesh=%dx%d/rate=%.2f/workers=1", vichar.ViChaR, dim, dim, kernelSaturatedRate), func(b *testing.B) {
-			runCell(b, cfg)
-		})
+	// Mesh-scaling cells: a fixed number of Steps (b.N, so
+	// -benchtime Nx fixes it) after kernelWarmupCycles untimed ones.
+	// They also exercise the route-memoization tables at their largest
+	// footprints.
+	for _, pt := range kernelEqualLoad {
+		for _, workers := range []int{1, 2} {
+			cfg := kernelBenchConfig(vichar.ViChaR, pt.Dim, pt.Rate, workers)
+			b.Run(fmt.Sprintf("%s/mesh=%dx%d/rate=%.2f/workers=%d", vichar.ViChaR, pt.Dim, pt.Dim, pt.Rate, workers), func(b *testing.B) {
+				s, err := vichar.NewSimulator(cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer s.Close()
+				for i := 0; i < kernelWarmupCycles; i++ {
+					s.Step()
+				}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					s.Step()
+				}
+				b.StopTimer()
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*cfg.Nodes()), "ns/router-cycle")
+			})
+		}
 	}
 }
 

@@ -3,11 +3,13 @@ package network
 import (
 	"reflect"
 	"runtime"
+	"sort"
 	"testing"
 
 	"vichar/internal/config"
 	"vichar/internal/metrics"
 	"vichar/internal/stats"
+	"vichar/internal/trace"
 )
 
 // TestDeterministicCountersAndLatencies is the determinism contract's
@@ -173,6 +175,87 @@ func TestWorkersBitIdentical(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestWorkersEjectionOrderAcrossShards pins the serial commit order of
+// the per-shard ejection lists: tails that reach their destinations in
+// the same cycle, at nodes owned by different shards, must commit in
+// ascending node order whatever the worker count. A 4x4 mesh replays
+// eight trace-scheduled packets along disjoint row paths — node 4y to
+// 4y+3 eastward and back westward — each created size cycles before a
+// common tail cycle, so every tail ejects in the same cycle at nodes
+// 0, 3, 4, ..., 15, which Workers 2, 3 and 4 split across two to four
+// shards. Packet sizes differ, so the per-packet latencies (ejection
+// order) spell out the commit order, and Results and Latencies() must
+// be identical under Workers 1-4.
+func TestWorkersEjectionOrderAcrossShards(t *testing.T) {
+	const w, tailBase = 4, 40
+	// size by destination node: distinct, and not monotone in the node
+	// id, so a commit in any other order changes the latency sequence.
+	size := map[int]int{0: 5, 3: 2, 4: 8, 7: 1, 8: 4, 11: 7, 12: 3, 15: 6}
+	var entries []trace.Entry
+	for y := 0; y < w; y++ {
+		west, east := y*w, y*w+w-1
+		entries = append(entries,
+			trace.Entry{Cycle: tailBase - int64(size[east]), Src: west, Dst: east, Size: size[east]},
+			trace.Entry{Cycle: tailBase - int64(size[west]), Src: east, Dst: west, Size: size[west]})
+	}
+	sort.SliceStable(entries, func(i, j int) bool { return entries[i].Cycle < entries[j].Cycle })
+	dsts := []int{0, 3, 4, 7, 8, 11, 12, 15}
+
+	run := func(workers int) (stats.Results, []int64) {
+		cfg := config.Default()
+		cfg.Width, cfg.Height = w, w
+		cfg.Arch = config.ViChaR
+		cfg.InjectionRate = 0
+		cfg.WarmupPackets = 0
+		cfg.MeasurePackets = len(entries)
+		cfg.MaxCycles = 2_000
+		cfg.Audit = true
+		cfg.Workers = workers
+		n := New(&cfg)
+		defer n.Close()
+		if err := n.ScheduleTrace(entries); err != nil {
+			t.Fatal(err)
+		}
+		shards := map[int]bool{}
+		for s := 0; s < n.shardCount; s++ {
+			lo, hi := n.shardBounds(s)
+			for _, d := range dsts {
+				if lo <= d && d < hi {
+					shards[s] = true
+				}
+			}
+		}
+		if workers > 1 && len(shards) < 2 {
+			t.Fatalf("Workers=%d: the destinations fall in %d shard(s), want several", workers, len(shards))
+		}
+		res := n.Run()
+		return res, n.Collector().Latencies()
+	}
+
+	serialRes, serialLat := run(1)
+	if len(serialLat) != len(dsts) {
+		t.Fatalf("measured %d packets, want %d", len(serialLat), len(dsts))
+	}
+	// Latency is the common tail-to-creation distance plus the size, so
+	// latency - size is one constant iff every tail ejected in the same
+	// cycle, and the sequence matches dsts iff they committed in
+	// ascending node order.
+	for i, d := range dsts {
+		if got, want := serialLat[i]-int64(size[d]), serialLat[0]-int64(size[dsts[0]]); got != want {
+			t.Fatalf("serial latencies %v: packet %d (to node %d) is not a same-cycle tail in ascending node order", serialLat, i, d)
+		}
+	}
+	for workers := 2; workers <= 4; workers++ {
+		res, lat := run(workers)
+		if !reflect.DeepEqual(serialRes, res) {
+			t.Fatalf("Workers=1 vs Workers=%d diverged in results:\n%+v\n%+v", workers, serialRes, res)
+		}
+		if !reflect.DeepEqual(serialLat, lat) {
+			t.Fatalf("Workers=1 vs Workers=%d diverged in ejection order: latencies %v vs %v", workers, serialLat, lat)
+		}
 	}
 }
 

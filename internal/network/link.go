@@ -59,8 +59,9 @@ type flitLink struct {
 	// Delivery target, encoded as plain fields instead of a per-link
 	// closure so the deliver phase's hottest call is a direct method
 	// invocation on stable memory. Exactly one shape is wired per link:
-	// an ejection link stages into *eject; every other link hands the
-	// flit to dst.ReceiveFlit(inPort, ...); an inter-router link also
+	// an ejection link stages into *eject, the ejection list of its node's
+	// (owner's) shard; every other link hands the flit to
+	// dst.ReceiveFlit(inPort, ...); an inter-router link also
 	// bumps *count (the network's per-link flit counter) and stages the
 	// arrival on rec, the receiving router's event recorder (nil unless
 	// tracing).
@@ -68,15 +69,15 @@ type flitLink struct {
 	inPort int
 	count  *uint64
 	rec    *metrics.Recorder
-	eject  *[]*flit.Flit
+	eject  *[]ejection
 
 	// Active-router worklist wiring (DESIGN.md §10): owner is the
 	// router whose deliver-phase plan ticks this link, and tag names
 	// the link's bit in the owner's deliverLinks mask (linkTag); wake
-	// points at the WRITER router's wake buffer (Network.wakes[writer]).
+	// points at the wake list of the WRITER router's shard (shardLists).
 	// A send that makes an empty link non-empty appends tag there; the
 	// serial merge after the compute barrier sets the link's bit again.
-	// Only the writer's shard touches the buffer, so the edge-triggered
+	// Only the writer's shard touches the list, so the edge-triggered
 	// append is race-free at any worker count.
 	owner int
 	tag   int
@@ -91,7 +92,7 @@ type flitLink struct {
 // SendFlit enqueues f for delivery delay cycles from now.
 func (l *flitLink) SendFlit(f *flit.Flit, now int64) {
 	if l.q.len() == 0 && l.wake != nil {
-		//vichar:alloc edge-triggered wake: at most one append per empty->non-empty transition, into a per-writer buffer reset each cycle
+		//vichar:alloc edge-triggered wake: at most one append per empty->non-empty transition, into the writer shard's list reset each cycle
 		*l.wake = append(*l.wake, l.tag)
 	}
 	l.q.push(timedFlit{f: f, at: now + l.delay})
@@ -113,8 +114,8 @@ func (l *flitLink) pending() bool {
 // field comment on flitLink).
 func (l *flitLink) deliverFlit(f *flit.Flit, now int64) {
 	if l.eject != nil {
-		//vichar:alloc staging slice is reset to length 0 each commit, so its capacity reaches the per-cycle ejection peak and stays there
-		*l.eject = append(*l.eject, f)
+		//vichar:alloc the shard's staging list is reset to length 0 each commit, so its capacity reaches the per-cycle ejection peak and stays there
+		*l.eject = append(*l.eject, ejection{f: f, node: l.owner})
 		return
 	}
 	if l.count != nil {
@@ -185,7 +186,7 @@ type creditLink struct {
 // SendCredit enqueues c for delivery delay cycles from now.
 func (l *creditLink) SendCredit(c flit.Credit, now int64) {
 	if l.q.len() == 0 && l.wake != nil {
-		//vichar:alloc edge-triggered wake: at most one append per empty->non-empty transition, into a per-writer buffer reset each cycle
+		//vichar:alloc edge-triggered wake: at most one append per empty->non-empty transition, into the writer shard's list reset each cycle
 		*l.wake = append(*l.wake, l.tag)
 	}
 	l.q.push(timedCredit{c: c, at: now + l.delay})

@@ -50,7 +50,7 @@ type Network struct {
 	// creditSlab range are router id's deliver-phase plan — every link
 	// whose delivery mutates state owned by that router: flit links
 	// feeding its input buffers, the ejection link of its processing
-	// element (staged, see pendingEject), and credit links feeding its
+	// element (staged, see lists), and credit links feeding its
 	// output views or its network interface's view. One link appears in
 	// exactly one router's range, which is what makes the deliver phase
 	// shardable by router ID (shards own contiguous ID ranges,
@@ -62,11 +62,10 @@ type Network struct {
 	flitOff    []int32
 	creditOff  []int32
 
-	// pendingEject[id] stages flits delivered to node id's processing
-	// element during the sharded deliver phase; the serial commit
-	// sub-phase ejects them in ascending node order, which matches the
-	// serial kernel's ejection-link order exactly.
-	pendingEject [][]*flit.Flit
+	// lists[s] is shard s's mid-cycle staging (shardLists): its staged
+	// ejections and its routers' wake tags, drained by Step's serial
+	// phases.
+	lists []shardLists
 
 	// Active-router worklist (DESIGN.md §10). computeActive[id] marks
 	// routers the compute phase must tick; it is cleared by the
@@ -77,16 +76,15 @@ type Network struct {
 	// links in the low 16 bits and credit links in the high 16, each in
 	// slab order; a router with no bit set sleeps in the deliver phase.
 	// The owning shard clears a link's bit once the link has drained,
-	// and sends re-arm it through wakes: wakes[w] holds the tags
-	// (linkTag) of links router w's shard made non-empty during its
-	// compute, drained serially after the compute barrier, so
-	// activation is deterministic (a pure OR over an order-free set)
-	// and race-free at any worker count. Skipped links and routers are
-	// exact no-ops, so results stay bit-identical to the always-tick
-	// kernel.
+	// and sends re-arm it through the writer's shard list: its wakes
+	// hold the tags (linkTag) of links the shard's routers made
+	// non-empty during compute, drained serially after the compute
+	// barrier, so activation is deterministic (a pure OR over an
+	// order-free set) and race-free at any worker count. Skipped links
+	// and routers are exact no-ops, so results stay bit-identical to the
+	// always-tick kernel.
 	computeActive []bool
 	deliverLinks  []uint32
-	wakes         [][]int
 
 	// wlStats tallies worklist effectiveness per shard: each slot is
 	// padded to its own cache line and written once per shard call, by
@@ -200,13 +198,12 @@ func New(cfg *config.Config) *Network {
 	mesh := topology.New(cfg.Width, cfg.Height)
 	mesh.Torus = cfg.Torus
 	n := &Network{
-		cfg:          cfg,
-		mesh:         mesh,
-		routers:      make([]*router.Router, mesh.Nodes()),
-		nis:          make([]*ni, mesh.Nodes()),
-		pendingEject: make([][]*flit.Flit, mesh.Nodes()),
-		collector:    stats.NewCollector(cfg.WarmupPackets, cfg.MeasurePackets, mesh.Nodes()),
-		wd:           watchdog{window: wedgeWindow(cfg)},
+		cfg:       cfg,
+		mesh:      mesh,
+		routers:   make([]*router.Router, mesh.Nodes()),
+		nis:       make([]*ni, mesh.Nodes()),
+		collector: stats.NewCollector(cfg.WarmupPackets, cfg.MeasurePackets, mesh.Nodes()),
+		wd:        watchdog{window: wedgeWindow(cfg)},
 	}
 	n.shardCount = cfg.Workers
 	if n.shardCount < 1 {
@@ -219,7 +216,7 @@ func New(cfg *config.Config) *Network {
 	n.auditErrs = make([]error, n.shardCount)
 	n.computeActive = make([]bool, mesh.Nodes())
 	n.deliverLinks = make([]uint32, mesh.Nodes())
-	n.wakes = make([][]int, mesh.Nodes())
+	n.lists = make([]shardLists, n.shardCount)
 	n.wlStats = make([]shardTally, n.shardCount)
 	for id := range n.computeActive {
 		n.computeActive[id] = true
@@ -316,6 +313,15 @@ func New(cfg *config.Config) *Network {
 	cCur := make([]int32, nodes)
 	copy(fCur, n.flitOff)
 	copy(cCur, n.creditOff)
+	// lists[shard[id]] is the staging of the shard that owns router id:
+	// a link's wake tag goes to its writer's, an ejection to its node's.
+	shard := make([]*shardLists, nodes)
+	for s := range n.lists {
+		lo, hi := n.shardBounds(s)
+		for id := lo; id < hi; id++ {
+			shard[id] = &n.lists[s]
+		}
+	}
 	takeFlitLink := func(l flitLink) *flitLink {
 		i := fCur[l.owner]
 		if i == n.flitOff[l.owner+1] {
@@ -365,7 +371,7 @@ func New(cfg *config.Config) *Network {
 			// Worklist: router id's compute writes this link; router
 			// nb's deliver drains it.
 			fl := takeFlitLink(flitLink{
-				delay: router.FlitDelay, q: flitRing(interCap), owner: nb, wake: &n.wakes[id],
+				delay: router.FlitDelay, q: flitRing(interCap), owner: nb, wake: &shard[id].wakes,
 				dst: dst, inPort: inPort, count: &n.linkFlits[linkIdx],
 				rec: n.obs.recorder(1 + nb),
 			})
@@ -378,7 +384,7 @@ func New(cfg *config.Config) *Network {
 			// view, so the reverse channel belongs to the upstream
 			// router's plan; the downstream router nb writes it.
 			cl := takeCreditLink(creditLink{
-				delay: router.CreditDelay, q: creditRing(), owner: id, wake: &n.wakes[nb],
+				delay: router.CreditDelay, q: creditRing(), owner: id, wake: &shard[nb].wakes,
 				dst: r, outPort: port,
 			})
 
@@ -408,8 +414,8 @@ func New(cfg *config.Config) *Network {
 		// ascending node order. A responder node's finite service
 		// queue gates its sink's ejection grants.
 		ej := takeFlitLink(flitLink{
-			delay: router.FlitDelay, q: flitRing(ejectCap), owner: id, wake: &n.wakes[id],
-			eject: &n.pendingEject[id],
+			delay: router.FlitDelay, q: flitRing(ejectCap), owner: id, wake: &shard[id].wakes,
+			eject: &shard[id].ejects,
 		})
 		sink := router.NewSinkView()
 		if n.txn != nil {
@@ -432,13 +438,13 @@ func New(cfg *config.Config) *Network {
 			s.streams[c].lo, s.streams[c].n = lo, hi-lo
 		}
 		inj := takeFlitLink(flitLink{
-			delay: 1, q: flitRing(injectCap), owner: id, wake: &n.wakes[id],
+			delay: 1, q: flitRing(injectCap), owner: id, wake: &shard[id].wakes,
 			dst: r, inPort: topology.Local,
 		})
 		s.link = inj
 
 		cl := takeCreditLink(creditLink{
-			delay: router.CreditDelay, q: creditRing(), owner: id, wake: &n.wakes[id],
+			delay: router.CreditDelay, q: creditRing(), owner: id, wake: &shard[id].wakes,
 			view: s.view,
 		})
 		r.ConnectInputCredit(topology.Local, cl)

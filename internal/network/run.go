@@ -282,6 +282,25 @@ type shardTally struct {
 	_ [cacheLine - 32]byte
 }
 
+// shardLists is one shard's mid-cycle staging alone on its cache line:
+// ejects, the flits its deliver pass handed to its nodes' processing
+// elements (ascending node order, as the pass visits its routers), and
+// wakes, the tags (linkTag) of links its routers' sends made non-empty
+// during compute. Step drains both serially and resets them to length
+// zero, so a save between Steps finds them empty.
+type shardLists struct {
+	ejects []ejection
+	wakes  []int
+	_      [cacheLine - 48]byte
+}
+
+// ejection is a flit delivered to node's processing element, staged
+// for the serial commit.
+type ejection struct {
+	f    *flit.Flit
+	node int
+}
+
 // WorklistStats sums the per-shard worklist tallies accumulated since
 // construction. Purely diagnostic — the counts do not feed results.
 func (n *Network) WorklistStats() WorklistStats {

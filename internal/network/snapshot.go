@@ -205,14 +205,14 @@ func (n *Network) windowLoads(c *snap.Codec, s *[]uint64) {
 }
 
 // State walks the network's complete mutable state. Saving must happen
-// between Steps; mid-cycle staging (pending ejections, wake buffers)
-// would be lost, so the walk refuses if any is live. Loading needs a
-// network freshly constructed from the same configuration, and ends by
-// auditing what it loaded.
+// between Steps; mid-cycle staging (a shard's staged ejections or
+// unmerged wakes) would be lost, so the walk refuses if any is live.
+// Loading needs a network freshly constructed from the same
+// configuration, and ends by auditing what it loaded.
 func (n *Network) State(c *snap.Codec) {
-	for id := range n.pendingEject {
-		c.Range(len(n.pendingEject[id]), 0, 0, "network: snapshot mid-cycle: staged ejections")
-		c.Range(len(n.wakes[id]), 0, 0, "network: snapshot mid-cycle: unmerged wakes")
+	for s := range n.lists {
+		c.Range(len(n.lists[s].ejects), 0, 0, "network: snapshot mid-cycle: staged ejections")
+		c.Range(len(n.lists[s].wakes), 0, 0, "network: snapshot mid-cycle: unmerged wakes")
 	}
 	c.Section("network")
 	c.I64(&n.now)

@@ -2,6 +2,7 @@ package network
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"vichar/internal/config"
@@ -95,21 +96,40 @@ func TestSnapshotMidRetransmissionHold(t *testing.T) {
 }
 
 // TestSnapshotRejectsMidCycleState documents the between-Steps
-// contract: a save refuses when ejection staging is live.
+// contract: a save refuses while any shard's staging list — staged
+// ejections or unmerged wakes — is non-empty, and the refusal check
+// writes nothing, so the bytes once the lists are empty again are the
+// bytes of the save before.
 func TestSnapshotRejectsMidCycleState(t *testing.T) {
 	cfg := faultBase()
 	cfg.Audit = false
+	cfg.Workers = 2
 	if err := cfg.Validate(); err != nil {
 		t.Fatalf("Validate: %v", err)
 	}
 	n := New(&cfg)
+	defer n.Close()
 	for c := 0; c < 32; c++ {
 		n.Step()
 	}
-	n.pendingEject[0] = append(n.pendingEject[0], nil)
-	if _, err := snap.Save(n.State); err == nil {
-		t.Fatalf("save accepted mid-cycle state with staged ejections")
+	want := saveBytes(t, n)
+	if len(n.lists) != 2 {
+		t.Fatalf("Workers=2 built %d shard lists, want 2", len(n.lists))
 	}
-	n.pendingEject[0] = n.pendingEject[0][:0]
-	saveBytes(t, n)
+	for s := range n.lists {
+		l := &n.lists[s]
+		l.ejects = append(l.ejects, ejection{})
+		if _, err := snap.Save(n.State); err == nil || !strings.Contains(err.Error(), "staged ejections") {
+			t.Fatalf("shard %d: save with a staged ejection: err %v, want the mid-cycle refusal", s, err)
+		}
+		l.ejects = l.ejects[:0]
+		l.wakes = append(l.wakes, linkTag(0, 0))
+		if _, err := snap.Save(n.State); err == nil || !strings.Contains(err.Error(), "unmerged wakes") {
+			t.Fatalf("shard %d: save with an unmerged wake: err %v, want the mid-cycle refusal", s, err)
+		}
+		l.wakes = l.wakes[:0]
+		if got := saveBytes(t, n); !bytes.Equal(got, want) {
+			t.Fatalf("shard %d: save after the lists emptied differs from the save before", s)
+		}
+	}
 }

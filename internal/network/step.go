@@ -88,7 +88,7 @@ func (n *Network) totalCounters() stats.Counters {
 //
 //  1. Deliver (sharded by receiver router): every link delivers its
 //     due payloads into the receiving router's input buffers and
-//     credit views; ejections are staged per node.
+//     credit views; ejections are staged per shard.
 //  2. Commit + inject (serial): staged ejections are committed in
 //     ascending node order — the only phase that mutates the stats
 //     collector, the end-to-end sequence check and the measurement
@@ -106,13 +106,15 @@ func (n *Network) Step() {
 	n.now++
 	now := n.now
 	n.runSharded(n.deliverFn)
-	for id := range n.pendingEject {
-		staged := n.pendingEject[id]
-		for i, f := range staged {
-			staged[i] = nil
-			n.eject(id, f, now)
+	// Shards own ascending contiguous node ranges and stage in node
+	// order, so shard order is ascending node order.
+	for s := range n.lists {
+		l := &n.lists[s]
+		for i, e := range l.ejects {
+			l.ejects[i] = ejection{}
+			n.eject(e.node, e.f, now)
 		}
-		n.pendingEject[id] = staged[:0]
+		l.ejects = l.ejects[:0]
 	}
 	if n.cfg.InjectionRate > 0 {
 		n.gen.Tick(now, n.injectFn)
@@ -129,15 +131,16 @@ func (n *Network) Step() {
 		n.txn.Tick(now)
 	}
 	n.runSharded(n.computeFn)
-	// Merge the per-writer wake buffers: sends that made an empty link
+	// Merge the per-shard wake lists: sends that made an empty link
 	// non-empty set the link's bit in its owner's deliver mask. A pure
 	// OR over an order-free set, run serially after the compute
 	// barrier, so the result is independent of worker scheduling.
-	for w := range n.wakes {
-		for _, tag := range n.wakes[w] {
+	for s := range n.lists {
+		l := &n.lists[s]
+		for _, tag := range l.wakes {
 			n.deliverLinks[tag>>5] |= 1 << (tag & 31)
 		}
-		n.wakes[w] = n.wakes[w][:0]
+		l.wakes = l.wakes[:0]
 	}
 	if n.cfg.Audit {
 		n.audit(now)

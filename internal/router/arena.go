@@ -15,7 +15,7 @@ import (
 // threads it through NewIn / NewCreditViewIn in ascending router-id
 // order, so the hot per-(router, port, VC) state — UBS slots and
 // bitmaps, control-table links, credit counters, VC state machines,
-// arbiter pointers, scan masks — lands in construction order on one
+// arbiter pointers, scan-mask blocks — lands in construction order on one
 // contiguous slab.
 //
 // A nil *Arena degrades every take to a plain allocation; standalone
@@ -63,9 +63,10 @@ func NewArena(cfg *config.Config, mesh topology.Mesh) *Arena {
 		int16s += inPorts * (slots + 3*v)      // control-table links + head/tail/count
 	}
 
-	// Per input port: the three scan masks (VC pipeline state and the
-	// packed (outPort, outVC) routes have their own pools below).
-	words += inPorts * 3 * w
+	// Per router: the scan-mask block, one row of each kind per input
+	// port (VC pipeline state and the packed (outPort, outVC) routes
+	// have their own pools below).
+	words += nodes * maskKinds * p * w
 
 	// Per router: the activity record's four per-port counter rows.
 	words += nodes * 4 * p

@@ -69,18 +69,6 @@ type inputPort struct {
 	vc      []vcState
 	credit  CreditSender
 
-	// Per-VC scan masks, one bit per VC id (DESIGN.md §10). The tick
-	// stages iterate set bits instead of scanning every VC, and the
-	// network's active-router worklist derives quiescence from them.
-	// bufMask bit v is set iff buf.Len(v) > 0 (cross-checked by
-	// AuditInvariants). vaMask and actMask are the VC allocation state
-	// machine itself: a VC waiting for VA has its vaMask bit set, one
-	// holding a granted route its actMask bit, an idle VC neither —
-	// never both. vc[v].pkt is set exactly while one of them is.
-	bufMask []uint64
-	vaMask  []uint64
-	actMask []uint64
-
 	// outInfo[v] is an active VC's granted route, the only record of
 	// it: outPort<<outInfoShift | outVC, written by grant, zero once
 	// the tail leaves. The SA scan polls every active VC every cycle
@@ -100,8 +88,33 @@ func (in *inputPort) route(v int) (op, ovc int) {
 	return int(in.outInfo[v] >> outInfoShift), int(in.outInfo[v] & (1<<outInfoShift - 1))
 }
 
+// The kinds of per-VC scan mask, one bit per VC id (DESIGN.md §10).
+// The tick stages iterate set bits instead of scanning every VC, and
+// the network's active-router worklist derives quiescence from them.
+// bufMask bit v is set iff buf.Len(v) > 0 (cross-checked by
+// AuditInvariants). vaMask and actMask are the VC allocation state
+// machine itself: a VC waiting for VA has its vaMask bit set, one
+// holding a granted route its actMask bit, an idle VC neither — never
+// both. vc[v].pkt is set exactly while one of them is.
+const (
+	bufMask = iota
+	vaMask
+	actMask
+	maskKinds
+)
+
 // has reports whether bit v of a per-VC mask is set.
 func has(mask []uint64, v int) bool { return mask[v>>6]&(1<<(uint(v)&63)) != 0 }
+
+// zero reports whether every word of a mask is clear.
+func zero(mask []uint64) bool {
+	for _, w := range mask {
+		if w != 0 {
+			return false
+		}
+	}
+	return true
+}
 
 type outputPort struct {
 	view CreditView
@@ -140,6 +153,14 @@ type Router struct {
 	in  []inputPort
 	out []outputPort
 
+	// masks is the router's one scan-mask block, laid out
+	// [kind][port][word] (kind is bufMask, vaMask or actMask) and the
+	// only store of those bits: a stage reads its kind's rows as one
+	// contiguous run and skips a port whose row is zero without
+	// touching the port's descriptor, and Quiescent is one pass over
+	// the whole block.
+	masks []uint64
+
 	maxVCs int
 	ports  int
 	maskW  int // uint64 words per per-VC mask
@@ -171,10 +192,11 @@ type Router struct {
 	faults     *faults.RouterState
 	escapeTree *routing.EscapeTree
 
-	// scratch state reused across ticks to avoid per-cycle allocation
-	saNominee []int       // per input port: winning VC or -1
+	// scratch state reused across ticks to avoid per-cycle allocation;
+	// saNominee and vaNoms are read only at the ports a stage's nominee
+	// bitmask names, so they are never reset
+	saNominee []int       // per input port: winning VC
 	reqWords  []uint64    // request-mask scratch, ports*maxVCs bits wide
-	saReq     []bool      // per input port, for the port-wide stage-2 arbiters
 	opReq     []uint64    // per output port: input-port request bits (stage 2)
 	vaNoms    []vaNominee // ViChaR VA: per input port nominee
 	vaFlats   []int       // generic VA stage 1: flat input-VC ids that nominated this cycle, ascending
@@ -246,8 +268,8 @@ func (r *Router) Counters() stats.Counters {
 }
 
 // vaNominee is the per-input-port nomination of the ViChaR VA stage:
-// the winning input VC (or -1), its chosen output port and whether
-// the packet is on the escape network.
+// the winning input VC, its chosen output port and whether the packet
+// is on the escape network.
 type vaNominee struct {
 	invc   int
 	port   int
@@ -312,14 +334,12 @@ func NewIn(a *Arena, id int, cfg *config.Config, mesh topology.Mesh) *Router {
 		r.tables = routing.NewTables(routeFor(cfg), mesh)
 	}
 	soa := a.Soa()
+	r.masks = soa.TakeWords(maskKinds * p * r.maskW)
 	for i := 0; i < p; i++ {
 		in := &r.in[i]
 		in.buf = newBuffer(cfg, a)
 		in.readyAt = in.buf.ReadyAt()
 		in.vc = a.takeVCs(r.maxVCs)
-		in.bufMask = soa.TakeWords(r.maskW)
-		in.vaMask = soa.TakeWords(r.maskW)
-		in.actMask = soa.TakeWords(r.maskW)
 		in.outInfo = a.takeRoutes(r.maxVCs)
 	}
 	r.act.BufWrites = soa.TakeWords(p)
@@ -334,7 +354,6 @@ func NewIn(a *Arena, id int, cfg *config.Config, mesh topology.Mesh) *Router {
 		r.vaS2G = a.takeBank(p*r.maxVCs, p*r.maxVCs)
 	}
 	r.reqWords = make([]uint64, maskWords(p*r.maxVCs))
-	r.saReq = make([]bool, p)
 	r.opReq = make([]uint64, p)
 	r.vaNoms = make([]vaNominee, p)
 	r.vaKnown = make([]uint64, cfg.VCClasses()*2)
@@ -356,6 +375,33 @@ func NewIn(a *Arena, id int, cfg *config.Config, mesh topology.Mesh) *Router {
 
 // ID returns the router's node id.
 func (r *Router) ID() int { return r.id }
+
+// rows returns every input port's row of one mask kind from the mask
+// block, ports consecutive: port p's words start at p*maskW.
+func (r *Router) rows(kind int) []uint64 {
+	n := r.ports * r.maskW
+	return r.masks[kind*n : kind*n+n : kind*n+n]
+}
+
+// mask returns input port p's row of one mask kind.
+func (r *Router) mask(kind, p int) []uint64 {
+	i := (kind*r.ports + p) * r.maskW
+	return r.masks[i : i+r.maskW : i+r.maskW]
+}
+
+// setBit and clearBit flip bit v of input port p's row of one mask
+// kind.
+func (r *Router) setBit(kind, p, v int) {
+	r.masks[(kind*r.ports+p)*r.maskW+v>>6] |= 1 << (uint(v) & 63)
+}
+
+func (r *Router) clearBit(kind, p, v int) {
+	r.masks[(kind*r.ports+p)*r.maskW+v>>6] &^= 1 << (uint(v) & 63)
+}
+
+// stalled reports whether a fault-model stall freezes input port p's
+// control logic this cycle.
+func (r *Router) stalled(p int) bool { return r.faults != nil && r.faults.Stalled(p) }
 
 // ConnectOutput wires output port p to a downstream link and the
 // credit view mirroring the downstream input port (or the sink view
@@ -398,7 +444,7 @@ func (r *Router) ReceiveFlit(p int, f *flit.Flit, now int64) {
 		//vichar:invariant upstream credit view guarantees space; a full buffer is a flow-control conservation bug
 		panic(fmt.Sprintf("router %d port %d: %v", r.id, p, err))
 	}
-	r.in[p].bufMask[f.VC>>6] |= 1 << (uint(f.VC) & 63)
+	r.setBit(bufMask, p, f.VC)
 	r.act.BufWrites[p]++
 }
 
@@ -422,6 +468,11 @@ func (r *Router) ReceiveCredit(p int, c flit.Credit) { r.out[p].view.OnCredit(c)
 // owns (output flit links and input-port credit links). It never
 // touches another router, so the kernel may run all routers' Ticks
 // concurrently between barriers.
+//
+// Each stage reads only its kinds of row from the mask block and skips
+// a port whose rows are zero before touching the port: such a port
+// adds no request, nominee, grant, counter or event to the stage, so
+// the skip is the identity (DESIGN.md §10.7).
 func (r *Router) Tick(now int64) {
 	if r.faults != nil {
 		r.faults.BeginCycle(now)
@@ -446,17 +497,20 @@ func (r *Router) Tick(now int64) {
 // Buffer write happens in parallel with RC, so a head arriving this
 // cycle routes this cycle (Front is probed at now+1).
 func (r *Router) tickRC(now int64) {
-	for ip := range r.in {
-		if r.faults != nil && r.faults.Stalled(ip) {
-			continue
-		}
-		in := &r.in[ip]
-		// Idle VCs holding flits: buffered but neither waiting nor
-		// granted. The mask invariants make the state check implicit.
-		for wi := range in.bufMask {
-			for m := in.bufMask[wi] &^ (in.vaMask[wi] | in.actMask[wi]); m != 0; {
+	w := r.maskW
+	buf, va, act := r.rows(bufMask), r.rows(vaMask), r.rows(actMask)
+	for ip := 0; ip < r.ports; ip++ {
+		for wi := 0; wi < w; wi++ {
+			// Idle VCs holding flits: buffered but neither waiting nor
+			// granted. The mask invariants make the state check implicit.
+			i := ip*w + wi
+			m := buf[i] &^ (va[i] | act[i])
+			if m == 0 || r.stalled(ip) {
+				continue
+			}
+			in := &r.in[ip]
+			for ; m != 0; m &= m - 1 {
 				b := bits.TrailingZeros64(m)
-				m &^= 1 << uint(b)
 				v := wi<<6 + b
 				st := &in.vc[v]
 				f := in.buf.Front(v, now+1)
@@ -476,7 +530,7 @@ func (r *Router) tickRC(now int64) {
 					// as the routing function itself.
 					st.cands = r.tables.Candidates(r.id, f.Pkt.Dst)
 				}
-				in.vaMask[wi] |= 1 << uint(b)
+				va[i] |= 1 << uint(b)
 				st.waitSince = now
 				r.act.RC++
 				r.rec.StageEvent(metrics.Event{
@@ -569,19 +623,18 @@ func (r *Router) escapeCheck(now int64) {
 	if !r.cfg.NeedsEscape() {
 		return
 	}
-	for ip := range r.in {
-		if r.faults != nil && r.faults.Stalled(ip) {
-			// A frozen port's control logic cannot re-channel; the
-			// wait clock keeps running, so the packet escapes as soon
-			// as the stall lifts.
-			continue
-		}
-		in := &r.in[ip]
-		for wi, wm := range in.vaMask {
-			for m := wm; m != 0; {
-				b := bits.TrailingZeros64(m)
-				m &^= 1 << uint(b)
-				st := &in.vc[wi<<6+b]
+	w, va := r.maskW, r.rows(vaMask)
+	for ip := 0; ip < r.ports; ip++ {
+		for wi, m := range va[ip*w : ip*w+w] {
+			// A frozen port's control logic cannot re-channel; the wait
+			// clock keeps running, so the packet escapes as soon as the
+			// stall lifts.
+			if m == 0 || r.stalled(ip) {
+				continue
+			}
+			in := &r.in[ip]
+			for ; m != 0; m &= m - 1 {
+				st := &in.vc[wi<<6+bits.TrailingZeros64(m)]
 				if st.pkt.Escaped {
 					continue
 				}
@@ -624,24 +677,26 @@ func (r *Router) tickVA(now int64) {
 // among nominees; the winner's packet receives the next free token
 // from the output's dispenser view.
 func (r *Router) tickVAViChaR(now int64) {
-	noms := r.vaNoms
-	for i := range noms {
-		noms[i].invc = -1
+	mw, va := r.maskW, r.rows(vaMask)
+	if zero(va) {
+		return
 	}
+	noms := r.vaNoms
+	var nominated uint64 // input ports with a stage-1 nominee in noms
 	contenders, grants := 0, 0
 	r.resetVAMasks()
-	req := r.reqWords[:r.maskW]
-	for ip := range r.in {
-		if r.faults != nil && r.faults.Stalled(ip) {
+	req := r.reqWords[:mw]
+	for ip := 0; ip < r.ports; ip++ {
+		row := va[ip*mw : ip*mw+mw]
+		if zero(row) || r.stalled(ip) {
 			continue
 		}
 		in := &r.in[ip]
 		any := false
-		for wi, wm := range in.vaMask {
+		for wi, m := range row {
 			req[wi] = 0
-			for m := wm; m != 0; {
+			for ; m != 0; m &= m - 1 {
 				b := bits.TrailingZeros64(m)
-				m &^= 1 << uint(b)
 				st := &in.vc[wi<<6+b]
 				if r.bestCandidate(st, int(st.pkt.Class), st.pkt.Escaped) >= 0 {
 					req[wi] |= 1 << uint(b)
@@ -661,6 +716,7 @@ func (r *Router) tickVAViChaR(now int64) {
 		st := &in.vc[w]
 		p := r.bestCandidate(st, int(st.pkt.Class), st.pkt.Escaped)
 		noms[ip] = vaNominee{invc: w, port: p, escape: st.pkt.Escaped}
+		nominated |= 1 << uint(ip)
 	}
 	// Stage 2: one grant per output port. A single pass over the
 	// nominees builds each contested port's input-request word;
@@ -668,10 +724,8 @@ func (r *Router) tickVAViChaR(now int64) {
 	// order as the old op loop, skipping uncontested ones.
 	opReq := r.opReq
 	var anyOp uint64
-	for ip := range noms {
-		if noms[ip].invc < 0 {
-			continue
-		}
+	for m := nominated; m != 0; m &= m - 1 {
+		ip := bits.TrailingZeros64(m)
 		op := noms[ip].port
 		if anyOp&(1<<uint(op)) == 0 {
 			anyOp |= 1 << uint(op)
@@ -703,8 +757,8 @@ func (r *Router) tickVAViChaR(now int64) {
 // waiting to active on output (op, ovc).
 func (r *Router) grant(ip, v, op, ovc int, now int64) {
 	in := &r.in[ip]
-	in.vaMask[v>>6] &^= 1 << (uint(v) & 63)
-	in.actMask[v>>6] |= 1 << (uint(v) & 63)
+	r.clearBit(vaMask, ip, v)
+	r.setBit(actMask, ip, v)
 	in.outInfo[v] = packRoute(op, ovc)
 	r.act.VAGrants++
 	r.rec.StageEvent(metrics.Event{
@@ -726,17 +780,20 @@ func (r *Router) grant(ip, v, op, ovc int, now int64) {
 // into arbiter priority evolution. vichar-lint's map-range rule
 // enforces this structurally.
 func (r *Router) tickVAGeneric(now int64) {
+	mw, va := r.maskW, r.rows(vaMask)
+	if zero(va) {
+		return
+	}
 	r.resetVAMasks()
 	flats := r.vaFlats[:0]
-	for ip := range r.in {
-		if r.faults != nil && r.faults.Stalled(ip) {
-			continue
-		}
-		in := &r.in[ip]
-		for wi, wm := range in.vaMask {
-			for m := wm; m != 0; {
+	for ip := 0; ip < r.ports; ip++ {
+		for wi, m := range va[ip*mw : ip*mw+mw] {
+			if m == 0 || r.stalled(ip) {
+				continue
+			}
+			in := &r.in[ip]
+			for ; m != 0; m &= m - 1 {
 				b := bits.TrailingZeros64(m)
-				m &^= 1 << uint(b)
 				v := wi<<6 + b
 				st := &in.vc[v]
 				escape := st.pkt.Escaped
@@ -805,11 +862,16 @@ func (r *Router) tickVAGeneric(now int64) {
 // tickSA performs the two-stage switch allocation and moves winners
 // through the crossbar onto their links.
 func (r *Router) tickSA(now int64) {
+	mw, act := r.maskW, r.rows(actMask)
+	if zero(act) {
+		return
+	}
+	var nominated uint64 // input ports with a stage-1 nominee in saNominee
 	contenders, grants := 0, 0
-	req := r.reqWords[:r.maskW]
-	for ip := range r.in {
-		r.saNominee[ip] = -1
-		if r.faults != nil && r.faults.Stalled(ip) {
+	req := r.reqWords[:mw]
+	for ip := 0; ip < r.ports; ip++ {
+		row := act[ip*mw : ip*mw+mw]
+		if zero(row) || r.stalled(ip) {
 			continue
 		}
 		in := &r.in[ip]
@@ -817,11 +879,10 @@ func (r *Router) tickSA(now int64) {
 		// and a readable head flit (the buffer's first-readable stamp),
 		// then polls downstream credit on the packed outInfo route.
 		any := false
-		for wi, wm := range in.actMask {
+		for wi, m := range row {
 			w := uint64(0)
-			for m := wm; m != 0; {
+			for ; m != 0; m &= m - 1 {
 				b := bits.TrailingZeros64(m)
-				m &^= 1 << uint(b)
 				v := wi<<6 + b
 				if in.readyAt[v] > now {
 					continue
@@ -842,7 +903,10 @@ func (r *Router) tickSA(now int64) {
 			continue
 		}
 		r.act.SAOps++
-		r.saNominee[ip] = r.saS1[ip].ArbitrateMask(req)
+		if v := r.saS1[ip].ArbitrateMask(req); v >= 0 {
+			r.saNominee[ip] = v
+			nominated |= 1 << uint(ip)
+		}
 	}
 	// Stage 2: one pass over the nominees builds each contested output
 	// port's input-request word; ports are then arbitrated in ascending
@@ -850,11 +914,9 @@ func (r *Router) tickSA(now int64) {
 	// but touching only ports somebody asked for.
 	opReq := r.opReq
 	var anyOp uint64
-	for ip := 0; ip < r.ports; ip++ {
+	for m := nominated; m != 0; m &= m - 1 {
+		ip := bits.TrailingZeros64(m)
 		v := r.saNominee[ip]
-		if v < 0 {
-			continue
-		}
 		op := r.in[ip].outInfo[v] >> outInfoShift
 		if anyOp&(1<<op) == 0 {
 			anyOp |= 1 << op
@@ -886,7 +948,7 @@ func (r *Router) forward(ip, v, op int, now int64) {
 		panic(fmt.Sprintf("router %d: SA winner vanished: %v", r.id, err))
 	}
 	if in.buf.Len(v) == 0 {
-		in.bufMask[v>>6] &^= 1 << (uint(v) & 63)
+		r.clearBit(bufMask, ip, v)
 	}
 	r.act.BufReads[ip]++
 	r.rec.StageEvent(metrics.Event{
@@ -903,7 +965,7 @@ func (r *Router) forward(ip, v, op int, now int64) {
 	r.out[op].conn.SendFlit(f, now)
 
 	if f.IsTail() {
-		in.actMask[v>>6] &^= 1 << (uint(v) & 63)
+		r.clearBit(actMask, ip, v)
 		in.outInfo[v] = 0
 		in.vc[v] = vcState{}
 	}
@@ -927,18 +989,7 @@ func (r *Router) Occupied() int {
 // are untouched when no request exists, so skipping a
 // quiescent router's Tick is bit-exact (DESIGN.md §10).
 func (r *Router) Quiescent() bool {
-	if r.faults != nil {
-		return false
-	}
-	for i := range r.in {
-		in := &r.in[i]
-		for w := range in.bufMask {
-			if in.bufMask[w]|in.vaMask[w]|in.actMask[w] != 0 {
-				return false
-			}
-		}
-	}
-	return true
+	return r.faults == nil && zero(r.masks)
 }
 
 // TotalSlots returns the router's total input buffering.
@@ -949,11 +1000,9 @@ func (r *Router) TotalSlots() int { return r.ports * r.cfg.BufferSlots }
 // packet or it still buffers flits.
 func (r *Router) InUseVCsPerPort() float64 {
 	n := 0
-	for i := range r.in {
-		in := &r.in[i]
-		for w := range in.bufMask {
-			n += bits.OnesCount64(in.bufMask[w] | in.vaMask[w] | in.actMask[w])
-		}
+	buf, va, act := r.rows(bufMask), r.rows(vaMask), r.rows(actMask)
+	for i := range buf {
+		n += bits.OnesCount64(buf[i] | va[i] | act[i])
 	}
 	return float64(n) / float64(r.ports)
 }
@@ -974,22 +1023,23 @@ func (r *Router) AuditInvariants() error {
 	layout := layoutOf(r.cfg)
 	for p := range r.in {
 		in := &r.in[p]
+		buf, va, act := r.mask(bufMask, p), r.mask(vaMask, p), r.mask(actMask, p)
 		for v := 0; v < r.maxVCs; v++ {
 			// bufMask must mirror the buffer — the worklist's quiescence
 			// decision and RC's iteration set depend on it.
-			if got, want := has(in.bufMask, v), in.buf.Len(v) > 0; got != want {
+			if got, want := has(buf, v), in.buf.Len(v) > 0; got != want {
 				//vichar:alloc violation reporting on the opt-in audit path (Config.Audit), not the steady-state tick
 				return fmt.Errorf("router %d port %d vc %d: bufMask=%v but buffered=%d", r.id, p, v, got, in.buf.Len(v))
 			}
 			// VC-class separation: an occupied VC's ID chunk must match
 			// its packet's class, and so must a granted output VC (the
 			// ejection sink aside — its "VC 0" is not a real channel).
-			if layout.classes > 1 && (has(in.vaMask, v) || has(in.actMask, v)) {
+			if layout.classes > 1 && (has(va, v) || has(act, v)) {
 				pc := int(in.vc[v].pkt.Class)
 				if err := audit.CheckVCClass("input", r.id, p, v, layout.classOf(v), pc); err != nil {
 					return err
 				}
-				if op, ovc := in.route(v); has(in.actMask, v) {
+				if op, ovc := in.route(v); has(act, v) {
 					if _, sink := r.out[op].view.(*sinkView); !sink {
 						if err := audit.CheckVCClass("output", r.id, op, ovc, layout.classOf(ovc), pc); err != nil {
 							return err
@@ -1021,10 +1071,10 @@ func (r *Router) DebugState() string {
 		for v := range in.vc {
 			st := &in.vc[v]
 			switch {
-			case has(in.vaMask, v):
+			case has(r.mask(vaMask, ip), v):
 				b = fmt.Appendf(b, "  in[%s] vc%d: waitVA len=%d pkt=%v cands=%v since=%d esc=%v",
 					topology.PortName(ip), v, in.buf.Len(v), st.pkt, st.cands, st.waitSince, st.pkt.Escaped)
-			case has(in.actMask, v):
+			case has(r.mask(actMask, ip), v):
 				op, ovc := in.route(v)
 				b = fmt.Appendf(b, "  in[%s] vc%d: active len=%d pkt=%v out=%s/vc%d",
 					topology.PortName(ip), v, in.buf.Len(v), st.pkt, topology.PortName(op), ovc)

@@ -15,8 +15,8 @@ import (
 // the fault-model stall registers. Per-tick scratch (nominee arrays,
 // request masks) is dead between Steps and never serialized.
 // Everything loads into a router freshly constructed from the same
-// configuration: masks and outInfo are arena-backed and aliased by the
-// network's worklist scans, so they load in place.
+// configuration: the mask block and outInfo are arena-backed, so they
+// load in place.
 
 // State walks a credit view's mutable mirror state. The view kind is
 // wiring (it re-derives from the configuration and port role), so the
@@ -102,11 +102,12 @@ func bankState(c *snap.Codec, bank []arbiter.RoundRobin) {
 	}
 }
 
-// walk is the checkpoint walk of input VC v: its packet record and,
-// while active, its granted route. The scan masks that say which of
-// the two the VC has are walked before it.
-func (in *inputPort) walk(c *snap.Codec, v, ports, vcs int) {
-	wait, active := has(in.vaMask, v), has(in.actMask, v)
+// walk is the checkpoint walk of input port p's VC v: its packet
+// record and, while active, its granted route. The scan masks that say
+// which of the two the VC has are walked before it.
+func (r *Router) walk(c *snap.Codec, p, v int) {
+	in, ports, vcs := &r.in[p], r.ports, r.maxVCs
+	wait, active := has(r.mask(vaMask, p), v), has(r.mask(actMask, p), v)
 	if wait && active {
 		c.Failf("router: snapshot VC %d is set in both vaMask and actMask", v)
 	}
@@ -140,7 +141,8 @@ func (in *inputPort) walk(c *snap.Codec, v, ports, vcs int) {
 // granted output VC is one its port's view has out, to this VC alone
 // (taken marks the ones seen so far) — and the ejection port is granted
 // only at the packet's destination.
-func (r *Router) wormholeOK(in *inputPort, v int, taken []bool) bool {
+func (r *Router) wormholeOK(p, v int, taken []bool) bool {
+	in := &r.in[p]
 	st := &in.vc[v]
 	head := in.buf.Front(v, math.MaxInt64) // the head flit, readable yet or not
 	if st.pkt == nil {
@@ -149,7 +151,7 @@ func (r *Router) wormholeOK(in *inputPort, v int, taken []bool) bool {
 	if head != nil && head.Pkt != st.pkt {
 		return false
 	}
-	if !has(in.actMask, v) {
+	if !has(r.mask(actMask, p), v) {
 		return true
 	}
 	op, ovc := in.route(v)
@@ -172,9 +174,9 @@ func (r *Router) wormholeOK(in *inputPort, v int, taken []bool) bool {
 func (r *Router) Granted(port int, pkts []*flit.Packet) {
 	clear(pkts)
 	for p := range r.in {
-		in := &r.in[p]
+		in, act := &r.in[p], r.mask(actMask, p)
 		for v := range in.vc {
-			if !has(in.actMask, v) {
+			if !has(act, v) {
 				continue
 			}
 			if op, ovc := in.route(v); op == port {
@@ -203,12 +205,13 @@ func (r *Router) State(c *snap.Codec) {
 	for p := range r.in {
 		in := &r.in[p]
 		in.buf.State(c)
-		for _, mask := range [][]uint64{in.bufMask, in.vaMask, in.actMask} {
+		for kind := 0; kind < maskKinds; kind++ {
+			mask := r.mask(kind, p)
 			c.U64s(mask)
 			c.Mask(mask, r.maxVCs, "router: VC scan mask")
 		}
 		for v := range in.vc {
-			in.walk(c, v, r.ports, r.maxVCs)
+			r.walk(c, p, v)
 		}
 	}
 	for p := range r.out {
@@ -223,7 +226,7 @@ func (r *Router) State(c *snap.Codec) {
 	taken := make([]bool, r.ports*r.maxVCs) // output VCs some active input VC holds
 	for p := range r.in {
 		for v := range r.in[p].vc {
-			if c.Err() == nil && !r.wormholeOK(&r.in[p], v, taken) {
+			if c.Err() == nil && !r.wormholeOK(p, v, taken) {
 				c.Failf("router %d port %d vc %d: snapshot VC state disagrees with the flit at its head or with the output VC it was granted", r.id, p, v)
 			}
 		}
