@@ -36,11 +36,16 @@ alloc-check:
 # and across a process boundary, plus the codec's own cases, the
 # format's byte-identity wall (TestSnapshotBytesWall), corruption
 # rejection before and behind the checksum
-# (TestRestoreResealedMutations) and the mid-hold cut. The tracer's
-# two tests guard what a resumed event stream rests on: Seqs rebuilt
-# from ring positions, against a model that stores them.
+# (TestRestoreResealedMutations) and the mid-hold cut. The state
+# walks' own round trips come first: every fixed buffer organization
+# reloaded mid-sequence against a FIFO model, the UBS control table
+# and buffer reloaded against theirs, and corrupt table rows refused.
+# The tracer's two tests guard what a resumed event stream rests on:
+# Seqs rebuilt from ring positions, against a model that stores them.
 snapshot-check:
 	$(GO) test ./internal/snap -count=1
+	$(GO) test ./internal/buffers -run 'TestRandomOpsInvariants' -count=1
+	$(GO) test ./internal/core -run 'TestTableMatchesSliceModel|TestTableLoadRejectsCorruptRows|TestUBSConservationProperty' -count=1
 	$(GO) test ./internal/metrics -run 'TestTracerMatchesNaiveRing|TestEventRecordSize' -count=1
 	$(GO) test . -run 'TestSnapshot|TestRestore|TestRunCheckpointed' -count=1
 	$(GO) test ./internal/network/ -run 'TestSnapshot' -count=1

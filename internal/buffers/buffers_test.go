@@ -437,7 +437,7 @@ func TestFifoRingOrderThroughGrowthAndWrap(t *testing.T) {
 		}
 	}
 
-	bounded := newQueues(3, 4)
+	bounded := NewGeneric(3, 4)
 	f := mk(1)
 	if n := testing.AllocsPerRun(100, func() {
 		for i := 0; i < 4; i++ {

@@ -5,7 +5,7 @@ import (
 	"vichar/internal/snap"
 )
 
-// This file is the checkpoint walk of each fixed buffer organization:
+// This file is the checkpoint walk of the fixed buffer organizations:
 // only mutable contents travel (flit references in FIFO order plus
 // bookkeeping stamps), into a buffer freshly constructed with the same
 // shape, reusing the existing queue backing arrays. Occupancy and the
@@ -44,54 +44,25 @@ func (q *fifo) state(c *snap.Codec, vc, max int) {
 	}
 }
 
-// state walks every queue's contents, none longer than max, and
-// returns the number of flits they hold.
-func (q *queues) state(c *snap.Codec, max int) int {
-	c.Expect(len(q.qs), "buffers: queues")
+// State walks the buffer's mutable contents: each queue's flits, none
+// more than the depth bound, then a DAMQ's read-port stamps. The
+// section marker names the organization the constructor built.
+func (b *Queues) State(c *snap.Codec) {
+	c.Section(sections[b.org])
+	c.Expect(len(b.qs), "buffers: queues")
 	occ := 0
-	for i := range q.qs {
-		q.qs[i].state(c, i, max)
-		occ += q.qs[i].len()
+	for i := range b.qs {
+		b.qs[i].state(c, i, b.depth)
+		occ += b.qs[i].len()
 	}
-	return occ
-}
-
-// State walks the generic buffer's mutable contents.
-func (b *Generic) State(c *snap.Codec) {
-	c.Section("generic")
-	occ := b.queues.state(c, b.depth)
+	c.Range(occ, 0, b.pool, "buffers: pool occupancy")
+	if b.readPort != nil {
+		c.I64s(b.readPort)
+	}
 	if c.Loading() {
 		b.occ = occ
 		for i := range b.qs {
-			b.restamp(i, 1, 0)
-		}
-	}
-}
-
-// State walks the DAMQ's mutable contents, including the per-queue
-// read-port busy stamps of its bookkeeping delay model.
-func (b *DAMQ) State(c *snap.Codec) {
-	c.Section("damq")
-	occ := b.queues.state(c, b.slots)
-	c.Range(occ, 0, b.slots, "buffers: DAMQ pool occupancy")
-	c.I64s(b.readReadyAt)
-	if c.Loading() {
-		b.occ = occ
-		for i := range b.qs {
-			b.restamp(i, b.lag(), b.readReadyAt[i])
-		}
-	}
-}
-
-// State walks the FC-CB's mutable contents.
-func (b *FCCB) State(c *snap.Codec) {
-	c.Section("fccb")
-	occ := b.queues.state(c, b.slots)
-	c.Range(occ, 0, b.slots, "buffers: FC-CB pool occupancy")
-	if c.Loading() {
-		b.occ = occ
-		for i := range b.qs {
-			b.restamp(i, 1, 0)
+			b.restamp(i)
 		}
 	}
 }

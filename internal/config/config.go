@@ -467,12 +467,10 @@ func (c *Config) Validate() error {
 		// others none.
 		return fmt.Errorf("config: transpose traffic needs a square mesh, got %dx%d", c.Width, c.Height)
 	}
-	if c.Arch != Generic && c.BufferSlots < c.VCs {
-		// A unified pool smaller than the fixed VC count would leave
+	if (c.Arch == DAMQ || c.Arch == FCCB) && c.BufferSlots < c.VCs {
+		// A shared pool smaller than the fixed VC count would leave
 		// VCs that can never hold a flit.
-		if c.Arch != ViChaR {
-			return fmt.Errorf("config: %v needs at least as many slots (%d) as VCs (%d)", c.Arch, c.BufferSlots, c.VCs)
-		}
+		return fmt.Errorf("config: %v needs at least as many slots (%d) as VCs (%d)", c.Arch, c.BufferSlots, c.VCs)
 	}
 	if c.NeedsEscape() {
 		why := "adaptive routing"

@@ -4,11 +4,13 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
 	"vichar/internal/config"
 	"vichar/internal/flit"
+	"vichar/internal/stats"
 	"vichar/internal/topology"
 )
 
@@ -101,6 +103,43 @@ func TestDifferentSeedsDiffer(t *testing.T) {
 	}
 	if lat(1) == lat(2) {
 		t.Fatal("different seeds produced identical latency (suspicious)")
+	}
+}
+
+// FC-CB is a DAMQ with no bookkeeping delay: the two organizations are
+// one buffer type differing only in that delay, so at DAMQDelay 0 whole
+// runs — every Results field but the label, and every measured latency
+// in ejection order — must be identical, below saturation and near it.
+func TestDAMQZeroDelayNetworkMatchesFCCB(t *testing.T) {
+	for _, rate := range []float64{0.2, 0.6} {
+		for _, seed := range []int64{1, 2} {
+			run := func(arch config.BufferArch) (stats.Results, []int64) {
+				cfg := config.Default()
+				cfg.Width, cfg.Height = 4, 4
+				cfg.Arch = arch
+				cfg.DAMQDelay = 0
+				cfg.InjectionRate = rate
+				cfg.WarmupPackets = 500
+				cfg.MeasurePackets = 3000
+				cfg.Seed = seed
+				n := New(&cfg)
+				defer n.Close()
+				res := n.Run()
+				res.Label = ""
+				return res, n.Collector().Latencies()
+			}
+			fres, flat := run(config.FCCB)
+			dres, dlat := run(config.DAMQ)
+			if fres.Saturated || len(flat) == 0 {
+				t.Fatalf("rate %g seed %d: FC-CB run saturated or measured nothing", rate, seed)
+			}
+			if !reflect.DeepEqual(fres, dres) {
+				t.Errorf("rate %g seed %d: results differ:\nFC-CB %+v\nDAMQ  %+v", rate, seed, fres, dres)
+			}
+			if !reflect.DeepEqual(flat, dlat) {
+				t.Errorf("rate %g seed %d: latencies differ", rate, seed)
+			}
+		}
 	}
 }
 
