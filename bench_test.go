@@ -375,15 +375,17 @@ const (
 )
 
 // kernelEqualLoad are the mesh-scaling cells, run on the ViChaR
-// configuration at Workers 1 and 2: each rate is about 40 % of the
+// configuration at Workers 0, 1 and 2: each rate is about 40 % of the
 // uniform-random bisection bound 4/k of its k x k mesh, so a
 // router-cycle carries comparable work at every size and the cost per
-// router-cycle shows where the working set leaves the cache. 32x32 is
-// the one size no BENCHMARK.json workload reaches.
+// router-cycle shows where the working set leaves the cache. 4x4 is
+// the mesh that sets the default's floor of 32 routers a lane (two
+// lanes lose there), and 32x32 the one size no BENCHMARK.json workload
+// reaches.
 var kernelEqualLoad = []struct {
 	Dim  int
 	Rate float64
-}{{8, 0.20}, {16, 0.10}, {32, 0.05}}
+}{{4, 0.40}, {8, 0.20}, {16, 0.10}, {32, 0.05}}
 
 // kernelWarmupCycles are stepped before an equal-load cell's clock
 // starts, so the timed cycles see a loaded network.
@@ -436,27 +438,30 @@ type kernelCell struct {
 }
 
 // kernelSweepCells enumerates the kernel sweep: the saturated rate
-// across worker counts 1/2/max, plus the mid-load and idle rates
-// single-threaded (worker scaling is uninteresting when almost every
-// router sleeps).
+// across worker counts 0 (the default, one lane per processor) and
+// 1/2/max, plus the mid-load and idle rates serial and at the default,
+// so one run shows whether the default is ever slower than serial.
 func kernelSweepCells() []kernelCell {
 	var cells []kernelCell
-	for _, w := range kernelWorkerCounts() {
+	for _, w := range append([]int{0}, kernelWorkerCounts()...) {
 		cells = append(cells, kernelCell{kernelSaturatedRate, w})
 	}
-	return append(cells, kernelCell{kernelMidRate, 1}, kernelCell{kernelIdleRate, 1})
+	for _, rate := range []float64{kernelMidRate, kernelIdleRate} {
+		cells = append(cells, kernelCell{rate, 1}, kernelCell{rate, 0})
+	}
+	return cells
 }
 
 // BenchmarkKernel measures the two-phase cycle kernel: all four buffer
-// architectures at the saturated rate across worker counts 1/2/max and
-// at the mid-load and idle rates single-threaded, each op one complete
-// run, and the equal-load mesh-scaling cells (kernelEqualLoad), each
-// op one Step after warm-up, reported as ns per router-cycle. The work
-// is identical at every worker count (results are bit-identical by the
-// kernel's determinism contract), so time ratios are pure speedup. It
-// is an ordinary Go benchmark for use while working (`make profile`
-// samples two cells); the judged benchmark is BENCHMARK.json
-// (`go run ./bench`).
+// architectures at the saturated rate across worker counts 0/1/2/max
+// and at the mid-load and idle rates at workers 1 and 0, each op one
+// complete run, and the equal-load mesh-scaling cells
+// (kernelEqualLoad), each op one Step after warm-up, reported as ns per
+// router-cycle. The work is identical at every worker count (results
+// are bit-identical by the kernel's determinism contract), so time
+// ratios are pure speedup. It is an ordinary Go benchmark for use while
+// working (`make profile` samples two cells); the judged benchmark is
+// BENCHMARK.json (`go run ./bench`).
 func BenchmarkKernel(b *testing.B) {
 	runCell := func(b *testing.B, cfg vichar.Config) {
 		var cycles int64
@@ -483,7 +488,7 @@ func BenchmarkKernel(b *testing.B) {
 	// They also exercise the route-memoization tables at their largest
 	// footprints.
 	for _, pt := range kernelEqualLoad {
-		for _, workers := range []int{1, 2} {
+		for _, workers := range []int{0, 1, 2} {
 			cfg := kernelBenchConfig(vichar.ViChaR, pt.Dim, pt.Rate, workers)
 			b.Run(fmt.Sprintf("%s/mesh=%dx%d/rate=%.2f/workers=%d", vichar.ViChaR, pt.Dim, pt.Dim, pt.Rate, workers), func(b *testing.B) {
 				s, err := vichar.NewSimulator(cfg)

@@ -37,7 +37,7 @@ func main() {
 		list    = flag.Bool("list", false, "list experiment ids and exit")
 		paper   = flag.Bool("paper", false, "use the paper's full measurement protocol (slow)")
 		workers = flag.Int("workers", 0, "parallel simulations (0 = GOMAXPROCS; capped so jobs x kernel workers fit the machine)")
-		kernel  = flag.Int("kernel-workers", 0, "cycle-kernel workers per simulation (0/1 = serial; results identical at any setting)")
+		kernel  = flag.Int("kernel-workers", 0, "cycle-kernel workers per simulation (0 = one lane per CPU for a lone simulation, serial when several run at once; 1 = serial; results identical at any setting)")
 		reps    = flag.Int("replicates", 1, "independent replicates per point (reports the mean)")
 		csvDir  = flag.String("csv", "", "also write <id>.csv files into this directory")
 		svgDir  = flag.String("svg", "", "also write <id>.svg charts into this directory")

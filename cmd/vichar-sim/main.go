@@ -54,7 +54,7 @@ func main() {
 		traceOut  = flag.String("record-trace", "", "record the packet workload to this file")
 		confIn    = flag.String("config", "", "load the full configuration from a JSON file (other config flags are ignored)")
 		confOut   = flag.String("save-config", "", "write the resolved configuration as JSON and exit")
-		workers   = flag.Int("workers", 0, "cycle-kernel shards, run on at most GOMAXPROCS goroutines; 0/1 = serial, results identical at any setting")
+		workers   = flag.Int("workers", 0, "cycle-kernel shards, run on at most GOMAXPROCS goroutines; 0 = one lane per CPU, 1 = serial, results identical at any setting")
 		faultSpec = flag.String("faults", "",
 			"fault model spec: seed=N,drop=R,corrupt=R,retx=N,stall=R[:N],kill=NODE.PORT@CYC,freeze=NODE.PORT@CYC+N,drop1=NODE.PORT@CYC")
 		txnSpec = flag.String("txn", "",

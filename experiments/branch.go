@@ -25,6 +25,10 @@ func BranchSweep(cfg vichar.Config, rates []float64, metric Metric, opts Options
 		return Series{}, fmt.Errorf("experiments: BranchSweep needs at least one rate")
 	}
 	base := opts.apply(cfg)
+	workers := jobWorkers(opts.Workers, len(rates), base.Workers, runtime.GOMAXPROCS(0))
+	// Branches inherit the snapshot's configuration, so the warm run
+	// is built the way fanOut builds a run among workers.
+	base = fanOut(base, workers)
 	warm, err := vichar.NewSimulator(base)
 	if err != nil {
 		return Series{}, err
@@ -44,7 +48,6 @@ func BranchSweep(cfg vichar.Config, rates []float64, metric Metric, opts Options
 		Name:   base.Label(),
 		Points: make([]Point, len(rates)),
 	}
-	workers := jobWorkers(opts.Workers, len(rates), base.Workers, runtime.GOMAXPROCS(0))
 	sem := make(chan struct{}, workers)
 	errs := make([]error, len(rates))
 	var wg sync.WaitGroup

@@ -158,13 +158,15 @@ type Options struct {
 	// Workers bounds parallel simulations; 0 means GOMAXPROCS. The
 	// effective job-level parallelism is additionally capped so that
 	// jobs x per-run kernel workers never exceeds GOMAXPROCS (see
-	// jobWorkers).
+	// jobWorkers). Whenever more than one simulation runs at once, a
+	// run whose Config.Workers is 0 (one kernel lane per processor)
+	// steps serially instead; a lone simulation keeps every lane.
 	Workers int
 	// KernelWorkers, when positive, sets each run's cycle-kernel
 	// shard count (Config.Workers): the two-phase kernel shards every
 	// cycle that many ways, on at most GOMAXPROCS lanes. Results are
 	// bit-identical at any setting; it trades run-level for cycle-level
-	// parallelism.
+	// parallelism. 0 keeps each run's own setting.
 	KernelWorkers int
 	// Seed overrides every run's seed when nonzero.
 	Seed int64
@@ -236,6 +238,17 @@ func jobWorkers(requested, total, maxKernel, gomaxprocs int) int {
 	return workers
 }
 
+// fanOut returns cfg as one of jobs simulations running side by side:
+// with more than one, a run left at Workers 0 — one kernel lane per
+// processor — steps serially instead, so jobs × lanes stays within
+// the processors jobWorkers budgeted. A run alone keeps every lane.
+func fanOut(cfg vichar.Config, jobs int) vichar.Config {
+	if jobs > 1 && cfg.Workers == 0 {
+		cfg.Workers = 1
+	}
+	return cfg
+}
+
 // Execute runs every simulation of the experiment (times Replicates),
 // fanning out across workers, and assembles the outcome. Series keep
 // the order of first appearance in Runs; points are sorted by X.
@@ -247,7 +260,9 @@ func (e *Experiment) Execute(opts Options) (*Outcome, error) {
 	total := len(e.Runs) * reps
 
 	// The widest cycle kernel any run will spawn decides how many runs
-	// can execute side by side without oversubscribing the scheduler.
+	// can execute side by side without oversubscribing the scheduler;
+	// a run left at Workers 0 is serial whenever runs fan out (see
+	// fanOut), so it counts as one lane.
 	maxKernel := 1
 	for i := range e.Runs {
 		if w := opts.apply(e.Runs[i].Config).Workers; w > maxKernel {
@@ -273,7 +288,7 @@ func (e *Experiment) Execute(opts Options) (*Outcome, error) {
 		go func() {
 			defer wg.Done()
 			for j := range jobs {
-				cfg := opts.apply(e.Runs[j.run].Config)
+				cfg := fanOut(opts.apply(e.Runs[j.run].Config), workers)
 				// Decorrelate replicates deterministically.
 				cfg.Seed += int64(j.rep) * 1_000_000_007
 				res, err := vichar.Run(cfg)

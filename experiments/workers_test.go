@@ -80,3 +80,25 @@ func TestKernelWorkersOption(t *testing.T) {
 		t.Fatalf("kernel workers changed results:\nserial:   %+v\nparallel: %+v", a, b)
 	}
 }
+
+// TestFanOutSerializesDefaultKernel: a run left at Workers 0 (one
+// kernel lane per processor) steps serially once runs fan out, keeps
+// its lanes when it runs alone, and an explicit kernel width is never
+// touched.
+func TestFanOutSerializesDefaultKernel(t *testing.T) {
+	cases := []struct{ workers, jobs, want int }{
+		{0, 1, 0},
+		{0, 2, 1},
+		{0, 8, 1},
+		{1, 8, 1},
+		{2, 1, 2},
+		{4, 2, 4},
+	}
+	for _, c := range cases {
+		cfg := vichar.DefaultConfig()
+		cfg.Workers = c.workers
+		if got := fanOut(cfg, c.jobs).Workers; got != c.want {
+			t.Errorf("Workers=%d among %d jobs: got %d, want %d", c.workers, c.jobs, got, c.want)
+		}
+	}
+}

@@ -59,8 +59,9 @@ func TestDeterministicCountersAndLatencies(t *testing.T) {
 // same-seed run must produce bit-identical Results — every counter and
 // every per-packet latency in ejection order — whether the two-phase
 // kernel steps serially (Workers=1) or shards cycles across the lane
-// executor: Workers=2, Workers=3 (unequal shards, and more shards than
-// a 2-CPU host has lanes) and Workers=GOMAXPROCS floored at 4, on the
+// executor: Workers=0 (one shard per processor), Workers=2, Workers=3
+// (unequal shards, and more shards than a 2-CPU host has lanes) and
+// Workers=GOMAXPROCS floored at 4, on the
 // 4x4 mesh and on a non-square 5x3 one. The per-cycle invariant
 // auditor runs throughout, so a sharding bug that corrupts
 // flow-control state without flipping an arbitration is caught too.
@@ -159,7 +160,7 @@ func TestWorkersBitIdentical(t *testing.T) {
 			if c.faulty && serial.res.Counters.FlitDrops+serial.res.Counters.FlitCorrupts == 0 {
 				t.Fatal("faulty run recorded no drops or corruptions: fault rates not applied")
 			}
-			for _, workers := range []int{2, 3, parallel} {
+			for _, workers := range []int{0, 2, 3, parallel} {
 				sharded := run(workers)
 				if !reflect.DeepEqual(serial.res, sharded.res) {
 					t.Fatalf("Workers=1 vs Workers=%d diverged in results:\n%+v\n%+v", workers, serial.res, sharded.res)
@@ -260,7 +261,9 @@ func TestWorkersEjectionOrderAcrossShards(t *testing.T) {
 }
 
 // TestWorkersClampAndClose exercises the shard-count clamp (a worker
-// count beyond the node count degrades to one shard per router) and
+// count beyond the node count degrades to one shard per router, and
+// Workers=0 is one shard per processor, at most one per minLaneRouters
+// routers) and
 // verifies Close is idempotent and leaves the network usable: a
 // closed kernel lazily restarts its lanes on the next parallel step.
 func TestWorkersClampAndClose(t *testing.T) {
@@ -273,6 +276,17 @@ func TestWorkersClampAndClose(t *testing.T) {
 	n := New(&cfg)
 	if n.shardCount != 4 {
 		t.Fatalf("shardCount = %d, want clamp to 4 nodes", n.shardCount)
+	}
+	for _, c := range []struct{ nodes, want int }{
+		{4, 1},
+		{16, 1},
+		{63, 1},
+		{64, min(processors(), 2)},
+		{1024, min(processors(), 32)},
+	} {
+		if got := kernelShards(0, c.nodes); got != c.want {
+			t.Fatalf("Workers=0 on %d routers: %d shards, want %d (one per processor, at most one per %d routers)", c.nodes, got, c.want, minLaneRouters)
+		}
 	}
 	for i := 0; i < 10; i++ {
 		n.Step()

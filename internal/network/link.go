@@ -120,10 +120,12 @@ func (l *flitLink) deliverFlit(f *flit.Flit, now int64) {
 	}
 	if l.count != nil {
 		*l.count++
-		l.rec.StageEvent(metrics.Event{
-			Cycle: now, Kind: metrics.EvLink, Packet: f.Pkt.ID, Flit: f.Seq,
-			Node: l.owner, Port: l.inPort, VC: f.VC,
-		})
+		if l.rec != nil {
+			l.rec.StageEvent(metrics.Event{
+				Cycle: now, Kind: metrics.EvLink, Packet: f.Pkt.ID, Flit: f.Seq,
+				Node: l.owner, Port: l.inPort, VC: f.VC,
+			})
+		}
 	}
 	l.dst.ReceiveFlit(l.inPort, f, now)
 }

@@ -89,6 +89,7 @@ type Network struct {
 	// wlStats tallies worklist effectiveness per shard: each slot is
 	// padded to its own cache line and written once per shard call, by
 	// the lane that owns the shard; WorklistStats sums them on demand.
+	// Snapshots carry only the sum, which a restore puts in slot 0.
 	wlStats []shardTally
 
 	// shardCount is the number of kernel shards (1 = serial); exec is
@@ -205,13 +206,7 @@ func New(cfg *config.Config) *Network {
 		collector: stats.NewCollector(cfg.WarmupPackets, cfg.MeasurePackets, mesh.Nodes()),
 		wd:        watchdog{window: wedgeWindow(cfg)},
 	}
-	n.shardCount = cfg.Workers
-	if n.shardCount < 1 {
-		n.shardCount = 1
-	}
-	if n.shardCount > mesh.Nodes() {
-		n.shardCount = mesh.Nodes()
-	}
+	n.shardCount = kernelShards(cfg.Workers, mesh.Nodes())
 	n.auditStates = make([][]audit.LinkState, n.shardCount)
 	n.auditErrs = make([]error, n.shardCount)
 	n.computeActive = make([]bool, mesh.Nodes())

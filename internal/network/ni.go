@@ -137,10 +137,12 @@ func (s *ni) tick(now int64) {
 		s.view.OnSend(f)
 		s.link.SendFlit(f, now)
 		s.injected++
-		s.rec.StageEvent(metrics.Event{
-			Cycle: now, Kind: metrics.EvInject, Packet: f.Pkt.ID, Flit: f.Seq,
-			Node: s.node, Port: -1, VC: st.vc,
-		})
+		if s.rec != nil {
+			s.rec.StageEvent(metrics.Event{
+				Cycle: now, Kind: metrics.EvInject, Packet: f.Pkt.ID, Flit: f.Seq,
+				Node: s.node, Port: -1, VC: st.vc,
+			})
+		}
 		st.idx++
 		if st.idx == st.cur.Size {
 			if s.txn != nil {

@@ -48,7 +48,8 @@ func newObsState(cfg *config.Config, nodes int) *obsState {
 }
 
 // recorder returns event recorder i, or nil when the layer is off or
-// not tracing — the value components hold to make StageEvent a no-op.
+// not tracing — the value components hold, and test before they build
+// an event for StageEvent.
 func (o *obsState) recorder(i int) *metrics.Recorder {
 	if o == nil || o.recs == nil {
 		return nil

@@ -88,10 +88,12 @@ func (n *Network) send(p *flit.Packet, src, dst, size int, kind, class uint8, re
 	if !n.computeActive[src] {
 		n.computeActive[src] = true
 	}
-	n.rec.StageEvent(metrics.Event{
-		Cycle: n.now, Kind: metrics.EvCreate, Packet: p.ID, Flit: -1,
-		Node: src, Port: -1, VC: -1,
-	})
+	if n.rec != nil {
+		n.rec.StageEvent(metrics.Event{
+			Cycle: n.now, Kind: metrics.EvCreate, Packet: p.ID, Flit: -1,
+			Node: src, Port: -1, VC: -1,
+		})
+	}
 	if n.recording {
 		//vichar:alloc trace recording is an opt-in diagnostic mode; one entry per recorded packet
 		n.recorded = append(n.recorded, trace.Entry{Cycle: n.now, Src: src, Dst: dst, Size: size})

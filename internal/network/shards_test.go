@@ -48,6 +48,9 @@ func eventually(t *testing.T, what string, cond func() bool) {
 // GOMAXPROCS (4 shards on 2 processors are 2 lanes of 2 shards), the
 // caller is lane 0, each lane runs one contiguous block in ascending
 // order, and every run — whatever the phase closure — reuses the map.
+// A helper that has not claimed its block when the caller finishes its
+// own loses the whole block to the caller, so the map is read from
+// the first batch the helper runs: it must first be spinning.
 func TestExecutorLaneAffinity(t *testing.T) {
 	withProcs(t, 2)
 	e := newShardExecutor(4)
@@ -55,24 +58,68 @@ func TestExecutorLaneAffinity(t *testing.T) {
 	if lanes := len(e.helpers) + 1; lanes != 2 {
 		t.Fatalf("4 shards at GOMAXPROCS=2 run on %d lanes, want 2", lanes)
 	}
-	var ranOn, first [4]int
+	me := goid()
+	var ranOn [4]int
 	record := func(shard int) { ranOn[shard] = goid() }
+	eventually(t, "the helper to run a block", func() bool {
+		e.run(record)
+		return ranOn[2] != me
+	})
+	first := ranOn
+	if first[0] != me || first[1] != me {
+		t.Fatalf("shards 0,1 ran on goroutines %v, want the caller (%d) as lane 0", first[:2], me)
+	}
+	if first[2] != first[3] {
+		t.Fatalf("shards 2,3 ran on goroutines %v, want one helper lane distinct from the caller", first[2:])
+	}
+	stolen := [4]int{me, me, me, me}
 	for batch := 0; batch < 200; batch++ {
 		ranOn = [4]int{}
 		e.run(record)
-		if batch == 0 {
-			first = ranOn
-		}
-		if ranOn != first {
-			t.Fatalf("batch %d ran shards on goroutines %v, batch 0 on %v", batch, ranOn, first)
+		if ranOn != first && ranOn != stolen {
+			t.Fatalf("batch %d ran shards on goroutines %v, want %v (or the helper's block on the caller)", batch, ranOn, first)
 		}
 	}
-	if me := goid(); first[0] != me || first[1] != me {
-		t.Fatalf("shards 0,1 ran on goroutines %v, want the caller (%d) as lane 0", first[:2], me)
+}
+
+// TestExecutorRunsUnstartedLanes: a lane whose helper never starts a
+// batch — here one never started at all, the limit of a helper
+// descheduled for good — does not stall the phase: the caller claims
+// and runs its block, every shard exactly once per batch and in
+// ascending order within a block. Helpers started late join at the
+// next unclaimed batch, and stop still reaps them.
+func TestExecutorRunsUnstartedLanes(t *testing.T) {
+	e := &shardExecutor{shards: 7, helpers: make([]helper, 2)}
+	for i := range e.helpers {
+		e.helpers[i].wake = make(chan struct{}, 1)
 	}
-	if first[2] != first[3] || first[2] == first[0] {
-		t.Fatalf("shards 2,3 ran on goroutines %v, want one helper lane distinct from the caller", first[2:])
+	me := goid()
+	var order []int
+	e.run(func(shard int) {
+		if goid() != me {
+			t.Errorf("shard %d left the calling goroutine with no helper started", shard)
+		}
+		order = append(order, shard)
+	})
+	if !slices.Equal(order, []int{0, 1, 2, 3, 4, 5, 6}) {
+		t.Fatalf("run with unstarted helpers visited shards %v, want 0..6 once each in order", order)
 	}
+
+	withProcs(t, 2)
+	before := runtime.NumGoroutine()
+	go e.help(1)
+	go e.help(2)
+	var ran [7]int
+	for batch := 1; batch <= 300; batch++ {
+		e.run(func(shard int) { ran[shard]++ })
+		for s, got := range ran {
+			if got != batch {
+				t.Fatalf("batch %d: shard %d ran %d times in all, want %d", batch, s, got, batch)
+			}
+		}
+	}
+	e.stop()
+	eventually(t, "the late helpers to exit", func() bool { return runtime.NumGoroutine() <= before })
 }
 
 // TestExecutorInlineOnOneProcessor: at GOMAXPROCS=1 the executor has a

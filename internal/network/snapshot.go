@@ -268,22 +268,7 @@ func (n *Network) State(c *snap.Codec) {
 			}
 		}
 	}
-	c.Expect(len(n.wlStats), "network: worklist shards")
-	for i := range n.wlStats {
-		w := &n.wlStats[i]
-		c.U64(&w.ComputeTicked)
-		c.U64(&w.ComputeSkipped)
-		c.U64(&w.DeliverTicked)
-		c.U64(&w.DeliverSkipped)
-		// Every router is ticked or skipped in both phases of every
-		// cycle, which ties the cycle counter — all that bounds the
-		// random streams' replay — to four other fields.
-		lo, hi := chunkBounds(len(n.routers), n.shardCount, i)
-		want := uint64(n.now) * uint64(hi-lo)
-		if n.now > math.MaxInt64/int64(len(n.routers)) || w.ComputeTicked+w.ComputeSkipped != want || w.DeliverTicked+w.DeliverSkipped != want {
-			c.Failf("network: snapshot worklist shard %d has not counted %d routers over %d cycles", i, hi-lo, n.now)
-		}
-	}
+	n.worklistState(c)
 
 	n.traceState(c)
 	n.collector.State(c)
@@ -296,6 +281,54 @@ func (n *Network) State(c *snap.Codec) {
 		if err := n.auditLoaded(); err != nil {
 			c.Failf("network: snapshot state is inconsistent: %v", err)
 		}
+	}
+}
+
+// worklistState walks the worklist tallies summed over shards, so a
+// blob does not depend on the shard count that cut it (Workers 0 is
+// one shard per processor): a save writes one entry, and a load sums
+// however many entries the blob holds — a blob cut before the tallies
+// were summed has one per shard — into the first shard's slot. Every
+// router is ticked or skipped in both phases of every cycle, which
+// ties the cycle counter — all that bounds the random streams' replay
+// — to the sums.
+func (n *Network) worklistState(c *snap.Codec) {
+	if n.now > math.MaxInt64/int64(len(n.routers)) {
+		c.Failf("network: snapshot cycle %d overflows the worklist tallies of %d routers", n.now, len(n.routers))
+		return
+	}
+	want := uint64(n.now) * uint64(len(n.routers))
+	sum := n.WorklistStats()
+	entries := c.Len(1, len(n.routers), "network: worklist tally entries")
+	c.Range(entries, 1, len(n.routers), "network: worklist tally entries")
+	if c.Loading() {
+		sum = WorklistStats{}
+		clear(n.wlStats)
+	}
+	// add accumulates one loaded tally, refusing any that would carry a
+	// sum past want — so no sum wraps, whatever the entries hold.
+	add := func(acc *uint64, v uint64) {
+		c.Check(v <= want-*acc, "network: snapshot worklist tallies exceed %d routers over %d cycles", len(n.routers), n.now)
+		*acc += v
+	}
+	for i := 0; i < entries && c.Err() == nil; i++ {
+		w := sum
+		c.U64(&w.ComputeTicked)
+		c.U64(&w.ComputeSkipped)
+		c.U64(&w.DeliverTicked)
+		c.U64(&w.DeliverSkipped)
+		if c.Loading() {
+			add(&sum.ComputeTicked, w.ComputeTicked)
+			add(&sum.ComputeSkipped, w.ComputeSkipped)
+			add(&sum.DeliverTicked, w.DeliverTicked)
+			add(&sum.DeliverSkipped, w.DeliverSkipped)
+		}
+	}
+	if sum.ComputeTicked+sum.ComputeSkipped != want || sum.DeliverTicked+sum.DeliverSkipped != want {
+		c.Failf("network: snapshot worklist tallies have not counted %d routers over %d cycles", len(n.routers), n.now)
+	}
+	if c.Loading() && c.Err() == nil {
+		n.wlStats[0].WorklistStats = sum
 	}
 }
 

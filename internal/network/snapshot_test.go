@@ -2,6 +2,9 @@ package network
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
+	"slices"
 	"strings"
 	"testing"
 
@@ -130,6 +133,99 @@ func TestSnapshotRejectsMidCycleState(t *testing.T) {
 		l.wakes = l.wakes[:0]
 		if got := saveBytes(t, n); !bytes.Equal(got, want) {
 			t.Fatalf("shard %d: save after the lists emptied differs from the save before", s)
+		}
+	}
+}
+
+// TestSnapshotIndependentOfShardCount: the worklist tallies travel
+// summed, so a blob cut at Workers=2 loads into networks of one and of
+// four shards, each re-saves the same bytes, and all three run on
+// byte-identical. A blob in the format that kept one tally entry per
+// shard — here the Workers=2 cut with its two shard entries spliced
+// back in — loads to the same state; entries that do not add up to
+// every router in both phases of every cycle are refused.
+func TestSnapshotIndependentOfShardCount(t *testing.T) {
+	at := func(workers int) config.Config {
+		cfg := faultBase()
+		cfg.Workers = workers
+		return cfg
+	}
+	cfg2 := at(2)
+	n := New(&cfg2)
+	defer n.Close()
+	for c := 0; c < 120; c++ {
+		n.Step()
+	}
+	blob := saveBytes(t, n)
+
+	// The per-shard layout: the entry count, then each shard's four
+	// tallies, after the worklist section's two per-router flag arrays.
+	marker := append([]byte{8, 0, 0, 0}, "worklist"...)
+	off := bytes.Index(blob, marker) + len(marker) + 2*(4+len(n.routers))
+	perShard := binary.LittleEndian.AppendUint64(nil, uint64(len(n.wlStats)))
+	for _, w := range n.wlStats {
+		for _, v := range []uint64{w.ComputeTicked, w.ComputeSkipped, w.DeliverTicked, w.DeliverSkipped} {
+			perShard = binary.LittleEndian.AppendUint64(perShard, v)
+		}
+	}
+	splice := func(entries []byte) []byte {
+		body := append(append(append([]byte(nil), blob[:off]...), entries...), blob[off+8+32:len(blob)-4]...)
+		return binary.LittleEndian.AppendUint32(body, crc32.ChecksumIEEE(body))
+	}
+	if binary.LittleEndian.Uint64(blob[off:]) != 1 {
+		t.Fatalf("Workers=2 save wrote %d tally entries, want 1", binary.LittleEndian.Uint64(blob[off:]))
+	}
+	if !bytes.Equal(splice(blob[off:off+40]), blob) {
+		t.Fatal("splicing the saved entry back in changed the blob: the worklist offset is wrong")
+	}
+
+	load := func(data []byte, workers int) (*Network, error) {
+		cfg := at(workers)
+		c, err := snap.Open(data)
+		if err != nil {
+			return nil, err
+		}
+		m := New(&cfg)
+		m.State(c)
+		return m, c.Finish()
+	}
+	nets := []*Network{n}
+	for _, data := range [][]byte{blob, splice(perShard)} {
+		for _, workers := range []int{1, 4} {
+			m, err := load(data, workers)
+			if err != nil {
+				t.Fatalf("Workers=%d: load: %v", workers, err)
+			}
+			defer m.Close()
+			if got := saveBytes(t, m); !bytes.Equal(got, blob) {
+				t.Fatalf("Workers=%d: re-save differs from the Workers=2 blob", workers)
+			}
+			if m.WorklistStats() != n.WorklistStats() {
+				t.Fatalf("Workers=%d: tallies %+v, want %+v", workers, m.WorklistStats(), n.WorklistStats())
+			}
+			nets = append(nets, m)
+		}
+	}
+	for c := 0; c < 200; c++ {
+		for _, m := range nets {
+			m.Step()
+		}
+	}
+	want := saveBytes(t, n)
+	for i, m := range nets[1:] {
+		if !bytes.Equal(saveBytes(t, m), want) {
+			t.Fatalf("restored network %d diverged from the Workers=2 original", i)
+		}
+	}
+
+	bad := slices.Clone(perShard)
+	binary.LittleEndian.PutUint64(bad[8+32:], binary.LittleEndian.Uint64(bad[8+32:])+1)
+	for name, entries := range map[string][]byte{
+		"no entries":                    binary.LittleEndian.AppendUint64(nil, 0),
+		"a tally counting one too many": bad,
+	} {
+		if _, err := load(splice(entries), 1); err == nil || !strings.Contains(err.Error(), "worklist tall") {
+			t.Errorf("%s: load err %v, want a worklist tally refusal", name, err)
 		}
 	}
 }

@@ -25,10 +25,12 @@ func (n *Network) eject(node int, f *flit.Flit, now int64) {
 	}
 	p.NextSeq++
 	n.ejectedFlits++
-	n.rec.StageEvent(metrics.Event{
-		Cycle: now, Kind: metrics.EvEject, Packet: f.Pkt.ID, Flit: f.Seq,
-		Node: node, Port: -1, VC: f.VC,
-	})
+	if n.rec != nil {
+		n.rec.StageEvent(metrics.Event{
+			Cycle: now, Kind: metrics.EvEject, Packet: f.Pkt.ID, Flit: f.Seq,
+			Node: node, Port: -1, VC: f.VC,
+		})
+	}
 	if !f.IsTail() {
 		return
 	}

@@ -180,8 +180,9 @@ type Router struct {
 	// of the router, read only in the kernel's serial phase.
 	act Activity
 
-	// rec stages flit-lifecycle events for the tracer; nil (StageEvent
-	// is a no-op) unless Config.TraceEvents is set.
+	// rec stages flit-lifecycle events for the tracer; nil unless
+	// Config.TraceEvents is set, and every site tests it before it
+	// builds an event, so an untraced hop reads no packet record.
 	rec *metrics.Recorder
 
 	// faults is the router's fault-model state (port stalls, dead
@@ -533,10 +534,12 @@ func (r *Router) tickRC(now int64) {
 				va[i] |= 1 << uint(b)
 				st.waitSince = now
 				r.act.RC++
-				r.rec.StageEvent(metrics.Event{
-					Cycle: now, Kind: metrics.EvRC, Packet: f.Pkt.ID, Flit: -1,
-					Node: r.id, Port: -1, VC: v,
-				})
+				if r.rec != nil {
+					r.rec.StageEvent(metrics.Event{
+						Cycle: now, Kind: metrics.EvRC, Packet: f.Pkt.ID, Flit: -1,
+						Node: r.id, Port: -1, VC: v,
+					})
+				}
 			}
 		}
 	}
@@ -761,10 +764,12 @@ func (r *Router) grant(ip, v, op, ovc int, now int64) {
 	r.setBit(actMask, ip, v)
 	in.outInfo[v] = packRoute(op, ovc)
 	r.act.VAGrants++
-	r.rec.StageEvent(metrics.Event{
-		Cycle: now, Kind: metrics.EvVAGrant, Packet: in.vc[v].pkt.ID, Flit: -1,
-		Node: r.id, Port: op, VC: ovc,
-	})
+	if r.rec != nil {
+		r.rec.StageEvent(metrics.Event{
+			Cycle: now, Kind: metrics.EvVAGrant, Packet: in.vc[v].pkt.ID, Flit: -1,
+			Node: r.id, Port: op, VC: ovc,
+		})
+	}
 }
 
 // tickVAGeneric implements paper Figure 7(a): each waiting input VC
@@ -951,10 +956,12 @@ func (r *Router) forward(ip, v, op int, now int64) {
 		r.clearBit(bufMask, ip, v)
 	}
 	r.act.BufReads[ip]++
-	r.rec.StageEvent(metrics.Event{
-		Cycle: now, Kind: metrics.EvSAGrant, Packet: f.Pkt.ID, Flit: f.Seq,
-		Node: r.id, Port: op, VC: ovc,
-	})
+	if r.rec != nil {
+		r.rec.StageEvent(metrics.Event{
+			Cycle: now, Kind: metrics.EvSAGrant, Packet: f.Pkt.ID, Flit: f.Seq,
+			Node: r.id, Port: op, VC: ovc,
+		})
+	}
 
 	if in.credit != nil {
 		in.credit.SendCredit(flit.Credit{VC: v, ReleaseVC: f.IsTail()}, now)

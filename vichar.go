@@ -213,8 +213,9 @@ func (s *Simulator) CheckProgress() error { return s.net.CheckProgress() }
 // Step advances the simulation by one cycle.
 func (s *Simulator) Step() { s.net.Step() }
 
-// Close frees the cycle kernel's helper goroutines (only present when
-// Config.Workers > 1 on a multi-processor host). Helpers of an idle
+// Close frees the cycle kernel's helper goroutines (present whenever
+// the kernel has more than one lane: on a multi-processor host, at
+// the default Config.Workers 0 or above 1). Helpers of an idle
 // simulator park on their own within a millisecond and burn no CPU;
 // Close — or, for a dropped simulator, a finalizer — ends them. The
 // simulator stays usable; a later Step restarts them.
