@@ -31,11 +31,11 @@ alloc-check:
 
 # The bit-identical resume contract (DESIGN.md §14): snapshot at C,
 # restore, run to completion — results, latencies, counters, the final
-# metrics registry and flit events byte-equal to the straight-through
-# run for every architecture, with faults and metrics on, in-process
-# and across a process boundary, plus the codec's own cases, the
-# format's byte-identity wall (TestSnapshotBytesWall), corruption
-# rejection before and behind the checksum
+# metrics registry, flit events and the recorded trace byte-equal to
+# the straight-through run for every architecture, across the resume
+# matrix (each row fails if no cut carries the state it exists for),
+# in-process and across a process boundary, plus the codec's own
+# cases, corruption rejection before and behind the checksum
 # (TestRestoreResealedMutations) and the mid-hold cut. The state
 # walks' own round trips come first: every fixed buffer organization
 # reloaded mid-sequence against a FIFO model, the UBS control table

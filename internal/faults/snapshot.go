@@ -4,9 +4,9 @@ import "vichar/internal/snap"
 
 // This file is the checkpoint walk of the fault subsystem. The Plan
 // is immutable and re-derives from the configuration, so only the
-// per-link retransmission state and the per-router stall registers
-// travel. RouterState's now/stalled scratch is recomputed by the first
-// BeginCycle after restore.
+// per-link retransmission state and the per-router stall deadlines
+// travel. RouterState's now/stalled scratch and its window cursors are
+// recomputed by the first BeginCycle after restore.
 
 // State walks the link's delivery-attempt counter, scheduled drop
 // cursor, retransmission buffer and fault tallies; vcs is the VC count
@@ -30,16 +30,14 @@ func (s *LinkState) State(c *snap.Codec, vcs int) {
 	c.U64(&s.Retransmits)
 }
 
-// State walks the router's stall registers: per-port stall deadlines
-// and scheduled-window cursors. Safe on nil.
+// State walks the router's per-port stall deadlines. Safe on nil. The
+// scheduled-window cursors are not walked: a load leaves them at the
+// start, and the first BeginCycle re-walks the windows already due,
+// whose ends the deadlines, which only ever grow, already cover.
 func (s *RouterState) State(c *snap.Codec) {
 	c.Section("routerfaults")
 	if !c.Present(s != nil, "faults: router state") {
 		return
 	}
 	c.I64s(s.stallUntil)
-	c.Ints(s.winIdx)
-	for port, idx := range s.winIdx {
-		c.Range(idx, 0, len(s.windows[port]), "faults: stall-window cursor")
-	}
 }

@@ -76,9 +76,6 @@ type Packet struct {
 	// EjectedAt is the cycle the tail flit reached the destination's
 	// processing element. Zero until ejection.
 	EjectedAt int64
-	// SeqNo is the global ejection-order independent creation ordinal
-	// used by the measurement protocol (warm-up accounting).
-	SeqNo uint64
 	// Escaped is set when an adaptively routed packet has been
 	// re-channelled onto an escape virtual channel after a deadlock
 	// timeout; from then on it routes deterministically.

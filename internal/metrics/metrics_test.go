@@ -252,8 +252,9 @@ func TestTracerMatchesNaiveRing(t *testing.T) {
 				t.Fatalf("JSONL differs from the model's rendering:\n%.400s\nwant:\n%.400s", got.String(), naive.String())
 			}
 
-			// A checkpoint carries the ring slot by slot, each event with
-			// the Seq its slot implies; a restored tracer reports the same.
+			// A checkpoint carries the ring slot by slot, without Seqs; a
+			// restored tracer reports the same events, each with the Seq
+			// its slot implies.
 			blob, err := snap.Save(tr.State)
 			if err != nil {
 				t.Fatal(err)

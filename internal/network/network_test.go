@@ -205,7 +205,7 @@ func freeSlotsWhenIdle(cfg *config.Config) int {
 }
 
 // Per-packet flit order: the tail must never be ejected before
-// SeqNo-later packets' creation violates nothing — verified stronger
+// later packets' creation violates nothing — verified stronger
 // at the buffer level; here we check tail-only ejection accounting
 // matched packet count (done via Drain) and latency sanity per hop.
 func TestLatencyLowerBound(t *testing.T) {

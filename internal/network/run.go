@@ -78,7 +78,6 @@ func (n *Network) send(p *flit.Packet, src, dst, size int, kind, class uint8, re
 	p.ID = n.nextID
 	p.Src, p.Dst, p.Size = src, dst, size
 	p.CreatedAt = n.now
-	p.SeqNo = n.nextID
 	p.Class, p.Kind, p.Req = class, kind, req
 	n.created++
 	n.nis[src].enqueue(p)

@@ -29,9 +29,10 @@ import (
 // buffers are empty there, and router per-tick scratch is dead. State
 // verifies the former and refuses otherwise.
 
-// packetState walks one packet's full record. A packet's flit storage
-// is sized by Size at injection or at load, so the body bytes left
-// bound it.
+// packetState walks one packet's record. A packet's flit storage is
+// sized by Size at injection or at load, so the body bytes left bound
+// it. EjectedAt is not walked: every packet a snapshot references has
+// its tail still to eject, so it is zero.
 func (n *Network) packetState(c *snap.Codec, p *flit.Packet) {
 	c.U64(&p.ID)
 	c.Int(&p.Src)
@@ -39,8 +40,6 @@ func (n *Network) packetState(c *snap.Codec, p *flit.Packet) {
 	c.Int(&p.Size)
 	c.I64(&p.CreatedAt)
 	c.I64(&p.InjectedAt)
-	c.I64(&p.EjectedAt)
-	c.U64(&p.SeqNo)
 	c.Bool(&p.Escaped)
 	c.U8(&p.Class)
 	c.U8(&p.Kind)
@@ -51,6 +50,9 @@ func (n *Network) packetState(c *snap.Codec, p *flit.Packet) {
 	c.Range(p.Size, 1, c.Room(), "network: packet size (flits, at most the bytes left)")
 	c.Range(p.NextSeq, 0, p.Size-1, "network: packet ejection cursor")
 	c.Range(int(p.Class), 0, n.cfg.VCClasses()-1, "network: packet VC class")
+	if p.EjectedAt != 0 {
+		c.Failf("network: snapshot references packet %d, which has ejected", p.ID)
+	}
 }
 
 // state walks the ring's payloads, oldest first, through elem. Loading
@@ -84,14 +86,18 @@ func (l *flitLink) state(c *snap.Codec, now int64) {
 }
 
 // state walks one credit link's in-flight credits at cycle now, each
-// for one of the vcs channels and due within the link's delay.
+// for one of the vcs channels. Their due cycle is not walked: a credit
+// is sent in one cycle and delivered in the next (CreditDelay is 1), so
+// between Steps every credit in flight is due at now + delay.
 func (l *creditLink) state(c *snap.Codec, now int64, vcs int) {
 	l.q.state(c, "network: credit-link occupancy", func(e *timedCredit) {
 		c.Int(&e.c.VC)
 		c.Bool(&e.c.ReleaseVC)
-		c.I64(&e.at)
-		if e.c.VC < 0 || e.c.VC >= vcs || e.at > now+l.delay {
-			c.Failf("network: snapshot credit is for VC %d of %d or due at %d, beyond cycle %d + delay %d", e.c.VC, vcs, e.at, now, l.delay)
+		if c.Loading() {
+			e.at = now + l.delay
+		}
+		if e.c.VC < 0 || e.c.VC >= vcs || e.at != now+l.delay {
+			c.Failf("network: snapshot credit is for VC %d of %d or due at %d, not cycle %d + delay %d", e.c.VC, vcs, e.at, now, l.delay)
 		}
 	})
 }
@@ -286,49 +292,27 @@ func (n *Network) State(c *snap.Codec) {
 
 // worklistState walks the worklist tallies summed over shards, so a
 // blob does not depend on the shard count that cut it (Workers 0 is
-// one shard per processor): a save writes one entry, and a load sums
-// however many entries the blob holds — a blob cut before the tallies
-// were summed has one per shard — into the first shard's slot. Every
-// router is ticked or skipped in both phases of every cycle, which
-// ties the cycle counter — all that bounds the random streams' replay
-// — to the sums.
+// one shard per processor); a load puts the sums in the first shard's
+// slot. Every router is ticked or skipped in both phases of every
+// cycle, which ties the cycle counter — all that bounds the random
+// streams' replay — to the sums.
 func (n *Network) worklistState(c *snap.Codec) {
 	if n.now > math.MaxInt64/int64(len(n.routers)) {
 		c.Failf("network: snapshot cycle %d overflows the worklist tallies of %d routers", n.now, len(n.routers))
 		return
 	}
 	want := uint64(n.now) * uint64(len(n.routers))
-	sum := n.WorklistStats()
-	entries := c.Len(1, len(n.routers), "network: worklist tally entries")
-	c.Range(entries, 1, len(n.routers), "network: worklist tally entries")
-	if c.Loading() {
-		sum = WorklistStats{}
-		clear(n.wlStats)
-	}
-	// add accumulates one loaded tally, refusing any that would carry a
-	// sum past want — so no sum wraps, whatever the entries hold.
-	add := func(acc *uint64, v uint64) {
-		c.Check(v <= want-*acc, "network: snapshot worklist tallies exceed %d routers over %d cycles", len(n.routers), n.now)
-		*acc += v
-	}
-	for i := 0; i < entries && c.Err() == nil; i++ {
-		w := sum
-		c.U64(&w.ComputeTicked)
-		c.U64(&w.ComputeSkipped)
-		c.U64(&w.DeliverTicked)
-		c.U64(&w.DeliverSkipped)
-		if c.Loading() {
-			add(&sum.ComputeTicked, w.ComputeTicked)
-			add(&sum.ComputeSkipped, w.ComputeSkipped)
-			add(&sum.DeliverTicked, w.DeliverTicked)
-			add(&sum.DeliverSkipped, w.DeliverSkipped)
-		}
-	}
-	if sum.ComputeTicked+sum.ComputeSkipped != want || sum.DeliverTicked+sum.DeliverSkipped != want {
+	w := n.WorklistStats()
+	c.U64(&w.ComputeTicked)
+	c.U64(&w.ComputeSkipped)
+	c.U64(&w.DeliverTicked)
+	c.U64(&w.DeliverSkipped)
+	if w.ComputeTicked > want || w.ComputeSkipped != want-w.ComputeTicked || w.DeliverTicked > want || w.DeliverSkipped != want-w.DeliverTicked {
 		c.Failf("network: snapshot worklist tallies have not counted %d routers over %d cycles", len(n.routers), n.now)
 	}
 	if c.Loading() && c.Err() == nil {
-		n.wlStats[0].WorklistStats = sum
+		clear(n.wlStats)
+		n.wlStats[0].WorklistStats = w
 	}
 }
 

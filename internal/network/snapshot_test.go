@@ -140,10 +140,8 @@ func TestSnapshotRejectsMidCycleState(t *testing.T) {
 // TestSnapshotIndependentOfShardCount: the worklist tallies travel
 // summed, so a blob cut at Workers=2 loads into networks of one and of
 // four shards, each re-saves the same bytes, and all three run on
-// byte-identical. A blob in the format that kept one tally entry per
-// shard — here the Workers=2 cut with its two shard entries spliced
-// back in — loads to the same state; entries that do not add up to
-// every router in both phases of every cycle are refused.
+// byte-identical. Tallies that do not add up to every router in both
+// phases of every cycle are refused.
 func TestSnapshotIndependentOfShardCount(t *testing.T) {
 	at := func(workers int) config.Config {
 		cfg := faultBase()
@@ -158,27 +156,6 @@ func TestSnapshotIndependentOfShardCount(t *testing.T) {
 	}
 	blob := saveBytes(t, n)
 
-	// The per-shard layout: the entry count, then each shard's four
-	// tallies, after the worklist section's two per-router flag arrays.
-	marker := append([]byte{8, 0, 0, 0}, "worklist"...)
-	off := bytes.Index(blob, marker) + len(marker) + 2*(4+len(n.routers))
-	perShard := binary.LittleEndian.AppendUint64(nil, uint64(len(n.wlStats)))
-	for _, w := range n.wlStats {
-		for _, v := range []uint64{w.ComputeTicked, w.ComputeSkipped, w.DeliverTicked, w.DeliverSkipped} {
-			perShard = binary.LittleEndian.AppendUint64(perShard, v)
-		}
-	}
-	splice := func(entries []byte) []byte {
-		body := append(append(append([]byte(nil), blob[:off]...), entries...), blob[off+8+32:len(blob)-4]...)
-		return binary.LittleEndian.AppendUint32(body, crc32.ChecksumIEEE(body))
-	}
-	if binary.LittleEndian.Uint64(blob[off:]) != 1 {
-		t.Fatalf("Workers=2 save wrote %d tally entries, want 1", binary.LittleEndian.Uint64(blob[off:]))
-	}
-	if !bytes.Equal(splice(blob[off:off+40]), blob) {
-		t.Fatal("splicing the saved entry back in changed the blob: the worklist offset is wrong")
-	}
-
 	load := func(data []byte, workers int) (*Network, error) {
 		cfg := at(workers)
 		c, err := snap.Open(data)
@@ -190,21 +167,19 @@ func TestSnapshotIndependentOfShardCount(t *testing.T) {
 		return m, c.Finish()
 	}
 	nets := []*Network{n}
-	for _, data := range [][]byte{blob, splice(perShard)} {
-		for _, workers := range []int{1, 4} {
-			m, err := load(data, workers)
-			if err != nil {
-				t.Fatalf("Workers=%d: load: %v", workers, err)
-			}
-			defer m.Close()
-			if got := saveBytes(t, m); !bytes.Equal(got, blob) {
-				t.Fatalf("Workers=%d: re-save differs from the Workers=2 blob", workers)
-			}
-			if m.WorklistStats() != n.WorklistStats() {
-				t.Fatalf("Workers=%d: tallies %+v, want %+v", workers, m.WorklistStats(), n.WorklistStats())
-			}
-			nets = append(nets, m)
+	for _, workers := range []int{1, 4} {
+		m, err := load(blob, workers)
+		if err != nil {
+			t.Fatalf("Workers=%d: load: %v", workers, err)
 		}
+		defer m.Close()
+		if got := saveBytes(t, m); !bytes.Equal(got, blob) {
+			t.Fatalf("Workers=%d: re-save differs from the Workers=2 blob", workers)
+		}
+		if m.WorklistStats() != n.WorklistStats() {
+			t.Fatalf("Workers=%d: tallies %+v, want %+v", workers, m.WorklistStats(), n.WorklistStats())
+		}
+		nets = append(nets, m)
 	}
 	for c := 0; c < 200; c++ {
 		for _, m := range nets {
@@ -218,14 +193,14 @@ func TestSnapshotIndependentOfShardCount(t *testing.T) {
 		}
 	}
 
-	bad := slices.Clone(perShard)
-	binary.LittleEndian.PutUint64(bad[8+32:], binary.LittleEndian.Uint64(bad[8+32:])+1)
-	for name, entries := range map[string][]byte{
-		"no entries":                    binary.LittleEndian.AppendUint64(nil, 0),
-		"a tally counting one too many": bad,
-	} {
-		if _, err := load(splice(entries), 1); err == nil || !strings.Contains(err.Error(), "worklist tall") {
-			t.Errorf("%s: load err %v, want a worklist tally refusal", name, err)
-		}
+	// The tallies follow the worklist section's two per-router flag
+	// arrays; the first counts compute ticks.
+	marker := append([]byte{8, 0, 0, 0}, "worklist"...)
+	off := bytes.Index(blob, marker) + len(marker) + 2*(4+len(n.routers))
+	bad := slices.Clone(blob[:len(blob)-4])
+	binary.LittleEndian.PutUint64(bad[off:], binary.LittleEndian.Uint64(bad[off:])+1)
+	bad = binary.LittleEndian.AppendUint32(bad, crc32.ChecksumIEEE(bad))
+	if _, err := load(bad, 1); err == nil || !strings.Contains(err.Error(), "worklist tall") {
+		t.Errorf("a tally counting one too many: load err %v, want a worklist tally refusal", err)
 	}
 }

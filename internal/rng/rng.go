@@ -74,7 +74,6 @@ func mulMod(a, b uint64) uint64 {
 type Stream struct {
 	tap, feed int
 	vec       [regLen]int64
-	seed      int64
 	draws     uint64
 }
 
@@ -88,7 +87,7 @@ func New(seed int64) *Stream {
 // Init seeds s in place, exactly as math/rand's Seed would, and resets
 // its draw count.
 func (s *Stream) Init(seed int64) {
-	s.seed, s.draws = seed, 0
+	s.draws = 0
 	s.tap, s.feed = 0, regLen-regTap
 	x0 := seed % lehmerM
 	if x0 < 0 {
@@ -152,11 +151,9 @@ func (s *Stream) State(c *snap.Codec, now int64) {
 	}
 }
 
-// Seed returns the seed the stream was created with.
-func (s *Stream) Seed() int64 { return s.seed }
-
 // Draws returns the number of generator steps consumed so far; together
-// with Seed it fully identifies the stream's position.
+// with the seed it was initialised with it fully identifies the
+// stream's position.
 func (s *Stream) Draws() uint64 { return s.draws }
 
 // Float64 returns a uniform variate in [0, 1). Like math/rand it

@@ -36,32 +36,10 @@ import (
 
 const (
 	magic = "VCHRSNAP"
-	// Version is the snapshot format version; Open rejects any other.
-	// Version 2 added packet Class/Kind/Req, per-class NI streams,
-	// ViChaR class reserves and the transaction-engine section.
-	// Version 3 moved the event counters to their owners (router
-	// activity record, NI, network core) and dropped the registry's
-	// counter values and the recorder deltas, which are derived.
-	// Version 4 stores the VC Control Table as its rows (slot lists)
-	// instead of raw rings, per-VC credit counters as int16, VC
-	// candidates as one packed byte, the ejection cursor inside each
-	// packet record (the separate expect table is gone), and drops the
-	// router's packed SA routes, which re-derive from the VC state.
-	// Version 5 stores the transaction engine's latencies as a
-	// histogram (its counts, then its smallest value) instead of one
-	// entry per sample.
-	// Version 6 drops the unified buffer's per-slot arrival stamps, head
-	// stamps and readiness masks, which re-derive from the flits, and
-	// the configuration's ClockHz key.
-	// Version 7 walks each input port's scan masks before its VCs, which
-	// carry no state byte and their granted route only while active;
-	// drops the ViChaR view's per-VC granted flags and its dispenser
-	// section (the token bitmap is one tracker over every VC ID); and
-	// drops the configuration's AtomicVCAlloc key.
-	// Version 8 moves the fixed organizations' VC allocation pointer
-	// from their credit views (genview, sharedview), where only the
-	// network interface advanced it, into the NI section.
-	Version = 8
+	// Version is the snapshot format version; Open rejects any other,
+	// so a blob loads only into a build of the format that cut it. Any
+	// change to a State walk bumps it.
+	Version = 9
 )
 
 var le = binary.LittleEndian

@@ -7,10 +7,10 @@ import (
 // State walks the engine for a checkpoint taken at cycle now: global
 // transaction counts and the latency histogram, each requester's rng
 // position, window and pending table (IDs ascending), and each
-// responder's admission and service-queue state. Node roles are
-// derived from the configuration, so only per-role payloads travel;
-// loading needs an engine built with New over the same configuration
-// that produced the snapshot.
+// responder's admission and service-queue state. Node roles and stream
+// seeds are derived from the configuration, so only per-role payloads
+// travel; loading needs an engine built with New over the same
+// configuration that produced the snapshot.
 func (e *Engine) State(c *snap.Codec, now int64) {
 	c.Section("txn")
 	c.I64(&e.issued)
@@ -20,9 +20,6 @@ func (e *Engine) State(c *snap.Codec, now int64) {
 	e.latency.State(c, e.retired, now)
 	for _, id := range e.requesters {
 		q := &e.reqs[id]
-		seed := q.stream.Seed()
-		c.I64(&seed)
-		c.Check(seed == q.stream.Seed(), "txn: snapshot requester %d stream seed %d, constructed %d", id, seed, q.stream.Seed())
 		q.stream.State(c, now)
 		c.Int(&q.flight)
 		c.Int(&q.issued)

@@ -60,19 +60,21 @@ func withFaults(cfg vichar.Config) vichar.Config {
 // runOutput is everything the bit-identical contract covers. metrics
 // is the registry at the end of the run (zero with the layer off):
 // every whole-run counter a snapshot must carry shows up there, so a
-// counter left out of its owner's State walk fails the wall even when
-// Results' measurement window never sees it.
+// counter left out of its owner's State walk fails the matrix even
+// when Results' measurement window never sees it. trace is the
+// recorded packet-creation trace (nil unless recording).
 type runOutput struct {
 	res     vichar.Results
 	lats    []int64
 	events  []vichar.FlitEvent
 	metrics vichar.MetricsSnapshot
+	trace   []vichar.TraceEntry
 }
 
 // finish runs s to completion and captures the contract surface.
 func finish(s *vichar.Simulator) runOutput {
 	defer s.Close()
-	o := runOutput{res: s.Run(), lats: s.Latencies(), events: s.FlitEvents()}
+	o := runOutput{res: s.Run(), lats: s.Latencies(), events: s.FlitEvents(), trace: s.RecordedTrace()}
 	o.metrics, _ = s.MetricsSnapshot()
 	return o
 }
@@ -81,7 +83,7 @@ func finish(s *vichar.Simulator) runOutput {
 // shortest round-tripping representation, so equal digests mean
 // bit-equal values.
 func (o runOutput) digest() string {
-	h := sha256.Sum256([]byte(fmt.Sprintf("%#v|%#v|%#v|%#v", o.res, o.lats, o.events, o.metrics)))
+	h := sha256.Sum256([]byte(fmt.Sprintf("%#v|%#v|%#v|%#v|%#v", o.res, o.lats, o.events, o.metrics, o.trace)))
 	return fmt.Sprintf("%x", h)
 }
 
@@ -95,6 +97,9 @@ func compareRuns(t *testing.T, want, got runOutput, label string) {
 	}
 	if !reflect.DeepEqual(want.events, got.events) {
 		t.Errorf("%s: flit-event streams diverge (%d vs %d events)", label, len(want.events), len(got.events))
+	}
+	if !reflect.DeepEqual(want.trace, got.trace) {
+		t.Errorf("%s: recorded traces diverge (%d vs %d entries)", label, len(want.trace), len(got.trace))
 	}
 	if !reflect.DeepEqual(want.metrics, got.metrics) {
 		t.Errorf("%s: final metrics registries diverge", label)
@@ -114,43 +119,86 @@ func stepTo(t *testing.T, s *vichar.Simulator, c int64) {
 	}
 }
 
+// resumeCase is one row of the resume matrix: a configuration, what a
+// freshly built simulator is handed before it runs, and the state the
+// row exists to carry across a cut.
+type resumeCase struct {
+	name string
+	cfg  func(vichar.Config) vichar.Config
+	// start, when set, prepares every freshly built simulator — never a
+	// restored one, so what it sets up must travel in the snapshot.
+	start func(*vichar.Simulator) error
+	// until, when positive, is the cycle every run is stepped to by hand
+	// before Run finishes it: past the measurement window, so cuts can
+	// land after it has closed.
+	until int64
+	// teeth reports whether the state the row exists for is live in s
+	// at a cut; end is the straight-through run's last cycle.
+	teeth func(s *vichar.Simulator, end int64) bool
+	// vicOnly marks a row whose state no buffer organization shapes: it
+	// runs on ViChaR alone.
+	vicOnly bool
+}
+
+// midPacket holds when a packet is in flight.
+func midPacket(s *vichar.Simulator, _ int64) bool { return s.Created() > s.Ejected() }
+
+// counted holds once the named counter has counted something by the
+// last metrics flush, and so by the cut.
+func counted(name string) func(*vichar.Simulator, int64) bool {
+	return func(s *vichar.Simulator, _ int64) bool {
+		m, _ := s.MetricsSnapshot()
+		return m.Sum(name) > 0
+	}
+}
+
 // checkResume asserts the bit-identical resume contract for cfg at
 // three cuts spread across the run (all strictly before the
 // straight-through run's final cycle, where the protocols align), that
 // restoring and immediately re-snapshotting reproduces the blob byte
 // for byte, and that taking a snapshot leaves the simulator it was
-// taken from untouched. It returns whether any cut landed mid-packet.
-func checkResume(t *testing.T, cfg vichar.Config) bool {
+// taken from untouched. It fails the row if no cut sees the state
+// rc.teeth looks for: a row that never carries its state across a cut
+// has lost its teeth.
+func checkResume(t *testing.T, rc resumeCase, cfg vichar.Config) {
 	t.Helper()
-	base, err := vichar.NewSimulator(cfg)
-	if err != nil {
-		t.Fatalf("NewSimulator: %v", err)
+	build := func() *vichar.Simulator {
+		s, err := vichar.NewSimulator(cfg)
+		if err != nil {
+			t.Fatalf("NewSimulator: %v", err)
+		}
+		if rc.start != nil {
+			if err := rc.start(s); err != nil {
+				t.Fatalf("start: %v", err)
+			}
+		}
+		return s
 	}
-	want := finish(base)
+	run := func(s *vichar.Simulator) runOutput {
+		stepTo(t, s, rc.until)
+		return finish(s)
+	}
+	want := run(build())
 	total := want.res.TotalCycles
 	if total < 8 {
 		t.Fatalf("straight-through run lasted only %d cycles; config too small to cut", total)
 	}
 	cuts := []int64{total / 5, total / 2, total * 3 / 4}
-	midPacket := false
+	teeth := false
 	prev := int64(-1)
 	for _, c := range cuts {
 		if c <= 0 || c == prev {
 			continue
 		}
 		prev = c
-		s, err := vichar.NewSimulator(cfg)
-		if err != nil {
-			t.Fatalf("NewSimulator: %v", err)
-		}
+		s := build()
 		stepTo(t, s, c)
-		if s.Created() > s.Ejected() {
-			midPacket = true
-		}
+		teeth = teeth || rc.teeth(s, total)
 		blob, err := s.Snapshot()
 		if err != nil {
 			t.Fatalf("Snapshot at cycle %d: %v", c, err)
 		}
+		t.Logf("cycle %d: %d-byte snapshot", c, len(blob))
 		// Saving is read-only: one walk serves both directions, so a
 		// save that wrote through a pointer would show up as a second
 		// snapshot that differs, or as a run that no longer finishes
@@ -162,7 +210,7 @@ func checkResume(t *testing.T, cfg vichar.Config) bool {
 		if !bytes.Equal(blob, twice) {
 			t.Errorf("cycle %d: two consecutive snapshots differ", c)
 		}
-		compareRuns(t, want, finish(s), fmt.Sprintf("snapshotted twice at cycle %d, then run on", c))
+		compareRuns(t, want, run(s), fmt.Sprintf("snapshotted twice at cycle %d, then run on", c))
 
 		r, err := vichar.Restore(blob)
 		if err != nil {
@@ -178,9 +226,26 @@ func checkResume(t *testing.T, cfg vichar.Config) bool {
 		if !bytes.Equal(blob, again) {
 			t.Errorf("cycle %d: snapshot of restored simulator differs from original blob", c)
 		}
-		compareRuns(t, want, finish(r), fmt.Sprintf("cut at cycle %d", c))
+		compareRuns(t, want, run(r), fmt.Sprintf("cut at cycle %d", c))
 	}
-	return midPacket
+	if !teeth {
+		t.Errorf("no cut of the %d-cycle run saw the state the %q case exists for; it lost its teeth", total, rc.name)
+	}
+}
+
+// txnCfg is the transaction workload of the matrix: memory-edge
+// targets, mostly reads.
+func txnCfg(c vichar.Config) vichar.Config {
+	c.Txn = vichar.Txn{
+		Enabled:    true,
+		Rate:       0.04,
+		ReadFrac:   0.7,
+		WriteFrac:  0.25,
+		AtomicFrac: 0.05,
+		PostedFrac: 0.5,
+		MemEdge:    true,
+	}
+	return c
 }
 
 // TestSnapshotResumeBitIdentical is the headline enforcement: all
@@ -192,55 +257,140 @@ func checkResume(t *testing.T, cfg vichar.Config) bool {
 func TestSnapshotResumeBitIdentical(t *testing.T) {
 	for _, arch := range []vichar.BufferArch{vichar.Generic, vichar.ViChaR, vichar.DAMQ, vichar.FCCB} {
 		for _, txnOn := range []bool{false, true} {
-			name := fmt.Sprint(arch)
+			rc := resumeCase{name: fmt.Sprint(arch), teeth: midPacket}
 			if txnOn {
-				name += "-txn"
+				rc.name += "-txn"
 			}
-			t.Run(name, func(t *testing.T) {
+			t.Run(rc.name, func(t *testing.T) {
 				cfg := withFaults(snapCfg(arch))
 				cfg.Metrics = true
 				cfg.TraceEvents = 4096
 				if txnOn {
-					cfg.Txn = vichar.Txn{
-						Enabled:    true,
-						Rate:       0.04,
-						ReadFrac:   0.7,
-						WriteFrac:  0.25,
-						AtomicFrac: 0.05,
-						PostedFrac: 0.5,
-						MemEdge:    true,
-					}
+					cfg = txnCfg(cfg)
 				}
-				if !checkResume(t, cfg) {
-					t.Fatalf("no cut landed mid-packet; test lost its teeth")
-				}
+				checkResume(t, rc, cfg)
 			})
 		}
 	}
 }
 
-// TestSnapshotResumeMatrix sweeps the satellite matrix: each
-// architecture under a torus topology, a multi-worker kernel, and an
-// adaptive-routing escape configuration.
-func TestSnapshotResumeMatrix(t *testing.T) {
-	variants := []struct {
-		name string
-		mut  func(vichar.Config) vichar.Config
-	}{
-		{"torus", func(c vichar.Config) vichar.Config { c.Torus = true; return c }},
-		{"workers", func(c vichar.Config) vichar.Config { c.Workers = 4; return c }},
-		{"adaptive", func(c vichar.Config) vichar.Config {
-			c.Routing = vichar.MinimalAdaptive
-			c.EscapeVCs = 1
-			c.DeadlockThreshold = 16
-			return c
-		}},
-		{"selfsimilar", func(c vichar.Config) vichar.Config { c.Traffic = vichar.SelfSimilar; return c }},
+// replaySchedule is the trace the trace row replays: 200 packets, two
+// every three cycles, of 1-4 flits, between scattered pairs of a 4x4.
+func replaySchedule() []vichar.TraceEntry {
+	out := make([]vichar.TraceEntry, 200)
+	for i := range out {
+		src := i * 7 % 16
+		out[i] = vichar.TraceEntry{Cycle: int64(1 + 3*i/2), Src: src, Dst: (src + 1 + i%15) % 16, Size: 1 + i%4}
 	}
+	return out
+}
+
+// resumeMatrix is the feature half of the resume matrix, run over every
+// buffer organization unless vicOnly: each row turns on a feature that
+// adds or reshapes snapshot state, driven hard enough that the state is
+// live at a cut.
+var resumeMatrix = []resumeCase{
+	{name: "torus", cfg: func(c vichar.Config) vichar.Config { c.Torus = true; return c }, teeth: midPacket},
+	{name: "workers", cfg: func(c vichar.Config) vichar.Config { c.Workers = 4; return c }, teeth: midPacket},
+	{name: "adaptive", cfg: func(c vichar.Config) vichar.Config {
+		c.Routing = vichar.MinimalAdaptive
+		c.EscapeVCs = 1
+		c.DeadlockThreshold = 16
+		return c
+	}, teeth: midPacket},
+	{name: "selfsimilar", cfg: func(c vichar.Config) vichar.Config {
+		c.Traffic = vichar.SelfSimilar
+		c.PacketSizeMax = 9
+		return c
+	}, teeth: midPacket},
+	// Saturated adaptive routing on a torus: packets escape and
+	// reroute (Packet.Escaped, the routers' reroute counters).
+	{name: "torus-adaptive", cfg: func(c vichar.Config) vichar.Config {
+		c.Torus = true
+		c.Routing = vichar.MinimalAdaptive
+		c.EscapeVCs = 1
+		c.DeadlockThreshold = 1
+		c.InjectionRate = 0.5
+		c.Metrics = true
+		return c
+	}, teeth: counted("vichar_escape_reroutes_total")},
+	// Saturated sources of packets longer than a fixed VC is deep: the
+	// network interfaces stall on credits.
+	{name: "ni-saturated", cfg: func(c vichar.Config) vichar.Config {
+		c.InjectionRate = 0.6
+		c.PacketSize = 8
+		c.Metrics = true
+		return c
+	}, teeth: counted("vichar_ni_credit_stalls_total")},
+	// Gauges sampled once, early, and not again before the end: the
+	// final registry shows the gauge values a cut carried.
+	{name: "sparse-samples", vicOnly: true, cfg: func(c vichar.Config) vichar.Config {
+		c.Metrics = true
+		c.SampleEvery = 150
+		return c
+	}, teeth: func(s *vichar.Simulator, end int64) bool {
+		every := s.Config().SampleEvery
+		return s.Now() >= every && s.Now()/every == end/every
+	}},
+	// Every run steps on after its measurement window closes, and the
+	// later cuts fall there: the counters bracketing the window are
+	// final and must stay so.
+	{name: "past-window", vicOnly: true, until: 600, teeth: func(s *vichar.Simulator, _ int64) bool {
+		cfg := s.Config()
+		return s.Ejected() >= int64(cfg.WarmupPackets+cfg.MeasurePackets)
+	}},
+	// Trace replay with recording on: the cut splits the schedule and
+	// the recorded trace.
+	{name: "trace", vicOnly: true, cfg: func(c vichar.Config) vichar.Config { c.InjectionRate = 0; return c },
+		start: func(s *vichar.Simulator) error {
+			s.RecordTrace()
+			return s.LoadTrace(replaySchedule())
+		},
+		teeth: func(s *vichar.Simulator, _ int64) bool {
+			return len(s.RecordedTrace()) > 0 && s.Created() < int64(len(replaySchedule()))
+		}},
+	// Transactions alone, 15 requests per requester (eight of them),
+	// issued slowly, and a quota the run never meets: it goes on to its
+	// cycle cap long after every cap binds, so a cut before then leaves
+	// requesters part-way.
+	{name: "txn-capped", vicOnly: true, cfg: func(c vichar.Config) vichar.Config {
+		c = txnCfg(c)
+		c.InjectionRate = 0
+		c.Txn.Rate = 0.05
+		c.Txn.Requests = 15
+		c.MeasurePackets = 1000
+		c.MaxCycles = 600
+		return c
+	}, teeth: func(s *vichar.Simulator, _ int64) bool { return s.Created() > 0 && s.Created() < 8*15 }},
+	// Scheduled one-shot drops and stall windows on either side of
+	// every cut, with no rate-driven faults.
+	{name: "scheduled-faults", vicOnly: true, cfg: func(c vichar.Config) vichar.Config {
+		c.Metrics = true
+		// Nodes 0-11 have a link through their south port (2); port 4
+		// is the local input.
+		for cycle := int64(5); cycle < 400; cycle += 9 {
+			node := int(cycle) % 12
+			c.Faults.Events = append(c.Faults.Events,
+				vichar.FaultEvent{Kind: vichar.DropFlit, Node: node, Port: 2, Cycle: cycle},
+				vichar.FaultEvent{Kind: vichar.StallPort, Node: 15 - node, Port: 4, Cycle: cycle, Cycles: 6})
+		}
+		return c
+	}, teeth: counted("vichar_link_flits_dropped_total")},
+}
+
+// TestSnapshotResumeMatrix runs the rows of resumeMatrix.
+func TestSnapshotResumeMatrix(t *testing.T) {
 	for _, arch := range []vichar.BufferArch{vichar.Generic, vichar.ViChaR, vichar.DAMQ, vichar.FCCB} {
-		for _, v := range variants {
-			t.Run(fmt.Sprintf("%v-%s", arch, v.name), func(t *testing.T) {
-				checkResume(t, v.mut(snapCfg(arch)))
+		for _, rc := range resumeMatrix {
+			if rc.vicOnly && arch != vichar.ViChaR {
+				continue
+			}
+			t.Run(fmt.Sprintf("%v-%s", arch, rc.name), func(t *testing.T) {
+				cfg := snapCfg(arch)
+				if rc.cfg != nil {
+					cfg = rc.cfg(cfg)
+				}
+				checkResume(t, rc, cfg)
 			})
 		}
 	}
@@ -475,8 +625,16 @@ func TestRestoreRefusesPreReserveBlob(t *testing.T) {
 	cfg.InjectionRate = 0.2
 	cfg.WarmupPackets, cfg.MeasurePackets = 20, 40
 	cfg.Seed = 5
-	s, blob := snapshotAt(t, cfg, 40)
+	s, err := vichar.NewSimulator(cfg)
+	if err != nil {
+		t.Fatalf("NewSimulator: %v", err)
+	}
+	stepTo(t, s, 40)
+	blob, err := s.Snapshot()
 	s.Close()
+	if err != nil {
+		t.Fatalf("Snapshot: %v", err)
+	}
 	if r, err := vichar.Restore(blob); err != nil {
 		t.Fatalf("Restore of the same configuration cut today: %v", err)
 	} else {
@@ -615,23 +773,6 @@ func TestRestoreResealedMutations(t *testing.T) {
 				row{"(l) router 5 port 2: idle VC 1 waiting", vaMask52, 1, "busy in vaMask|actMask (true) but holds a packet (false)"},
 				row{"(m) router 5: output port 4 -> 5", r5 + 1128, 0, "VC output port (outInfo): 5 in snapshot"},
 				row{"(n) router 6: output VC 3 -> 19", r6 + 452, 4, "VC output channel (outInfo): 19 in snapshot"})
-		}
-		if name == "ViC-traced" {
-			// The tracer's Seqs and eviction count are implied by where
-			// its events sit; a snapshot that says otherwise is refused.
-			// The ring follows the section's three counts, and each
-			// event starts with its Seq.
-			ring := section("tracer", 0) + 24
-			staged := 0
-			for k := 0; staged == 0; k++ {
-				if at := section("recorder", k); binary.LittleEndian.Uint64(blob[at:]) > 0 {
-					staged = at + 8
-				}
-			}
-			rows = append(rows,
-				row{"(h) bit 0 of the first ring slot's Seq", ring, 0, "where its position implies"},
-				row{"(i) bit 0 of a staged event's Seq", staged, 0, "carries seq 1 where its position implies 0"},
-				row{"(j) bit 1 of the tracer's eviction count", ring - 16, 1, "snapshot ring holds 48 events and evicted"})
 		}
 		var clean uint64
 		clean = allocated(func() {
