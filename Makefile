@@ -42,8 +42,10 @@ alloc-check:
 # and buffer reloaded against theirs, and corrupt table rows refused.
 # The tracer's two tests guard what a resumed event stream rests on:
 # Seqs rebuilt from ring positions, against a model that stores them.
+# Every resumed run rests on the random streams' State: the rng tests
+# pin the sequence and the loaded, bounded draw count.
 snapshot-check:
-	$(GO) test ./internal/snap -count=1
+	$(GO) test ./internal/snap ./internal/rng -count=1
 	$(GO) test ./internal/buffers -run 'TestRandomOpsInvariants' -count=1
 	$(GO) test ./internal/core -run 'TestTableMatchesSliceModel|TestTableLoadRejectsCorruptRows|TestUBSConservationProperty' -count=1
 	$(GO) test ./internal/metrics -run 'TestTracerMatchesNaiveRing|TestEventRecordSize' -count=1

@@ -20,6 +20,7 @@ import (
 
 	"vichar/internal/config"
 	"vichar/internal/flit"
+	"vichar/internal/rng"
 	"vichar/internal/topology"
 )
 
@@ -33,23 +34,11 @@ const (
 	domainStall = 0x7374616c // "stal"
 )
 
-// mix64 is the splitmix64 finalizer: a cheap bijective mixer whose
-// output passes statistical randomness tests (Steele et al., OOPSLA
-// 2014). The fault model uses it as a stateless counter-based RNG.
-func mix64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
-
 // roll returns a uniform sample in [0,1) for draw n of the given
 // stream under a domain seed; a pure function, so any shard can
 // evaluate it for the resources it owns without coordination.
 func roll(domain, stream, n uint64) float64 {
-	h := mix64(domain + mix64(stream+mix64(n)))
+	h := rng.Mix(domain + rng.Mix(stream+rng.Mix(n)))
 	return float64(h>>11) / (1 << 53)
 }
 
@@ -96,8 +85,8 @@ func NewPlan(cfg *config.Config) *Plan {
 		stallRate:   f.StallRate,
 		retxDelay:   int64(f.EffectiveRetransmitDelay()),
 		stallCycles: int64(f.EffectiveStallCycles()),
-		linkSeed:    mix64(uint64(f.Seed) + domainLink),
-		stallSeed:   mix64(uint64(f.Seed) + domainStall),
+		linkSeed:    rng.Mix(uint64(f.Seed) + domainLink),
+		stallSeed:   rng.Mix(uint64(f.Seed) + domainStall),
 	}
 	p.killAt = make([]int64, p.nodes*topology.Local)
 	for i := range p.killAt {

@@ -243,8 +243,8 @@ func entropyBanned(fn *types.Func) (string, bool) {
 
 // checkEntropy flags uses of ambient entropy sources — global
 // math/rand functions and wall-clock reads. All simulator randomness
-// must come from a seeded *rand.Rand handed down from Config.Seed so
-// a run is a pure function of its configuration.
+// must come from internal/rng, seeded from Config.Seed, so a run is a
+// pure function of its configuration.
 func (c *checker) checkEntropy(f *ast.File, ann annotations) {
 	info := c.pkg.Info
 	ast.Inspect(f, func(n ast.Node) bool {

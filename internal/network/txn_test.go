@@ -91,8 +91,8 @@ func TestTxnProtocolDeadlockWall(t *testing.T) {
 		if !errors.As(err, &w) {
 			t.Fatalf("verdict %v, want a *WedgeError", err)
 		}
-		if w.LastEject != 323 || w.Cycle != w.LastEject+w.Window+1 || w.Flits == 0 || lastRetire > w.LastEject {
-			t.Fatalf("last ejection %d, wedge at %d (window %d), router %d holds %d flits, last retirement %d; want ejection 323, wedge one window later on a router holding flits, no retirement after the ejection",
+		if w.LastEject != 138 || w.Cycle != w.LastEject+w.Window+1 || w.Flits == 0 || lastRetire > w.LastEject {
+			t.Fatalf("last ejection %d, wedge at %d (window %d), router %d holds %d flits, last retirement %d; want ejection 138, wedge one window later on a router holding flits, no retirement after the ejection",
 				w.LastEject, w.Cycle, w.Window, w.Router, w.Flits, lastRetire)
 		}
 	})

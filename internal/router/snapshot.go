@@ -6,6 +6,7 @@ import (
 	"vichar/internal/arbiter"
 	"vichar/internal/flit"
 	"vichar/internal/snap"
+	"vichar/internal/topology"
 )
 
 // This file is the router's checkpoint walk: the activity counters,
@@ -120,6 +121,11 @@ func (r *Router) walk(c *snap.Codec, p, v int) {
 	c.Range(st.cands.Len(), 0, 2, "router: VC route candidates")
 	for i := 0; i < st.cands.Len(); i++ {
 		c.Range(st.cands.At(i), 0, ports-1, "router: VC route candidate port")
+		// Routing computation offers the ejection port only at the
+		// packet's destination; VA would eject anywhere else.
+		if st.cands.At(i) == topology.Local && st.pkt != nil && st.pkt.Dst != r.id {
+			c.Failf("router %d: snapshot VC %d offers packet %d the ejection port, but it is addressed to node %d", r.id, v, st.pkt.ID, st.pkt.Dst)
+		}
 	}
 	c.I64(&st.waitSince)
 	if active {

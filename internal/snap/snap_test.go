@@ -141,11 +141,13 @@ func TestEveryByteMutationRejectedOrDetected(t *testing.T) {
 // slot-linked control table, was the first case pinned here; 5 stored
 // the unified buffer's arrival stamps and readiness masks, which a
 // version-6 reader would take for its tracker bitmap; 8 stored the
-// event Seqs and packet fields version 9 derives — carries a valid
-// envelope (magic, checksum) but a layout this codec would misparse;
-// Open must refuse it by version, naming both.
+// event Seqs and packet fields version 9 derives; 9 has this layout,
+// but its random-stream draw counts index math/rand's sequence, not
+// the counter-based one — carries a valid envelope (magic, checksum)
+// but a layout this codec would misparse or a state it would
+// misread; Open must refuse it by version, naming both.
 func TestVersion3Rejected(t *testing.T) {
-	for _, v := range []uint32{0, 1, 2, 3, 5, 6, 7, 8, 10} {
+	for _, v := range []uint32{0, 1, 2, 3, 5, 6, 7, 8, 9, 11} {
 		data := sealed(t, func(*Codec) {})
 		le.PutUint32(data[len(magic):], v)
 		_, err := Open(reseal(data))

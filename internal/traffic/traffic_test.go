@@ -180,6 +180,31 @@ func TestSeedsDecorrelate(t *testing.T) {
 	}
 }
 
+// TestAdjacentNodeStreamsIndependent is a χ² test that the streams
+// of neighbouring nodes, seeded seedFor(s, i) and seedFor(s, i+1), are
+// independent: paired draws must fill a 16x16 grid uniformly.
+func TestAdjacentNodeStreamsIndependent(t *testing.T) {
+	const bins, nodes, pairs = 16, 64, 1000
+	for _, seed := range []int64{0, 1, 42} {
+		counts := make([]float64, bins*bins)
+		for i := range nodes {
+			a, b := rng.New(seedFor(seed, i)), rng.New(seedFor(seed, i+1))
+			for range pairs {
+				counts[int(a.Float64()*bins)*bins+int(b.Float64()*bins)]++
+			}
+		}
+		const bound = 330.5 // upper 0.1 % point of χ² with 255 degrees of freedom
+		e := float64(nodes*pairs) / float64(len(counts))
+		var x float64
+		for _, c := range counts {
+			x += (c - e) * (c - e) / e
+		}
+		if x > bound {
+			t.Errorf("seed %d: χ² = %.1f, above the 0.1 %% bound %.1f", seed, x, bound)
+		}
+	}
+}
+
 func TestNormalRandomNeverSelf(t *testing.T) {
 	cfg := cfgWith(config.UniformRandom, config.NormalRandom, 0.5, 5)
 	mesh := topology.New(cfg.Width, cfg.Height)

@@ -8,15 +8,20 @@ import (
 	"flag"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
 	"vichar"
+	"vichar/internal/network"
+	"vichar/internal/routing"
+	"vichar/internal/topology"
 )
 
 // This file enforces the checkpoint/restore contract: a simulator
@@ -673,23 +678,33 @@ func restoreAndStep(data []byte, steps int) (err error, panicked string) {
 	return nil, ""
 }
 
-// mutationBlobs are the two snapshots the re-sealed mutation sweep
-// walks: ViChaR with faults and metrics (every optional section
-// present) and the plain generic organization.
-func mutationBlobs(t testing.TB) map[string][]byte {
+// mutationCut is the cycle mutationBlobs cuts at.
+const mutationCut = 120
+
+// mutationConfigs are the configurations of the re-sealed mutation
+// sweep's snapshots: ViChaR with faults and metrics (every optional
+// section present), ViChaR with a tracer, and the plain generic
+// organization.
+func mutationConfigs() map[string]vichar.Config {
 	vic := withFaults(snapCfg(vichar.ViChaR))
 	vic.Metrics = true
 	// A ring small enough to have wrapped by the cut, which falls between
 	// two drains: events wait in the recorders too.
 	traced := snapCfg(vichar.ViChaR)
 	traced.TraceEvents = 48
+	return map[string]vichar.Config{"ViC-faults-metrics": vic, "ViC-traced": traced, "GEN": snapCfg(vichar.Generic)}
+}
+
+// mutationBlobs are the snapshots the re-sealed mutation sweep walks,
+// cut at mutationCut.
+func mutationBlobs(t testing.TB) map[string][]byte {
 	out := make(map[string][]byte)
-	for name, cfg := range map[string]vichar.Config{"ViC-faults-metrics": vic, "ViC-traced": traced, "GEN": snapCfg(vichar.Generic)} {
+	for name, cfg := range mutationConfigs() {
 		s, err := vichar.NewSimulator(cfg)
 		if err != nil {
 			t.Fatalf("NewSimulator: %v", err)
 		}
-		for s.Now() < 120 {
+		for s.Now() < mutationCut {
 			s.Step()
 		}
 		blob, err := s.Snapshot()
@@ -700,6 +715,183 @@ func mutationBlobs(t testing.TB) map[string][]byte {
 		out[name] = blob
 	}
 	return out
+}
+
+// routeTarget is an active input VC's granted route, found in the cut
+// state: router id sends packet pkt through output port op on VC ovc,
+// and the route's port byte sits at off in the blob, its int16 VC
+// right after.
+type routeTarget struct {
+	id, op, ovc int
+	pkt         uint64
+	off         int
+}
+
+// cutNetwork rebuilds the network a mutation blob of cfg was cut from
+// and steps it to the same cycle.
+func cutNetwork(t *testing.T, cfg vichar.Config) *network.Network {
+	if err := cfg.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	n := network.New(&cfg)
+	for n.Now() < mutationCut {
+		n.Step()
+	}
+	return n
+}
+
+// vcTargets finds what the route rows of TestRestoreResealedMutations
+// mutate, in n, the network the blob was cut from: e is an active VC's route whose port differs in
+// one bit (bit eBit) from a port holding the same VC for a packet that
+// is draining downstream; f is one whose VC differs in one bit (fBit)
+// from such a draining VC on the same port. A VC is draining when its
+// upstream view still holds it but no active input VC is routed to it.
+func vcTargets(t *testing.T, n *network.Network, cfg vichar.Config, blob []byte, routerAt func(id int) (int, int)) (e, f routeTarget, eBit, fBit uint) {
+	ports, vcs := cfg.Ports(), cfg.MaxVCs()
+	held := make([]*vichar.Packet, vcs)
+	draining := func(id, op, ovc int) bool {
+		r := n.Router(id)
+		if op >= ports || op == topology.Local || ovc >= vcs || r.OutputView(op) == nil {
+			return false
+		}
+		r.Granted(op, held)
+		return r.OutputView(op).Holds(ovc) && held[ovc] == nil
+	}
+	// locate returns the blob offset of the route's port byte: the VC
+	// walk writes the packet reference (a presence byte and the ID),
+	// the candidate byte, waitSince, then the port byte and the VC.
+	locate := func(id, op, ovc int, pkt uint64) int {
+		lo, hi := routerAt(id)
+		at := -1
+		for i := lo; i+21 <= hi; i++ {
+			if blob[i] == 1 && binary.LittleEndian.Uint64(blob[i+1:]) == pkt && int(blob[i+18]) == op &&
+				int(int16(binary.LittleEndian.Uint16(blob[i+19:]))) == ovc {
+				if at >= 0 {
+					t.Fatalf("router %d: packet %d's route (%d, %d) found twice in the blob", id, pkt, op, ovc)
+				}
+				at = i + 18
+			}
+		}
+		if at < 0 {
+			t.Fatalf("router %d: packet %d's route (%d, %d) not found in the blob", id, pkt, op, ovc)
+		}
+		return at
+	}
+	found, foundF := false, false
+	granted := make([]*vichar.Packet, vcs)
+	for id := 0; id < cfg.Nodes() && !(found && foundF); id++ {
+		for op := range ports {
+			n.Router(id).Granted(op, granted)
+			for ovc, p := range granted {
+				if p == nil {
+					continue
+				}
+				for b := uint(0); b < 3 && !found; b++ {
+					if draining(id, op^1<<b, ovc) {
+						e, eBit, found = routeTarget{id, op, ovc, p.ID, locate(id, op, ovc, p.ID)}, b, true
+					}
+				}
+				for b := uint(0); b < 4 && !foundF; b++ {
+					if draining(id, op, ovc^1<<b) {
+						f, fBit, foundF = routeTarget{id, op, ovc, p.ID, locate(id, op, ovc, p.ID)}, b, true
+					}
+				}
+			}
+		}
+	}
+	if !found || !foundF {
+		t.Fatalf("the cut has no active VC one bit from a draining one (port: %v, VC: %v)", found, foundF)
+	}
+	return e, f, eBit, fBit
+}
+
+// ejectTarget finds, in n, the network the blob was cut from, a packet
+// whose head waits for VA at its destination router id, the ejection
+// port its one route candidate, and returns the blob offset of the
+// packet's destination in the packet table at pkts (a count, then
+// 67-byte records with the destination 16 bytes in).
+func ejectTarget(t *testing.T, n *network.Network, cfg vichar.Config, blob []byte, routerAt func(id int) (int, int), pkts int) (id int, pkt uint64, dstOff int) {
+	u64 := func(i int) uint64 { return binary.LittleEndian.Uint64(blob[i:]) }
+	local := byte(routing.OneCandidate(topology.Local))
+	sink := make([]*vichar.Packet, cfg.MaxVCs())
+	for id := range cfg.Nodes() {
+		r := n.Router(id)
+		r.Granted(topology.Local, sink)
+		lo, hi := routerAt(id)
+		for p := range cfg.Ports() {
+			for v := range cfg.MaxVCs() {
+				f := r.InputBuffer(p).Front(v, math.MaxInt64)
+				if f == nil || !f.IsHead() || f.Pkt.Dst != id || slices.Contains(sink, f.Pkt) {
+					continue
+				}
+				// Routing computation has run once the VC's walk (the
+				// packet reference, then the candidates) names the
+				// ejection port alone.
+				for i := lo; i+10 <= hi; i++ {
+					if blob[i] != 1 || u64(i+1) != f.Pkt.ID || blob[i+9] != local {
+						continue
+					}
+					for k, rec := uint64(0), pkts+8; k < u64(pkts); k, rec = k+1, rec+67 {
+						if u64(rec) == f.Pkt.ID {
+							return id, f.Pkt.ID, rec + 16
+						}
+					}
+					t.Fatalf("packet %d is not in the packet table", f.Pkt.ID)
+				}
+			}
+		}
+	}
+	t.Fatal("no packet waits at its destination for the ejection port in the cut")
+	return 0, 0, 0
+}
+
+// maskTarget finds, in router id's section [lo, hi), the scan masks of
+// the input port whose VC walk holds the route byte at routeOff: the
+// three length-prefixed mask words (buffer, vaMask, actMask) precede
+// the port's VC walks, whose lengths the masks fix. It returns the
+// vaMask word's offset, the active VC the route belongs to and the
+// port's first idle VC.
+func maskTarget(t *testing.T, blob []byte, lo, hi, routeOff, vcs int) (vaMask, active, idle int) {
+	u32 := func(i int) uint32 { return binary.LittleEndian.Uint32(blob[i:]) }
+	u64 := func(i int) uint64 { return binary.LittleEndian.Uint64(blob[i:]) }
+	vaMask = -1
+	for j := lo; j+36 <= hi; j++ {
+		if u32(j) != 1 || u32(j+12) != 1 || u32(j+24) != 1 {
+			continue
+		}
+		va, act := u64(j+16), u64(j+28)
+		pos, hit, free := j+36, -1, -1
+		for v := 0; v < vcs && pos < hi; v++ {
+			wait, on := va>>v&1 == 1, act>>v&1 == 1
+			busy := wait || on
+			if wait && on || blob[pos] > 1 || (blob[pos] == 1) != busy {
+				break
+			}
+			if !busy && free < 0 {
+				free = v
+			}
+			pos += 1 + 1 + 8 // packet presence, candidates, waitSince
+			if busy {
+				pos += 8 // packet ID
+			}
+			if on {
+				if pos == routeOff {
+					hit = v
+				}
+				pos += 3
+			}
+		}
+		if hit >= 0 && free >= 0 {
+			if vaMask >= 0 {
+				t.Fatalf("two mask blocks lead to the route at byte %d", routeOff)
+			}
+			vaMask, active, idle = j+16, hit, free
+		}
+	}
+	if vaMask < 0 {
+		t.Fatalf("no mask block leads to the route at byte %d", routeOff)
+	}
+	return vaMask, active, idle
 }
 
 // allocated returns the bytes fn allocates.
@@ -756,23 +948,52 @@ func TestRestoreResealedMutations(t *testing.T) {
 			{"(c) bit 4 of the current cycle", section("network", 0), 4, "beyond cycle 104"},
 			{"(d) bit 52 of node 0's draw count", section("traffic", 0) + 8 + 6, 4, "draws at cycle"},
 		}
+		cfg := mutationConfigs()[name]
+		routerAt := func(id int) (int, int) {
+			lo := section("router", id)
+			if id+1 == cfg.Nodes() {
+				return lo, len(blob)
+			}
+			return lo, section("router", id+1)
+		}
 		if name == "ViC-faults-metrics" {
 			// What an every-bit form of this sweep found last: an active
 			// VC's route moved onto an output VC whose token is still out
-			// for a packet that is draining downstream. Router 5's port 2
-			// VC 0 is active on (port 4, VC 0), router 6's port 0 VC 1 on
-			// (port 2, VC 3); each route is a port byte and an int16 VC.
-			r5, r6 := section("router", 5), section("router", 6)
-			vaMask52 := r5 + 1090 // router 5, port 2: first vaMask word
+			// for a packet that is draining downstream. Each route is a
+			// port byte and an int16 VC; the targets come from the cut
+			// state.
+			mesh := topology.New(cfg.Width, cfg.Height)
+			link := func(id, op int) string {
+				nb, _ := mesh.Neighbor(id, op)
+				return fmt.Sprintf("%d->%d", id, nb)
+			}
+			n := cutNetwork(t, cfg)
+			e, f, eBit, fBit := vcTargets(t, n, cfg, blob, routerAt)
+			n.Close()
+			lo, hi := routerAt(e.id)
+			va, active, idle := maskTarget(t, blob, lo, hi, e.off, cfg.MaxVCs())
+			eOp, fVC := e.op^1<<eBit, f.ovc^1<<fBit
 			rows = append(rows,
-				row{"(e) router 5: output port 4 -> 0, draining on link 5->1", r5 + 1128, 2, "link 5->1: VC 0 is held upstream by packet 74"},
-				row{"(f) router 6: output VC 3 -> 1, draining on link 6->10", r6 + 452, 1, "link 6->10: VC 1 is held upstream by packet 90"},
+				row{fmt.Sprintf("(e) router %d: output port %d -> %d, draining on link %s", e.id, e.op, eOp, link(e.id, eOp)), e.off, eBit,
+					fmt.Sprintf("link %s: VC %d is held upstream by packet %d", link(e.id, eOp), e.ovc, e.pkt)},
+				row{fmt.Sprintf("(f) router %d: output VC %d -> %d, draining on link %s", f.id, f.ovc, fVC, link(f.id, f.op)), f.off + 1, fBit,
+					fmt.Sprintf("link %s: VC %d is held upstream by packet %d", link(f.id, f.op), fVC, f.pkt)},
 				// The scan masks are the VC state machine and outInfo the
 				// route; each is checked where it is walked.
-				row{"(k) router 5 port 2: active VC 0 also waiting", vaMask52, 0, "both vaMask and actMask"},
-				row{"(l) router 5 port 2: idle VC 1 waiting", vaMask52, 1, "busy in vaMask|actMask (true) but holds a packet (false)"},
-				row{"(m) router 5: output port 4 -> 5", r5 + 1128, 0, "VC output port (outInfo): 5 in snapshot"},
-				row{"(n) router 6: output VC 3 -> 19", r6 + 452, 4, "VC output channel (outInfo): 19 in snapshot"})
+				row{fmt.Sprintf("(k) router %d: active VC %d also waiting", e.id, active), va + active/8, uint(active % 8), "both vaMask and actMask"},
+				row{fmt.Sprintf("(l) router %d: idle VC %d waiting", e.id, idle), va + idle/8, uint(idle % 8), "busy in vaMask|actMask (true) but holds a packet (false)"},
+				row{fmt.Sprintf("(m) router %d: output port %d -> %d", e.id, e.op, e.op^8), e.off, 3, fmt.Sprintf("VC output port (outInfo): %d in snapshot", e.op^8)},
+				row{fmt.Sprintf("(n) router %d: output VC %d -> %d", f.id, f.ovc, f.ovc^16), f.off + 1, 4, fmt.Sprintf("VC output channel (outInfo): %d in snapshot", f.ovc^16)})
+		}
+		if name == "ViC-traced" {
+			// What the every-bit sweep of the version-10 blobs found: a
+			// packet waiting at its destination for the ejection port,
+			// readdressed, was ejected at the wrong node.
+			n := cutNetwork(t, cfg)
+			dst, pkt, dstOff := ejectTarget(t, n, cfg, blob, routerAt, pkts)
+			n.Close()
+			rows = append(rows, row{fmt.Sprintf("(o) packet %d waiting to eject at node %d, readdressed to %d", pkt, dst, dst^1), dstOff, 0,
+				fmt.Sprintf("offers packet %d the ejection port, but it is addressed to node %d", pkt, dst^1)})
 		}
 		var clean uint64
 		clean = allocated(func() {
