@@ -452,7 +452,7 @@ func kernelSweepCells() []kernelCell {
 	return cells
 }
 
-// BenchmarkKernel measures the two-phase cycle kernel: all four buffer
+// BenchmarkKernel measures the cycle kernel: all four buffer
 // architectures at the saturated rate across worker counts 0/1/2/max
 // and at the mid-load and idle rates at workers 1 and 0, each op one
 // complete run, and the equal-load mesh-scaling cells

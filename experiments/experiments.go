@@ -163,7 +163,7 @@ type Options struct {
 	// steps serially instead; a lone simulation keeps every lane.
 	Workers int
 	// KernelWorkers, when positive, sets each run's cycle-kernel
-	// shard count (Config.Workers): the two-phase kernel shards every
+	// shard count (Config.Workers): the cycle kernel shards every
 	// cycle that many ways, on at most GOMAXPROCS lanes. Results are
 	// bit-identical at any setting; it trades run-level for cycle-level
 	// parallelism. 0 keeps each run's own setting.

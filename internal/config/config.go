@@ -219,16 +219,16 @@ type Config struct {
 	// produce identical results.
 	Seed int64
 
-	// Workers is the shard count of the two-phase cycle kernel (see
+	// Workers is the shard count of the cycle kernel (see
 	// DESIGN.md §10). 0, the default, is one shard per processor the
 	// process has — min(GOMAXPROCS, CPUs), but at most one per 32
 	// routers, so a mesh of fewer than 64 steps serially — and 1 runs
-	// the kernel serially; higher values split the deliver and
-	// compute phases of every cycle into that many router-ID shards,
-	// run on min(Workers, GOMAXPROCS, CPUs) lanes — goroutines that
-	// each keep the same shards for the whole run. Results and
+	// the kernel serially; higher values split the batch of every
+	// cycle, each router's deliver and compute, into that many
+	// router-ID shards, run on min(Workers, GOMAXPROCS, CPUs) lanes —
+	// goroutines that each keep the same shards for the whole run. Results and
 	// snapshots are bit-identical at every setting — the kernel's
-	// ownership contract and its index-ordered commit phase make the
+	// ownership contract and its index-ordered serial work make the
 	// outcome independent of lane scheduling — so Workers is purely a
 	// wall-clock knob.
 	Workers int

@@ -1,5 +1,5 @@
 // Package faults compiles Config.Faults into the deterministic fault
-// plan the simulator injects through its two-phase cycle kernel:
+// plan the simulator injects through its cycle kernel:
 // transient link faults (flit drops and corruptions recovered by a
 // per-link retransmission buffer), router port stalls, and scheduled
 // hard link failures.

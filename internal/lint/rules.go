@@ -20,7 +20,7 @@ const (
 )
 
 // shardExecutorFile is the one file under internal/ allowed to spawn
-// goroutines: the two-phase cycle kernel's lane executor (DESIGN.md
+// goroutines: the cycle kernel's lane executor (DESIGN.md
 // §10). Everywhere else a `go` statement bypasses the kernel's
 // ownership contract and its deterministic merge, so the
 // concurrency-ownership rule rejects it unless the site carries a
@@ -184,7 +184,7 @@ func (c *checker) checkMapRange(f *ast.File, ann annotations) {
 }
 
 // checkConcurrency flags `go` statements in internal packages outside
-// the shard-executor file. The two-phase cycle kernel's determinism
+// the shard-executor file. The cycle kernel's determinism
 // argument rests on every parallel region running through
 // shardExecutor.run with caller-side index-ordered merges; an ad-hoc
 // goroutine anywhere else in the simulator core reintroduces

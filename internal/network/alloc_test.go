@@ -37,7 +37,7 @@ func testStepAllocFree(t *testing.T, arch config.BufferArch, workers int) {
 	n := New(&cfg)
 	defer n.Close()
 	// Warm up: run real traffic corner-to-corner and crosswise so
-	// links, VC scratch, ejection staging, and the stats scratch
+	// links, VC scratch, the wake lists, and the stats scratch
 	// all grow to their steady-state capacity, then drain.
 	for round := 0; round < 2; round++ {
 		n.InjectPacket(0, 15)
@@ -133,7 +133,7 @@ func testStepAllocFreeLoaded(t *testing.T, cfg *config.Config) {
 	// source queue up and drives every VC of every port, so each
 	// grow-to-a-bound structure (NI queues, the record free list, the
 	// fixed organizations' per-VC FIFOs, the generic VA's group rows,
-	// ejection staging) reaches in a few hundred cycles the capacity a
+	// wake lists) reaches in a few hundred cycles the capacity a
 	// steady 0.30 would take tens of thousands to visit. Then the
 	// backlog drains at the configured load until the network is back
 	// in steady state.

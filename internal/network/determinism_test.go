@@ -1,6 +1,7 @@
 package network
 
 import (
+	"bytes"
 	"reflect"
 	"runtime"
 	"sort"
@@ -57,7 +58,7 @@ func TestDeterministicCountersAndLatencies(t *testing.T) {
 
 // TestWorkersBitIdentical is the parallel kernel's contract test: a
 // same-seed run must produce bit-identical Results — every counter and
-// every per-packet latency in ejection order — whether the two-phase
+// every per-packet latency in ejection order — whether the cycle
 // kernel steps serially (Workers=1) or shards cycles across the lane
 // executor: Workers=0 (one shard per processor), Workers=2, Workers=3
 // (unequal shards, and more shards than a 2-CPU host has lanes) and
@@ -176,6 +177,115 @@ func TestWorkersBitIdentical(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestWorkersCrossShardBitIdentical covers the links the fused batch
+// shares between lanes: an 8x8 mesh at Workers 2, 3, 4 and 8 — shard
+// boundaries between rows and through them — must end bit for bit
+// where Workers 1 ends, in Results, per-packet latencies and the bytes
+// of a snapshot of the final state, with one faulted configuration
+// (retransmissions on shared links) and one transaction configuration
+// (responses crossing back). Every boundary must carry flits in both
+// directions, so every shared ring is written while its reader drains
+// it; the race detector (CI runs this at -cpu 1,2,4) sees each access.
+func TestWorkersCrossShardBitIdentical(t *testing.T) {
+	base := func(workers int) config.Config {
+		cfg := config.Default()
+		cfg.Width, cfg.Height = 8, 8
+		cfg.Arch = config.ViChaR
+		cfg.InjectionRate = 0.2
+		cfg.WarmupPackets = 100
+		cfg.MeasurePackets = 400
+		cfg.Seed = 4343
+		cfg.Workers = workers
+		return cfg
+	}
+	modes := []struct {
+		name string
+		set  func(*config.Config)
+	}{
+		{"faults", func(cfg *config.Config) {
+			cfg.Faults = config.FaultsConfig{Seed: 17, DropRate: 0.003, CorruptRate: 0.002, StallRate: 0.0005}
+		}},
+		{"txn", func(cfg *config.Config) {
+			cfg.InjectionRate = 0.05
+			cfg.Txn = config.TxnConfig{Enabled: true, Rate: 0.05, ReadFrac: 0.6, WriteFrac: 0.3, AtomicFrac: 0.1, PostedFrac: 0.5, MemEdge: true}
+		}},
+	}
+	for _, m := range modes {
+		t.Run(m.name, func(t *testing.T) {
+			type outcome struct {
+				res  stats.Results
+				lat  []int64
+				blob []byte
+			}
+			run := func(workers int) outcome {
+				cfg := base(workers)
+				m.set(&cfg)
+				n := New(&cfg)
+				defer n.Close()
+				res := n.Run()
+				if workers > 1 {
+					// flits[a][b]: flits that crossed from shard a into shard b.
+					shardOf := func(id int) int {
+						for s := 0; ; s++ {
+							if _, hi := n.shardBounds(s); id < hi {
+								return s
+							}
+						}
+					}
+					flits := map[[2]int]uint64{}
+					for i, l := range n.linkMeta {
+						if a, b := shardOf(l.From), shardOf(l.To); a != b {
+							flits[[2]int{a, b}] += n.linkFlits[i]
+						}
+					}
+					for s := 0; s+1 < n.shardCount; s++ {
+						if flits[[2]int{s, s + 1}] == 0 || flits[[2]int{s + 1, s}] == 0 {
+							t.Fatalf("Workers=%d: boundary %d|%d carried %d flits up and %d down, want both nonzero",
+								workers, s, s+1, flits[[2]int{s, s + 1}], flits[[2]int{s + 1, s}])
+						}
+					}
+				}
+				return outcome{res, n.Collector().Latencies(), saveBytes(t, n)}
+			}
+			serial := run(1)
+			if c := serial.res.Counters; c.Retransmits == 0 && serial.res.Txn.Retired == 0 {
+				t.Fatalf("the %s run neither retransmitted a flit nor retired a transaction", m.name)
+			}
+			for _, workers := range []int{2, 3, 4, 8} {
+				got := run(workers)
+				if !reflect.DeepEqual(serial.res, got.res) {
+					t.Fatalf("Workers=1 vs Workers=%d diverged in results:\n%+v\n%+v", workers, serial.res, got.res)
+				}
+				if !reflect.DeepEqual(serial.lat, got.lat) {
+					t.Fatalf("Workers=1 vs Workers=%d diverged in per-packet latencies", workers)
+				}
+				if !bytes.Equal(serial.blob, got.blob) {
+					t.Fatalf("Workers=1 vs Workers=%d diverged in the final snapshot", workers)
+				}
+			}
+		})
+	}
+}
+
+// TestStepOneBarrierPerCycle pins the kernel's shape: with the auditor
+// off, a Step releases exactly one executor batch, so each cycle pays
+// one barrier.
+func TestStepOneBarrierPerCycle(t *testing.T) {
+	cfg := smokeCfg(config.ViChaR)
+	cfg.Workers = 2
+	n := New(&cfg)
+	defer n.Close()
+	n.Step() // starts the executor
+	before := n.exec.epoch.Load()
+	const cycles = 200
+	for i := 0; i < cycles; i++ {
+		n.Step()
+	}
+	if got := n.exec.epoch.Load() - before; got != cycles {
+		t.Fatalf("%d Steps released %d executor batches, want one per cycle", cycles, got)
 	}
 }
 

@@ -4,20 +4,22 @@
 // with the paper's measurement protocol.
 //
 // The simulator is cycle-accurate at the granularity of architectural
-// components. Each cycle runs as an explicit two-phase kernel
-// (DESIGN.md §10): a deliver/inject phase that moves due link
-// payloads into their receivers and enqueues new traffic, then a
-// compute phase that evaluates every router's pipeline stages in
-// reverse order so that flits progress exactly one stage per cycle.
-// Every flit and credit link has exactly one writer router (compute
-// phase) and one receiver router (deliver phase), so both phases
-// shard by router ID (Config.Workers shards on shard-affine lanes) with
-// barriers between them; all global accounting — collector ejections,
-// the end-to-end sequence check, link traversal totals — is either
-// per-router/per-link indexed or committed serially in index order
-// between the phases. Results are therefore independent of router
-// iteration order and of the worker count, and fully deterministic
-// for a given seed.
+// components. Each cycle runs as one sharded batch behind one barrier
+// (DESIGN.md §10): serial work at the top of the cycle commits the
+// ejections due and enqueues new traffic; then every router, in
+// ascending id within its shard (Config.Workers shards on shard-affine
+// lanes), delivers the link payloads due to it and evaluates its
+// network interface and pipeline stages, in reverse order so that
+// flits progress exactly one stage per cycle; serial work after the
+// barrier merges wakes, audits and samples. Every flit and credit link
+// has exactly one writer router (its compute) and one receiver router
+// (its deliver), and nothing sent in a cycle is due in that cycle, so
+// a router's deliver and compute read only what its own shard wrote.
+// All global accounting — collector ejections, the end-to-end sequence
+// check, link traversal totals — is either per-router/per-link indexed
+// or done serially in index order outside the batch. Results are
+// therefore independent of router iteration order and of the worker
+// count, and fully deterministic for a given seed.
 package network
 
 import (
@@ -47,14 +49,14 @@ type Network struct {
 
 	// Link slabs in delivery order (DESIGN.md §10), grouped by owning
 	// router: flitSlab[flitOff[id]:flitOff[id+1]] and the matching
-	// creditSlab range are router id's deliver-phase plan — every link
+	// creditSlab range are router id's deliver plan — every link
 	// whose delivery mutates state owned by that router: flit links
 	// feeding its input buffers, the ejection link of its processing
 	// element (staged, see lists), and credit links feeding its
 	// output views or its network interface's view. One link appears in
-	// exactly one router's range, which is what makes the deliver phase
+	// exactly one router's range, which is what makes delivery
 	// shardable by router ID (shards own contiguous ID ranges,
-	// shardBounds); deliverShard walks each range as one streaming
+	// shardBounds); stepShard walks each range as one streaming
 	// sweep, and snapshots and packet collection walk the slabs in the
 	// same order.
 	flitSlab   []flitLink
@@ -62,27 +64,28 @@ type Network struct {
 	flitOff    []int32
 	creditOff  []int32
 
-	// lists[s] is shard s's mid-cycle staging (shardLists): its staged
-	// ejections and its routers' wake tags, drained by Step's serial
-	// phases.
+	// lists[s] is shard s's staging (shardLists): the flits its nodes'
+	// ejection links hold due next cycle, committed serially at the top
+	// of that cycle, and the wake tags its routers' sends raised, merged
+	// serially after the batch.
 	lists []shardLists
 
 	// Active-router worklist (DESIGN.md §10). computeActive[id] marks
-	// routers the compute phase must tick; it is cleared by the
-	// owning shard once router id is quiescent, its NI idle and no
-	// fault plan is attached, and re-set by the same shard's deliver
-	// pass or by the serial injection path. deliverLinks[id] has one
-	// bit per plan link of router id that may carry payloads — flit
-	// links in the low 16 bits and credit links in the high 16, each in
-	// slab order; a router with no bit set sleeps in the deliver phase.
-	// The owning shard clears a link's bit once the link has drained,
-	// and sends re-arm it through the writer's shard list: its wakes
-	// hold the tags (linkTag) of links the shard's routers made
-	// non-empty during compute, drained serially after the compute
-	// barrier, so activation is deterministic (a pure OR over an
+	// routers the batch must compute; it is cleared by the owning shard
+	// once router id is quiescent, its NI idle and no fault plan is
+	// attached, and re-set by a flit entering one of the router's input
+	// buffers (the same shard's deliver step) or by the serial injection
+	// path — a credit or an ejection leaves a quiescent router's tick
+	// the identity, so neither wakes it. deliverLinks[id] has one bit
+	// per plan link of router id that may carry payloads — flit links
+	// in the low 16 bits and credit links in the high 16, each in slab
+	// order; a router with no bit set delivers nothing. The reader
+	// clears a link's bit once the link has drained, and sends re-arm
+	// it through the writer's shard list, merged serially after the
+	// batch barrier, so activation is deterministic (a pure OR over an
 	// order-free set) and race-free at any worker count. Skipped links
-	// and routers are exact no-ops, so results stay bit-identical to the
-	// always-tick kernel.
+	// and routers are exact no-ops, so results stay bit-identical to
+	// the always-tick kernel.
 	computeActive []bool
 	deliverLinks  []uint32
 
@@ -98,12 +101,11 @@ type Network struct {
 	shardCount int
 	exec       *execHandle
 
-	// Phase closures bound once at construction: Step and audit hand
+	// Batch closures bound once at construction: Step and audit hand
 	// runSharded (and the traffic generator) the same values every
 	// cycle instead of allocating a fresh closure per call. The shard
 	// methods read n.now themselves, so no per-cycle capture is needed.
-	deliverFn      func(shard int)
-	computeFn      func(shard int)
+	stepFn         func(shard int)
 	auditLinksFn   func(shard int)
 	auditRoutersFn func(shard int)
 	injectFn       func(src, dst, size int)
@@ -154,6 +156,13 @@ type Network struct {
 	haveStart bool
 	haveEnd   bool
 
+	// A commit that opens or closes the measurement window sets
+	// snapStart or snapEnd. The snapshot is each router's counters
+	// between its deliver and compute, which the batch adds to its
+	// shard's edgeTally; Step completes it after the barrier.
+	snapStart, snapEnd bool
+	edgeTally          []stats.Counters
+
 	// created and ejectedFlits count packets generated and flits
 	// consumed at their destination over the whole run (the collector's
 	// flit count covers the measurement window only).
@@ -165,10 +174,10 @@ type Network struct {
 
 	// free is the packet free list (DESIGN.md §10): records — a packet
 	// with its own flit storage — that finished a trip and wait for the
-	// next. SendTxnPacket pops in the serial inject sub-phase and eject
-	// pushes in the serial commit sub-phase, so the list needs no lock
-	// and behaves identically at every worker count. Packets handed to
-	// a caller by InjectPacket* never enter it.
+	// next. SendTxnPacket pops while injecting and eject pushes while
+	// committing, both serial work at the top of the cycle, so the list
+	// needs no lock and behaves identically at every worker count.
+	// Packets handed to a caller by InjectPacket* never enter it.
 	free []*flit.Packet
 
 	// schedule replays a recorded trace (sorted by cycle);
@@ -182,8 +191,8 @@ type Network struct {
 
 	// obs is the live observability layer (obs.go); nil when
 	// Config.Metrics and Config.TraceEvents are both off. rec is the
-	// serial phase's event recorder (nil unless tracing) and storeFn
-	// the registry's store pass, bound once like the phase closures.
+	// serial work's event recorder (nil unless tracing) and storeFn
+	// the registry's store pass, bound once like the batch closures.
 	obs     *obsState
 	rec     *metrics.Recorder
 	storeFn func(vals []uint64)
@@ -212,6 +221,7 @@ func New(cfg *config.Config) *Network {
 	n.computeActive = make([]bool, mesh.Nodes())
 	n.deliverLinks = make([]uint32, mesh.Nodes())
 	n.lists = make([]shardLists, n.shardCount)
+	n.edgeTally = make([]stats.Counters, n.shardCount)
 	n.wlStats = make([]shardTally, n.shardCount)
 	for id := range n.computeActive {
 		n.computeActive[id] = true
@@ -261,7 +271,7 @@ func New(cfg *config.Config) *Network {
 
 	// Link slabs: every flit and credit link of the mesh lives in one
 	// contiguous array each, grouped by owning router in wiring order,
-	// so the deliver phase walks each router's links as one contiguous
+	// so the deliver step walks each router's links as one contiguous
 	// slab range (see the flitSlab field comment). Per-owner capacities
 	// are exact: Degree incoming inter-router flit links plus ejection
 	// and injection per node; Degree outgoing reverse channels plus the
@@ -317,28 +327,28 @@ func New(cfg *config.Config) *Network {
 			shard[id] = &n.lists[s]
 		}
 	}
-	takeFlitLink := func(l flitLink) *flitLink {
-		i := fCur[l.owner]
-		if i == n.flitOff[l.owner+1] {
+	takeFlitLink := func(owner int, l flitLink) *flitLink {
+		i := fCur[owner]
+		if i == n.flitOff[owner+1] {
 			//vichar:invariant the per-owner link counts above are the same Degree sums the wiring loops walk
-			panic(fmt.Sprintf("network: flit-link slab overflow at owner %d", l.owner))
+			panic(fmt.Sprintf("network: flit-link slab overflow at owner %d", owner))
 		}
-		fCur[l.owner] = i + 1
+		fCur[owner] = i + 1
 		p := &n.flitSlab[i]
 		*p = l
-		p.tag = linkTag(l.owner, int(i-n.flitOff[l.owner]))
+		p.tag = linkTag(owner, int(i-n.flitOff[owner]))
 		return p
 	}
-	takeCreditLink := func(l creditLink) *creditLink {
-		i := cCur[l.owner]
-		if i == n.creditOff[l.owner+1] {
+	takeCreditLink := func(owner int, l creditLink) *creditLink {
+		i := cCur[owner]
+		if i == n.creditOff[owner+1] {
 			//vichar:invariant the per-owner link counts above are the same Degree sums the wiring loops walk
-			panic(fmt.Sprintf("network: credit-link slab overflow at owner %d", l.owner))
+			panic(fmt.Sprintf("network: credit-link slab overflow at owner %d", owner))
 		}
-		cCur[l.owner] = i + 1
+		cCur[owner] = i + 1
 		p := &n.creditSlab[i]
 		*p = l
-		p.tag = linkTag(l.owner, creditBit0+int(i-n.creditOff[l.owner]))
+		p.tag = linkTag(owner, creditBit0+int(i-n.creditOff[owner]))
 		return p
 	}
 
@@ -359,17 +369,19 @@ func New(cfg *config.Config) *Network {
 
 			// Delivery mutates the downstream router's input buffer
 			// (and this link's own flit counter), so the link belongs
-			// to the receiver's deliver-phase plan — and stages its
+			// to the receiver's deliver plan — and stages its
 			// events on the receiver's recorder. The same ownership
 			// covers the link's fault state: only the receiver's shard
 			// ticks it.
 			// Worklist: router id's compute writes this link; router
-			// nb's deliver drains it.
-			fl := takeFlitLink(flitLink{
-				delay: router.FlitDelay, q: flitRing(interCap), owner: nb, wake: &shard[id].wakes,
+			// nb's deliver drains it, concurrently across shards.
+			shared := shard[id] != shard[nb]
+			fl := takeFlitLink(nb, flitLink{
+				delay: router.FlitDelay, q: flitRing(interCap), wake: &shard[id].wakes,
 				dst: dst, inPort: inPort, count: &n.linkFlits[linkIdx],
 				rec: n.obs.recorder(1 + nb),
 			})
+			fl.q.shared = shared
 			if fs := n.fplan.Link(id, port); fs != nil {
 				fl.faults = fs
 				n.faultLinks = append(n.faultLinks, fs)
@@ -378,10 +390,11 @@ func New(cfg *config.Config) *Network {
 			// Credit delivery mutates the upstream router's output
 			// view, so the reverse channel belongs to the upstream
 			// router's plan; the downstream router nb writes it.
-			cl := takeCreditLink(creditLink{
-				delay: router.CreditDelay, q: creditRing(), owner: id, wake: &shard[nb].wakes,
+			cl := takeCreditLink(id, creditLink{
+				delay: router.CreditDelay, q: creditRing(), wake: &shard[nb].wakes,
 				dst: r, outPort: port,
 			})
+			cl.q.shared = shared
 
 			view := router.NewCreditViewIn(n.arena, cfg)
 			r.ConnectOutput(port, fl, view)
@@ -404,12 +417,15 @@ func New(cfg *config.Config) *Network {
 	for id, r := range n.routers {
 		// Ejection: router local output -> processing element. The
 		// sink mutates network-global state (collector, sequence
-		// check, snapshots), so delivery only stages the flit; the
-		// serial commit sub-phase of Step ejects staged flits in
-		// ascending node order. A responder node's finite service
-		// queue gates its sink's ejection grants.
-		ej := takeFlitLink(flitLink{
-			delay: router.FlitDelay, q: flitRing(ejectCap), owner: id, wake: &shard[id].wakes,
+		// check, snapshots), so the batch only stages the flits due
+		// next cycle (stageEjections) and the top of that cycle
+		// commits them in ascending node order. The look-ahead needs a
+		// delay of at least two; the constant below stops compiling
+		// otherwise. A responder node's finite service queue gates its
+		// sink's ejection grants.
+		const _ = uint(router.FlitDelay - 2)
+		ej := takeFlitLink(id, flitLink{
+			delay: router.FlitDelay, q: flitRing(ejectCap), wake: &shard[id].wakes,
 			eject: &shard[id].ejects,
 		})
 		sink := router.NewSinkView()
@@ -432,14 +448,14 @@ func New(cfg *config.Config) *Network {
 			lo, hi := router.Span(cfg, c, false)
 			s.streams[c].lo, s.streams[c].n = lo, hi-lo
 		}
-		inj := takeFlitLink(flitLink{
-			delay: 1, q: flitRing(injectCap), owner: id, wake: &shard[id].wakes,
+		inj := takeFlitLink(id, flitLink{
+			delay: 1, q: flitRing(injectCap), wake: &shard[id].wakes,
 			dst: r, inPort: topology.Local,
 		})
 		s.link = inj
 
-		cl := takeCreditLink(creditLink{
-			delay: router.CreditDelay, q: creditRing(), owner: id, wake: &shard[id].wakes,
+		cl := takeCreditLink(id, creditLink{
+			delay: router.CreditDelay, q: creditRing(), wake: &shard[id].wakes,
 			view: s.view,
 		})
 		r.ConnectInputCredit(topology.Local, cl)
@@ -456,10 +472,9 @@ func New(cfg *config.Config) *Network {
 		n.deliverLinks[id] = n.planLinks(id)
 	}
 
-	// Bind the phase closures once; Step and audit reuse them every
+	// Bind the batch closures once; Step and audit reuse them every
 	// cycle (see the field comments on Network).
-	n.deliverFn = n.deliverShard
-	n.computeFn = n.computeShard
+	n.stepFn = n.stepShard
 	n.auditLinksFn = n.auditLinksShard
 	n.auditRoutersFn = n.auditRoutersShard
 	n.injectFn = n.injectGenerated
@@ -484,3 +499,7 @@ func (n *Network) planLinks(id int) uint32 {
 	credits := uint32(n.creditOff[id+1] - n.creditOff[id])
 	return 1<<flits - 1 | (1<<credits-1)<<creditBit0
 }
+
+// ejectLink returns node id's ejection link: second to last of its
+// flit links, before the injection link.
+func (n *Network) ejectLink(id int) *flitLink { return &n.flitSlab[n.flitOff[id+1]-2] }

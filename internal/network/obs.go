@@ -13,7 +13,7 @@ import (
 // a view over the kernel's own counters, refreshed by storeSeries —
 // the network-level gauges and, when tracing, the event tracer with
 // one staging recorder per shard-owned node (index 1+id) plus one for
-// the serial phase (index 0). The view is stored and the recorders
+// the serial work (index 0). The view is stored and the recorders
 // drained — in fixed index order — only from the serial side of the
 // kernel (flushObs), which is what keeps registry and event-stream
 // state bit-identical for any worker count.
@@ -119,7 +119,7 @@ func (n *Network) registerSeries() {
 // storeSeries is the registry's store pass (bound once as n.storeFn,
 // so a flush allocates no method value):
 // it overwrites every counter series with its owner's current
-// absolute count, in registerSeries order. Serial phase only.
+// absolute count, in registerSeries order. Serial work only.
 func (n *Network) storeSeries(vals []uint64) {
 	vals[0] = uint64(n.created)
 	vals[1] = uint64(n.collector.Ejected())
@@ -174,7 +174,7 @@ func (n *Network) storeSeries(vals []uint64) {
 // drain into the tracer in fixed recorder index order, and the
 // network-level gauges refresh. Runs only on the serial side of the
 // kernel — Step's sample cadence and the end of Run/Drain — after the
-// compute barrier, so counters and recorders are quiescent. A live
+// batch barrier, so counters and recorders are quiescent. A live
 // scrape therefore lags the simulation by at most SampleEvery cycles.
 func (n *Network) flushObs() {
 	o := n.obs

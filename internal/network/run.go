@@ -81,9 +81,9 @@ func (n *Network) send(p *flit.Packet, src, dst, size int, kind, class uint8, re
 	p.Class, p.Kind, p.Req = class, kind, req
 	n.created++
 	n.nis[src].enqueue(p)
-	// Injection happens on the serial side of the kernel, before the
-	// compute phase, so waking the source here preserves same-cycle NI
-	// processing for a sleeping node.
+	// Injection happens in the serial work at the top of the cycle,
+	// before the batch, so waking the source here preserves same-cycle
+	// NI processing for a sleeping node.
 	if !n.computeActive[src] {
 		n.computeActive[src] = true
 	}
@@ -283,20 +283,22 @@ type shardTally struct {
 	_ [cacheLine - 32]byte
 }
 
-// shardLists is one shard's mid-cycle staging alone on its cache line:
-// ejects, the flits its deliver pass handed to its nodes' processing
-// elements (ascending node order, as the pass visits its routers), and
-// wakes, the tags (linkTag) of links its routers' sends made non-empty
-// during compute. Step drains both serially and resets them to length
-// zero, so a save between Steps finds them empty.
+// shardLists is one shard's staging alone on its cache line: ejects,
+// the flits its nodes' ejection links hold due next cycle (ascending
+// node order, as the batch visits its routers), and wakes, the tags
+// (linkTag) of links its routers' sends made non-empty during the
+// batch. Step merges wakes serially after the barrier and commits
+// ejects at the top of the next cycle, resetting each to length zero.
+// Between Steps wakes is empty and ejects is derived from the ejection
+// links: a save stores neither and a load restages ejects.
 type shardLists struct {
 	ejects []ejection
 	wakes  []int
 	_      [cacheLine - 48]byte
 }
 
-// ejection is a flit delivered to node's processing element, staged
-// for the serial commit.
+// ejection is a flit due at node's processing element, staged for the
+// serial commit.
 type ejection struct {
 	f    *flit.Flit
 	node int

@@ -1,4 +1,6 @@
-// The shard executor of the two-phase cycle kernel (DESIGN.md §10).
+// The shard executor of the cycle kernel (DESIGN.md §10): Step hands it
+// one batch per cycle, each router's deliver and compute, and the
+// auditor two more when it is on.
 //
 // This file is the single place under internal/ where goroutines may
 // be spawned — vichar-lint's concurrency-ownership rule rejects `go`
@@ -20,20 +22,22 @@ const (
 	cacheLine = 64
 	// spinBudget is how many polls a waiter makes before a helper parks
 	// or the caller starts yielding: at 0.2-1 ns a poll, several times
-	// the 15-26 µs serial sub-phase of a 16x16 mesh, yet short enough
-	// that an idle simulator stops burning CPU within a millisecond.
+	// the serial work between two batches — the ejection commit,
+	// injection and wake merge lane 0 runs alone, about 1 µs a cycle on
+	// a lightly loaded 8x8 — yet short enough that an idle simulator
+	// stops burning CPU within a millisecond.
 	spinBudget = 1 << 18
 )
 
 // shardExecutor runs per-shard closures on a fixed set of lanes with a
 // completion barrier. Lane l executes the same contiguous block of
-// shards in every phase, so a shard's routers stay in one core's
+// shards in every batch, so a shard's routers stay in one core's
 // cache. Lane 0 is the goroutine that calls run; every other lane is a
 // helper goroutine, started lazily on the first parallel Step and
 // alive until the owning Network is closed (or finalized). A helper
 // claims its block of each batch before running it, and lane 0, done
 // with its own block, claims and runs every block still unclaimed: a
-// helper that is parked or has no processor never stalls the phase.
+// helper that is parked or has no processor never stalls the batch.
 type shardExecutor struct {
 	shards  int
 	helpers []helper
@@ -79,7 +83,7 @@ func newShardExecutor(shards int) *shardExecutor {
 	for i := range e.helpers {
 		//vichar:alloc one wake channel per helper, made once with the executor
 		e.helpers[i].wake = make(chan struct{}, 1)
-		//vichar:alloc the helper goroutines are spawned once and reused for every subsequent phase barrier
+		//vichar:alloc the helper goroutines are spawned once and reused for every subsequent batch barrier
 		go e.help(i + 1)
 	}
 	return e
@@ -142,7 +146,7 @@ func (e *shardExecutor) release(fn func(shard int)) uint64 {
 }
 
 // run executes fn(shard) for every shard across the lanes and returns
-// once all of them have completed (the phase barrier). fn must confine
+// once all of them have completed (the batch barrier). fn must confine
 // its writes to state owned by its shard; any cross-shard accounting
 // must be buffered per shard and merged by the caller after run
 // returns, in shard index order.
@@ -183,7 +187,7 @@ func (e *shardExecutor) stop() {
 }
 
 // execHandle is the Network's reference to its executor. The Network
-// itself is in a reference cycle (its bound phase closures point back
+// itself is in a reference cycle (its bound batch closures point back
 // at it), which a finalizer would keep alive for ever, and the executor
 // is held by its helpers; the handle is neither, so it becomes
 // unreachable with the network and its finalizer stops the helpers.
@@ -225,7 +229,9 @@ func processors() int { return min(runtime.GOMAXPROCS(0), runtime.NumCPU()) }
 // gives each lane at least this many routers. Measured on a 2-CPU
 // host, a 4x4 mesh (8 routers a lane) stepped 16 % slower on two
 // lanes than on one, while an 8x8 (32 a lane) gained at every load,
-// from +13 % at rate 0.05 to +44 % at 0.30.
+// from +13 % at rate 0.05 to +44 % at 0.30. One barrier a cycle
+// instead of two left the 4x4 behind: 8 % slower on two lanes at
+// rate 0.40, no faster in 3 of 5 passes (DESIGN.md §10.2).
 const minLaneRouters = 32
 
 // kernelShards resolves Config.Workers to the kernel's shard count for

@@ -25,9 +25,10 @@ import (
 // applies the mutable (VC, ArrivedAt) fields of exactly the flits it
 // holds.
 //
-// Snapshots are legal only between Steps: ejection staging and wake
-// buffers are empty there, and router per-tick scratch is dead. State
-// verifies the former and refuses otherwise.
+// Snapshots are legal only between Steps: the shards' wake lists are
+// empty there, and router per-tick scratch is dead. State verifies the
+// former and refuses otherwise. The staged ejections are not stored:
+// they are the ejection links' flits due next cycle, restaged on load.
 
 // packetState walks one packet's record. A packet's flit storage is
 // sized by Size at injection or at load, so the body bytes left bound
@@ -78,7 +79,7 @@ func (l *flitLink) state(c *snap.Codec, now int64) {
 	l.q.state(c, "network: link occupancy", func(e *timedFlit) {
 		c.Flit(&e.f)
 		c.I64(&e.at)
-		if e.f == nil || e.f.VC < 0 || e.f.VC >= vcs || e.at > now+l.delay || (l.eject != nil && e.f.Pkt.Dst != l.owner) {
+		if e.f == nil || e.f.VC < 0 || e.f.VC >= vcs || e.at > now+l.delay || (l.eject != nil && e.f.Pkt.Dst != l.owner()) {
 			c.Failf("network: snapshot link payload is nil, on a VC outside %d, due at %d, beyond cycle %d + delay %d, or ejecting at the wrong node", vcs, e.at, now, l.delay)
 		}
 	})
@@ -211,13 +212,12 @@ func (n *Network) windowLoads(c *snap.Codec, s *[]uint64) {
 }
 
 // State walks the network's complete mutable state. Saving must happen
-// between Steps; mid-cycle staging (a shard's staged ejections or
-// unmerged wakes) would be lost, so the walk refuses if any is live.
+// between Steps; mid-cycle staging (a shard's unmerged wakes) would be
+// lost, so the walk refuses if any is live.
 // Loading needs a network freshly constructed from the same
 // configuration, and ends by auditing what it loaded.
 func (n *Network) State(c *snap.Codec) {
 	for s := range n.lists {
-		c.Range(len(n.lists[s].ejects), 0, 0, "network: snapshot mid-cycle: staged ejections")
 		c.Range(len(n.lists[s].wakes), 0, 0, "network: snapshot mid-cycle: unmerged wakes")
 	}
 	c.Section("network")
@@ -273,6 +273,7 @@ func (n *Network) State(c *snap.Codec) {
 				n.deliverLinks[id] = n.planLinks(id)
 			}
 		}
+		n.restageEjections()
 	}
 	n.worklistState(c)
 
@@ -290,12 +291,29 @@ func (n *Network) State(c *snap.Codec) {
 	}
 }
 
+// restageEjections rebuilds the shards' staged ejections of a loaded
+// network: what the last batch staged, the flits due by next cycle on
+// each node's ejection link, in ascending node order.
+func (n *Network) restageEjections() {
+	for s := range n.lists {
+		l := &n.lists[s]
+		l.ejects = l.ejects[:0]
+		lo, hi := n.shardBounds(s)
+		for id := lo; id < hi; id++ {
+			q := &n.ejectLink(id).q
+			for i := 0; i < q.len() && q.at(i).at <= n.now+1; i++ {
+				l.ejects = append(l.ejects, ejection{f: q.at(i).f, node: id})
+			}
+		}
+	}
+}
+
 // worklistState walks the worklist tallies summed over shards, so a
 // blob does not depend on the shard count that cut it (Workers 0 is
 // one shard per processor); a load puts the sums in the first shard's
-// slot. Every router is ticked or skipped in both phases of every
-// cycle, which ties the cycle counter — all that bounds the random
-// streams' replay — to the sums.
+// slot. Every router is ticked or skipped in deliver and in compute
+// every cycle, which ties the cycle counter — all that bounds the
+// random streams' replay — to the sums.
 func (n *Network) worklistState(c *snap.Codec) {
 	if n.now > math.MaxInt64/int64(len(n.routers)) {
 		c.Failf("network: snapshot cycle %d overflows the worklist tallies of %d routers", n.now, len(n.routers))
@@ -379,7 +397,7 @@ func (n *Network) checkLinkVCs(al *auditedLink, holders []*flit.Packet) error {
 	if up := al.cl.dst; up != nil {
 		up.Granted(al.cl.outPort, holders)
 	} else {
-		n.nis[al.fl.owner].sending(holders)
+		n.nis[al.fl.owner()].sending(holders)
 	}
 	held := al.fl.faults.HeldFlit()
 	for vc, holder := range holders {

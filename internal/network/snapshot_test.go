@@ -99,10 +99,11 @@ func TestSnapshotMidRetransmissionHold(t *testing.T) {
 }
 
 // TestSnapshotRejectsMidCycleState documents the between-Steps
-// contract: a save refuses while any shard's staging list — staged
-// ejections or unmerged wakes — is non-empty, and the refusal check
-// writes nothing, so the bytes once the lists are empty again are the
-// bytes of the save before.
+// contract: a save refuses while any shard's wake list is non-empty,
+// and the refusal check writes nothing, so the bytes once the list is
+// empty again are the bytes of the save before. (A shard's staged
+// ejections are legitimately non-empty between Steps: they are derived
+// from the ejection links, not saved, and restaged by a load.)
 func TestSnapshotRejectsMidCycleState(t *testing.T) {
 	cfg := faultBase()
 	cfg.Audit = false
@@ -121,11 +122,6 @@ func TestSnapshotRejectsMidCycleState(t *testing.T) {
 	}
 	for s := range n.lists {
 		l := &n.lists[s]
-		l.ejects = append(l.ejects, ejection{})
-		if _, err := snap.Save(n.State); err == nil || !strings.Contains(err.Error(), "staged ejections") {
-			t.Fatalf("shard %d: save with a staged ejection: err %v, want the mid-cycle refusal", s, err)
-		}
-		l.ejects = l.ejects[:0]
 		l.wakes = append(l.wakes, linkTag(0, 0))
 		if _, err := snap.Save(n.State); err == nil || !strings.Contains(err.Error(), "unmerged wakes") {
 			t.Fatalf("shard %d: save with an unmerged wake: err %v, want the mid-cycle refusal", s, err)

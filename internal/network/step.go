@@ -41,21 +41,17 @@ func (n *Network) eject(node int, f *flit.Flit, now int64) {
 	p.EjectedAt = now
 	was := n.collector.Measuring()
 	n.collector.PacketEjected(p, now)
+	// A window edge: its counter snapshot is completed after the batch
+	// (Step, windowSnapshot).
 	if !was && n.collector.Measuring() && !n.haveStart {
-		n.startSnap = n.totalCounters()
-		//vichar:alloc measurement-window snapshot, taken at most once per run
-		n.linkStartSnap = append([]uint64(nil), n.linkFlits...)
-		n.haveStart = true
+		n.snapStart, n.haveStart = true, true
 	}
 	if was && !n.collector.Measuring() && !n.haveEnd {
-		n.endSnap = n.totalCounters()
-		//vichar:alloc measurement-window snapshot, taken at most once per run
-		n.linkEndSnap = append([]uint64(nil), n.linkFlits...)
-		n.haveEnd = true
+		n.snapEnd, n.haveEnd = true, true
 	}
 	if n.txn != nil {
-		// Serial commit sub-phase: requests enter their responder's
-		// service queue, responses retire their transaction.
+		// Serial commit: requests enter their responder's service
+		// queue, responses retire their transaction.
 		n.txn.OnEject(p, now, was)
 	}
 	// The record's trip is over: the collector and the transaction
@@ -67,13 +63,20 @@ func (n *Network) eject(node int, f *flit.Flit, now int64) {
 }
 
 // totalCounters sums activity across routers plus network-level link
-// traversals. Link traversals are kept per link (each link is ticked
-// by exactly one shard), so the network-wide total is their sum.
+// traversals and fault tallies.
 func (n *Network) totalCounters() stats.Counters {
 	var c stats.Counters
 	for _, r := range n.routers {
 		c.Add(r.Counters())
 	}
+	n.addLinkCounters(&c)
+	return c
+}
+
+// addLinkCounters adds the link-level counters to c. They are kept per
+// link (each link is ticked by exactly one shard), so the network-wide
+// total is their sum.
+func (n *Network) addLinkCounters(c *stats.Counters) {
 	for _, f := range n.linkFlits {
 		c.LinkTraversals += f
 	}
@@ -82,42 +85,57 @@ func (n *Network) totalCounters() stats.Counters {
 		c.FlitCorrupts += fs.Corrupts
 		c.Retransmits += fs.Retransmits
 	}
-	return c
 }
 
-// Step advances the simulation by exactly one cycle through the
-// two-phase kernel:
+// windowSnapshot completes the counter snapshot of a window edge
+// committed this cycle: the routers' counters the batch tallied between
+// their deliver and compute, plus the link counters, which only deliver
+// changes. Both edges in one cycle take the same value.
+func (n *Network) windowSnapshot() {
+	var c stats.Counters
+	for s := range n.edgeTally {
+		c.Add(n.edgeTally[s])
+		n.edgeTally[s] = stats.Counters{}
+	}
+	n.addLinkCounters(&c)
+	if n.snapStart {
+		n.startSnap = c
+		//vichar:alloc measurement-window snapshot, taken at most once per run
+		n.linkStartSnap = append([]uint64(nil), n.linkFlits...)
+	}
+	if n.snapEnd {
+		n.endSnap = c
+		//vichar:alloc measurement-window snapshot, taken at most once per run
+		n.linkEndSnap = append([]uint64(nil), n.linkFlits...)
+	}
+	n.snapStart, n.snapEnd = false, false
+}
+
+// Step advances the simulation by exactly one cycle: one sharded batch
+// between two pieces of serial work (DESIGN.md §10.1).
 //
-//  1. Deliver (sharded by receiver router): every link delivers its
-//     due payloads into the receiving router's input buffers and
-//     credit views; ejections are staged per shard.
-//  2. Commit + inject (serial): staged ejections are committed in
-//     ascending node order — the only phase that mutates the stats
-//     collector, the end-to-end sequence check and the measurement
-//     snapshots — then new traffic is generated and scheduled trace
-//     entries injected.
-//  3. Compute (sharded by router): every network interface and router
-//     evaluates its pipeline; the only cross-router effects are sends
-//     on links the router owns the write side of, delivered next
-//     cycle by phase 1.
+//  1. Top of the cycle (serial): the ejection flits due now commit in
+//     ascending node order — the only work that mutates the stats
+//     collector, the end-to-end sequence check and the window edges —
+//     then new traffic is generated, scheduled trace entries injected
+//     and the transaction layer ticked.
+//  2. The batch (sharded by router): every router, in ascending id
+//     within its shard, delivers the payloads due on its plan links
+//     into its input buffers and credit views — its ejection link
+//     stages the flits due next cycle instead — then its network
+//     interface and router evaluate their pipelines. The only
+//     cross-router effects are sends on links the router writes, and
+//     nothing sent is due before the next cycle.
+//  3. After the barrier (serial): a window edge's counter snapshot
+//     completes, the shards' wakes merge, and the auditor and the
+//     sampler run.
 //
-// Shards own disjoint state and the serial sub-phase runs in a fixed
-// index order, so the cycle's outcome is bit-identical for any worker
-// count.
+// Shards own disjoint state and the serial work runs in a fixed index
+// order, so the cycle's outcome is bit-identical for any worker count.
 func (n *Network) Step() {
 	n.now++
 	now := n.now
-	n.runSharded(n.deliverFn)
-	// Shards own ascending contiguous node ranges and stage in node
-	// order, so shard order is ascending node order.
-	for s := range n.lists {
-		l := &n.lists[s]
-		for i, e := range l.ejects {
-			l.ejects[i] = ejection{}
-			n.eject(e.node, e.f, now)
-		}
-		l.ejects = l.ejects[:0]
-	}
+	n.commitEjections(now)
 	if n.cfg.InjectionRate > 0 {
 		n.gen.Tick(now, n.injectFn)
 	}
@@ -132,11 +150,14 @@ func (n *Network) Step() {
 		// ascending node order off per-node streams.
 		n.txn.Tick(now)
 	}
-	n.runSharded(n.computeFn)
-	// Merge the per-shard wake lists: sends that made an empty link
-	// non-empty set the link's bit in its owner's deliver mask. A pure
-	// OR over an order-free set, run serially after the compute
-	// barrier, so the result is independent of worker scheduling.
+	n.runSharded(n.stepFn)
+	if n.snapStart || n.snapEnd {
+		n.windowSnapshot()
+	}
+	// Merge the per-shard wake lists: sends that made a link non-empty
+	// set its bit in its owner's deliver mask. A pure OR over an
+	// order-free set, run serially after the barrier, so the result is
+	// independent of worker scheduling.
 	for s := range n.lists {
 		l := &n.lists[s]
 		for _, tag := range l.wakes {
@@ -153,90 +174,95 @@ func (n *Network) Step() {
 	}
 }
 
-// deliverShard is phase 1 for one shard: every link owned by the
-// shard's routers that may carry payloads delivers its due flits and
-// credits. The walk visits the set bits of each router's deliverLinks
-// in ascending order — its flit links, then its credit links, each in
-// slab order (flitOff/creditOff) — so delivery order is the order of a
-// sweep over every link. Reads n.now itself (set before the phase
-// barrier) so the bound closure carries no per-cycle state.
-//
-// Neighbouring shards run on different cores: the worklist tally is
-// local, flushed once into the shard's own line, and the per-router
-// masks and flags (a line of them spans shards) are stored only when
-// the value changes.
-func (n *Network) deliverShard(shard int) {
-	now := n.now
-	lo, hi := n.shardBounds(shard)
-	var ticked uint64
-	for id := lo; id < hi; id++ {
-		// Skip routers none of whose links carry payloads; a bit is set
-		// again by the serial wake merge when a writer makes its link
-		// non-empty.
-		links := n.deliverLinks[id]
-		if links == 0 {
-			continue
+// commitEjections ejects the flits due now, which the previous cycle's
+// batch staged. Shards own ascending contiguous node ranges and stage
+// in node order, so shard order is ascending node order.
+func (n *Network) commitEjections(now int64) {
+	for s := range n.lists {
+		l := &n.lists[s]
+		for i, e := range l.ejects {
+			l.ejects[i] = ejection{}
+			n.eject(e.node, e.f, now)
 		}
-		ticked++
-		for m := links; m != 0; m &= m - 1 {
-			b := bits.TrailingZeros32(m)
-			var pending bool
-			if b < creditBit0 {
-				pending = n.flitSlab[int(n.flitOff[id])+b].tick(now)
-			} else {
-				pending = n.creditSlab[int(n.creditOff[id])+b-creditBit0].tick(now)
-			}
-			if !pending {
-				links &^= 1 << b
-			}
-		}
-		// Both entries are shard-owned here: deliver and compute shard
-		// by the same id ranges, so no other worker reads them before
-		// the phase barrier. Anything delivered (or still in flight)
-		// may have changed router id's state, so its compute entry is
-		// re-armed conservatively.
-		if links != n.deliverLinks[id] {
-			n.deliverLinks[id] = links
-		}
-		if !n.computeActive[id] {
-			n.computeActive[id] = true
-		}
+		l.ejects = l.ejects[:0]
 	}
-	n.wlStats[shard].DeliverTicked += ticked
-	n.wlStats[shard].DeliverSkipped += uint64(hi-lo) - ticked
 }
 
-// computeShard is phase 3 for one shard: the shard's network
-// interfaces and routers evaluate their pipelines.
-func (n *Network) computeShard(shard int) {
+// stepShard is the batch for one shard: each of the shard's routers,
+// in ascending id, delivers its plan links and then computes.
+//
+// Delivery visits the set bits of the router's deliverLinks in
+// ascending order — its flit links, then its credit links, each in
+// slab order (flitOff/creditOff) — so delivery order is the order of
+// a sweep over every link. Only a flit entering an input buffer wakes
+// the router: a quiescent router's tick with an idle NI is the
+// identity (Router.Quiescent), whatever credits or ejections land.
+//
+// A node may sleep only when a tick provably does nothing: the
+// router's masks are empty (Quiescent also rules out attached fault
+// state), the NI neither holds nor queues a packet, and no fault plan
+// is compiled — fault schedules mutate per-cycle state regardless of
+// traffic, so faulted runs never sleep.
+//
+// Neighbouring shards run on different cores: the worklist tallies are
+// local, flushed once into the shard's own line, and the per-router
+// masks and flags (a line of them spans shards) are stored only when
+// the value changes. Reads n.now itself (set before the barrier) so
+// the bound closure carries no per-cycle state.
+func (n *Network) stepShard(shard int) {
 	now := n.now
+	edge := n.snapStart || n.snapEnd
 	lo, hi := n.shardBounds(shard)
-	var ticked uint64
+	var delivered, computed uint64
 	for id := lo; id < hi; id++ {
+		if links := n.deliverLinks[id]; links != 0 {
+			delivered++
+			woke := false
+			for m := links; m != 0; m &= m - 1 {
+				b := bits.TrailingZeros32(m)
+				var got, pending bool
+				if b < creditBit0 {
+					got, pending = n.flitSlab[int(n.flitOff[id])+b].tick(now)
+					woke = woke || got
+				} else {
+					pending = n.creditSlab[int(n.creditOff[id])+b-creditBit0].tick(now)
+				}
+				if !pending {
+					links &^= 1 << b
+				}
+			}
+			if links != n.deliverLinks[id] {
+				n.deliverLinks[id] = links
+			}
+			if woke && !n.computeActive[id] {
+				n.computeActive[id] = true
+			}
+		}
+		if edge {
+			n.edgeTally[shard].Add(n.routers[id].Counters())
+		}
 		if !n.computeActive[id] {
 			continue
 		}
-		ticked++
+		computed++
 		s := n.nis[id]
 		s.tick(now)
 		n.routers[id].Tick(now)
-		// A node may sleep only when a tick provably does nothing: the
-		// router's masks are empty (Quiescent also rules out attached
-		// fault state), the NI neither holds nor queues a packet, and
-		// no fault plan is compiled — fault schedules mutate per-cycle
-		// state regardless of traffic, so faulted runs never sleep.
 		if n.fplan == nil && s.idle() && n.routers[id].Quiescent() {
 			n.computeActive[id] = false
 		}
 	}
-	n.wlStats[shard].ComputeTicked += ticked
-	n.wlStats[shard].ComputeSkipped += uint64(hi-lo) - ticked
+	t := &n.wlStats[shard]
+	t.DeliverTicked += delivered
+	t.DeliverSkipped += uint64(hi-lo) - delivered
+	t.ComputeTicked += computed
+	t.ComputeSkipped += uint64(hi-lo) - computed
 }
 
 // audit runs the per-cycle invariant auditor (internal/audit) over
 // every credit-carrying link and every unified buffer. All router and
-// link mutation for the cycle has completed behind the compute-phase
-// barrier, so the checks are pure reads over quiescent state and are
+// link mutation for the cycle has completed behind the batch barrier,
+// so the checks are pure reads over quiescent state and are
 // sharded across the same lanes as the kernel; per-shard first
 // violations are merged in index order, so the reported violation is
 // the same one the serial kernel would find. Any violation is a

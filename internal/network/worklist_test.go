@@ -8,12 +8,14 @@ import (
 )
 
 // The active-router worklist tests (DESIGN.md §10): a drained network
-// must step in near-zero time touching no router, and every event
-// that can make a sleeping router relevant again — scheduled
-// injection, credit return, a compiled fault plan — must keep or put
-// it back on the worklist. All run the serial kernel: worklist
-// bookkeeping is identical at every worker count (the determinism
-// wall pins that), and Workers=1 keeps alloc accounting exact.
+// must step in near-zero time touching no router, every event that
+// can make a sleeping router relevant again — scheduled injection, a
+// flit arriving, a compiled fault plan — must keep or put it back on
+// the worklist, and nothing else may: credits and ejections land on
+// sleeping routers without a compute entry. All run the serial kernel:
+// worklist bookkeeping is identical at every worker count (the
+// determinism wall pins that), and Workers=1 keeps alloc accounting
+// exact.
 
 // drain steps until the network is empty and asserts nothing was left
 // behind.
@@ -99,13 +101,54 @@ func TestWorklistWakeOnScheduledInjection(t *testing.T) {
 	}
 }
 
-// TestWorklistWakeOnCreditReturn exercises the reverse-channel wake:
-// a multi-flit packet's tail credit must reach the upstream router
-// after the payload has moved on, and the worklist must wake the
-// upstream router to process it — otherwise the run would either
-// deadlock or leak credits, both of which the per-cycle audit
-// catches. The audit also cross-checks the readiness overlay masks.
-func TestWorklistWakeOnCreditReturn(t *testing.T) {
+// stepCheckingWakes steps n once and checks the compute worklist's
+// wake rule exactly: the cycle's compute entries are the routers awake
+// before it plus those a due flit wakes — a credit or an ejection wakes
+// none. It returns how many nodes took only credits, or only an
+// ejection, while asleep: the deliveries the rule lets land without a
+// compute entry.
+func stepCheckingWakes(t *testing.T, n *Network) (creditOnly, ejectOnly int) {
+	t.Helper()
+	due := n.now + 1
+	dueOn := func(q *ring[timedFlit]) bool { return q.len() > 0 && q.at(0).at <= due }
+	want := uint64(0)
+	for id := range n.routers {
+		flit, credit := false, false
+		for i := n.flitOff[id]; i < n.flitOff[id+1]; i++ {
+			if l := &n.flitSlab[i]; l != n.ejectLink(id) && dueOn(&l.q) {
+				flit = true
+			}
+		}
+		for i := n.creditOff[id]; i < n.creditOff[id+1]; i++ {
+			if q := &n.creditSlab[i].q; q.len() > 0 && q.at(0).at <= due {
+				credit = true
+			}
+		}
+		switch {
+		case n.computeActive[id] || flit:
+			want++
+		case credit:
+			creditOnly++
+		case dueOn(&n.ejectLink(id).q):
+			ejectOnly++
+		}
+	}
+	before := n.WorklistStats().ComputeTicked
+	n.Step()
+	if got := n.WorklistStats().ComputeTicked - before; got != want {
+		t.Fatalf("cycle %d ran %d compute entries, want %d: the awake routers plus those a flit wakes", n.now, got, want)
+	}
+	return creditOnly, ejectOnly
+}
+
+// TestWorklistCreditReturnWithoutWake: a multi-flit packet's tail
+// credits reach upstream routers after the payload has moved on and
+// the routers have gone quiescent. The credits land — the per-cycle
+// audit checks every link's conservation and the readiness overlay
+// masks — without putting those routers back on the compute worklist:
+// a quiescent router's tick is the identity whatever its credit views
+// hold.
+func TestWorklistCreditReturnWithoutWake(t *testing.T) {
 	cfg := smokeCfg(config.ViChaR)
 	cfg.InjectionRate = 0
 	cfg.Workers = 1
@@ -116,13 +159,53 @@ func TestWorklistWakeOnCreditReturn(t *testing.T) {
 	// forward path has already gone quiet.
 	n.InjectPacket(0, 15)
 	n.InjectPacket(15, 0)
-	drainOrFatal(t, n, 10_000)
+	landed := 0
+	for i := 0; n.collector.Ejected() < n.created; i++ {
+		if i == 10_000 {
+			t.Fatal("packets undelivered after 10000 cycles")
+		}
+		c, _ := stepCheckingWakes(t, n)
+		landed += c
+	}
+	if landed == 0 {
+		t.Fatal("no credit reached a sleeping router: the test lost its teeth")
+	}
 	settled := n.WorklistStats()
 	for i := 0; i < 100; i++ {
 		n.Step()
 	}
 	if d := n.WorklistStats().ComputeTicked - settled.ComputeTicked; d != 0 {
 		t.Fatalf("network still running %d compute entries after credits drained, want 0", d)
+	}
+}
+
+// TestWorklistCreditOrEjectionAddsNoCompute: under load on every
+// buffer organization, each cycle's compute entries are exactly the
+// awake routers plus the flit-woken ones, and nodes whose only
+// delivery in a cycle is a credit or an ejection add nothing. Packets
+// are injected between Steps, so their sources are awake before the
+// cycle that checks them.
+func TestWorklistCreditOrEjectionAddsNoCompute(t *testing.T) {
+	for _, arch := range allArchs {
+		t.Run(arch.String(), func(t *testing.T) {
+			cfg := smokeCfg(arch)
+			cfg.InjectionRate = 0
+			cfg.Workers = 1
+			n := New(&cfg)
+			credits, ejects := 0, 0
+			for i := 0; i < 600; i++ {
+				if i%4 == 0 && i < 400 {
+					src := i * 7 % 16
+					n.InjectPacket(src, (src+5+i/16)%16)
+				}
+				c, e := stepCheckingWakes(t, n)
+				credits += c
+				ejects += e
+			}
+			if credits == 0 || ejects == 0 {
+				t.Fatalf("%d credit-only and %d ejection-only deliveries to sleeping nodes, want some of each", credits, ejects)
+			}
+		})
 	}
 }
 

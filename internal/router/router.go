@@ -462,13 +462,13 @@ func (r *Router) ReceiveCredit(p int, c flit.Credit) { r.out[p].view.OnCredit(c)
 // bids for the switch the same cycle — speculation modeled as always
 // succeeding — shortening the pipeline to RC, VA/SA, ST.
 //
-// Tick is the compute step of the network's two-phase cycle kernel
+// Tick is the compute step of the network's cycle kernel
 // (DESIGN.md §10) and honors its ownership contract: it reads and
 // writes only this router's state — input buffers, VC state machines,
 // per-output credit views — plus the write ends of links this router
 // owns (output flit links and input-port credit links). It never
 // touches another router, so the kernel may run all routers' Ticks
-// concurrently between barriers.
+// concurrently, with each other and with other routers' deliveries.
 //
 // Each stage reads only its kinds of row from the mask block and skips
 // a port whose rows are zero before touching the port: such a port

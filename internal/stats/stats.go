@@ -210,12 +210,11 @@ func (r *Results) String() string {
 }
 
 // Collector accumulates metrics during a run. The network calls its
-// hooks; it is not safe for concurrent use. Under the two-phase cycle
-// kernel (DESIGN.md §10) every mutation happens in the serial commit
-// sub-phase — staged ejections are replayed in ascending node order
-// between the deliver and compute barriers — so the collector never
-// sees concurrent callers and its totals are independent of the
-// kernel's worker count.
+// hooks; it is not safe for concurrent use. Under the cycle kernel
+// (DESIGN.md §10) every mutation happens in the serial commit at the
+// top of the cycle — the due ejections commit in ascending node order
+// before the cycle's batch — so the collector never sees concurrent
+// callers and its totals are independent of the kernel's worker count.
 type Collector struct {
 	warmup  int64
 	measure int64

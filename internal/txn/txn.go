@@ -17,11 +17,11 @@
 // its negative control.
 //
 // Determinism: the engine mutates cross-node state (windows, pending
-// tables, service queues) only from the simulator's serial sub-phase —
-// Tick and OnEject both run there, iterating nodes in ascending ID
-// order off per-node rng streams — and the only compute-phase entry
-// point, Responder.Peek/Admit/Injected, touches state owned by the
-// calling node alone. Results are therefore bit-identical for any
+// tables, service queues) only from the simulator's serial work at the
+// top of the cycle — Tick and OnEject both run there, iterating nodes
+// in ascending ID order off per-node rng streams — and the only compute
+// entry point, Responder.Peek/Admit/Injected, touches state owned by
+// the calling node alone. Results are therefore bit-identical for any
 // worker count, and the engine checkpoints exactly (State).
 package txn
 
@@ -368,9 +368,10 @@ func (e *Engine) drawTarget(s *rng.Stream, self int) int {
 }
 
 // OnEject handles a packet whose tail just ejected, from the serial
-// commit sub-phase. Requests at a responder convert their admission
-// reservation into a service entry (posted writes also retire their
-// requester here); responses retire the transaction at the requester.
+// commit at the top of the cycle. Requests at a responder convert their
+// admission reservation into a service entry (posted writes also retire
+// their requester here); responses retire the transaction at the
+// requester.
 // Plain packets (Kind None) arriving at a responder release the
 // admission reservation their ejection grant took. measuring gates the
 // latency sample on the collector's measurement window.
