@@ -51,7 +51,6 @@ snapshot-check:
 	$(GO) test ./internal/metrics -run 'TestTracerMatchesNaiveRing|TestEventRecordSize' -count=1
 	$(GO) test . -run 'TestSnapshot|TestRestore|TestRunCheckpointed' -count=1
 	$(GO) test ./internal/network/ -run 'TestSnapshot' -count=1
-	$(GO) test ./experiments/ -run 'TestBranchSweep' -count=1
 
 race:
 	$(GO) test -race ./...

@@ -28,7 +28,8 @@ const (
 const shardExecutorFile = "internal/network/shards.go"
 
 // deterministicPkgs are the simulator-core packages whose tick-path
-// code must be bit-reproducible for a given seed; the map-range,
+// code must be bit-reproducible for a given seed, and the reference
+// model (internal/ref) they are checked against; the map-range,
 // checked-errors and panic-discipline rules apply only to them.
 var deterministicPkgs = map[string]bool{
 	"router":  true,
@@ -42,6 +43,7 @@ var deterministicPkgs = map[string]bool{
 	"txn":     true,
 	"rng":     true,
 	"traffic": true,
+	"ref":     true,
 }
 
 // Diagnostic is one rule violation.

@@ -14,16 +14,20 @@ import (
 
 	"vichar/internal/config"
 	"vichar/internal/flit"
+	"vichar/internal/ref"
 	"vichar/internal/stats"
 	"vichar/internal/trace"
 )
 
 // updateWall rewrites testdata/digest_wall.json instead of comparing.
-// The file is an oracle only when it is cut by a kernel other than the
-// one under test: regenerate it by running this test, with this flag,
-// inside a clone of a commit whose behaviour is trusted (the parent of
-// a representation change), then copy the file back and require it to
-// pass here without the flag.
+// The file holds only the cases outside internal/ref's scope (torus,
+// adaptive routing, VC classes, faults, the packet-record cases); the
+// rest run in lockstep with the reference model (TestRefLockstep). For
+// what remains, the file is an oracle only when it is cut by a kernel
+// other than the one under test: regenerate it by running this test,
+// with this flag, inside a clone of a commit whose behaviour is trusted
+// (the parent of a representation change), then copy the file back and
+// require it to pass here without the flag.
 var updateWall = flag.Bool("update-wall", false, "rewrite testdata/digest_wall.json (run inside a clone of the reference commit)")
 
 const wallFile = "digest_wall.json"
@@ -165,14 +169,19 @@ func fuzzedName(i int, cfg *config.Config) string {
 	return fmt.Sprintf("%s-w%d", name, cfg.Workers)
 }
 
-// wallCases lists the fuzz table followed by the cases aimed at the
-// packet-record lifetime: records reused at other sizes, a
-// caller-held packet outliving thousands of recycled ones, and a
-// checkpoint cut while packets are half injected, half ejected.
+// wallCases lists the fuzz table's configurations outside
+// internal/ref's scope (those inside it run in TestRefLockstep)
+// followed by the cases aimed at the packet-record lifetime: records
+// reused at other sizes, a caller-held packet outliving thousands of
+// recycled ones, and a checkpoint cut while packets are half injected,
+// half ejected.
 func wallCases() []wallCase {
 	var cases []wallCase
 	for i := 0; i < wallFuzzCount; i++ {
 		cfg := fuzzedConfig(i)
+		if ref.InScope(&cfg) {
+			continue
+		}
 		cases = append(cases, wallCase{fuzzedName(i, &cfg), func(t *testing.T) string {
 			n := New(&cfg)
 			defer n.Close()
@@ -279,10 +288,11 @@ func wallCases() []wallCase {
 }
 
 // TestDigestWall runs every wall case and compares its digest with the
-// committed one. internal/ref does not exist yet (ROADMAP item 1), so
-// the oracle for a representation change is the kernel before the
-// change: testdata/digest_wall.json was cut by this very test running
-// inside a clone of the parent commit (see updateWall).
+// committed one. The oracle for a configuration inside internal/ref's
+// scope is the reference model, run in lockstep by TestRefLockstep; for
+// the cases here, outside that scope, it is still the kernel before a
+// representation change: testdata/digest_wall.json was cut by this very
+// test running inside a clone of the parent commit (see updateWall).
 func TestDigestWall(t *testing.T) {
 	path := filepath.Join("testdata", wallFile)
 	want := map[string]string{}

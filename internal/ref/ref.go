@@ -1,0 +1,791 @@
+// Package ref is a reference model of the simulated network, written
+// to be obviously right rather than fast: the router of PAPER.md §3 and
+// DESIGN.md §3/§6 (RC, two-stage VA and SA with round-robin arbiters,
+// credit-based wormhole flow control, the network interface, the
+// links) over plain slices. Every router, port and VC is visited every
+// cycle, and nothing is masked, memoized, pooled, sharded or skipped.
+// It shares with the kernel only the inputs both must agree on
+// (config, topology, the traffic draws, the flit types) and the
+// stats.Collector that turns ejections into Results. A lockstep test
+// in internal/network runs it beside the kernel (DESIGN.md §8).
+package ref
+
+import (
+	"errors"
+	"fmt"
+
+	"vichar/internal/config"
+	"vichar/internal/flit"
+	"vichar/internal/stats"
+	"vichar/internal/topology"
+	"vichar/internal/traffic"
+)
+
+// Pipeline timing (DESIGN.md §3): a flit granted the switch at cycle t
+// arrives downstream at t+2 (crossbar, then link); a credit sent at t
+// and a flit the network interface injects at t land at t+1.
+const (
+	flitDelay   = 2
+	creditDelay = 1
+	injectDelay = 1
+)
+
+// InScope reports whether the reference models the configuration:
+// XY routing on a mesh (no torus, so no escape VCs), one VC class (no
+// transaction layer) and no fault plan.
+func InScope(cfg *config.Config) bool {
+	return cfg.Routing == config.XY && !cfg.Torus && !cfg.Txn.Enabled && !cfg.Faults.Enabled()
+}
+
+// Activity is one router's event record; its fields mean what the
+// kernel's router.Activity fields of the same names mean.
+type Activity struct {
+	BufWrites    []uint64 // per input port: flits written
+	BufReads     []uint64 // per input port: flits read (SA grants)
+	PortStalls   []uint64 // per input port: fault stalls, always zero here
+	CreditStalls []uint64 // per output port: ready flits held for want of credit
+	RC           uint64   // head flits routed
+	VAOps        uint64   // VC allocator invocations
+	VAGrants     uint64   // output VCs granted
+	VADenials    uint64   // VC requests that competed and lost
+	SAOps        uint64   // switch allocator invocations
+	SADenials    uint64   // switch requests that competed and lost
+	Reroutes     uint64   // escape re-channels, always zero here
+}
+
+// rr is a round-robin arbiter over n inputs: it grants the first
+// requester at or after its pointer, cyclically, and moves the pointer
+// just past the winner. No request leaves it untouched.
+type rr struct{ n, next int }
+
+func (a *rr) pick(req func(i int) bool) int {
+	for i := 0; i < a.n; i++ {
+		if idx := (a.next + i) % a.n; req(idx) {
+			a.next = (idx + 1) % a.n
+			return idx
+		}
+	}
+	return -1
+}
+
+func arbiters(count, inputs int) []rr {
+	a := make([]rr, count)
+	for i := range a {
+		a[i] = rr{n: inputs}
+	}
+	return a
+}
+
+// timed is a payload on a wire and the cycle it is due.
+type timed[T any] struct {
+	v  T
+	at int64
+}
+
+// land removes the payloads of q due by cycle now and hands them to
+// fn, in the order they were sent.
+func land[T any](q *[]timed[T], now int64, fn func(T)) {
+	for len(*q) > 0 && (*q)[0].at <= now {
+		v := (*q)[0].v
+		*q = (*q)[1:]
+		fn(v)
+	}
+}
+
+// VC allocation states of an input VC.
+const (
+	idle = iota
+	waiting
+	active
+)
+
+// inVC is one input virtual channel: its queue of flits and its
+// allocation state: the XY output port RC chose for its packet and,
+// once active, the output VC VA granted.
+type inVC struct {
+	flits    []*flit.Flit
+	state    int
+	outPort  int
+	outVC    int
+	readPort int64 // first cycle the queue's read port is free again
+	ask      int   // VA scratch: the output VC this VC asks for, -1 for none
+	bid      bool  // SA scratch: this VC bids for the switch
+}
+
+// inPort is one input port's buffer, described by three numbers and
+// nothing else: a per-VC cap, a pool shared by the port's VCs and a
+// read delay. A written flit is readable max(delay, 1) cycles later and
+// a read keeps its queue's read port busy for delay cycles.
+//
+//	        cap            pool           delay
+//	GEN     VCDepth        VCs*VCDepth    0
+//	ViC     BufferSlots    BufferSlots    0
+//	DAMQ    BufferSlots    BufferSlots    DAMQDelay
+//	FC-CB   BufferSlots    BufferSlots    0
+type inPort struct {
+	vcs              []inVC
+	cap, pool, delay int
+	used             int
+	arrivals         []timed[*flit.Flit] // the wire into the port
+	link             int                 // its inter-router link, -1 at the local port
+	up               *view               // the credit view upstream of the port, nil if unconnected
+}
+
+// ready is the first cycle the head flit of c is readable.
+func (p *inPort) ready(c *inVC) int64 {
+	return max(c.flits[0].ArrivedAt+int64(max(p.delay, 1)), c.readPort)
+}
+
+// view is the upstream mirror of a downstream input port, kept at the
+// output port that feeds it (or at the network interface). It answers
+// whether a flit may be sent on a VC and which VC a new packet may
+// take, per organization:
+//
+//   - GEN: a private credit count per VC; a VC is granted only fully
+//     drained and with its previous packet's tail gone.
+//   - DAMQ and FC-CB: a pool beyond one permanently reserved slot per
+//     queue; a flit takes a pool slot first and its queue's reservation
+//     last, and a returning credit refills the reservation first. A
+//     queue is granted once its previous packet's tail has gone.
+//   - ViC: the Token Dispenser. The lowest free token is granted while
+//     a pool slot is free, and the grant moves that slot into the new
+//     VC's one-slot reservation (DESIGN.md §6). The reservation is
+//     parked only while the VC has no flit downstream: a flit lands in
+//     it when it is parked, else in the pool, and the credit of a VC's
+//     last resident flit re-parks it. The tail's credit returns the
+//     token.
+//   - the ejection sink: always a VC, always credit.
+type view struct {
+	arch     config.BufferArch
+	sink     bool
+	depth    int
+	held     []int  // per VC: flits sent and not yet credited
+	open     []bool // per VC: granted to a packet (a token out, for ViC)
+	reserved []bool // per VC: reservation slot parked and free
+	free     int    // pool slots beyond the reservations
+	credits  []timed[flit.Credit]
+}
+
+func newView(cfg *config.Config) *view {
+	nvc := cfg.MaxVCs()
+	v := &view{arch: cfg.Arch, depth: cfg.VCDepth, held: make([]int, nvc), open: make([]bool, nvc), reserved: make([]bool, nvc)}
+	switch cfg.Arch {
+	case config.ViChaR:
+		v.free = cfg.BufferSlots
+	case config.DAMQ, config.FCCB:
+		v.free = cfg.BufferSlots - nvc
+		for i := range v.reserved {
+			v.reserved[i] = true
+		}
+	}
+	return v
+}
+
+func (v *view) canSend(vc int) bool {
+	switch {
+	case v.sink:
+		return true
+	case v.arch == config.Generic:
+		return v.held[vc] < v.depth
+	}
+	return v.free > 0 || v.reserved[vc]
+}
+
+func (v *view) send(f *flit.Flit) {
+	if v.sink {
+		return
+	}
+	vc := f.VC
+	if !v.canSend(vc) {
+		//vichar:invariant switch allocation polls canSend in the same cycle; a send without credit is a flow-control bug
+		panic(fmt.Sprintf("ref: send without credit on vc %d", vc))
+	}
+	v.held[vc]++
+	switch v.arch {
+	case config.ViChaR:
+		if v.reserved[vc] {
+			v.reserved[vc] = false
+		} else {
+			v.free--
+		}
+	case config.DAMQ, config.FCCB:
+		if v.free > 0 {
+			v.free--
+		} else {
+			v.reserved[vc] = false
+		}
+	}
+	if f.IsTail() && v.arch != config.ViChaR {
+		v.open[vc] = false
+	}
+}
+
+func (v *view) credit(c flit.Credit) {
+	v.held[c.VC]--
+	switch v.arch {
+	case config.ViChaR:
+		switch {
+		case c.ReleaseVC:
+			v.open[c.VC], v.reserved[c.VC] = false, false
+			v.free++
+		case v.held[c.VC] == 0:
+			v.reserved[c.VC] = true
+		default:
+			v.free++
+		}
+	case config.DAMQ, config.FCCB:
+		if v.reserved[c.VC] {
+			v.free++
+		} else {
+			v.reserved[c.VC] = true
+		}
+	}
+}
+
+// freeVC returns the VC a new packet would be granted, or -1. The
+// fixed organizations scan their VCs round-robin from from; the
+// dispenser names its lowest free token.
+func (v *view) freeVC(from int) int {
+	if v.sink {
+		return 0
+	}
+	n := len(v.open)
+	if v.arch == config.ViChaR {
+		from = 0
+		if v.free <= 0 {
+			return -1
+		}
+	}
+	for i := 0; i < n; i++ {
+		vc := (from + i) % n
+		if !v.open[vc] && (v.arch != config.Generic || v.held[vc] == 0) {
+			return vc
+		}
+	}
+	return -1
+}
+
+func (v *view) claim(vc int) {
+	if v.sink {
+		return
+	}
+	v.open[vc] = true
+	if v.arch == config.ViChaR {
+		v.free--
+		v.reserved[vc] = true
+	}
+}
+
+// outPort is one router output: the credit view of what it feeds and
+// where its flits go — the downstream input port, or the node's
+// ejection wire when down is nil.
+type outPort struct {
+	view *view
+	down *inPort
+}
+
+type router struct {
+	id  int
+	in  []*inPort
+	out []outPort
+
+	vaIn, saIn   []rr   // per input port, over its VCs
+	vaOut, saOut []rr   // per output port, over input ports
+	vaOutVC      [][]rr // fixed organizations: per output (port, VC), over input (port, VC)
+
+	eject []timed[*flit.Flit]
+	act   Activity
+}
+
+// ni is a network interface: a source queue of packets, one packet
+// injected at a time on the VC the interface's view granted it, one
+// flit per cycle while the router's local port has credit.
+type ni struct {
+	queue []*flit.Packet
+	cur   []*flit.Flit
+	vc    int
+	alloc int // where the next grant's round-robin scan starts
+	view  *view
+	port  *inPort
+}
+
+// Network is the reference network.
+type Network struct {
+	cfg     *config.Config
+	mesh    topology.Mesh
+	routers []*router
+	nis     []*ni
+	views   []*view // every credit view but the ejection sinks
+	gen     *traffic.Generator
+	col     *stats.Collector
+	now     int64
+	nextID  uint64
+
+	ejectedFlits uint64
+
+	// Per inter-router link, in the kernel's ChannelLoads order: its
+	// endpoints and the flits it has delivered, with snapshots at the
+	// edges of the measurement window.
+	links              []stats.ChannelLoad
+	linkFlits          []uint64
+	linkStart, linkEnd []uint64
+	start, end         stats.Counters
+	haveStart, haveEnd bool
+	startEdge, endEdge bool
+}
+
+// ErrScope is returned by New for a configuration outside InScope.
+var ErrScope = errors.New("ref: configuration outside the reference model's scope")
+
+// New builds the reference network for a valid, in-scope
+// configuration.
+func New(cfg *config.Config) (*Network, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	if !InScope(cfg) {
+		return nil, ErrScope
+	}
+	mesh := topology.New(cfg.Width, cfg.Height)
+	ports, nvc := cfg.Ports(), cfg.MaxVCs()
+	n := &Network{
+		cfg:  cfg,
+		mesh: mesh,
+		gen:  traffic.New(cfg, mesh),
+		col:  stats.NewCollector(cfg.WarmupPackets, cfg.MeasurePackets, mesh.Nodes()),
+	}
+	depth, pool, delay := cfg.BufferSlots, cfg.BufferSlots, 0
+	switch cfg.Arch {
+	case config.Generic:
+		depth, pool = cfg.VCDepth, cfg.VCs*cfg.VCDepth
+	case config.DAMQ:
+		delay = cfg.DAMQDelay
+	}
+	for id := 0; id < mesh.Nodes(); id++ {
+		r := &router{
+			id: id, out: make([]outPort, ports),
+			vaIn: arbiters(ports, nvc), saIn: arbiters(ports, nvc),
+			vaOut: arbiters(ports, ports), saOut: arbiters(ports, ports),
+			act: Activity{
+				BufWrites: make([]uint64, ports), BufReads: make([]uint64, ports),
+				PortStalls: make([]uint64, ports), CreditStalls: make([]uint64, ports),
+			},
+		}
+		for p := 0; p < ports; p++ {
+			r.in = append(r.in, &inPort{vcs: make([]inVC, nvc), cap: depth, pool: pool, delay: delay, link: -1})
+			if cfg.Arch != config.ViChaR {
+				r.vaOutVC = append(r.vaOutVC, arbiters(nvc, ports*nvc))
+			}
+		}
+		n.routers = append(n.routers, r)
+	}
+	// Inter-router links, numbered as the kernel lists channel loads:
+	// by source node, then by output port.
+	for id, r := range n.routers {
+		for p := 0; p < topology.Local; p++ {
+			nb, ok := mesh.Neighbor(id, p)
+			if !ok {
+				continue
+			}
+			down := n.routers[nb].in[topology.Opposite(p)]
+			down.link = len(n.links)
+			n.links = append(n.links, stats.ChannelLoad{From: id, To: nb, Port: p})
+			r.out[p] = outPort{view: newView(cfg), down: down}
+			down.up = r.out[p].view
+			n.views = append(n.views, down.up)
+		}
+		r.out[topology.Local] = outPort{view: &view{sink: true}}
+		s := &ni{view: newView(cfg), port: r.in[topology.Local]}
+		s.port.up = s.view
+		n.nis = append(n.nis, s)
+		n.views = append(n.views, s.view)
+	}
+	n.linkFlits = make([]uint64, len(n.links))
+	return n, nil
+}
+
+// Collector exposes the statistics collector.
+func (n *Network) Collector() *stats.Collector { return n.col }
+
+// EjectedFlits returns the flits consumed at their destinations so far.
+func (n *Network) EjectedFlits() uint64 { return n.ejectedFlits }
+
+// Activity returns router id's event record.
+func (n *Network) Activity(id int) Activity { return n.routers[id].act }
+
+// Step advances one cycle. The flits due at the processing elements
+// eject, in node order; the traffic generator creates this cycle's
+// packets; every payload due lands; then every network interface and
+// router evaluates from that state. Nothing sent in a cycle is due in
+// it, so the order routers are evaluated in cannot matter.
+func (n *Network) Step() {
+	n.now++
+	now := n.now
+	for id, r := range n.routers {
+		land(&r.eject, now, func(f *flit.Flit) { n.ejectFlit(id, f, now) })
+	}
+	if n.cfg.InjectionRate > 0 {
+		n.gen.Tick(now, n.create)
+	}
+	for _, r := range n.routers {
+		for ip, p := range r.in {
+			land(&p.arrivals, now, func(f *flit.Flit) {
+				p.write(f, now)
+				r.act.BufWrites[ip]++
+				if p.link >= 0 {
+					n.linkFlits[p.link]++
+				}
+			})
+		}
+	}
+	for _, v := range n.views {
+		land(&v.credits, now, v.credit)
+	}
+	// A window edge committed this cycle snapshots the counters as
+	// they stand after delivery and before evaluation.
+	if n.startEdge || n.endEdge {
+		c := n.counters()
+		if n.startEdge {
+			n.start, n.linkStart = c, append([]uint64(nil), n.linkFlits...)
+		}
+		if n.endEdge {
+			n.end, n.linkEnd = c, append([]uint64(nil), n.linkFlits...)
+		}
+		n.startEdge, n.endEdge = false, false
+	}
+	for id, r := range n.routers {
+		n.nis[id].tick(now)
+		r.tick(n, now)
+	}
+	if now%n.cfg.SampleEvery == 0 {
+		n.sample(now)
+	}
+}
+
+// create is the traffic generator's callback: a new packet joins its
+// source's queue.
+func (n *Network) create(src, dst, size int) {
+	n.nextID++
+	p := &flit.Packet{ID: n.nextID, Src: src, Dst: dst, Size: size, CreatedAt: n.now}
+	n.nis[src].queue = append(n.nis[src].queue, p)
+}
+
+// ejectFlit consumes a flit at node's processing element. A tail
+// completes its packet; the ejection that opens or closes the
+// measurement window marks the cycle for a counter snapshot.
+func (n *Network) ejectFlit(node int, f *flit.Flit, now int64) {
+	p := f.Pkt
+	if p.Dst != node || f.Seq != p.NextSeq {
+		//vichar:invariant XY routing on a fixed VC delivers every flit of a packet to its destination, in order
+		panic(fmt.Sprintf("ref: %s ejected at node %d, expected seq %d", f, node, p.NextSeq))
+	}
+	p.NextSeq++
+	n.ejectedFlits++
+	if !f.IsTail() {
+		return
+	}
+	p.EjectedAt = now
+	was := n.col.Measuring()
+	n.col.PacketEjected(p, now)
+	if !was && n.col.Measuring() && !n.haveStart {
+		n.startEdge, n.haveStart = true, true
+	}
+	if was && !n.col.Measuring() && !n.haveEnd {
+		n.endEdge, n.haveEnd = true, true
+	}
+}
+
+// counters totals every router's activity and the inter-router link
+// traversals.
+func (n *Network) counters() stats.Counters {
+	var c stats.Counters
+	for _, r := range n.routers {
+		for p := range r.in {
+			c.BufferWrites += r.act.BufWrites[p]
+			c.BufferReads += r.act.BufReads[p]
+		}
+		c.VAOps += r.act.VAOps
+		c.SAOps += r.act.SAOps
+		c.VCGrants += r.act.VAGrants
+	}
+	c.XbarTraversals = c.BufferReads
+	for _, f := range n.linkFlits {
+		c.LinkTraversals += f
+	}
+	return c
+}
+
+// sample records the network's buffer occupancy and, per node, the
+// mean number of VCs per input port that hold flits or a packet.
+func (n *Network) sample(now int64) {
+	occ, slots := 0, 0
+	perNode := make([]float64, len(n.routers))
+	for id, r := range n.routers {
+		inUse := 0
+		for _, p := range r.in {
+			occ += p.used
+			slots += n.cfg.BufferSlots
+			for _, c := range p.vcs {
+				if len(c.flits) > 0 || c.state != idle {
+					inUse++
+				}
+			}
+		}
+		perNode[id] = float64(inUse) / float64(len(r.in))
+	}
+	n.col.Sample(now, float64(occ)/float64(slots), perNode)
+}
+
+// Finish closes the run where the last Step left it and returns its
+// results: the window's counters (or the whole run's when the window
+// never opened) and the per-link loads over the window. A run short of
+// its quota is saturated.
+func (n *Network) Finish() stats.Results {
+	if !n.haveEnd {
+		n.end, n.linkEnd, n.haveEnd = n.counters(), append([]uint64(nil), n.linkFlits...), true
+	}
+	res := n.col.Finalize(n.now, !n.col.Done())
+	res.Counters = n.end
+	if n.haveStart {
+		res.Counters = n.end.Sub(n.start)
+	}
+	if res.MeasureCycles > 0 {
+		res.ChannelLoads = append([]stats.ChannelLoad(nil), n.links...)
+		for i := range res.ChannelLoads {
+			delta := n.linkEnd[i]
+			if n.linkStart != nil {
+				delta -= n.linkStart[i]
+			}
+			res.ChannelLoads[i].Load = float64(delta) / float64(res.MeasureCycles)
+			res.MaxChannelLoad = max(res.MaxChannelLoad, res.ChannelLoads[i].Load)
+		}
+	}
+	res.Label = n.cfg.Label()
+	res.InjectionRate = n.cfg.InjectionRate
+	return res
+}
+
+// write stores a delivered flit; the upstream view guarantees room.
+func (p *inPort) write(f *flit.Flit, now int64) {
+	c := &p.vcs[f.VC]
+	if len(c.flits) >= p.cap || p.used >= p.pool {
+		//vichar:invariant the upstream credit view only sends into room it has mirrored
+		panic(fmt.Sprintf("ref: %s overflows its buffer", f))
+	}
+	f.ArrivedAt = now
+	c.flits = append(c.flits, f)
+	p.used++
+}
+
+func (s *ni) tick(now int64) {
+	if s.cur == nil && len(s.queue) > 0 {
+		if vc := s.view.freeVC(s.alloc); vc >= 0 {
+			s.view.claim(vc)
+			s.alloc = (vc + 1) % len(s.view.open)
+			p := s.queue[0]
+			s.queue = s.queue[1:]
+			p.InjectedAt = now
+			s.cur, s.vc = flit.MakeFlits(p), vc
+		}
+	}
+	if s.cur != nil && s.view.canSend(s.vc) {
+		f := s.cur[0]
+		f.VC = s.vc
+		s.view.send(f)
+		s.port.arrivals = append(s.port.arrivals, timed[*flit.Flit]{f, now + injectDelay})
+		if s.cur = s.cur[1:]; len(s.cur) == 0 {
+			s.cur = nil
+		}
+	}
+}
+
+// xy is dimension-ordered routing on a mesh: X first, then Y.
+func (r *router) xy(mesh topology.Mesh, dst int) int {
+	cx, cy := mesh.XY(r.id)
+	dx, dy := mesh.XY(dst)
+	switch {
+	case dx > cx:
+		return topology.East
+	case dx < cx:
+		return topology.West
+	case dy > cy:
+		return topology.South
+	case dy < cy:
+		return topology.North
+	}
+	return topology.Local
+}
+
+// tick evaluates the pipeline in reverse stage order, so a flit
+// advances at most one stage per cycle: SA, then VA, then RC. The
+// speculative pipeline runs VA before SA, so a head granted a VC bids
+// for the switch in the same cycle.
+func (r *router) tick(n *Network, now int64) {
+	if n.cfg.Speculative {
+		r.va(n.cfg.Arch)
+		r.sa(now)
+	} else {
+		r.sa(now)
+		r.va(n.cfg.Arch)
+	}
+	r.rc(n.mesh, now)
+}
+
+// rc routes the head flit of every idle VC that will be readable next
+// cycle: buffer write and RC share the cycle a head arrives in.
+func (r *router) rc(mesh topology.Mesh, now int64) {
+	for _, p := range r.in {
+		for v := range p.vcs {
+			c := &p.vcs[v]
+			if c.state != idle || len(c.flits) == 0 || p.ready(c) > now+1 {
+				continue
+			}
+			if !c.flits[0].IsHead() {
+				//vichar:invariant a VC frees only after its tail leaves, so the next flit on it starts a packet
+				panic(fmt.Sprintf("ref: router %d: %s at the head of an idle vc", r.id, c.flits[0]))
+			}
+			c.state, c.outPort = waiting, r.xy(mesh, c.flits[0].Pkt.Dst)
+			r.act.RC++
+		}
+	}
+}
+
+// grant gives input VC c output VC ovc of output port op.
+func (r *router) grant(c *inVC, op, ovc int) {
+	r.out[op].view.claim(ovc)
+	c.state, c.outVC = active, ovc
+	r.act.VAGrants++
+}
+
+// va is VC allocation. Each waiting VC asks its output's view for the
+// VC a new packet would get (the fixed organizations scan from the
+// VC's own index). ViChaR (paper Figure 7(b)): each input port
+// nominates one asking VC, each output port picks one nominee and
+// hands it the next free token. The fixed organizations (Figure 7(a)):
+// each output VC picks one of the VCs asking for it.
+func (r *router) va(arch config.BufferArch) {
+	contenders, grants := 0, 0
+	var nominee [topology.NumPorts]int
+	for ip, p := range r.in {
+		asks := 0
+		for v := range p.vcs {
+			c := &p.vcs[v]
+			c.ask = -1
+			if c.state == waiting {
+				c.ask = r.out[c.outPort].view.freeVC(v)
+			}
+			if c.ask >= 0 {
+				asks++
+			}
+		}
+		contenders += asks
+		nominee[ip] = -1
+		if arch != config.ViChaR {
+			r.act.VAOps += uint64(asks)
+		} else if asks > 0 {
+			r.act.VAOps++
+			nominee[ip] = r.vaIn[ip].pick(func(v int) bool { return p.vcs[v].ask >= 0 })
+		}
+	}
+	if arch == config.ViChaR {
+		for op := range r.out {
+			ip := r.vaOut[op].pick(func(ip int) bool {
+				v := nominee[ip]
+				return v >= 0 && r.in[ip].vcs[v].outPort == op
+			})
+			if ip < 0 {
+				continue
+			}
+			if ovc := r.out[op].view.freeVC(0); ovc >= 0 {
+				r.grant(&r.in[ip].vcs[nominee[ip]], op, ovc)
+				grants++
+			}
+		}
+		r.act.VADenials += uint64(contenders - grants)
+		return
+	}
+	// Fixed organizations: each output VC somebody asks for picks one
+	// of its askers, and all of them are answered.
+	nvc := len(r.in[0].vcs)
+	vc := func(i int) *inVC { return &r.in[i/nvc].vcs[i%nvc] }
+	for i := 0; i < len(r.in)*nvc; i++ {
+		if c := vc(i); c.ask >= 0 {
+			op, ovc := c.outPort, c.ask
+			asks := func(j int) bool { d := vc(j); return d.ask == ovc && d.outPort == op }
+			r.grant(vc(r.vaOutVC[op][ovc].pick(asks)), op, ovc)
+			grants++
+			for j := i; j < len(r.in)*nvc; j++ {
+				if asks(j) {
+					vc(j).ask = -1
+				}
+			}
+		}
+	}
+	r.act.VADenials += uint64(contenders - grants)
+}
+
+// sa is switch allocation: each input port nominates one active VC
+// whose head flit is readable and whose output VC has credit, each
+// output port picks one nominee, and the winners cross to their links.
+func (r *router) sa(now int64) {
+	contenders, grants := 0, 0
+	var nominee [topology.NumPorts]int
+	for ip, p := range r.in {
+		bids := 0
+		for v := range p.vcs {
+			c := &p.vcs[v]
+			c.bid = false
+			if c.state != active || len(c.flits) == 0 || p.ready(c) > now {
+				continue
+			}
+			if c.bid = r.out[c.outPort].view.canSend(c.outVC); c.bid {
+				bids++
+			} else {
+				r.act.CreditStalls[c.outPort]++
+			}
+		}
+		contenders += bids
+		nominee[ip] = -1
+		if bids > 0 {
+			r.act.SAOps++
+			nominee[ip] = r.saIn[ip].pick(func(v int) bool { return p.vcs[v].bid })
+		}
+	}
+	for op := range r.out {
+		ip := r.saOut[op].pick(func(ip int) bool {
+			v := nominee[ip]
+			return v >= 0 && r.in[ip].vcs[v].outPort == op
+		})
+		if ip >= 0 {
+			r.traverse(ip, nominee[ip], now)
+			grants++
+		}
+	}
+	r.act.SADenials += uint64(contenders - grants)
+}
+
+// traverse moves the winning flit of input (ip, v) through the
+// crossbar onto its output: the buffer slot's credit goes upstream
+// (releasing the VC with the tail), and the flit leaves on its output
+// VC for the next router or the processing element.
+func (r *router) traverse(ip, v int, now int64) {
+	p := r.in[ip]
+	c := &p.vcs[v]
+	f := c.flits[0]
+	c.flits = c.flits[1:]
+	p.used--
+	c.readPort = now + int64(p.delay)
+	r.act.BufReads[ip]++
+	p.up.credits = append(p.up.credits, timed[flit.Credit]{flit.Credit{VC: v, ReleaseVC: f.IsTail()}, now + creditDelay})
+	o := r.out[c.outPort]
+	f.VC = c.outVC
+	o.view.send(f)
+	if o.down != nil {
+		o.down.arrivals = append(o.down.arrivals, timed[*flit.Flit]{f, now + flitDelay})
+	} else {
+		r.eject = append(r.eject, timed[*flit.Flit]{f, now + flitDelay})
+	}
+	if f.IsTail() {
+		c.state = idle
+	}
+}

@@ -20,6 +20,7 @@ type shapeKey struct {
 	depth   int
 	rate    float64
 	traffic vichar.TrafficProcess
+	sample  int64 // SampleEvery; 0 keeps the default
 }
 
 var (
@@ -46,6 +47,9 @@ func shapeRun(t *testing.T, key shapeKey) vichar.Results {
 	}
 	cfg.Traffic = key.traffic
 	cfg.InjectionRate = key.rate
+	if key.sample > 0 {
+		cfg.SampleEvery = key.sample
+	}
 	cfg.WarmupPackets = 2_000
 	cfg.MeasurePackets = 8_000
 	cfg.MaxCycles = 150_000
@@ -192,18 +196,23 @@ func TestShapeSpatialVCGradient(t *testing.T) {
 }
 
 // Figure 13(f): as the network fills from cold start, mean in-use VCs
-// grow.
+// grow. It is measured where the figure is (fig13f: ViC-16 at 0.45,
+// sampled every 50 cycles): near saturation the source queues keep
+// filling the network, so the last samples stand well above the first,
+// while further from saturation the series is flat from its first
+// sample and the comparison turns on the seed.
 func TestShapeTemporalVCGrowth(t *testing.T) {
-	res := shapeRun(t, vic(16, 0.30))
-	s := res.VCSeries
+	key := vic(16, 0.45)
+	key.sample = 50
+	s := shapeRun(t, key).VCSeries
 	if len(s) < 10 {
 		t.Fatalf("series too short: %d", len(s))
 	}
 	early := (s[0].Value + s[1].Value) / 2
 	n := len(s)
 	late := (s[n-1].Value + s[n-2].Value) / 2
-	if late <= early {
-		t.Fatalf("VC usage did not grow: early %.2f late %.2f", early, late)
+	if late < 1.5*early {
+		t.Fatalf("VC usage grew %.2f -> %.2f, want at least 1.5x", early, late)
 	}
 }
 
