@@ -37,17 +37,16 @@ alloc-check:
 # in-process and across a process boundary, plus the codec's own
 # cases, corruption rejection before and behind the checksum
 # (TestRestoreResealedMutations) and the mid-hold cut. The state
-# walks' own round trips come first: every fixed buffer organization
-# reloaded mid-sequence against a FIFO model, the UBS control table
-# and buffer reloaded against theirs, and corrupt table rows refused.
+# walks' own round trips come first: every buffer organization, ViChaR
+# included, reloaded mid-sequence against a FIFO model (the free chain
+# rebuilt, the slot-pool audit silent), and corrupt queues refused.
 # The tracer's two tests guard what a resumed event stream rests on:
 # Seqs rebuilt from ring positions, against a model that stores them.
 # Every resumed run rests on the random streams' State: the rng tests
 # pin the sequence and the loaded, bounded draw count.
 snapshot-check:
 	$(GO) test ./internal/snap ./internal/rng -count=1
-	$(GO) test ./internal/buffers -run 'TestRandomOpsInvariants' -count=1
-	$(GO) test ./internal/core -run 'TestTableMatchesSliceModel|TestTableLoadRejectsCorruptRows|TestUBSConservationProperty' -count=1
+	$(GO) test ./internal/buffers -run 'TestRandomOpsInvariants|TestLoadRejectsCorruptQueues' -count=1
 	$(GO) test ./internal/metrics -run 'TestTracerMatchesNaiveRing|TestEventRecordSize' -count=1
 	$(GO) test . -run 'TestSnapshot|TestRestore|TestRunCheckpointed' -count=1
 	$(GO) test ./internal/network/ -run 'TestSnapshot' -count=1

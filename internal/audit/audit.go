@@ -1,10 +1,11 @@
 // Package audit is the dynamic companion to the vichar-lint static
 // pass: a per-cycle invariant auditor over the simulator's flow
-// control and unified-buffer bookkeeping. The static rules keep the
-// core deterministic; the checks here catch the conservation bugs
-// determinism alone cannot — leaked buffer slots, duplicated or lost
-// credits, and VC Control Table rows that diverge from the Slot
-// Availability Tracker.
+// control. The static rules keep the core deterministic; the checks
+// here catch the conservation bugs determinism alone cannot —
+// duplicated or lost credits, flits a link fault lost, and packets in
+// another class's VCs. The input buffer's own bookkeeping (leaked or
+// doubly linked slots, queue order) is checked where its private links
+// live, by buffers.Queues.Audit, which the router runs beside these.
 //
 // The auditor is pure: it reads component state and returns an error
 // describing the first violation, or nil. Callers (the network's
@@ -12,85 +13,7 @@
 // simulator treats any violation as an unrecoverable invariant break.
 package audit
 
-import (
-	"fmt"
-
-	"vichar/internal/core"
-	"vichar/internal/flit"
-)
-
-// CheckUBS cross-checks one Unified Buffer Structure's three
-// bookkeeping views — the slot array, the Slot Availability Tracker
-// and the VC Control Table — and verifies the one-packet-per-VC
-// discipline the Token Dispenser is supposed to enforce:
-//
-//   - every slot ID a table row names is in range, marked occupied by
-//     the tracker, holds a flit, and is named by exactly one row;
-//   - every slot the tracker marks occupied is named by some row (no
-//     slot leaks) and every free slot holds no flit;
-//   - within a row, all flits belong to one packet, carry the row's
-//     VC ID, and sit in consecutive sequence order.
-func CheckUBS(b *core.UBS) error {
-	const unowned = -1
-	owner := make([]int, b.Slots())
-	for i := range owner {
-		owner[i] = unowned
-	}
-	for vc := 0; vc < b.MaxVCs(); vc++ {
-		row := b.SlotsOf(vc)
-		if len(row) != b.Len(vc) {
-			return fmt.Errorf("audit: vc %d row length %d but Len reports %d", vc, len(row), b.Len(vc))
-		}
-		var pkt *flit.Packet
-		var seq0 int
-		for i, s := range row {
-			if s < 0 || s >= b.Slots() {
-				return fmt.Errorf("audit: vc %d names slot %d outside pool of %d", vc, s, b.Slots())
-			}
-			if owner[s] != unowned {
-				return fmt.Errorf("audit: slot %d named by both vc %d and vc %d", s, owner[s], vc)
-			}
-			owner[s] = vc
-			if b.SlotFree(s) {
-				return fmt.Errorf("audit: vc %d names slot %d but the tracker marks it free", vc, s)
-			}
-			f := b.FlitAt(s)
-			if f == nil {
-				return fmt.Errorf("audit: vc %d names slot %d but the slot is empty", vc, s)
-			}
-			if f.VC != vc {
-				return fmt.Errorf("audit: slot %d flit carries vc %d but sits in row %d", s, f.VC, vc)
-			}
-			if i == 0 {
-				pkt, seq0 = f.Pkt, f.Seq
-				continue
-			}
-			if f.Pkt != pkt {
-				return fmt.Errorf("audit: vc %d holds flits of two packets (%d and %d): one-packet-per-VC violated", vc, pkt.ID, f.Pkt.ID)
-			}
-			if f.Seq != seq0+i {
-				return fmt.Errorf("audit: vc %d packet %d flit order broken: slot %d holds seq %d, want %d", vc, pkt.ID, s, f.Seq, seq0+i)
-			}
-		}
-	}
-	occupied := 0
-	for i := 0; i < b.Slots(); i++ {
-		free := b.SlotFree(i)
-		if !free {
-			occupied++
-		}
-		switch {
-		case !free && owner[i] == unowned:
-			return fmt.Errorf("audit: slot %d leaked: tracker marks it occupied but no VC row names it", i)
-		case free && b.FlitAt(i) != nil:
-			return fmt.Errorf("audit: slot %d marked free but still holds a flit", i)
-		}
-	}
-	if occupied != b.Occupied() {
-		return fmt.Errorf("audit: tracker shows %d occupied slots but Occupied reports %d", occupied, b.Occupied())
-	}
-	return nil
-}
+import "fmt"
 
 // LinkState is the conservation snapshot of one directed link taken
 // between simulation steps: the upstream credit view's debit must

@@ -1,12 +1,14 @@
-// Package buffers implements the router input-buffer organizations
-// the paper compares against: the conventional statically partitioned
-// per-VC FIFO buffer ("GEN"), the Dynamically Allocated Multi-Queue
-// (DAMQ, Tamir & Frazier 1988) and the Fully Connected Circular
-// Buffer (FC-CB, Ni et al. 1998). All three are one type, Queues: a
-// FIFO queue per fixed virtual channel, set by a per-queue depth
-// bound, a shared pool size and a bookkeeping delay. The ViChaR
-// unified buffer itself — the paper's contribution — lives in
-// internal/core and satisfies the same Buffer interface.
+// Package buffers implements the router input buffer of every
+// organization the simulator compares: the conventional statically
+// partitioned per-VC FIFO buffer ("GEN"), the Dynamically Allocated
+// Multi-Queue (DAMQ, Tamir & Frazier 1988), the Fully Connected
+// Circular Buffer (FC-CB, Ni et al. 1998) and ViChaR's Unified Buffer
+// Structure — the paper's contribution. All four are one type, Queues:
+// a FIFO queue per virtual channel over one arena-backed slot pool,
+// set by the queue count, a per-queue depth bound, the pool size and a
+// bookkeeping delay. What distinguishes ViChaR is control, not
+// storage: its Token Dispenser (internal/core, held by the router's
+// ViChaR credit view) decides how many of the queues are live.
 package buffers
 
 import (
@@ -34,7 +36,9 @@ var (
 // per-VC state machines and the upstream credit bookkeeping enforce
 // flow control; the buffer only stores flits and preserves per-VC
 // FIFO order. The now parameters let architectures with multi-cycle
-// bookkeeping (DAMQ) defer flit visibility.
+// bookkeeping (DAMQ) defer flit visibility. Queues is the one
+// implementation; the benchmark's buffer drive is written against this
+// contract.
 type Buffer interface {
 	// Slots returns the total flit capacity of the port.
 	Slots() int

@@ -22,12 +22,13 @@ func single(id uint64, vc int) *flit.Flit {
 }
 
 // buffersUnderTest returns one instance of every architecture with 4
-// VCs and 16 slots.
+// VCs and 16 slots (ViChaR's with its VC IDs capped at 4).
 func buffersUnderTest() map[string]Buffer {
 	return map[string]Buffer{
 		"generic": NewGeneric(4, 4),
 		"damq0":   NewDAMQ(4, 16, 0),
 		"fccb":    NewFCCB(4, 16),
+		"vichar":  NewViChaR(4, 16),
 	}
 }
 
@@ -137,10 +138,11 @@ func TestGenericPartitioning(t *testing.T) {
 }
 
 func TestSharedPoolLending(t *testing.T) {
-	// DAMQ and FC-CB let one VC absorb the whole pool.
+	// DAMQ, FC-CB and ViChaR let one VC absorb the whole pool.
 	for name, b := range map[string]Buffer{
-		"damq": NewDAMQ(4, 16, 0),
-		"fccb": NewFCCB(4, 16),
+		"damq":   NewDAMQ(4, 16, 0),
+		"fccb":   NewFCCB(4, 16),
+		"vichar": NewViChaR(4, 16),
 	} {
 		for i := 0; i < 16; i++ {
 			if err := b.Write(mkFlit(uint64(i), 2, flit.Body), 1); err != nil {
@@ -243,6 +245,10 @@ func TestConstructorPanics(t *testing.T) {
 		func() { NewDAMQ(4, 16, -1) },
 		func() { NewFCCB(0, 16) },
 		func() { NewFCCB(4, 2) },
+		func() { NewViChaR(0, 4) },
+		func() { NewViChaR(5, 4) },
+		func() { NewViChaR(4, 0) },
+		func() { NewFCCB(1, 1<<15) },
 	}
 	for i, c := range cases {
 		func() {
@@ -318,9 +324,12 @@ func reload(b, fresh Buffer, now int64) bool {
 }
 
 // Property: under random interleaved writes and pops every buffer
-// preserves per-VC FIFO order and exact occupancy accounting, and its
-// readiness stamps agree with Front every cycle — also after a
-// mid-sequence checkpoint round trip, which re-derives them.
+// preserves per-VC FIFO order and exact occupancy accounting, its
+// readiness stamps agree with Front every cycle and its slot-pool
+// audit stays silent — also after a mid-sequence checkpoint round trip
+// into a fresh buffer, which rebuilds the free chain and re-derives the
+// stamps. ViChaR runs with a queue per slot and with its VC IDs capped
+// below the slot count.
 func TestRandomOpsInvariants(t *testing.T) {
 	type archMk struct {
 		name string
@@ -332,13 +341,16 @@ func TestRandomOpsInvariants(t *testing.T) {
 		{"damq0", func() Buffer { return NewDAMQ(4, 16, 0) }},
 		{"damq1", func() Buffer { return NewDAMQ(4, 16, 1) }},
 		{"fccb", func() Buffer { return NewFCCB(4, 16) }},
+		{"vichar", func() Buffer { return NewViChaR(12, 12) }},
+		{"vichar-capped", func() Buffer { return NewViChaR(5, 12) }},
 	} {
 		am := am
 		t.Run(am.name, func(t *testing.T) {
 			prop := func(seed int64) bool {
 				rng := rand.New(rand.NewSource(seed))
 				b := am.mk()
-				model := make([][]uint64, 4)
+				vcs := b.MaxVCs()
+				model := make([][]uint64, vcs)
 				occupied := 0
 				now := int64(0)
 				id := uint64(0)
@@ -354,7 +366,7 @@ func TestRandomOpsInvariants(t *testing.T) {
 					if !readyMatchesFront(b, now) {
 						return false
 					}
-					vc := rng.Intn(4)
+					vc := rng.Intn(vcs)
 					if rng.Intn(2) == 0 {
 						if b.FreeSlotsFor(vc) == 0 {
 							if err := b.Write(single(id, vc), now); !errors.Is(err, ErrFull) {
@@ -385,12 +397,12 @@ func TestRandomOpsInvariants(t *testing.T) {
 					if b.Occupied() != occupied {
 						return false
 					}
-					for v := 0; v < 4; v++ {
+					for v := 0; v < vcs; v++ {
 						if b.Len(v) != len(model[v]) {
 							return false
 						}
 					}
-					if !readyMatchesFront(b, now) {
+					if !readyMatchesFront(b, now) || b.(*Queues).Audit(false) != nil {
 						return false
 					}
 				}
@@ -403,50 +415,138 @@ func TestRandomOpsInvariants(t *testing.T) {
 	}
 }
 
-// The per-VC FIFO is a power-of-two ring: FIFO order must survive
-// wrap-around and every doubling (a shared-pool queue starts empty and
-// grows on demand), and a queue pre-sized to its bound must never
-// allocate.
-func TestFifoRingOrderThroughGrowthAndWrap(t *testing.T) {
-	mk := func(id uint64) *flit.Flit { return &flit.Flit{Pkt: &flit.Packet{ID: id}} }
-	var q fifo
-	var model []uint64
+// A queue is a chain through the pool: FIFO order must survive slots
+// freed by one queue being reused by another, in any order, and a
+// fill-and-drain cycle must never allocate.
+func TestQueueOrderThroughSlotReuse(t *testing.T) {
+	b := NewViChaR(3, 8)
+	model := make([][]uint64, 3)
 	next := uint64(0)
-	// Advance the head first so later doublings copy a wrapped ring.
-	for step := 0; step < 400; step++ {
-		if step%7 < 4 || len(model) == 0 {
-			q.push(mk(next))
-			model = append(model, next)
+	for step := 0; step < 600; step++ {
+		vc := step * 7 % 3
+		if step%5 < 3 && b.FreeSlotsFor(vc) > 0 {
+			if err := b.Write(single(next, vc), int64(step)); err != nil {
+				t.Fatal(err)
+			}
+			model[vc] = append(model[vc], next)
 			next++
-		} else {
-			if got := q.pop().Pkt.ID; got != model[0] {
-				t.Fatalf("step %d: popped %d, want %d", step, got, model[0])
+		} else if len(model[vc]) > 0 {
+			f, err := b.Pop(vc, int64(step)+1)
+			if err != nil || f.Pkt.ID != model[vc][0] {
+				t.Fatalf("step %d: popped %v (%v), want id %d", step, f, err, model[vc][0])
 			}
-			model = model[1:]
+			model[vc] = model[vc][1:]
 		}
-		if q.len() != len(model) {
-			t.Fatalf("step %d: len %d, model %d", step, q.len(), len(model))
-		}
-		for i, want := range model {
-			if got := q.at(i).Pkt.ID; got != want {
-				t.Fatalf("step %d: at(%d) = %d, want %d", step, i, got, want)
-			}
-		}
-		if f := q.front(); (f == nil) != (len(model) == 0) || (f != nil && f.Pkt.ID != model[0]) {
-			t.Fatalf("step %d: front disagrees with the model", step)
+		if err := b.Audit(false); err != nil {
+			t.Fatalf("step %d: %v", step, err)
 		}
 	}
 
-	bounded := NewGeneric(3, 4)
-	f := mk(1)
+	f, fresh := single(1, 2), NewViChaR(3, 8)
 	if n := testing.AllocsPerRun(100, func() {
-		for i := 0; i < 4; i++ {
-			bounded.qs[2].push(f)
+		for fresh.FreeSlotsFor(2) > 0 {
+			_ = fresh.Write(f, 0)
 		}
-		for i := 0; i < 4; i++ {
-			bounded.qs[2].pop()
+		for fresh.Front(2, 1) != nil {
+			_, _ = fresh.Pop(2, 1)
 		}
-	}); n != 0 {
-		t.Fatalf("a queue pre-sized to its depth allocates %.0f times per fill", n)
+	}); n != 0 || fresh.Occupied() != 0 {
+		t.Fatalf("a fill-and-drain cycle allocates %.0f times and leaves %d flits", n, fresh.Occupied())
+	}
+}
+
+// One VC's flits land in whichever slots are free, so when other VCs
+// interleave they are not consecutive — the UBS's key flexibility
+// (paper §3.2) — and still leave in FIFO order.
+func TestViChaRNonConsecutiveSlots(t *testing.T) {
+	b := NewViChaR(8, 8)
+	for _, f := range []*flit.Flit{mkFlit(0, 0, flit.Head), mkFlit(1, 1, flit.Head), mkFlit(2, 0, flit.Body)} {
+		if err := b.Write(f, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if first, second := b.head[0], b.next[b.head[0]]; second-first == 1 || b.count[0] != 2 {
+		t.Fatalf("vc 0 holds slots %d, %d: expected non-consecutive", first, second)
+	}
+	for _, want := range []uint64{0, 2} {
+		if f, err := b.Pop(0, 100); err != nil || f.Pkt.ID != want {
+			t.Fatalf("pop got %v (%v), want id %d", f, err, want)
+		}
+	}
+}
+
+// Every slot can be its own single-flit VC (many shallow VCs under
+// heavy traffic, paper Figure 5's rightmost configuration).
+func TestViChaRAllSingleFlitVCs(t *testing.T) {
+	b := NewViChaR(8, 8)
+	for vc := 0; vc < 8; vc++ {
+		if err := b.Write(mkFlit(uint64(vc), vc, flit.Head), 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if inUse(b) != 8 || b.FreeSlotsFor(0) != 0 {
+		t.Fatalf("in-use VCs %d, free %d; want 8, 0", inUse(b), b.FreeSlotsFor(0))
+	}
+	for vc := 0; vc < 8; vc++ {
+		f, err := b.Pop(vc, 10)
+		if err != nil || f.Pkt.ID != uint64(vc) {
+			t.Fatalf("vc %d pop %v (%v)", vc, f, err)
+		}
+	}
+}
+
+// A snapshot whose queues overrun their depth or, together, the pool,
+// name one flit twice, or hold flits out of wormhole order is refused
+// instead of linking a corrupt pool.
+func TestLoadRejectsCorruptQueues(t *testing.T) {
+	pkt := &flit.Packet{ID: 7, Size: 3}
+	fs := flit.MakeFlits(pkt)
+	// queues writes a ViChaR section holding, per queue, flits of pkt
+	// by sequence number; a flit carries its queue's VC unless vcOf
+	// names another.
+	queues := func(vcOf func(vc int) int, q ...[]int) func(c *snap.Codec) {
+		return func(c *snap.Codec) {
+			c.PacketTable(func(p *flit.Packet) { c.U64(&p.ID); c.Int(&p.Size) })
+			c.Section("vichar")
+			c.Expect(len(q), "queues")
+			for vc, seqs := range q {
+				c.Len(len(seqs), len(seqs), "len")
+				for _, s := range seqs {
+					f := fs[s]
+					f.VC = vcOf(vc)
+					c.Flit(&f)
+				}
+			}
+		}
+	}
+	own := func(vc int) int { return vc }
+	for name, tc := range map[string]struct {
+		walk       func(c *snap.Codec)
+		vcs, slots int
+		ok         bool
+	}{
+		"legal":               {queues(own, []int{}, []int{0, 1, 2}), 2, 3, true},
+		"over the pool":       {queues(own, []int{0, 1}, []int{2}), 2, 2, false},
+		"over depth and pool": {queues(own, []int{0, 1, 2}), 1, 2, false},
+		"flit named twice":    {queues(own, []int{0, 0}), 1, 4, false},
+		"out of order":        {queues(own, []int{1, 0}), 1, 4, false},
+		"another VC's flit":   {queues(func(vc int) int { return 1 - vc }, []int{0, 1}, []int{}), 2, 4, false},
+	} {
+		data, err := snap.Save(tc.walk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := snap.Open(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.PacketTable(func(p *flit.Packet) { r.U64(&p.ID); r.Int(&p.Size) })
+		b := NewViChaR(tc.vcs, tc.slots)
+		if b.State(r); (r.Err() == nil && r.Finish() == nil) != tc.ok {
+			t.Errorf("%s: accepted %v, want %v (%v)", name, !tc.ok, tc.ok, r.Err())
+		}
+		if err := b.Audit(true); tc.ok && err != nil {
+			t.Errorf("%s: loaded pool fails its audit: %v", name, err)
+		}
 	}
 }

@@ -16,6 +16,7 @@ func TestDepthOneBuffers(t *testing.T) {
 		"generic-4x1": NewGeneric(4, 1),
 		"damq-4x4":    NewDAMQ(4, 4, 0),
 		"fccb-4x4":    NewFCCB(4, 4),
+		"vichar-4x4":  NewViChaR(4, 4),
 	}
 	for name, b := range cases {
 		t.Run(name, func(t *testing.T) {
@@ -57,16 +58,17 @@ func TestDepthOneBuffers(t *testing.T) {
 	}
 }
 
-// TestFIFOWrapAroundCompaction pushes a single VC far past the
-// internal FIFO's compaction threshold (head > 8 and past half the
-// backing array) with a full-buffer, pop-then-push cadence, checking
-// strict FIFO order throughout. A compaction bug that drops or
+// TestFIFOWrapAroundCompaction streams a single VC through a full
+// buffer a hundred times its size with a pop-then-push cadence, so
+// every write reuses the slot the pop just returned to the free chain,
+// checking strict FIFO order throughout. A link bug that drops or
 // duplicates a slot shows up as a sequence break.
 func TestFIFOWrapAroundCompaction(t *testing.T) {
 	cases := map[string]func() Buffer{
 		"generic-1x4": func() Buffer { return NewGeneric(1, 4) },
 		"damq-1x4":    func() Buffer { return NewDAMQ(1, 4, 0) },
 		"fccb-1x4":    func() Buffer { return NewFCCB(1, 4) },
+		"vichar-1x4":  func() Buffer { return NewViChaR(1, 4) },
 	}
 	for name, mk := range cases {
 		t.Run(name, func(t *testing.T) {
@@ -104,8 +106,9 @@ func TestFIFOWrapAroundCompaction(t *testing.T) {
 // without leaking capacity.
 func TestInterleavedAllocFree(t *testing.T) {
 	cases := map[string]Buffer{
-		"damq": NewDAMQ(2, 4, 0),
-		"fccb": NewFCCB(2, 4),
+		"damq":   NewDAMQ(2, 4, 0),
+		"fccb":   NewFCCB(2, 4),
+		"vichar": NewViChaR(2, 4),
 	}
 	for name, b := range cases {
 		t.Run(name, func(t *testing.T) {

@@ -2,32 +2,48 @@ package buffers
 
 import (
 	"fmt"
+	"math"
 
 	"vichar/internal/flit"
+	"vichar/internal/soa"
 )
 
-// Queues is the input buffer of every fixed-VC organization: one FIFO
-// queue per virtual channel, set by three numbers — a per-queue depth
-// bound, the pool size and the bookkeeping delay:
+// Queues is the input buffer of every organization: one FIFO queue per
+// virtual channel over one pool of slots, set by four numbers — the
+// queue count, a per-queue depth bound, the pool size and the
+// bookkeeping delay:
 //
-//	         depth          pool           delay
-//	GEN      VCDepth        VCs*VCDepth    0
-//	DAMQ     BufferSlots    BufferSlots    DAMQDelay
-//	FC-CB    BufferSlots    BufferSlots    0
+//	         queues   depth          pool           delay
+//	GEN      VCs      VCDepth        VCs*VCDepth    0
+//	DAMQ     VCs      BufferSlots    BufferSlots    DAMQDelay
+//	FC-CB    VCs      BufferSlots    BufferSlots    0
+//	ViChaR   MaxVCs   BufferSlots    BufferSlots    0
 //
 // A queue accepts a flit while it holds fewer than depth and the port
 // fewer than pool. A written flit is readable max(delay, 1) cycles
 // later — the one-cycle buffer write every organization has, or the
 // DAMQ's longer bookkeeping — and a pop keeps the queue's read port
 // busy for delay cycles.
+//
+// The storage is the slot pool of the paper's Unified Buffer Structure
+// (§3.2): a flit-pointer slot array and one int16 successor link per
+// slot (config.MaxBufferSlots keeps slot IDs in range). A queue is a
+// chain through the links, held by head, tail and count registers —
+// the VC Control Table's row; the free slots form one more chain — the
+// Slot Availability Tracker. Which slot a flit sits in is never
+// observable: only the queues' order, lengths and stamps are.
 type Queues struct {
-	qs []fifo
+	slots []*flit.Flit
+	// next[s] is the slot after s in its queue's chain or in the free
+	// chain; dead for the last slot of a queue.
+	next []int16
+	// head, tail and count are the per-queue registers: the departing
+	// and arriving slots (valid while count > 0) and the flits held.
+	head, tail, count []int16
 	// readyAt[vc] is the first cycle queue vc's head flit is readable
-	// (NeverReady when empty), restamped whenever the head changes — a
-	// push to an empty queue or a pop. Front gates on it and ReadyAt
-	// exposes it, so the per-cycle readiness poll is one integer
-	// compare per queue with no flit-pointer chase. It is derived from
-	// the queues and readPort; loading a checkpoint recomputes it.
+	// (NeverReady when empty), restamped whenever the head changes.
+	// Front gates on it and ReadyAt exposes it, so the readiness poll is
+	// one integer compare per queue with no flit-pointer chase.
 	readyAt []int64
 	// readPort[vc] is the first cycle queue vc may be read again after
 	// its previous departure. Only a DAMQ keeps these stamps, and at
@@ -35,35 +51,41 @@ type Queues struct {
 	// the other organizations' read ports are never busy.
 	readPort []int64
 	depth    int
-	pool     int
 	occ      int
 	delay    int64
-	org      org
+	// free is the first slot of the free chain, -1 when the pool is
+	// full.
+	free int16
+	org  org
 }
 
 // org is the organization a constructor built. It names the buffer's
-// checkpoint section and nothing else: behaviour follows from depth,
-// pool and delay alone.
+// checkpoint section and nothing else: behaviour follows from the four
+// numbers alone.
 type org uint8
 
 const (
 	orgGeneric org = iota
 	orgDAMQ
 	orgFCCB
+	orgViChaR
 )
 
-var sections = [...]string{orgGeneric: "generic", orgDAMQ: "damq", orgFCCB: "fccb"}
+var sections = [...]string{orgGeneric: "generic", orgDAMQ: "damq", orgFCCB: "fccb", orgViChaR: "vichar"}
 
 // NewGeneric returns the conventional statically partitioned buffer
 // (paper Figure 2, "parallel FIFO implementation"): vcs queues, each
 // with a private depth of depth flits. A slot that belongs to VC i can
 // never hold a flit of VC j — exactly the under-utilization Figure 3
 // criticizes.
-func NewGeneric(vcs, depth int) *Queues {
+func NewGeneric(vcs, depth int) *Queues { return NewGenericIn(nil, vcs, depth) }
+
+// NewGenericIn is NewGeneric drawing its arrays from the arena.
+func NewGenericIn(a *soa.Arena, vcs, depth int) *Queues {
 	if vcs < 1 || depth < 1 {
 		panic(fmt.Sprintf("buffers: generic buffer needs positive shape, got %dx%d", vcs, depth))
 	}
-	return newQueues(vcs, depth, vcs*depth, 0, orgGeneric)
+	return newQueues(a, vcs, depth, vcs*depth, 0, orgGeneric)
 }
 
 // NewDAMQ returns the Dynamically Allocated Multi-Queue of Tamir &
@@ -73,16 +95,17 @@ func NewGeneric(vcs, depth int) *Queues {
 // departure (three in the paper, §2, citing Frazier & Tamir, ICCD
 // 1989). A congested VC can use slots an idle VC is not using, but the
 // VC count is fixed and packets sharing a queue block its head.
-func NewDAMQ(vcs, slots, delay int) *Queues {
+func NewDAMQ(vcs, slots, delay int) *Queues { return NewDAMQIn(nil, vcs, slots, delay) }
+
+// NewDAMQIn is NewDAMQ drawing its arrays from the arena.
+func NewDAMQIn(a *soa.Arena, vcs, slots, delay int) *Queues {
 	if vcs < 1 || slots < vcs {
 		panic(fmt.Sprintf("buffers: DAMQ needs at least one slot per VC, got %d VCs, %d slots", vcs, slots))
 	}
 	if delay < 0 {
 		panic(fmt.Sprintf("buffers: DAMQ delay cannot be negative, got %d", delay))
 	}
-	b := newQueues(vcs, slots, slots, delay, orgDAMQ)
-	b.readPort = make([]int64, vcs)
-	return b
+	return newQueues(a, vcs, slots, slots, delay, orgDAMQ)
 }
 
 // NewFCCB returns the Fully Connected Circular Buffer of Ni, Pirvu &
@@ -90,88 +113,136 @@ func NewDAMQ(vcs, slots, delay int) *Queues {
 // completes buffer management in one cycle — the generous assumption
 // the paper grants it in Figure 13(d). Its hardware costs (26% slower
 // datapath, +18% area, +66% dynamic power) live in internal/synth.
-func NewFCCB(vcs, slots int) *Queues {
+func NewFCCB(vcs, slots int) *Queues { return NewFCCBIn(nil, vcs, slots) }
+
+// NewFCCBIn is NewFCCB drawing its arrays from the arena.
+func NewFCCBIn(a *soa.Arena, vcs, slots int) *Queues {
 	if vcs < 1 || slots < vcs {
 		panic(fmt.Sprintf("buffers: FC-CB needs at least one slot per VC, got %d VCs, %d slots", vcs, slots))
 	}
-	return newQueues(vcs, slots, slots, 0, orgFCCB)
+	return newQueues(a, vcs, slots, slots, 0, orgFCCB)
 }
 
-// newQueues returns vcs empty queues. When every queue can be full at
-// once (vcs*depth <= pool, the statically partitioned buffer) each
-// ring is carved at its bound from one array and never grows;
-// otherwise queues lend each other space, so rings start empty and
-// double on demand.
-func newQueues(vcs, depth, pool, delay int, o org) *Queues {
-	b := &Queues{qs: make([]fifo, vcs), readyAt: make([]int64, vcs), depth: depth, pool: pool, delay: int64(delay), org: o}
-	for i := range b.readyAt {
-		b.readyAt[i] = NeverReady
+// NewViChaR returns ViChaR's Unified Buffer Structure (paper §3.2),
+// the generic port's slots "logically grouped in a single vk-flit
+// entity": FC-CB's shared pool with a queue per VC ID the Token
+// Dispenser can hand out, up to one per slot (paper Figure 5). How
+// many are live is the dispenser's decision (internal/core).
+func NewViChaR(vcs, slots int) *Queues { return NewViChaRIn(nil, vcs, slots) }
+
+// NewViChaRIn is NewViChaR drawing its arrays from the arena.
+func NewViChaRIn(a *soa.Arena, vcs, slots int) *Queues {
+	if vcs < 1 || slots < vcs {
+		panic(fmt.Sprintf("buffers: ViChaR needs at least one slot per VC, got %d VCs, %d slots", vcs, slots))
 	}
-	if vcs*depth <= pool {
-		c := 1
-		for c < depth {
-			c <<= 1
-		}
-		rings := make([]*flit.Flit, vcs*c)
-		for i := range b.qs {
-			b.qs[i].buf = rings[i*c : (i+1)*c : (i+1)*c]
-		}
+	return newQueues(a, vcs, slots, slots, 0, orgViChaR)
+}
+
+// newQueues returns vcs empty queues over a pool of slots, taking every
+// array from the arena (nil-arena safe; router.NewArena sizes it).
+func newQueues(a *soa.Arena, vcs, depth, pool, delay int, o org) *Queues {
+	if pool > math.MaxInt16 {
+		panic(fmt.Sprintf("buffers: a pool of %d slots overflows the int16 links", pool))
 	}
+	b := &Queues{
+		slots: a.TakeFlits(pool), next: a.TakeInt16s(pool),
+		head: a.TakeInt16s(vcs), tail: a.TakeInt16s(vcs), count: a.TakeInt16s(vcs),
+		readyAt: a.TakeInt64s(vcs), depth: depth, delay: int64(delay), org: o,
+	}
+	if o == orgDAMQ {
+		b.readPort = a.TakeInt64s(vcs)
+	}
+	b.reset()
 	return b
 }
 
+// reset empties every queue and chains the whole pool free in slot
+// order.
+func (b *Queues) reset() {
+	clear(b.slots)
+	clear(b.count)
+	for s := range b.next {
+		b.next[s] = int16(s + 1)
+	}
+	b.next[len(b.next)-1] = -1
+	b.free, b.occ = 0, 0
+	for vc := range b.readyAt {
+		b.readyAt[vc] = NeverReady
+	}
+}
+
+// link takes the first free slot and appends it to queue vc's chain.
+// The caller has checked FreeSlotsFor.
+func (b *Queues) link(vc int) int16 {
+	s := b.free
+	b.free = b.next[s]
+	if b.count[vc] == 0 {
+		b.head[vc] = s
+	} else {
+		b.next[b.tail[vc]] = s
+	}
+	b.tail[vc] = s
+	b.count[vc]++
+	b.occ++
+	return s
+}
+
 // Slots returns the pool size.
-func (b *Queues) Slots() int { return b.pool }
+func (b *Queues) Slots() int { return len(b.slots) }
 
 // MaxVCs returns the fixed queue count.
-func (b *Queues) MaxVCs() int { return len(b.qs) }
+func (b *Queues) MaxVCs() int { return len(b.head) }
 
 // FreeSlotsFor returns the lesser of the queue's remaining depth and
 // the pool's headroom.
 func (b *Queues) FreeSlotsFor(vc int) int {
-	if vc < 0 || vc >= len(b.qs) {
+	if vc < 0 || vc >= len(b.count) {
 		return 0
 	}
-	return min(b.depth-b.qs[vc].len(), b.pool-b.occ)
+	return min(b.depth-int(b.count[vc]), len(b.slots)-b.occ)
 }
 
 // Write appends f to queue f.VC.
 func (b *Queues) Write(f *flit.Flit, now int64) error {
-	if f.VC < 0 || f.VC >= len(b.qs) {
+	if f.VC < 0 || f.VC >= len(b.count) {
 		return ErrBadVC
 	}
 	if b.FreeSlotsFor(f.VC) <= 0 {
 		return ErrFull
 	}
 	f.ArrivedAt = now
-	b.qs[f.VC].push(f)
-	if b.qs[f.VC].len() == 1 {
+	b.slots[b.link(f.VC)] = f
+	if b.count[f.VC] == 1 {
 		b.restamp(f.VC)
 	}
-	b.occ++
 	return nil
 }
 
 // Front returns the head of queue vc if it is readable at cycle now,
 // or nil.
 func (b *Queues) Front(vc int, now int64) *flit.Flit {
-	if vc < 0 || vc >= len(b.readyAt) || b.readyAt[vc] > now {
+	if vc < 0 || vc >= len(b.readyAt) || b.readyAt[vc] > now || b.count[vc] == 0 {
 		return nil
 	}
-	return b.qs[vc].front()
+	return b.slots[b.head[vc]]
 }
 
-// Pop removes the head of queue vc and occupies its read port for the
-// bookkeeping delay.
+// Pop removes the head of queue vc, returns its slot to the free chain
+// and occupies the queue's read port for the bookkeeping delay.
 func (b *Queues) Pop(vc int, now int64) (*flit.Flit, error) {
-	if b.Front(vc, now) == nil {
+	f := b.Front(vc, now)
+	if f == nil {
 		return nil, ErrEmpty
 	}
+	s := b.head[vc]
+	b.slots[s] = nil
+	b.head[vc] = b.next[s]
+	b.next[s], b.free = b.free, s
+	b.count[vc]--
 	b.occ--
 	if b.delay > 0 {
 		b.readPort[vc] = now + b.delay
 	}
-	f := b.qs[vc].pop()
 	b.restamp(vc)
 	return f, nil
 }
@@ -179,8 +250,8 @@ func (b *Queues) Pop(vc int, now int64) (*flit.Flit, error) {
 // restamp recomputes queue vc's first-readable cycle from its head.
 func (b *Queues) restamp(vc int) {
 	b.readyAt[vc] = NeverReady
-	if f := b.qs[vc].front(); f != nil {
-		b.readyAt[vc] = f.ArrivedAt + max(b.delay, 1)
+	if b.count[vc] > 0 {
+		b.readyAt[vc] = b.slots[b.head[vc]].ArrivedAt + max(b.delay, 1)
 		if b.readPort != nil {
 			b.readyAt[vc] = max(b.readyAt[vc], b.readPort[vc])
 		}
@@ -189,10 +260,10 @@ func (b *Queues) restamp(vc int) {
 
 // Len returns the number of flits on queue vc, readable or not.
 func (b *Queues) Len(vc int) int {
-	if vc < 0 || vc >= len(b.qs) {
+	if vc < 0 || vc >= len(b.count) {
 		return 0
 	}
-	return b.qs[vc].len()
+	return int(b.count[vc])
 }
 
 // Occupied returns the total stored flit count.
@@ -202,48 +273,3 @@ func (b *Queues) Occupied() int { return b.occ }
 func (b *Queues) ReadyAt() []int64 { return b.readyAt }
 
 var _ Buffer = (*Queues)(nil)
-
-// fifo is a FIFO of flits over a power-of-two ring: head indexes the
-// front, n counts the occupants. A full ring doubles (a queue sized
-// to its bound by newQueues never does), and no ring ever shrinks.
-type fifo struct {
-	buf  []*flit.Flit
-	head uint32
-	n    uint32
-}
-
-func (q *fifo) push(f *flit.Flit) {
-	if int(q.n) == len(q.buf) {
-		//vichar:alloc a shared-pool queue doubles until it has held its deepest backlog (at most the pool), then never again
-		grown := make([]*flit.Flit, max(2, 2*len(q.buf)))
-		for i := range q.buf {
-			grown[i] = q.at(i)
-		}
-		q.buf, q.head = grown, 0
-	}
-	q.buf[(q.head+q.n)&uint32(len(q.buf)-1)] = f
-	q.n++
-}
-
-func (q *fifo) pop() *flit.Flit {
-	f := q.buf[q.head]
-	q.buf[q.head] = nil
-	q.head = (q.head + 1) & uint32(len(q.buf)-1)
-	q.n--
-	return f
-}
-
-// slot addresses the i-th entry from the front.
-func (q *fifo) slot(i int) **flit.Flit { return &q.buf[(q.head+uint32(i))&uint32(len(q.buf)-1)] }
-
-// at returns the i-th flit from the front.
-func (q *fifo) at(i int) *flit.Flit { return *q.slot(i) }
-
-func (q *fifo) front() *flit.Flit {
-	if q.n == 0 {
-		return nil
-	}
-	return q.buf[q.head]
-}
-
-func (q *fifo) len() int { return int(q.n) }

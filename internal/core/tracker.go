@@ -4,22 +4,20 @@ import (
 	"fmt"
 	"math/bits"
 
+	"vichar/internal/snap"
 	"vichar/internal/soa"
 )
 
-// Tracker is the availability bookkeeping shared by the Slot
-// Availability Tracker and the VC Availability Tracker (paper Figure
-// 9 bottom-right and Figure 10 top-left): one bit per entry — 1 for
-// available, 0 for occupied — plus a free count. Acquire grants the
-// top-most (lowest-numbered) available entry with a word scan and a
-// trailing-zero count, matching the combinational single-cycle
-// hardware; the bitmap words live in the network arena so every
-// tracker of a router sits on adjacent cache lines.
-//
-// As the VC Availability Tracker it spans every VC ID of a port, the
-// escape set included: a grant is FirstInRange over the requesting
+// Tracker is the VC Availability Tracker (paper Figure 10, top-left):
+// one bit per VC ID of a port — 1 for available, 0 for a dispensed
+// token — plus a free count, the bitmap words drawn from the network
+// arena so every tracker of a router sits on adjacent cache lines. It
+// spans every VC ID, the escape set included, and is the Token
+// Dispenser's state: a grant is FirstInRange over the requesting
 // kind's span (regular or escape, chunked per VC class), then Take, so
-// the lowest free ID of that span is dispensed first.
+// the lowest free ID of that span is dispensed first — the
+// combinational single-cycle hardware's word scan and trailing-zero
+// count.
 type Tracker struct {
 	words []uint64
 	n     int
@@ -63,26 +61,6 @@ func (t *Tracker) Available(i int) bool {
 	return i >= 0 && i < t.n && t.words[i>>6]&(1<<(uint(i)&63)) != 0
 }
 
-// Acquire claims and returns the top-most available entry, or -1 when
-// the table is all-zero (everything occupied) — the condition the
-// paper reflects into the credit information sent to adjacent
-// routers.
-func (t *Tracker) Acquire() int {
-	if t.free == 0 {
-		return -1
-	}
-	for w, m := range t.words {
-		if m != 0 {
-			b := bits.TrailingZeros64(m)
-			t.words[w] = m &^ (1 << uint(b))
-			t.free--
-			return w<<6 + b
-		}
-	}
-	//vichar:invariant unreachable while free>0 — the free counter diverged from the availability bitmap
-	panic("core: tracker free count out of sync with bitmap")
-}
-
 // rangeWord masks word w of the bitmap down to the bits covering
 // entries [lo, hi).
 func (t *Tracker) rangeWord(w, lo, hi int) uint64 {
@@ -98,10 +76,10 @@ func (t *Tracker) rangeWord(w, lo, hi int) uint64 {
 	return m
 }
 
-// FirstInRange returns the top-most available entry within [lo, hi),
-// or -1 when that span is fully occupied. It only peeks: Take claims
-// the entry. Over the whole tracker it names exactly the entry Acquire
-// would grant — the span is a restriction, not a different policy.
+// FirstInRange returns the top-most (lowest-numbered) available entry
+// within [lo, hi), or -1 when that span is fully occupied — the
+// condition the paper reflects into the credit information sent
+// upstream. It only peeks: Take claims the entry.
 func (t *Tracker) FirstInRange(lo, hi int) int {
 	lo, hi = max(lo, 0), min(hi, t.n)
 	for w := lo >> 6; lo < hi && w <= (hi-1)>>6; w++ {
@@ -127,14 +105,31 @@ func (t *Tracker) Take(i int) {
 // bookkeeping bug and panics.
 func (t *Tracker) Release(i int) {
 	if i < 0 || i >= t.n {
-		//vichar:invariant releasing an entry outside the tracker means a corrupted slot id
+		//vichar:invariant releasing an entry outside the tracker means a corrupted VC id
 		panic(fmt.Sprintf("core: release of entry %d outside tracker of %d", i, t.n))
 	}
 	bit := uint64(1) << (uint(i) & 63)
 	if t.words[i>>6]&bit != 0 {
-		//vichar:invariant double release — the slot-conservation bug the audit exists to catch
+		//vichar:invariant double release — a token returned twice, the credit bug the conservation audit exists to catch
 		panic(fmt.Sprintf("core: double release of entry %d", i))
 	}
 	t.words[i>>6] |= bit
 	t.free++
+}
+
+// State walks the tracker's bitmap and free count; the two must agree.
+// The bitmap is arena-backed and aliased, so loading writes into it in
+// place; it needs a tracker initialized over the same entry count.
+func (t *Tracker) State(c *snap.Codec) {
+	c.U64s(t.words)
+	c.Int(&t.free)
+	c.Range(t.free, 0, t.n, "core: tracker free count")
+	set := 0
+	for _, w := range t.words {
+		set += bits.OnesCount64(w)
+	}
+	c.Mask(t.words, t.n, "core: tracker bitmap")
+	if set != t.free {
+		c.Failf("core: snapshot tracker bitmap marks %d of %d entries free, free count says %d", set, t.n, t.free)
+	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"vichar/internal/buffers"
 	"vichar/internal/config"
 	"vichar/internal/traffic"
 )
@@ -66,9 +67,8 @@ func testStepAllocFree(t *testing.T, arch config.BufferArch, workers int) {
 // ViChaR with faults, metrics, tracing and adaptive torus routing on.
 // After warm-up the survivors are amortized doublings only — the stats
 // VC time series (one point per SampleEvery cycles), an NI source
-// queue, the record free list or a DAMQ/FC-CB per-VC FIFO reaching a
-// new peak depth, and the transaction layer's latency histogram
-// widening to a new maximum — and
+// queue or the record free list reaching a new peak depth, and the
+// transaction layer's latency histogram widening to a new maximum — and
 // stay under 0.01 allocations and 64 bytes per Step averaged over
 // 2 000 cycles (every case measures at most 0.003 and 5 bytes; a
 // per-cycle append that never stops growing costs hundreds of bytes).
@@ -132,8 +132,8 @@ func testStepAllocFreeLoaded(t *testing.T, cfg *config.Config) {
 	// every fourth cycle, on top of the configured load — backs every
 	// source queue up and drives every VC of every port, so each
 	// grow-to-a-bound structure (NI queues, the record free list, the
-	// fixed organizations' per-VC FIFOs, the generic VA's group rows,
-	// wake lists) reaches in a few hundred cycles the capacity a
+	// generic VA's group rows, wake lists) reaches in a few hundred
+	// cycles the capacity a
 	// steady 0.30 would take tens of thousands to visit. Then the
 	// backlog drains at the configured load until the network is back
 	// in steady state.
@@ -227,14 +227,11 @@ func TestHeapBytesPerRouterBudget(t *testing.T) {
 			for i := range n.creditSlab {
 				ringBytes += float64(len(n.creditSlab[i].q.buf)) * float64(unsafe.Sizeof(timedCredit{}))
 			}
-			// Organization-specific terms: the UBS arrays exist only for
-			// ViChaR, the per-output-VC stage-2 arbiters only without it.
-			var ubsSlots, table, ubsBitmaps, vaS2G, viewState float64
+			// Every organization's buffer is the same slot pool; only the
+			// per-output-VC stage-2 arbiters and the credit views differ.
+			var vaS2G, viewState float64
 			switch arch {
 			case config.ViChaR:
-				ubsSlots = p * slots * 8
-				table = p * (slots + 3*v) * 2
-				ubsBitmaps = p * float64((cfg.BufferSlots+63)/64) * 8
 				viewState = views * (v*2 + v + maskWords*8) // held int16, resFree bools, token tracker bitmap
 			case config.Generic:
 				vaS2G = p * v * 16
@@ -243,15 +240,20 @@ func TestHeapBytesPerRouterBudget(t *testing.T) {
 				vaS2G = p * v * 16
 				viewState = views * (v*2 + 2*v) // held int16, resFree+open bools
 			}
+			readPorts := 0.0
+			if arch == config.DAMQ {
+				readPorts = p * v * 8
+			}
 			account := []struct {
 				name  string
 				bytes float64
 			}{
-				{"slots (UBS flit pointers)", ubsSlots},
-				{"control table (int16 links + head/tail/count)", table},
-				{"readiness stamps (one per VC, every organization)", p * v * 8},
+				{"buffer slots (flit pointers)", p * slots * 8},
+				{"buffer links (int16 successor per slot + head/tail/count per VC)", p * (slots + 3*v) * 2},
+				{"buffer structs (slice headers and registers, one per port)", p * float64(unsafe.Sizeof(buffers.Queues{}))},
+				{"readiness stamps (one per VC) + DAMQ read-port stamps", p*v*8 + readPorts},
 				{"vcState (24 B, pinned by router.TestVCStateSize)", p * v * 24},
-				{"masks + packed routes + UBS tracker bitmap", p*3*maskWords*8 + p*v*4 + ubsBitmaps},
+				{"masks + packed routes", p*3*maskWords*8 + p*v*4},
 				{"arbiter banks", 4*p*16 + vaS2G},
 				{"credit views' per-VC counters and flags", viewState},
 				{"link rings", ringBytes / nodes},
@@ -268,7 +270,7 @@ func TestHeapBytesPerRouterBudget(t *testing.T) {
 					explained += a.bytes
 				}
 			}
-			t.Logf("%8.0f B  everything else (Router, buffer and view structs, per-router scratch, fixed-organization FIFOs, worklist, collector)", total-explained)
+			t.Logf("%8.0f B  everything else (Router and view structs, per-router scratch, worklist, collector)", total-explained)
 			t.Logf("%8.0f B  per router, measured (budget %.0f)", total, budget[arch])
 		})
 	}

@@ -6,10 +6,8 @@ import (
 	"testing"
 	"testing/quick"
 
-	"vichar/internal/audit"
 	"vichar/internal/buffers"
 	"vichar/internal/config"
-	"vichar/internal/core"
 	"vichar/internal/flit"
 )
 
@@ -98,33 +96,59 @@ func TestConfigFuzz(t *testing.T) {
 	}
 }
 
-// FuzzUBSAudit drives a random but protocol-legal write/read/drain
-// sequence against a Unified Buffer Structure and cross-checks the
-// invariant auditor after every operation: table/tracker coherence,
-// slot-leak freedom, one-packet-per-VC and per-VC FIFO order must
-// hold at every intermediate state, and the buffer's occupancy must
-// match the driver's own flit accounting.
+// FuzzQueuesAudit drives a random but protocol-legal write/read/drain
+// sequence against an input buffer of any organization and runs its
+// slot-pool audit after every operation: no slot linked twice or
+// leaked, no free slot holding a flit, every queue within its depth,
+// its VC and wormhole order, occupancy equal to the queue lengths and
+// one packet per queue (the driver's discipline for every shape, the
+// Token Dispenser's promise for ViChaR) must hold at every intermediate
+// state. The driver also models the shape: occupancy, every VC's free
+// slots (min of depth and pool headroom) and whether its head is
+// readable (arrival + max(delay, 1), and a DAMQ's read port busy for
+// delay cycles after a pop) must match its own accounting.
 //
-// Input encoding: byte 0 sizes the pool (1..16 slots); each further
-// byte is one operation — the top two bits select write / pop /
-// advance-clock / drain-readable, the low bits pick the VC and, for
-// writes that open a packet, its size.
-func FuzzUBSAudit(f *testing.F) {
+// Input encoding: byte 0 picks the shape — its low four bits size the
+// pool (1..16 slots), bits 4-5 the organization (ViChaR with a queue
+// per slot, GEN with up to four queues partitioning the pool, DAMQ
+// with the default bookkeeping delay, FC-CB; the fixed ones with up
+// to four queues). Each further byte is one operation — the top two
+// bits select write / pop / advance-clock / drain-readable, the low
+// bits pick the VC and, for writes that open a packet, its size.
+func FuzzQueuesAudit(f *testing.F) {
 	f.Add([]byte{0x07, 0x00, 0x04, 0x81, 0x00, 0x41, 0xc0, 0x82})
 	f.Add([]byte{0x0f, 0x00, 0x00, 0x00, 0x80, 0x40, 0x40, 0x40, 0xc1})
+	f.Add([]byte{0x1b, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x41, 0xc0, 0x02, 0x03})
+	f.Add([]byte{0x2f, 0x00, 0x00, 0x41, 0x80, 0x80, 0x80, 0x41, 0x80, 0x80, 0x80, 0xc0, 0x41})
+	f.Add([]byte{0x35, 0x00, 0x05, 0x01, 0x80, 0x41, 0x00, 0xc2})
+	f.Add([]byte{0x2f, 0x0c, 0x0c, 0x0c, 0x80, 0x80, 0x80, 0x80, 0x40, 0x80, 0x40})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) == 0 {
 			return
 		}
-		slots := 1 + int(ops[0])%16
-		b := core.NewUBS(slots)
-		vcs := b.MaxVCs()
+		slots, fixed := 1+int(ops[0])%16, min(4, 1+int(ops[0])%16)
+		var b *buffers.Queues
+		depth, delay := slots, int64(0)
+		switch ops[0] >> 4 & 3 {
+		case 0:
+			b = buffers.NewViChaR(slots, slots)
+		case 1:
+			depth = slots / fixed
+			b = buffers.NewGeneric(fixed, depth)
+		case 2:
+			delay = int64(config.Default().DAMQDelay)
+			b = buffers.NewDAMQ(fixed, slots, int(delay))
+		case 3:
+			b = buffers.NewFCCB(fixed, slots)
+		}
+		vcs, pool := b.MaxVCs(), b.Slots()
 		// Per-VC driver state: the packet currently streaming through
 		// the VC, their write and read progress.
 		type vcDriver struct {
 			flits  []*flit.Flit
-			next   int // flits written so far
-			popped int // flits popped so far (== next seq expected out)
+			next   int   // flits written so far
+			popped int   // flits popped so far (== next seq expected out)
+			busy   int64 // first cycle the read port is free again
 		}
 		st := make([]vcDriver, vcs)
 		resident := 0
@@ -145,6 +169,7 @@ func FuzzUBSAudit(f *testing.F) {
 				t.Fatalf("vc %d popped seq %d, want %d", vc, got.Seq, s.popped)
 			}
 			s.popped++
+			s.busy = now + delay
 			resident--
 		}
 
@@ -170,7 +195,7 @@ func FuzzUBSAudit(f *testing.F) {
 					if !errors.Is(err, buffers.ErrFull) {
 						t.Fatalf("write vc %d: %v", vc, err)
 					}
-					// Pool exhausted: a legal stall; retry later.
+					// Queue or pool exhausted: a legal stall; retry later.
 					continue
 				}
 				s.next++
@@ -186,11 +211,22 @@ func FuzzUBSAudit(f *testing.F) {
 					}
 				}
 			}
-			if err := audit.CheckUBS(b); err != nil {
+			if err := b.Audit(true); err != nil {
 				t.Fatalf("after op %#02x: %v", op, err)
 			}
 			if b.Occupied() != resident {
 				t.Fatalf("occupancy %d, driver accounts %d", b.Occupied(), resident)
+			}
+			for v := range st {
+				s := &st[v]
+				held := s.next - s.popped
+				if want := min(depth-held, pool-resident); b.FreeSlotsFor(v) != want {
+					t.Fatalf("after op %#02x: vc %d has %d free slots, want %d", op, v, b.FreeSlotsFor(v), want)
+				}
+				ready := held > 0 && now >= max(s.flits[s.popped].ArrivedAt+max(delay, 1), s.busy)
+				if (b.Front(v, now) != nil) != ready {
+					t.Fatalf("after op %#02x: vc %d head readable %v at cycle %d, want %v", op, v, !ready, now, ready)
+				}
 			}
 		}
 	})

@@ -283,7 +283,7 @@ type auditedLink struct {
 	view router.CreditView
 	fl   *flitLink
 	cl   *creditLink
-	buf  buffers.Buffer
+	buf  *buffers.Queues
 }
 
 // retxHeld returns the link's declared-fault conservation term: the

@@ -278,7 +278,7 @@ func (n *Network) audit(now int64) {
 	n.runSharded(n.auditRoutersFn)
 	for _, err := range n.auditErrs {
 		if err != nil {
-			//vichar:invariant a UBS bookkeeping divergence means buffered flits can be lost or duplicated; continuing would corrupt results
+			//vichar:invariant a buffer or VC bookkeeping divergence means buffered flits can be lost or duplicated; continuing would corrupt results
 			panic(fmt.Sprintf("network: cycle %d: %v", now, err))
 		}
 	}
@@ -316,7 +316,7 @@ func (n *Network) auditLinksShard(shard int) {
 	}
 }
 
-// auditRoutersShard runs the UBS invariant auditor over the shard's
+// auditRoutersShard runs the router invariant auditor over the shard's
 // routers, recording the first violation in its auditErrs slot.
 func (n *Network) auditRoutersShard(shard int) {
 	n.auditErrs[shard] = nil

@@ -13,8 +13,8 @@ import (
 // pools of internal/soa plus router-private pools for VC pipeline
 // state and arbiter banks. The network builds one per simulation and
 // threads it through NewIn / NewCreditViewIn in ascending router-id
-// order, so the hot per-(router, port, VC) state — UBS slots and
-// bitmaps, control-table links, credit counters, VC state machines,
+// order, so the hot per-(router, port, VC) state — buffer slots and
+// links, readiness stamps, credit counters, VC state machines,
 // arbiter pointers, scan-mask blocks — lands in construction order on one
 // contiguous slab.
 //
@@ -52,15 +52,16 @@ func NewArena(cfg *config.Config, mesh topology.Mesh) *Arena {
 
 	var flits, int16s, int64s, words, bools int
 
-	// Per input port: the buffer. Only the ViChaR UBS is arena-backed;
-	// the fixed organizations keep their own per-VC FIFO rings.
+	// Per input port: the buffer's slot pool (Validate makes a generic
+	// port's VCs x VCDepth equal BufferSlots) with one successor link per
+	// slot, head/tail/count and a first-readable stamp per queue, and a
+	// DAMQ's read-port stamps.
 	inPorts := nodes * p
-	if cfg.Arch == config.ViChaR {
-		slots := cfg.BufferSlots
-		flits += inPorts * slots               // UBS slot array
-		int64s += inPorts * v                  // first-readable stamp per VC row
-		words += inPorts * ((slots + 63) / 64) // slot availability tracker
-		int16s += inPorts * (slots + 3*v)      // control-table links + head/tail/count
+	flits += inPorts * cfg.BufferSlots
+	int16s += inPorts * (cfg.BufferSlots + 3*v)
+	int64s += inPorts * v
+	if cfg.Arch == config.DAMQ {
+		int64s += inPorts * v
 	}
 
 	// Per router: the scan-mask block, one row of each kind per input

@@ -4,11 +4,12 @@
 // crossbar traversal (ST), followed by a one-cycle link. Flow control
 // is credit-based wormhole.
 //
-// The input buffer organization is pluggable (buffers.Buffer), which
-// is how the same router hosts the generic, ViChaR, DAMQ and FC-CB
-// schemes; the VA structure switches between the generic two-stage
-// allocator of paper Figure 7(a) and ViChaR's input-port arbitration
-// plus Token Dispenser of Figure 7(b).
+// Every input port holds one buffers.Queues, shaped by the buffer
+// organization — generic, ViChaR, DAMQ or FC-CB; what tells the
+// schemes apart is the output port's credit view and the VA
+// structure, which switches between the generic two-stage allocator
+// of paper Figure 7(a) and ViChaR's input-port arbitration plus Token
+// Dispenser of Figure 7(b).
 package router
 
 import (
@@ -19,7 +20,6 @@ import (
 	"vichar/internal/audit"
 	"vichar/internal/buffers"
 	"vichar/internal/config"
-	"vichar/internal/core"
 	"vichar/internal/faults"
 	"vichar/internal/flit"
 	"vichar/internal/metrics"
@@ -61,7 +61,7 @@ type vcState struct {
 }
 
 type inputPort struct {
-	buf buffers.Buffer
+	buf *buffers.Queues
 	// readyAt is buf.ReadyAt(), fetched once at construction: the SA
 	// scan compares it for each active VC instead of calling into the
 	// buffer.
@@ -287,17 +287,18 @@ func routeFor(cfg *config.Config) routing.Function {
 }
 
 // newBuffer builds the input-port buffer for the configuration,
-// drawing the UBS's arrays from the arena when one is supplied.
-func newBuffer(cfg *config.Config, a *Arena) buffers.Buffer {
+// drawing its arrays from the arena when one is supplied. ViChaR's is
+// FC-CB's pool with a queue per VC ID its Token Dispenser can hand out.
+func newBuffer(cfg *config.Config, a *Arena) *buffers.Queues {
 	switch cfg.Arch {
 	case config.Generic:
-		return buffers.NewGeneric(cfg.VCs, cfg.VCDepth)
+		return buffers.NewGenericIn(a.Soa(), cfg.VCs, cfg.VCDepth)
 	case config.ViChaR:
-		return core.NewUBSIn(a.Soa(), cfg.BufferSlots, cfg.MaxVCs())
+		return buffers.NewViChaRIn(a.Soa(), cfg.MaxVCs(), cfg.BufferSlots)
 	case config.DAMQ:
-		return buffers.NewDAMQ(cfg.VCs, cfg.BufferSlots, cfg.DAMQDelay)
+		return buffers.NewDAMQIn(a.Soa(), cfg.VCs, cfg.BufferSlots, cfg.DAMQDelay)
 	case config.FCCB:
-		return buffers.NewFCCB(cfg.VCs, cfg.BufferSlots)
+		return buffers.NewFCCBIn(a.Soa(), cfg.VCs, cfg.BufferSlots)
 	default:
 		panic(fmt.Sprintf("router: unknown buffer architecture %v", cfg.Arch))
 	}
@@ -1016,16 +1017,14 @@ func (r *Router) InUseVCsPerPort() float64 {
 
 // InputBuffer exposes the buffer at input port p for tests and
 // diagnostics.
-func (r *Router) InputBuffer(p int) buffers.Buffer { return r.in[p].buf }
+func (r *Router) InputBuffer(p int) *buffers.Queues { return r.in[p].buf }
 
 // AuditInvariants runs the invariant auditor over every input port,
 // returning the first violation: the buffer scan mask mirroring the
-// buffer, VC-class separation, and — for
-// ports with a unified buffer — VC Control Table ↔ Slot Availability
-// Tracker coherence, slot-leak freedom and one-packet-per-VC. Ports
-// without a UBS (the fixed organizations) have no cross-view
-// bookkeeping to diverge and skip the UBS checks. The network invokes
-// this every cycle when Config.Audit is set.
+// buffer, VC-class separation, and the buffer's own slot-pool audit
+// (buffers.Queues.Audit: chain and free-chain coherence, no slot leak,
+// depth, VC and wormhole order, and for ViChaR one packet per VC). The
+// network invokes this every cycle when Config.Audit is set.
 func (r *Router) AuditInvariants() error {
 	layout := layoutOf(r.cfg)
 	for p := range r.in {
@@ -1055,11 +1054,7 @@ func (r *Router) AuditInvariants() error {
 				}
 			}
 		}
-		ubs, ok := in.buf.(*core.UBS)
-		if !ok {
-			continue
-		}
-		if err := audit.CheckUBS(ubs); err != nil {
+		if err := in.buf.Audit(r.cfg.Arch == config.ViChaR); err != nil {
 			//vichar:alloc violation reporting on the opt-in audit path (Config.Audit), not the steady-state tick
 			return fmt.Errorf("router %d port %d: %w", r.id, p, err)
 		}

@@ -39,7 +39,7 @@ const (
 	// Version is the snapshot format version; Open rejects any other,
 	// so a blob loads only into a build of the format that cut it. Any
 	// change to a State walk bumps it.
-	Version = 10
+	Version = 11
 )
 
 var le = binary.LittleEndian

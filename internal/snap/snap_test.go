@@ -143,11 +143,13 @@ func TestEveryByteMutationRejectedOrDetected(t *testing.T) {
 // version-6 reader would take for its tracker bitmap; 8 stored the
 // event Seqs and packet fields version 9 derives; 9 has this layout,
 // but its random-stream draw counts index math/rand's sequence, not
-// the counter-based one — carries a valid envelope (magic, checksum)
+// the counter-based one; 10 stored ViChaR's buffer as slot IDs,
+// tracker words and control-table rows, where 11 walks its queues in
+// FIFO order like every organization's — carries a valid envelope (magic, checksum)
 // but a layout this codec would misparse or a state it would
 // misread; Open must refuse it by version, naming both.
 func TestVersion3Rejected(t *testing.T) {
-	for _, v := range []uint32{0, 1, 2, 3, 5, 6, 7, 8, 9, 11} {
+	for _, v := range []uint32{0, 1, 2, 3, 5, 6, 7, 8, 9, 10, 12} {
 		data := sealed(t, func(*Codec) {})
 		le.PutUint32(data[len(magic):], v)
 		_, err := Open(reseal(data))

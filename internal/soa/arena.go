@@ -3,10 +3,11 @@ package soa
 import "vichar/internal/flit"
 
 // Arena bundles the typed pools the simulator's hot state draws from:
-// flit slot arrays, 16-bit bookkeeping (control-table links, credit
-// counters — config.Validate bounds every slot and VC count by
-// config.MaxBufferSlots, so they fit), and uint64 bitmap words
-// (availability trackers, VC masks). One Arena is built per Network with capacities from a
+// flit slot arrays, 16-bit bookkeeping (buffer slot links and queue
+// registers, credit counters — config.Validate bounds every slot and
+// VC count by config.MaxBufferSlots, so they fit), int64 cycle stamps
+// and uint64 bitmap words (token trackers, VC masks). One Arena is
+// built per Network with capacities from a
 // closed-form sizing formula; every router, buffer and credit view
 // then takes its per-(router, port, VC) arrays from it in ascending
 // router-id order, which is what lays the whole mesh's tick-path state
@@ -14,7 +15,7 @@ import "vichar/internal/flit"
 //
 // A nil *Arena is valid everywhere an Arena is accepted and degrades
 // every take to a plain allocation — standalone construction (unit
-// tests building one Router or UBS) needs no pool.
+// tests building one Router or buffer) needs no pool.
 type Arena struct {
 	Flits  *Pool[*flit.Flit]
 	Int16s *Pool[int16]

@@ -2,14 +2,14 @@
 // simulator's hot per-(router, port, VC) state (DESIGN.md §10).
 //
 // The tick path touches a handful of small per-VC arrays every cycle
-// — credit counters, VC-grant flags, UBS table rows, tracker bitmaps,
-// live-VC masks. Allocated object-by-object they scatter across the
+// — buffer slots and links, readiness stamps, credit counters, VC-grant
+// flags, token bitmaps, live-VC masks. Allocated object-by-object they scatter across the
 // heap and every router tick becomes a pointer chase; drawn from one
 // network-owned contiguous slab they pack in construction order
 // (router-major, then port, then VC), so the state one router's tick
-// reads sits on a handful of cache lines. The existing objects
-// (core.Table, core.Tracker, router credit views, VC state machines)
-// keep their APIs and become views over slab-owned memory.
+// reads sits on a handful of cache lines. The objects (buffers.Queues,
+// core.Tracker, router credit views, VC state machines) keep their APIs
+// and are views over slab-owned memory.
 //
 // A Pool is a bump allocator: construction-time Take calls carve
 // subslices off one backing array and the pool is never freed or
@@ -21,7 +21,7 @@ package soa
 // Pool is a bump allocator over one contiguous backing array of T.
 // The zero Pool (or a nil *Pool) is valid and degrades every Take to
 // a plain allocation, which is what keeps arena-free construction —
-// unit tests building a lone Router or UBS — working unchanged.
+// unit tests building a lone Router or buffer — working unchanged.
 type Pool[T any] struct {
 	backing []T
 	off     int
