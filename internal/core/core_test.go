@@ -250,3 +250,94 @@ func TestReadyWordsMatchStamps(t *testing.T) {
 		}
 	}
 }
+
+// --- ViChaR's buffer: the UBS slot pool and its VC Control Table ---
+
+// ubsFlits returns the flits of a packet of size flits on vc.
+func ubsFlits(id uint64, vc, size int) []*flit.Flit {
+	pkt := &flit.Packet{ID: id, Size: size}
+	fs := make([]*flit.Flit, size)
+	for i := range fs {
+		typ := flit.Body
+		switch {
+		case size == 1:
+			typ = flit.HeadTail
+		case i == 0:
+			typ = flit.Head
+		case i == size-1:
+			typ = flit.Tail
+		}
+		fs[i] = &flit.Flit{Pkt: pkt, Seq: i, Type: typ, VC: vc}
+	}
+	return fs
+}
+
+// A VC's row of the control table lists its slots in arrival order,
+// however scattered: the pool hands out the last freed slot first, so
+// draining VCs 1, 2, 0, 3 lines the free slots up as 3, 0, 2, 1, and a
+// packet written into them still leaves in FIFO order.
+func TestTableAppendPopOrder(t *testing.T) {
+	b := NewUBSIn(nil, 4, 4)
+	for vc := 0; vc < 4; vc++ {
+		if err := b.Write(ubsFlits(uint64(vc), vc, 1)[0], 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, vc := range []int{1, 2, 0, 3} {
+		if _, err := b.Pop(vc, 10); err != nil {
+			t.Fatalf("drain vc %d: %v", vc, err)
+		}
+	}
+	for _, f := range ubsFlits(9, 1, 4) {
+		if err := b.Write(f, 20); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if b.Len(1) != 4 || b.Len(0) != 0 || b.FreeSlotsFor(0) != 0 {
+		t.Fatalf("len=%d, row 0 len=%d, free %d", b.Len(1), b.Len(0), b.FreeSlotsFor(0))
+	}
+	if err := b.Audit(true); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		f, err := b.Pop(1, 100)
+		if err != nil || f.Seq != i {
+			t.Fatalf("pop %d got %v (%v)", i, f, err)
+		}
+	}
+	if b.Len(1) != 0 || b.Front(1, 100) != nil || b.Occupied() != 0 {
+		t.Fatal("row not NULLed after draining")
+	}
+	if err := b.Audit(true); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// One VC's flits land in non-consecutive slots when another VC
+// interleaves — the UBS's key flexibility (paper §3.2): the pool hands
+// out slots in order, so VC 0 holds slots 0 and 2 around VC 1's slot 1.
+// Freeing the slot between them leaves VC 0's chain and FIFO order
+// intact.
+func TestUBSNonConsecutiveSlots(t *testing.T) {
+	b := NewUBSIn(nil, 8, 8)
+	p0, p1 := ubsFlits(0, 0, 2), ubsFlits(1, 1, 2)
+	for _, f := range []*flit.Flit{p0[0], p1[0], p0[1]} {
+		if err := b.Write(f, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if b.Len(0) != 2 || b.Len(1) != 1 || b.Occupied() != 3 {
+		t.Fatalf("vc 0 len %d, vc 1 len %d, occupied %d", b.Len(0), b.Len(1), b.Occupied())
+	}
+	if f, err := b.Pop(1, 100); err != nil || f.Pkt.ID != 1 {
+		t.Fatalf("vc 1 pop got %v (%v)", f, err)
+	}
+	if err := b.Audit(true); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if f, err := b.Pop(0, 100); err != nil || f.Pkt.ID != 0 || f.Seq != i {
+			t.Fatalf("vc 0 pop %d got %v (%v)", i, f, err)
+		}
+	}
+}
