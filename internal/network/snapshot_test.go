@@ -190,11 +190,25 @@ func TestSnapshotIndependentOfShardCount(t *testing.T) {
 	}
 
 	// The tallies follow the worklist section's two per-router flag
-	// arrays; the first counts compute ticks.
-	marker := append([]byte{8, 0, 0, 0}, "worklist"...)
-	off := bytes.Index(blob, marker) + len(marker) + 2*(4+len(n.routers))
-	bad := slices.Clone(blob[:len(blob)-4])
-	binary.LittleEndian.PutUint64(bad[off:], binary.LittleEndian.Uint64(bad[off:])+1)
+	// arrays, each a length and a flag per router; the first counts
+	// compute ticks.
+	var fields []snap.Field
+	c, err := snap.Open(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Record(&fields)
+	m := New(&cfg2)
+	defer m.Close()
+	if m.State(c); c.Finish() != nil {
+		t.Fatalf("re-load: %v", c.Err())
+	}
+	sec := slices.IndexFunc(fields, func(f snap.Field) bool { return f.Kind == snap.Section && f.Name == "worklist" })
+	tally := fields[sec+1+2*(1+len(n.routers))]
+	if tally.Val != m.WorklistStats().ComputeTicked {
+		t.Fatalf("field %+v is not the compute-tick tally %d", tally, m.WorklistStats().ComputeTicked)
+	}
+	bad := tally.Splice(blob[:len(blob)-4], tally.Val+1)
 	bad = binary.LittleEndian.AppendUint32(bad, crc32.ChecksumIEEE(bad))
 	if _, err := load(bad, 1); err == nil || !strings.Contains(err.Error(), "worklist tall") {
 		t.Errorf("a tally counting one too many: load err %v, want a worklist tally refusal", err)

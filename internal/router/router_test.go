@@ -550,3 +550,43 @@ func TestFrontAtNeverReadyOnEmptyVC(t *testing.T) {
 		}
 	}
 }
+
+// One ViChaR VC may hold the whole pool: the Token Dispenser grants a
+// packet a VC, and its flits take whatever slots are free, past the
+// generic organization's VCDepth. No golden run fills a ViChaR VC
+// beyond VCDepth, so this is the check that the buffer newBuffer builds
+// for ViChaR is as deep as its pool: BufferSlots flits of one packet
+// enter one VC of one port and leave in order.
+func TestViChaRVCHoldsWholePool(t *testing.T) {
+	cfg := config.Default()
+	cfg.Arch = config.ViChaR
+	if cfg.BufferSlots <= cfg.VCDepth {
+		t.Fatalf("the pool (%d slots) must be deeper than VCDepth (%d)", cfg.BufferSlots, cfg.VCDepth)
+	}
+	b := newBuffer(&cfg, nil)
+	p := &flit.Packet{ID: 1, Size: cfg.BufferSlots}
+	p.Materialize()
+	const vc = 3
+	for i := range p.Size {
+		f := p.Flit(i)
+		f.VC = vc
+		if free := b.FreeSlotsFor(vc); free != p.Size-i {
+			t.Fatalf("before flit %d: %d slots free for VC %d, want %d", i, free, vc, p.Size-i)
+		}
+		if err := b.Write(f, int64(i)); err != nil {
+			t.Fatalf("flit %d of %d: %v", i, p.Size, err)
+		}
+	}
+	if b.Len(vc) != p.Size || b.Occupied() != p.Size || b.FreeSlotsFor(vc) != 0 {
+		t.Fatalf("VC %d holds %d flits (port %d, %d free), want all %d", vc, b.Len(vc), b.Occupied(), b.FreeSlotsFor(vc), p.Size)
+	}
+	for i := range p.Size {
+		f, err := b.Pop(vc, int64(p.Size+i))
+		if err != nil || f != p.Flit(i) {
+			t.Fatalf("pop %d: flit %v, %v; want flit %d", i, f, err, i)
+		}
+	}
+	if b.Occupied() != 0 {
+		t.Fatalf("%d flits left after draining the VC", b.Occupied())
+	}
+}

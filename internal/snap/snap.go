@@ -3,11 +3,14 @@
 // direction-aware Codec with pointer-taking primitives and named
 // section markers.
 //
-// The format is deliberately simple — little-endian fixed-width
-// fields, u32 length prefixes, a magic string and format version up
-// front, and a CRC-32 trailer over everything before it — so that any
-// single corrupted byte is rejected before state is loaded, and so
-// the layout can evolve behind the version number.
+// The format is deliberately simple — integers as varints (zigzag for
+// signed ones, so -1 and small negatives take a byte), floats as their
+// eight little-endian IEEE-754 bytes, varint length prefixes, a magic
+// string and format version up front, and a CRC-32 trailer over
+// everything before it — so that any single corrupted byte is rejected
+// before state is loaded, and so the layout can evolve behind the
+// version number. A snapshot costs what it holds: most stored counts,
+// cycles and latencies are small, and take one to three bytes.
 //
 // Every stateful type has exactly one State(c *Codec) method that
 // names its serialized fields once, in order. Saving, the codec reads
@@ -29,6 +32,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"math/bits"
 	"slices"
 
 	"vichar/internal/flit"
@@ -38,8 +42,8 @@ const (
 	magic = "VCHRSNAP"
 	// Version is the snapshot format version; Open rejects any other,
 	// so a blob loads only into a build of the format that cut it. Any
-	// change to a State walk bumps it.
-	Version = 11
+	// change to a State walk or to the wire format bumps it.
+	Version = 12
 )
 
 var le = binary.LittleEndian
@@ -75,6 +79,10 @@ type Codec struct {
 	// flitRoom is how many more flits loading may rebuild: one per body
 	// byte in all, however many packets share them.
 	flitRoom int
+
+	// fields, when a loading codec records (Record), receives every
+	// field the walk reads.
+	fields *[]Field
 }
 
 // inFlight is the load-side account of one packet with flits in the
@@ -223,12 +231,15 @@ func (c *Codec) take(n int) []byte {
 	return b
 }
 
-// u8, u16, u32 and u64 are the wire primitives: loading, each returns
-// the stored value (zero after an error); saving, each counts or
-// appends v and returns it.
+// u8, u16, u32, f64, uv and sv are the wire primitives: loading, each
+// returns the stored value (zero after an error); saving, each counts
+// or appends v and returns it. u8, u16 and u32 are fixed-width
+// little-endian, f64 the eight bytes of a float's IEEE-754 bits; uv is
+// an unsigned varint (encoding/binary's: seven bits a byte, low group
+// first, at most ten bytes), sv a signed one, zigzagged onto uv.
 func (c *Codec) u8(v uint8) uint8 {
 	if c.loading {
-		return uint8(c.load(1))
+		return uint8(c.load(U8, 1))
 	}
 	if c.sizing {
 		c.n++
@@ -240,7 +251,7 @@ func (c *Codec) u8(v uint8) uint8 {
 
 func (c *Codec) u16(v uint16) uint16 {
 	if c.loading {
-		return uint16(c.load(2))
+		return uint16(c.load(U16, 2))
 	}
 	if c.sizing {
 		c.n += 2
@@ -252,7 +263,7 @@ func (c *Codec) u16(v uint16) uint16 {
 
 func (c *Codec) u32(v uint32) uint32 {
 	if c.loading {
-		return uint32(c.load(4))
+		return uint32(c.load(U32, 4))
 	}
 	if c.sizing {
 		c.n += 4
@@ -262,9 +273,9 @@ func (c *Codec) u32(v uint32) uint32 {
 	return v
 }
 
-func (c *Codec) u64(v uint64) uint64 {
+func (c *Codec) f64(v uint64) uint64 {
 	if c.loading {
-		return c.load(8)
+		return c.load(F64, 8)
 	}
 	if c.sizing {
 		c.n += 8
@@ -273,6 +284,39 @@ func (c *Codec) u64(v uint64) uint64 {
 	}
 	return v
 }
+
+func (c *Codec) uv(v uint64) uint64 {
+	switch {
+	case c.loading:
+		return c.loadVarint(Uvarint)
+	case c.sizing:
+		c.n += uvarintLen(v)
+	default:
+		c.buf = binary.AppendUvarint(c.buf, v)
+	}
+	return v
+}
+
+func (c *Codec) sv(v int64) int64 {
+	switch {
+	case c.loading:
+		return unzigzag(c.loadVarint(Varint))
+	case c.sizing:
+		c.n += uvarintLen(zigzag(v))
+	default:
+		c.buf = binary.AppendUvarint(c.buf, zigzag(v))
+	}
+	return v
+}
+
+// zigzag maps signed onto unsigned integers by magnitude — 0, -1, 1,
+// -2, ... to 0, 1, 2, 3, ... — so small negatives stay short varints.
+func zigzag(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
+
+func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
+
+// uvarintLen is the length of v's uvarint encoding.
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
 // raw saves b verbatim, with no length prefix.
 func raw[B string | []byte](c *Codec, b B) {
@@ -285,18 +329,115 @@ func raw[B string | []byte](c *Codec, b B) {
 
 // load reads the next 1, 2, 4 or 8 body bytes as a little-endian
 // integer.
-func (c *Codec) load(n int) uint64 {
+func (c *Codec) load(kind Kind, n int) uint64 {
+	off := c.off
+	var v uint64
 	switch b := c.take(n); len(b) {
 	case 8:
-		return le.Uint64(b)
+		v = le.Uint64(b)
 	case 4:
-		return uint64(le.Uint32(b))
+		v = uint64(le.Uint32(b))
 	case 2:
-		return uint64(le.Uint16(b))
+		v = uint64(le.Uint16(b))
 	case 1:
-		return uint64(b[0])
+		v = uint64(b[0])
+	default:
+		return 0
 	}
-	return 0
+	c.note(kind, off, v, nil)
+	return v
+}
+
+// loadVarint reads the next uvarint. One that runs past the body, runs
+// longer than ten bytes or overflows 64 bits is an error. kind is what
+// Record reports: a Varint is the zigzagged form of a signed value.
+func (c *Codec) loadVarint(kind Kind) uint64 {
+	if c.err != nil {
+		return 0
+	}
+	v, n := binary.Uvarint(c.buf[c.off:])
+	switch {
+	case n == 0:
+		c.Failf("snap: truncated: varint at offset %d runs past the body's %d bytes", c.off, len(c.buf))
+		return 0
+	case n < -binary.MaxVarintLen64:
+		c.Failf("snap: varint at offset %d is longer than %d bytes", c.off, binary.MaxVarintLen64)
+		return 0
+	case n < 0:
+		c.Failf("snap: varint at offset %d overflows 64 bits", c.off)
+		return 0
+	}
+	if c.off += n; kind == Varint {
+		c.note(kind, c.off-n, uint64(unzigzag(v)), nil)
+	} else {
+		c.note(kind, c.off-n, v, nil)
+	}
+	return v
+}
+
+// Kind is the wire form of a Field.
+type Kind uint8
+
+// The wire forms: fixed-width little-endian integers, an unsigned and a
+// zigzagged signed varint, a float's IEEE-754 bits, and byte strings —
+// a Bytes payload or a section marker's name — after their length.
+const (
+	U8 Kind = iota
+	U16
+	U32
+	Uvarint
+	Varint
+	F64
+	Raw
+	Section
+)
+
+// Field is one field a loading walk read: its wire form, the blob
+// bytes [Off, End) it occupies, the value the walk got — a signed
+// varint's as its int64 bits, a float's as its IEEE-754 bits — and, for
+// a section marker, its name. A walk's fields in order are the blob's
+// map: tests find what to corrupt by position among them and by value,
+// and Splice rewrites it, so no test computes an offset from the
+// format's widths.
+type Field struct {
+	Kind     Kind
+	Off, End int
+	Val      uint64
+	Name     string
+}
+
+// Record makes a loading codec append every field it reads from here
+// on to *fs.
+func (c *Codec) Record(fs *[]Field) { c.fields = fs }
+
+// note records a field read at [off, c.off) when the codec records.
+func (c *Codec) note(kind Kind, off int, v uint64, name []byte) {
+	if c.fields != nil {
+		*c.fields = append(*c.fields, Field{Kind: kind, Off: off, End: c.off, Val: v, Name: string(name)})
+	}
+}
+
+// Splice returns a copy of blob with the numeric field f re-encoded to
+// hold v (int64 bits for a Varint, IEEE-754 bits for an F64) — the
+// bytes after it shift when a varint's length changes. The checksum
+// trailer is not recomputed.
+func (f Field) Splice(blob []byte, v uint64) []byte {
+	out := append([]byte(nil), blob[:f.Off]...)
+	switch f.Kind {
+	case U8:
+		out = append(out, byte(v))
+	case U16:
+		out = le.AppendUint16(out, uint16(v))
+	case U32:
+		out = le.AppendUint32(out, uint32(v))
+	case Uvarint:
+		out = binary.AppendUvarint(out, v)
+	case Varint:
+		out = binary.AppendUvarint(out, zigzag(int64(v)))
+	case F64:
+		out = le.AppendUint64(out, v)
+	}
+	return append(out, blob[f.End:]...)
 }
 
 // U8 walks one byte.
@@ -321,24 +462,24 @@ func (c *Codec) Bool(v *bool) {
 	}
 }
 
-// U64 walks a little-endian uint64.
+// U64 walks a uint64 as a uvarint.
 func (c *Codec) U64(v *uint64) {
-	if x := c.u64(*v); c.loading {
+	if x := c.uv(*v); c.loading {
 		*v = x
 	}
 }
 
-// I64 walks an int64.
+// I64 walks an int64 as a zigzagged varint.
 func (c *Codec) I64(v *int64) {
-	if x := c.u64(uint64(*v)); c.loading {
-		*v = int64(x)
+	if x := c.sv(*v); c.loading {
+		*v = x
 	}
 }
 
 // Int walks an int as an int64.
 func (c *Codec) Int(v *int) {
-	if x := c.u64(uint64(*v)); c.loading {
-		*v = int(int64(x))
+	if x := c.sv(int64(*v)); c.loading {
+		*v = int(x)
 	}
 }
 
@@ -353,7 +494,7 @@ func (c *Codec) I16(v *int16) {
 // F64 walks a float64 by its IEEE-754 bits, so sums and averages
 // round-trip bit-exactly.
 func (c *Codec) F64(v *float64) {
-	if x := c.u64(math.Float64bits(*v)); c.loading {
+	if x := c.f64(math.Float64bits(*v)); c.loading {
 		*v = math.Float64frombits(x)
 	}
 }
@@ -361,31 +502,41 @@ func (c *Codec) F64(v *float64) {
 // Bytes walks a length-prefixed byte slice (freshly allocated when
 // loading).
 func (c *Codec) Bytes(v *[]byte) {
-	n := int(c.u32(uint32(len(*v))))
+	n := c.uv(uint64(len(*v)))
 	if !c.loading {
 		raw(c, *v)
-	} else if b := c.take(n); b != nil {
+	} else if b := c.takeRaw(n, Raw); b != nil {
 		*v = slices.Clone(b)
 	}
+}
+
+// takeRaw returns the next n body bytes, a byte string of the given
+// kind, or nil after an error.
+func (c *Codec) takeRaw(n uint64, kind Kind) []byte {
+	b := c.take(int(min(n, math.MaxInt)))
+	if b != nil {
+		c.note(kind, c.off-len(b), 0, b)
+	}
+	return b
 }
 
 // Section walks a named marker — a length-prefixed string. Loading, a
 // different name is an immediate, located error instead of a silent
 // misparse of what follows.
 func (c *Codec) Section(name string) {
-	n := int(c.u32(uint32(len(name))))
+	n := c.u32(uint32(len(name)))
 	if !c.loading {
 		raw(c, name)
-	} else if b := c.take(n); b != nil && string(b) != name {
+	} else if b := c.takeRaw(uint64(n), Section); b != nil && string(b) != name {
 		c.Failf("snap: expected section %q, found %q", name, b)
 	}
 }
 
 // Expect walks a count the constructed structure already fixed —
-// queues, streams, shards — stored as an int64: loading, the stored
-// count must equal n.
+// queues, streams, shards — as a uvarint: loading, the stored count
+// must equal n.
 func (c *Codec) Expect(n int, what string) {
-	if got := int(int64(c.u64(uint64(n)))); c.loading && got != n {
+	if got := c.uv(uint64(n)); c.loading && got != uint64(n) {
 		c.Failf("%s: snapshot has %d, constructed %d", what, got, n)
 	}
 }
@@ -401,18 +552,18 @@ func (c *Codec) Present(wired bool, what string) bool {
 	return wired
 }
 
-// Len walks the length of a variable-length sequence, stored as an
-// int64, and returns the count to walk: n when saving; when loading
-// the stored count, which must lie in [0, max] and within Room (every
+// Len walks the length of a variable-length sequence, as a uvarint,
+// and returns the count to walk: n when saving; when loading the
+// stored count, which must lie in [0, max] and within Room (every
 // element occupies at least a byte), so no caller sizes a loop or an
 // allocation by an unbounded snapshot field. After an error it is
 // zero. what names the field in the error.
 func (c *Codec) Len(n, max int, what string) int {
 	if !c.loading {
-		c.u64(uint64(n))
+		c.uv(uint64(n))
 		return n
 	}
-	n = int(int64(c.u64(0)))
+	n = int(min(c.uv(0), math.MaxInt))
 	c.Range(n, 0, min(max, c.Room()), what)
 	if c.err != nil {
 		return 0
@@ -437,11 +588,11 @@ func Seq[T any](c *Codec, s *[]T, max int, what string, elem func(*T)) {
 	}
 }
 
-// fixedLen walks the u32 length prefix of a slice whose length the
+// fixedLen walks the length prefix of a slice whose length the
 // constructed topology already fixed, and reports whether to walk the
 // elements: loading, the stored length must equal n.
 func (c *Codec) fixedLen(n int, kind string) bool {
-	if got := int(c.u32(uint32(n))); c.loading && got != n {
+	if got := c.uv(uint64(n)); c.loading && got != uint64(n) {
 		c.Failf("snap: %s length %d does not match constructed length %d", kind, got, n)
 	}
 	return c.err == nil
@@ -453,7 +604,7 @@ func (c *Codec) fixedLen(n int, kind string) bool {
 func (c *Codec) U64s(s []uint64) {
 	if c.fixedLen(len(s), "[]uint64") {
 		for i := range s {
-			if x := c.u64(s[i]); c.loading {
+			if x := c.uv(s[i]); c.loading {
 				s[i] = x
 			}
 		}
@@ -467,15 +618,21 @@ func (c *Codec) I64s(s []int64) {
 	}
 }
 
-// i64s walks the elements of s.
+// i64s walks the elements of s, one loop per direction: the
+// collector's latency record makes it the longest walk.
 func (c *Codec) i64s(s []int64) {
-	if c.sizing {
-		c.n += 8 * len(s)
-		return
-	}
-	for i := range s {
-		if x := c.u64(uint64(s[i])); c.loading {
-			s[i] = int64(x)
+	switch {
+	case c.loading:
+		for i := range s {
+			s[i] = c.sv(0)
+		}
+	case c.sizing:
+		for _, v := range s {
+			c.n += uvarintLen(zigzag(v))
+		}
+	default:
+		for _, v := range s {
+			c.buf = binary.AppendUvarint(c.buf, zigzag(v))
 		}
 	}
 }
@@ -523,31 +680,34 @@ func (c *Codec) f64s(s []float64) {
 	}
 }
 
-// varLen walks the u32 length prefix of a slice of 8-byte elements
-// whose length varies, and returns the elements to walk (none after an
-// error). Loading, that many elements must still be unread — the guard
-// that keeps a corrupted prefix from driving a huge allocation — and
+// varLen walks the length prefix of a slice whose length varies, and
+// returns the elements to walk (none after an error). Loading, that
+// many elements of at least width bytes each must still be unread —
+// the guard that keeps a corrupted prefix from driving a huge
+// allocation: at most 8/width bytes of slice per byte of blob — and
 // the slice is resized to it, reusing its backing array when that is
 // large enough.
-func varLen[T any](c *Codec, s *[]T) []T {
-	n := int(c.u32(uint32(len(*s))))
-	if c.loading && n > c.Room()/8 {
-		c.Failf("snap: sequence of %d elements exceeds the %d remaining bytes", n, c.Room())
+func varLen[T any](c *Codec, s *[]T, width int) []T {
+	n := c.uv(uint64(len(*s)))
+	if c.loading && n > uint64(c.Room()/width) {
+		c.Failf("snap: sequence of %d %d-byte elements exceeds the %d remaining bytes", n, width, c.Room())
 	}
 	if c.err != nil {
 		return nil
 	}
 	if c.loading {
-		*s = slices.Grow((*s)[:0], n)[:n]
+		*s = slices.Grow((*s)[:0], int(n))[:n]
 	}
 	return *s
 }
 
-// I64sVar walks a length-prefixed []int64 whose length varies.
-func (c *Codec) I64sVar(s *[]int64) { c.i64s(varLen(c, s)) }
+// I64sVar walks a length-prefixed []int64 whose length varies; each
+// element is a varint of at least a byte.
+func (c *Codec) I64sVar(s *[]int64) { c.i64s(varLen(c, s, 1)) }
 
-// F64sVar walks a length-prefixed []float64 whose length varies.
-func (c *Codec) F64sVar(s *[]float64) { c.f64s(varLen(c, s)) }
+// F64sVar walks a length-prefixed []float64 whose length varies; each
+// element is eight bytes.
+func (c *Codec) F64sVar(s *[]float64) { c.f64s(varLen(c, s, 8)) }
 
 // PacketTable walks the packet table through record, the walk of one
 // packet's fields (ID first). Saving, the table is the packets the
@@ -581,7 +741,7 @@ func (c *Codec) PacketTable(record func(*flit.Packet)) {
 // table saves the packet table: the count, then each referenced
 // packet's record.
 func (c *Codec) table() {
-	c.u64(uint64(len(c.refs)))
+	c.uv(uint64(len(c.refs)))
 	for _, p := range c.refs {
 		c.record(p)
 	}
@@ -602,10 +762,10 @@ func (c *Codec) Packet(p **flit.Packet) {
 		if c.sizing {
 			c.refs = append(c.refs, *p)
 		}
-		c.u64((*p).ID)
+		c.uv((*p).ID)
 		return
 	}
-	id := c.u64(0)
+	id := c.uv(0)
 	if *p = c.pkts[id]; *p == nil {
 		c.Failf("snap: reference to unknown packet %d", id)
 	}
@@ -666,12 +826,12 @@ func (c *Codec) Flit(f **flit.Flit) {
 		return
 	}
 	if !c.loading {
-		c.u64(uint64((*f).Seq))
-		c.u64(uint64((*f).VC))
-		c.u64(uint64((*f).ArrivedAt))
+		c.sv(int64((*f).Seq))
+		c.sv(int64((*f).VC))
+		c.sv((*f).ArrivedAt)
 		return
 	}
-	seq, vc, at := int(int64(c.u64(0))), int(int64(c.u64(0))), int64(c.u64(0))
+	seq, vc, at := int(c.sv(0)), int(c.sv(0)), c.sv(0)
 	c.Range(seq, 0, p.Size-1, "snap: flit index within its packet")
 	if c.err != nil {
 		*f = nil

@@ -1,9 +1,12 @@
 package snap
 
 import (
+	"bytes"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -110,12 +113,27 @@ func TestRoundTrip(t *testing.T) {
 		Seq: []int16{},
 	}
 	r := opened(t, data)
+	var fs []Field
+	r.Record(&fs)
 	got.walk(r)
 	if err := r.Finish(); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("round trip:\n got %+v\nwant %+v", got, want)
+	}
+	// The recorded fields tile the body, and re-encoding any numeric
+	// one with the value it holds rebuilds the blob.
+	for i, f := range fs {
+		if i > 0 && f.Off != fs[i-1].End {
+			t.Fatalf("field %d %+v does not follow field %d %+v", i, f, i-1, fs[i-1])
+		}
+		if f.Kind != Raw && f.Kind != Section && !bytes.Equal(f.Splice(data, f.Val), data) {
+			t.Errorf("re-encoding field %d %+v with its own value changed the blob", i, f)
+		}
+	}
+	if len(fs) == 0 || fs[0].Off != len(magic)+4 || fs[len(fs)-1].End != len(data)-4 {
+		t.Fatalf("the recorded fields do not cover the body")
 	}
 }
 
@@ -145,11 +163,12 @@ func TestEveryByteMutationRejectedOrDetected(t *testing.T) {
 // but its random-stream draw counts index math/rand's sequence, not
 // the counter-based one; 10 stored ViChaR's buffer as slot IDs,
 // tracker words and control-table rows, where 11 walks its queues in
-// FIFO order like every organization's — carries a valid envelope (magic, checksum)
-// but a layout this codec would misparse or a state it would
-// misread; Open must refuse it by version, naming both.
+// FIFO order like every organization's; 11 wrote every integer as
+// eight fixed bytes, where 12 writes varints — carries a valid envelope
+// (magic, checksum) but a layout this codec would misparse or a state
+// it would misread; Open must refuse it by version, naming both.
 func TestVersion3Rejected(t *testing.T) {
-	for _, v := range []uint32{0, 1, 2, 3, 5, 6, 7, 8, 9, 10, 12} {
+	for _, v := range []uint32{0, 1, 2, 3, 5, 6, 7, 8, 9, 10, 11, 13} {
 		data := sealed(t, func(*Codec) {})
 		le.PutUint32(data[len(magic):], v)
 		_, err := Open(reseal(data))
@@ -234,17 +253,37 @@ func TestStickyErrorStopsReads(t *testing.T) {
 }
 
 // TestUnreadBodyRejected pins the end-of-body check: a load that stops
-// short of the sealed body is refused by Finish.
+// short of the sealed body is refused by Finish, which counts the bytes
+// of the field left unread.
 func TestUnreadBodyRejected(t *testing.T) {
-	a, b := uint64(1), uint64(2)
-	r := opened(t, sealed(t, func(c *Codec) {
+	a, b := uint64(1), uint64(1<<40)
+	data := sealed(t, func(c *Codec) {
 		c.U64(&a)
 		c.U64(&b)
-	}))
+	})
+	fs := fields(t, data, func(c *Codec) {
+		c.U64(&a)
+		c.U64(&b)
+	})
+	r := opened(t, data)
 	r.U64(&a)
-	if err := r.Finish(); err == nil || !strings.Contains(err.Error(), "8 unread bytes") {
-		t.Fatalf("Finish after a short walk = %v", err)
+	want := fmt.Sprintf("%d unread bytes", fs[1].End-fs[1].Off)
+	if err := r.Finish(); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Finish after a short walk = %v, want %q", err, want)
 	}
+}
+
+// fields returns the fields walk reads from data, in order.
+func fields(t *testing.T, data []byte, walk func(*Codec)) []Field {
+	t.Helper()
+	var fs []Field
+	r := opened(t, data)
+	r.Record(&fs)
+	walk(r)
+	if err := r.Finish(); err != nil {
+		t.Fatal(err)
+	}
+	return fs
 }
 
 // TestUnboundedCountsRejected pins the allocation rule: a stored count
@@ -267,15 +306,80 @@ func TestUnboundedCountsRejected(t *testing.T) {
 		t.Fatalf("Len past its bound = %d, %v", n, r.Err())
 	}
 
-	data := sealed(t, func(c *Codec) {
-		huge := make([]int64, 4)
-		c.I64sVar(&huge)
-	})
-	le.PutUint32(data[len(magic)+4:], 1<<30)
-	r = opened(t, reseal(data))
-	var s []int64
-	if r.I64sVar(&s); r.Err() == nil || cap(s) != 0 {
-		t.Fatalf("I64sVar with a 2^30 prefix: cap %d, %v", cap(s), r.Err())
+	// A varint element takes at least a byte, a float eight: a prefix
+	// may name as many elements as the bytes left could hold, and one
+	// more is refused before anything is sized by it.
+	walk := func(c *Codec) {
+		ints, floats := make([]int64, 4), make([]float64, 2)
+		c.I64sVar(&ints)
+		c.F64sVar(&floats)
+	}
+	data := sealed(t, walk)
+	fs := fields(t, data, walk)
+	ints, floats := fs[0], fs[5] // the two length prefixes
+	left := func(prefix Field) uint64 { return uint64(len(data) - 4 - prefix.End) }
+	for _, tc := range []struct {
+		prefix Field
+		n      uint64
+		ok     bool
+	}{
+		{ints, left(ints), true},
+		{ints, left(ints) + 1, false},
+		{ints, 1 << 30, false},
+		{floats, left(floats) / 8, true},
+		{floats, left(floats)/8 + 1, false},
+	} {
+		r = opened(t, reseal(tc.prefix.Splice(data, tc.n)))
+		var is []int64
+		var fl []float64
+		r.I64sVar(&is)
+		sized := cap(is)
+		if tc.prefix == floats {
+			r.F64sVar(&fl)
+			sized = cap(fl)
+		}
+		if err := r.Err(); (err == nil) != tc.ok || !tc.ok && sized != 0 {
+			t.Fatalf("prefix at byte %d set to %d: cap %d, %v", tc.prefix.Off, tc.n, sized, err)
+		}
+	}
+}
+
+// TestVarints pins the integer encoding: small magnitudes of either
+// sign take a byte, the extremes ten, and a varint that runs past the
+// body, past ten bytes or past 64 bits is a sticky error.
+func TestVarints(t *testing.T) {
+	for _, tc := range []struct {
+		v     int64
+		bytes int
+	}{{0, 1}, {-1, 1}, {63, 1}, {-64, 1}, {64, 2}, {1 << 40, 6}, {math.MaxInt64, 10}, {math.MinInt64, 10}} {
+		v := tc.v
+		data := sealed(t, func(c *Codec) { c.I64(&v) })
+		if fs := fields(t, data, func(c *Codec) { c.I64(new(int64)) }); fs[0].End-fs[0].Off != tc.bytes || int64(fs[0].Val) != tc.v {
+			t.Errorf("I64(%d): field %+v, want %d bytes", tc.v, fs[0], tc.bytes)
+		}
+	}
+	u := uint64(math.MaxUint64)
+	data := sealed(t, func(c *Codec) { c.U64(&u) })
+	fs := fields(t, data, func(c *Codec) { c.U64(new(uint64)) })
+	if fs[0].End-fs[0].Off != 10 || fs[0].Val != u {
+		t.Fatalf("U64(MaxUint64): field %+v, want ten bytes", fs[0])
+	}
+	body := data[:fs[0].Off]
+	for name, tc := range map[string]struct {
+		varint []byte
+		want   string
+	}{
+		"cut off":   {[]byte{0x80, 0x80}, "runs past the body"},
+		"overlong":  {append(bytes.Repeat([]byte{0x80}, 10), 0), "longer than 10 bytes"},
+		"overflow":  {append(bytes.Repeat([]byte{0xff}, 9), 2), "overflows 64 bits"},
+		"ten bytes": {append(bytes.Repeat([]byte{0xff}, 9), 1), ""},
+	} {
+		r := opened(t, reseal(append(append(slices.Clone(body), tc.varint...), 0, 0, 0, 0)))
+		var v uint64
+		r.U64(&v)
+		if err := r.Finish(); tc.want == "" && (err != nil || v != math.MaxUint64) || tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want) || v != 0) {
+			t.Errorf("%s: U64 = %d, %v; want %q", name, v, err, tc.want)
+		}
 	}
 }
 
@@ -360,38 +464,58 @@ func TestFlitRefRoundTrip(t *testing.T) {
 	}
 
 	// The flit sequences a load rebuilds share one budget — a flit per
-	// body byte — however many packets divide it: three 100-flit packets
-	// do not fit a 191-byte body, though each alone would.
+	// body byte — however many packets divide it: three 20-flit packets
+	// do not fit the body, though each alone would.
+	const size = 20
 	var tails []*flit.Flit
 	for id := uint64(1); id <= 3; id++ {
-		big := &flit.Packet{ID: id, Size: 100, NextSeq: 99}
+		big := &flit.Packet{ID: id, Size: size, NextSeq: size - 1}
 		big.Materialize()
-		tails = append(tails, big.Flit(99))
+		tails = append(tails, big.Flit(size-1))
 	}
-	r := opened(t, sealed(t, func(c *Codec) {
+	data := sealed(t, func(c *Codec) {
 		c.PacketTable(record(c))
 		for _, f := range tails {
 			c.Flit(&f)
 		}
-	}))
+	})
+	body := len(data) - 4
+	if size > body || 3*size <= body {
+		t.Fatalf("a %d-byte body: the budget case needs one %d-flit packet to fit and three not to", body, size)
+	}
+	r := opened(t, data)
 	r.PacketTable(record(r))
 	for range 3 {
 		var last *flit.Flit
 		r.Flit(&last)
 	}
-	if err := r.Finish(); err == nil || !strings.Contains(err.Error(), "more flits than the snapshot has bytes (packet 2") {
-		t.Fatalf("three 100-flit packets in a 191-byte body = %v", err)
+	want := fmt.Sprintf("more flits than the snapshot has bytes (packet %d, %d flits)", body/size+1, size)
+	if err := r.Finish(); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("three %d-flit packets in a %d-byte body = %v, want %q", size, body, err, want)
 	}
 
-	// A reference the table cannot resolve is an error, not a nil.
-	data := save(2, f, nil)
-	for i := range data {
-		if data[i] == 77 {
-			data[i] = 78 // the table's ID and each reference's, in turn
-			if _, _, _, err := load(reseal(data)); err == nil {
-				t.Fatalf("reference/table ID mismatch at byte %d not reported", i)
-			}
-			data[i] = 77
+	// A reference the table cannot resolve is an error, not a nil: the
+	// table's ID and each reference's, in turn, name packet 78.
+	data = save(2, f, nil)
+	ids := 0
+	for _, fd := range fields(t, data, func(r *Codec) {
+		r.PacketTable(record(r))
+		var src *flit.Packet
+		r.Packet(&src)
+		r.Injecting(src, new(int))
+		r.Flit(new(*flit.Flit))
+		r.Flit(new(*flit.Flit))
+		r.Packet(new(*flit.Packet))
+	}) {
+		if fd.Kind != Uvarint || fd.Val != 77 {
+			continue
 		}
+		ids++
+		if _, _, _, err := load(reseal(fd.Splice(data, 78))); err == nil {
+			t.Fatalf("reference/table ID mismatch at byte %d not reported", fd.Off)
+		}
+	}
+	if ids != 3 {
+		t.Fatalf("found packet 77's ID %d times (table, source, flit), want 3", ids)
 	}
 }

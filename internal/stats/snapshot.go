@@ -60,7 +60,8 @@ func (c *Collector) State(s *snap.Codec) {
 
 // State walks the histogram as its counts, then — when there are any —
 // its smallest sample; the sample count and sum re-derive from them.
-// An empty histogram is therefore the four bytes of an empty []int64.
+// An empty histogram is therefore the one length byte of an empty
+// []int64.
 // maxN bounds the samples and maxV the largest of them, so a loaded
 // histogram's derivation cannot overflow its count and a later Add
 // cannot index outside its counts.

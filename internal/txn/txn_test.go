@@ -450,7 +450,8 @@ func TestLoadRejectsCorruptCounts(t *testing.T) {
 				i64(0) // draws
 				i64(0) // flight
 				i64(0) // issued
-				i64(1) // pending count > flight
+				pending := uint64(1)
+				c.U64(&pending) // pending count > flight
 				i64(7)
 				i64(3)
 			}
@@ -468,9 +469,10 @@ func TestLoadRejectsCorruptCounts(t *testing.T) {
 					i64(0)
 				}
 			}
-			i64(0)                                        // target 0: reserved
-			i64(0)                                        // egress
-			i64(int64(cfg.Txn.EffectiveQueueDepth() + 1)) // queued services beyond depth
+			i64(0) // target 0: reserved
+			i64(0) // egress
+			queued := uint64(cfg.Txn.EffectiveQueueDepth() + 1)
+			c.U64(&queued) // queued services beyond depth
 			for range cfg.Txn.EffectiveQueueDepth() + 1 {
 				i64(0)
 				u8(ReadRsp)
@@ -486,7 +488,8 @@ func TestLoadRejectsCorruptCounts(t *testing.T) {
 	t.Run("implausible-draws", func(t *testing.T) {
 		err := load(t, func(i64 func(int64), u8 func(uint8), c *snap.Codec) {
 			header(i64, c)
-			i64(1 << 40) // draws no stream reaches by cycle 0
+			draws := uint64(1 << 40)
+			c.U64(&draws) // draws no stream reaches by cycle 0
 		})
 		if err == nil || !strings.Contains(err.Error(), "draws at cycle 0") {
 			t.Fatalf("load = %v, want draw-count validation error", err)

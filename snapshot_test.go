@@ -21,6 +21,7 @@ import (
 	"vichar"
 	"vichar/internal/network"
 	"vichar/internal/routing"
+	"vichar/internal/snap"
 	"vichar/internal/topology"
 )
 
@@ -488,6 +489,38 @@ func TestRunCheckpointed(t *testing.T) {
 	}
 }
 
+// TestSnapshotCostsWhatItHolds bounds a checkpoint's size where it
+// grows: the per-packet latency record. An 8x8 ViC-16 at rate 0.30,
+// cut after at least 20 000 measured packets, must fit a fixed
+// allowance for the network's state (1.25 KiB a router; about 1.1 KiB
+// is what it takes) plus 2 bytes per measured packet — latencies are
+// tens of cycles, one or two bytes as varints. Eight fixed bytes per
+// integer, the format before version 12, put this blob (395 KB) at
+// over three times the bound. It is a bound, not a pin on the bytes.
+func TestSnapshotCostsWhatItHolds(t *testing.T) {
+	cfg := vichar.DefaultConfig()
+	cfg.Arch = vichar.ViChaR
+	cfg.InjectionRate = 0.30
+	cfg.WarmupPackets, cfg.MeasurePackets = 2000, 40000
+	s, err := vichar.NewSimulator(cfg)
+	if err != nil {
+		t.Fatalf("NewSimulator: %v", err)
+	}
+	defer s.Close()
+	for len(s.Latencies()) < 20000 {
+		s.Step()
+	}
+	blob, err := s.Snapshot()
+	if err != nil {
+		t.Fatalf("Snapshot: %v", err)
+	}
+	measured := len(s.Latencies())
+	if bound := 1280*cfg.Nodes() + 2*measured; len(blob) > bound {
+		t.Fatalf("cycle %d, %d measured packets: blob is %d bytes, bound %d", s.Now(), measured, len(blob), bound)
+	}
+	t.Logf("cycle %d, %d measured packets: %d bytes", s.Now(), measured, len(blob))
+}
+
 // TestSnapshotRestoreSubprocess proves the snapshot is self-contained:
 // a fresh process restores the blob and finishes with the same digest
 // as the straight-through run in this process. The child is this same
@@ -717,14 +750,54 @@ func mutationBlobs(t testing.TB) map[string][]byte {
 	return out
 }
 
+// blobFields returns the fields a restore of blob, cut under cfg,
+// reads, in order: the map the mutation rows find their targets in,
+// by position among the fields and by value, never by byte width.
+func blobFields(t testing.TB, cfg vichar.Config, blob []byte) []snap.Field {
+	c, err := snap.Open(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fs []snap.Field
+	c.Record(&fs)
+	var raw []byte
+	c.Section("config")
+	c.Bytes(&raw)
+	if err := cfg.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	n := network.New(&cfg)
+	defer n.Close()
+	n.State(c)
+	if err := c.Finish(); err != nil {
+		t.Fatalf("re-load of a clean blob: %v", err)
+	}
+	return fs
+}
+
+// after returns the index of the field just past the nth (from zero)
+// section marker named marker.
+func after(t testing.TB, fs []snap.Field, marker string, nth int) int {
+	for i, f := range fs {
+		if f.Kind == snap.Section && f.Name == marker {
+			if nth == 0 {
+				return i + 1
+			}
+			nth--
+		}
+	}
+	t.Fatalf("no %q section", marker)
+	return 0
+}
+
 // routeTarget is an active input VC's granted route, found in the cut
 // state: router id sends packet pkt through output port op on VC ovc,
-// and the route's port byte sits at off in the blob, its int16 VC
-// right after.
+// and the route is fields at (its port byte) and at+1 (its int16 VC)
+// of the blob's map.
 type routeTarget struct {
 	id, op, ovc int
 	pkt         uint64
-	off         int
+	at          int
 }
 
 // cutNetwork rebuilds the network a mutation blob of cfg was cut from
@@ -746,7 +819,7 @@ func cutNetwork(t *testing.T, cfg vichar.Config) *network.Network {
 // is draining downstream; f is one whose VC differs in one bit (fBit)
 // from such a draining VC on the same port. A VC is draining when its
 // upstream view still holds it but no active input VC is routed to it.
-func vcTargets(t *testing.T, n *network.Network, cfg vichar.Config, blob []byte, routerAt func(id int) (int, int)) (e, f routeTarget, eBit, fBit uint) {
+func vcTargets(t *testing.T, n *network.Network, cfg vichar.Config, fs []snap.Field, routerAt func(id int) (int, int)) (e, f routeTarget, eBit, fBit uint) {
 	ports, vcs := cfg.Ports(), cfg.MaxVCs()
 	held := make([]*vichar.Packet, vcs)
 	draining := func(id, op, ovc int) bool {
@@ -757,19 +830,19 @@ func vcTargets(t *testing.T, n *network.Network, cfg vichar.Config, blob []byte,
 		r.Granted(op, held)
 		return r.OutputView(op).Holds(ovc) && held[ovc] == nil
 	}
-	// locate returns the blob offset of the route's port byte: the VC
-	// walk writes the packet reference (a presence byte and the ID),
-	// the candidate byte, waitSince, then the port byte and the VC.
+	// locate returns the index of the route's port field: the VC walk
+	// reads the packet reference (a presence byte and the ID), the
+	// candidate byte, waitSince, then the port byte and the VC.
 	locate := func(id, op, ovc int, pkt uint64) int {
 		lo, hi := routerAt(id)
 		at := -1
-		for i := lo; i+21 <= hi; i++ {
-			if blob[i] == 1 && binary.LittleEndian.Uint64(blob[i+1:]) == pkt && int(blob[i+18]) == op &&
-				int(int16(binary.LittleEndian.Uint16(blob[i+19:]))) == ovc {
+		for i := lo; i+6 <= hi; i++ {
+			if fs[i].Kind == snap.U8 && fs[i].Val == 1 && fs[i+1].Val == pkt && fs[i+4].Kind == snap.U8 && fs[i+4].Val == uint64(op) &&
+				fs[i+5].Kind == snap.U16 && fs[i+5].Val == uint64(ovc) {
 				if at >= 0 {
 					t.Fatalf("router %d: packet %d's route (%d, %d) found twice in the blob", id, pkt, op, ovc)
 				}
-				at = i + 18
+				at = i + 4
 			}
 		}
 		if at < 0 {
@@ -807,12 +880,14 @@ func vcTargets(t *testing.T, n *network.Network, cfg vichar.Config, blob []byte,
 
 // ejectTarget finds, in n, the network the blob was cut from, a packet
 // whose head waits for VA at its destination router id, the ejection
-// port its one route candidate, and returns the blob offset of the
-// packet's destination in the packet table at pkts (a count, then
-// 67-byte records with the destination 16 bytes in).
-func ejectTarget(t *testing.T, n *network.Network, cfg vichar.Config, blob []byte, routerAt func(id int) (int, int), pkts int) (id int, pkt uint64, dstOff int) {
-	u64 := func(i int) uint64 { return binary.LittleEndian.Uint64(blob[i:]) }
-	local := byte(routing.OneCandidate(topology.Local))
+// port its one route candidate, and returns the packet's destination
+// field in the packet table, which starts at field pkts with its count
+// (each record is the same number of fields, and the first router's
+// section marker ends the table).
+func ejectTarget(t *testing.T, n *network.Network, cfg vichar.Config, fs []snap.Field, routerAt func(id int) (int, int), pkts int) (id int, pkt uint64, dst snap.Field) {
+	local := uint64(routing.OneCandidate(topology.Local))
+	first, _ := routerAt(0)
+	width := (first - 2 - (pkts + 1)) / int(fs[pkts].Val) // less the marker's length and name
 	sink := make([]*vichar.Packet, cfg.MaxVCs())
 	for id := range cfg.Nodes() {
 		r := n.Router(id)
@@ -827,13 +902,13 @@ func ejectTarget(t *testing.T, n *network.Network, cfg vichar.Config, blob []byt
 				// Routing computation has run once the VC's walk (the
 				// packet reference, then the candidates) names the
 				// ejection port alone.
-				for i := lo; i+10 <= hi; i++ {
-					if blob[i] != 1 || u64(i+1) != f.Pkt.ID || blob[i+9] != local {
+				for i := lo; i+3 <= hi; i++ {
+					if fs[i].Kind != snap.U8 || fs[i].Val != 1 || fs[i+1].Val != f.Pkt.ID || fs[i+2].Kind != snap.U8 || fs[i+2].Val != local {
 						continue
 					}
-					for k, rec := uint64(0), pkts+8; k < u64(pkts); k, rec = k+1, rec+67 {
-						if u64(rec) == f.Pkt.ID {
-							return id, f.Pkt.ID, rec + 16
+					for rec := pkts + 1; rec < first; rec += width {
+						if fs[rec].Val == f.Pkt.ID {
+							return id, f.Pkt.ID, fs[rec+2]
 						}
 					}
 					t.Fatalf("packet %d is not in the packet table", f.Pkt.ID)
@@ -842,56 +917,54 @@ func ejectTarget(t *testing.T, n *network.Network, cfg vichar.Config, blob []byt
 		}
 	}
 	t.Fatal("no packet waits at its destination for the ejection port in the cut")
-	return 0, 0, 0
+	return 0, 0, snap.Field{}
 }
 
-// maskTarget finds, in router id's section [lo, hi), the scan masks of
-// the input port whose VC walk holds the route byte at routeOff: the
-// three length-prefixed mask words (buffer, vaMask, actMask) precede
-// the port's VC walks, whose lengths the masks fix. It returns the
-// vaMask word's offset, the active VC the route belongs to and the
-// port's first idle VC.
-func maskTarget(t *testing.T, blob []byte, lo, hi, routeOff, vcs int) (vaMask, active, idle int) {
-	u32 := func(i int) uint32 { return binary.LittleEndian.Uint32(blob[i:]) }
-	u64 := func(i int) uint64 { return binary.LittleEndian.Uint64(blob[i:]) }
-	vaMask = -1
-	for j := lo; j+36 <= hi; j++ {
-		if u32(j) != 1 || u32(j+12) != 1 || u32(j+24) != 1 {
+// maskTarget finds, in router fields [lo, hi), the scan masks of the
+// input port whose VC walk holds the route port field at routeAt: the
+// three one-word masks (buffer, vaMask, actMask), each a length and the
+// word, precede the port's VC walks, whose lengths the masks fix. It
+// returns the vaMask word's field, the active VC the route belongs to
+// and the port's first idle VC.
+func maskTarget(t *testing.T, fs []snap.Field, lo, hi, routeAt, vcs int) (vaMask snap.Field, active, idle int) {
+	at := -1
+	for j := lo; j+6 <= hi; j++ {
+		if fs[j].Val != 1 || fs[j+2].Val != 1 || fs[j+4].Val != 1 {
 			continue
 		}
-		va, act := u64(j+16), u64(j+28)
-		pos, hit, free := j+36, -1, -1
+		va, act := fs[j+3].Val, fs[j+5].Val
+		pos, hit, free := j+6, -1, -1
 		for v := 0; v < vcs && pos < hi; v++ {
 			wait, on := va>>v&1 == 1, act>>v&1 == 1
 			busy := wait || on
-			if wait && on || blob[pos] > 1 || (blob[pos] == 1) != busy {
+			if wait && on || fs[pos].Kind != snap.U8 || fs[pos].Val > 1 || (fs[pos].Val == 1) != busy {
 				break
 			}
 			if !busy && free < 0 {
 				free = v
 			}
-			pos += 1 + 1 + 8 // packet presence, candidates, waitSince
+			pos += 3 // packet presence, candidates, waitSince
 			if busy {
-				pos += 8 // packet ID
+				pos++ // packet ID
 			}
 			if on {
-				if pos == routeOff {
+				if pos == routeAt {
 					hit = v
 				}
-				pos += 3
+				pos += 2
 			}
 		}
 		if hit >= 0 && free >= 0 {
-			if vaMask >= 0 {
-				t.Fatalf("two mask blocks lead to the route at byte %d", routeOff)
+			if at >= 0 {
+				t.Fatalf("two mask blocks lead to the route at field %d", routeAt)
 			}
-			vaMask, active, idle = j+16, hit, free
+			at, active, idle = j+3, hit, free
 		}
 	}
-	if vaMask < 0 {
-		t.Fatalf("no mask block leads to the route at byte %d", routeOff)
+	if at < 0 {
+		t.Fatalf("no mask block leads to the route at field %d", routeAt)
 	}
-	return vaMask, active, idle
+	return fs[at], active, idle
 }
 
 // allocated returns the bytes fn allocates.
@@ -919,40 +992,31 @@ var mutationStride = flag.Int("mutation-stride", 37, "TestRestoreResealedMutatio
 // fixed multiple of the blob's own length: the only snapshot fields
 // that size an allocation are bounded by the bytes left to read (a
 // packet's 40-byte flit records by its Size, staged events by their
-// count). The named rows are the mutants this sweep first caught.
+// count). The named rows are the mutants this sweep first caught, each
+// a field of the blob's map re-encoded with one bit of its value
+// flipped.
 func TestRestoreResealedMutations(t *testing.T) {
 	for name, blob := range mutationBlobs(t) {
-		// section returns the offset just past the nth (from zero)
-		// occurrence of a section marker.
-		section := func(marker string, nth int) int {
-			at := 0
-			for ; nth >= 0; nth-- {
-				i := bytes.Index(blob[at:], append([]byte{byte(len(marker)), 0, 0, 0}, marker...))
-				if i < 0 {
-					t.Fatalf("%s: no %q section", name, marker)
-				}
-				at += i + 4 + len(marker)
-			}
-			return at
-		}
+		cfg := mutationConfigs()[name]
+		fs := blobFields(t, cfg, blob)
+		section := func(marker string, nth int) int { return after(t, fs, marker, nth) }
 		pkts := section("packets", 0)
 		type row struct {
 			what string
-			off  int
-			bit  uint
+			f    snap.Field
+			flip uint64 // the bits of the field's value to flip
 			want string // the field the rejection must name
 		}
 		rows := []row{
-			{"(a) bit 28 of the packet-table count", pkts + 3, 4, "packet-table length"},
-			{"(b) bit 36 of the first packet's Size", pkts + 8 + 24 + 4, 4, "packet size"},
-			{"(c) bit 4 of the current cycle", section("network", 0), 4, "beyond cycle 104"},
-			{"(d) bit 52 of node 0's draw count", section("traffic", 0) + 8 + 6, 4, "draws at cycle"},
+			{"(a) bit 28 of the packet-table count", fs[pkts], 1 << 28, "packet-table length"},
+			{"(b) bit 36 of the first packet's Size", fs[pkts+4], 1 << 36, "packet size"},
+			{"(c) bit 4 of the current cycle", fs[section("network", 0)], 1 << 4, "beyond cycle 104"},
+			{"(d) bit 52 of node 0's draw count", fs[section("traffic", 0)+1], 1 << 52, "draws at cycle"},
 		}
-		cfg := mutationConfigs()[name]
 		routerAt := func(id int) (int, int) {
 			lo := section("router", id)
 			if id+1 == cfg.Nodes() {
-				return lo, len(blob)
+				return lo, len(fs)
 			}
 			return lo, section("router", id+1)
 		}
@@ -968,31 +1032,31 @@ func TestRestoreResealedMutations(t *testing.T) {
 				return fmt.Sprintf("%d->%d", id, nb)
 			}
 			n := cutNetwork(t, cfg)
-			e, f, eBit, fBit := vcTargets(t, n, cfg, blob, routerAt)
+			e, f, eBit, fBit := vcTargets(t, n, cfg, fs, routerAt)
 			n.Close()
 			lo, hi := routerAt(e.id)
-			va, active, idle := maskTarget(t, blob, lo, hi, e.off, cfg.MaxVCs())
+			va, active, idle := maskTarget(t, fs, lo, hi, e.at, cfg.MaxVCs())
 			eOp, fVC := e.op^1<<eBit, f.ovc^1<<fBit
 			rows = append(rows,
-				row{fmt.Sprintf("(e) router %d: output port %d -> %d, draining on link %s", e.id, e.op, eOp, link(e.id, eOp)), e.off, eBit,
+				row{fmt.Sprintf("(e) router %d: output port %d -> %d, draining on link %s", e.id, e.op, eOp, link(e.id, eOp)), fs[e.at], 1 << eBit,
 					fmt.Sprintf("link %s: VC %d is held upstream by packet %d", link(e.id, eOp), e.ovc, e.pkt)},
-				row{fmt.Sprintf("(f) router %d: output VC %d -> %d, draining on link %s", f.id, f.ovc, fVC, link(f.id, f.op)), f.off + 1, fBit,
+				row{fmt.Sprintf("(f) router %d: output VC %d -> %d, draining on link %s", f.id, f.ovc, fVC, link(f.id, f.op)), fs[f.at+1], 1 << fBit,
 					fmt.Sprintf("link %s: VC %d is held upstream by packet %d", link(f.id, f.op), fVC, f.pkt)},
 				// The scan masks are the VC state machine and outInfo the
 				// route; each is checked where it is walked.
-				row{fmt.Sprintf("(k) router %d: active VC %d also waiting", e.id, active), va + active/8, uint(active % 8), "both vaMask and actMask"},
-				row{fmt.Sprintf("(l) router %d: idle VC %d waiting", e.id, idle), va + idle/8, uint(idle % 8), "busy in vaMask|actMask (true) but holds a packet (false)"},
-				row{fmt.Sprintf("(m) router %d: output port %d -> %d", e.id, e.op, e.op^8), e.off, 3, fmt.Sprintf("VC output port (outInfo): %d in snapshot", e.op^8)},
-				row{fmt.Sprintf("(n) router %d: output VC %d -> %d", f.id, f.ovc, f.ovc^16), f.off + 1, 4, fmt.Sprintf("VC output channel (outInfo): %d in snapshot", f.ovc^16)})
+				row{fmt.Sprintf("(k) router %d: active VC %d also waiting", e.id, active), va, 1 << active, "both vaMask and actMask"},
+				row{fmt.Sprintf("(l) router %d: idle VC %d waiting", e.id, idle), va, 1 << idle, "busy in vaMask|actMask (true) but holds a packet (false)"},
+				row{fmt.Sprintf("(m) router %d: output port %d -> %d", e.id, e.op, e.op^8), fs[e.at], 8, fmt.Sprintf("VC output port (outInfo): %d in snapshot", e.op^8)},
+				row{fmt.Sprintf("(n) router %d: output VC %d -> %d", f.id, f.ovc, f.ovc^16), fs[f.at+1], 16, fmt.Sprintf("VC output channel (outInfo): %d in snapshot", f.ovc^16)})
 		}
 		if name == "ViC-traced" {
 			// What the every-bit sweep of the version-10 blobs found: a
 			// packet waiting at its destination for the ejection port,
 			// readdressed, was ejected at the wrong node.
 			n := cutNetwork(t, cfg)
-			dst, pkt, dstOff := ejectTarget(t, n, cfg, blob, routerAt, pkts)
+			dst, pkt, dstField := ejectTarget(t, n, cfg, fs, routerAt, pkts)
 			n.Close()
-			rows = append(rows, row{fmt.Sprintf("(o) packet %d waiting to eject at node %d, readdressed to %d", pkt, dst, dst^1), dstOff, 0,
+			rows = append(rows, row{fmt.Sprintf("(o) packet %d waiting to eject at node %d, readdressed to %d", pkt, dst, dst^1), dstField, 1,
 				fmt.Sprintf("offers packet %d the ejection port, but it is addressed to node %d", pkt, dst^1)})
 		}
 		var clean uint64
@@ -1002,29 +1066,29 @@ func TestRestoreResealedMutations(t *testing.T) {
 			}
 		})
 		budget := clean + 64*uint64(len(blob))
-		try := func(what string, off int, bit uint, want string) {
-			mutant := append([]byte(nil), blob...)
-			mutant[off] ^= 1 << bit
+		try := func(what string, off int, mutant []byte, want string) {
 			mutant = reseal(mutant)
 			var err error
 			var p string
 			if got := allocated(func() { err, p = restoreAndStep(mutant, 20) }); got > budget {
-				t.Errorf("%s: %s (byte %d bit %d): allocated %d bytes, clean restore %d, blob %d", name, what, off, bit, got, clean, len(blob))
+				t.Errorf("%s: %s (byte %d): allocated %d bytes, clean restore %d, blob %d", name, what, off, got, clean, len(blob))
 			}
 			if p != "" {
-				t.Errorf("%s: %s (byte %d bit %d): panic: %s", name, what, off, bit, p)
+				t.Errorf("%s: %s (byte %d): panic: %s", name, what, off, p)
 			}
 			if want != "" && (err == nil || !strings.Contains(err.Error(), want)) {
 				t.Errorf("%s: %s (byte %d): Restore = %v, want a rejection naming %q", name, what, off, err, want)
 			}
 		}
 		for _, r := range rows {
-			try(r.what, r.off, r.bit, r.want)
+			try(r.what, r.f.Off, r.f.Splice(blob, r.f.Val^r.flip), r.want)
 		}
 		n, mutants := max(*mutationStride, 1), 0
 		for i, off := 0, 0; off < len(blob)-4; i, off = i+1, off+n {
 			for bit := i % min(n, 8); bit < 8; bit += min(n, 8) {
-				try("strided flip", off, uint(bit), "")
+				mutant := append([]byte(nil), blob...)
+				mutant[off] ^= 1 << bit
+				try(fmt.Sprintf("strided flip of bit %d", bit), off, mutant, "")
 				mutants++
 			}
 		}
@@ -1032,26 +1096,30 @@ func TestRestoreResealedMutations(t *testing.T) {
 	}
 }
 
-// FuzzRestore feeds arbitrary mutations of a valid snapshot, re-sealed
-// so they pass the envelope checksum, to Restore: it must either
-// reject the input or yield a simulator that survives stepping — never
-// panic. (Unsealed, nearly every mutant would die at the CRC and the
-// load-side validation would go unfuzzed.) Mutants that touch the
-// embedded configuration are skipped: it is ordinary validated input,
-// fuzzed by FuzzParse, and a mutated digit there asks for a thousand-
-// router mesh rather than for a corrupt state.
+// FuzzRestore feeds arbitrary snapshot states to Restore: each input
+// is the body after the network's section marker, appended to a valid
+// blob's configuration and sealed, so it passes the envelope checksum.
+// Restore must either reject it or yield a simulator that survives
+// stepping — never panic. (Unsealed, nearly every mutant would die at
+// the CRC and the load-side validation would go unfuzzed.) The
+// embedded configuration is not fuzzed: it is ordinary validated
+// input, fuzzed by FuzzParse, and a mutated digit there asks for a
+// thousand-router mesh rather than for a corrupt state. The corpus
+// under testdata/fuzz/FuzzRestore holds malformed varints where the
+// state begins: one longer than ten bytes, one overflowing 64 bits, one
+// cut off by the trailer, and a packet-table length past the body.
 func FuzzRestore(f *testing.F) {
-	blob := mutationBlobs(f)["ViC-faults-metrics"]
-	state := bytes.Index(blob, []byte("\x07\x00\x00\x00network"))
-	f.Add(blob)
-	f.Add(blob[:len(blob)/2])
-	f.Add(blob[:state+64])
-	f.Add([]byte("VCHRSNAP"))
+	name := "ViC-faults-metrics"
+	blob := mutationBlobs(f)[name]
+	fs := blobFields(f, mutationConfigs()[name], blob)
+	state := fs[after(f, fs, "network", 0)].Off
+	body := blob[state : len(blob)-4]
+	f.Add(body)
+	f.Add(body[:len(body)/2])
+	f.Add(body[:64])
+	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if !bytes.HasPrefix(data, blob[:min(len(data), state)]) {
-			return
-		}
-		if _, p := restoreAndStep(reseal(data), 3); p != "" {
+		if _, p := restoreAndStep(reseal(append(append(blob[:state:state], data...), 0, 0, 0, 0)), 3); p != "" {
 			t.Fatalf("panic: %s", p)
 		}
 	})
