@@ -168,6 +168,10 @@ type Network struct {
 	// flit count covers the measurement window only).
 	created      int64
 	ejectedFlits uint64
+	// largest is the flit count of the largest packet created so far.
+	// A restored packet's Size may not exceed it, which bounds the flit
+	// storage a load rebuilds for the packet.
+	largest int
 
 	// wd is the forward-progress watchdog's mark (watchdog.go).
 	wd watchdog

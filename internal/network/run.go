@@ -77,6 +77,7 @@ func (n *Network) send(p *flit.Packet, src, dst, size int, kind, class uint8, re
 	n.nextID++
 	p.ID = n.nextID
 	p.Src, p.Dst, p.Size = src, dst, size
+	n.largest = max(n.largest, size)
 	p.CreatedAt = n.now
 	p.Class, p.Kind, p.Req = class, kind, req
 	n.created++

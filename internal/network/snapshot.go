@@ -31,8 +31,8 @@ import (
 // they are the ejection links' flits due next cycle, restaged on load.
 
 // packetState walks one packet's record. A packet's flit storage is
-// sized by Size at injection or at load, so the body bytes left bound
-// it. EjectedAt is not walked: every packet a snapshot references has
+// sized by Size at injection or at load, so Size is bounded by the
+// largest packet the run created. EjectedAt is not walked: every packet a snapshot references has
 // its tail still to eject, so it is zero.
 func (n *Network) packetState(c *snap.Codec, p *flit.Packet) {
 	c.U64(&p.ID)
@@ -48,7 +48,7 @@ func (n *Network) packetState(c *snap.Codec, p *flit.Packet) {
 	c.Int(&p.NextSeq)
 	c.Range(p.Src, 0, n.mesh.Nodes()-1, "network: packet source node")
 	c.Range(p.Dst, 0, n.mesh.Nodes()-1, "network: packet destination node")
-	c.Range(p.Size, 1, c.Room(), "network: packet size (flits, at most the bytes left)")
+	c.Range(p.Size, 1, n.largest, "network: packet size (flits, at most the largest the run created)")
 	c.Range(p.NextSeq, 0, p.Size-1, "network: packet ejection cursor")
 	c.Range(int(p.Class), 0, n.cfg.VCClasses()-1, "network: packet VC class")
 	if p.EjectedAt != 0 {
@@ -226,6 +226,8 @@ func (n *Network) State(c *snap.Codec) {
 	c.U64(&n.nextID)
 	c.I64(&n.created)
 	c.U64(&n.ejectedFlits)
+	c.Int(&n.largest)
+	c.Range(n.largest, 0, config.MaxPacketSize, "network: largest packet created (flits)")
 
 	c.Section("packets")
 	c.PacketTable(func(p *flit.Packet) { n.packetState(c, p) })

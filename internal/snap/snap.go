@@ -76,9 +76,6 @@ type Codec struct {
 	refs   []*flit.Packet
 	pkts   map[uint64]*flit.Packet
 	inNet  map[*flit.Packet]*inFlight
-	// flitRoom is how many more flits loading may rebuild: one per body
-	// byte in all, however many packets share them.
-	flitRoom int
 
 	// fields, when a loading codec records (Record), receives every
 	// field the walk reads.
@@ -618,21 +615,11 @@ func (c *Codec) I64s(s []int64) {
 	}
 }
 
-// i64s walks the elements of s, one loop per direction: the
-// collector's latency record makes it the longest walk.
+// i64s walks the elements of s.
 func (c *Codec) i64s(s []int64) {
-	switch {
-	case c.loading:
-		for i := range s {
-			s[i] = c.sv(0)
-		}
-	case c.sizing:
-		for _, v := range s {
-			c.n += uvarintLen(zigzag(v))
-		}
-	default:
-		for _, v := range s {
-			c.buf = binary.AppendUvarint(c.buf, zigzag(v))
+	for i := range s {
+		if x := c.sv(s[i]); c.loading {
+			s[i] = x
 		}
 	}
 }
@@ -715,7 +702,8 @@ func (c *Codec) F64sVar(s *[]float64) { c.f64s(varLen(c, s, 8)) }
 // gathers them (Packet, Flit) and Save has them sorted by the time the
 // writing pass gets here. Loading, every packet becomes a pooled record
 // — whoever held the original's pointer holds none into the restored
-// network.
+// network — and record must bound its Size, which sizes the flits the
+// first reference into the packet rebuilds.
 func (c *Codec) PacketTable(record func(*flit.Packet)) {
 	if !c.loading {
 		// Sizing, refs is still filling: Save counts the table once
@@ -728,7 +716,6 @@ func (c *Codec) PacketTable(record func(*flit.Packet)) {
 	n := c.Len(0, math.MaxInt, "snap: packet-table length")
 	c.pkts = make(map[uint64]*flit.Packet)
 	c.inNet = make(map[*flit.Packet]*inFlight)
-	c.flitRoom = len(c.buf)
 	for i := 0; i < n && c.err == nil; i++ {
 		p := &flit.Packet{Pooled: true}
 		if record(p); c.pkts[p.ID] != nil {
@@ -774,16 +761,12 @@ func (c *Codec) Packet(p **flit.Packet) {
 // flits returns the account of a loaded p, building p's flit sequence
 // on first use (packets still waiting in a source queue never get one
 // — their NI builds the flits at injection time, exactly like the
-// straight-through run). The rebuilt sequences share one budget, so
-// the flits a load allocates stay linear in the snapshot's length; past
-// it flits fails the walk and returns nil.
+// straight-through run). Only a reference rebuilds flits, so a load
+// rebuilds at most one packet, of at most the Size its record allowed,
+// per reference the blob holds.
 func (c *Codec) flits(p *flit.Packet) *inFlight {
 	a := c.inNet[p]
 	if a == nil {
-		if c.flitRoom -= p.Size; c.flitRoom < 0 {
-			c.Failf("snap: packets in the network total more flits than the snapshot has bytes (packet %d, %d flits)", p.ID, p.Size)
-			return nil
-		}
 		p.Materialize()
 		a = &inFlight{claimed: make([]bool, p.Size), next: p.Size}
 		c.inNet[p] = a
@@ -799,9 +782,7 @@ func (c *Codec) Injecting(p *flit.Packet, next *int) {
 	c.Int(next)
 	c.Range(*next, 0, p.Size-1, "snap: injection cursor within its packet")
 	if c.loading && c.err == nil {
-		if a := c.flits(p); a != nil {
-			a.next = *next
-		}
+		c.flits(p).next = *next
 	}
 }
 
@@ -838,10 +819,6 @@ func (c *Codec) Flit(f **flit.Flit) {
 		return
 	}
 	a := c.flits(p)
-	if a == nil {
-		*f = nil
-		return
-	}
 	if a.claimed[seq] {
 		c.Failf("snap: flit %d of packet %d is referenced twice", seq, p.ID)
 	}

@@ -397,6 +397,7 @@ func TestFlitRefRoundTrip(t *testing.T) {
 			c.U64(&p.ID)
 			c.Int(&p.Size)
 			c.Int(&p.NextSeq)
+			c.Range(p.Size, 1, 3, "packet size")
 		}
 	}
 
@@ -463,40 +464,9 @@ func TestFlitRefRoundTrip(t *testing.T) {
 		t.Fatalf("flit beyond the injection cursor = %v", err)
 	}
 
-	// The flit sequences a load rebuilds share one budget — a flit per
-	// body byte — however many packets divide it: three 20-flit packets
-	// do not fit the body, though each alone would.
-	const size = 20
-	var tails []*flit.Flit
-	for id := uint64(1); id <= 3; id++ {
-		big := &flit.Packet{ID: id, Size: size, NextSeq: size - 1}
-		big.Materialize()
-		tails = append(tails, big.Flit(size-1))
-	}
-	data := sealed(t, func(c *Codec) {
-		c.PacketTable(record(c))
-		for _, f := range tails {
-			c.Flit(&f)
-		}
-	})
-	body := len(data) - 4
-	if size > body || 3*size <= body {
-		t.Fatalf("a %d-byte body: the budget case needs one %d-flit packet to fit and three not to", body, size)
-	}
-	r := opened(t, data)
-	r.PacketTable(record(r))
-	for range 3 {
-		var last *flit.Flit
-		r.Flit(&last)
-	}
-	want := fmt.Sprintf("more flits than the snapshot has bytes (packet %d, %d flits)", body/size+1, size)
-	if err := r.Finish(); err == nil || !strings.Contains(err.Error(), want) {
-		t.Fatalf("three %d-flit packets in a %d-byte body = %v, want %q", size, body, err, want)
-	}
-
 	// A reference the table cannot resolve is an error, not a nil: the
 	// table's ID and each reference's, in turn, name packet 78.
-	data = save(2, f, nil)
+	data := save(2, f, nil)
 	ids := 0
 	for _, fd := range fields(t, data, func(r *Codec) {
 		r.PacketTable(record(r))

@@ -19,6 +19,7 @@ import (
 	"testing"
 
 	"vichar"
+	"vichar/internal/buffers"
 	"vichar/internal/network"
 	"vichar/internal/routing"
 	"vichar/internal/snap"
@@ -328,6 +329,22 @@ var resumeMatrix = []resumeCase{
 		c.Metrics = true
 		return c
 	}, teeth: counted("vichar_ni_credit_stalls_total")},
+	// Saturated sources of 4 096-flit packets on a 2x2: a load rebuilds
+	// every packet in the network whole, more flits than the blob has
+	// bytes.
+	{name: "long-packets", cfg: func(c vichar.Config) vichar.Config {
+		c.Width, c.Height = 2, 2
+		c.InjectionRate = 1
+		c.PacketSize = 4096
+		c.WarmupPackets = 4
+		c.MeasurePackets = 8
+		c.MaxCycles = 60000
+		c.SampleEvery = 5000
+		return c
+	}, teeth: func(s *vichar.Simulator, _ int64) bool {
+		blob, err := s.Snapshot()
+		return err == nil && buffered(s.Config(), blob)*s.Config().PacketSize > len(blob)
+	}},
 	// Gauges sampled once, early, and not again before the end: the
 	// final registry shows the gauge values a cut carried.
 	{name: "sparse-samples", vicOnly: true, cfg: func(c vichar.Config) vichar.Config {
@@ -382,6 +399,28 @@ var resumeMatrix = []resumeCase{
 		}
 		return c
 	}, teeth: counted("vichar_link_flits_dropped_total")},
+}
+
+// buffered returns how many packets head some router input VC in the
+// network blob restores to (zero if it does not restore).
+func buffered(cfg vichar.Config, blob []byte) int {
+	n, err := loadBlob(cfg, blob, nil)
+	if err != nil {
+		return 0
+	}
+	defer n.Close()
+	var pkts []*vichar.Packet
+	for id := range cfg.Nodes() {
+		for port := range cfg.Ports() {
+			b := n.Router(id).InputBuffer(port)
+			for vc := range b.MaxVCs() {
+				if f := b.Front(vc, buffers.NeverReady-1); f != nil && !slices.Contains(pkts, f.Pkt) {
+					pkts = append(pkts, f.Pkt)
+				}
+			}
+		}
+	}
+	return len(pkts)
 }
 
 // TestSnapshotResumeMatrix runs the rows of resumeMatrix.
@@ -754,25 +793,38 @@ func mutationBlobs(t testing.TB) map[string][]byte {
 // reads, in order: the map the mutation rows find their targets in,
 // by position among the fields and by value, never by byte width.
 func blobFields(t testing.TB, cfg vichar.Config, blob []byte) []snap.Field {
+	var fs []snap.Field
+	n, err := loadBlob(cfg, blob, &fs)
+	if err != nil {
+		t.Fatalf("re-load of a clean blob: %v", err)
+	}
+	n.Close()
+	return fs
+}
+
+// loadBlob loads blob, cut under cfg, into a network built from cfg,
+// recording the fields it reads in *fs when fs is not nil.
+func loadBlob(cfg vichar.Config, blob []byte, fs *[]snap.Field) (*network.Network, error) {
 	c, err := snap.Open(blob)
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-	var fs []snap.Field
-	c.Record(&fs)
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	if fs != nil {
+		c.Record(fs)
+	}
 	var raw []byte
 	c.Section("config")
 	c.Bytes(&raw)
-	if err := cfg.Validate(); err != nil {
-		t.Fatal(err)
-	}
 	n := network.New(&cfg)
-	defer n.Close()
 	n.State(c)
 	if err := c.Finish(); err != nil {
-		t.Fatalf("re-load of a clean blob: %v", err)
+		n.Close()
+		return nil, err
 	}
-	return fs
+	return n, nil
 }
 
 // after returns the index of the field just past the nth (from zero)
@@ -887,7 +939,13 @@ func vcTargets(t *testing.T, n *network.Network, cfg vichar.Config, fs []snap.Fi
 func ejectTarget(t *testing.T, n *network.Network, cfg vichar.Config, fs []snap.Field, routerAt func(id int) (int, int), pkts int) (id int, pkt uint64, dst snap.Field) {
 	local := uint64(routing.OneCandidate(topology.Local))
 	first, _ := routerAt(0)
-	width := (first - 2 - (pkts + 1)) / int(fs[pkts].Val) // less the marker's length and name
+	// The table's records fill the fields up to the first router's
+	// marker (its length and name), the same number each.
+	span, count := first-2-(pkts+1), int(fs[pkts].Val)
+	if count == 0 || span%count != 0 {
+		t.Fatalf("%d packet records in %d fields: records are not all one width", count, span)
+	}
+	width := span / count
 	sink := make([]*vichar.Packet, cfg.MaxVCs())
 	for id := range cfg.Nodes() {
 		r := n.Router(id)
@@ -989,10 +1047,11 @@ var mutationStride = flag.Int("mutation-stride", 37, "TestRestoreResealedMutatio
 // so it passes the checksum, then Restore and 20 Steps under recover.
 // Every mutant must be rejected with an error or survive its steps —
 // no panic — and none may allocate beyond the clean restore plus a
-// fixed multiple of the blob's own length: the only snapshot fields
-// that size an allocation are bounded by the bytes left to read (a
-// packet's 40-byte flit records by its Size, staged events by their
-// count). The named rows are the mutants this sweep first caught, each
+// fixed multiple of the blob's own length: the snapshot fields that
+// size an allocation are bounded by the bytes left to read (staged
+// events by their count) or by what the run itself created (a packet's
+// 40-byte flit records by its Size, at most the largest packet the run
+// created). The named rows are the mutants this sweep first caught, each
 // a field of the blob's map re-encoded with one bit of its value
 // flipped.
 func TestRestoreResealedMutations(t *testing.T) {
