@@ -10,6 +10,7 @@ import (
 
 	"vichar/internal/config"
 	"vichar/internal/ref"
+	"vichar/internal/topology"
 )
 
 // refCase is one configuration the kernel runs beside internal/ref.
@@ -21,8 +22,10 @@ type refCase struct {
 // refCases lists every configuration of the digest wall's fuzz table
 // inside the reference model's scope — those leave the wall, because
 // the lockstep checks everything their digest hashed — followed by the
-// paper platform: the 8x8 mesh at 16 slots per port, every
-// organization, below and near saturation.
+// paper platform, the 8x8 mesh at 16 slots per port, for every
+// organization: under XY routing below and near saturation, under
+// minimal-adaptive routing with one escape VC at the same two rates
+// (Figure 12(i)), and as an XY torus near saturation.
 func refCases() []refCase {
 	var cases []refCase
 	for i := 0; i < wallFuzzCount; i++ {
@@ -30,34 +33,87 @@ func refCases() []refCase {
 			cases = append(cases, refCase{fuzzedName(i, &cfg), cfg})
 		}
 	}
+	paper := func(arch config.BufferArch, rate float64, variant string, edit func(*config.Config)) {
+		cfg := config.Default()
+		cfg.Arch = arch
+		cfg.InjectionRate = rate
+		cfg.WarmupPackets, cfg.MeasurePackets = 1000, 3000
+		edit(&cfg)
+		cases = append(cases, refCase{fmt.Sprintf("paper-%s-%.2f%s", cfg.Label(), rate, variant), cfg})
+	}
 	for _, arch := range allArchs {
 		for _, rate := range []float64{0.10, 0.40} {
-			cfg := config.Default()
-			cfg.Arch = arch
-			cfg.InjectionRate = rate
-			cfg.WarmupPackets, cfg.MeasurePackets = 1000, 3000
-			cases = append(cases, refCase{fmt.Sprintf("paper-%s-%.2f", cfg.Label(), rate), cfg})
+			paper(arch, rate, "", func(*config.Config) {})
 		}
 	}
+	// Below saturation no adaptive head waits long enough to escape, so
+	// the 0.10 adaptive cases run a third of the packets.
+	for _, arch := range allArchs {
+		paper(arch, 0.10, "-adaptive", func(c *config.Config) {
+			c.Routing, c.EscapeVCs = config.MinimalAdaptive, 1
+			c.WarmupPackets, c.MeasurePackets = 300, 1000
+		})
+		paper(arch, 0.40, "-adaptive", func(c *config.Config) { c.Routing, c.EscapeVCs = config.MinimalAdaptive, 1 })
+		paper(arch, 0.40, "-torus", func(c *config.Config) { c.Torus = true })
+	}
 	return cases
+}
+
+// reach is what one lockstep case exercised of the escape network and
+// the torus: re-channelled heads, and the measured load on wraparound
+// links.
+type reach struct {
+	arch     config.BufferArch
+	reroutes uint64
+	wrapLoad float64
 }
 
 // TestRefLockstep steps internal/ref in lockstep with the kernel. Every
 // cycle both must have ejected the same packets and flits; at the end
 // the Results JSON must match byte for byte (with the latencies, the
 // wall digest's inputs), and so must the windowed counters and every
-// router's Activity.
+// router's Activity. Once every case has passed, the cases together
+// must have driven the escape path in each organization and carried
+// flits on a torus's wraparound links, so the model's escape and
+// torus code is known to be checked.
 func TestRefLockstep(t *testing.T) {
-	for _, c := range refCases() {
-		c := c
+	cases := refCases()
+	reached := make([]*reach, len(cases))
+	t.Cleanup(func() { checkReach(t, reached) })
+	for i, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			t.Parallel()
-			lockstep(t, c.cfg)
+			reached[i] = lockstep(t, c.cfg)
 		})
 	}
 }
 
-func lockstep(t *testing.T, cfg config.Config) {
+// checkReach fails unless every organization has a case that
+// re-channelled a head onto the escape network and some case loaded a
+// wraparound link. A case filtered out or failed leaves its entry nil
+// and the check undecided.
+func checkReach(t *testing.T, reached []*reach) {
+	rerouted := map[config.BufferArch]bool{}
+	wrapped := false
+	for _, r := range reached {
+		if r == nil {
+			t.Log("escape and wraparound coverage unchecked: not every case ran and passed")
+			return
+		}
+		rerouted[r.arch] = rerouted[r.arch] || r.reroutes > 0
+		wrapped = wrapped || r.wrapLoad > 0
+	}
+	for _, arch := range allArchs {
+		if !rerouted[arch] {
+			t.Errorf("no %v case re-channels a packet onto the escape network", arch)
+		}
+	}
+	if !wrapped {
+		t.Error("no torus case carries flits on a wraparound link")
+	}
+}
+
+func lockstep(t *testing.T, cfg config.Config) *reach {
 	t.Helper()
 	n := New(&cfg)
 	defer n.Close()
@@ -97,7 +153,15 @@ func lockstep(t *testing.T, cfg config.Config) {
 	if got.Counters != want.Counters {
 		t.Errorf("windowed counters: kernel %+v, reference %+v", got.Counters, want.Counters)
 	}
+	rc := &reach{arch: cfg.Arch}
+	mesh := topology.New(cfg.Width, cfg.Height)
+	for _, l := range got.ChannelLoads {
+		if _, ok := mesh.Neighbor(l.From, l.Port); !ok {
+			rc.wrapLoad += l.Load
+		}
+	}
 	for id := range n.routers {
+		rc.reroutes += n.routers[id].Activity().Reroutes
 		ka, ra := reflect.ValueOf(*n.routers[id].Activity()), reflect.ValueOf(r.Activity(id))
 		for i := 0; i < ka.NumField(); i++ {
 			name := ka.Type().Field(i).Name
@@ -110,4 +174,8 @@ func lockstep(t *testing.T, cfg config.Config) {
 			}
 		}
 	}
+	if t.Failed() {
+		return nil
+	}
+	return rc
 }

@@ -1,9 +1,11 @@
 // Package ref is a reference model of the simulated network, written
 // to be obviously right rather than fast: the router of PAPER.md §3 and
-// DESIGN.md §3/§6 (RC, two-stage VA and SA with round-robin arbiters,
-// credit-based wormhole flow control, the network interface, the
-// links) over plain slices. Every router, port and VC is visited every
-// cycle, and nothing is masked, memoized, pooled, sharded or skipped.
+// DESIGN.md §3/§6 (RC under XY or minimal-adaptive routing on a mesh
+// or torus, escape-VC re-channelling, two-stage VA and SA with
+// round-robin arbiters, credit-based wormhole flow control, the
+// network interface, the links) over plain slices. Every router, port
+// and VC is visited every cycle, and nothing is masked, memoized,
+// pooled, sharded or skipped.
 // It shares with the kernel only the inputs both must agree on
 // (config, topology, the traffic draws, the flit types) and the
 // stats.Collector that turns ejections into Results. A lockstep test
@@ -31,10 +33,11 @@ const (
 )
 
 // InScope reports whether the reference models the configuration:
-// XY routing on a mesh (no torus, so no escape VCs), one VC class (no
-// transaction layer) and no fault plan.
+// either routing function on a mesh or torus, with escape VCs where
+// they are needed, one VC class (no transaction layer) and no fault
+// plan.
 func InScope(cfg *config.Config) bool {
-	return cfg.Routing == config.XY && !cfg.Torus && !cfg.Txn.Enabled && !cfg.Faults.Enabled()
+	return !cfg.Txn.Enabled && !cfg.Faults.Enabled()
 }
 
 // Activity is one router's event record; its fields mean what the
@@ -50,7 +53,7 @@ type Activity struct {
 	VADenials    uint64   // VC requests that competed and lost
 	SAOps        uint64   // switch allocator invocations
 	SADenials    uint64   // switch requests that competed and lost
-	Reroutes     uint64   // escape re-channels, always zero here
+	Reroutes     uint64   // waiting heads re-channelled onto the escape network
 }
 
 // rr is a round-robin arbiter over n inputs: it grants the first
@@ -100,11 +103,14 @@ const (
 )
 
 // inVC is one input virtual channel: its queue of flits and its
-// allocation state: the XY output port RC chose for its packet and,
-// once active, the output VC VA granted.
+// allocation state: the candidate output ports RC found for its packet
+// and the cycle it began waiting, then the output port VA scored best
+// and, once active, the output VC VA granted.
 type inVC struct {
 	flits    []*flit.Flit
 	state    int
+	cands    []int
+	since    int64
 	outPort  int
 	outVC    int
 	readPort int64 // first cycle the queue's read port is free again
@@ -139,21 +145,31 @@ func (p *inPort) ready(c *inVC) int64 {
 // view is the upstream mirror of a downstream input port, kept at the
 // output port that feeds it (or at the network interface). It answers
 // whether a flit may be sent on a VC and which VC a new packet may
-// take, per organization:
+// take, and how many free slots adaptive routing scores its output
+// by. A port's VC IDs are regular ones and, when the routing needs
+// them, EscapeVCs escape ones at the top: the two kinds. A packet is
+// granted a VC of its own kind only, and a fixed organization's scan
+// offset is relative to the kind's span. Per organization:
 //
 //   - GEN: a private credit count per VC; a VC is granted only fully
-//     drained and with its previous packet's tail gone.
+//     drained and with its previous packet's tail gone. Free slots are
+//     the sum of the credits.
 //   - DAMQ and FC-CB: a pool beyond one permanently reserved slot per
 //     queue; a flit takes a pool slot first and its queue's reservation
 //     last, and a returning credit refills the reservation first. A
-//     queue is granted once its previous packet's tail has gone.
-//   - ViC: the Token Dispenser. The lowest free token is granted while
-//     a pool slot is free, and the grant moves that slot into the new
-//     VC's one-slot reservation (DESIGN.md §6). The reservation is
-//     parked only while the VC has no flit downstream: a flit lands in
-//     it when it is parked, else in the pool, and the credit of a VC's
-//     last resident flit re-parks it. The tail's credit returns the
-//     token.
+//     queue is granted once its previous packet's tail has gone. Free
+//     slots are the pool's.
+//   - ViC: the Token Dispenser. The kind's lowest free token is granted
+//     while a pool slot is free, and the grant moves that slot into the
+//     new VC's one-slot reservation (DESIGN.md §6). The reservation is
+//     parked only while the VC has no flit downstream: a flit takes a
+//     pool slot while there is one, which frees the parked
+//     reservation, else it lands in the reservation; the credit of a
+//     VC's last resident flit re-parks it. The tail's credit returns
+//     the token. With escape VCs each kind also holds one slot back as
+//     its grant reserve, used when the pool is empty; a slot a VC
+//     frees refills its kind's reserve before the pool. Free slots are
+//     the pool's, beyond the reserves.
 //   - the ejection sink: always a VC, always credit.
 type view struct {
 	arch     config.BufferArch
@@ -163,15 +179,24 @@ type view struct {
 	open     []bool // per VC: granted to a packet (a token out, for ViC)
 	reserved []bool // per VC: reservation slot parked and free
 	free     int    // pool slots beyond the reservations
+	escBase  int    // the first escape VC; every VC below it is regular
+	kindRes  []bool // ViC with escape VCs, per kind (regular, escape): grant reserve free
 	credits  []timed[flit.Credit]
 }
 
 func newView(cfg *config.Config) *view {
 	nvc := cfg.MaxVCs()
-	v := &view{arch: cfg.Arch, depth: cfg.VCDepth, held: make([]int, nvc), open: make([]bool, nvc), reserved: make([]bool, nvc)}
+	v := &view{arch: cfg.Arch, depth: cfg.VCDepth, held: make([]int, nvc), open: make([]bool, nvc), reserved: make([]bool, nvc), escBase: nvc}
+	if cfg.NeedsEscape() {
+		v.escBase -= cfg.EscapeVCs
+	}
 	switch cfg.Arch {
 	case config.ViChaR:
 		v.free = cfg.BufferSlots
+		if cfg.NeedsEscape() {
+			v.free -= 2
+			v.kindRes = []bool{true, true}
+		}
 	case config.DAMQ, config.FCCB:
 		v.free = cfg.BufferSlots - nvc
 		for i := range v.reserved {
@@ -203,11 +228,13 @@ func (v *view) send(f *flit.Flit) {
 	v.held[vc]++
 	switch v.arch {
 	case config.ViChaR:
-		if v.reserved[vc] {
-			v.reserved[vc] = false
-		} else {
+		if v.free > 0 {
 			v.free--
+			if v.reserved[vc] {
+				v.freeSlot(vc)
+			}
 		}
+		v.reserved[vc] = false
 	case config.DAMQ, config.FCCB:
 		if v.free > 0 {
 			v.free--
@@ -227,11 +254,11 @@ func (v *view) credit(c flit.Credit) {
 		switch {
 		case c.ReleaseVC:
 			v.open[c.VC], v.reserved[c.VC] = false, false
-			v.free++
+			v.freeSlot(c.VC)
 		case v.held[c.VC] == 0:
 			v.reserved[c.VC] = true
 		default:
-			v.free++
+			v.freeSlot(c.VC)
 		}
 	case config.DAMQ, config.FCCB:
 		if v.reserved[c.VC] {
@@ -242,22 +269,44 @@ func (v *view) credit(c flit.Credit) {
 	}
 }
 
-// freeVC returns the VC a new packet would be granted, or -1. The
-// fixed organizations scan their VCs round-robin from from; the
-// dispenser names its lowest free token.
-func (v *view) freeVC(from int) int {
+// kind is 1 for an escape VC, 0 for a regular one.
+func (v *view) kind(vc int) int {
+	if vc >= v.escBase {
+		return 1
+	}
+	return 0
+}
+
+// freeSlot returns a slot vacated on vc: to its kind's grant reserve
+// if that is spent, else to the pool.
+func (v *view) freeSlot(vc int) {
+	if k := v.kind(vc); v.kindRes != nil && !v.kindRes[k] {
+		v.kindRes[k] = true
+	} else {
+		v.free++
+	}
+}
+
+// freeVC returns the VC of the kind a new packet would be granted, or
+// -1. The fixed organizations scan the kind's span round-robin from
+// the span-relative offset from; the dispenser names its lowest free
+// token while a slot is left for the token's reservation.
+func (v *view) freeVC(escape bool, from int) int {
 	if v.sink {
 		return 0
 	}
-	n := len(v.open)
+	lo, hi := 0, v.escBase
+	if escape {
+		lo, hi = v.escBase, len(v.open)
+	}
 	if v.arch == config.ViChaR {
 		from = 0
-		if v.free <= 0 {
+		if v.free <= 0 && (v.kindRes == nil || !v.kindRes[v.kind(lo)]) {
 			return -1
 		}
 	}
-	for i := 0; i < n; i++ {
-		vc := (from + i) % n
+	for i := 0; i < hi-lo; i++ {
+		vc := lo + (from+i)%(hi-lo)
 		if !v.open[vc] && (v.arch != config.Generic || v.held[vc] == 0) {
 			return vc
 		}
@@ -271,9 +320,25 @@ func (v *view) claim(vc int) {
 	}
 	v.open[vc] = true
 	if v.arch == config.ViChaR {
-		v.free--
+		if v.free > 0 {
+			v.free--
+		} else {
+			v.kindRes[v.kind(vc)] = false
+		}
 		v.reserved[vc] = true
 	}
+}
+
+// freeSlots is the score adaptive routing gives the view's output.
+func (v *view) freeSlots() int {
+	if v.arch != config.Generic {
+		return v.free
+	}
+	n := 0
+	for _, h := range v.held {
+		n += v.depth - h
+	}
+	return n
 }
 
 // outPort is one router output: the credit view of what it feeds and
@@ -304,7 +369,7 @@ type ni struct {
 	queue []*flit.Packet
 	cur   []*flit.Flit
 	vc    int
-	alloc int // where the next grant's round-robin scan starts
+	alloc int // where the next grant's round-robin scan starts, relative to the regular span
 	view  *view
 	port  *inPort
 }
@@ -347,6 +412,7 @@ func New(cfg *config.Config) (*Network, error) {
 		return nil, ErrScope
 	}
 	mesh := topology.New(cfg.Width, cfg.Height)
+	mesh.Torus = cfg.Torus
 	ports, nvc := cfg.Ports(), cfg.MaxVCs()
 	n := &Network{
 		cfg:  cfg,
@@ -476,7 +542,7 @@ func (n *Network) create(src, dst, size int) {
 func (n *Network) ejectFlit(node int, f *flit.Flit, now int64) {
 	p := f.Pkt
 	if p.Dst != node || f.Seq != p.NextSeq {
-		//vichar:invariant XY routing on a fixed VC delivers every flit of a packet to its destination, in order
+		//vichar:invariant the flits of a packet follow its head, one VC per hop, so they all reach its destination in order
 		panic(fmt.Sprintf("ref: %s ejected at node %d, expected seq %d", f, node, p.NextSeq))
 	}
 	p.NextSeq++
@@ -507,6 +573,7 @@ func (n *Network) counters() stats.Counters {
 		c.VAOps += r.act.VAOps
 		c.SAOps += r.act.SAOps
 		c.VCGrants += r.act.VAGrants
+		c.EscapeReroutes += r.act.Reroutes
 	}
 	c.XbarTraversals = c.BufferReads
 	for _, f := range n.linkFlits {
@@ -579,9 +646,9 @@ func (p *inPort) write(f *flit.Flit, now int64) {
 
 func (s *ni) tick(now int64) {
 	if s.cur == nil && len(s.queue) > 0 {
-		if vc := s.view.freeVC(s.alloc); vc >= 0 {
+		if vc := s.view.freeVC(false, s.alloc); vc >= 0 {
 			s.view.claim(vc)
-			s.alloc = (vc + 1) % len(s.view.open)
+			s.alloc = (vc + 1) % s.view.escBase
 			p := s.queue[0]
 			s.queue = s.queue[1:]
 			p.InjectedAt = now
@@ -599,28 +666,54 @@ func (s *ni) tick(now int64) {
 	}
 }
 
-// xy is dimension-ordered routing on a mesh: X first, then Y.
-func (r *router) xy(mesh topology.Mesh, dst int) int {
-	cx, cy := mesh.XY(r.id)
-	dx, dy := mesh.XY(dst)
-	switch {
-	case dx > cx:
-		return topology.East
-	case dx < cx:
-		return topology.West
-	case dy > cy:
-		return topology.South
-	case dy < cy:
-		return topology.North
+// toward returns the port that moves coordinate c to d along a
+// dimension of size size: on a mesh the direct way, on a torus the
+// shorter way round, a tie going up (East or South).
+func toward(c, d, size int, torus bool, down, up int) int {
+	if torus {
+		if fwd := (d - c + size) % size; fwd <= size-fwd {
+			return up
+		}
+		return down
 	}
-	return topology.Local
+	if d > c {
+		return up
+	}
+	return down
+}
+
+// route returns the output ports RC offers a head at node cur bound for
+// dst: every minimal direction, X first, under minimal-adaptive
+// routing, the X-first one alone under XY, and on the escape network
+// (escape set) XY over the mesh links, never wrapping.
+func (n *Network) route(cur, dst int, escape bool) []int {
+	cx, cy := n.mesh.XY(cur)
+	dx, dy := n.mesh.XY(dst)
+	torus := n.mesh.Torus && !escape
+	var ports []int
+	if cx != dx {
+		ports = append(ports, toward(cx, dx, n.mesh.Width, torus, topology.West, topology.East))
+	}
+	if cy != dy {
+		ports = append(ports, toward(cy, dy, n.mesh.Height, torus, topology.North, topology.South))
+	}
+	switch {
+	case len(ports) == 0:
+		return []int{topology.Local}
+	case escape || n.cfg.Routing == config.XY:
+		return ports[:1]
+	}
+	return ports
 }
 
 // tick evaluates the pipeline in reverse stage order, so a flit
 // advances at most one stage per cycle: SA, then VA, then RC. The
 // speculative pipeline runs VA before SA, so a head granted a VC bids
-// for the switch in the same cycle.
+// for the switch in the same cycle. Escape re-channelling comes first.
 func (r *router) tick(n *Network, now int64) {
+	if n.cfg.NeedsEscape() {
+		r.escape(n, now)
+	}
 	if n.cfg.Speculative {
 		r.va(n.cfg.Arch)
 		r.sa(now)
@@ -628,12 +721,32 @@ func (r *router) tick(n *Network, now int64) {
 		r.sa(now)
 		r.va(n.cfg.Arch)
 	}
-	r.rc(n.mesh, now)
+	r.rc(n, now)
+}
+
+// escape re-channels every head that has waited for a VC more than
+// DeadlockThreshold cycles onto the escape network (the Token
+// Dispenser's deadlock-recovery flow, paper Figure 10): from here to
+// its destination the packet takes the escape route and escape VCs.
+func (r *router) escape(n *Network, now int64) {
+	for _, p := range r.in {
+		for v := range p.vcs {
+			c := &p.vcs[v]
+			if c.state != waiting || now-c.since <= int64(n.cfg.DeadlockThreshold) {
+				continue
+			}
+			if pkt := c.flits[0].Pkt; !pkt.Escaped {
+				pkt.Escaped = true
+				c.cands = n.route(r.id, pkt.Dst, true)
+				r.act.Reroutes++
+			}
+		}
+	}
 }
 
 // rc routes the head flit of every idle VC that will be readable next
 // cycle: buffer write and RC share the cycle a head arrives in.
-func (r *router) rc(mesh topology.Mesh, now int64) {
+func (r *router) rc(n *Network, now int64) {
 	for _, p := range r.in {
 		for v := range p.vcs {
 			c := &p.vcs[v]
@@ -644,7 +757,8 @@ func (r *router) rc(mesh topology.Mesh, now int64) {
 				//vichar:invariant a VC frees only after its tail leaves, so the next flit on it starts a packet
 				panic(fmt.Sprintf("ref: router %d: %s at the head of an idle vc", r.id, c.flits[0]))
 			}
-			c.state, c.outPort = waiting, r.xy(mesh, c.flits[0].Pkt.Dst)
+			pkt := c.flits[0].Pkt
+			c.state, c.since, c.cands = waiting, now, n.route(r.id, pkt.Dst, pkt.Escaped)
 			r.act.RC++
 		}
 	}
@@ -657,9 +771,24 @@ func (r *router) grant(c *inVC, op, ovc int) {
 	r.act.VAGrants++
 }
 
-// va is VC allocation. Each waiting VC asks its output's view for the
-// VC a new packet would get (the fixed organizations scan from the
-// VC's own index). ViChaR (paper Figure 7(b)): each input port
+// best returns the candidate output of waiting VC c that can grant its
+// packet a VC of its kind and has the most free slots downstream, a tie
+// going to the first listed, or -1.
+func (r *router) best(c *inVC) int {
+	esc := c.flits[0].Pkt.Escaped
+	best, most := -1, -1
+	for _, op := range c.cands {
+		v := r.out[op].view
+		if s := v.freeSlots(); s > most && v.freeVC(esc, 0) >= 0 {
+			best, most = op, s
+		}
+	}
+	return best
+}
+
+// va is VC allocation. Each waiting VC picks its best output and asks
+// that output's view for the VC a new packet would get (the fixed
+// organizations scan from the VC's own index). ViChaR (paper Figure 7(b)): each input port
 // nominates one asking VC, each output port picks one nominee and
 // hands it the next free token. The fixed organizations (Figure 7(a)):
 // each output VC picks one of the VCs asking for it.
@@ -672,7 +801,9 @@ func (r *router) va(arch config.BufferArch) {
 			c := &p.vcs[v]
 			c.ask = -1
 			if c.state == waiting {
-				c.ask = r.out[c.outPort].view.freeVC(v)
+				if op := r.best(c); op >= 0 {
+					c.outPort, c.ask = op, r.out[op].view.freeVC(c.flits[0].Pkt.Escaped, v)
+				}
 			}
 			if c.ask >= 0 {
 				asks++
@@ -696,8 +827,9 @@ func (r *router) va(arch config.BufferArch) {
 			if ip < 0 {
 				continue
 			}
-			if ovc := r.out[op].view.freeVC(0); ovc >= 0 {
-				r.grant(&r.in[ip].vcs[nominee[ip]], op, ovc)
+			c := &r.in[ip].vcs[nominee[ip]]
+			if ovc := r.out[op].view.freeVC(c.flits[0].Pkt.Escaped, 0); ovc >= 0 {
+				r.grant(c, op, ovc)
 				grants++
 			}
 		}

@@ -53,13 +53,13 @@ func TestImportsAllowList(t *testing.T) {
 }
 
 // New refuses what the model does not cover, so a lockstep cannot
-// compare the kernel against a model of some other network.
+// compare the kernel against a model of some other network, and
+// accepts what it does: either routing function on a mesh or torus,
+// with escape VCs, here under GEN and ViChaR.
 func TestNewRefusesOutOfScope(t *testing.T) {
 	for name, edit := range map[string]func(*config.Config){
-		"adaptive": func(c *config.Config) { c.Routing = config.MinimalAdaptive },
-		"torus":    func(c *config.Config) { c.Torus = true },
-		"txn":      func(c *config.Config) { c.Txn.Enabled, c.Txn.Rate = true, 0.05 },
-		"faults":   func(c *config.Config) { c.Faults.DropRate = 0.01 },
+		"txn":    func(c *config.Config) { c.Txn.Enabled, c.Txn.Rate = true, 0.05 },
+		"faults": func(c *config.Config) { c.Faults.DropRate = 0.01 },
 	} {
 		cfg := config.Default()
 		edit(&cfg)
@@ -67,8 +67,19 @@ func TestNewRefusesOutOfScope(t *testing.T) {
 			t.Errorf("%s: New returned %v, want ErrScope", name, err)
 		}
 	}
-	cfg := config.Default()
-	if _, err := New(&cfg); err != nil {
-		t.Errorf("default configuration: %v", err)
+	for _, arch := range []config.BufferArch{config.Generic, config.ViChaR} {
+		for name, edit := range map[string]func(*config.Config){
+			"default":        func(*config.Config) {},
+			"adaptive":       func(c *config.Config) { c.Routing = config.MinimalAdaptive },
+			"torus":          func(c *config.Config) { c.Torus = true },
+			"adaptive torus": func(c *config.Config) { c.Routing, c.Torus = config.MinimalAdaptive, true },
+		} {
+			cfg := config.Default()
+			cfg.Arch = arch
+			edit(&cfg)
+			if _, err := New(&cfg); err != nil {
+				t.Errorf("%v %s: %v", arch, name, err)
+			}
+		}
 	}
 }

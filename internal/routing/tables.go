@@ -146,17 +146,6 @@ func (t *Tables) AppendCandidates(out []int, cur, dst int) []int {
 	return out
 }
 
-// CandidateMask returns the candidates for (cur, dst) as a bitmask
-// over output ports, for order-insensitive membership tests.
-func (t *Tables) CandidateMask(cur, dst int) uint8 {
-	c := t.Candidates(cur, dst)
-	m := uint8(1) << c.At(0)
-	if c.Len() > 1 {
-		m |= 1 << c.At(1)
-	}
-	return m
-}
-
 // EscapePort returns the memoized escape-network port for (cur, dst).
 func (t *Tables) EscapePort(cur, dst int) int {
 	if t.escape != nil {
