@@ -20,13 +20,14 @@ lint:
 # link send under load (at most 0.01 allocations and 64 bytes per
 # cycle), for all four buffer architectures; what network.New holds
 # per router stays inside its budget (-v prints the per-component
-# account); reducing a run's results is bounded by the latency
+# account) and it allocates as often on a 16x16 mesh as on a 4x4 one,
+# every router, buffer, view and interface drawn from a pool; reducing a run's results is bounded by the latency
 # range, not the sample count (Finalize plus Latencies() over 200 000
 # recorded latencies allocate under 64 KB); and the traffic generator's
 # per-node streams are one slab (traffic.New allocates as often on a
 # 16x16 mesh as on a 4x4 one).
 alloc-check:
-	$(GO) test ./internal/network/ -run 'TestStepAllocFree|TestHeapBytesPerRouterBudget' -count=1 -v
+	$(GO) test ./internal/network/ -run 'TestStepAllocFree|TestHeapBytesPerRouterBudget|TestNewAllocsIndependentOfMesh' -count=1 -v
 	$(GO) test ./internal/stats/ ./internal/traffic/ -run 'TestFinalizeAllocBudget|TestNewAllocsIndependentOfMesh' -count=1 -v
 
 # The bit-identical resume contract (DESIGN.md §14): snapshot at C,
@@ -84,9 +85,11 @@ bench-ab:
 
 # CPU profiles of two single-threaded ViChaR cells of BenchmarkKernel:
 # saturated (router VA/SA work dominates) and idle (rate 0.05: most
-# routers sleep, and what a cycle touches around them shows). Prints
-# the top-10 flat and cumulative reports of each. The binary and the
-# raw profiles stay under the ignored .bench_build/.
+# routers sleep, and what a cycle touches around them shows), and of
+# construction alone (BenchmarkNewSimulator's 16x16 ViC-16 cell, the
+# cost setup_s measures). Prints the top-10 flat and cumulative
+# reports of each. The binary and the raw profiles stay under the
+# ignored .bench_build/.
 profile:
 	mkdir -p .bench_build
 	$(GO) test . -run '^$$' -bench 'BenchmarkKernel/ViC/rate=0.40/workers=1$$' \
@@ -97,6 +100,10 @@ profile:
 		-benchtime 100x -cpuprofile .bench_build/kernel-idle.prof -o .bench_build/kernel.test
 	$(GO) tool pprof -top -nodecount=10 .bench_build/kernel.test .bench_build/kernel-idle.prof
 	$(GO) tool pprof -top -cum -nodecount=10 .bench_build/kernel.test .bench_build/kernel-idle.prof
+	$(GO) test . -run '^$$' -bench 'BenchmarkNewSimulator/ViC/mesh=16x16$$' \
+		-benchtime 400x -cpuprofile .bench_build/new.prof -o .bench_build/kernel.test
+	$(GO) tool pprof -top -nodecount=10 .bench_build/kernel.test .bench_build/new.prof
+	$(GO) tool pprof -top -cum -nodecount=10 .bench_build/kernel.test .bench_build/new.prof
 
 # Regenerate every figure/table at quick scale into results/.
 experiments:

@@ -485,8 +485,7 @@ func BenchmarkKernel(b *testing.B) {
 	}
 	// Mesh-scaling cells: a fixed number of Steps (b.N, so
 	// -benchtime Nx fixes it) after kernelWarmupCycles untimed ones.
-	// They also exercise the route-memoization tables at their largest
-	// footprints.
+	// They also exercise the route computation on its largest meshes.
 	for _, pt := range kernelEqualLoad {
 		for _, workers := range []int{0, 1, 2} {
 			cfg := kernelBenchConfig(vichar.ViChaR, pt.Dim, pt.Rate, workers)
@@ -507,6 +506,32 @@ func BenchmarkKernel(b *testing.B) {
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*cfg.Nodes()), "ns/router-cycle")
 			})
 		}
+	}
+}
+
+// BenchmarkNewSimulator measures construction alone — validation,
+// arena, route computation, wiring — the cost a sweep pays per point
+// and a restore per branch (the benchmark's setup_s): ViC-16 and
+// GEN-16 on the paper's 8x8, and ViC-16 on 16x16 and 32x32, where a
+// cost that grows faster than the node count would show. `make
+// profile` samples the 16x16 cell.
+func BenchmarkNewSimulator(b *testing.B) {
+	cells := []struct {
+		arch vichar.BufferArch
+		dim  int
+	}{{vichar.ViChaR, 8}, {vichar.Generic, 8}, {vichar.ViChaR, 16}, {vichar.ViChaR, 32}}
+	for _, c := range cells {
+		cfg := kernelBenchConfig(c.arch, c.dim, kernelMidRate, 1)
+		b.Run(fmt.Sprintf("%s/mesh=%dx%d", c.arch, c.dim, c.dim), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				s, err := vichar.NewSimulator(cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				s.Close()
+			}
+		})
 	}
 }
 

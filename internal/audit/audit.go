@@ -62,23 +62,6 @@ func CheckLinkFaults(name string, drops, corrupts, retransmits uint64, held int)
 	return nil
 }
 
-// CheckLinks verifies a batch of link snapshots in order and returns
-// the first violation, or nil. The cycle kernel shards the audit
-// across its lanes: each shard snapshots and checks a contiguous
-// chunk of links with this function, and the kernel merges the
-// per-shard results in shard index order — so the violation reported
-// is the same one a serial scan of all links would find first. Like
-// the rest of the package the function is pure; it is safe to call
-// concurrently on disjoint snapshot slices.
-func CheckLinks(states []LinkState) error {
-	for _, s := range states {
-		if err := CheckLink(s); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // CheckVCClass verifies the transaction layer's VC-class separation
 // contract at one virtual channel: a packet may only occupy a VC
 // whose ID falls inside the packet's own class chunk (where names the

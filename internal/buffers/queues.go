@@ -73,6 +73,9 @@ const (
 
 var sections = [...]string{orgGeneric: "generic", orgDAMQ: "damq", orgFCCB: "fccb", orgViChaR: "vichar"}
 
+// orgNames name the organizations in constructor panics.
+var orgNames = [...]string{orgGeneric: "generic", orgDAMQ: "DAMQ", orgFCCB: "FC-CB", orgViChaR: "ViChaR"}
+
 // NewGeneric returns the conventional statically partitioned buffer
 // (paper Figure 2, "parallel FIFO implementation"): vcs queues, each
 // with a private depth of depth flits. A slot that belongs to VC i can
@@ -82,10 +85,13 @@ func NewGeneric(vcs, depth int) *Queues { return NewGenericIn(nil, vcs, depth) }
 
 // NewGenericIn is NewGeneric drawing its arrays from the arena.
 func NewGenericIn(a *soa.Arena, vcs, depth int) *Queues {
-	if vcs < 1 || depth < 1 {
-		panic(fmt.Sprintf("buffers: generic buffer needs positive shape, got %dx%d", vcs, depth))
-	}
-	return newQueues(a, vcs, depth, vcs*depth, 0, orgGeneric)
+	return new(Queues).InitGeneric(a, vcs, depth)
+}
+
+// InitGeneric readies b, a zero Queues the caller owns (one of a router
+// arena's pooled structs), as NewGenericIn's buffer and returns it.
+func (b *Queues) InitGeneric(a *soa.Arena, vcs, depth int) *Queues {
+	return b.init(a, vcs, depth, vcs*depth, 0, orgGeneric)
 }
 
 // NewDAMQ returns the Dynamically Allocated Multi-Queue of Tamir &
@@ -99,13 +105,13 @@ func NewDAMQ(vcs, slots, delay int) *Queues { return NewDAMQIn(nil, vcs, slots, 
 
 // NewDAMQIn is NewDAMQ drawing its arrays from the arena.
 func NewDAMQIn(a *soa.Arena, vcs, slots, delay int) *Queues {
-	if vcs < 1 || slots < vcs {
-		panic(fmt.Sprintf("buffers: DAMQ needs at least one slot per VC, got %d VCs, %d slots", vcs, slots))
-	}
-	if delay < 0 {
-		panic(fmt.Sprintf("buffers: DAMQ delay cannot be negative, got %d", delay))
-	}
-	return newQueues(a, vcs, slots, slots, delay, orgDAMQ)
+	return new(Queues).InitDAMQ(a, vcs, slots, delay)
+}
+
+// InitDAMQ readies b, a zero Queues the caller owns, as NewDAMQIn's
+// buffer and returns it.
+func (b *Queues) InitDAMQ(a *soa.Arena, vcs, slots, delay int) *Queues {
+	return b.init(a, vcs, slots, slots, delay, orgDAMQ)
 }
 
 // NewFCCB returns the Fully Connected Circular Buffer of Ni, Pirvu &
@@ -116,11 +122,12 @@ func NewDAMQIn(a *soa.Arena, vcs, slots, delay int) *Queues {
 func NewFCCB(vcs, slots int) *Queues { return NewFCCBIn(nil, vcs, slots) }
 
 // NewFCCBIn is NewFCCB drawing its arrays from the arena.
-func NewFCCBIn(a *soa.Arena, vcs, slots int) *Queues {
-	if vcs < 1 || slots < vcs {
-		panic(fmt.Sprintf("buffers: FC-CB needs at least one slot per VC, got %d VCs, %d slots", vcs, slots))
-	}
-	return newQueues(a, vcs, slots, slots, 0, orgFCCB)
+func NewFCCBIn(a *soa.Arena, vcs, slots int) *Queues { return new(Queues).InitFCCB(a, vcs, slots) }
+
+// InitFCCB readies b, a zero Queues the caller owns, as NewFCCBIn's
+// buffer and returns it.
+func (b *Queues) InitFCCB(a *soa.Arena, vcs, slots int) *Queues {
+	return b.init(a, vcs, slots, slots, 0, orgFCCB)
 }
 
 // NewViChaR returns ViChaR's Unified Buffer Structure (paper §3.2),
@@ -131,24 +138,34 @@ func NewFCCBIn(a *soa.Arena, vcs, slots int) *Queues {
 func NewViChaR(vcs, slots int) *Queues { return NewViChaRIn(nil, vcs, slots) }
 
 // NewViChaRIn is NewViChaR drawing its arrays from the arena.
-func NewViChaRIn(a *soa.Arena, vcs, slots int) *Queues {
-	if vcs < 1 || slots < vcs {
-		panic(fmt.Sprintf("buffers: ViChaR needs at least one slot per VC, got %d VCs, %d slots", vcs, slots))
-	}
-	return newQueues(a, vcs, slots, slots, 0, orgViChaR)
+func NewViChaRIn(a *soa.Arena, vcs, slots int) *Queues { return new(Queues).InitViChaR(a, vcs, slots) }
+
+// InitViChaR readies b, a zero Queues the caller owns, as NewViChaRIn's
+// buffer and returns it.
+func (b *Queues) InitViChaR(a *soa.Arena, vcs, slots int) *Queues {
+	return b.init(a, vcs, slots, slots, 0, orgViChaR)
 }
 
-// newQueues returns vcs empty queues over a pool of slots, taking every
-// array from the arena (nil-arena safe; router.NewArena sizes it).
-func newQueues(a *soa.Arena, vcs, depth, pool, delay int, o org) *Queues {
-	if pool > math.MaxInt16 {
+// init makes b, a zero Queues, vcs empty queues over a pool of slots,
+// taking every array from the arena (nil-arena safe; router.NewArena
+// sizes it), after checking the shape the organization's constructor
+// was given.
+func (b *Queues) init(a *soa.Arena, vcs, depth, pool, delay int, o org) *Queues {
+	switch {
+	case o == orgGeneric && (vcs < 1 || depth < 1):
+		panic(fmt.Sprintf("buffers: generic buffer needs positive shape, got %dx%d", vcs, depth))
+	case o != orgGeneric && (vcs < 1 || pool < vcs):
+		panic(fmt.Sprintf("buffers: %s needs at least one slot per VC, got %d VCs, %d slots", orgNames[o], vcs, pool))
+	case delay < 0:
+		panic(fmt.Sprintf("buffers: DAMQ delay cannot be negative, got %d", delay))
+	case pool > math.MaxInt16:
 		panic(fmt.Sprintf("buffers: a pool of %d slots overflows the int16 links", pool))
 	}
-	b := &Queues{
-		slots: a.TakeFlits(pool), next: a.TakeInt16s(pool),
-		head: a.TakeInt16s(vcs), tail: a.TakeInt16s(vcs), count: a.TakeInt16s(vcs),
-		readyAt: a.TakeInt64s(vcs), depth: depth, delay: int64(delay), org: o,
-	}
+	// Field by field: b is zero, and a composite literal would be built
+	// aside and copied in.
+	b.slots, b.next = a.TakeFlits(pool), a.TakeInt16s(pool)
+	b.head, b.tail, b.count = a.TakeInt16s(vcs), a.TakeInt16s(vcs), a.TakeInt16s(vcs)
+	b.readyAt, b.depth, b.delay, b.org = a.TakeInt64s(vcs), depth, int64(delay), o
 	if o == orgDAMQ {
 		b.readPort = a.TakeInt64s(vcs)
 	}

@@ -279,11 +279,23 @@ func (l *creditLink) tick(now int64) bool {
 // channel. Collected at wiring time, checked every step when
 // Config.Audit is set.
 type auditedLink struct {
-	name string
 	view router.CreditView
 	fl   *flitLink
 	cl   *creditLink
 	buf  *buffers.Queues
+}
+
+// name identifies the link in violation reports — "3->4" from router 3
+// to router 4, "ni5->5" for node 5's injection link — derived from its
+// endpoints when a report needs it, never at construction.
+func (al *auditedLink) name() string {
+	to := al.fl.owner()
+	if up := al.cl.dst; up != nil {
+		//vichar:alloc a violation report's link name, built once for the report that ends the run
+		return fmt.Sprintf("%d->%d", up.ID(), to)
+	}
+	//vichar:alloc a violation report's link name, built once for the report that ends the run
+	return fmt.Sprintf("ni%d->%d", to, to)
 }
 
 // retxHeld returns the link's declared-fault conservation term: the

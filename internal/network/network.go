@@ -25,7 +25,6 @@ package network
 import (
 	"fmt"
 
-	"vichar/internal/audit"
 	"vichar/internal/config"
 	"vichar/internal/faults"
 	"vichar/internal/flit"
@@ -116,10 +115,9 @@ type Network struct {
 	samplePerNode []float64
 
 	// auditedLinks holds every credit-carrying link's conservation
-	// parties; checked per step when cfg.Audit is set. auditStates and
-	// auditErrs are per-shard scratch for the sharded audit pass.
+	// parties; checked per step when cfg.Audit is set. auditErrs is
+	// per-shard scratch for the sharded audit pass.
 	auditedLinks []auditedLink
-	auditStates  [][]audit.LinkState
 	auditErrs    []error
 
 	// fplan is the compiled fault schedule (nil without Config.Faults);
@@ -220,7 +218,6 @@ func New(cfg *config.Config) *Network {
 		wd:        watchdog{window: wedgeWindow(cfg)},
 	}
 	n.shardCount = kernelShards(cfg.Workers, mesh.Nodes())
-	n.auditStates = make([][]audit.LinkState, n.shardCount)
 	n.auditErrs = make([]error, n.shardCount)
 	n.computeActive = make([]bool, mesh.Nodes())
 	n.deliverLinks = make([]uint32, mesh.Nodes())
@@ -293,6 +290,12 @@ func New(cfg *config.Config) *Network {
 	}
 	n.flitSlab = make([]flitLink, nLinks+2*nodes)
 	n.creditSlab = make([]creditLink, nLinks+nodes)
+	// Exact capacities up front, so wiring appends without growing.
+	n.linkMeta = make([]stats.ChannelLoad, 0, nLinks)
+	n.auditedLinks = make([]auditedLink, 0, nLinks+nodes)
+	if n.fplan != nil {
+		n.faultLinks = make([]*faults.LinkState, 0, nLinks)
+	}
 	// In-flight rings, sized once and carved from one array per kind. A
 	// link accepts one payload per cycle and delivers it a fixed delay
 	// later, so at most delay are in flight when the next is sent; a
@@ -404,7 +407,6 @@ func New(cfg *config.Config) *Network {
 			r.ConnectOutput(port, fl, view)
 			dst.ConnectInputCredit(inPort, cl)
 			n.auditedLinks = append(n.auditedLinks, auditedLink{
-				name: fmt.Sprintf("%d->%d", id, nb),
 				view: view, fl: fl, cl: cl, buf: dst.InputBuffer(inPort),
 			})
 		}
@@ -417,7 +419,11 @@ func New(cfg *config.Config) *Network {
 		n.txn = txn.New(cfg, mesh, n)
 	}
 
-	// Local ports: ejection to the sink and injection from the NI.
+	// Local ports: ejection to the sink and injection from the NI. The
+	// interfaces and their per-class streams are one slab each.
+	nis := make([]ni, nodes)
+	classes := cfg.VCClasses()
+	streams := make([]niStream, nodes*classes)
 	for id, r := range n.routers {
 		// Ejection: router local output -> processing element. The
 		// sink mutates network-global state (collector, sequence
@@ -432,19 +438,20 @@ func New(cfg *config.Config) *Network {
 			delay: router.FlitDelay, q: flitRing(ejectCap), wake: &shard[id].wakes,
 			eject: &shard[id].ejects,
 		})
-		sink := router.NewSinkView()
+		var admit router.Admission
 		if n.txn != nil {
 			if mc := n.txn.Responder(id); mc != nil {
-				sink = router.NewSinkViewWith(mc)
+				admit = mc
 			}
 		}
-		r.ConnectOutput(topology.Local, ej, sink)
+		r.ConnectOutput(topology.Local, ej, router.NewSinkViewIn(n.arena, admit))
 
 		// Injection: NI -> router local input (one-cycle channel).
-		s := &ni{
+		s := &nis[id]
+		*s = ni{
 			node:    id,
 			view:    router.NewCreditViewIn(n.arena, cfg),
-			streams: make([]niStream, cfg.VCClasses()),
+			streams: streams[id*classes : (id+1)*classes : (id+1)*classes],
 			txn:     n.txn,
 			rec:     n.obs.recorder(1 + id),
 		}
@@ -464,7 +471,6 @@ func New(cfg *config.Config) *Network {
 		})
 		r.ConnectInputCredit(topology.Local, cl)
 		n.auditedLinks = append(n.auditedLinks, auditedLink{
-			name: fmt.Sprintf("ni%d->%d", id, id),
 			view: s.view, fl: inj, cl: cl, buf: r.InputBuffer(topology.Local),
 		})
 

@@ -324,8 +324,7 @@ func (n *Network) WorklistStats() WorklistStats {
 // correctness unaffected). TestArenaSizingExact pins it at zero.
 func (n *Network) ArenaOverflow() int { return n.arena.Overflow() }
 
-// RouteTableBytes returns the memory footprint of the network's
-// route-memoization tables (DESIGN.md §10): the price paid at
-// construction for an RC stage that is a flat array load. Grows as
-// nodes².
+// RouteTableBytes returns the memory footprint of the network's route
+// computation (DESIGN.md §10.6): a per-node coordinate table, four
+// bytes a node.
 func (n *Network) RouteTableBytes() int { return n.arena.Tables().Bytes() }

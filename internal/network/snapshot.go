@@ -422,16 +422,16 @@ func (n *Network) checkLinkVCs(al *auditedLink, holders []*flit.Packet) error {
 			if cr := al.cl.q.at(i).c; cr.VC == vc {
 				credits++
 				if released || (cr.ReleaseVC && flits > 0 && vichar) {
-					return fmt.Errorf("link %s: VC %d is released by a credit that is not the last payload on it", al.name, vc)
+					return fmt.Errorf("link %s: VC %d is released by a credit that is not the last payload on it", al.name(), vc)
 				}
 				released = cr.ReleaseVC && vichar
 			}
 		}
 		if mixed || (released && holder != nil) {
-			return fmt.Errorf("link %s: VC %d is held upstream by packet %d but is draining another", al.name, vc, holder.ID)
+			return fmt.Errorf("link %s: VC %d is held upstream by packet %d but is draining another", al.name(), vc, holder.ID)
 		}
 		if out := al.view.OutstandingOn(vc); out != flits+credits {
-			return fmt.Errorf("link %s: view has %d flits outstanding on VC %d, %d are in flight or buffered and %d credited back", al.name, out, vc, flits, credits)
+			return fmt.Errorf("link %s: view has %d flits outstanding on VC %d, %d are in flight or buffered and %d credited back", al.name(), out, vc, flits, credits)
 		}
 	}
 	return nil

@@ -284,35 +284,36 @@ func (n *Network) audit(now int64) {
 	}
 }
 
-// auditLinksShard checks credit conservation over the shard's chunk
-// of audited links, writing only its own auditStates/auditErrs slots.
+// auditLinksShard checks credit conservation, then declared-fault
+// conservation, over the shard's chunk of audited links, writing only
+// its own auditErrs slot. A link's name is built only for the report
+// of a violation: the failed check is repeated with it.
 func (n *Network) auditLinksShard(shard int) {
-	states := n.auditStates[shard][:0]
+	n.auditErrs[shard] = nil
 	lo, hi := chunkBounds(len(n.auditedLinks), n.shardCount, shard)
-	for _, al := range n.auditedLinks[lo:hi] {
-		//vichar:alloc appends into the shard's reusable audit-state scratch; capacity reaches the chunk size after the first audited cycle
-		states = append(states, audit.LinkState{
-			Name:               al.name,
+	links := n.auditedLinks[lo:hi]
+	for i := range links {
+		al := &links[i]
+		s := audit.LinkState{
 			Outstanding:        al.view.OutstandingFlits(),
 			InFlightFlits:      al.fl.q.len(),
 			DownstreamOccupied: al.buf.Occupied(),
 			InFlightCredits:    al.cl.q.len(),
 			RetxHeld:           al.retxHeld(),
-		})
-	}
-	n.auditStates[shard] = states
-	n.auditErrs[shard] = audit.CheckLinks(states)
-	if n.auditErrs[shard] == nil {
-		for _, al := range n.auditedLinks[lo:hi] {
-			fs := al.fl.faults
-			if fs == nil {
-				continue
-			}
-			if err := audit.CheckLinkFaults(al.name, fs.Drops, fs.Corrupts, fs.Retransmits, fs.Held()); err != nil {
-				n.auditErrs[shard] = err
-				break
-			}
 		}
+		if audit.CheckLink(s) != nil {
+			s.Name = al.name()
+			n.auditErrs[shard] = audit.CheckLink(s)
+			return
+		}
+	}
+	for i := range links {
+		fs := links[i].fl.faults
+		if fs == nil || audit.CheckLinkFaults("", fs.Drops, fs.Corrupts, fs.Retransmits, fs.Held()) == nil {
+			continue
+		}
+		n.auditErrs[shard] = audit.CheckLinkFaults(links[i].name(), fs.Drops, fs.Corrupts, fs.Retransmits, fs.Held())
+		return
 	}
 }
 

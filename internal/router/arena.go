@@ -2,6 +2,7 @@ package router
 
 import (
 	"vichar/internal/arbiter"
+	"vichar/internal/buffers"
 	"vichar/internal/config"
 	"vichar/internal/routing"
 	"vichar/internal/soa"
@@ -11,12 +12,15 @@ import (
 // Arena is the router layer's view of the network-owned
 // struct-of-arrays backing store (DESIGN.md §10): the shared typed
 // pools of internal/soa plus router-private pools for VC pipeline
-// state and arbiter banks. The network builds one per simulation and
-// threads it through NewIn / NewCreditViewIn in ascending router-id
-// order, so the hot per-(router, port, VC) state — buffer slots and
-// links, readiness stamps, credit counters, VC state machines,
-// arbiter pointers, scan-mask blocks — lands in construction order on one
-// contiguous slab.
+// state, arbiter banks, per-router scratch and the objects themselves
+// — routers, port descriptors, buffers and credit views. The network
+// builds one per simulation and threads it through NewIn /
+// NewCreditViewIn / NewSinkViewIn in ascending router-id order, so the
+// hot per-(router, port, VC) state — buffer slots and links, readiness
+// stamps, credit counters, VC state machines, arbiter pointers,
+// scan-mask blocks — lands in construction order on one contiguous
+// slab, and building a network costs a fixed number of allocations
+// whatever its size.
 //
 // A nil *Arena degrades every take to a plain allocation; standalone
 // routers (unit tests) need no pool.
@@ -25,9 +29,26 @@ type Arena struct {
 	vcs    *soa.Pool[vcState]
 	routes *soa.Pool[uint32] // packed SA routes (inputPort.outInfo)
 	rrs    *soa.Pool[arbiter.RoundRobin]
-	// tables is the network-wide route memoization (one per arena, not
-	// per router): every router's RC stage reads the same flat byte
-	// tables, carved from the soa byte pool.
+
+	// The objects, one slab per type.
+	routers *soa.Pool[Router]
+	inPorts *soa.Pool[inputPort]
+	outs    *soa.Pool[outputPort]
+	queues  *soa.Pool[buffers.Queues]
+	generic *soa.Pool[genericView]
+	shared  *soa.Pool[sharedView]
+	vichar  *soa.Pool[vicharView]
+	sinks   *soa.Pool[sinkView]
+
+	// Per-router scratch (Router.saNominee to vaNext; the uint64 rows
+	// come from the soa word pool).
+	ints  *soa.Pool[int]
+	int32 *soa.Pool[int32]
+	noms  *soa.Pool[vaNominee]
+
+	// tables is the network-wide route computation (one per arena, not
+	// per router): every router's RC stage reads the same per-node
+	// coordinate table, carved from the soa int16 pool.
 	tables *routing.Tables
 }
 
@@ -79,12 +100,27 @@ func NewArena(cfg *config.Config, mesh topology.Mesh) *Arena {
 		rrs += nodes * p * v
 	}
 
-	// Per credit view.
+	// Per router: the allocators' scratch — the request words, the
+	// per-output-port stage-2 requests, the per-kind VA port masks and
+	// ints per port for the SA nominees and the FreeSlots memo; the
+	// fixed organizations' stage-2 groups add two flat id lists and
+	// four chain arrays over every input VC.
+	words += nodes * (maskWords(p*v) + p + 2*2*cfg.VCClasses())
+	ints, int32s := nodes*2*p, 0
+	if cfg.Arch != config.ViChaR {
+		ints += nodes * 2 * p * v
+		int32s = nodes * 4 * p * v
+	}
+
+	// Per credit view: the view object and its per-VC state.
+	var generic, shared, vichar int
 	switch cfg.Arch {
 	case config.Generic:
+		generic = views
 		int16s += views * cfg.VCs // credits
 		bools += views * cfg.VCs  // open
 	case config.ViChaR:
+		vichar = views
 		int16s += views * v // held
 		bools += views * v  // resFree
 		if k := cfg.VCKinds(); k > 1 {
@@ -92,39 +128,45 @@ func NewArena(cfg *config.Config, mesh topology.Mesh) *Arena {
 		}
 		words += views * w // VC availability tracker
 	case config.DAMQ, config.FCCB:
+		shared = views
 		int16s += views * cfg.VCs    // held
 		bools += views * 2 * cfg.VCs // resFree + open
 	}
 
-	// The network-wide route memoization tables (DESIGN.md §10).
-	route := routeFor(cfg)
-	bytes := routing.TableBytes(route, mesh)
+	// The network-wide route computation's coordinate table (DESIGN.md
+	// §10.6).
+	int16s += routing.TableBytes(mesh) / 2
 
 	a := &Arena{
-		soa:    soa.NewArena(flits, int16s, int64s, words, bools, bytes),
+		soa:    soa.NewArena(flits, int16s, int64s, words, bools),
 		vcs:    soa.NewPool[vcState](inPorts * v),
 		routes: soa.NewPool[uint32](inPorts * v),
 		rrs:    soa.NewPool[arbiter.RoundRobin](rrs),
+
+		routers: soa.NewPool[Router](nodes),
+		inPorts: soa.NewPool[inputPort](inPorts),
+		outs:    soa.NewPool[outputPort](inPorts),
+		queues:  soa.NewPool[buffers.Queues](inPorts),
+		generic: soa.NewPool[genericView](generic),
+		shared:  soa.NewPool[sharedView](shared),
+		vichar:  soa.NewPool[vicharView](vichar),
+		sinks:   soa.NewPool[sinkView](nodes),
+
+		ints:  soa.NewPool[int](ints),
+		int32: soa.NewPool[int32](int32s),
+		noms:  soa.NewPool[vaNominee](nodes * p),
 	}
-	a.tables = routing.NewTablesIn(a.soa, route, mesh)
+	a.tables = routing.NewTablesIn(a.soa, routeFor(cfg), mesh)
 	return a
 }
 
-// Tables returns the arena's shared route-memoization tables (nil for
-// a nil arena; NewIn then builds per-router tables).
+// Tables returns the arena's shared route computation (nil for a nil
+// arena; NewIn then builds per-router tables).
 func (a *Arena) Tables() *routing.Tables {
 	if a == nil {
 		return nil
 	}
 	return a.tables
-}
-
-// Soa returns the shared typed pools (nil for a nil arena).
-func (a *Arena) Soa() *soa.Arena {
-	if a == nil {
-		return nil
-	}
-	return a.soa
 }
 
 // Overflow sums fallback allocations across all pools; nonzero means
@@ -133,31 +175,28 @@ func (a *Arena) Overflow() int {
 	if a == nil {
 		return 0
 	}
-	return a.soa.Overflow() + a.vcs.Overflow() + a.routes.Overflow() + a.rrs.Overflow()
+	return a.soa.Overflow() + a.vcs.Overflow() + a.routes.Overflow() + a.rrs.Overflow() +
+		a.routers.Overflow() + a.inPorts.Overflow() + a.outs.Overflow() + a.queues.Overflow() +
+		a.generic.Overflow() + a.shared.Overflow() + a.vichar.Overflow() + a.sinks.Overflow() +
+		a.ints.Overflow() + a.int32.Overflow() + a.noms.Overflow()
 }
 
-// takeVCs carves n VC state machines (nil-arena safe).
-func (a *Arena) takeVCs(n int) []vcState {
+// orPlain returns a, or for a nil arena a zero Arena: its nil pools
+// serve every take as a plain allocation (soa.Pool.Take), which is
+// what standalone construction gets.
+func (a *Arena) orPlain() *Arena {
 	if a == nil {
-		return make([]vcState, n)
+		return &Arena{}
 	}
-	return a.vcs.Take(n)
+	return a
 }
 
-// takeRoutes carves n packed SA routes (nil-arena safe).
-func (a *Arena) takeRoutes(n int) []uint32 {
-	if a == nil {
-		return make([]uint32, n)
-	}
-	return a.routes.Take(n)
-}
+// takeOne carves one zero-valued T (nil-pool safe, see soa.Pool.Take).
+func takeOne[T any](p *soa.Pool[T]) *T { return &p.Take(1)[0] }
 
-// takeBank carves a round-robin arbiter bank (nil-arena safe),
-// mirroring arbiter.NewRoundRobinBank.
+// takeBank carves a round-robin arbiter bank, mirroring
+// arbiter.NewRoundRobinBank.
 func (a *Arena) takeBank(count, inputs int) []arbiter.RoundRobin {
-	if a == nil {
-		return arbiter.NewRoundRobinBank(count, inputs)
-	}
 	bank := a.rrs.Take(count)
 	arbiter.InitBank(bank, inputs)
 	return bank

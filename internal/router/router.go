@@ -50,7 +50,7 @@ type CreditSender interface {
 }
 
 // vcState is the packet an input VC is routing and what RC and VA
-// know of it: the routing decision (the route tables' one packed byte)
+// know of it: the routing decision (routing.Candidates' one packed byte)
 // and the cycle it started waiting for a VC. Its place in the
 // allocation state machine lives in the port's scan masks, and its
 // granted route in outInfo.
@@ -144,10 +144,11 @@ type Router struct {
 	id   int
 	cfg  *config.Config
 	mesh topology.Mesh
-	// tables memoizes the routing function and the escape network over
-	// every (cur, dst) pair (DESIGN.md §10): RC is a flat array load,
-	// with no interface dispatch left on the steady-state tick. Shared
-	// across the network's routers when an arena is supplied.
+	// tables computes the routing function and the escape network from
+	// the two nodes' coordinates (DESIGN.md §10.6): a few compares, with
+	// no interface dispatch, division or modulo on the steady-state
+	// tick. Shared across the network's routers when an arena is
+	// supplied.
 	tables *routing.Tables
 
 	in  []inputPort
@@ -286,19 +287,22 @@ func routeFor(cfg *config.Config) routing.Function {
 	return routing.XY{}
 }
 
-// newBuffer builds the input-port buffer for the configuration,
-// drawing its arrays from the arena when one is supplied. ViChaR's is
-// FC-CB's pool with a queue per VC ID its Token Dispenser can hand out.
+// newBuffer builds the input-port buffer for the configuration, the
+// struct and its arrays drawn from the arena (nil-arena safe). ViChaR's
+// is FC-CB's pool with a queue per VC ID its Token Dispenser can hand
+// out.
 func newBuffer(cfg *config.Config, a *Arena) *buffers.Queues {
+	a = a.orPlain()
+	b := takeOne(a.queues)
 	switch cfg.Arch {
 	case config.Generic:
-		return buffers.NewGenericIn(a.Soa(), cfg.VCs, cfg.VCDepth)
+		return b.InitGeneric(a.soa, cfg.VCs, cfg.VCDepth)
 	case config.ViChaR:
-		return buffers.NewViChaRIn(a.Soa(), cfg.MaxVCs(), cfg.BufferSlots)
+		return b.InitViChaR(a.soa, cfg.MaxVCs(), cfg.BufferSlots)
 	case config.DAMQ:
-		return buffers.NewDAMQIn(a.Soa(), cfg.VCs, cfg.BufferSlots, cfg.DAMQDelay)
+		return b.InitDAMQ(a.soa, cfg.VCs, cfg.BufferSlots, cfg.DAMQDelay)
 	case config.FCCB:
-		return buffers.NewFCCBIn(a.Soa(), cfg.VCs, cfg.BufferSlots)
+		return b.InitFCCB(a.soa, cfg.VCs, cfg.BufferSlots)
 	default:
 		panic(fmt.Sprintf("router: unknown buffer architecture %v", cfg.Arch))
 	}
@@ -310,64 +314,60 @@ func New(id int, cfg *config.Config, mesh topology.Mesh) *Router {
 	return NewIn(nil, id, cfg, mesh)
 }
 
-// NewIn is New drawing the router's hot state — buffers, VC state
-// machines, scan masks, arbiter banks — from the network arena, so
+// NewIn is New drawing the router — the struct, its port descriptors
+// and buffers, and its hot state: VC state machines, scan masks,
+// arbiter banks, allocator scratch — from the network arena, so
 // adjacent routers' tick-path state packs contiguously (DESIGN.md
-// §10). A nil arena allocates normally.
+// §10.3). A nil arena allocates normally.
 func NewIn(a *Arena, id int, cfg *config.Config, mesh topology.Mesh) *Router {
+	a = a.orPlain()
 	p := cfg.Ports()
-	r := &Router{
-		id:     id,
-		cfg:    cfg,
-		mesh:   mesh,
-		tables: a.Tables(),
-		maxVCs: cfg.MaxVCs(),
-		ports:  p,
-		maskW:  maskWords(cfg.MaxVCs()),
-
-		in:  make([]inputPort, p),
-		out: make([]outputPort, p),
-
-		saNominee: make([]int, p),
-	}
+	v := cfg.MaxVCs()
+	// Field by field into the zero pooled struct: a composite literal
+	// would be built aside and copied in.
+	r := takeOne(a.routers)
+	r.id, r.cfg, r.mesh, r.tables = id, cfg, mesh, a.tables
+	r.maxVCs, r.ports, r.maskW = v, p, maskWords(v)
+	r.in, r.out = a.inPorts.Take(p), a.outs.Take(p)
 	if r.tables == nil {
 		// Standalone construction (unit tests, nil arena): build the
-		// router's own copy of the memoization tables.
+		// router's own route computation.
 		r.tables = routing.NewTables(routeFor(cfg), mesh)
 	}
-	soa := a.Soa()
+	soa := a.soa
 	r.masks = soa.TakeWords(maskKinds * p * r.maskW)
 	for i := 0; i < p; i++ {
 		in := &r.in[i]
 		in.buf = newBuffer(cfg, a)
 		in.readyAt = in.buf.ReadyAt()
-		in.vc = a.takeVCs(r.maxVCs)
-		in.outInfo = a.takeRoutes(r.maxVCs)
+		in.vc = a.vcs.Take(v)
+		in.outInfo = a.routes.Take(v)
 	}
 	r.act.BufWrites = soa.TakeWords(p)
 	r.act.BufReads = soa.TakeWords(p)
 	r.act.PortStalls = soa.TakeWords(p)
 	r.act.CreditStalls = soa.TakeWords(p)
-	r.vaS1 = a.takeBank(p, r.maxVCs)
-	r.saS1 = a.takeBank(p, r.maxVCs)
+	r.vaS1 = a.takeBank(p, v)
+	r.saS1 = a.takeBank(p, v)
 	r.vaS2 = a.takeBank(p, p)
 	r.saS2 = a.takeBank(p, p)
 	if cfg.Arch != config.ViChaR {
-		r.vaS2G = a.takeBank(p*r.maxVCs, p*r.maxVCs)
+		r.vaS2G = a.takeBank(p*v, p*v)
 	}
-	r.reqWords = make([]uint64, maskWords(p*r.maxVCs))
-	r.opReq = make([]uint64, p)
-	r.vaNoms = make([]vaNominee, p)
-	r.vaKnown = make([]uint64, cfg.VCClasses()*2)
-	r.vaFree = make([]uint64, cfg.VCClasses()*2)
-	r.vaSlots = make([]int, p)
+	r.reqWords = soa.TakeWords(maskWords(p * v))
+	r.opReq = soa.TakeWords(p)
+	r.vaKnown = soa.TakeWords(cfg.VCClasses() * 2)
+	r.vaFree = soa.TakeWords(cfg.VCClasses() * 2)
+	r.saNominee = a.ints.Take(p)
+	r.vaSlots = a.ints.Take(p)
+	r.vaNoms = a.noms.Take(p)
 	if cfg.Arch != config.ViChaR {
-		r.vaFlats = make([]int, 0, p*r.maxVCs)
-		r.vaKeys = make([]int, 0, p*r.maxVCs)
-		chains := make([]int32, 4*p*r.maxVCs)
-		r.vaPick, chains = chains[:p*r.maxVCs], chains[p*r.maxVCs:]
-		r.vaHead, chains = chains[:p*r.maxVCs], chains[p*r.maxVCs:]
-		r.vaTail, r.vaNext = chains[:p*r.maxVCs], chains[p*r.maxVCs:]
+		r.vaFlats = a.ints.Take(p * v)[:0]
+		r.vaKeys = a.ints.Take(p * v)[:0]
+		chains := a.int32.Take(4 * p * v)
+		r.vaPick, chains = chains[:p*v], chains[p*v:]
+		r.vaHead, chains = chains[:p*v], chains[p*v:]
+		r.vaTail, r.vaNext = chains[:p*v], chains[p*v:]
 		for k := range r.vaHead {
 			r.vaHead[k] = -1
 		}
@@ -527,9 +527,9 @@ func (r *Router) tickRC(now int64) {
 				if f.Pkt.Escaped {
 					st.cands = routing.OneCandidate(r.escapePort(f.Pkt.Dst))
 				} else {
-					// Memoized RC: a flat table load per head flit
-					// (DESIGN.md §10), same candidates in the same order
-					// as the routing function itself.
+					// Closed-form RC (DESIGN.md §10.6): the same
+					// candidates in the same order as the routing
+					// function itself.
 					st.cands = r.tables.Candidates(r.id, f.Pkt.Dst)
 				}
 				va[i] |= 1 << uint(b)
@@ -589,7 +589,7 @@ func (r *Router) portSlots(p int) int {
 // bestCandidate scores the packet's candidate output ports by VC
 // availability then free downstream slots, returning -1 when no
 // candidate can currently grant a VC of the required kind within the
-// packet's VC class. Candidates come memoized from the route tables;
+// packet's VC class. Candidates come packed from the RC stage;
 // availability is a bit test against the lazily-filled vaFree masks,
 // with ties broken toward the first-listed candidate exactly as
 // direct per-VC polling did. Deterministic functions have a single

@@ -7,7 +7,6 @@ import (
 	"vichar/internal/core"
 	"vichar/internal/flit"
 	"vichar/internal/snap"
-	"vichar/internal/soa"
 )
 
 // CreditView is the upstream mirror of a downstream input port's
@@ -165,10 +164,10 @@ func (l vcLayout) classOf(vc int) int {
 // architecture, mirroring one downstream input port.
 func NewCreditView(cfg *config.Config) CreditView { return NewCreditViewIn(nil, cfg) }
 
-// NewCreditViewIn is NewCreditView drawing the view's per-VC counters
-// and flags from the network arena (nil-arena safe), so the credit
-// state the tick path debits sits beside the rest of the router's hot
-// state (DESIGN.md §10).
+// NewCreditViewIn is NewCreditView drawing the view and its per-VC
+// counters and flags from the network arena (nil-arena safe), so the
+// credit state the tick path debits sits beside the rest of the
+// router's hot state (DESIGN.md §10).
 func NewCreditViewIn(a *Arena, cfg *config.Config) CreditView {
 	escape := 0
 	if cfg.NeedsEscape() {
@@ -177,11 +176,11 @@ func NewCreditViewIn(a *Arena, cfg *config.Config) CreditView {
 	classes := cfg.VCClasses()
 	switch cfg.Arch {
 	case config.Generic:
-		return newGenericView(a.Soa(), cfg.VCs, cfg.VCDepth, escape, classes)
+		return newGenericView(a, cfg.VCs, cfg.VCDepth, escape, classes)
 	case config.ViChaR:
-		return newViCharView(a.Soa(), cfg.BufferSlots, cfg.MaxVCs(), escape, classes)
+		return newViCharView(a, cfg.BufferSlots, cfg.MaxVCs(), escape, classes)
 	case config.DAMQ, config.FCCB:
-		return newSharedView(a.Soa(), cfg.VCs, cfg.BufferSlots, escape, classes)
+		return newSharedView(a, cfg.VCs, cfg.BufferSlots, escape, classes)
 	default:
 		panic(fmt.Sprintf("router: unknown buffer architecture %v", cfg.Arch))
 	}
@@ -198,12 +197,14 @@ type genericView struct {
 	open    []bool  // a packet holds the VC and its tail has not been sent
 }
 
-func newGenericView(a *soa.Arena, vcs, depth, escape, classes int) *genericView {
-	v := &genericView{
+func newGenericView(a *Arena, vcs, depth, escape, classes int) *genericView {
+	a = a.orPlain()
+	v := takeOne(a.generic)
+	*v = genericView{
 		vcLayout: vcLayout{escBase: vcs - escape, total: vcs, classes: classes},
 		depth:    int16(depth),
-		credits:  a.TakeInt16s(vcs),
-		open:     a.TakeBools(vcs),
+		credits:  a.soa.TakeInt16s(vcs),
+		open:     a.soa.TakeBools(vcs),
 	}
 	for i := range v.credits {
 		v.credits[i] = v.depth
@@ -314,17 +315,19 @@ type sharedView struct {
 	open       []bool
 }
 
-func newSharedView(a *soa.Arena, vcs, slots, escape, classes int) *sharedView {
+func newSharedView(a *Arena, vcs, slots, escape, classes int) *sharedView {
 	if slots < vcs {
 		panic(fmt.Sprintf("router: shared view needs a reservable slot per VC, got %d slots for %d VCs", slots, vcs))
 	}
-	v := &sharedView{
+	a = a.orPlain()
+	v := takeOne(a.shared)
+	*v = sharedView{
 		vcLayout:   vcLayout{escBase: vcs - escape, total: vcs, classes: classes},
 		slots:      slots,
 		sharedFree: slots - vcs,
-		resFree:    a.TakeBools(vcs),
-		held:       a.TakeInt16s(vcs),
-		open:       a.TakeBools(vcs),
+		resFree:    a.soa.TakeBools(vcs),
+		held:       a.soa.TakeInt16s(vcs),
+		open:       a.soa.TakeBools(vcs),
 	}
 	for i := range v.resFree {
 		v.resFree[i] = true
@@ -470,21 +473,19 @@ type vicharView struct {
 	kindRes    []bool       // per (class, escape) kind: grant-reserve slot currently free; nil with one kind
 }
 
-func newViCharView(a *soa.Arena, slots, vcs, escape, classes int) *vicharView {
-	v := &vicharView{
-		vcLayout:   vcLayout{escBase: vcs - escape, total: vcs, classes: classes},
-		slots:      slots,
-		sharedFree: slots,
-		resFree:    a.TakeBools(vcs),
-		held:       a.TakeInt16s(vcs),
-	}
-	v.tokens.Init(vcs, a)
+func newViCharView(a *Arena, slots, vcs, escape, classes int) *vicharView {
+	a = a.orPlain()
+	v := takeOne(a.vichar)
+	v.vcLayout = vcLayout{escBase: vcs - escape, total: vcs, classes: classes}
+	v.slots, v.sharedFree = slots, slots
+	v.resFree, v.held = a.soa.TakeBools(vcs), a.soa.TakeInt16s(vcs)
+	v.tokens.Init(vcs, a.soa)
 	if kinds := v.kinds(); kinds > 1 {
 		if slots <= kinds {
 			panic(fmt.Sprintf("router: UBS needs more slots (%d) than VC kinds (%d)", slots, kinds))
 		}
 		v.sharedFree = slots - kinds
-		v.kindRes = a.TakeBools(kinds)
+		v.kindRes = a.soa.TakeBools(kinds)
 		for k := range v.kindRes {
 			v.kindRes[k] = true
 		}
@@ -632,12 +633,16 @@ type sinkView struct {
 // NewSinkView returns the ejection-side credit view.
 func NewSinkView() CreditView { return &sinkView{} }
 
-// NewSinkViewWith returns an ejection-side credit view whose VC
-// grants are gated by the admission policy (nil behaves like
-// NewSinkView). This is how a finite network-interface queue refuses
-// ejection to a packet class — the real NIU buffer bound that makes
-// protocol deadlock reachable.
-func NewSinkViewWith(admit Admission) CreditView { return &sinkView{admit: admit} }
+// NewSinkViewIn returns an ejection-side credit view drawn from the
+// network arena (nil-arena safe) whose VC grants are gated by the
+// admission policy (nil behaves like NewSinkView). This is how a finite
+// network-interface queue refuses ejection to a packet class — the
+// real NIU buffer bound that makes protocol deadlock reachable.
+func NewSinkViewIn(a *Arena, admit Admission) CreditView {
+	v := takeOne(a.orPlain().sinks)
+	v.admit = admit
+	return v
+}
 
 func (v *sinkView) CanSendFlit(vc int) bool { return true }
 

@@ -58,7 +58,7 @@ func TestCreditViewAllocationContract(t *testing.T) {
 		// so class 0's regular kind takes the shared pair and its reserve,
 		// and every later kind only its reserve.
 		{"vichar", vic, vic.span, false, []int{3, 1, 1, 1}},
-		{"sink", NewSinkViewWith(&onceGate{}), func(int, bool) (int, int) { return 0, 1 }, false, []int{1, 0, 1, 0}},
+		{"sink", NewSinkViewIn(nil, &onceGate{}), func(int, bool) (int, int) { return 0, 1 }, false, []int{1, 0, 1, 0}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			v := tc.view

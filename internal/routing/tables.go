@@ -1,10 +1,9 @@
-// Route-compute memoization (DESIGN.md §10): a routing function is a
-// pure function of (cur, dst), so the whole mesh's routing decisions
-// can be precomputed at construction time into flat byte tables. The
-// router's RC stage then becomes an array load (deterministic
-// functions) or an unpack of one packed candidate word (adaptive
-// functions) instead of coordinate arithmetic behind an interface
-// dispatch per head flit.
+// Closed-form route computation (DESIGN.md §10.6): both routing
+// functions and the escape network are a few compares on the two
+// nodes' coordinates, so the router's RC stage reads them from a
+// per-node coordinate table and computes the answer in place — no
+// interface dispatch, division or modulo per head flit, and nothing
+// that grows faster than the node count.
 package routing
 
 import (
@@ -14,98 +13,56 @@ import (
 	"vichar/internal/topology"
 )
 
-// Tables memoizes one routing function plus the escape network over
-// every (cur, dst) node pair of a mesh. One Tables is built per
-// network (arena-backed, shared by all routers); lookups are
-// allocation-free beyond the caller's reusable scratch.
+// Tables is the route computation of one routing function on one
+// mesh. One Tables is built per network (arena-backed, shared by all
+// routers); lookups are allocation-free beyond the caller's reusable
+// scratch.
 type Tables struct {
-	n int
-	// ports[cur*n+dst] is the single output port of a deterministic
-	// function; nil for adaptive functions.
-	ports []uint8
-	// cands[cur*n+dst] is the packed candidate word of an adaptive
-	// function: bits 0-2 hold the first port, bits 3-5 the second,
-	// bits 6-7 the candidate count. The word stores explicit ports in
-	// emission order (X direction first) rather than a plain port
-	// bitmask: ascending-bit iteration over a bitmask would visit
-	// North (port 0) before East (port 1) and silently reorder the
-	// allocator's tie-breaks. nil for deterministic functions.
-	cands []uint8
-	// escape[cur*n+dst] is the never-wrapping escape-network port
-	// (EscapePort); nil when it would duplicate ports exactly (XY on
-	// a mesh), in which case lookups fall through to ports.
-	escape []uint8
+	// xy[2*node] and xy[2*node+1] are the node's column and row
+	// (config.Validate's MaxNodes keeps both inside int16).
+	xy []int16
+	// width and height are the ring lengths of the torus wraparound.
+	width, height int
+	torus         bool
+	// adaptive selects MinimalAdaptive's candidate pair over XY's
+	// single port.
+	adaptive bool
 }
 
-// NewTables builds the memoization tables with plain allocations.
+// NewTables builds the route computation with plain allocations.
 func NewTables(f Function, m topology.Mesh) *Tables { return NewTablesIn(nil, f, m) }
 
-// NewTablesIn is NewTables drawing the tables from the arena's byte
-// pool (nil-arena safe), so they sit beside the rest of the network's
-// hot state. The arena must be sized with TableBytes.
+// NewTablesIn is NewTables drawing the coordinate table from the
+// arena's int16 pool (nil-arena safe), so it sits beside the rest of
+// the network's hot state. The arena must be sized with TableBytes.
 func NewTablesIn(a *soa.Arena, f Function, m topology.Mesh) *Tables {
-	n := m.Nodes()
-	t := &Tables{n: n}
-	det := f.Deterministic()
-	if det {
-		t.ports = a.TakeBytes(n * n)
-	} else {
-		t.cands = a.TakeBytes(n * n)
+	t := &Tables{
+		xy:    a.TakeInt16s(2 * m.Nodes()),
+		width: m.Width, height: m.Height, torus: m.Torus,
 	}
-	if !sharesEscapeTable(f, m) {
-		t.escape = a.TakeBytes(n * n)
+	switch f.(type) {
+	case XY:
+	case MinimalAdaptive:
+		t.adaptive = true
+	default:
+		panic(fmt.Sprintf("routing: no closed form for routing function %s", f))
 	}
-	scratch := make([]int, 0, 2)
-	for cur := 0; cur < n; cur++ {
-		for dst := 0; dst < n; dst++ {
-			i := cur*n + dst
-			scratch = f.AppendCandidates(scratch[:0], m, cur, dst)
-			if det {
-				t.ports[i] = packPort(scratch[0])
-			} else {
-				t.cands[i] = packCandidates(scratch)
-			}
-			if t.escape != nil {
-				t.escape[i] = packPort(EscapePort(m, cur, dst))
-			}
+	i := 0
+	for y := 0; y < m.Height; y++ {
+		for x := 0; x < m.Width; x++ {
+			t.xy[i], t.xy[i+1] = int16(x), int16(y)
+			i += 2
 		}
 	}
 	return t
 }
 
-// sharesEscapeTable reports whether the function's own table already
-// is the escape network, making a separate escape table redundant: XY
-// on a mesh is exactly EscapePort (dimension order, no wraparound).
-func sharesEscapeTable(f Function, m topology.Mesh) bool {
-	_, isXY := f.(XY)
-	return isXY && !m.Torus
-}
-
-// packPort narrows a port index into a table byte (3-bit fields in
-// the packed candidate word).
-func packPort(p int) uint8 {
-	if p < 0 || p > 7 {
-		//vichar:invariant only reachable from table construction; a 5-port router's port ids always fit 3 bits
-		panic(fmt.Sprintf("routing: port %d does not fit a packed table entry", p))
-	}
-	return uint8(p)
-}
-
-// packCandidates packs an ordered candidate set into one byte.
-func packCandidates(cands []int) uint8 {
-	if len(cands) < 1 || len(cands) > 2 {
-		//vichar:invariant only reachable from table construction; minimal routing on a 2-D mesh emits 1 or 2 candidates
-		panic(fmt.Sprintf("routing: cannot pack %d candidates into a table word", len(cands)))
-	}
-	w := uint8(len(cands))<<6 | packPort(cands[0])
-	if len(cands) == 2 {
-		w |= packPort(cands[1]) << 3
-	}
-	return w
-}
-
-// Candidates is an ordered set of one or two output ports in the
-// tables' packed form (see Tables.cands): what a router's VC state
+// Candidates is an ordered set of one or two output ports packed into
+// one byte: bits 0-2 hold the first port, bits 3-5 the second, bits 6-7
+// the count. It stores explicit ports in emission order (X direction
+// first) rather than a port bitmask: ascending-bit iteration over a
+// bitmask would visit North (port 0) before East (port 1) and silently
+// reorder the allocator's tie-breaks. It is what a router's VC state
 // keeps of a routing decision, one byte instead of a slice.
 type Candidates uint8
 
@@ -126,18 +83,64 @@ func (c Candidates) Len() int { return int(c >> 6) }
 // At returns candidate i (0 is the routing function's first choice).
 func (c Candidates) At(i int) int { return int(c >> (3 * uint(i)) & 7) }
 
-// Candidates returns the memoized candidates for (cur, dst): identical
-// contents and order to the underlying function's AppendCandidates
-// (pinned exhaustively by TestTablesEquivalence).
+// Candidates returns the routing function's candidates for (cur,
+// dst): identical contents and order to its AppendCandidates (pinned
+// by TestTablesEquivalence).
 func (t *Tables) Candidates(cur, dst int) Candidates {
-	if t.ports != nil {
-		return 1<<6 | Candidates(t.ports[cur*t.n+dst])
+	c, d := t.xy[2*cur:2*cur+2:2*cur+2], t.xy[2*dst:2*dst+2:2*dst+2]
+	cx, cy, dx, dy := int(c[0]), int(c[1]), int(d[0]), int(d[1])
+	if cx == dx {
+		if cy == dy {
+			return OneCandidate(topology.Local)
+		}
+		return OneCandidate(t.yPort(cy, dy))
 	}
-	return Candidates(t.cands[cur*t.n+dst])
+	x := t.xPort(cx, dx)
+	if !t.adaptive || cy == dy {
+		return OneCandidate(x)
+	}
+	return 2<<6 | Candidates(t.yPort(cy, dy))<<3 | Candidates(x)
 }
 
-// AppendCandidates appends the memoized candidates for (cur, dst) to
-// out, unpacked.
+// xPort is xDir for cx != dx: the shortest way around a torus ring
+// (ties East), the only way on a mesh.
+func (t *Tables) xPort(cx, dx int) int {
+	fwd := dx - cx
+	if t.torus {
+		if fwd < 0 {
+			fwd += t.width
+		}
+		if 2*fwd <= t.width {
+			return topology.East
+		}
+		return topology.West
+	}
+	if fwd > 0 {
+		return topology.East
+	}
+	return topology.West
+}
+
+// yPort is yDir for cy != dy (ties South).
+func (t *Tables) yPort(cy, dy int) int {
+	fwd := dy - cy
+	if t.torus {
+		if fwd < 0 {
+			fwd += t.height
+		}
+		if 2*fwd <= t.height {
+			return topology.South
+		}
+		return topology.North
+	}
+	if fwd > 0 {
+		return topology.South
+	}
+	return topology.North
+}
+
+// AppendCandidates appends the candidates for (cur, dst) to out,
+// unpacked.
 func (t *Tables) AppendCandidates(out []int, cur, dst int) []int {
 	c := t.Candidates(cur, dst)
 	for i := 0; i < c.Len(); i++ {
@@ -146,24 +149,29 @@ func (t *Tables) AppendCandidates(out []int, cur, dst int) []int {
 	return out
 }
 
-// EscapePort returns the memoized escape-network port for (cur, dst).
+// EscapePort returns the escape-network port for (cur, dst): XY that
+// never takes a wraparound link (the package-level EscapePort).
 func (t *Tables) EscapePort(cur, dst int) int {
-	if t.escape != nil {
-		return int(t.escape[cur*t.n+dst])
+	c, d := t.xy[2*cur:2*cur+2:2*cur+2], t.xy[2*dst:2*dst+2:2*dst+2]
+	switch {
+	case c[0] < d[0]:
+		return topology.East
+	case c[0] > d[0]:
+		return topology.West
+	case c[1] < d[1]:
+		return topology.South
+	case c[1] > d[1]:
+		return topology.North
+	default:
+		return topology.Local
 	}
-	return int(t.ports[cur*t.n+dst])
 }
 
-// Bytes returns the tables' total memory footprint in bytes.
-func (t *Tables) Bytes() int { return len(t.ports) + len(t.cands) + len(t.escape) }
+// Bytes returns the coordinate table's memory footprint in bytes.
+func (t *Tables) Bytes() int { return 2 * len(t.xy) }
 
-// TableBytes is the closed-form byte count NewTablesIn takes from the
-// arena for the function on the mesh; router.NewArena sizes the byte
-// pool with it (TestArenaSizingExact pins the formula).
-func TableBytes(f Function, m topology.Mesh) int {
-	n := m.Nodes()
-	if sharesEscapeTable(f, m) {
-		return n * n
-	}
-	return 2 * n * n
-}
+// TableBytes is the byte count NewTablesIn takes from the arena's
+// int16 pool for the mesh, four per node whatever the function;
+// router.NewArena sizes the pool with it (TestArenaSizingExact pins
+// the formula).
+func TableBytes(m topology.Mesh) int { return 4 * m.Nodes() }

@@ -4,8 +4,10 @@ import "vichar/internal/flit"
 
 // Arena bundles the typed pools the simulator's hot state draws from:
 // flit slot arrays, 16-bit bookkeeping (buffer slot links and queue
-// registers, credit counters — config.Validate bounds every slot and
-// VC count by config.MaxBufferSlots, so they fit), int64 cycle stamps
+// registers, credit counters, the route tables' node coordinates —
+// config.Validate bounds every slot and VC count by
+// config.MaxBufferSlots and the mesh by config.MaxNodes, so they
+// fit), int64 cycle stamps
 // and uint64 bitmap words (token trackers, VC masks). One Arena is
 // built per Network with capacities from a
 // closed-form sizing formula; every router, buffer and credit view
@@ -22,18 +24,16 @@ type Arena struct {
 	Int64s *Pool[int64]
 	Words  *Pool[uint64]
 	Bools  *Pool[bool]
-	Bytes  *Pool[uint8]
 }
 
 // NewArena returns an arena with the given per-pool capacities.
-func NewArena(flits, int16s, int64s, words, bools, bytes int) *Arena {
+func NewArena(flits, int16s, int64s, words, bools int) *Arena {
 	return &Arena{
 		Flits:  NewPool[*flit.Flit](flits),
 		Int16s: NewPool[int16](int16s),
 		Int64s: NewPool[int64](int64s),
 		Words:  NewPool[uint64](words),
 		Bools:  NewPool[bool](bools),
-		Bytes:  NewPool[uint8](bytes),
 	}
 }
 
@@ -77,15 +77,6 @@ func (a *Arena) TakeBools(n int) []bool {
 	return a.Bools.Take(n)
 }
 
-// TakeBytes carves n bytes (nil-arena safe); the route-memoization
-// tables of internal/routing live here.
-func (a *Arena) TakeBytes(n int) []uint8 {
-	if a == nil {
-		return make([]uint8, n)
-	}
-	return a.Bytes.Take(n)
-}
-
 // Overflow sums the pools' fallback allocations; nonzero means the
 // sizing formula undershot somewhere.
 func (a *Arena) Overflow() int {
@@ -93,5 +84,5 @@ func (a *Arena) Overflow() int {
 		return 0
 	}
 	return a.Flits.Overflow() + a.Int16s.Overflow() + a.Int64s.Overflow() +
-		a.Words.Overflow() + a.Bools.Overflow() + a.Bytes.Overflow()
+		a.Words.Overflow() + a.Bools.Overflow()
 }

@@ -49,19 +49,18 @@ func TestNilPoolAndArenaDegradeToAllocation(t *testing.T) {
 	}
 	var a *Arena
 	if len(a.TakeFlits(2)) != 2 || len(a.TakeInt16s(3)) != 3 || len(a.TakeInt64s(4)) != 4 ||
-		len(a.TakeWords(5)) != 5 || len(a.TakeBools(6)) != 6 || len(a.TakeBytes(7)) != 7 || a.Overflow() != 0 {
+		len(a.TakeWords(5)) != 5 || len(a.TakeBools(6)) != 6 || a.Overflow() != 0 {
 		t.Fatal("nil arena did not serve plain allocations")
 	}
 }
 
 func TestArenaOverflowSumsEveryPool(t *testing.T) {
-	a := NewArena(1, 1, 1, 1, 1, 1)
+	a := NewArena(1, 1, 1, 1, 1)
 	a.TakeFlits(1)
 	a.TakeInt16s(1)
 	a.TakeInt64s(1)
 	a.TakeWords(1)
 	a.TakeBools(1)
-	a.TakeBytes(1)
 	if a.Overflow() != 0 {
 		t.Fatalf("exact-fit arena overflowed by %d", a.Overflow())
 	}
@@ -70,8 +69,7 @@ func TestArenaOverflowSumsEveryPool(t *testing.T) {
 	a.TakeInt64s(3)
 	a.TakeWords(4)
 	a.TakeBools(5)
-	a.TakeBytes(6)
-	if a.Overflow() != 21 {
-		t.Fatalf("overflow %d, want 21 (1+2+3+4+5+6)", a.Overflow())
+	if a.Overflow() != 15 {
+		t.Fatalf("overflow %d, want 15 (1+2+3+4+5)", a.Overflow())
 	}
 }
