@@ -93,50 +93,34 @@ func (t *Tables) Candidates(cur, dst int) Candidates {
 		if cy == dy {
 			return OneCandidate(topology.Local)
 		}
-		return OneCandidate(t.yPort(cy, dy))
+		return OneCandidate(t.ring(cy, dy, t.height, topology.South, topology.North))
 	}
-	x := t.xPort(cx, dx)
+	x := t.ring(cx, dx, t.width, topology.East, topology.West)
 	if !t.adaptive || cy == dy {
 		return OneCandidate(x)
 	}
-	return 2<<6 | Candidates(t.yPort(cy, dy))<<3 | Candidates(x)
+	return 2<<6 | Candidates(t.ring(cy, dy, t.height, topology.South, topology.North))<<3 | Candidates(x)
 }
 
-// xPort is xDir for cx != dx: the shortest way around a torus ring
-// (ties East), the only way on a mesh.
-func (t *Tables) xPort(cx, dx int) int {
-	fwd := dx - cx
+// ring is xDir and yDir for c != d: the port from coordinate c toward
+// d along a dimension of n nodes, up (toward higher coordinates: East,
+// South) or down — the shorter way around a torus ring with ties up,
+// the only way on a mesh.
+func (t *Tables) ring(c, d, n, up, down int) int {
+	fwd := d - c
 	if t.torus {
 		if fwd < 0 {
-			fwd += t.width
+			fwd += n
 		}
-		if 2*fwd <= t.width {
-			return topology.East
+		if 2*fwd <= n {
+			return up
 		}
-		return topology.West
+		return down
 	}
 	if fwd > 0 {
-		return topology.East
+		return up
 	}
-	return topology.West
-}
-
-// yPort is yDir for cy != dy (ties South).
-func (t *Tables) yPort(cy, dy int) int {
-	fwd := dy - cy
-	if t.torus {
-		if fwd < 0 {
-			fwd += t.height
-		}
-		if 2*fwd <= t.height {
-			return topology.South
-		}
-		return topology.North
-	}
-	if fwd > 0 {
-		return topology.South
-	}
-	return topology.North
+	return down
 }
 
 // AppendCandidates appends the candidates for (cur, dst) to out,
