@@ -86,7 +86,8 @@ bench-ab:
 # CPU profiles of two single-threaded ViChaR cells of BenchmarkKernel:
 # saturated (router VA/SA work dominates) and idle (rate 0.05: most
 # routers sleep, and what a cycle touches around them shows), and of
-# construction alone (BenchmarkNewSimulator's 16x16 ViC-16 cell, the
+# construction alone (BenchmarkNewSimulator's 16x16 ViC-16 cell and its
+# observed 8x8 cell, with the metrics registry and event recorders: the
 # cost setup_s measures). Prints the top-10 flat and cumulative
 # reports of each. The binary and the raw profiles stay under the
 # ignored .bench_build/.
@@ -104,6 +105,10 @@ profile:
 		-benchtime 400x -cpuprofile .bench_build/new.prof -o .bench_build/kernel.test
 	$(GO) tool pprof -top -nodecount=10 .bench_build/kernel.test .bench_build/new.prof
 	$(GO) tool pprof -top -cum -nodecount=10 .bench_build/kernel.test .bench_build/new.prof
+	$(GO) test . -run '^$$' -bench 'BenchmarkNewSimulator/ViC/mesh=8x8/observed$$' \
+		-benchtime 2000x -cpuprofile .bench_build/new-observed.prof -o .bench_build/kernel.test
+	$(GO) tool pprof -top -nodecount=10 .bench_build/kernel.test .bench_build/new-observed.prof
+	$(GO) tool pprof -top -cum -nodecount=10 .bench_build/kernel.test .bench_build/new-observed.prof
 
 # Regenerate every figure/table at quick scale into results/.
 experiments:

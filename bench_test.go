@@ -513,16 +513,25 @@ func BenchmarkKernel(b *testing.B) {
 // arena, route computation, wiring — the cost a sweep pays per point
 // and a restore per branch (the benchmark's setup_s): ViC-16 and
 // GEN-16 on the paper's 8x8, and ViC-16 on 16x16 and 32x32, where a
-// cost that grows faster than the node count would show. `make
-// profile` samples the 16x16 cell.
+// cost that grows faster than the node count would show, plus the
+// observed 8x8 ViC-16 (Metrics and TraceEvents 65536, the observed8x8
+// workload's configuration), which builds the registry and the event
+// recorders besides. `make profile` samples the 16x16 and the observed
+// cells.
 func BenchmarkNewSimulator(b *testing.B) {
 	cells := []struct {
-		arch vichar.BufferArch
-		dim  int
-	}{{vichar.ViChaR, 8}, {vichar.Generic, 8}, {vichar.ViChaR, 16}, {vichar.ViChaR, 32}}
+		arch     vichar.BufferArch
+		dim      int
+		observed bool
+	}{{vichar.ViChaR, 8, false}, {vichar.Generic, 8, false}, {vichar.ViChaR, 16, false}, {vichar.ViChaR, 32, false}, {vichar.ViChaR, 8, true}}
 	for _, c := range cells {
 		cfg := kernelBenchConfig(c.arch, c.dim, kernelMidRate, 1)
-		b.Run(fmt.Sprintf("%s/mesh=%dx%d", c.arch, c.dim, c.dim), func(b *testing.B) {
+		name := fmt.Sprintf("%s/mesh=%dx%d", c.arch, c.dim, c.dim)
+		if c.observed {
+			cfg.Metrics, cfg.TraceEvents = true, 65536
+			name += "/observed"
+		}
+		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				s, err := vichar.NewSimulator(cfg)

@@ -242,11 +242,14 @@ type Config struct {
 	Audit bool
 
 	// Metrics enables the live observability layer (internal/metrics):
-	// per-router, per-port, per-pipeline-stage counters staged on
-	// shard-owned recorders and merged serially at the stats sampling
-	// cadence, so results and registry state stay bit-identical for
-	// any Workers setting. Off by default; the disabled path costs
-	// one nil check per instrumentation site.
+	// a registry of per-router, per-port, per-pipeline-stage,
+	// per-link and per-node counter series. The registry is a view
+	// over each component's own counters, refreshed by a serial store
+	// pass at the SampleEvery cadence (and a final flush), so results
+	// and registry state stay bit-identical for any Workers setting;
+	// shard-owned recorders stage only flit events, and only when
+	// TraceEvents > 0. Off by default; the disabled path costs one
+	// nil check per instrumentation site.
 	Metrics bool
 
 	// TraceEvents, when positive, bounds the flit-lifecycle event

@@ -218,12 +218,11 @@ func (f *FaultsConfig) checkConnected(mesh topology.Mesh) error {
 		}
 	}
 	seen := make([]bool, mesh.Nodes())
-	queue := []int{0}
+	queue := make([]int, 1, mesh.Nodes()) // node 0 first; each node enters once
 	seen[0] = true
 	reached := 1
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
+	for qi := 0; qi < len(queue); qi++ {
+		cur := queue[qi]
 		for port := 0; port < topology.Local; port++ {
 			nb, ok := mesh.Neighbor(cur, port)
 			if !ok || seen[nb] {

@@ -14,9 +14,10 @@
 package faults
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"vichar/internal/config"
 	"vichar/internal/flit"
@@ -50,8 +51,8 @@ type stallWindow struct {
 
 // Plan is the immutable compiled fault schedule of one run; the
 // network builds per-link and per-router mutable state from it at
-// wiring time. A nil *Plan (faults disabled) is valid for every
-// constructor and returns nil state.
+// wiring time. A nil *Plan (faults disabled) is valid for every method
+// but Link.
 type Plan struct {
 	nodes, ports int
 
@@ -63,10 +64,17 @@ type Plan struct {
 	linkSeed    uint64
 	stallSeed   uint64
 
-	killAt  []int64         // [node*4+port] first dead cycle, else neverDead
-	dropAt  [][]int64       // [node*4+port] scheduled one-shot drop cycles, ascending
-	stallAt [][]stallWindow // [node*ports+port] scheduled stalls, ascending
-	hasKill bool
+	killAt []int64 // [node*4+port] first dead cycle, else neverDead
+	// The scheduled events, one row per resource in one array per kind:
+	// row k is drops[dropOff[k]:dropOff[k+1]], the one-shot drop cycles
+	// of link k = node*4+port, ascending, and
+	// stalls[stallOff[k]:stallOff[k+1]] the stalls of input port
+	// k = node*ports+port, ascending by start.
+	drops    []int64
+	dropOff  []int32
+	stalls   []stallWindow
+	stallOff []int32
+	hasKill  bool
 }
 
 // NewPlan compiles the configuration's fault schedule, or returns nil
@@ -92,8 +100,8 @@ func NewPlan(cfg *config.Config) *Plan {
 	for i := range p.killAt {
 		p.killAt[i] = neverDead
 	}
-	p.dropAt = make([][]int64, p.nodes*topology.Local)
-	p.stallAt = make([][]stallWindow, p.nodes*p.ports)
+	p.dropOff = make([]int32, p.nodes*topology.Local+1)
+	p.stallOff = make([]int32, p.nodes*p.ports+1)
 	for _, ev := range f.Events {
 		switch ev.Kind {
 		case config.KillLink:
@@ -103,20 +111,50 @@ func NewPlan(cfg *config.Config) *Plan {
 			}
 			p.hasKill = true
 		case config.DropFlit:
-			k := ev.Node*topology.Local + ev.Port
-			p.dropAt[k] = append(p.dropAt[k], ev.Cycle)
+			p.dropOff[ev.Node*topology.Local+ev.Port+1]++
 		case config.StallPort:
-			k := ev.Node*p.ports + ev.Port
-			p.stallAt[k] = append(p.stallAt[k], stallWindow{at: ev.Cycle, cycles: int64(ev.Cycles)})
+			p.stallOff[ev.Node*p.ports+ev.Port+1]++
 		}
 	}
-	for _, cycles := range p.dropAt {
-		sort.Slice(cycles, func(i, j int) bool { return cycles[i] < cycles[j] })
+	p.drops = make([]int64, rowStarts(p.dropOff))
+	p.stalls = make([]stallWindow, rowStarts(p.stallOff))
+	for _, ev := range f.Events {
+		switch ev.Kind {
+		case config.DropFlit:
+			k := ev.Node*topology.Local + ev.Port
+			p.drops[p.dropOff[k]] = ev.Cycle
+			p.dropOff[k]++
+		case config.StallPort:
+			k := ev.Node*p.ports + ev.Port
+			p.stalls[p.stallOff[k]] = stallWindow{at: ev.Cycle, cycles: int64(ev.Cycles)}
+			p.stallOff[k]++
+		}
 	}
-	for _, ws := range p.stallAt {
-		sort.SliceStable(ws, func(i, j int) bool { return ws[i].at < ws[j].at })
+	rowsFilled(p.dropOff)
+	rowsFilled(p.stallOff)
+	for k := 0; k+1 < len(p.dropOff); k++ {
+		slices.Sort(p.drops[p.dropOff[k]:p.dropOff[k+1]])
+	}
+	for k := 0; k+1 < len(p.stallOff); k++ {
+		slices.SortStableFunc(p.stalls[p.stallOff[k]:p.stallOff[k+1]], func(a, b stallWindow) int { return cmp.Compare(a.at, b.at) })
 	}
 	return p
+}
+
+// rowStarts turns off, holding row k's length at off[k+1], into row
+// k's start at off[k], and returns the total length.
+func rowStarts(off []int32) int {
+	for k := 1; k < len(off); k++ {
+		off[k] += off[k-1]
+	}
+	return int(off[len(off)-1])
+}
+
+// rowsFilled restores the row starts after a fill that advanced each
+// row's off[k] to its end, the next row's start.
+func rowsFilled(off []int32) {
+	copy(off[1:len(off)-1], off[:len(off)-2])
+	off[0] = 0
 }
 
 // HasHardFaults reports whether any link is scheduled to die (and the
@@ -173,16 +211,15 @@ type LinkState struct {
 	Retransmits uint64
 }
 
-// Link builds the fault state for the directed link leaving node
-// through the cardinal port; nil on a nil plan.
-func (p *Plan) Link(node, port int) *LinkState {
-	if p == nil {
-		return nil
-	}
-	return &LinkState{
+// Link returns the fault state for the directed link leaving node
+// through the cardinal port, which the network keeps in a slab; p must
+// not be nil.
+func (p *Plan) Link(node, port int) LinkState {
+	k := node*topology.Local + port
+	return LinkState{
 		plan:   p,
-		stream: uint64(node*topology.Local + port),
-		drops:  p.dropAt[node*topology.Local+port],
+		stream: uint64(k),
+		drops:  p.drops[p.dropOff[k]:p.dropOff[k+1]],
 	}
 }
 
@@ -274,26 +311,35 @@ type RouterState struct {
 
 	deadAt     []int64 // per cardinal output port
 	stallUntil []int64 // per input port, exclusive end cycle
-	winIdx     []int
-	windows    [][]stallWindow
+	winIdx     []int   // per input port, the next of its stalls to apply
+	stallOff   []int32 // the plan's stall-row bounds of the router's input ports
 	stalled    []bool
 }
 
-// Router builds the fault state for one router; nil on a nil plan.
-func (p *Plan) Router(node int) *RouterState {
+// Routers builds the fault state of every router, indexed by node,
+// with the per-port rows of all of them carved from one array per
+// field; nil on a nil plan.
+func (p *Plan) Routers() []RouterState {
 	if p == nil {
 		return nil
 	}
-	s := &RouterState{
-		plan:       p,
-		node:       node,
-		deadAt:     p.killAt[node*topology.Local : (node+1)*topology.Local],
-		stallUntil: make([]int64, p.ports),
-		winIdx:     make([]int, p.ports),
-		windows:    p.stallAt[node*p.ports : (node+1)*p.ports],
-		stalled:    make([]bool, p.ports),
+	rs := make([]RouterState, p.nodes)
+	stallUntil := make([]int64, p.nodes*p.ports)
+	winIdx := make([]int, p.nodes*p.ports)
+	stalled := make([]bool, p.nodes*p.ports)
+	for node := range rs {
+		lo, hi := node*p.ports, (node+1)*p.ports
+		rs[node] = RouterState{
+			plan:       p,
+			node:       node,
+			deadAt:     p.killAt[node*topology.Local : (node+1)*topology.Local],
+			stallUntil: stallUntil[lo:hi:hi],
+			winIdx:     winIdx[lo:hi:hi],
+			stallOff:   p.stallOff[lo : hi+1],
+			stalled:    stalled[lo:hi:hi],
+		}
 	}
-	return s
+	return rs
 }
 
 // BeginCycle applies due scheduled stalls, rolls rate-driven stall
@@ -303,8 +349,9 @@ func (p *Plan) Router(node int) *RouterState {
 func (s *RouterState) BeginCycle(now int64) {
 	s.now = now
 	for port := range s.stalled {
-		for s.winIdx[port] < len(s.windows[port]) && s.windows[port][s.winIdx[port]].at <= now {
-			w := s.windows[port][s.winIdx[port]]
+		windows := s.plan.stalls[s.stallOff[port]:s.stallOff[port+1]]
+		for s.winIdx[port] < len(windows) && windows[s.winIdx[port]].at <= now {
+			w := windows[s.winIdx[port]]
 			s.winIdx[port]++
 			if end := w.at + w.cycles; end > s.stallUntil[port] {
 				s.stallUntil[port] = end

@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"slices"
 	"testing"
 
 	"vichar/internal/config"
@@ -29,7 +30,7 @@ func TestNilPlanIsInert(t *testing.T) {
 	if p.HasHardFaults() || p.LinkEverDead(0, topology.East) {
 		t.Fatal("nil plan reports faults")
 	}
-	if p.Link(0, 0) != nil || p.Router(0) != nil {
+	if p.Routers() != nil {
 		t.Fatal("nil plan built state")
 	}
 	var s *LinkState
@@ -45,7 +46,8 @@ func TestAttemptIsCounterDeterministic(t *testing.T) {
 			f.DropRate = 0.2
 			f.CorruptRate = 0.1
 		})
-		return p.Link(3, topology.East)
+		s := p.Link(3, topology.East)
+		return &s
 	}
 	a, b := mk(), mk()
 	for i := 0; i < 2000; i++ {
@@ -161,7 +163,7 @@ func TestStallWindowsAndKills(t *testing.T) {
 	if p.LinkEverDead(2, topology.West) {
 		t.Fatal("healthy link reported as dying")
 	}
-	r := p.Router(2)
+	r := &p.Routers()[2]
 	stalled := 0
 	for now := int64(1); now <= 40; now++ {
 		r.BeginCycle(now)
@@ -187,7 +189,7 @@ func TestRateStallsDeterministic(t *testing.T) {
 			f.StallRate = 0.01
 			f.StallCycles = 3
 		})
-		return p.Router(5)
+		return &p.Routers()[5]
 	}
 	a, b := mk(), mk()
 	stalls := 0
@@ -205,5 +207,58 @@ func TestRateStallsDeterministic(t *testing.T) {
 	}
 	if stalls == 0 {
 		t.Fatal("stall rate 0.01 over 2500 port-cycles produced no stalls")
+	}
+}
+
+// The schedule keeps every resource's events in one row of a shared
+// array: events given in any order land in their own resource's row,
+// sorted, and a row's neighbours see none of them.
+func TestScheduleRowsPerResource(t *testing.T) {
+	p := planFor(t, func(f *config.FaultsConfig) {
+		f.Events = []config.FaultEvent{
+			{Cycle: 9, Kind: config.StallPort, Node: 3, Port: 0, Cycles: 2},
+			{Cycle: 20, Kind: config.DropFlit, Node: 1, Port: topology.South},
+			{Cycle: 4, Kind: config.StallPort, Node: 2, Port: 1, Cycles: 3},
+			{Cycle: 7, Kind: config.DropFlit, Node: 2, Port: topology.East},
+			{Cycle: 5, Kind: config.DropFlit, Node: 1, Port: topology.South},
+			{Cycle: 1, Kind: config.StallPort, Node: 3, Port: 0, Cycles: 1},
+		}
+	})
+	drops := func(node, port int) []int64 {
+		s := p.Link(node, port)
+		var at []int64
+		for now := int64(0); now < 30; now++ {
+			if s.Attempt(now) == Drop {
+				at = append(at, now)
+			}
+		}
+		return at
+	}
+	for _, c := range []struct {
+		node, port int
+		want       []int64
+	}{{1, topology.South, []int64{5, 20}}, {2, topology.East, []int64{7}}, {1, topology.East, nil}, {2, topology.South, nil}} {
+		if got := drops(c.node, c.port); !slices.Equal(got, c.want) {
+			t.Errorf("link %d.%d dropped at %v, want %v", c.node, c.port, got, c.want)
+		}
+	}
+	rs := p.Routers()
+	stalls := func(node, port int) []int64 {
+		var at []int64
+		for now := int64(1); now < 30; now++ {
+			rs[node].BeginCycle(now)
+			if rs[node].Stalled(port) {
+				at = append(at, now)
+			}
+		}
+		return at
+	}
+	for _, c := range []struct {
+		node, port int
+		want       []int64
+	}{{3, 0, []int64{1, 9, 10}}, {2, 1, []int64{4, 5, 6}}, {2, 0, nil}, {3, 1, nil}} {
+		if got := stalls(c.node, c.port); !slices.Equal(got, c.want) {
+			t.Errorf("router %d port %d stalled at %v, want %v", c.node, c.port, got, c.want)
+		}
 	}
 }

@@ -8,13 +8,17 @@
 // incremented exactly once, in state owned by the component that
 // produces it (router, network interface, link, network core); the
 // registry is a read-only view over that state. The network registers
-// one series per exposed counter at construction and, in the serial
-// phase of the kernel (DESIGN.md §10) — the sample cadence plus a
-// final flush — copies the current absolute values in under one lock
-// acquisition (Store). Values are therefore bit-identical for any
-// worker count, and concurrent readers (the HTTP exporter, the
-// Snapshot API) only ever take the registry lock, never touch kernel
-// state.
+// its counter series as one walk over its components (Counters, Walk):
+// construction only counts the series, the store pass — run in the
+// serial phase of the kernel (DESIGN.md §10), at the sample cadence
+// plus a final flush — copies the current absolute values in under one
+// lock acquisition (Store), and the series' names, help and labels are
+// built from the network's fixed structure by the first reader
+// (Snapshot, WritePrometheus), once per registry. Values are therefore
+// bit-identical for any worker count, building an observed network
+// costs what building a plain one does, and concurrent readers (the
+// HTTP exporter, the Snapshot API) only ever take the registry lock,
+// never touch kernel state.
 //
 // A run without the layer builds none of it: no registry, no
 // recorders, nothing tested on the tick path except the nil check
@@ -27,6 +31,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"unsafe"
 )
 
 // Label is one key/value pair of a metric series. Labels are kept as
@@ -77,41 +82,141 @@ type seriesDesc struct {
 	labels Labels
 }
 
+// Family is one counter metric: its name, its help text and how the
+// key of one of its series renders as labels. Families are static
+// data; the owner's walk names one for every series it visits.
+type Family struct {
+	Name, Help string
+	// Labels renders the label set of the series with key k; nil for
+	// an unlabeled family.
+	Labels func(k Key) Labels
+}
+
+// Key identifies a series within its family by up to three integers —
+// a router and a port, a link's endpoints and port, a node — which
+// the family's Labels renders.
+type Key [3]int
+
+// walkMode is what a Walk does at each series.
+type walkMode uint8
+
+const (
+	counting   walkMode = iota // only count the series
+	storing                    // write each series' value
+	describing                 // build each series' descriptor
+)
+
+// Walk is one pass of the owner's series walk over its counters, in
+// registration order. The same walk function sizes the registry, stores
+// its values and describes its series, so the three cannot disagree on
+// the order. A walk reads a value only while storing, so it must pass
+// each counter by address: describing runs on a reader's goroutine,
+// concurrently with the kernel that writes the counters.
+type Walk struct {
+	mode  walkMode
+	n     int          // series visited so far
+	vals  []uint64     // storing: the registry's value slots
+	descs []seriesDesc // describing: the descriptors built so far
+}
+
+// Counter visits one series whose value is the counter at v.
+func (w *Walk) Counter(f *Family, k Key, v *uint64) {
+	switch w.mode {
+	case storing:
+		w.vals[w.n] = *v
+	case describing:
+		w.describe(f, k)
+	}
+	w.n++
+}
+
+// Sum visits one series whose value is the sum of the counters in vs.
+func (w *Walk) Sum(f *Family, k Key, vs []uint64) {
+	switch w.mode {
+	case storing:
+		var total uint64
+		for _, v := range vs {
+			total += v
+		}
+		w.vals[w.n] = total
+	case describing:
+		w.describe(f, k)
+	}
+	w.n++
+}
+
+// describe appends the descriptor of the series k of family f.
+func (w *Walk) describe(f *Family, k Key) {
+	d := seriesDesc{name: f.Name, help: f.Help}
+	if f.Labels != nil {
+		d.labels = f.Labels(k)
+	}
+	w.descs = append(w.descs, d)
+}
+
 // Registry holds the last stored value of every registered series.
 // All mutation goes through Store and SetGauge — serial-phase
 // operations — while Snapshot and WritePrometheus may be called from
 // any goroutine (the HTTP exporter's scrape path).
 type Registry struct {
-	mu       sync.RWMutex
-	counters []seriesDesc
-	cvals    []uint64
-	gauges   []seriesDesc
-	gvals    []float64
+	mu    sync.RWMutex
+	walk  func(w *Walk) // the owner's counter walk; nil when none is registered
+	store Walk          // the store pass's walk, reused so a store allocates nothing
+	cvals []uint64
+
+	// described guards counters, the series descriptors, which the
+	// first reader builds.
+	described sync.Once
+	counters  []seriesDesc
+
+	gauges []seriesDesc
+	gvals  []float64
 }
 
-// NewRegistry returns an empty registry. Register every series (via
-// Counter and Gauge) at construction time, before the first
+// NewRegistry returns an empty registry. Register the counter walk
+// (Counters) and every gauge at construction time, before the first
 // concurrent reader.
 func NewRegistry() *Registry { return &Registry{} }
 
-// Counter registers a counter series. Its value is whatever the
-// owner's Store pass writes at the series' registration index.
-func (r *Registry) Counter(name, help string, labels Labels) {
+// Counters registers the owner's counter series: walk visits each one,
+// in a fixed order, through the Walk it is handed. Registration only
+// counts them; Store writes their values and the first reader builds
+// their descriptors, each by running walk again. Call at most once.
+func (r *Registry) Counters(walk func(w *Walk)) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.counters = append(r.counters, seriesDesc{name: name, help: help, labels: labels})
-	r.cvals = append(r.cvals, 0)
+	r.store = Walk{mode: counting}
+	walk(&r.store)
+	r.walk = walk
+	r.cvals = make([]uint64, r.store.n)
+	r.store.mode, r.store.vals = storing, r.cvals
 }
 
-// Store refreshes every counter series under one lock acquisition:
-// fill receives the value slice, indexed in registration order, and
-// overwrites each entry with the owning component's current absolute
-// count. Serial phase only — fill reads kernel state, which must be
+// Store refreshes every counter series under one lock acquisition,
+// overwriting each with the owning component's current absolute count.
+// Serial phase only — the walk reads kernel state, which must be
 // quiescent.
-func (r *Registry) Store(fill func(vals []uint64)) {
+func (r *Registry) Store() {
+	if r.walk == nil {
+		return
+	}
 	r.mu.Lock()
-	fill(r.cvals)
+	r.store.n = 0
+	r.walk(&r.store)
 	r.mu.Unlock()
+}
+
+// describe builds the counter series' descriptors; run once, by the
+// first reader. The walk reads only the owner's fixed structure and
+// the addresses of its counters, never a value, so it is safe beside
+// the running kernel.
+func (r *Registry) describe() {
+	if r.walk == nil {
+		return
+	}
+	w := Walk{mode: describing, descs: make([]seriesDesc, 0, len(r.cvals))}
+	r.walk(&w)
+	r.counters = w.descs
 }
 
 // Gauge registers a gauge series and returns its ID.
@@ -136,8 +241,13 @@ func (r *Registry) SetGauge(id GaugeID, v float64) {
 // by the shard that owns it — the kernel's phase barriers order those
 // writes against the serial Tracer.Drain. Recorders exist only when
 // tracing is on; components hold a nil *Recorder otherwise.
+//
+// The network keeps its recorders in one slab, each padded to a 64-byte
+// cache line, so recorders of neighbouring shards, adjacent in the
+// slab, do not share one.
 type Recorder struct {
 	events []record
+	_      [64 - unsafe.Sizeof([]record(nil))]byte
 }
 
 // StageEvent appends a flit-lifecycle event to the staging buffer; a
@@ -202,10 +312,11 @@ func (s Snapshot) Gauge(name string) (float64, bool) {
 // concurrent use; the copy reflects the last serial store, which lags
 // a running simulation by at most the flush cadence.
 func (r *Registry) Snapshot() Snapshot {
+	r.described.Do(r.describe)
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	s := Snapshot{
-		Counters: make([]CounterValue, len(r.counters)),
+		Counters: make([]CounterValue, len(r.cvals)),
 		Gauges:   make([]GaugeValue, len(r.gauges)),
 	}
 	for i, d := range r.counters {

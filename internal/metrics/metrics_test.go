@@ -15,28 +15,29 @@ import (
 	"vichar/internal/snap"
 )
 
-// The registry is a view: series register by index, Store overwrites
-// every value with the owner's current absolute count, and nothing is
-// visible to readers before the first store.
+// nodeFamily is a family labeled by node, for the tests.
+func nodeFamily(name, help string) Family {
+	return Family{Name: name, Help: help, Labels: func(k Key) Labels { return Labels{{"node", fmt.Sprint(k[0])}} }}
+}
+
+// The registry is a view: the owner's walk visits its series in order,
+// Store overwrites every value with the owner's current absolute
+// count, and nothing is visible to readers before the first store.
 func TestRegistryStoreAndSnapshot(t *testing.T) {
 	reg := NewRegistry()
-	reg.Counter("m_total", "help a", Labels{{"node", "0"}})
-	reg.Counter("m_total", "help a", Labels{{"node", "1"}})
-	reg.Counter("other_total", "help b", nil)
-
+	m, other := nodeFamily("m_total", "help a"), Family{Name: "other_total", Help: "help b"}
 	// The owner's counters, as the kernel would hold them.
 	owned := []uint64{5, 1, 7}
-	fill := func(vals []uint64) {
-		if len(vals) != len(owned) {
-			t.Fatalf("store pass got %d series, want %d", len(vals), len(owned))
-		}
-		copy(vals, owned)
-	}
+	reg.Counters(func(w *Walk) {
+		w.Counter(&m, Key{0}, &owned[0])
+		w.Counter(&m, Key{1}, &owned[1])
+		w.Counter(&other, Key{}, &owned[2])
+	})
 
 	if got := reg.Snapshot().Sum("m_total"); got != 0 {
 		t.Fatalf("pre-store sum = %d, want 0", got)
 	}
-	reg.Store(fill)
+	reg.Store()
 	s := reg.Snapshot()
 	if got := s.Sum("m_total"); got != 6 {
 		t.Fatalf("m_total = %d, want 6", got)
@@ -50,14 +51,65 @@ func TestRegistryStoreAndSnapshot(t *testing.T) {
 
 	// Store writes absolute values: a second pass with no new events
 	// must not double-count, and a new event shows up as-is.
-	reg.Store(fill)
+	reg.Store()
 	if got := reg.Snapshot().Sum("m_total"); got != 6 {
 		t.Fatalf("after repeated store m_total = %d, want 6", got)
 	}
 	owned[0]++
-	reg.Store(fill)
+	reg.Store()
 	if got := reg.Snapshot().Sum("m_total"); got != 7 {
 		t.Fatalf("after an increment m_total = %d, want 7", got)
+	}
+}
+
+// Registering and storing build no series descriptor; the first read
+// builds them all, once per registry, and the walk that builds them
+// reads no counter — it runs on the reader's goroutine, beside a
+// kernel writing the counters, so it gets only their addresses.
+func TestSeriesDescribedOnceOnFirstRead(t *testing.T) {
+	reg := NewRegistry()
+	labeled := 0
+	m := Family{Name: "m_total", Help: "help", Labels: func(k Key) Labels {
+		labeled++
+		return Labels{{"node", fmt.Sprint(k[0])}}
+	}}
+	sum := Family{Name: "sum_total", Help: "help"}
+	owned := []uint64{2, 3}
+	var storing bool
+	reg.Counters(func(w *Walk) {
+		v := &owned[0]
+		if !storing {
+			v = nil // a walk that dereferences while counting or describing panics
+		}
+		w.Counter(&m, Key{4}, v)
+		w.Sum(&sum, Key{}, owned)
+	})
+	storing = true
+	reg.Store()
+	storing = false
+	if labeled != 0 {
+		t.Fatalf("registering and storing rendered %d label sets, want 0", labeled)
+	}
+	for i := 0; i < 3; i++ {
+		s := reg.Snapshot()
+		if err := reg.WritePrometheus(io.Discard); err != nil {
+			t.Fatal(err)
+		}
+		if labeled != 1 {
+			t.Fatalf("read %d rendered %d label sets in total, want 1", i, labeled)
+		}
+		want := []CounterValue{{Name: "m_total", Labels: Labels{{"node", "4"}}, Value: 2}, {Name: "sum_total", Value: 5}}
+		if !reflect.DeepEqual(s.Counters, want) {
+			t.Fatalf("snapshot %+v, want %+v", s.Counters, want)
+		}
+	}
+}
+
+// Recorders live in one slab, one per shard-owned node; each fills its
+// own cache line so neighbouring shards' staging never shares one.
+func TestRecorderFillsCacheLine(t *testing.T) {
+	if got := unsafe.Sizeof(Recorder{}); got != 64 {
+		t.Fatalf("Recorder is %d bytes, want one 64-byte cache line", got)
 	}
 }
 
@@ -86,9 +138,9 @@ func TestHotPathDoesNotAllocate(t *testing.T) {
 	}
 
 	reg := NewRegistry()
-	rec := &Recorder{}
+	recs := make([]Recorder, 1)
+	rec := &recs[0]
 	tr := NewTracer(reg, 64)
-	recs := []*Recorder{rec}
 	// Warm the staging slice and the ring once.
 	for i := 0; i < 100; i++ {
 		rec.StageEvent(Event{Cycle: int64(i), Kind: EvRC, Packet: uint64(i), Flit: -1, Port: -1})
@@ -104,12 +156,13 @@ func TestHotPathDoesNotAllocate(t *testing.T) {
 
 func TestTracerRingAndTimeline(t *testing.T) {
 	reg := NewRegistry()
-	rec := &Recorder{}
+	recs := make([]Recorder, 1)
+	rec := &recs[0]
 	tr := NewTracer(reg, 4)
 	for i := 0; i < 6; i++ {
 		rec.StageEvent(Event{Cycle: int64(i), Kind: EvLink, Packet: uint64(i % 2), Flit: 0, Node: i})
 	}
-	tr.Drain([]*Recorder{rec})
+	tr.Drain(recs)
 	if rec.Pending() != 0 {
 		t.Fatalf("drain left %d staged events", rec.Pending())
 	}
@@ -137,8 +190,9 @@ func TestTracerRingAndTimeline(t *testing.T) {
 func TestTracerRingAllocatedOnFirstEvent(t *testing.T) {
 	reg := NewRegistry()
 	tr := NewTracer(reg, 1<<16)
-	rec := &Recorder{}
-	tr.Drain([]*Recorder{rec})
+	recs := make([]Recorder, 1)
+	rec := &recs[0]
+	tr.Drain(recs)
 	if tr.buf != nil {
 		t.Fatalf("ring of %d events allocated before any event was recorded", cap(tr.buf))
 	}
@@ -146,7 +200,7 @@ func TestTracerRingAllocatedOnFirstEvent(t *testing.T) {
 		t.Fatal("an empty tracer reported events")
 	}
 	rec.StageEvent(Event{Cycle: 1, Kind: EvCreate, Packet: 1, Flit: -1})
-	tr.Drain([]*Recorder{rec})
+	tr.Drain(recs)
 	if cap(tr.buf) != tr.Cap() || len(tr.Events()) != 1 {
 		t.Fatalf("after the first event: ring cap %d, %d events; want cap %d, 1 event", cap(tr.buf), len(tr.Events()), tr.Cap())
 	}
@@ -202,7 +256,7 @@ func TestTracerMatchesNaiveRing(t *testing.T) {
 				drains = append(drains, []int{rng.Intn(most + 1), 0, rng.Intn(most + 1), rng.Intn(2)})
 			}
 			tr := NewTracer(NewRegistry(), c.cap)
-			recs := []*Recorder{{}, {}, {}, {}}
+			recs := make([]Recorder, 4)
 			var model []Event
 			for _, staged := range drains {
 				// Recorders drain in index order, so staging in that order
@@ -284,12 +338,13 @@ func TestTracerReadsDuringDrain(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		rec := &Recorder{}
+		recs := make([]Recorder, 1)
+		rec := &recs[0]
 		for i := 0; i < drains; i++ {
 			for j := 0; j < batch; j++ {
 				rec.StageEvent(Event{Cycle: int64(i), Packet: uint64(i*batch + j)})
 			}
-			tr.Drain([]*Recorder{rec})
+			tr.Drain(recs)
 		}
 	}()
 	for running := true; running; {
@@ -324,12 +379,12 @@ func head(evs []Event) []Event { return evs[:min(len(evs), 8)] }
 
 func TestTracerSeqOrderAcrossRecorders(t *testing.T) {
 	reg := NewRegistry()
-	r1 := &Recorder{}
-	r2 := &Recorder{}
+	recs := make([]Recorder, 2)
+	r1, r2 := &recs[0], &recs[1]
 	tr := NewTracer(reg, 16)
 	r2.StageEvent(Event{Cycle: 1, Kind: EvInject, Node: 2})
 	r1.StageEvent(Event{Cycle: 1, Kind: EvInject, Node: 1})
-	tr.Drain([]*Recorder{r1, r2})
+	tr.Drain(recs)
 	evs := tr.Events()
 	if len(evs) != 2 || evs[0].Node != 1 || evs[1].Node != 2 {
 		t.Fatalf("drain order not recorder-index order: %+v", evs)
@@ -338,10 +393,11 @@ func TestTracerSeqOrderAcrossRecorders(t *testing.T) {
 
 func TestWriteJSONL(t *testing.T) {
 	reg := NewRegistry()
-	rec := &Recorder{}
+	recs := make([]Recorder, 1)
+	rec := &recs[0]
 	tr := NewTracer(reg, 8)
 	rec.StageEvent(Event{Cycle: 3, Kind: EvEject, Packet: 7, Flit: 1, Node: 4, Port: -1, VC: 0})
-	tr.Drain([]*Recorder{rec})
+	tr.Drain(recs)
 	var b strings.Builder
 	if err := tr.WriteJSONL(&b); err != nil {
 		t.Fatal(err)
@@ -354,9 +410,11 @@ func TestWriteJSONL(t *testing.T) {
 
 func TestWritePrometheusFormat(t *testing.T) {
 	reg := NewRegistry()
-	reg.Counter("vichar_z_total", "the z metric", Labels{{"router", "3"}, {"port", "N"}})
+	z := Family{Name: "vichar_z_total", Help: "the z metric", Labels: func(Key) Labels { return Labels{{"router", "3"}, {"port", "N"}} }}
+	v := uint64(12)
+	reg.Counters(func(w *Walk) { w.Counter(&z, Key{}, &v) })
 	reg.Gauge("vichar_a_gauge", "the a gauge", nil)
-	reg.Store(func(vals []uint64) { vals[0] = 12 })
+	reg.Store()
 
 	var b strings.Builder
 	if err := reg.WritePrometheus(&b); err != nil {
@@ -376,12 +434,14 @@ func TestWritePrometheusFormat(t *testing.T) {
 
 func TestHandlerServesMetricsAndTrace(t *testing.T) {
 	reg := NewRegistry()
-	rec := &Recorder{}
-	reg.Counter("vichar_h_total", "handler test", nil)
+	recs := make([]Recorder, 1)
+	rec := &recs[0]
+	h, one := Family{Name: "vichar_h_total", Help: "handler test"}, uint64(1)
+	reg.Counters(func(w *Walk) { w.Counter(&h, Key{}, &one) })
 	tr := NewTracer(reg, 8)
 	rec.StageEvent(Event{Cycle: 1, Kind: EvCreate, Packet: 1, Flit: -1, Node: 0, Port: -1, VC: -1})
-	reg.Store(func(vals []uint64) { vals[0] = 1 })
-	tr.Drain([]*Recorder{rec})
+	reg.Store()
+	tr.Drain(recs)
 
 	get := func(h http.Handler, path string) (int, string) {
 		rr := httptest.NewRecorder()

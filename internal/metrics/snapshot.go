@@ -6,12 +6,13 @@ import (
 	"vichar/internal/snap"
 )
 
-// This file is the checkpoint walk of the observability layer. Series
-// descriptors re-register at construction time in the same order on
-// restore, and counter values are derived state — the owners of the
-// counters serialize them, and the network re-stores the view at the
-// end of its load — so only the sampled gauges, each recorder's
-// undrained events and the tracer's ring travel. Staged events are
+// This file is the checkpoint walk of the observability layer. Counter
+// series are not state: a restored network registers the same series
+// walk, whose order and descriptors follow from its structure, and
+// counter values are derived — the owners of the counters serialize
+// them, and the network re-stores the view at the end of its load — so
+// only the sampled gauges, each recorder's undrained events and the
+// tracer's ring travel. Staged events are
 // captured as-is — draining them early would change the drain
 // interleaving and break the resumed run's byte-exact event stream.
 

@@ -119,9 +119,10 @@ func (t *Tracer) Cap() int { return t.cap }
 // Drain moves every staged event out of the recorders, in recorder
 // index order, which is the order of their Seqs. Serial phase only;
 // the fixed drain order makes the event stream worker-count invariant.
-func (t *Tracer) Drain(recs []*Recorder) {
+func (t *Tracer) Drain(recs []Recorder) {
 	t.reg.mu.Lock()
-	for _, rec := range recs {
+	for i := range recs {
+		rec := &recs[i]
 		t.push(rec.events)
 		rec.events = rec.events[:0]
 	}

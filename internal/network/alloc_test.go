@@ -9,6 +9,7 @@ import (
 
 	"vichar/internal/buffers"
 	"vichar/internal/config"
+	"vichar/internal/topology"
 	"vichar/internal/traffic"
 )
 
@@ -284,33 +285,64 @@ func TestHeapBytesPerRouterBudget(t *testing.T) {
 // construction: network.New draws every router, buffer, credit view,
 // network interface and scratch slice from the arena's pools or from a
 // slab per kind, and the route computation holds one coordinate table,
-// so building a 16x16 costs as many allocations as a 4x4 — for ViC-16
+// so building a 16x16 costs as many allocations as a 4x4, and a small
+// constant number of them (the 8x8 took 1 797 one by one when the pools
+// covered only the hot arrays). So does every optional layer: ViC-16
 // and GEN-16, whose organizations draw from different view and
-// allocator pools — and a small constant number of them (the 8x8 took
-// 1 797 one by one when the pools covered only the hot arrays).
+// allocator pools; the metrics registry, whose series are described
+// only when read; the event recorders, one padded slab; a fault plan
+// with transient rates, port stalls and a hard kill, whose per-router
+// and per-link states and schedule rows are slabs; and the transaction
+// layer, whose requesters and responders are slabs (at 8x8 the four
+// took 778, 845, 652 and 151 allocations when each was one object per
+// node).
 //
 // The collector stays off while it counts: a cycle that lands inside a
 // build allocates on its own under the race detector, and a 16x16
 // build is long enough to catch one.
 func TestNewAllocsIndependentOfMesh(t *testing.T) {
-	const budget = 80
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	for _, arch := range []config.BufferArch{config.ViChaR, config.Generic} {
+	cases := []struct {
+		name   string
+		budget float64
+		set    func(cfg *config.Config)
+	}{
+		{"ViC", 80, func(cfg *config.Config) {}},
+		{"GEN", 80, func(cfg *config.Config) { cfg.Arch = config.Generic }},
+		{"metrics", 100, func(cfg *config.Config) { cfg.Metrics = true }},
+		{"trace", 100, func(cfg *config.Config) { cfg.TraceEvents = 65536 }},
+		{"faults", 100, func(cfg *config.Config) {
+			cfg.Routing = config.MinimalAdaptive
+			cfg.Faults = config.FaultsConfig{
+				Seed: 11, DropRate: 0.002, CorruptRate: 0.001, StallRate: 0.001,
+				Events: []config.FaultEvent{
+					{Cycle: 500, Kind: config.KillLink, Node: 0, Port: topology.East},
+					{Cycle: 200, Kind: config.StallPort, Node: 5, Port: topology.North, Cycles: 8},
+					{Cycle: 300, Kind: config.DropFlit, Node: 2, Port: topology.South},
+				},
+			}
+		}},
+		{"txn", 100, func(cfg *config.Config) {
+			cfg.Txn = config.TxnConfig{Enabled: true, Rate: 0.04, ReadFrac: 0.7, WriteFrac: 0.25, AtomicFrac: 0.05, PostedFrac: 0.5, MemEdge: true}
+		}},
+	}
+	for _, c := range cases {
 		counts := map[int]float64{}
 		for _, side := range []int{4, 8, 16} {
 			cfg := config.Default()
-			cfg.Arch = arch
+			cfg.Arch = config.ViChaR
 			cfg.Width, cfg.Height = side, side
 			cfg.Workers = 1
+			c.set(&cfg)
 			runtime.GC()
 			counts[side] = testing.AllocsPerRun(10, func() { New(&cfg).Close() })
 		}
-		t.Logf("%v: network.New allocates %.0f / %.0f / %.0f times at 4x4 / 8x8 / 16x16", arch, counts[4], counts[8], counts[16])
+		t.Logf("%s: network.New allocates %.0f / %.0f / %.0f times at 4x4 / 8x8 / 16x16", c.name, counts[4], counts[8], counts[16])
 		if counts[4] != counts[8] || counts[8] != counts[16] {
-			t.Errorf("%v: network.New allocates %.0f / %.0f / %.0f times at 4x4 / 8x8 / 16x16, want one count", arch, counts[4], counts[8], counts[16])
+			t.Errorf("%s: network.New allocates %.0f / %.0f / %.0f times at 4x4 / 8x8 / 16x16, want one count", c.name, counts[4], counts[8], counts[16])
 		}
-		if counts[16] > budget {
-			t.Errorf("%v: network.New allocates %.0f times, budget %d", arch, counts[16], budget)
+		if counts[16] > c.budget {
+			t.Errorf("%s: network.New allocates %.0f times, budget %.0f", c.name, counts[16], c.budget)
 		}
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"io"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
+	"runtime/debug"
 	"strconv"
 	"strings"
 	"testing"
@@ -252,5 +254,54 @@ func TestObservationDoesNotPerturb(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// The store pass is the only work an observed network adds per flush,
+// and it writes into the value slots registration sized: the first
+// flush allocates nothing, however many series the mesh has (2 200 at
+// 8x8); their descriptors wait for the first reader.
+func TestFirstFlushAllocatesNothing(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	cfg := obsConfig()
+	cfg.Width, cfg.Height = 8, 8
+	n := New(cfg)
+	defer n.Close()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	n.FlushMetrics()
+	runtime.ReadMemStats(&after)
+	if got := after.Mallocs - before.Mallocs; got != 0 {
+		t.Fatalf("the first flush of an 8x8 observed network allocated %d times, want 0", got)
+	}
+}
+
+// A reader may take the first look at the registry — and so build its
+// series descriptors — while the kernel steps on another goroutine:
+// describing reads only the network's fixed structure. Run under -race
+// by CI.
+func TestScrapeWhileStepping(t *testing.T) {
+	cfg := obsConfig()
+	cfg.Workers = 1
+	n := New(cfg)
+	defer n.Close()
+	reg := n.Metrics()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 20; i++ {
+			_ = reg.Snapshot()
+			if err := reg.WritePrometheus(io.Discard); err != nil {
+				t.Error(err)
+			}
+		}
+	}()
+	for i := 0; i < 400; i++ {
+		n.Step()
+	}
+	<-done
+	n.FlushMetrics()
+	if got, want := reg.Snapshot().Sum("vichar_packets_created_total"), uint64(n.created); got != want {
+		t.Fatalf("created series = %d after the last flush, want %d", got, want)
 	}
 }

@@ -121,11 +121,11 @@ type Network struct {
 	auditErrs    []error
 
 	// fplan is the compiled fault schedule (nil without Config.Faults);
-	// faultLinks collects every inter-router link's fault state, in
-	// linkMeta order, so totalCounters and the registry's store pass can
-	// read the drop/corrupt/retransmit tallies.
+	// faultLinks is the slab of every inter-router link's fault state, in
+	// linkMeta order, which totalCounters and the registry's series walk
+	// read the drop/corrupt/retransmit tallies from.
 	fplan      *faults.Plan
-	faultLinks []*faults.LinkState
+	faultLinks []faults.LinkState
 
 	// arena owns the struct-of-arrays backing store for every router's
 	// and credit view's hot state (DESIGN.md §10).
@@ -193,11 +193,9 @@ type Network struct {
 
 	// obs is the live observability layer (obs.go); nil when
 	// Config.Metrics and Config.TraceEvents are both off. rec is the
-	// serial work's event recorder (nil unless tracing) and storeFn
-	// the registry's store pass, bound once like the batch closures.
-	obs     *obsState
-	rec     *metrics.Recorder
-	storeFn func(vals []uint64)
+	// serial work's event recorder (nil unless tracing).
+	obs *obsState
+	rec *metrics.Recorder
 }
 
 // New builds and wires a network for the configuration. It panics on
@@ -243,8 +241,9 @@ func New(cfg *config.Config) *Network {
 	// links still connect the mesh, so tree construction cannot fail.
 	n.fplan = faults.NewPlan(cfg)
 	if n.fplan != nil {
+		states := n.fplan.Routers()
 		for id, r := range n.routers {
-			r.SetFaults(n.fplan.Router(id))
+			r.SetFaults(&states[id])
 		}
 		if n.fplan.HasHardFaults() {
 			tree, err := routing.NewEscapeTree(mesh, func(node, port int) bool {
@@ -294,7 +293,8 @@ func New(cfg *config.Config) *Network {
 	n.linkMeta = make([]stats.ChannelLoad, 0, nLinks)
 	n.auditedLinks = make([]auditedLink, 0, nLinks+nodes)
 	if n.fplan != nil {
-		n.faultLinks = make([]*faults.LinkState, 0, nLinks)
+		// Exact capacity: links hold pointers into this slab.
+		n.faultLinks = make([]faults.LinkState, 0, nLinks)
 	}
 	// In-flight rings, sized once and carved from one array per kind. A
 	// link accepts one payload per cycle and delivers it a fixed delay
@@ -389,9 +389,9 @@ func New(cfg *config.Config) *Network {
 				rec: n.obs.recorder(1 + nb),
 			})
 			fl.q.shared = shared
-			if fs := n.fplan.Link(id, port); fs != nil {
-				fl.faults = fs
-				n.faultLinks = append(n.faultLinks, fs)
+			if n.fplan != nil {
+				n.faultLinks = append(n.faultLinks, n.fplan.Link(id, port))
+				fl.faults = &n.faultLinks[linkIdx]
 			}
 
 			// Credit delivery mutates the upstream router's output
@@ -488,7 +488,9 @@ func New(cfg *config.Config) *Network {
 	n.auditLinksFn = n.auditLinksShard
 	n.auditRoutersFn = n.auditRoutersShard
 	n.injectFn = n.injectGenerated
-	n.registerSeries()
+	if n.obs != nil {
+		n.obs.reg.Counters(n.walkSeries)
+	}
 	n.samplePerNode = make([]float64, mesh.Nodes())
 	return n
 }

@@ -1,7 +1,6 @@
 package network
 
 import (
-	"fmt"
 	"strconv"
 
 	"vichar/internal/config"
@@ -10,17 +9,21 @@ import (
 )
 
 // obsState bundles the network's observability wiring: the registry —
-// a view over the kernel's own counters, refreshed by storeSeries —
+// a view over the kernel's own counters, refreshed by walkSeries —
 // the network-level gauges and, when tracing, the event tracer with
 // one staging recorder per shard-owned node (index 1+id) plus one for
-// the serial work (index 0). The view is stored and the recorders
-// drained — in fixed index order — only from the serial side of the
-// kernel (flushObs), which is what keeps registry and event-stream
-// state bit-identical for any worker count.
+// the serial work (index 0), all in one slab. The view is stored and
+// the recorders drained — in fixed index order — only from the serial
+// side of the kernel (flushObs), which is what keeps registry and
+// event-stream state bit-identical for any worker count.
 type obsState struct {
 	reg    *metrics.Registry
 	tracer *metrics.Tracer
-	recs   []*metrics.Recorder
+	recs   []metrics.Recorder
+
+	// created and ejected are the network's packet totals, copied at
+	// each flush: the series walk takes every counter by address.
+	created, ejected uint64
 
 	gCycle    metrics.GaugeID
 	gOcc      metrics.GaugeID
@@ -32,10 +35,7 @@ func newObsState(cfg *config.Config, nodes int) *obsState {
 	o := &obsState{reg: metrics.NewRegistry()}
 	if cfg.TraceEvents > 0 {
 		o.tracer = metrics.NewTracer(o.reg, cfg.TraceEvents)
-		o.recs = make([]*metrics.Recorder, 1+nodes)
-		for i := range o.recs {
-			o.recs[i] = &metrics.Recorder{}
-		}
+		o.recs = make([]metrics.Recorder, 1+nodes)
 	}
 	o.gCycle = o.reg.Gauge("vichar_cycle", "Current simulation cycle.", nil)
 	o.gOcc = o.reg.Gauge("vichar_buffer_occupancy_fraction",
@@ -54,119 +54,115 @@ func (o *obsState) recorder(i int) *metrics.Recorder {
 	if o == nil || o.recs == nil {
 		return nil
 	}
-	return o.recs[i]
+	return &o.recs[i]
 }
 
-// registerSeries registers one counter series per exposed kernel
-// counter — the network core, then every router, link and network
-// interface in index order — and binds the store pass that walks the
-// same order. A no-op with the layer off.
-func (n *Network) registerSeries() {
-	reg := n.Metrics()
-	if reg == nil {
-		return
-	}
-	n.storeFn = n.storeSeries
-	reg.Counter("vichar_packets_created_total", "Packets created and queued for injection.", nil)
-	reg.Counter("vichar_packets_ejected_total", "Packets fully ejected at their destination.", nil)
-	reg.Counter("vichar_flits_ejected_total", "Flits ejected at their destination.", nil)
-	for id := range n.routers {
-		router := metrics.Label{Key: "router", Value: strconv.Itoa(id)}
-		for p := 0; p < n.cfg.Ports(); p++ {
-			l := metrics.Labels{router, {Key: "port", Value: topology.PortName(p)}}
-			reg.Counter("vichar_buffer_writes_total", "Flit writes into router input buffers.", l)
-			reg.Counter("vichar_buffer_reads_total", "Flit reads out of router input buffers.", l)
-			reg.Counter("vichar_credit_stalls_total",
-				"Cycles an active VC held a ready flit but lacked downstream credit.", l)
-			reg.Counter("vichar_port_stall_cycles_total",
-				"Cycles an input port's control logic was frozen by a fault-model stall.", l)
-		}
-		l := metrics.Labels{router}
-		reg.Counter("vichar_rc_total", "Head flits routed (route computation).", l)
-		reg.Counter("vichar_va_ops_total", "VC allocator invocations.", l)
-		reg.Counter("vichar_va_grants_total", "Output VCs granted by the VC allocator.", l)
-		reg.Counter("vichar_va_denials_total", "VC allocation requests denied this cycle.", l)
-		reg.Counter("vichar_sa_ops_total", "Switch allocator invocations.", l)
-		reg.Counter("vichar_sa_grants_total", "Crossbar passages granted by the switch allocator.", l)
-		reg.Counter("vichar_sa_denials_total", "Switch allocation requests denied this cycle.", l)
-		reg.Counter("vichar_xbar_traversals_total", "Flits through the crossbar.", l)
-		reg.Counter("vichar_escape_reroutes_total",
-			"Packets re-channelled onto the escape network after the deadlock threshold.", l)
-	}
-	for _, m := range n.linkMeta {
-		l := metrics.Labels{
-			{Key: "from", Value: strconv.Itoa(m.From)},
-			{Key: "to", Value: strconv.Itoa(m.To)},
-			{Key: "port", Value: topology.PortName(m.Port)},
-		}
-		if n.fplan != nil {
-			reg.Counter("vichar_link_flits_dropped_total", "Flits lost on a link by the fault model.", l)
-			reg.Counter("vichar_link_flits_corrupted_total",
-				"Flits failing their CRC at the receiver under the fault model.", l)
-			reg.Counter("vichar_link_retransmits_total", "Flits re-sent from a link's retransmission buffer.", l)
-		}
-		reg.Counter("vichar_link_flits_total", "Flits delivered over each router-to-router link.", l)
-	}
-	for id := range n.nis {
-		l := metrics.Labels{{Key: "node", Value: strconv.Itoa(id)}}
-		reg.Counter("vichar_ni_flits_injected_total",
-			"Flits the network interface pushed onto its injection link.", l)
-		reg.Counter("vichar_ni_credit_stalls_total",
-			"Cycles the network interface held a flit but lacked injection credit.", l)
+// The exposed counter families, by the component that owns them.
+var (
+	famCreated       = metrics.Family{Name: "vichar_packets_created_total", Help: "Packets created and queued for injection."}
+	famEjected       = metrics.Family{Name: "vichar_packets_ejected_total", Help: "Packets fully ejected at their destination."}
+	famFlitsEjected  = metrics.Family{Name: "vichar_flits_ejected_total", Help: "Flits ejected at their destination."}
+	famBufWrites     = metrics.Family{Name: "vichar_buffer_writes_total", Help: "Flit writes into router input buffers.", Labels: routerPortLabels}
+	famBufReads      = metrics.Family{Name: "vichar_buffer_reads_total", Help: "Flit reads out of router input buffers.", Labels: routerPortLabels}
+	famCreditStalls  = metrics.Family{Name: "vichar_credit_stalls_total", Help: "Cycles an active VC held a ready flit but lacked downstream credit.", Labels: routerPortLabels}
+	famPortStalls    = metrics.Family{Name: "vichar_port_stall_cycles_total", Help: "Cycles an input port's control logic was frozen by a fault-model stall.", Labels: routerPortLabels}
+	famRC            = metrics.Family{Name: "vichar_rc_total", Help: "Head flits routed (route computation).", Labels: routerLabels}
+	famVAOps         = metrics.Family{Name: "vichar_va_ops_total", Help: "VC allocator invocations.", Labels: routerLabels}
+	famVAGrants      = metrics.Family{Name: "vichar_va_grants_total", Help: "Output VCs granted by the VC allocator.", Labels: routerLabels}
+	famVADenials     = metrics.Family{Name: "vichar_va_denials_total", Help: "VC allocation requests denied this cycle.", Labels: routerLabels}
+	famSAOps         = metrics.Family{Name: "vichar_sa_ops_total", Help: "Switch allocator invocations.", Labels: routerLabels}
+	famSAGrants      = metrics.Family{Name: "vichar_sa_grants_total", Help: "Crossbar passages granted by the switch allocator.", Labels: routerLabels}
+	famSADenials     = metrics.Family{Name: "vichar_sa_denials_total", Help: "Switch allocation requests denied this cycle.", Labels: routerLabels}
+	famXbar          = metrics.Family{Name: "vichar_xbar_traversals_total", Help: "Flits through the crossbar.", Labels: routerLabels}
+	famReroutes      = metrics.Family{Name: "vichar_escape_reroutes_total", Help: "Packets re-channelled onto the escape network after the deadlock threshold.", Labels: routerLabels}
+	famLinkDrops     = metrics.Family{Name: "vichar_link_flits_dropped_total", Help: "Flits lost on a link by the fault model.", Labels: linkLabels}
+	famLinkCorrupts  = metrics.Family{Name: "vichar_link_flits_corrupted_total", Help: "Flits failing their CRC at the receiver under the fault model.", Labels: linkLabels}
+	famLinkRetx      = metrics.Family{Name: "vichar_link_retransmits_total", Help: "Flits re-sent from a link's retransmission buffer.", Labels: linkLabels}
+	famLinkFlits     = metrics.Family{Name: "vichar_link_flits_total", Help: "Flits delivered over each router-to-router link.", Labels: linkLabels}
+	famNIInjected    = metrics.Family{Name: "vichar_ni_flits_injected_total", Help: "Flits the network interface pushed onto its injection link.", Labels: nodeLabels}
+	famNICreditStall = metrics.Family{Name: "vichar_ni_credit_stalls_total", Help: "Cycles the network interface held a flit but lacked injection credit.", Labels: nodeLabels}
+)
+
+// routerPortLabels renders key {router, port}.
+func routerPortLabels(k metrics.Key) metrics.Labels {
+	return metrics.Labels{{Key: "router", Value: strconv.Itoa(k[0])}, {Key: "port", Value: topology.PortName(k[1])}}
+}
+
+// routerLabels renders key {router}.
+func routerLabels(k metrics.Key) metrics.Labels {
+	return metrics.Labels{{Key: "router", Value: strconv.Itoa(k[0])}}
+}
+
+// linkLabels renders key {from, to, port}.
+func linkLabels(k metrics.Key) metrics.Labels {
+	return metrics.Labels{
+		{Key: "from", Value: strconv.Itoa(k[0])},
+		{Key: "to", Value: strconv.Itoa(k[1])},
+		{Key: "port", Value: topology.PortName(k[2])},
 	}
 }
 
-// storeSeries is the registry's store pass (bound once as n.storeFn,
-// so a flush allocates no method value):
-// it overwrites every counter series with its owner's current
-// absolute count, in registerSeries order. Serial work only.
-func (n *Network) storeSeries(vals []uint64) {
-	vals[0] = uint64(n.created)
-	vals[1] = uint64(n.collector.Ejected())
-	vals[2] = n.ejectedFlits
-	i := 3
-	for _, r := range n.routers {
+// nodeLabels renders key {node}.
+func nodeLabels(k metrics.Key) metrics.Labels {
+	return metrics.Labels{{Key: "node", Value: strconv.Itoa(k[0])}}
+}
+
+// walkSeries visits one counter series per exposed kernel counter — the
+// network core, then every router, link and network interface in index
+// order — passing each counter by address. It is the registry's one
+// series walk (metrics.Walk): registration counts through it, the store
+// pass copies the values through it, and the first reader describes
+// the series through it, reading nothing but the network's fixed
+// structure.
+func (n *Network) walkSeries(w *metrics.Walk) {
+	o := n.obs
+	none := metrics.Key{}
+	w.Counter(&famCreated, none, &o.created)
+	w.Counter(&famEjected, none, &o.ejected)
+	w.Counter(&famFlitsEjected, none, &n.ejectedFlits)
+	for id, r := range n.routers {
 		a := r.Activity()
-		reads := uint64(0)
 		for p := range a.BufWrites {
-			vals[i] = a.BufWrites[p]
-			vals[i+1] = a.BufReads[p]
-			vals[i+2] = a.CreditStalls[p]
-			vals[i+3] = a.PortStalls[p]
-			i += 4
-			reads += a.BufReads[p]
+			k := metrics.Key{id, p}
+			w.Counter(&famBufWrites, k, &a.BufWrites[p])
+			w.Counter(&famBufReads, k, &a.BufReads[p])
+			w.Counter(&famCreditStalls, k, &a.CreditStalls[p])
+			w.Counter(&famPortStalls, k, &a.PortStalls[p])
 		}
-		vals[i] = a.RC
-		vals[i+1] = a.VAOps
-		vals[i+2] = a.VAGrants
-		vals[i+3] = a.VADenials
-		vals[i+4] = a.SAOps
-		vals[i+5] = reads // sa_grants: a buffer read is one switch grant
-		vals[i+6] = a.SADenials
-		vals[i+7] = reads // xbar_traversals: and one crossbar traversal
-		vals[i+8] = a.Reroutes
-		i += 9
+		k := metrics.Key{id}
+		w.Counter(&famRC, k, &a.RC)
+		w.Counter(&famVAOps, k, &a.VAOps)
+		w.Counter(&famVAGrants, k, &a.VAGrants)
+		w.Counter(&famVADenials, k, &a.VADenials)
+		w.Counter(&famSAOps, k, &a.SAOps)
+		w.Sum(&famSAGrants, k, a.BufReads) // a buffer read is one switch grant
+		w.Counter(&famSADenials, k, &a.SADenials)
+		w.Sum(&famXbar, k, a.BufReads) // and one crossbar traversal
+		w.Counter(&famReroutes, k, &a.Reroutes)
 	}
-	for li, flits := range n.linkFlits {
+	for li, m := range n.linkMeta {
+		k := metrics.Key{m.From, m.To, m.Port}
 		if n.fplan != nil {
-			fs := n.faultLinks[li]
-			vals[i] = fs.Drops
-			vals[i+1] = fs.Corrupts
-			vals[i+2] = fs.Retransmits
-			i += 3
+			fs := &n.faultLinks[li]
+			w.Counter(&famLinkDrops, k, &fs.Drops)
+			w.Counter(&famLinkCorrupts, k, &fs.Corrupts)
+			w.Counter(&famLinkRetx, k, &fs.Retransmits)
 		}
-		vals[i] = flits
-		i++
+		w.Counter(&famLinkFlits, k, &n.linkFlits[li])
 	}
-	for _, s := range n.nis {
-		vals[i] = s.injected
-		vals[i+1] = s.creditStalls
-		i += 2
+	for id, s := range n.nis {
+		k := metrics.Key{id}
+		w.Counter(&famNIInjected, k, &s.injected)
+		w.Counter(&famNICreditStall, k, &s.creditStalls)
 	}
-	if i != len(vals) {
-		//vichar:invariant registerSeries and storeSeries walk the same components in the same order
-		panic(fmt.Sprintf("network: store pass wrote %d of %d counter series", i, len(vals)))
-	}
+}
+
+// storeSeries refreshes the registry's counter series from the
+// kernel's counters. Serial work only.
+func (n *Network) storeSeries() {
+	o := n.obs
+	o.created, o.ejected = uint64(n.created), uint64(n.collector.Ejected())
+	o.reg.Store()
 }
 
 // flushObs commits the observability layer: the registry's counter
@@ -181,7 +177,7 @@ func (n *Network) flushObs() {
 	if o == nil {
 		return
 	}
-	o.reg.Store(n.storeFn)
+	n.storeSeries()
 	if o.tracer != nil {
 		o.tracer.Drain(o.recs)
 	}

@@ -164,15 +164,15 @@ func (n *Network) obsState(c *snap.Codec) {
 	}
 	o.reg.State(c)
 	c.Expect(len(o.recs), "network: recorders")
-	for _, rec := range o.recs {
-		rec.State(c)
+	for i := range o.recs {
+		o.recs[i].State(c)
 	}
 	c.Present(o.tracer != nil, "network: tracer")
 	if o.tracer != nil {
 		o.tracer.State(c)
 	}
 	if c.Loading() {
-		o.reg.Store(n.storeFn)
+		n.storeSeries()
 	}
 }
 

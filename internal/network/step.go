@@ -80,7 +80,8 @@ func (n *Network) addLinkCounters(c *stats.Counters) {
 	for _, f := range n.linkFlits {
 		c.LinkTraversals += f
 	}
-	for _, fs := range n.faultLinks {
+	for i := range n.faultLinks {
+		fs := &n.faultLinks[i]
 		c.FlitDrops += fs.Drops
 		c.FlitCorrupts += fs.Corrupts
 		c.Retransmits += fs.Retransmits

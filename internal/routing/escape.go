@@ -27,15 +27,21 @@ import (
 // acyclicity argument. Adaptive (non-escape) traffic keeps using a
 // doomed link until its kill cycle.
 type EscapeTree struct {
-	up       []int // port toward the parent; -1 at the root
-	children [][]treeChild
-	tin      []int // Euler-tour interval: dst is in cur's subtree
-	tout     []int // iff tin[cur] <= tin[dst] <= tout[cur]
+	up []int // port toward the parent; -1 at the root
+	// Node v's children are kids[kidLo[v]:kidHi[v]]: the BFS appends
+	// each node's children in one run, so all of them share one array.
+	kids         []treeChild
+	kidLo, kidHi []int32
+	tin          []int // Euler-tour interval: dst is in cur's subtree
+	tout         []int // iff tin[cur] <= tin[dst] <= tout[cur]
 }
 
 type treeChild struct {
 	node, port int
 }
+
+// children returns node v's children in the tree.
+func (t *EscapeTree) children(v int) []treeChild { return t.kids[t.kidLo[v]:t.kidHi[v]] }
 
 // NewEscapeTree builds the escape tree over the links of m for which
 // usable returns true in both directions, rooted at node 0 with a
@@ -44,10 +50,12 @@ type treeChild struct {
 func NewEscapeTree(m topology.Mesh, usable func(node, port int) bool) (*EscapeTree, error) {
 	n := m.Nodes()
 	t := &EscapeTree{
-		up:       make([]int, n),
-		children: make([][]treeChild, n),
-		tin:      make([]int, n),
-		tout:     make([]int, n),
+		up:    make([]int, n),
+		kids:  make([]treeChild, 0, n-1),
+		kidLo: make([]int32, n),
+		kidHi: make([]int32, n),
+		tin:   make([]int, n),
+		tout:  make([]int, n),
 	}
 	seen := make([]bool, n)
 	for i := range t.up {
@@ -59,6 +67,7 @@ func NewEscapeTree(m topology.Mesh, usable func(node, port int) bool) (*EscapeTr
 	reached := 1
 	for qi := 0; qi < len(queue); qi++ {
 		cur := queue[qi]
+		t.kidLo[cur] = int32(len(t.kids))
 		for port := 0; port < topology.Local; port++ {
 			nb, ok := m.Neighbor(cur, port)
 			if !ok || seen[nb] {
@@ -70,22 +79,23 @@ func NewEscapeTree(m topology.Mesh, usable func(node, port int) bool) (*EscapeTr
 			seen[nb] = true
 			reached++
 			t.up[nb] = topology.Opposite(port)
-			t.children[cur] = append(t.children[cur], treeChild{node: nb, port: port})
+			t.kids = append(t.kids, treeChild{node: nb, port: port})
 			queue = append(queue, nb)
 		}
+		t.kidHi[cur] = int32(len(t.kids))
 	}
 	if reached != n {
 		return nil, fmt.Errorf("routing: escape tree cannot span the mesh: %d of %d nodes reachable over usable links", reached, n)
 	}
 	// Euler tour for O(children) subtree tests in NextHop.
 	type frame struct{ node, child int }
-	stack := []frame{{node: 0}}
+	stack := make([]frame, 1, n)
 	clock := 0
 	t.tin[0] = clock
 	for len(stack) > 0 {
 		f := &stack[len(stack)-1]
-		if f.child < len(t.children[f.node]) {
-			c := t.children[f.node][f.child]
+		if kids := t.children(f.node); f.child < len(kids) {
+			c := kids[f.child]
 			f.child++
 			clock++
 			t.tin[c.node] = clock
@@ -108,7 +118,7 @@ func (t *EscapeTree) NextHop(cur, dst int) int {
 		return topology.Local
 	}
 	if t.tin[cur] <= t.tin[dst] && t.tin[dst] <= t.tout[cur] {
-		for _, c := range t.children[cur] {
+		for _, c := range t.children(cur) {
 			if t.tin[c.node] <= t.tin[dst] && t.tin[dst] <= t.tout[c.node] {
 				return c.port
 			}

@@ -23,23 +23,19 @@ func (e *Engine) State(c *snap.Codec, now int64) {
 		q.stream.State(c, now)
 		c.Int(&q.flight)
 		c.Int(&q.issued)
-		ids := e.pendingIDs(id)
-		n := c.Len(len(ids), q.flight, "txn: pending entries of a requester")
-		if c.Loading() {
-			clear(q.pending)
-			ids = make([]uint64, n)
-		}
-		for i := range ids {
-			created := q.pending[ids[i]]
-			c.U64(&ids[i])
-			c.I64(&created)
-			if c.Loading() {
-				q.pending[ids[i]] = created
+		snap.Seq(c, &q.pending, q.flight, "txn: pending entries of a requester", func(p *pending) {
+			c.U64(&p.id)
+			c.I64(&p.created)
+		})
+		for i := 1; c.Loading() && i < len(q.pending); i++ {
+			if a, b := q.pending[i-1].id, q.pending[i].id; a >= b {
+				c.Failf("txn: pending request IDs of node %d not ascending: %d then %d", id, a, b)
+				break
 			}
 		}
 	}
 	for _, id := range e.targets {
-		r := e.resps[id]
+		r := &e.resps[id]
 		c.Int(&r.reserved)
 		c.Int(&r.egress)
 		snap.Seq(c, &r.queue, r.depth, "txn: queued services of a responder", func(s *service) {

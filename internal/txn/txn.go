@@ -26,8 +26,9 @@
 package txn
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"vichar/internal/config"
 	"vichar/internal/flit"
@@ -186,10 +187,16 @@ func (r *Responder) Injected() {
 
 // requester is one node's request-issue state.
 type requester struct {
-	stream  *rng.Stream      // into the engine's stream slab
-	flight  int              // outstanding (issued, not retired) requests
-	issued  int              // total requests issued, against Config.Txn.Requests
-	pending map[uint64]int64 // request packet ID -> creation cycle
+	stream  *rng.Stream // into the engine's stream slab
+	flight  int         // outstanding (issued, not retired) requests
+	issued  int         // total requests issued, against Config.Txn.Requests
+	pending []pending   // the outstanding requests, IDs ascending
+}
+
+// pending is one outstanding request: its packet ID and creation cycle.
+type pending struct {
+	id      uint64
+	created int64
 }
 
 // Engine drives the transaction layer for one network.
@@ -202,8 +209,8 @@ type Engine struct {
 	targets    []int // node IDs requests may address, ascending
 	isTarget   []bool
 
-	reqs  []requester  // indexed by node; zero-valued for non-requesters
-	resps []*Responder // indexed by node; nil for non-responders
+	reqs  []requester // indexed by node; zero-valued for non-requesters
+	resps []Responder // indexed by node; zero-valued for non-responders
 
 	window   int
 	service  int
@@ -216,20 +223,31 @@ type Engine struct {
 	latency stats.Histogram // end-to-end transaction latencies, measurement window only
 }
 
+// pendingRow caps the pending-table capacity New carves per
+// requester: the window bounds a table's length, and a larger window
+// grows its table on demand.
+const pendingRow = 16
+
 // New builds the engine for the configuration. The mesh must match
-// the network's; send is the network's injection surface.
+// the network's; send is the network's injection surface. Every
+// per-node table — requesters, their pending tables and request
+// streams, responders and their service queues — is carved from one
+// array per kind.
 func New(cfg *config.Config, mesh topology.Mesh, send Sender) *Engine {
 	t := &cfg.Txn
+	nodes := mesh.Nodes()
 	e := &Engine{
-		cfg:      cfg,
-		mesh:     mesh,
-		send:     send,
-		isTarget: make([]bool, mesh.Nodes()),
-		reqs:     make([]requester, mesh.Nodes()),
-		resps:    make([]*Responder, mesh.Nodes()),
-		window:   t.EffectiveWindow(),
-		service:  t.EffectiveServiceCycles(),
-		reqCap:   t.Requests,
+		cfg:        cfg,
+		mesh:       mesh,
+		send:       send,
+		requesters: make([]int, 0, nodes),
+		targets:    make([]int, 0, nodes),
+		isTarget:   make([]bool, nodes),
+		reqs:       make([]requester, nodes),
+		resps:      make([]Responder, nodes),
+		window:     t.EffectiveWindow(),
+		service:    t.EffectiveServiceCycles(),
+		reqCap:     t.Requests,
 	}
 	read, write, _ := t.EffectiveMix()
 	e.readCut = read
@@ -241,24 +259,34 @@ func New(cfg *config.Config, mesh topology.Mesh, send Sender) *Engine {
 	// channels with requests bound for the far column (the overlap that
 	// makes shared-VC protocol deadlock reachable). Otherwise every
 	// node plays both roles with uniform targets.
-	for id := 0; id < mesh.Nodes(); id++ {
+	for id := 0; id < nodes; id++ {
 		x := id % cfg.Width
 		edge := x == 0 || x == cfg.Width-1
 		if !t.MemEdge || edge {
 			e.targets = append(e.targets, id)
 			e.isTarget[id] = true
-			e.resps[id] = &Responder{depth: t.EffectiveQueueDepth()}
 		}
 		if !t.MemEdge || !edge {
 			e.requesters = append(e.requesters, id)
-			e.reqs[id].pending = make(map[uint64]int64)
 		}
 	}
-	// The request streams share one slab, seeded in place.
+	// A responder's committed slots — reservations, queued services and
+	// egress — never exceed its depth, so its queue never outgrows the
+	// row carved for it.
+	depth := t.EffectiveQueueDepth()
+	queues := make([]service, len(e.targets)*depth)
+	for j, id := range e.targets {
+		e.resps[id] = Responder{depth: depth, queue: queues[j*depth : j*depth : (j+1)*depth]}
+	}
+	// The request streams share one slab, seeded in place, and so do
+	// the pending tables.
 	streams := make([]rng.Stream, len(e.requesters))
+	row := min(e.window, pendingRow)
+	tables := make([]pending, len(e.requesters)*row)
 	for j, id := range e.requesters {
 		streams[j].Init(streamSeed(t.EffectiveSeed(cfg.Seed), id))
 		e.reqs[id].stream = &streams[j]
+		e.reqs[id].pending = tables[j*row : j*row : (j+1)*row]
 	}
 	return e
 }
@@ -273,7 +301,12 @@ func streamSeed(seed int64, node int) int64 {
 // Responder returns node id's memory-controller admission state, or
 // nil when the node is not a responder; the network installs it as the
 // ejection port's admission gate.
-func (e *Engine) Responder(id int) *Responder { return e.resps[id] }
+func (e *Engine) Responder(id int) *Responder {
+	if !e.isTarget[id] {
+		return nil
+	}
+	return &e.resps[id]
+}
 
 // Classes returns the VC class count the engine's packets use.
 func (e *Engine) Classes() int { return e.cfg.VCClasses() }
@@ -310,7 +343,7 @@ func (e *Engine) responseSize(kind uint8) int {
 // generation, both in ascending node order.
 func (e *Engine) Tick(now int64) {
 	for _, id := range e.targets {
-		r := e.resps[id]
+		r := &e.resps[id]
 		for len(r.queue) > 0 && r.queue[0].readyAt <= now {
 			s := r.queue[0]
 			copy(r.queue, r.queue[1:])
@@ -333,7 +366,9 @@ func (e *Engine) Tick(now int64) {
 		kind := e.drawKind(q.stream)
 		dst := e.drawTarget(q.stream, id)
 		p := e.send.SendTxnPacket(id, dst, e.requestSize(kind), kind, e.classFor(kind), 0)
-		q.pending[p.ID] = now
+		// Packet IDs only grow, so the table stays in ascending order.
+		//vichar:alloc a requester's table outgrows its carved row only under a window above pendingRow, and then only up to the window
+		q.pending = append(q.pending, pending{id: p.ID, created: now})
 		q.flight++
 		q.issued++
 		e.issued++
@@ -376,7 +411,7 @@ func (e *Engine) drawTarget(s *rng.Stream, self int) int {
 // admission reservation their ejection grant took. measuring gates the
 // latency sample on the collector's measurement window.
 func (e *Engine) OnEject(p *flit.Packet, now int64, measuring bool) {
-	r := e.resps[p.Dst]
+	r := e.Responder(p.Dst)
 	// Any class-ReqVC packet ejecting at a responder consumed one
 	// admission reservation at its ejection-VA grant; release it here.
 	// Under shared VCs that includes responses — the coupling that
@@ -394,7 +429,7 @@ func (e *Engine) OnEject(p *flit.Packet, now int64, measuring bool) {
 			//vichar:invariant requests target responder nodes only
 			panic(fmt.Sprintf("txn: %s ejected at non-responder node %d", KindName(p.Kind), p.Dst))
 		}
-		//vichar:alloc responder service queue is bounded by QueueDepth; append capacity settles there
+		//vichar:alloc the queue's carved row holds QueueDepth services, and admission keeps it within them
 		r.queue = append(r.queue, service{
 			readyAt: now + int64(e.service),
 			kind:    responseOf(p.Kind),
@@ -413,12 +448,13 @@ func (e *Engine) OnEject(p *flit.Packet, now int64, measuring bool) {
 // latency (request creation to retirement) when measuring.
 func (e *Engine) retire(node int, req uint64, now int64, measuring bool) {
 	q := &e.reqs[node]
-	created, ok := q.pending[req]
+	i, ok := slices.BinarySearchFunc(q.pending, req, func(p pending, id uint64) int { return cmp.Compare(p.id, id) })
 	if !ok {
 		//vichar:invariant one retirement per issued request; a duplicate means a duplicated or misrouted response
 		panic(fmt.Sprintf("txn: node %d retiring unknown request %d", node, req))
 	}
-	delete(q.pending, req)
+	created := q.pending[i].created
+	q.pending = slices.Delete(q.pending, i, i+1)
 	q.flight--
 	e.retired++
 	if measuring {
@@ -466,7 +502,7 @@ func (e *Engine) Latency() *stats.Histogram { return &e.latency }
 // either the workload is capped out or generation is off.
 func (e *Engine) Quiescent() bool {
 	for _, id := range e.targets {
-		r := e.resps[id]
+		r := &e.resps[id]
 		if len(r.queue) > 0 || r.egress > 0 || r.reserved > 0 {
 			return false
 		}
@@ -480,17 +516,4 @@ func (e *Engine) Quiescent() bool {
 		}
 	}
 	return true
-}
-
-// pendingIDs returns node id's pending request IDs in ascending order
-// (checkpoint serialization must not depend on map iteration order).
-func (e *Engine) pendingIDs(id int) []uint64 {
-	q := &e.reqs[id]
-	ids := make([]uint64, 0, len(q.pending))
-	//vichar:ordered keys are sorted ascending before any consumer sees them
-	for req := range q.pending {
-		ids = append(ids, req)
-	}
-	sort.Slice(ids, func(a, b int) bool { return ids[a] < ids[b] })
-	return ids
 }

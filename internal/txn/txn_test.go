@@ -461,6 +461,28 @@ func TestLoadRejectsCorruptCounts(t *testing.T) {
 		}
 	})
 
+	// The pending table is kept in ID order, which is what lets a
+	// retirement binary-search it; a blob out of that order is corrupt.
+	t.Run("pending-not-ascending", func(t *testing.T) {
+		err := load(t, func(i64 func(int64), u8 func(uint8), c *snap.Codec) {
+			header(i64, c)
+			for range 2 { // the requester nodes 1 and 4
+				i64(0) // draws
+				i64(2) // flight
+				i64(2) // issued
+				pending := uint64(2)
+				c.U64(&pending)
+				for _, id := range []uint64{9, 4} {
+					c.U64(&id)
+					i64(3)
+				}
+			}
+		})
+		if err == nil || !strings.Contains(err.Error(), "not ascending") {
+			t.Fatalf("load = %v, want pending-order validation error", err)
+		}
+	})
+
 	t.Run("queue-beyond-depth", func(t *testing.T) {
 		err := load(t, func(i64 func(int64), u8 func(uint8), c *snap.Codec) {
 			header(i64, c)
