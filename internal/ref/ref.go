@@ -86,13 +86,14 @@ type timed[T any] struct {
 }
 
 // land removes the payloads of q due by cycle now and hands them to
-// fn, in the order they were sent.
+// fn, in the order they were sent. Every queue of the model pops by
+// moving what is left to the front, so it keeps its capacity.
 func land[T any](q *[]timed[T], now int64, fn func(T)) {
-	for len(*q) > 0 && (*q)[0].at <= now {
-		v := (*q)[0].v
-		*q = (*q)[1:]
-		fn(v)
+	i := 0
+	for ; i < len(*q) && (*q)[i].at <= now; i++ {
+		fn((*q)[i].v)
 	}
+	*q = (*q)[:copy(*q, (*q)[i:])]
 }
 
 // VC allocation states of an input VC.
@@ -383,6 +384,7 @@ type Network struct {
 	views   []*view // every credit view but the ejection sinks
 	gen     *traffic.Generator
 	col     *stats.Collector
+	perNode []float64 // sample's per-node scratch
 	now     int64
 	nextID  uint64
 
@@ -415,10 +417,11 @@ func New(cfg *config.Config) (*Network, error) {
 	mesh.Torus = cfg.Torus
 	ports, nvc := cfg.Ports(), cfg.MaxVCs()
 	n := &Network{
-		cfg:  cfg,
-		mesh: mesh,
-		gen:  traffic.New(cfg, mesh),
-		col:  stats.NewCollector(cfg.WarmupPackets, cfg.MeasurePackets, mesh.Nodes()),
+		cfg:     cfg,
+		mesh:    mesh,
+		gen:     traffic.New(cfg, mesh),
+		col:     stats.NewCollector(cfg.WarmupPackets, cfg.MeasurePackets, mesh.Nodes()),
+		perNode: make([]float64, mesh.Nodes()),
 	}
 	depth, pool, delay := cfg.BufferSlots, cfg.BufferSlots, 0
 	switch cfg.Arch {
@@ -438,7 +441,11 @@ func New(cfg *config.Config) (*Network, error) {
 			},
 		}
 		for p := 0; p < ports; p++ {
-			r.in = append(r.in, &inPort{vcs: make([]inVC, nvc), cap: depth, pool: pool, delay: delay, link: -1})
+			in := &inPort{vcs: make([]inVC, nvc), cap: depth, pool: pool, delay: delay, link: -1}
+			for v := range in.vcs {
+				in.vcs[v] = inVC{flits: make([]*flit.Flit, 0, depth), cands: make([]int, 0, 2)}
+			}
+			r.in = append(r.in, in)
 			if cfg.Arch != config.ViChaR {
 				r.vaOutVC = append(r.vaOutVC, arbiters(nvc, ports*nvc))
 			}
@@ -586,7 +593,7 @@ func (n *Network) counters() stats.Counters {
 // mean number of VCs per input port that hold flits or a packet.
 func (n *Network) sample(now int64) {
 	occ, slots := 0, 0
-	perNode := make([]float64, len(n.routers))
+	perNode := n.perNode
 	for id, r := range n.routers {
 		inUse := 0
 		for _, p := range r.in {
@@ -650,7 +657,7 @@ func (s *ni) tick(now int64) {
 			s.view.claim(vc)
 			s.alloc = (vc + 1) % s.view.escBase
 			p := s.queue[0]
-			s.queue = s.queue[1:]
+			s.queue = s.queue[:copy(s.queue, s.queue[1:])]
 			p.InjectedAt = now
 			s.cur, s.vc = flit.MakeFlits(p), vc
 		}
@@ -682,15 +689,14 @@ func toward(c, d, size int, torus bool, down, up int) int {
 	return down
 }
 
-// route returns the output ports RC offers a head at node cur bound for
-// dst: every minimal direction, X first, under minimal-adaptive
-// routing, the X-first one alone under XY, and on the escape network
-// (escape set) XY over the mesh links, never wrapping.
-func (n *Network) route(cur, dst int, escape bool) []int {
+// route appends to ports the output ports RC offers a head at node cur
+// bound for dst: every minimal direction, X first, under
+// minimal-adaptive routing, the X-first one alone under XY, and on the
+// escape network (escape set) XY over the mesh links, never wrapping.
+func (n *Network) route(ports []int, cur, dst int, escape bool) []int {
 	cx, cy := n.mesh.XY(cur)
 	dx, dy := n.mesh.XY(dst)
 	torus := n.mesh.Torus && !escape
-	var ports []int
 	if cx != dx {
 		ports = append(ports, toward(cx, dx, n.mesh.Width, torus, topology.West, topology.East))
 	}
@@ -699,7 +705,7 @@ func (n *Network) route(cur, dst int, escape bool) []int {
 	}
 	switch {
 	case len(ports) == 0:
-		return []int{topology.Local}
+		return append(ports, topology.Local)
 	case escape || n.cfg.Routing == config.XY:
 		return ports[:1]
 	}
@@ -737,7 +743,7 @@ func (r *router) escape(n *Network, now int64) {
 			}
 			if pkt := c.flits[0].Pkt; !pkt.Escaped {
 				pkt.Escaped = true
-				c.cands = n.route(r.id, pkt.Dst, true)
+				c.cands = n.route(c.cands[:0], r.id, pkt.Dst, true)
 				r.act.Reroutes++
 			}
 		}
@@ -758,7 +764,7 @@ func (r *router) rc(n *Network, now int64) {
 				panic(fmt.Sprintf("ref: router %d: %s at the head of an idle vc", r.id, c.flits[0]))
 			}
 			pkt := c.flits[0].Pkt
-			c.state, c.since, c.cands = waiting, now, n.route(r.id, pkt.Dst, pkt.Escaped)
+			c.state, c.since, c.cands = waiting, now, n.route(c.cands[:0], r.id, pkt.Dst, pkt.Escaped)
 			r.act.RC++
 		}
 	}
@@ -904,7 +910,7 @@ func (r *router) traverse(ip, v int, now int64) {
 	p := r.in[ip]
 	c := &p.vcs[v]
 	f := c.flits[0]
-	c.flits = c.flits[1:]
+	c.flits = c.flits[:copy(c.flits, c.flits[1:])]
 	p.used--
 	c.readPort = now + int64(p.delay)
 	r.act.BufReads[ip]++

@@ -5,6 +5,7 @@ import (
 	"go/parser"
 	"go/token"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -81,5 +82,39 @@ func TestNewRefusesOutOfScope(t *testing.T) {
 				t.Errorf("%v %s: %v", arch, name, err)
 			}
 		}
+	}
+}
+
+// Once warm, a loaded network allocates per step only what a packet
+// is made of: its record when the generator creates it, and its flit
+// slice and flits when the network interface injects it. The queues
+// keep their capacity and RC, VA and SA allocate nothing, so the
+// model's cost is its visits, not garbage.
+func TestStepAllocatesOnlyPackets(t *testing.T) {
+	cfg := config.Default()
+	cfg.Arch = config.ViChaR
+	cfg.InjectionRate = 0.30
+	n, err := New(&cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3000; i++ {
+		n.Step()
+	}
+	created := n.nextID
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 1000; i++ {
+		n.Step()
+	}
+	runtime.ReadMemStats(&after)
+	created = n.nextID - created
+	allocs := after.Mallocs - before.Mallocs
+	// A packet is 2 + size objects; the slack covers a backlog change at
+	// the interfaces and the collector's sample series growing.
+	budget := created*uint64(2+cfg.PacketSize) + 16
+	t.Logf("%d packets created, %d allocations (budget %d)", created, allocs, budget)
+	if created == 0 || allocs > budget {
+		t.Errorf("%d allocations over 1000 loaded steps that created %d packets; budget %d", allocs, created, budget)
 	}
 }
