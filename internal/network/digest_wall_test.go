@@ -21,8 +21,8 @@ import (
 
 // updateWall rewrites testdata/digest_wall.json instead of comparing.
 // The file holds only the cases outside internal/ref's scope (the
-// transaction layer with its VC classes, fault plans, the packet-record
-// cases); the rest, torus and adaptive routing included, run in
+// transaction layer with its VC classes, and the packet-record cases);
+// the rest, torus, adaptive routing and fault plans included, run in
 // lockstep with the reference model (TestRefLockstep). For
 // what remains, the file is an oracle only when it is cut by a kernel
 // other than the one under test: regenerate it by running this test,
@@ -171,11 +171,11 @@ func fuzzedName(i int, cfg *config.Config) string {
 }
 
 // wallCases lists the fuzz table's configurations outside
-// internal/ref's scope — those with the transaction layer or a fault
-// plan; the rest run in TestRefLockstep — followed by the cases aimed at the packet-record lifetime: records
-// reused at other sizes, a caller-held packet outliving thousands of
-// recycled ones, and a checkpoint cut while packets are half injected,
-// half ejected.
+// internal/ref's scope — those with the transaction layer; the rest run
+// in TestRefLockstep — followed by the cases aimed at the packet-record
+// lifetime: records reused at other sizes, a caller-held packet
+// outliving thousands of recycled ones, and a checkpoint cut while
+// packets are half injected, half ejected.
 func wallCases() []wallCase {
 	var cases []wallCase
 	for i := 0; i < wallFuzzCount; i++ {
@@ -291,7 +291,7 @@ func wallCases() []wallCase {
 // TestDigestWall runs every wall case and compares its digest with the
 // committed one. The oracle for a configuration inside internal/ref's
 // scope is the reference model, run in lockstep by TestRefLockstep; for
-// the cases here, outside that scope (transactions, faults and the
+// the cases here, outside that scope (transactions and the
 // packet-record cases), it is still the kernel before a representation
 // change: testdata/digest_wall.json was cut by this very
 // test running inside a clone of the parent commit (see updateWall).

@@ -10,6 +10,7 @@ import (
 
 	"vichar/internal/config"
 	"vichar/internal/ref"
+	"vichar/internal/stats"
 	"vichar/internal/topology"
 )
 
@@ -25,7 +26,8 @@ type refCase struct {
 // paper platform, the 8x8 mesh at 16 slots per port, for every
 // organization: under XY routing below and near saturation, under
 // minimal-adaptive routing with one escape VC at the same two rates
-// (Figure 12(i)), and as an XY torus near saturation.
+// (Figure 12(i)), as an XY torus near saturation, and adaptive at 0.30
+// under a fault plan.
 func refCases() []refCase {
 	var cases []refCase
 	for i := 0; i < wallFuzzCount; i++ {
@@ -56,16 +58,34 @@ func refCases() []refCase {
 		paper(arch, 0.40, "-adaptive", func(c *config.Config) { c.Routing, c.EscapeVCs = config.MinimalAdaptive, 1 })
 		paper(arch, 0.40, "-torus", func(c *config.Config) { c.Torus = true })
 	}
+	// Every fault class at once (DESIGN.md §12): rate-driven drops,
+	// corruptions and stalls, one scheduled drop, one frozen port, and
+	// an interior link killed early, so heads bound through it re-channel
+	// onto the escape tree.
+	for _, arch := range allArchs {
+		paper(arch, 0.30, "-faults", func(c *config.Config) {
+			c.Routing, c.EscapeVCs = config.MinimalAdaptive, 1
+			c.WarmupPackets, c.MeasurePackets = 300, 1000
+			c.Faults = config.FaultsConfig{Seed: 5, DropRate: 0.002, CorruptRate: 0.001, StallRate: 0.0005, Events: []config.FaultEvent{
+				{Cycle: 40, Kind: config.DropFlit, Node: 27, Port: topology.East},
+				{Cycle: 60, Kind: config.StallPort, Node: 36, Port: topology.West, Cycles: 40},
+				{Cycle: 50, Kind: config.KillLink, Node: 28, Port: topology.North},
+			}}
+		})
+	}
 	return cases
 }
 
-// reach is what one lockstep case exercised of the escape network and
-// the torus: re-channelled heads, and the measured load on wraparound
-// links.
+// reach is what one lockstep case exercised of the escape network, the
+// torus and the fault plan: re-channelled heads (on the escape tree when
+// kill is set), the measured load on wraparound links, and the run's
+// fault tallies.
 type reach struct {
 	arch     config.BufferArch
+	kill     bool
 	reroutes uint64
 	wrapLoad float64
+	faults   stats.Counters
 }
 
 // TestRefLockstep steps internal/ref in lockstep with the kernel. Every
@@ -73,9 +93,9 @@ type reach struct {
 // the Results JSON must match byte for byte (with the latencies, the
 // wall digest's inputs), and so must the windowed counters and every
 // router's Activity. Once every case has passed, the cases together
-// must have driven the escape path in each organization and carried
-// flits on a torus's wraparound links, so the model's escape and
-// torus code is known to be checked.
+// must have driven the escape path in each organization, carried flits
+// on a torus's wraparound links and exercised every fault class, so the
+// model's escape, torus and fault code is known to be checked.
 func TestRefLockstep(t *testing.T) {
 	cases := refCases()
 	reached := make([]*reach, len(cases))
@@ -89,27 +109,43 @@ func TestRefLockstep(t *testing.T) {
 }
 
 // checkReach fails unless every organization has a case that
-// re-channelled a head onto the escape network and some case loaded a
-// wraparound link. A case filtered out or failed leaves its entry nil
-// and the check undecided.
+// re-channelled a head onto the escape network and one, with a link
+// kill, that did so onto the escape tree, some case loaded a
+// wraparound link, and the cases together dropped, corrupted and
+// retransmitted flits and stalled ports. A case filtered out or failed
+// leaves its entry nil and the check undecided.
 func checkReach(t *testing.T, reached []*reach) {
-	rerouted := map[config.BufferArch]bool{}
+	rerouted, treed := map[config.BufferArch]bool{}, map[config.BufferArch]bool{}
 	wrapped := false
+	var faults stats.Counters
 	for _, r := range reached {
 		if r == nil {
-			t.Log("escape and wraparound coverage unchecked: not every case ran and passed")
+			t.Log("escape, wraparound and fault coverage unchecked: not every case ran and passed")
 			return
 		}
 		rerouted[r.arch] = rerouted[r.arch] || r.reroutes > 0
+		treed[r.arch] = treed[r.arch] || r.kill && r.reroutes > 0
 		wrapped = wrapped || r.wrapLoad > 0
+		faults.Add(r.faults)
 	}
 	for _, arch := range allArchs {
 		if !rerouted[arch] {
 			t.Errorf("no %v case re-channels a packet onto the escape network", arch)
 		}
+		if !treed[arch] {
+			t.Errorf("no %v case with a link kill re-channels a packet onto the escape tree", arch)
+		}
 	}
 	if !wrapped {
 		t.Error("no torus case carries flits on a wraparound link")
+	}
+	for _, c := range []struct {
+		what string
+		n    uint64
+	}{{"drops", faults.FlitDrops}, {"corrupts", faults.FlitCorrupts}, {"retransmits", faults.Retransmits}, {"stalls a port", faults.StallCycles}} {
+		if c.n == 0 {
+			t.Errorf("no case %s", c.what)
+		}
 	}
 }
 
@@ -153,7 +189,7 @@ func lockstep(t *testing.T, cfg config.Config) *reach {
 	if got.Counters != want.Counters {
 		t.Errorf("windowed counters: kernel %+v, reference %+v", got.Counters, want.Counters)
 	}
-	rc := &reach{arch: cfg.Arch}
+	rc := &reach{arch: cfg.Arch, kill: cfg.Faults.HasHardFaults(), faults: n.totalCounters()}
 	mesh := topology.New(cfg.Width, cfg.Height)
 	for _, l := range got.ChannelLoads {
 		if _, ok := mesh.Neighbor(l.From, l.Port); !ok {

@@ -3,9 +3,9 @@
 // DESIGN.md §3/§6 (RC under XY or minimal-adaptive routing on a mesh
 // or torus, escape-VC re-channelling, two-stage VA and SA with
 // round-robin arbiters, credit-based wormhole flow control, the
-// network interface, the links) over plain slices. Every router, port
-// and VC is visited every cycle, and nothing is masked, memoized,
-// pooled, sharded or skipped.
+// network interface, the links) and the fault plan of DESIGN.md §12
+// over plain slices. Every router, port and VC is visited every cycle,
+// and nothing is masked, memoized, pooled, sharded or skipped.
 // It shares with the kernel only the inputs both must agree on
 // (config, topology, the traffic draws, the flit types) and the
 // stats.Collector that turns ejections into Results. A lockstep test
@@ -15,6 +15,8 @@ package ref
 import (
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 
 	"vichar/internal/config"
 	"vichar/internal/flit"
@@ -34,10 +36,10 @@ const (
 
 // InScope reports whether the reference models the configuration:
 // either routing function on a mesh or torus, with escape VCs where
-// they are needed, one VC class (no transaction layer) and no fault
-// plan.
+// they are needed, any fault plan, and one VC class (no transaction
+// layer).
 func InScope(cfg *config.Config) bool {
-	return !cfg.Txn.Enabled && !cfg.Faults.Enabled()
+	return !cfg.Txn.Enabled
 }
 
 // Activity is one router's event record; its fields mean what the
@@ -45,7 +47,7 @@ func InScope(cfg *config.Config) bool {
 type Activity struct {
 	BufWrites    []uint64 // per input port: flits written
 	BufReads     []uint64 // per input port: flits read (SA grants)
-	PortStalls   []uint64 // per input port: fault stalls, always zero here
+	PortStalls   []uint64 // per input port: cycles frozen by a fault-plan stall
 	CreditStalls []uint64 // per output port: ready flits held for want of credit
 	RC           uint64   // head flits routed
 	VAOps        uint64   // VC allocator invocations
@@ -136,6 +138,14 @@ type inPort struct {
 	arrivals         []timed[*flit.Flit] // the wire into the port
 	link             int                 // its inter-router link, -1 at the local port
 	up               *view               // the credit view upstream of the port, nil if unconnected
+
+	// The link's fault state under a fault plan: its delivery attempts
+	// so far, its scheduled one-shot drops still to come, and the flit
+	// its retransmission buffer holds with the cycle of its next try.
+	attempts uint64
+	drop1    []int64
+	held     *flit.Flit
+	retryAt  int64
 }
 
 // ready is the first cycle the head flit of c is readable.
@@ -361,6 +371,14 @@ type router struct {
 
 	eject []timed[*flit.Flit]
 	act   Activity
+
+	// Fault plan: each input port's stall windows (scheduled, then
+	// rolled) and whether it is frozen this cycle, and the first dead
+	// cycle of each cardinal output link.
+	freeze     []config.FaultEvent
+	stallUntil []int64
+	stalled    []bool
+	deadAt     [topology.Local]int64
 }
 
 // ni is a network interface: a source queue of packets, one packet
@@ -389,6 +407,14 @@ type Network struct {
 	nextID  uint64
 
 	ejectedFlits uint64
+
+	// The fault plan (DESIGN.md §12): the hash seeds of link attempts
+	// and port stalls, the run's fault tallies and, when links die, the
+	// up*/down* escape tree as each node's parent and its port toward
+	// it (nil without a kill).
+	linkSeed, stallSeed          uint64
+	drops, corrupts, retransmits uint64
+	parent, upPort               []int
 
 	// Per inter-router link, in the kernel's ChannelLoads order: its
 	// endpoints and the flits it has delivered, with snapshots at the
@@ -439,6 +465,7 @@ func New(cfg *config.Config) (*Network, error) {
 				BufWrites: make([]uint64, ports), BufReads: make([]uint64, ports),
 				PortStalls: make([]uint64, ports), CreditStalls: make([]uint64, ports),
 			},
+			stallUntil: make([]int64, ports), stalled: make([]bool, ports),
 		}
 		for p := 0; p < ports; p++ {
 			in := &inPort{vcs: make([]inVC, nvc), cap: depth, pool: pool, delay: delay, link: -1}
@@ -449,6 +476,9 @@ func New(cfg *config.Config) (*Network, error) {
 			if cfg.Arch != config.ViChaR {
 				r.vaOutVC = append(r.vaOutVC, arbiters(nvc, ports*nvc))
 			}
+		}
+		for p := range r.deadAt {
+			r.deadAt[p] = math.MaxInt64
 		}
 		n.routers = append(n.routers, r)
 	}
@@ -474,7 +504,81 @@ func New(cfg *config.Config) (*Network, error) {
 		n.views = append(n.views, s.view)
 	}
 	n.linkFlits = make([]uint64, len(n.links))
+	if f := &cfg.Faults; f.Enabled() {
+		n.plan(f)
+	}
 	return n, nil
+}
+
+// plan arms the fault plan: the hash seeds, each link's one-shot
+// drops, each port's scheduled stalls, each output's kill cycle and,
+// with a kill, the escape tree.
+func (n *Network) plan(f *config.FaultsConfig) {
+	n.linkSeed, n.stallSeed = mix(uint64(f.Seed)+0x6c696e6b), mix(uint64(f.Seed)+0x7374616c)
+	for _, ev := range f.Events {
+		r := n.routers[ev.Node]
+		switch ev.Kind {
+		case config.StallPort:
+			r.freeze = append(r.freeze, ev)
+		case config.KillLink:
+			r.deadAt[ev.Port] = min(r.deadAt[ev.Port], ev.Cycle)
+		case config.DropFlit:
+			nb, _ := n.mesh.Neighbor(ev.Node, ev.Port)
+			p := n.routers[nb].in[topology.Opposite(ev.Port)]
+			p.drop1 = append(p.drop1, ev.Cycle)
+			slices.Sort(p.drop1)
+		}
+	}
+	if f.HasHardFaults() {
+		n.tree()
+	}
+}
+
+// tree builds the up*/down* escape tree of a plan that kills links
+// (DESIGN.md §12): a breadth-first spanning tree from node 0, ports in
+// ascending order, over the links that never die in either direction.
+func (n *Network) tree() {
+	n.parent, n.upPort = make([]int, len(n.routers)), make([]int, len(n.routers))
+	for i := range n.parent {
+		n.parent[i] = -1
+	}
+	queue := []int{0}
+	for len(queue) > 0 {
+		cur := queue[0]
+		queue = queue[1:]
+		for p := 0; p < topology.Local; p++ {
+			nb, ok := n.mesh.Neighbor(cur, p)
+			if !ok || nb == 0 || n.parent[nb] >= 0 || n.routers[cur].deadAt[p] != math.MaxInt64 || n.routers[nb].deadAt[topology.Opposite(p)] != math.MaxInt64 {
+				continue
+			}
+			n.parent[nb], n.upPort[nb] = cur, topology.Opposite(p)
+			queue = append(queue, nb)
+		}
+	}
+}
+
+// treeHop is the escape tree's port at cur toward dst: down toward dst
+// when the climb from dst to the root passes through cur, else up.
+func (n *Network) treeHop(cur, dst int) int {
+	for v := dst; n.parent[v] >= 0; v = n.parent[v] {
+		if n.parent[v] == cur {
+			return topology.Opposite(n.upPort[v])
+		}
+	}
+	return n.upPort[cur]
+}
+
+// mix is SplitMix64's finalizer, and draw the fault plan's counter
+// hash over it (DESIGN.md §12): draw k of a stream under a seed, as a
+// uniform sample in [0, 1).
+func mix(x uint64) uint64 {
+	x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
+	x = (x ^ x>>27) * 0x94d049bb133111eb
+	return x ^ x>>31
+}
+
+func draw(seed, stream, k uint64) float64 {
+	return float64(mix(seed+mix(stream+mix(k)))>>11) / (1 << 53)
 }
 
 // Collector exposes the statistics collector.
@@ -502,7 +606,7 @@ func (n *Network) Step() {
 	}
 	for _, r := range n.routers {
 		for ip, p := range r.in {
-			land(&p.arrivals, now, func(f *flit.Flit) {
+			n.arrive(p, now, func(f *flit.Flit) {
 				p.write(f, now)
 				r.act.BufWrites[ip]++
 				if p.link >= 0 {
@@ -533,6 +637,63 @@ func (n *Network) Step() {
 	if now%n.cfg.SampleEvery == 0 {
 		n.sample(now)
 	}
+}
+
+// arrive lands the flits due on the wire into port p, in the order they
+// were sent. Under a fault plan each delivery over an inter-router link
+// is an attempt, and a faulted one parks the flit in the link's
+// retransmission buffer, which blocks the link until a retry gets the
+// flit through, RetransmitDelay cycles after each faulted attempt
+// (DESIGN.md §12).
+func (n *Network) arrive(p *inPort, now int64, fn func(*flit.Flit)) {
+	retx := int64(n.cfg.Faults.EffectiveRetransmitDelay())
+	if p.held != nil && now >= p.retryAt {
+		n.retransmits++
+		if n.attempt(p, now) {
+			f := p.held
+			p.held = nil
+			fn(f)
+		} else {
+			p.retryAt = now + retx
+		}
+	}
+	i := 0
+	for ; i < len(p.arrivals) && p.arrivals[i].at <= now && p.held == nil; i++ {
+		if f := p.arrivals[i].v; n.attempt(p, now) {
+			fn(f)
+		} else {
+			p.held, p.retryAt = f, now+retx
+		}
+	}
+	p.arrivals = p.arrivals[:copy(p.arrivals, p.arrivals[i:])]
+}
+
+// attempt rolls one delivery attempt into p and reports whether the
+// flit gets through. The link's next scheduled one-shot drop, once due,
+// takes the attempt; otherwise draw k of the link's stream, for its
+// k-th attempt, drops the flit below DropRate and corrupts it below
+// DropRate + CorruptRate. Links from the network interfaces never
+// fault.
+func (n *Network) attempt(p *inPort, now int64) bool {
+	if !n.cfg.Faults.Enabled() || p.link < 0 {
+		return true
+	}
+	p.attempts++
+	if len(p.drop1) > 0 && p.drop1[0] <= now {
+		p.drop1 = p.drop1[1:]
+		n.drops++
+		return false
+	}
+	l, f := n.links[p.link], &n.cfg.Faults
+	switch u := draw(n.linkSeed, uint64(l.From*topology.Local+l.Port), p.attempts); {
+	case u < f.DropRate:
+		n.drops++
+	case u < f.DropRate+f.CorruptRate:
+		n.corrupts++
+	default:
+		return true
+	}
+	return false
 }
 
 // create is the traffic generator's callback: a new packet joins its
@@ -581,7 +742,11 @@ func (n *Network) counters() stats.Counters {
 		c.SAOps += r.act.SAOps
 		c.VCGrants += r.act.VAGrants
 		c.EscapeReroutes += r.act.Reroutes
+		for _, s := range r.act.PortStalls {
+			c.StallCycles += s
+		}
 	}
+	c.FlitDrops, c.FlitCorrupts, c.Retransmits = n.drops, n.corrupts, n.retransmits
 	c.XbarTraversals = c.BufferReads
 	for _, f := range n.linkFlits {
 		c.LinkTraversals += f
@@ -694,6 +859,9 @@ func toward(c, d, size int, torus bool, down, up int) int {
 // minimal-adaptive routing, the X-first one alone under XY, and on the
 // escape network (escape set) XY over the mesh links, never wrapping.
 func (n *Network) route(ports []int, cur, dst int, escape bool) []int {
+	if escape && n.parent != nil && cur != dst {
+		return append(ports, n.treeHop(cur, dst))
+	}
 	cx, cy := n.mesh.XY(cur)
 	dx, dy := n.mesh.XY(dst)
 	torus := n.mesh.Torus && !escape
@@ -715,19 +883,45 @@ func (n *Network) route(ports []int, cur, dst int, escape bool) []int {
 // tick evaluates the pipeline in reverse stage order, so a flit
 // advances at most one stage per cycle: SA, then VA, then RC. The
 // speculative pipeline runs VA before SA, so a head granted a VC bids
-// for the switch in the same cycle. Escape re-channelling comes first.
+// for the switch in the same cycle. The fault plan's port stalls are
+// latched first, then escape re-channelling runs; no stage touches a
+// frozen input port.
 func (r *router) tick(n *Network, now int64) {
+	if n.cfg.Faults.Enabled() {
+		r.stall(n, now)
+	}
 	if n.cfg.NeedsEscape() {
 		r.escape(n, now)
 	}
 	if n.cfg.Speculative {
-		r.va(n.cfg.Arch)
+		r.va(n.cfg.Arch, now)
 		r.sa(now)
 	} else {
 		r.sa(now)
-		r.va(n.cfg.Arch)
+		r.va(n.cfg.Arch, now)
 	}
 	r.rc(n, now)
+}
+
+// stall freezes input ports for this cycle (DESIGN.md §12): a scheduled
+// stall starting now extends its port's window to its end; a port not
+// frozen by now starts a StallCycles window when draw now of its stream
+// falls below StallRate. A frozen port's cycle counts in PortStalls.
+func (r *router) stall(n *Network, now int64) {
+	f := &n.cfg.Faults
+	for _, ev := range r.freeze {
+		if ev.Cycle == now {
+			r.stallUntil[ev.Port] = max(r.stallUntil[ev.Port], now+int64(ev.Cycles))
+		}
+	}
+	for p := range r.stalled {
+		if f.StallRate > 0 && r.stallUntil[p] <= now && draw(n.stallSeed, uint64(r.id*len(r.in)+p), uint64(now)) < f.StallRate {
+			r.stallUntil[p] = now + int64(f.EffectiveStallCycles())
+		}
+		if r.stalled[p] = now < r.stallUntil[p]; r.stalled[p] {
+			r.act.PortStalls[p]++
+		}
+	}
 }
 
 // escape re-channels every head that has waited for a VC more than
@@ -735,10 +929,10 @@ func (r *router) tick(n *Network, now int64) {
 // Dispenser's deadlock-recovery flow, paper Figure 10): from here to
 // its destination the packet takes the escape route and escape VCs.
 func (r *router) escape(n *Network, now int64) {
-	for _, p := range r.in {
+	for ip, p := range r.in {
 		for v := range p.vcs {
 			c := &p.vcs[v]
-			if c.state != waiting || now-c.since <= int64(n.cfg.DeadlockThreshold) {
+			if c.state != waiting || now-c.since <= int64(n.cfg.DeadlockThreshold) || r.stalled[ip] {
 				continue
 			}
 			if pkt := c.flits[0].Pkt; !pkt.Escaped {
@@ -753,10 +947,10 @@ func (r *router) escape(n *Network, now int64) {
 // rc routes the head flit of every idle VC that will be readable next
 // cycle: buffer write and RC share the cycle a head arrives in.
 func (r *router) rc(n *Network, now int64) {
-	for _, p := range r.in {
+	for ip, p := range r.in {
 		for v := range p.vcs {
 			c := &p.vcs[v]
-			if c.state != idle || len(c.flits) == 0 || p.ready(c) > now+1 {
+			if c.state != idle || len(c.flits) == 0 || p.ready(c) > now+1 || r.stalled[ip] {
 				continue
 			}
 			if !c.flits[0].IsHead() {
@@ -777,14 +971,17 @@ func (r *router) grant(c *inVC, op, ovc int) {
 	r.act.VAGrants++
 }
 
-// best returns the candidate output of waiting VC c that can grant its
-// packet a VC of its kind and has the most free slots downstream, a tie
-// going to the first listed, or -1.
-func (r *router) best(c *inVC) int {
+// best returns the candidate output of waiting VC c whose link is alive
+// and that can grant its packet a VC of its kind and has the most free
+// slots downstream, a tie going to the first listed, or -1.
+func (r *router) best(c *inVC, now int64) int {
 	esc := c.flits[0].Pkt.Escaped
 	best, most := -1, -1
 	for _, op := range c.cands {
 		v := r.out[op].view
+		if op < topology.Local && now >= r.deadAt[op] {
+			continue
+		}
 		if s := v.freeSlots(); s > most && v.freeVC(esc, 0) >= 0 {
 			best, most = op, s
 		}
@@ -798,7 +995,7 @@ func (r *router) best(c *inVC) int {
 // nominates one asking VC, each output port picks one nominee and
 // hands it the next free token. The fixed organizations (Figure 7(a)):
 // each output VC picks one of the VCs asking for it.
-func (r *router) va(arch config.BufferArch) {
+func (r *router) va(arch config.BufferArch, now int64) {
 	contenders, grants := 0, 0
 	var nominee [topology.NumPorts]int
 	for ip, p := range r.in {
@@ -806,8 +1003,8 @@ func (r *router) va(arch config.BufferArch) {
 		for v := range p.vcs {
 			c := &p.vcs[v]
 			c.ask = -1
-			if c.state == waiting {
-				if op := r.best(c); op >= 0 {
+			if c.state == waiting && !r.stalled[ip] {
+				if op := r.best(c, now); op >= 0 {
 					c.outPort, c.ask = op, r.out[op].view.freeVC(c.flits[0].Pkt.Escaped, v)
 				}
 			}
@@ -873,7 +1070,7 @@ func (r *router) sa(now int64) {
 		for v := range p.vcs {
 			c := &p.vcs[v]
 			c.bid = false
-			if c.state != active || len(c.flits) == 0 || p.ready(c) > now {
+			if c.state != active || len(c.flits) == 0 || p.ready(c) > now || r.stalled[ip] {
 				continue
 			}
 			if c.bid = r.out[c.outPort].view.canSend(c.outVC); c.bid {

@@ -56,11 +56,11 @@ func TestImportsAllowList(t *testing.T) {
 // New refuses what the model does not cover, so a lockstep cannot
 // compare the kernel against a model of some other network, and
 // accepts what it does: either routing function on a mesh or torus,
-// with escape VCs, here under GEN and ViChaR.
+// with escape VCs, and fault plans, link kills under adaptive routing
+// included, here under GEN and ViChaR.
 func TestNewRefusesOutOfScope(t *testing.T) {
 	for name, edit := range map[string]func(*config.Config){
-		"txn":    func(c *config.Config) { c.Txn.Enabled, c.Txn.Rate = true, 0.05 },
-		"faults": func(c *config.Config) { c.Faults.DropRate = 0.01 },
+		"txn": func(c *config.Config) { c.Txn.Enabled, c.Txn.Rate = true, 0.05 },
 	} {
 		cfg := config.Default()
 		edit(&cfg)
@@ -74,6 +74,11 @@ func TestNewRefusesOutOfScope(t *testing.T) {
 			"adaptive":       func(c *config.Config) { c.Routing = config.MinimalAdaptive },
 			"torus":          func(c *config.Config) { c.Torus = true },
 			"adaptive torus": func(c *config.Config) { c.Routing, c.Torus = config.MinimalAdaptive, true },
+			"faults":         func(c *config.Config) { c.Faults.DropRate = 0.01 },
+			"kill under adaptive": func(c *config.Config) {
+				c.Routing = config.MinimalAdaptive
+				c.Faults.Events = []config.FaultEvent{{Cycle: 50, Kind: config.KillLink, Node: 27, Port: 1}}
+			},
 		} {
 			cfg := config.Default()
 			cfg.Arch = arch
